@@ -8,7 +8,7 @@
 //	BenchmarkFig8Stages           — Fig. 8: seed→grow→refine demonstration scene
 //	BenchmarkMultilayerPlan       — Figs. 5/13 + Alg. 6: via planning and decomposition
 //	BenchmarkSpaceToGraph         — Alg. 1: tiling the two-rail available space
-//	BenchmarkNodeCurrents         — Alg. 3: one node-current evaluation (the 90% cost)
+//	BenchmarkNodeCurrents         — Alg. 3: one node-current evaluation of a new mask
 //	BenchmarkSeed                 — Alg. 2: pairwise Dijkstra + void filling
 //	BenchmarkExtraction           — §III impedance extraction of a routed shape
 //	BenchmarkRegionBoolean        — the Eq. 1 clipping substrate
@@ -143,55 +143,12 @@ func BenchmarkSpaceToGraph(b *testing.B) {
 	}
 }
 
+// BenchmarkNodeCurrents measures one step of the grow/refine loop: every
+// iteration toggles one non-terminal node, so each evaluation sees a new
+// mask and the solver session rebuilds the induced subgraph and Laplacian
+// into its retained arenas before the warm-started pair solves (DESIGN.md
+// §5g) — the pipeline never scores the same mask twice in a row.
 func BenchmarkNodeCurrents(b *testing.B) {
-	avail, terms := twoRailSpace(b)
-	tg, err := route.BuildTileGraph(avail, terms, 5, 5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	members := make([]bool, tg.G.N())
-	for i := range members {
-		members[i] = true
-	}
-	// SPROUT_TRACE=path runs the benchmark with tracing enabled and writes
-	// a Chrome trace-event file; CI's bench-smoke job uses it. Unset, the
-	// benchmark measures the no-op tracer path.
-	ctx := context.Background()
-	var tracer *obs.Tracer
-	if path := os.Getenv("SPROUT_TRACE"); path != "" {
-		tracer = obs.New()
-		ctx = obs.WithTracer(ctx, tracer)
-		b.Cleanup(func() {
-			if err := tracer.WriteChromeTraceFile(path); err != nil {
-				b.Error(err)
-			}
-		})
-	}
-	// The grow/refine loop re-evaluates member sets against a long-lived
-	// SolveCache, so the benchmark measures the steady-state session path:
-	// the first call (outside the timer) builds the induced subgraph,
-	// Laplacian, and per-pair arenas; timed iterations hit the cached
-	// structures (DESIGN.md §5g).
-	warm := route.NewSolveCache()
-	if _, err := tg.NodeCurrentsCtx(ctx, members, warm); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tg.NodeCurrentsCtx(ctx, members, warm); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkNodeCurrentsIncremental measures the session's rebuild path:
-// every iteration toggles one non-terminal node, so the member set never
-// matches the cached mask and the solver session re-derives the induced
-// subgraph and Laplacian into its retained arenas — the actual per-step
-// cost inside the grow loop, as opposed to BenchmarkNodeCurrents'
-// same-mask hit path.
-func BenchmarkNodeCurrentsIncremental(b *testing.B) {
 	avail, terms := twoRailSpace(b)
 	tg, err := route.BuildTileGraph(avail, terms, 5, 5)
 	if err != nil {
@@ -218,7 +175,20 @@ func BenchmarkNodeCurrentsIncremental(b *testing.B) {
 	notched := make([]bool, tg.G.N())
 	copy(notched, full)
 	notched[toggle] = false
+	// SPROUT_TRACE=path runs the benchmark with tracing enabled and writes
+	// a Chrome trace-event file; CI's bench-smoke job uses it. Unset, the
+	// benchmark measures the no-op tracer path.
 	ctx := context.Background()
+	var tracer *obs.Tracer
+	if path := os.Getenv("SPROUT_TRACE"); path != "" {
+		tracer = obs.New()
+		ctx = obs.WithTracer(ctx, tracer)
+		b.Cleanup(func() {
+			if err := tracer.WriteChromeTraceFile(path); err != nil {
+				b.Error(err)
+			}
+		})
+	}
 	warm := route.NewSolveCache()
 	// Validate both masks and charge the initial arena growth outside the
 	// timer; every timed iteration is then a pure structural rebuild.

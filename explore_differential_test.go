@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"reflect"
 	"strconv"
 	"testing"
 
@@ -58,42 +57,6 @@ func diffExplore(t *testing.T, b *sprout.Board, opt sprout.RouteOptions) {
 		sameExploration(t, seq, noCache)
 		if noCache.Stats.PrefixHits != 0 {
 			t.Fatalf("cache off but %d prefix hits", noCache.Stats.PrefixHits)
-		}
-	}
-
-	// The incremental solver session (route.Config.NoSolverCache) must be
-	// equally invisible: same exploration, same winner, and — because the
-	// session replays the scratch path's arithmetic — identical per-rail
-	// solver summaries in the winning board's run report.
-	solverOffOpt := opt
-	solverOffOpt.Config.NoSolverCache = true
-	solverOff, err := sprout.ExploreNetOrders(b, solverOffOpt)
-	if (err == nil) != (parErr == nil) {
-		t.Fatalf("solver-cache-off error divergence: %v vs %v", err, parErr)
-	}
-	if solverOff != nil {
-		sameExploration(t, seq, solverOff)
-		if seq.Best != nil && solverOff.Best != nil {
-			sameSolveReports(t, seq.Best, solverOff.Best)
-		}
-	}
-}
-
-// sameSolveReports asserts the winning boards' run reports carry
-// identical per-rail solver-ladder summaries across solver-cache modes.
-func sameSolveReports(t *testing.T, a, b *sprout.BoardResult) {
-	t.Helper()
-	if a.Report == nil || b.Report == nil {
-		t.Fatalf("run report missing: %v vs %v", a.Report != nil, b.Report != nil)
-	}
-	if len(a.Report.Rails) != len(b.Report.Rails) {
-		t.Fatalf("report rails: %d vs %d", len(a.Report.Rails), len(b.Report.Rails))
-	}
-	for i := range a.Report.Rails {
-		ra, rb := a.Report.Rails[i], b.Report.Rails[i]
-		if !reflect.DeepEqual(ra.Solve, rb.Solve) {
-			t.Fatalf("rail %q solver summary differs between solver-cache modes:\n  on  %+v\n  off %+v",
-				ra.Name, ra.Solve, rb.Solve)
 		}
 	}
 }

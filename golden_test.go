@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"sprout"
@@ -175,86 +174,6 @@ func TestGoldenFig8(t *testing.T) {
 		ResistanceSquares: res.Resistance,
 	}}}
 	checkGolden(t, "fig8", got)
-}
-
-// TestGoldenSolverCacheOff routes the whole corpus with the incremental
-// solver session disabled (Config.NoSolverCache) and checks the results
-// against the same golden files: the cache is a performance feature and
-// must be bit-invisible in every routed rail. The per-rail solver
-// summaries must also match the session-enabled run — same solve counts,
-// iterations, and winning rungs — since member selection depends on them.
-func TestGoldenSolverCacheOff(t *testing.T) {
-	if *updateGolden {
-		t.Skip("goldens are pinned by the session-enabled tests")
-	}
-	runBoth := func(t *testing.T, name string, cs *cases.CaseStudy) {
-		t.Helper()
-		opts := sprout.RouteOptions{
-			Layer:    cs.RoutingLayer,
-			Budgets:  cs.Budgets,
-			Config:   cs.Config,
-			FailFast: true,
-		}
-		on, err := sprout.RouteBoard(cs.Board, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts.Config.NoSolverCache = true
-		off, err := sprout.RouteBoard(cs.Board, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := goldenCase{Case: name}
-		for _, rail := range off.Rails {
-			got.Rails = append(got.Rails, railGolden(rail))
-		}
-		checkGolden(t, name, got)
-		if len(on.Rails) != len(off.Rails) {
-			t.Fatalf("%s: rail count %d with cache vs %d without", name, len(on.Rails), len(off.Rails))
-		}
-		for i := range on.Rails {
-			a, b := on.Rails[i].Solve, off.Rails[i].Solve
-			if !reflect.DeepEqual(a, b) {
-				t.Errorf("%s rail %q solver summary diverges between cache modes:\n  on  %+v\n  off %+v",
-					name, on.Rails[i].Name, a, b)
-			}
-		}
-	}
-	for _, tc := range []struct {
-		name string
-		load func() (*cases.CaseStudy, error)
-	}{
-		{"tworail", cases.TwoRail},
-		{"threerail", func() (*cases.CaseStudy, error) { return cases.ThreeRail(cases.Table4()[0]) }},
-		{"sixrail", cases.SixRail},
-	} {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			cs, err := tc.load()
-			if err != nil {
-				t.Fatal(err)
-			}
-			runBoth(t, tc.name, cs)
-		})
-	}
-	t.Run("fig8", func(t *testing.T) {
-		avail, terms := cases.Fig8Scene()
-		res, err := route.Route(avail, terms, route.Config{
-			DX: 4, DY: 4, AreaMax: 4000,
-			GrowNodes: 20, RefineNodes: 10, RefineIters: 10, ReheatDilations: 2,
-			NoSolverCache: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := goldenCase{Case: "fig8", Rails: []goldenRail{{
-			Name:              "fig8",
-			AreaUnits:         res.Shape.Area(),
-			RouteNodes:        memberCount(res.Members),
-			ResistanceSquares: res.Resistance,
-		}}}
-		checkGolden(t, "fig8", got)
-	})
 }
 
 // TestGoldenExploreBest pins the explorer's winner on the order-sensitive

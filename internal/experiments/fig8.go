@@ -42,28 +42,44 @@ func RunFig8(outDir string) (*Fig8Result, error) {
 		}{name, cp})
 	}
 	snap("a_seed")
-	for i := 0; i < 4; i++ {
-		if _, err := tg.SmartGrow(members, 20, nil); err != nil {
-			return nil, err
+	// Each step hands on the metrics of the mask it leaves, so every mask
+	// is scored once.
+	m, err := tg.NodeCurrents(members, nil)
+	if err != nil {
+		return nil, err
+	}
+	grow := func(steps int) error {
+		for i := 0; i < steps; i++ {
+			var err error
+			if _, m, err = tg.SmartGrow(members, m, 20, nil); err != nil {
+				return err
+			}
 		}
+		return nil
+	}
+	refine := func(steps int) error {
+		for i := 0; i < steps; i++ {
+			var err error
+			if m, err = tg.SmartRefine(members, m, 8, nil); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := grow(4); err != nil {
+		return nil, err
 	}
 	snap("c_grow_initial")
-	for i := 0; i < 6; i++ {
-		if _, err := tg.SmartGrow(members, 20, nil); err != nil {
-			return nil, err
-		}
+	if err := grow(6); err != nil {
+		return nil, err
 	}
 	snap("d_grow_final")
-	for i := 0; i < 3; i++ {
-		if _, err := tg.SmartRefine(members, 8, nil); err != nil {
-			return nil, err
-		}
+	if err := refine(3); err != nil {
+		return nil, err
 	}
 	snap("e_refine_initial")
-	for i := 0; i < 5; i++ {
-		if _, err := tg.SmartRefine(members, 8, nil); err != nil {
-			return nil, err
-		}
+	if err := refine(5); err != nil {
+		return nil, err
 	}
 	snap("f_refine_final")
 

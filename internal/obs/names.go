@@ -56,9 +56,10 @@ const (
 	MSolverResidualNegLog10 = "solver.residual_neglog10"
 	MLaplacianNNZ           = "laplacian.nnz"
 
-	// Incremental solver session (PR 10): the per-pipeline solver cache
-	// that keeps the induced subgraph, Laplacian, and preconditioner
-	// alive across grow/refine iterations.
+	// Solver session: the per-pipeline solver cache whose arenas for the
+	// induced subgraph, Laplacian, and preconditioner are rebuilt in place
+	// for every evaluated mask. solver.cache.hits stays registered for
+	// readers of older traces and always reads 0.
 	MSolverCacheHits          = "solver.cache.hits"
 	MSolverCacheRebuilds      = "solver.cache.rebuilds"
 	MSolverCacheInvalidations = "solver.cache.invalidations"
@@ -192,8 +193,8 @@ func init() {
 		MetricDef{Name: MSolverCGIterations, Kind: KindHistogram, Help: "CG iterations per solve attempt.", Buckets: countBuckets},
 		MetricDef{Name: MSolverResidualNegLog10, Kind: KindHistogram, Help: "Accepted-solve relative residual as -log10.", Buckets: countBuckets},
 		MetricDef{Name: MLaplacianNNZ, Kind: KindHistogram, Help: "Nonzeros of each solved Laplacian.", Buckets: countBuckets},
-		MetricDef{Name: MSolverCacheHits, Kind: KindCounter, Help: "Nodal analyses served from the cached solver session (unchanged member mask)."},
-		MetricDef{Name: MSolverCacheRebuilds, Kind: KindCounter, Help: "Solver-session structural rebuilds after a member-mask delta."},
+		MetricDef{Name: MSolverCacheHits, Kind: KindCounter, Help: "Always 0: the pipeline scores each member mask once, so no nodal analysis reuses the previous mask's structures."},
+		MetricDef{Name: MSolverCacheRebuilds, Kind: KindCounter, Help: "Nodal analyses through a caller's solve cache: each evaluation rebuilds the solver session's structures into its retained arenas."},
 		MetricDef{Name: MSolverCacheInvalidations, Kind: KindCounter, Help: "Warm-start vectors dropped after a rung-1 stall; the solve fell back to a cold rebuild."},
 		MetricDef{Name: MSolverAMGBuilds, Kind: KindCounter, Help: "AMG hierarchy constructions (lazy, one per Laplacian reaching the cg-amg rung)."},
 		MetricDef{Name: MSolverAMGLevels, Kind: KindHistogram, Help: "Levels per constructed AMG hierarchy.", Buckets: countBuckets},

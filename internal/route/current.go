@@ -2,14 +2,12 @@ package route
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"sprout/internal/graph"
 	"sprout/internal/obs"
 	"sprout/internal/sparse"
 )
@@ -35,10 +33,9 @@ type Metrics struct {
 
 // SolveCache keeps per-pair voltage solutions keyed by full-graph node id so
 // successive SmartGrow/SmartRefine iterations warm-start the CG solver on
-// nearly identical systems. It also owns the incremental solver session
-// (DESIGN.md §5g): the induced subgraph, Laplacian, preconditioner, and
-// per-worker scratch survive across evaluations, so steady-state nodal
-// analyses in the grow/refine hot loop run without rebuild allocations.
+// nearly identical systems. It also owns the solver session (DESIGN.md
+// §5g), whose arenas for the induced subgraph, Laplacian, preconditioner,
+// and per-worker scratch are rebuilt in place for every evaluated mask.
 //
 // A SolveCache is single-pipeline state: thread one instance through the
 // stages of one route, do not share it across goroutines.
@@ -48,13 +45,13 @@ type SolveCache struct {
 	// used this cache — the whole pipeline threads one SolveCache through
 	// its stages, so this is the rail's solver summary.
 	stats sparse.SolveStats
-	// noSession disables the incremental session (Config.NoSolverCache):
-	// every evaluation then rebuilds from scratch like the historic path,
-	// keeping only the warm-start vectors. Used by the differential
-	// harness and ablation runs.
-	noSession bool
-	// sess is the lazily created incremental session.
+	// sess is the lazily created solver session.
 	sess *solverSession
+	// beforeEval, when set, sees every member mask just before it is
+	// evaluated. Production code never sets it; the package's tests use
+	// it (export_test.go) to discard the session and to watch the
+	// evaluation sequence of a route.
+	beforeEval func(members []bool)
 }
 
 // NewSolveCache returns an empty cache ready to thread through a pipeline.
@@ -94,8 +91,8 @@ type pairSolution struct {
 	volts   [][]float64 // per pair, full-size voltages (0 outside subgraph)
 	orig    []int       // sub node -> full node id
 	// neighbors iterates a sub node's adjacency in insertion order — the
-	// same order graph.Graph.Neighbors uses, whichever path produced the
-	// solution, so the metric accumulation below is bit-stable.
+	// same order graph.Graph.Neighbors uses on the induced subgraph — so
+	// the metric accumulation below is bit-stable.
 	neighbors func(si int, fn func(nj int, w float64))
 	stats     sparse.SolveStats // ladder telemetry of this call's solves
 }
@@ -182,130 +179,6 @@ func foldSolveStats(ctx context.Context, atts [][]sparse.RungAttempt, lap *spars
 	return st
 }
 
-// solvePairs performs the nodal analysis of paper Eq. 3 for every terminal
-// pair over the member subgraph. Cancelling the context aborts the worker
-// pool between pair solves and inside the CG iterations. With a cache that
-// has the session enabled the solve runs incrementally (DESIGN.md §5g);
-// otherwise it rebuilds from scratch.
-func (tg *TileGraph) solvePairs(ctx context.Context, members []bool, warm *SolveCache) (*pairSolution, error) {
-	if warm != nil && !warm.noSession {
-		return tg.solvePairsSession(ctx, members, warm)
-	}
-	return tg.solvePairsScratch(ctx, members, warm)
-}
-
-// solvePairsScratch is the from-scratch nodal analysis: every structure is
-// rebuilt for the given mask. It is the oracle the differential harness
-// compares the incremental session against, and the path PairVoltages and
-// Resistance use (they carry no cache).
-func (tg *TileGraph) solvePairsScratch(ctx context.Context, members []bool, warm *SolveCache) (*pairSolution, error) {
-	// stage.solve times the whole nodal analysis — the ~90% slice of §II-H.
-	// The clock is only read when tracing is on, keeping the disabled path
-	// byte-identical.
-	var solveStart time.Time
-	if obs.Enabled(ctx) {
-		solveStart = time.Now()
-	}
-	if len(members) != tg.G.N() {
-		return nil, fmt.Errorf("route: member mask len %d, want %d", len(members), tg.G.N())
-	}
-	for ti, t := range tg.Terminals {
-		if !members[t] {
-			return nil, fmt.Errorf("route: terminal %d (node %d) outside subgraph", ti, t)
-		}
-	}
-	sub, orig := inducedMembers(tg.G, members)
-	subIdx := make(map[int]int, len(orig))
-	for si, id := range orig {
-		subIdx[id] = si
-	}
-	subTerms := make([]int, len(tg.Terminals))
-	for i, t := range tg.Terminals {
-		subTerms[i] = subIdx[t]
-	}
-	if !sub.Connected(subTerms...) {
-		return nil, fmt.Errorf("route: terminals disconnected within subgraph")
-	}
-
-	// The subgraph may contain satellite components without terminals
-	// (e.g. after removals); nodes outside the terminal component make the
-	// grounded Laplacian singular. Restrict the solve to the terminal
-	// component.
-	label, _ := sub.Components()
-	tcomp := label[subTerms[0]]
-	compNodes := make([]int, 0, sub.N())
-	compIdx := make([]int, sub.N())
-	for i := range compIdx {
-		compIdx[i] = -1
-	}
-	for i := 0; i < sub.N(); i++ {
-		if label[i] == tcomp {
-			compIdx[i] = len(compNodes)
-			compNodes = append(compNodes, i)
-		}
-	}
-	var cedges []sparse.WeightedEdge
-	for _, e := range sub.Edges() {
-		if compIdx[e.U] >= 0 && compIdx[e.V] >= 0 {
-			cedges = append(cedges, sparse.WeightedEdge{U: compIdx[e.U], V: compIdx[e.V], W: e.Weight})
-		}
-	}
-	ground := compIdx[subTerms[0]]
-	lap, err := sparse.NewLaplacian(len(compNodes), cedges, ground)
-	if err != nil {
-		return nil, fmt.Errorf("route: laplacian: %w", err)
-	}
-
-	pairs, weights := tg.pairList()
-	if warm != nil && len(warm.pairVolts) != len(pairs) {
-		warm.pairVolts = make([][]float64, len(pairs))
-	}
-	sol := &pairSolution{pairs: pairs, weights: weights, orig: orig, neighbors: sub.Neighbors}
-	sol.volts = make([][]float64, len(pairs))
-
-	// Each worker deposits its ladder trace in its own slot; the traces
-	// are folded after the pool drains, in pair order.
-	atts := make([][]sparse.RungAttempt, len(pairs))
-	solveOne := func(_ int, pi int) error {
-		pr := pairs[pi]
-		s, t := subTerms[pr[0]], subTerms[pr[1]]
-		cs, ct := compIdx[s], compIdx[t]
-		b := make([]float64, len(compNodes))
-		b[cs] += 1
-		b[ct] -= 1
-		var x0 []float64
-		if warm != nil && warm.pairVolts[pi] != nil {
-			x0 = make([]float64, len(compNodes))
-			for ci, si := range compNodes {
-				x0[ci] = warm.pairVolts[pi][orig[si]]
-			}
-		}
-		v, attempts, err := lap.SolveAttemptsCtx(ctx, b, x0)
-		atts[pi] = attempts
-		if err != nil {
-			return fmt.Errorf("route: pair %d solve: %w", pi, err)
-		}
-		full := make([]float64, tg.G.N())
-		for ci, si := range compNodes {
-			full[orig[si]] = v[ci]
-		}
-		if warm != nil {
-			warm.pairVolts[pi] = full
-		}
-		sol.volts[pi] = full
-		return nil
-	}
-	solveErr := runPairSolves(ctx, len(pairs), solveOne)
-	sol.stats = foldSolveStats(ctx, atts, lap, solveStart)
-	if warm != nil {
-		warm.stats.Merge(sol.stats)
-	}
-	if solveErr != nil {
-		return nil, solveErr
-	}
-	return sol, nil
-}
-
 // NodeCurrents evaluates the node-current metric without cancellation
 // support; see NodeCurrentsCtx.
 func (tg *TileGraph) NodeCurrents(members []bool, warm *SolveCache) (*Metrics, error) {
@@ -314,20 +187,26 @@ func (tg *TileGraph) NodeCurrents(members []bool, warm *SolveCache) (*Metrics, e
 
 // NodeCurrentsCtx evaluates the node-current metric over the member
 // subgraph (paper Algorithm 3). All terminals must be members and mutually
-// connected within the mask. warm may be nil; when reused across calls it
-// accelerates the underlying CG solves and keeps the solver session's
-// structures warm.
+// connected within the mask. warm may be nil: the evaluation then solves
+// cold on a throwaway session. Reused across calls, warm warm-starts the
+// CG solves and rebuilds the session into its retained arenas.
 func (tg *TileGraph) NodeCurrentsCtx(ctx context.Context, members []bool, warm *SolveCache) (*Metrics, error) {
 	sol, err := tg.solvePairs(ctx, members, warm)
 	if err != nil {
 		return nil, err
 	}
+	return tg.metrics(sol), nil
+}
+
+// metrics folds the pair solutions into the node-current metric and the
+// resistance objective (paper Alg. 3 lines 9-13).
+func (tg *TileGraph) metrics(sol *pairSolution) *Metrics {
 	nodeCur := make([]float64, tg.G.N())
 	pairRes := make([]float64, len(sol.pairs))
 	totalRes := 0.0
 	// The accumulation closure is hoisted out of the pair/node loops and
 	// fed through captured slots: allocating it per node would dominate
-	// the steady-state allocation budget of the solver session.
+	// the per-evaluation allocation budget of the solver session.
 	var (
 		v   []float64
 		vid float64
@@ -353,7 +232,7 @@ func (tg *TileGraph) NodeCurrentsCtx(ctx context.Context, members []bool, warm *
 			nodeCur[id] += w * sum
 		}
 	}
-	return &Metrics{NodeCurrent: nodeCur, Resistance: totalRes, PairResistance: pairRes, Solve: sol.stats}, nil
+	return &Metrics{NodeCurrent: nodeCur, Resistance: totalRes, PairResistance: pairRes, Solve: sol.stats}
 }
 
 // PairVoltages exposes the per-pair nodal voltages without cancellation
@@ -372,17 +251,6 @@ func (tg *TileGraph) PairVoltagesCtx(ctx context.Context, members []bool) (volts
 		return nil, nil, nil, err
 	}
 	return sol.volts, sol.pairs, sol.weights, nil
-}
-
-// inducedMembers builds the induced subgraph over the mask's set nodes.
-func inducedMembers(g *graph.Graph, members []bool) (*graph.Graph, []int) {
-	nodes := make([]int, 0)
-	for id, in := range members {
-		if in {
-			nodes = append(nodes, id)
-		}
-	}
-	return g.InducedSubgraph(nodes)
 }
 
 // Resistance computes only the objective value for a member mask, without

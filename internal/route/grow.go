@@ -9,25 +9,28 @@ import (
 
 // SmartGrow grows the subgraph without cancellation support; see
 // SmartGrowCtx.
-func (tg *TileGraph) SmartGrow(members []bool, k int, warm *SolveCache) ([]int, error) {
-	return tg.SmartGrowCtx(context.Background(), members, k, warm)
+func (tg *TileGraph) SmartGrow(members []bool, m *Metrics, k int, warm *SolveCache) ([]int, *Metrics, error) {
+	return tg.SmartGrowCtx(context.Background(), members, m, k, warm)
 }
 
 // SmartGrowCtx adds up to k boundary nodes to the member subgraph, choosing
 // the candidates adjacent to the members with the highest node current
-// (paper Algorithm 4). It returns the ids actually added. The caller is
-// responsible for stopping at the area budget.
-func (tg *TileGraph) SmartGrowCtx(ctx context.Context, members []bool, k int, warm *SolveCache) ([]int, error) {
-	if k <= 0 {
-		return nil, nil
-	}
-	m, err := tg.NodeCurrentsCtx(ctx, members, warm)
-	if err != nil {
-		return nil, err
-	}
+// (paper Algorithm 4). m must hold the metrics of members as received; the
+// step scores the candidates with them and evaluates the grown mask once.
+// It returns the ids actually added and the metrics of the mask it leaves —
+// m itself when nothing was added. The caller is responsible for stopping
+// at the area budget.
+func (tg *TileGraph) SmartGrowCtx(ctx context.Context, members []bool, m *Metrics, k int, warm *SolveCache) ([]int, *Metrics, error) {
 	added := tg.growByCurrent(members, m.NodeCurrent, k)
 	obs.Event(ctx, "grow.batch", obs.A("requested", k), obs.A("added", len(added)))
-	return added, nil
+	if len(added) == 0 {
+		return nil, m, nil
+	}
+	next, err := tg.NodeCurrentsCtx(ctx, members, warm)
+	if err != nil {
+		return nil, nil, err
+	}
+	return added, next, nil
 }
 
 // growByCurrent scores every boundary candidate by the summed node current

@@ -150,12 +150,17 @@ func TestSmartGrowReducesResistance(t *testing.T) {
 		t.Fatal(err)
 	}
 	warm := NewSolveCache()
+	m, err := tg.NodeCurrents(members, warm)
+	if err != nil {
+		t.Fatal(err)
+	}
 	prev, err := tg.Resistance(members)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		added, err := tg.SmartGrow(members, 6, warm)
+		var added []int
+		added, m, err = tg.SmartGrow(members, m, 6, warm)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +195,11 @@ func TestSmartGrowPrefersHighCurrentRegions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	added, err := tg.SmartGrow(members, 10, nil)
+	m, err := tg.NodeCurrents(members, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	added, _, err := tg.SmartGrow(members, m, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,11 +226,15 @@ func TestSmartRefineKeepsAreaAndConnectivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tg.SmartGrow(members, 30, nil); err != nil {
+	m, err := tg.NodeCurrents(members, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, m, err = tg.SmartGrow(members, m, 30, nil); err != nil {
 		t.Fatal(err)
 	}
 	beforeCount := MemberCount(members)
-	res, err := tg.SmartRefine(members, 5, nil)
+	res, err := tg.SmartRefine(members, m, 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,8 +244,17 @@ func TestSmartRefineKeepsAreaAndConnectivity(t *testing.T) {
 	if got := MemberCount(members); got != beforeCount {
 		t.Fatalf("refine changed node count %d -> %d", beforeCount, got)
 	}
-	if res <= 0 {
-		t.Fatalf("refine resistance = %g, want > 0", res)
+	if res.Resistance <= 0 {
+		t.Fatalf("refine resistance = %g, want > 0", res.Resistance)
+	}
+	// The returned metrics are those of the mask refine left behind: with
+	// no warm cache both sides solve cold, so they agree bit for bit.
+	want, err := tg.Resistance(members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Resistance != want {
+		t.Fatalf("refine returned resistance %x, mask it left scores %x", res.Resistance, want)
 	}
 }
 
@@ -275,8 +297,20 @@ func TestDilateErode(t *testing.T) {
 	if tg.MembersArea(members) <= areaBefore {
 		t.Fatal("dilate must increase area")
 	}
-	if err := tg.Erode(members, areaBefore, 4, nil); err != nil {
+	m, err := tg.NodeCurrents(members, nil)
+	if err != nil {
 		t.Fatal(err)
+	}
+	eroded, err := tg.Erode(members, m, areaBefore, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := tg.Resistance(members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eroded.Resistance != want {
+		t.Fatalf("erode returned resistance %x, mask it left scores %x", eroded.Resistance, want)
 	}
 	if got := tg.MembersArea(members); got > areaBefore {
 		t.Fatalf("erode left area %d > budget %d", got, areaBefore)

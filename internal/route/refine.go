@@ -85,47 +85,46 @@ func (tg *TileGraph) terminalsConnected(members []bool) bool {
 
 // SmartRefine performs one refinement step without cancellation support;
 // see SmartRefineCtx.
-func (tg *TileGraph) SmartRefine(members []bool, k int, warm *SolveCache) (float64, error) {
-	return tg.SmartRefineCtx(context.Background(), members, k, warm)
+func (tg *TileGraph) SmartRefine(members []bool, m *Metrics, k int, warm *SolveCache) (*Metrics, error) {
+	return tg.SmartRefineCtx(context.Background(), members, m, k, warm)
 }
 
 // SmartRefineCtx performs one refinement step (paper Algorithm 5): remove
-// the k lowest-current nodes, then re-grow k nodes at the highest-current
-// boundary. It returns the change in node count (normally zero) and the
-// resistance after the step.
-func (tg *TileGraph) SmartRefineCtx(ctx context.Context, members []bool, k int, warm *SolveCache) (float64, error) {
-	m, err := tg.NodeCurrentsCtx(ctx, members, warm)
-	if err != nil {
-		return 0, err
-	}
+// the k lowest-current nodes, then re-grow as many nodes at the
+// highest-current boundary. m must hold the metrics of members as
+// received; the step evaluates the pruned and the re-grown mask once each
+// and returns the metrics of the mask it leaves — m itself when no node
+// could be removed.
+func (tg *TileGraph) SmartRefineCtx(ctx context.Context, members []bool, m *Metrics, k int, warm *SolveCache) (*Metrics, error) {
 	removed := tg.removeLowCurrent(members, m.NodeCurrent, k)
 	obs.Event(ctx, "refine.swap", obs.A("requested", k), obs.A("swapped", len(removed)))
 	if len(removed) == 0 {
-		return m.Resistance, nil
+		return m, nil
+	}
+	pruned, err := tg.NodeCurrentsCtx(ctx, members, warm)
+	if err != nil {
+		return nil, err
 	}
 	// Re-grow exactly as many nodes as were removed (Alg. 5 line 7 calls
 	// SmartGrow with k).
-	if _, err := tg.SmartGrowCtx(ctx, members, len(removed), warm); err != nil {
-		return 0, err
-	}
-	m2, err := tg.NodeCurrentsCtx(ctx, members, warm)
-	if err != nil {
-		return 0, err
-	}
-	return m2.Resistance, nil
+	_, next, err := tg.SmartGrowCtx(ctx, members, pruned, len(removed), warm)
+	return next, err
 }
 
 // Erode erodes to the area budget without cancellation support; see
 // ErodeCtx.
-func (tg *TileGraph) Erode(members []bool, areaMax int64, batch int, warm *SolveCache) error {
-	return tg.ErodeCtx(context.Background(), members, areaMax, batch, warm)
+func (tg *TileGraph) Erode(members []bool, m *Metrics, areaMax int64, batch int, warm *SolveCache) (*Metrics, error) {
+	return tg.ErodeCtx(context.Background(), members, m, areaMax, batch, warm)
 }
 
 // ErodeCtx removes member nodes in ascending current order until the
 // member area drops to at most areaMax (the erosion operation of the
-// reheating stage, §II-F). It recomputes the node-current metric every
-// `batch` removals to track the shifting current distribution.
-func (tg *TileGraph) ErodeCtx(ctx context.Context, members []bool, areaMax int64, batch int, warm *SolveCache) error {
+// reheating stage, §II-F). m must hold the metrics of members as received.
+// Each batch of at most `batch` removals is chosen by the current metrics
+// and followed by one evaluation of the shrunken mask, so the removals
+// track the shifting current distribution. It returns the metrics of the
+// mask it leaves — m itself when nothing was removed.
+func (tg *TileGraph) ErodeCtx(ctx context.Context, members []bool, m *Metrics, areaMax int64, batch int, warm *SolveCache) (*Metrics, error) {
 	if batch < 1 {
 		batch = 1
 	}
@@ -133,11 +132,7 @@ func (tg *TileGraph) ErodeCtx(ctx context.Context, members []bool, areaMax int64
 	for {
 		over := tg.MembersArea(members) - areaMax
 		if over <= 0 {
-			return nil
-		}
-		m, err := tg.NodeCurrentsCtx(ctx, members, warm)
-		if err != nil {
-			return err
+			return m, nil
 		}
 		// Remove only as many nodes as the excess area requires, capped at
 		// the batch size, so erosion lands on the budget instead of
@@ -152,7 +147,12 @@ func (tg *TileGraph) ErodeCtx(ctx context.Context, members []bool, areaMax int64
 		removed := tg.removeLowCurrent(members, m.NodeCurrent, k)
 		obs.Event(ctx, "erode.batch", obs.A("requested", k), obs.A("removed", len(removed)))
 		if len(removed) == 0 {
-			return nil // nothing removable without disconnecting terminals
+			return m, nil // nothing removable without disconnecting terminals
 		}
+		next, err := tg.NodeCurrentsCtx(ctx, members, warm)
+		if err != nil {
+			return nil, err
+		}
+		m = next
 	}
 }

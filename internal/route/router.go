@@ -66,12 +66,6 @@ type Config struct {
 	// ErodeBatch is the number of nodes removed per erosion iteration
 	// during reheating. Default GrowNodes.
 	ErodeBatch int
-	// NoSolverCache disables the incremental solver session (DESIGN.md
-	// §5g): every nodal analysis then rebuilds its subgraph, Laplacian,
-	// and preconditioner from scratch, keeping only warm-start vectors.
-	// Results are identical either way; the flag exists for differential
-	// testing and ablation runs.
-	NoSolverCache bool
 }
 
 // Validate rejects configurations that would silently misbehave once
@@ -200,7 +194,6 @@ func SeedOnly(ctx context.Context, avail geom.Region, terms []Terminal, cfg Conf
 		return nil, err
 	}
 	warm := NewSolveCache()
-	warm.noSession = cfg.NoSolverCache
 	res := &Result{
 		Shape:      tg.Union(members),
 		Members:    members,
@@ -229,16 +222,21 @@ func (tg *TileGraph) Route(cfg Config) (*Result, error) {
 	return tg.RouteCtx(context.Background(), cfg)
 }
 
-// RouteCtx runs the pipeline on an already built tile graph.
+// RouteCtx runs the pipeline on an already built tile graph. Every mask
+// the pipeline visits is evaluated once: each stage hands the metrics of
+// the mask it leaves to the next, from the seed through to the Result.
 func (tg *TileGraph) RouteCtx(ctx context.Context, cfg Config) (*Result, error) {
+	return tg.route(ctx, cfg, NewSolveCache())
+}
+
+// route is RouteCtx over a caller-supplied solve cache.
+func (tg *TileGraph) route(ctx context.Context, cfg Config, warm *SolveCache) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
 	start := time.Now()
 	var trace []IterRecord
-	warm := NewSolveCache()
-	warm.noSession = cfg.NoSolverCache
 
 	record := func(stage string, members []bool, res float64) {
 		trace = append(trace, IterRecord{
@@ -271,14 +269,17 @@ func (tg *TileGraph) RouteCtx(ctx context.Context, cfg Config) (*Result, error) 
 	}
 
 	// Stage 1: seed (Alg. 2).
-	var members []bool
+	var (
+		members []bool
+		m       *Metrics // metrics of members, handed from stage to stage
+	)
 	if err := runStage("Seed", func(sctx context.Context, sp *obs.Span) error {
 		var err error
 		members, err = tg.Seed()
 		if err != nil {
 			return err
 		}
-		m, err := tg.NodeCurrentsCtx(sctx, members, warm)
+		m, err = tg.NodeCurrentsCtx(sctx, members, warm)
 		if err != nil {
 			return fmt.Errorf("route: seed metrics: %w", err)
 		}
@@ -332,23 +333,21 @@ func (tg *TileGraph) RouteCtx(ctx context.Context, cfg Config) (*Result, error) 
 			if err := sctx.Err(); err != nil {
 				return err
 			}
-			added, err := tg.SmartGrowCtx(sctx, members, growNodes, warm)
+			added, next, err := tg.SmartGrowCtx(sctx, members, m, growNodes, warm)
 			if err != nil {
 				return fmt.Errorf("route: grow: %w", err)
 			}
 			if len(added) == 0 {
 				break // space exhausted before the budget
 			}
-			mm, err := tg.NodeCurrentsCtx(sctx, members, warm)
-			if err != nil {
-				return fmt.Errorf("route: grow metrics: %w", err)
-			}
+			m = next
 			grows++
-			record("grow", members, mm.Resistance)
+			record("grow", members, m.Resistance)
 		}
 		sp.SetAttrs(obs.A("iterations", grows), obs.A("area", tg.MembersArea(members)))
 		// The last grow batch may overshoot A_max; erode the excess.
-		if err := tg.ErodeCtx(sctx, members, areaMax, erodeBatch, warm); err != nil {
+		var err error
+		if m, err = tg.ErodeCtx(sctx, members, m, areaMax, erodeBatch, warm); err != nil {
 			return fmt.Errorf("route: trim: %w", err)
 		}
 		return nil
@@ -357,37 +356,32 @@ func (tg *TileGraph) RouteCtx(ctx context.Context, cfg Config) (*Result, error) 
 	}
 
 	// Stage 3: SmartRefine until improvement is negligible (Alg. 5, §II-E).
-	refinePass := func(rctx context.Context, prev float64) (float64, error) {
+	refinePass := func(rctx context.Context) error {
 		for it := 0; it < cfg.RefineIters; it++ {
 			if err := faultinject.Check(faultinject.SiteRefine); err != nil {
-				return 0, err
+				return err
 			}
 			if err := rctx.Err(); err != nil {
-				return 0, err
+				return err
 			}
-			res, err := tg.SmartRefineCtx(rctx, members, refineNodes, warm)
+			prev := m.Resistance
+			next, err := tg.SmartRefineCtx(rctx, members, m, refineNodes, warm)
 			if err != nil {
-				return 0, err
+				return err
 			}
-			record("refine", members, res)
-			if prev-res < cfg.RefineTol*prev {
-				return res, nil
+			m = next
+			record("refine", members, m.Resistance)
+			if prev-m.Resistance < cfg.RefineTol*prev {
+				return nil
 			}
-			prev = res
 		}
-		return prev, nil
+		return nil
 	}
-	var cur float64
 	if err := runStage("Refine", func(sctx context.Context, sp *obs.Span) error {
-		mm, err := tg.NodeCurrentsCtx(sctx, members, warm)
-		if err != nil {
-			return fmt.Errorf("route: trim metrics: %w", err)
-		}
-		cur, err = refinePass(sctx, mm.Resistance)
-		if err != nil {
+		if err := refinePass(sctx); err != nil {
 			return fmt.Errorf("route: refine: %w", err)
 		}
-		sp.SetAttrs(obs.A("resistance", cur))
+		sp.SetAttrs(obs.A("resistance", m.Resistance))
 		return nil
 	}); err != nil {
 		return nil, err
@@ -397,7 +391,7 @@ func (tg *TileGraph) RouteCtx(ctx context.Context, cfg Config) (*Result, error) 
 	// is an exploration move (§II-F) and may regress; it is only accepted
 	// when it finds a better basin.
 	best := append([]bool(nil), members...)
-	bestRes := cur
+	bestRes := m.Resistance
 
 	// Stage 4: reheating (§II-F): dilate past the budget, erode back.
 	if cfg.ReheatDilations > 0 {
@@ -410,32 +404,32 @@ func (tg *TileGraph) RouteCtx(ctx context.Context, cfg Config) (*Result, error) 
 					break
 				}
 			}
-			mm, err := tg.NodeCurrentsCtx(sctx, members, warm)
-			if err != nil {
+			var err error
+			if m, err = tg.NodeCurrentsCtx(sctx, members, warm); err != nil {
 				return fmt.Errorf("route: dilate metrics: %w", err)
 			}
-			record("dilate", members, mm.Resistance)
-			if err := tg.ErodeCtx(sctx, members, areaMax, erodeBatch, warm); err != nil {
+			record("dilate", members, m.Resistance)
+			if m, err = tg.ErodeCtx(sctx, members, m, areaMax, erodeBatch, warm); err != nil {
 				return fmt.Errorf("route: erode: %w", err)
 			}
-			mm, err = tg.NodeCurrentsCtx(sctx, members, warm)
-			if err != nil {
-				return fmt.Errorf("route: erode metrics: %w", err)
-			}
-			record("erode", members, mm.Resistance)
+			record("erode", members, m.Resistance)
 
 			// A short refine pass settles the eroded shape.
-			cur, err = refinePass(sctx, mm.Resistance)
-			if err != nil {
+			if err := refinePass(sctx); err != nil {
 				return fmt.Errorf("route: post-reheat refine: %w", err)
 			}
-			if cur < bestRes {
-				bestRes = cur
+			if m.Resistance < bestRes {
+				bestRes = m.Resistance
 				copy(best, members)
 			} else {
 				copy(members, best) // reheat regressed: restore
 				record("restore", members, bestRes)
 				sp.SetAttrs(obs.A("restored", true))
+				// The one mask the pipeline scores twice: the restored
+				// best was evaluated before reheating moved away from it.
+				if m, err = tg.NodeCurrentsCtx(sctx, members, warm); err != nil {
+					return fmt.Errorf("route: restore metrics: %w", err)
+				}
 			}
 			return nil
 		}); err != nil {
@@ -443,15 +437,11 @@ func (tg *TileGraph) RouteCtx(ctx context.Context, cfg Config) (*Result, error) 
 		}
 	}
 
-	final, err := tg.NodeCurrentsCtx(ctx, members, warm)
-	if err != nil {
-		return nil, fmt.Errorf("route: final metrics: %w", err)
-	}
 	res := &Result{
 		Members:        members,
 		Graph:          tg,
-		Resistance:     final.Resistance,
-		PairResistance: final.PairResistance,
+		Resistance:     m.Resistance,
+		PairResistance: m.PairResistance,
 		Trace:          trace,
 	}
 	// Stage 5: back conversion (§II-G) — tiles to copper polygons.

@@ -12,20 +12,18 @@ import (
 	"sprout/internal/sparse"
 )
 
-// solverSession is the incremental core of the nodal analysis (DESIGN.md
-// §5g). It owns the structures solvePairsScratch rebuilds on every call —
-// the induced subgraph, the terminal-component restriction, the grounded
-// Laplacian with its IC(0) factor, and per-worker solve scratch — and
-// reuses them across evaluations:
+// solverSession is the nodal-analysis core (DESIGN.md §5g). It owns the
+// structures one evaluation needs — the induced subgraph, the
+// terminal-component restriction, the grounded Laplacian with its IC(0)
+// factor, and per-worker solve scratch — and keeps their arenas across
+// evaluations:
 //
-//   - same mask as the previous evaluation: everything is reused as-is and
-//     each pair re-solves from its warm vector (a converged warm start
-//     exits CG after one residual check), so duplicate evaluations in the
-//     grow/refine loops cost ~one matvec per pair and zero rebuild work;
-//   - any mask delta: the subgraph, component labels, edge list, and
-//     Laplacian are re-derived into the retained arenas. The derivation
-//     replays the exact loop structure (and sort) of the scratch path, so
-//     the assembled system is bit-identical to a from-scratch build and
+//   - every evaluation rebuilds the structures for its mask into the
+//     retained arenas. The pipeline scores each mask once (SmartGrowCtx,
+//     SmartRefineCtx and ErodeCtx pass the metrics of the mask they leave
+//     forward), so there is no same-mask case to reuse. The rebuild
+//     replays the loop structure (and sort) of a from-scratch
+//     construction, so the assembled system is bit-identical to one and
 //     downstream solves follow the same float trajectories;
 //   - warm-start stall: when the primary rung rejects a warm-started
 //     solve, the pair's warm vector is dropped (solver.cache.invalidations)
@@ -35,9 +33,7 @@ import (
 // A session serves one pipeline at a time; the pair solves inside one
 // evaluation still fan out over the worker pool.
 type solverSession struct {
-	tg    *TileGraph
-	valid bool   // arenas describe mask; false after an error mid-rebuild
-	mask  []bool // member mask the current structures were built for
+	tg *TileGraph
 
 	// Induced subgraph in CSR form, replicating graph.InducedSubgraph's
 	// per-node adjacency insertion order.
@@ -63,13 +59,11 @@ type solverSession struct {
 
 	pairs   [][2]int
 	weights []float64
-	volts   [][]float64               // arena for pairSolution.volts
-	atts    [][]sparse.RungAttempt    // per-pair ladder traces
-	scratch []pairScratch             // per-worker solve scratch
+	volts   [][]float64                   // arena for pairSolution.volts
+	atts    [][]sparse.RungAttempt        // per-pair ladder traces
+	scratch []pairScratch                 // per-worker solve scratch
 	nbrFn   func(int, func(int, float64)) // cached method value for pairSolution
 
-	hits     int64
-	rebuilds int64
 	// invalidations counts dropped warm vectors; bumped atomically from
 	// concurrent pair workers.
 	invalidations int64
@@ -120,25 +114,12 @@ func growf(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-func maskEqual(a []bool, b []bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // rebuild re-derives every mask-dependent structure into the session's
-// arenas. The loops replay solvePairsScratch's construction exactly —
-// same visit order, same sort comparator — so the resulting Laplacian is
+// arenas. The loops replay a from-scratch construction over
+// graph.InducedSubgraph, graph.Components and graph.Edges exactly — same
+// visit order, same sort comparator — so the resulting Laplacian is
 // bit-identical to a from-scratch build for the same mask.
 func (s *solverSession) rebuild(tg *TileGraph, members []bool) error {
-	s.valid = false
-	s.mask = append(s.mask[:0], members...)
 	n := tg.G.N()
 	s.subIdx = growi(s.subIdx, n)
 	for i := range s.subIdx {
@@ -280,17 +261,28 @@ func (s *solverSession) rebuild(tg *TileGraph, members []bool) error {
 		return fmt.Errorf("route: laplacian: %w", err)
 	}
 	s.lap = lap
-	s.valid = true
 	return nil
 }
 
-// solvePairsSession is the incremental nodal analysis: structures come from
-// the session (reused outright on a repeated mask, re-derived into arenas
-// otherwise) and pair solves run through per-worker workspaces. Results are
-// bit-identical to solvePairsScratch for the same call sequence, except
-// when a warm-start stall triggers the cold retry — which only happens when
-// the scratch path would itself have escalated off the primary rung.
-func (tg *TileGraph) solvePairsSession(ctx context.Context, members []bool, warm *SolveCache) (*pairSolution, error) {
+// solvePairs performs the nodal analysis of paper Eq. 3 for every terminal
+// pair over the member subgraph. Structures are rebuilt into the session's
+// arenas and pair solves run through per-worker workspaces, warm-started
+// from the cache's previous solutions. A nil warm solves cold on a
+// throwaway session; being no cache, it stays out of the solver.cache
+// counters. Cancelling the context aborts the worker pool between pair
+// solves and inside the CG iterations.
+func (tg *TileGraph) solvePairs(ctx context.Context, members []bool, warm *SolveCache) (*pairSolution, error) {
+	if warm == nil {
+		return tg.solveSession(ctx, members, NewSolveCache(), false)
+	}
+	return tg.solveSession(ctx, members, warm, true)
+}
+
+// solveSession is solvePairs on a non-nil cache; cached says whether the
+// cache is the caller's, to be counted in solver.cache.rebuilds.
+func (tg *TileGraph) solveSession(ctx context.Context, members []bool, warm *SolveCache, cached bool) (*pairSolution, error) {
+	// stage.solve times the whole nodal analysis. The clock is only read
+	// when tracing is on, keeping the disabled path byte-identical.
 	var solveStart time.Time
 	if obs.Enabled(ctx) {
 		solveStart = time.Now()
@@ -303,19 +295,16 @@ func (tg *TileGraph) solvePairsSession(ctx context.Context, members []bool, warm
 			return nil, fmt.Errorf("route: terminal %d (node %d) outside subgraph", ti, t)
 		}
 	}
+	if warm.beforeEval != nil {
+		warm.beforeEval(members)
+	}
 	s := warm.sess
 	if s == nil || s.tg != tg {
 		s = newSolverSession(tg)
 		warm.sess = s
 	}
-	hit := s.valid && maskEqual(s.mask, members)
-	if hit {
-		s.hits++
-	} else {
-		s.rebuilds++
-		if err := s.rebuild(tg, members); err != nil {
-			return nil, err
-		}
+	if err := s.rebuild(tg, members); err != nil {
+		return nil, err
 	}
 	pairs, weights := s.pairs, s.weights
 	if len(warm.pairVolts) != len(pairs) {
@@ -405,9 +394,7 @@ func (tg *TileGraph) solvePairsSession(ctx context.Context, members []bool, warm
 	sol.stats = foldSolveStats(ctx, s.atts, s.lap, solveStart)
 	warm.stats.Merge(sol.stats)
 	if tr := obs.FromContext(ctx); tr.Enabled() {
-		if hit {
-			tr.Counter(obs.MSolverCacheHits).Add(1)
-		} else {
+		if cached {
 			tr.Counter(obs.MSolverCacheRebuilds).Add(1)
 		}
 		if inv := atomic.LoadInt64(&s.invalidations) - invBefore; inv > 0 {

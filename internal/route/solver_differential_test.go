@@ -1,37 +1,173 @@
 package route
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"sprout/internal/geom"
 	"sprout/internal/graph"
+	"sprout/internal/obs"
 	"sprout/internal/sparse"
 )
 
-// This file is the differential gate on the incremental solver session
-// (DESIGN.md §5g): random member-toggle sequences run through the
-// incremental path and the from-scratch oracle side by side. While no
-// warm-start invalidation has fired the two paths must agree bit for bit —
-// voltages, metrics, and ladder telemetry — because member-selection
-// decisions in grow/refine depend on exact float comparisons. After an
+// This file is the differential gate on the solver session (DESIGN.md
+// §5g): random member-toggle sequences run through the session and the
+// from-scratch oracle below side by side. While no warm-start invalidation
+// has fired the two paths must agree bit for bit — voltages, metrics, and
+// ladder telemetry — because member-selection decisions in grow/refine
+// depend on exact float comparisons. After an
 // invalidation the paths legitimately diverge (the session solved cold at
 // full tolerance where the oracle kept a stale warm vector), so agreement
 // drops to sparse.ApproxEqual.
 
+// solvePairsScratch is the from-scratch nodal analysis, kept as the test
+// oracle: every structure is rebuilt for the given mask through
+// graph.InducedSubgraph, graph.Components and sparse.NewLaplacian, sharing
+// no code with the session's rebuild. Only the warm-start vectors of warm
+// (which may be nil) carry over between calls.
+func (tg *TileGraph) solvePairsScratch(ctx context.Context, members []bool, warm *SolveCache) (*pairSolution, error) {
+	// stage.solve times the whole nodal analysis. The clock is only read
+	// when tracing is on, keeping the disabled path byte-identical.
+	var solveStart time.Time
+	if obs.Enabled(ctx) {
+		solveStart = time.Now()
+	}
+	if len(members) != tg.G.N() {
+		return nil, fmt.Errorf("route: member mask len %d, want %d", len(members), tg.G.N())
+	}
+	for ti, t := range tg.Terminals {
+		if !members[t] {
+			return nil, fmt.Errorf("route: terminal %d (node %d) outside subgraph", ti, t)
+		}
+	}
+	sub, orig := inducedMembers(tg.G, members)
+	subIdx := make(map[int]int, len(orig))
+	for si, id := range orig {
+		subIdx[id] = si
+	}
+	subTerms := make([]int, len(tg.Terminals))
+	for i, t := range tg.Terminals {
+		subTerms[i] = subIdx[t]
+	}
+	if !sub.Connected(subTerms...) {
+		return nil, fmt.Errorf("route: terminals disconnected within subgraph")
+	}
+
+	// The subgraph may contain satellite components without terminals
+	// (e.g. after removals); nodes outside the terminal component make the
+	// grounded Laplacian singular. Restrict the solve to the terminal
+	// component.
+	label, _ := sub.Components()
+	tcomp := label[subTerms[0]]
+	compNodes := make([]int, 0, sub.N())
+	compIdx := make([]int, sub.N())
+	for i := range compIdx {
+		compIdx[i] = -1
+	}
+	for i := 0; i < sub.N(); i++ {
+		if label[i] == tcomp {
+			compIdx[i] = len(compNodes)
+			compNodes = append(compNodes, i)
+		}
+	}
+	var cedges []sparse.WeightedEdge
+	for _, e := range sub.Edges() {
+		if compIdx[e.U] >= 0 && compIdx[e.V] >= 0 {
+			cedges = append(cedges, sparse.WeightedEdge{U: compIdx[e.U], V: compIdx[e.V], W: e.Weight})
+		}
+	}
+	ground := compIdx[subTerms[0]]
+	lap, err := sparse.NewLaplacian(len(compNodes), cedges, ground)
+	if err != nil {
+		return nil, fmt.Errorf("route: laplacian: %w", err)
+	}
+
+	pairs, weights := tg.pairList()
+	if warm != nil && len(warm.pairVolts) != len(pairs) {
+		warm.pairVolts = make([][]float64, len(pairs))
+	}
+	sol := &pairSolution{pairs: pairs, weights: weights, orig: orig, neighbors: sub.Neighbors}
+	sol.volts = make([][]float64, len(pairs))
+
+	// Each worker deposits its ladder trace in its own slot; the traces
+	// are folded after the pool drains, in pair order.
+	atts := make([][]sparse.RungAttempt, len(pairs))
+	solveOne := func(_ int, pi int) error {
+		pr := pairs[pi]
+		s, t := subTerms[pr[0]], subTerms[pr[1]]
+		cs, ct := compIdx[s], compIdx[t]
+		b := make([]float64, len(compNodes))
+		b[cs] += 1
+		b[ct] -= 1
+		var x0 []float64
+		if warm != nil && warm.pairVolts[pi] != nil {
+			x0 = make([]float64, len(compNodes))
+			for ci, si := range compNodes {
+				x0[ci] = warm.pairVolts[pi][orig[si]]
+			}
+		}
+		v, attempts, err := lap.SolveAttemptsCtx(ctx, b, x0)
+		atts[pi] = attempts
+		if err != nil {
+			return fmt.Errorf("route: pair %d solve: %w", pi, err)
+		}
+		full := make([]float64, tg.G.N())
+		for ci, si := range compNodes {
+			full[orig[si]] = v[ci]
+		}
+		if warm != nil {
+			warm.pairVolts[pi] = full
+		}
+		sol.volts[pi] = full
+		return nil
+	}
+	solveErr := runPairSolves(ctx, len(pairs), solveOne)
+	sol.stats = foldSolveStats(ctx, atts, lap, solveStart)
+	if warm != nil {
+		warm.stats.Merge(sol.stats)
+	}
+	if solveErr != nil {
+		return nil, solveErr
+	}
+	return sol, nil
+}
+
+// inducedMembers builds the induced subgraph over the mask's set nodes.
+func inducedMembers(g *graph.Graph, members []bool) (*graph.Graph, []int) {
+	nodes := make([]int, 0)
+	for id, in := range members {
+		if in {
+			nodes = append(nodes, id)
+		}
+	}
+	return g.InducedSubgraph(nodes)
+}
+
+// nodeCurrentsScratch is NodeCurrents over the oracle.
+func (tg *TileGraph) nodeCurrentsScratch(members []bool, warm *SolveCache) (*Metrics, error) {
+	sol, err := tg.solvePairsScratch(context.Background(), members, warm)
+	if err != nil {
+		return nil, err
+	}
+	return tg.metrics(sol), nil
+}
+
 // toggleStep is one step of a differential scenario: the non-terminal
 // nodes whose membership flips before evaluating. An empty step repeats
-// the previous mask, exercising the session's same-mask hit path.
+// the previous mask: the session rebuilds for it like for any other mask
+// and must still match the oracle bit for bit.
 type toggleStep []int
 
 // diffHarness drives one board through a toggle sequence on both paths.
 type diffHarness struct {
 	tg      *TileGraph
 	members []bool
-	inc     *SolveCache // incremental session path
-	scr     *SolveCache // from-scratch oracle (session disabled)
+	inc     *SolveCache // session path
+	scr     *SolveCache // warm-start vectors of the from-scratch oracle
 	// diverged flips once an invalidation ran: from then on the paths
 	// carry different warm vectors and only approximate agreement holds.
 	diverged bool
@@ -39,13 +175,11 @@ type diffHarness struct {
 
 func newDiffHarness(t *testing.T, tg *TileGraph, members []bool) *diffHarness {
 	t.Helper()
-	scr := NewSolveCache()
-	scr.noSession = true
 	return &diffHarness{
 		tg:      tg,
 		members: append([]bool(nil), members...),
 		inc:     NewSolveCache(),
-		scr:     scr,
+		scr:     NewSolveCache(),
 	}
 }
 
@@ -75,7 +209,7 @@ func (h *diffHarness) step(st toggleStep) error {
 		invBefore = h.inc.sess.invalidations
 	}
 	mi, erri := h.tg.NodeCurrents(h.members, h.inc)
-	ms, errs := h.tg.NodeCurrents(h.members, h.scr)
+	ms, errs := h.tg.nodeCurrentsScratch(h.members, h.scr)
 	if (erri == nil) != (errs == nil) {
 		return fmt.Errorf("error disagreement: incremental %v, scratch %v", erri, errs)
 	}
@@ -173,9 +307,8 @@ func nonTerminalNodes(tg *TileGraph) []int {
 }
 
 // TestDifferentialIncrementalVsScratch is the property gate: seeded random
-// toggle sequences — grow-like additions, refine-like swaps, duplicate
-// masks — agree between the incremental session and the from-scratch
-// oracle. Failures are shrunk to a minimal step sequence before reporting.
+// toggle sequences — grow-like additions, refine-like swaps, repeated
+// masks — agree between the session and the from-scratch oracle. Failures are shrunk to a minimal step sequence before reporting.
 func TestDifferentialIncrementalVsScratch(t *testing.T) {
 	avail, terms := obstacleSpace(t)
 	tg, err := BuildTileGraph(avail, terms, 5, 5)
@@ -194,7 +327,7 @@ func TestDifferentialIncrementalVsScratch(t *testing.T) {
 			seq := make([]toggleStep, 0, 40)
 			for i := 0; i < 40; i++ {
 				if rng.Intn(4) == 0 {
-					seq = append(seq, toggleStep{}) // duplicate mask: hit path
+					seq = append(seq, toggleStep{}) // repeated mask: full rebuild
 					continue
 				}
 				st := make(toggleStep, 0, 3)
@@ -209,36 +342,6 @@ func TestDifferentialIncrementalVsScratch(t *testing.T) {
 					i, err, len(min), min)
 			}
 		})
-	}
-}
-
-// TestDifferentialSessionHitPathIsCheap pins the session economics the
-// benchmarks rely on: duplicate-mask evaluations are cache hits (no
-// rebuild) and re-solve in zero CG iterations off the converged warm
-// vectors.
-func TestDifferentialSessionHitPathIsCheap(t *testing.T) {
-	tg, _ := twoTerm(t, 80, 40, 5)
-	members := make([]bool, tg.G.N())
-	for i := range members {
-		members[i] = true
-	}
-	warm := NewSolveCache()
-	if _, err := tg.NodeCurrents(members, warm); err != nil {
-		t.Fatal(err)
-	}
-	s := warm.sess
-	if s == nil || s.rebuilds != 1 {
-		t.Fatalf("first evaluation must rebuild once, got %+v", s)
-	}
-	m, err := tg.NodeCurrents(members, warm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.hits != 1 || s.rebuilds != 1 {
-		t.Fatalf("repeat evaluation must hit, got hits=%d rebuilds=%d", s.hits, s.rebuilds)
-	}
-	if m.Solve.Iterations != 0 {
-		t.Fatalf("repeat evaluation spent %d CG iterations, want 0 (converged warm start)", m.Solve.Iterations)
 	}
 }
 
@@ -285,9 +388,9 @@ func weakBridgeTileGraph(t *testing.T) *TileGraph {
 // stale-warm-start fix: a poisoned warm vector on the near-singular board
 // stalls the primary rung; the session must detect the stall, invalidate
 // the pair's warm vector (solver.cache.invalidations), and deliver the
-// full-tolerance cold answer bit-identically — where the historic path
-// settles for the relaxed rung's degraded solution seeded by the stale
-// Krylov space.
+// full-tolerance cold answer bit-identically — where the from-scratch
+// oracle, which has no stall detection, settles for the relaxed rung's
+// degraded solution seeded by the stale Krylov space.
 func TestStaleWarmVectorTriggersColdFallback(t *testing.T) {
 	tg := weakBridgeTileGraph(t)
 	members := make([]bool, tg.G.N())
@@ -321,12 +424,11 @@ func TestStaleWarmVectorTriggersColdFallback(t *testing.T) {
 		}
 	}
 
-	// Historic path: the stall escalates off the primary rung and the
+	// Oracle path: the stall escalates off the primary rung and the
 	// relaxed rung's answer is accepted.
 	legacy := NewSolveCache()
-	legacy.noSession = true
 	poison(legacy)
-	mLegacy, err := tg.NodeCurrents(members, legacy)
+	mLegacy, err := tg.nodeCurrentsScratch(members, legacy)
 	if err != nil {
 		t.Fatalf("legacy path: %v", err)
 	}
