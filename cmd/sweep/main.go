@@ -6,14 +6,13 @@
 // Usage:
 //
 //	sweep [-steps n] [-min f] [-max f] [-out dir]
-//	      [-explore] [-explore-workers n] [-explore-seq]
+//	      [-explore] [-explore-workers n]
 //
 // -min and -max scale the modem/CPU normalized area (DSP uses a quarter of
 // the schedule, as in Table IV). With -explore each layout additionally
 // sweeps the net routing order over the shared permutation tree and keeps
 // the best order (lowest current-weighted resistance); -explore-workers
-// bounds the explorer pool and -explore-seq forces the sequential
-// reference path.
+// bounds the explorer pool.
 package main
 
 import (
@@ -33,10 +32,9 @@ func main() {
 	outDir := flag.String("out", "", "directory for layout SVGs")
 	explore := flag.Bool("explore", false, "sweep net routing orders per layout and keep the best")
 	exploreWorkers := flag.Int("explore-workers", 0, "explorer worker-pool bound (0 = GOMAXPROCS)")
-	exploreSeq := flag.Bool("explore-seq", false, "force the sequential explorer reference path")
 	flag.Parse()
 
-	opt := exploreOpts{on: *explore, workers: *exploreWorkers, sequential: *exploreSeq}
+	opt := exploreOpts{on: *explore, workers: *exploreWorkers}
 	if err := run(*steps, *minA, *maxA, *outDir, opt); err != nil {
 		fmt.Fprintln(os.Stderr, "sweep:", err)
 		os.Exit(1)
@@ -45,9 +43,8 @@ func main() {
 
 // exploreOpts bundles the order-exploration flags.
 type exploreOpts struct {
-	on         bool
-	workers    int
-	sequential bool
+	on      bool
+	workers int
 }
 
 func run(steps int, minA, maxA float64, outDir string, ex exploreOpts) error {
@@ -81,7 +78,6 @@ func run(steps int, minA, maxA float64, outDir string, ex exploreOpts) error {
 		var res *sprout.BoardResult
 		if ex.on {
 			ropt.ExploreWorkers = ex.workers
-			ropt.ExploreSequential = ex.sequential
 			exp, err := sprout.ExploreNetOrders(cs.Board, ropt)
 			if err != nil {
 				return fmt.Errorf("layout %d: %w", i+1, err)

@@ -45,27 +45,27 @@ type OrderError struct {
 }
 
 // OrderScore records the score of one successfully evaluated order, in
-// trial order. The explorer's determinism contract pins this list: both
-// explorer paths evaluate the same orders to the same scores.
+// trial order. The explorer's determinism contract pins this list: every
+// run evaluates the same orders to the same scores, exactly as routing
+// each order from scratch would.
 type OrderScore struct {
 	Order []board.NetID
 	Score float64
 }
 
 // ExploreStats reports how an exploration ran. Unlike the rest of
-// OrderExploration it is not part of the determinism contract: the two
-// explorer paths report different Workers/Parallel/cache numbers for
-// identical routing results.
+// OrderExploration it is not part of the determinism contract: runs
+// with different pool sizes or resumed checkpoints report different
+// numbers for identical routing results.
 type ExploreStats struct {
 	// Orders is the number of orderings enumerated.
 	Orders int
-	// Workers is the worker-pool bound used (1 for the sequential path).
+	// Workers is the worker-pool bound used.
 	Workers int
-	// Parallel reports which explorer path ran.
-	Parallel bool
 	// PrefixHits counts rail routes skipped because a memoized prefix
 	// snapshot already covered them; PrefixMisses counts rail routes
-	// actually performed. Sequential-equivalent work is Hits+Misses.
+	// actually performed. Routing every order from scratch would perform
+	// Hits+Misses rail routes.
 	PrefixHits   int64
 	PrefixMisses int64
 	// ResumedOrders counts the leading orders whose outcomes were
@@ -115,9 +115,8 @@ func ExploreNetOrders(b *board.Board, opt RouteOptions) (*OrderExploration, erro
 // worker pool (opt.ExploreWorkers, default GOMAXPROCS): orders that share
 // a prefix share the routed prefix snapshot, so each distinct prefix is
 // routed once (see DESIGN.md "Exploration scaling"). The result is
-// bit-identical to routing every order sequentially from scratch —
-// opt.ExploreSequential forces that reference path, and the differential
-// test suite holds the two to byte equality.
+// bit-identical to routing every order sequentially from scratch; the
+// differential test suite holds the explorer to that reference loop.
 //
 // Each order is routed with FailFast enabled so that an order which
 // strands a net registers as a failed order (collected in Failed) rather
@@ -126,21 +125,31 @@ func ExploreNetOrders(b *board.Board, opt RouteOptions) (*OrderExploration, erro
 // non-nil error.
 func ExploreNetOrdersCtx(ctx context.Context, b *board.Board, opt RouteOptions) (out *OrderExploration, err error) {
 	defer recoverToError(&err)
+	ids, err := routableNets(b, opt.Layer)
+	if err != nil {
+		return nil, err
+	}
+	return exploreOutcome(exploreParallel(ctx, b, opt, exploreOrders(ids, opt)))
+}
+
+// routableNets lists the nets with at least two groups on layer — the
+// nets an order permutes.
+func routableNets(b *board.Board, layer int) ([]board.NetID, error) {
 	var ids []board.NetID
 	for _, n := range b.Nets {
-		if len(b.GroupsOn(n.ID, opt.Layer)) >= 2 {
+		if len(b.GroupsOn(n.ID, layer)) >= 2 {
 			ids = append(ids, n.ID)
 		}
 	}
 	if len(ids) == 0 {
-		return nil, fmt.Errorf("sprout: no routable nets on layer %d", opt.Layer)
+		return nil, fmt.Errorf("sprout: no routable nets on layer %d", layer)
 	}
-	orders := exploreOrders(ids, opt)
-	if opt.ExploreSequential {
-		out, err = exploreSequential(ctx, b, opt, orders)
-	} else {
-		out, err = exploreParallel(ctx, b, opt, orders)
-	}
+	return ids, nil
+}
+
+// exploreOutcome turns a finished sweep without a winner into an error
+// that carries the first order's failure.
+func exploreOutcome(out *OrderExploration, err error) (*OrderExploration, error) {
 	if err != nil {
 		return out, err
 	}
@@ -208,45 +217,6 @@ func lexPermutations(ids []board.NetID, max int) [][]board.NetID {
 	}
 	rec()
 	return out
-}
-
-// exploreSequential is the retained reference explorer: one order at a
-// time, each routed from scratch through RouteBoardCtx. The parallel
-// explorer is proven equivalent to this loop; keep the selection logic
-// here in lockstep with exploreParallel's reduction.
-func exploreSequential(ctx context.Context, b *board.Board, opt RouteOptions, orders [][]board.NetID) (*OrderExploration, error) {
-	out := &OrderExploration{Stats: ExploreStats{Orders: len(orders), Workers: 1}}
-	for _, order := range orders {
-		if cerr := ctx.Err(); cerr != nil {
-			return out, cerr
-		}
-		runOpt := opt
-		runOpt.Order = order
-		runOpt.FailFast = true
-		res, rerr := RouteBoardCtx(ctx, b, runOpt)
-		if rerr != nil {
-			// Every failed order lands in Failed with its kind — including
-			// one interrupted mid-board, so a cancelled sweep still reports
-			// which order was in flight when the context fired.
-			out.Failed = append(out.Failed, orderError(order, rerr))
-			if isCtxErr(rerr) {
-				return out, rerr
-			}
-			continue
-		}
-		out.Tried++
-		score, serr := weightedResistance(b, res)
-		if serr != nil {
-			return out, serr
-		}
-		out.Evaluated = append(out.Evaluated, OrderScore{Order: order, Score: score})
-		if out.Best == nil || score < out.BestScore {
-			out.Best = res
-			out.BestScore = score
-			out.BestOrder = order
-		}
-	}
-	return out, nil
 }
 
 // orderError builds the Failed record for one order, classifying the

@@ -1,19 +1,19 @@
 package sprout_test
 
 // Explorer benchmarks: the same 24-order sweep of the six-rail board
-// through the sequential reference path and the parallel prefix-tree
-// path, with the cache on and off. On a single-core runner the speedup
-// comes almost entirely from memoization — the permutation tree routes
-// each shared prefix once — so the cache/nocache split isolates that
-// effect from pool scheduling. Custom metrics report the cache traffic:
-// rail-routes/op is the number of rail routes actually performed,
-// prefix-hits/op the number a sequential sweep would have repeated.
+// through the sequential reference oracle and the prefix-tree explorer.
+// On a single-core runner the speedup comes almost entirely from
+// memoization — the permutation tree routes each shared prefix once.
+// Custom metrics report the explorer's cache traffic: rail-routes/op is
+// the number of rail routes actually performed, prefix-hits/op the number
+// a sequential sweep would have repeated.
 //
 // Committed results live in BENCH_pr5.json; regenerate with
 //
 //	go test -run='^$' -bench=BenchmarkExplore -benchtime=1x -count=3 .
 
 import (
+	"context"
 	"testing"
 
 	"sprout"
@@ -33,18 +33,20 @@ func benchExploreOptions(cs *cases.CaseStudy) sprout.RouteOptions {
 	}
 }
 
-func benchExplore(b *testing.B, opt func(*cases.CaseStudy) sprout.RouteOptions) {
+// benchExplore times explore on the six-rail sweep and returns the last
+// run's stats.
+func benchExplore(b *testing.B, explore func(*sprout.Board, sprout.RouteOptions) (*sprout.OrderExploration, error)) sprout.ExploreStats {
 	b.Helper()
 	cs, err := cases.SixRail()
 	if err != nil {
 		b.Fatal(err)
 	}
-	o := opt(cs)
+	o := benchExploreOptions(cs)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var stats sprout.ExploreStats
 	for i := 0; i < b.N; i++ {
-		ex, err := sprout.ExploreNetOrders(cs.Board, o)
+		ex, err := explore(cs.Board, o)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -54,29 +56,17 @@ func benchExplore(b *testing.B, opt func(*cases.CaseStudy) sprout.RouteOptions) 
 		stats = ex.Stats
 	}
 	b.ReportMetric(float64(stats.Orders), "orders/op")
-	if stats.Parallel {
-		b.ReportMetric(float64(stats.PrefixHits), "prefix-hits/op")
-		b.ReportMetric(float64(stats.PrefixMisses), "rail-routes/op")
-	}
+	return stats
 }
 
 func BenchmarkExploreSequential(b *testing.B) {
-	benchExplore(b, func(cs *cases.CaseStudy) sprout.RouteOptions {
-		o := benchExploreOptions(cs)
-		o.ExploreSequential = true
-		return o
+	benchExplore(b, func(bd *sprout.Board, o sprout.RouteOptions) (*sprout.OrderExploration, error) {
+		return sprout.ExploreSequential(context.Background(), bd, o)
 	})
 }
 
 func BenchmarkExploreParallel(b *testing.B) {
-	b.Run("cache", func(b *testing.B) {
-		benchExplore(b, benchExploreOptions)
-	})
-	b.Run("nocache", func(b *testing.B) {
-		benchExplore(b, func(cs *cases.CaseStudy) sprout.RouteOptions {
-			o := benchExploreOptions(cs)
-			o.ExploreNoPrefixCache = true
-			return o
-		})
-	})
+	stats := benchExplore(b, sprout.ExploreNetOrders)
+	b.ReportMetric(float64(stats.PrefixHits), "prefix-hits/op")
+	b.ReportMetric(float64(stats.PrefixMisses), "rail-routes/op")
 }

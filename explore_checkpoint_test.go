@@ -158,26 +158,3 @@ func TestResumeFromCheckpointRejectsMismatch(t *testing.T) {
 	}
 	sameExploration(t, fresh, resumed)
 }
-
-// TestResumeFromCheckpointSequentialIgnores pins the documented contract:
-// the sequential reference path ignores checkpoint knobs entirely — no
-// emission, no resume — so it stays the plain reference implementation.
-func TestResumeFromCheckpointSequentialIgnores(t *testing.T) {
-	b, opt := threeRailExploreOpt(t)
-	opt.ExploreSequential = true
-	calls := 0
-	opt.ExploreCheckpointSink = func(*sprout.ExploreCheckpoint) error {
-		calls++
-		return nil
-	}
-	out, err := sprout.ExploreNetOrders(b, opt)
-	if err != nil {
-		t.Fatalf("sequential sweep: %v", err)
-	}
-	if calls != 0 {
-		t.Fatalf("sequential path emitted %d checkpoints, want 0", calls)
-	}
-	if out.Stats.ResumedOrders != 0 {
-		t.Fatalf("sequential path reported %d resumed orders", out.Stats.ResumedOrders)
-	}
-}

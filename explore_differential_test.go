@@ -1,13 +1,13 @@
 package sprout_test
 
-// The differential suite is the acceptance gate for the parallel
-// explorer: on every cased board, the parallel prefix-tree path and the
-// retained sequential path must produce bit-identical explorations —
-// same best order, same per-order scores, same failures, same per-rail
-// polygons and resistances. Floating-point results are compared with ==
-// on purpose: the two paths must run the same arithmetic in the same
-// order, not merely land close. Run under -race with -count=2 (see CI)
-// to flush scheduling nondeterminism.
+// The differential suite is the acceptance gate for the explorer: on
+// every cased board, the prefix-tree explorer and the sequential
+// reference oracle (sprout.ExploreSequential, test-only) must produce
+// bit-identical explorations — same best order, same per-order scores,
+// same failures, same per-rail polygons and resistances. Floating-point
+// results are compared with == on purpose: the two must run the same
+// arithmetic in the same order, not merely land close. Run under -race
+// with -count=2 (see CI) to flush scheduling nondeterminism.
 
 import (
 	"context"
@@ -22,13 +22,11 @@ import (
 	"sprout/internal/faultinject"
 )
 
-// diffExplore runs both explorer paths on the same board/options and
-// asserts bit-identical results.
+// diffExplore runs the explorer and the sequential oracle on the same
+// board/options and asserts bit-identical results.
 func diffExplore(t *testing.T, b *sprout.Board, opt sprout.RouteOptions) {
 	t.Helper()
-	seqOpt := opt
-	seqOpt.ExploreSequential = true
-	seq, seqErr := sprout.ExploreNetOrders(b, seqOpt)
+	seq, seqErr := sprout.ExploreSequential(context.Background(), b, opt)
 	par, parErr := sprout.ExploreNetOrders(b, opt)
 
 	if (seqErr == nil) != (parErr == nil) {
@@ -44,26 +42,11 @@ func diffExplore(t *testing.T, b *sprout.Board, opt sprout.RouteOptions) {
 		return
 	}
 	sameExploration(t, seq, par)
-
-	// The cache-off parallel path (every order routed from scratch on a
-	// private chain) must also match — same scheduler, no snapshot reuse.
-	noCacheOpt := opt
-	noCacheOpt.ExploreNoPrefixCache = true
-	noCache, err := sprout.ExploreNetOrders(b, noCacheOpt)
-	if (err == nil) != (parErr == nil) {
-		t.Fatalf("cache-off error divergence: %v vs %v", err, parErr)
-	}
-	if noCache != nil {
-		sameExploration(t, seq, noCache)
-		if noCache.Stats.PrefixHits != 0 {
-			t.Fatalf("cache off but %d prefix hits", noCache.Stats.PrefixHits)
-		}
-	}
 }
 
 // sameExploration asserts every determinism-contract field matches.
-// Stats is deliberately excluded: the paths report different pool and
-// cache numbers for identical routing results.
+// Stats is deliberately excluded: runs report different pool, cache and
+// resume numbers for identical routing results.
 func sameExploration(t *testing.T, seq, par *sprout.OrderExploration) {
 	t.Helper()
 	if fmt.Sprint(seq.BestOrder) != fmt.Sprint(par.BestOrder) {
@@ -226,25 +209,22 @@ func TestExploreDifferentialSixRail(t *testing.T) {
 // telemetry.
 func TestExploreFailureTelemetry(t *testing.T) {
 	b, strandedID, _ := walledBoard(t)
-	for _, seq := range []bool{true, false} {
-		out, err := sprout.ExploreNetOrders(b, sprout.RouteOptions{
-			Layer:             1,
-			Config:            sprout.RouteConfig{DX: 5, DY: 5},
-			ExploreSequential: seq,
-		})
-		if err == nil {
-			t.Fatal("walled board must fail every order")
+	out, err := sprout.ExploreNetOrders(b, sprout.RouteOptions{
+		Layer:  1,
+		Config: sprout.RouteConfig{DX: 5, DY: 5},
+	})
+	if err == nil {
+		t.Fatal("walled board must fail every order")
+	}
+	if len(out.Failed) != 2 {
+		t.Fatalf("Failed = %d orders, want 2", len(out.Failed))
+	}
+	for _, f := range out.Failed {
+		if f.Kind != sprout.OrderKindRoute {
+			t.Fatalf("kind = %q, want %q", f.Kind, sprout.OrderKindRoute)
 		}
-		if len(out.Failed) != 2 {
-			t.Fatalf("sequential=%v: Failed = %d orders, want 2", seq, len(out.Failed))
-		}
-		for _, f := range out.Failed {
-			if f.Kind != sprout.OrderKindRoute {
-				t.Fatalf("sequential=%v: kind = %q, want %q", seq, f.Kind, sprout.OrderKindRoute)
-			}
-			if f.FailedNet != strandedID {
-				t.Fatalf("sequential=%v: failed net = %v, want stranded net %v", seq, f.FailedNet, strandedID)
-			}
+		if f.FailedNet != strandedID {
+			t.Fatalf("failed net = %v, want stranded net %v", f.FailedNet, strandedID)
 		}
 	}
 }
@@ -255,39 +235,36 @@ func TestExploreFailureTelemetry(t *testing.T) {
 // order vanished.
 func TestExploreCancelledMidBoardRecordsOrder(t *testing.T) {
 	b := orderBoard(t)
-	for _, seq := range []bool{true, false} {
-		faultinject.Reset()
-		ctx, cancel := context.WithCancel(context.Background())
-		// Cancel from inside the second SmartGrow iteration, so the
-		// cancellation deterministically strikes mid-board with an order
-		// in flight.
-		faultinject.Arm(faultinject.SiteGrow, 2, func() error {
-			cancel()
-			return nil
-		})
-		out, err := sprout.ExploreNetOrdersCtx(ctx, b, sprout.RouteOptions{
-			Layer:             1,
-			Budgets:           map[sprout.NetID]int64{0: 2200, 1: 2200},
-			Config:            sprout.RouteConfig{DX: 5, DY: 5, GrowNodes: 1},
-			ExploreSequential: seq,
-		})
-		faultinject.Reset()
+	faultinject.Reset()
+	ctx, cancel := context.WithCancel(context.Background())
+	// Cancel from inside the second SmartGrow iteration, so the
+	// cancellation deterministically strikes mid-board with an order in
+	// flight.
+	faultinject.Arm(faultinject.SiteGrow, 2, func() error {
 		cancel()
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("sequential=%v: want context.Canceled, got %v", seq, err)
-		}
-		if out == nil {
-			t.Fatalf("sequential=%v: exploration must carry the in-flight order", seq)
-		}
-		if len(out.Failed) == 0 {
-			t.Fatalf("sequential=%v: cancelled mid-board but Failed is empty", seq)
-		}
-		last := out.Failed[len(out.Failed)-1]
-		if last.Kind != sprout.OrderKindCanceled {
-			t.Fatalf("sequential=%v: kind = %q, want %q", seq, last.Kind, sprout.OrderKindCanceled)
-		}
-		if len(last.Order) == 0 {
-			t.Fatalf("sequential=%v: in-flight order not recorded", seq)
-		}
+		return nil
+	})
+	out, err := sprout.ExploreNetOrdersCtx(ctx, b, sprout.RouteOptions{
+		Layer:   1,
+		Budgets: map[sprout.NetID]int64{0: 2200, 1: 2200},
+		Config:  sprout.RouteConfig{DX: 5, DY: 5, GrowNodes: 1},
+	})
+	faultinject.Reset()
+	cancel()
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
+	}
+	if out == nil {
+		t.Fatal("exploration must carry the in-flight order")
+	}
+	if len(out.Failed) == 0 {
+		t.Fatal("cancelled mid-board but Failed is empty")
+	}
+	last := out.Failed[len(out.Failed)-1]
+	if last.Kind != sprout.OrderKindCanceled {
+		t.Fatalf("kind = %q, want %q", last.Kind, sprout.OrderKindCanceled)
+	}
+	if len(last.Order) == 0 {
+		t.Fatal("in-flight order not recorded")
 	}
 }

@@ -17,9 +17,7 @@ import (
 // prefixNode is one node of the shared permutation tree. The path from
 // the root to a node spells a routing-order prefix; the node's snapshot
 // (computed once, by routeNext on top of its parent's snapshot) is shared
-// by every order passing through it. With memoization disabled each order
-// gets a private chain, so the tree degenerates into |orders| disjoint
-// paths and every rail routes from scratch.
+// by every order passing through it.
 type prefixNode struct {
 	// net is the rail routed at this node (board.NetNone at the root,
 	// which represents the empty prefix).
@@ -40,19 +38,17 @@ type prefixNode struct {
 // buildPrefixTree folds the orders into a prefix tree. Orders are
 // inserted in enumeration order and children keep first-insertion order,
 // so the tree shape is deterministic.
-func buildPrefixTree(orders [][]board.NetID, memoize bool) *prefixNode {
+func buildPrefixTree(orders [][]board.NetID) *prefixNode {
 	root := &prefixNode{net: board.NetNone, leaf: -1}
 	for idx, order := range orders {
 		node := root
 		node.leaves++
 		for _, id := range order {
 			var child *prefixNode
-			if memoize {
-				for _, c := range node.children {
-					if c.net == id {
-						child = c
-						break
-					}
+			for _, c := range node.children {
+				if c.net == id {
+					child = c
+					break
 				}
 			}
 			if child == nil {
@@ -89,7 +85,7 @@ type semWaiter struct {
 // earliest pending orders: leaves then settle in near-enumeration order
 // and the reducer retires their snapshots immediately instead of letting
 // out-of-order boards accumulate (live heap, hence GC mark cost, stays
-// close to the sequential explorer's). Scheduling never affects results
+// close to a sequential sweep's). Scheduling never affects results
 // — only memory — because every outcome is a pure function of its order.
 type prioSem struct {
 	mu      sync.Mutex
@@ -241,10 +237,10 @@ func (x *explorer) failSubtree(node *prefixNode, err error) {
 }
 
 // exploreParallel explores the orders over the shared permutation tree,
-// then reduces the outcomes in enumeration order with selection logic
-// identical to exploreSequential — which is what makes the two paths
-// bit-identical on completed runs regardless of goroutine scheduling:
-// every per-order result is a deterministic function of its order alone
+// then reduces the outcomes in enumeration order with the selection logic
+// of a sequential from-scratch sweep — which is what makes the result
+// bit-identical to that sweep regardless of goroutine scheduling: every
+// per-order result is a deterministic function of its order alone
 // (immutable snapshots, deterministic pipeline), and the winner is picked
 // by the same first-strictly-better scan over the same sequence.
 func exploreParallel(ctx context.Context, b *board.Board, opt RouteOptions, orders [][]board.NetID) (*OrderExploration, error) {
@@ -252,7 +248,7 @@ func exploreParallel(ctx context.Context, b *board.Board, opt RouteOptions, orde
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	out := &OrderExploration{Stats: ExploreStats{Orders: len(orders), Workers: workers, Parallel: true}}
+	out := &OrderExploration{Stats: ExploreStats{Orders: len(orders), Workers: workers}}
 	if cerr := ctx.Err(); cerr != nil {
 		return out, cerr
 	}
@@ -311,7 +307,7 @@ func exploreParallel(ctx context.Context, b *board.Board, opt RouteOptions, orde
 		}
 	}
 
-	root := buildPrefixTree(orders[done:], !opt.ExploreNoPrefixCache)
+	root := buildPrefixTree(orders[done:])
 	x := &explorer{
 		run:      run,
 		nets:     nets,
@@ -329,11 +325,11 @@ func exploreParallel(ctx context.Context, b *board.Board, opt RouteOptions, orde
 	}()
 
 	// Reduction: enumeration order, sequential selection logic — keep in
-	// lockstep with exploreSequential. It runs concurrently with the walk,
-	// consuming each leaf as its ready channel closes and dropping the
-	// snapshot immediately: losers become garbage while later branches are
-	// still routing, which keeps the walk's live heap (and GC mark cost)
-	// near the sequential explorer's.
+	// lockstep with the reference explorer the differential suite runs. It
+	// runs concurrently with the walk, consuming each leaf as its ready
+	// channel closes and dropping the snapshot immediately: losers become
+	// garbage while later branches are still routing, which keeps the
+	// walk's live heap (and GC mark cost) near a sequential sweep's.
 	var retErr error
 	for i := done; i < len(orders); i++ {
 		order := orders[i]

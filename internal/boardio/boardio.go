@@ -6,8 +6,6 @@
 package boardio
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -183,18 +181,6 @@ func (doc *BoardJSON) Canonical() ([]byte, error) {
 		return nil, fmt.Errorf("boardio: canonicalize: %w", err)
 	}
 	return b, nil
-}
-
-// CanonicalHash is the hex SHA-256 of the canonical encoding — the
-// content identity of a submission, used by sproutd to dedupe equivalent
-// boards and by the shard router to place them.
-func (doc *BoardJSON) CanonicalHash() (string, error) {
-	b, err := doc.Canonical()
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), nil
 }
 
 // FromJSON builds a Board from a parsed document.

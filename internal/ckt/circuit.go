@@ -49,9 +49,6 @@ func (c *Circuit) Node(name string) int {
 	return len(c.names) - 1
 }
 
-// NumNodes returns the node count including ground.
-func (c *Circuit) NumNodes() int { return len(c.names) }
-
 // NodeName returns the name of a node.
 func (c *Circuit) NodeName(id int) string {
 	if id < 0 || id >= len(c.names) {

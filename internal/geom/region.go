@@ -190,15 +190,6 @@ func (g Region) Rects() []Rect {
 	return out
 }
 
-// NumRects returns the number of rectangles in the canonical decomposition.
-func (g Region) NumRects() int {
-	n := 0
-	for _, b := range g.bands {
-		n += len(b.Spans)
-	}
-	return n
-}
-
 // Contains reports whether p lies inside the region.
 func (g Region) Contains(p Point) bool {
 	i := sort.Search(len(g.bands), func(i int) bool { return g.bands[i].Y1 > p.Y })

@@ -1,8 +1,8 @@
 // Package graph provides the weighted undirected graph substrate used by
-// SPROUT's routing stages: adjacency storage, Dijkstra and Bellman-Ford
-// shortest paths (paper §II-C cites both), breadth-first search, connected
-// components, induced subgraphs, and subgraph boundary sets (the set C of
-// paper §II-D).
+// SPROUT's routing stages: adjacency storage, Dijkstra shortest paths
+// (paper §II-C; the Bellman-Ford it also cites is Dijkstra's test
+// oracle), connected components, induced subgraphs, and subgraph
+// boundary sets (the set C of paper §II-D).
 package graph
 
 import (
@@ -194,25 +194,4 @@ func (g *Graph) Connected(nodes ...int) bool {
 		}
 	}
 	return true
-}
-
-// BFSDist returns hop distances from src (-1 for unreachable).
-func (g *Graph) BFSDist(src int) []int {
-	dist := make([]int, g.n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	queue := []int{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, he := range g.adj[u] {
-			if dist[he.to] == -1 {
-				dist[he.to] = dist[u] + 1
-				queue = append(queue, he.to)
-			}
-		}
-	}
-	return dist
 }

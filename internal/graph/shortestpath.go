@@ -85,39 +85,6 @@ func extractPath(dist []float64, prev []int, src, dst int) ([]int, float64, erro
 	return rev, dist[dst], nil
 }
 
-// BellmanFord computes single-source shortest path distances; it is the
-// slower oracle used to cross-validate Dijkstra in tests (both are cited in
-// paper §II-C). Negative edges are rejected at AddEdge, so no negative
-// cycles can exist.
-func (g *Graph) BellmanFord(src int) ([]float64, error) {
-	if src < 0 || src >= g.n {
-		return nil, fmt.Errorf("graph: bellman-ford source %d out of range", src)
-	}
-	dist := make([]float64, g.n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-	}
-	dist[src] = 0
-	edges := g.Edges()
-	for i := 0; i < g.n; i++ {
-		changed := false
-		for _, e := range edges {
-			if dist[e.U]+e.Weight < dist[e.V] {
-				dist[e.V] = dist[e.U] + e.Weight
-				changed = true
-			}
-			if dist[e.V]+e.Weight < dist[e.U] {
-				dist[e.U] = dist[e.V] + e.Weight
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	return dist, nil
-}
-
 // distItem is a priority-queue element.
 type distItem struct {
 	node int

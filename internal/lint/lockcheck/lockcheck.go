@@ -10,9 +10,11 @@
 //     executed while a mutex is held couples the critical section to an
 //     unbounded external wait — the drain-deadline and WAL-latency
 //     guarantees in DESIGN §5b assume critical sections are short.
-//  3. Copylocks: a value containing a sync.Mutex, sync.RWMutex, or
-//     sync.WaitGroup passed, received, or returned by value silently
-//     forks the lock state; such types must travel by pointer.
+//  3. Copylocks in results: a function that returns a value containing a
+//     sync.Mutex, sync.RWMutex, or sync.WaitGroup by value silently forks
+//     the lock state; such types must travel by pointer. go vet's
+//     copylocks already reports by-value receivers, parameters and call
+//     arguments, but not result types, so only results are checked here.
 //
 // The analysis is intraprocedural: helpers documented as "callers hold
 // mu" neither lock nor unlock and pass untouched, and a lock handed off
@@ -37,7 +39,7 @@ import (
 // Analyzer is the lockcheck pass.
 var Analyzer = &analysis.Analyzer{
 	Name:     "lockcheck",
-	Doc:      "mutexes must be released on every path, never held across blocking operations, and never copied by value",
+	Doc:      "mutexes must be released on every path, never held across blocking operations, and never returned by value",
 	Requires: []*analysis.Analyzer{cfg.Analyzer},
 	Run:      run,
 }
@@ -451,30 +453,28 @@ func blockingCall(pass *analysis.Pass, call *ast.CallExpr) string {
 	return ""
 }
 
-// checkCopylocks reports lock-bearing values passed, received, or
-// returned by value — signatures first, then call arguments.
+// checkCopylocks reports function declarations and literals whose
+// results carry a lock by value.
 func checkCopylocks(pass *analysis.Pass) {
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
+			var results *ast.FieldList
 			switch n := n.(type) {
 			case *ast.FuncDecl:
-				if n.Recv != nil {
-					checkFieldList(pass, n.Recv, "receiver")
-				}
-				checkFuncType(pass, n.Type)
+				results = n.Type.Results
 			case *ast.FuncLit:
-				checkFuncType(pass, n.Type)
-			case *ast.CallExpr:
-				for _, arg := range n.Args {
-					tv, ok := pass.TypesInfo.Types[arg]
-					// Type arguments (new(sync.Mutex), make chans of locks)
-					// construct, not copy.
-					if !ok || tv.IsType() || tv.Type == nil {
-						continue
-					}
-					if containsLock(tv.Type) {
-						pass.Reportf(arg.Pos(), "call copies a value containing %s: pass a pointer instead", lockIn(tv.Type))
-					}
+				results = n.Type.Results
+			}
+			if results == nil {
+				return true
+			}
+			for _, field := range results.List {
+				t := pass.TypesInfo.Types[field.Type].Type
+				if t == nil {
+					continue
+				}
+				if lock := lockIn(t); lock != "" {
+					pass.Reportf(field.Type.Pos(), "result passes a value containing %s by value: use a pointer", lock)
 				}
 			}
 			return true
@@ -482,28 +482,10 @@ func checkCopylocks(pass *analysis.Pass) {
 	}
 }
 
-func checkFuncType(pass *analysis.Pass, ft *ast.FuncType) {
-	checkFieldList(pass, ft.Params, "parameter")
-	checkFieldList(pass, ft.Results, "result")
-}
-
-func checkFieldList(pass *analysis.Pass, fl *ast.FieldList, what string) {
-	if fl == nil {
-		return
-	}
-	for _, field := range fl.List {
-		t := pass.TypesInfo.Types[field.Type].Type
-		if t != nil && containsLock(t) {
-			pass.Reportf(field.Type.Pos(), "%s passes a value containing %s by value: use a pointer", what, lockIn(t))
-		}
-	}
-}
-
-// containsLock walks value-embedded types (structs, arrays, named) for
-// sync.Mutex/RWMutex/WaitGroup. Pointers, slices, maps, channels and
-// interfaces carry references, not copies, and stop the walk.
-func containsLock(t types.Type) bool { return lockIn(t) != "" }
-
+// lockIn walks value-embedded types (structs, arrays, named) for
+// sync.Mutex/RWMutex/WaitGroup and names the first one found ("" when
+// none). Pointers, slices, maps, channels and interfaces carry
+// references, not copies, and stop the walk.
 func lockIn(t types.Type) string {
 	if named, ok := t.(*types.Named); ok {
 		obj := named.Obj()

@@ -1,5 +1,5 @@
 // Package a is the lockcheck corpus: pairing along all paths, blocking
-// while holding, and copylocks — positive and negative cases.
+// while holding, and by-value lock results — positive and negative cases.
 package a
 
 import (
@@ -163,35 +163,14 @@ func (g *guarded) NonBlockingSelect() int {
 	}
 }
 
-// --- copylocks ---
-
-// ByValueParam copies the receiver's mutex into the callee.
-func ByValueParam(g guarded) int { // want `parameter passes a value containing sync\.Mutex by value`
-	return g.n
-}
+// --- copylocks in results (go vet's copylocks misses these) ---
 
 // ByValueReturn forks the lock on the way out.
 func ByValueReturn() guarded { // want `result passes a value containing sync\.Mutex by value`
 	return guarded{}
 }
 
-// ValueReceiver copies on every call.
-func (g guarded) ValueReceiver() int { // want `receiver passes a value containing sync\.Mutex by value`
-	return g.n
-}
-
-type wrapsWG struct {
-	wg sync.WaitGroup
-}
-
-// CopyArg copies a WaitGroup-bearing value at the call site.
-func CopyArg(p *wrapsWG) {
-	use(*p) // want `call copies a value containing sync\.WaitGroup`
-}
-
-func use(w any) { _ = w }
-
-// PointerParam is the clean shape.
-func PointerParam(g *guarded) int {
-	return g.n
+// PointerReturn is the clean shape.
+func PointerReturn() *guarded {
+	return &guarded{}
 }

@@ -347,17 +347,6 @@ func IsMetric(name string) bool {
 	return ok
 }
 
-// MetricNames returns the registered canonical names and wildcard
-// families in sorted order.
-func MetricNames() []string {
-	out := make([]string, 0, len(metricRegistry))
-	for n := range metricRegistry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // mustMetric resolves a name or panics — the faultinject.Arm contract
 // applied to metrics, so an unregistered name fails loudly in the first
 // test that touches it instead of silently forking the naming scheme.

@@ -165,7 +165,6 @@ func (e *Engine) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	opt.WithManual = r.URL.Query().Get("manual") == "1"
 	opt.SkipExtract = r.URL.Query().Get("skip_extract") == "1"
 	opt.Explore = r.URL.Query().Get("explore") == "1"
-	opt.ExploreSequential = r.URL.Query().Get("explore_seq") == "1"
 	if v := r.URL.Query().Get("explore_workers"); v != "" {
 		n, perr := strconv.Atoi(v)
 		if perr != nil || n < 1 {

@@ -389,13 +389,12 @@ func (p *PersistentStore) jobFromAccept(rec *walRecord) *Job {
 		}
 		j.doc = dec
 		j.opt = sprout.RouteOptions{
-			Layer:             dec.RoutingLayer,
-			Budgets:           dec.Budgets,
-			Config:            dec.Config,
-			WithManual:        rec.Manual,
-			SkipExtract:       rec.SkipExtract,
-			ExploreWorkers:    rec.ExploreWorkers,
-			ExploreSequential: rec.ExploreSeq,
+			Layer:          dec.RoutingLayer,
+			Budgets:        dec.Budgets,
+			Config:         dec.Config,
+			WithManual:     rec.Manual,
+			SkipExtract:    rec.SkipExtract,
+			ExploreWorkers: rec.ExploreWorkers,
 		}
 	} else {
 		j.state = StateFailed
@@ -423,8 +422,7 @@ func acceptRecord(j *Job) *walRecord {
 		Doc:       j.raw,
 		TimeoutNS: int64(j.timeout), Explore: j.explore,
 		Manual: j.opt.WithManual, SkipExtract: j.opt.SkipExtract,
-		ExploreWorkers: j.opt.ExploreWorkers, ExploreSeq: j.opt.ExploreSequential,
-		Trace: j.trace.Header(),
+		ExploreWorkers: j.opt.ExploreWorkers, Trace: j.trace.Header(),
 	}
 }
 

@@ -2,9 +2,14 @@ package server
 
 import (
 	"bytes"
+	"context"
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -345,4 +350,82 @@ func FuzzWALDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestRecoverAcceptWithRetiredExploreSeq replays an accept record as
+// replicas wrote it while sproutd still offered a sequential explorer:
+// it carries "explore_seq":true. decodeWAL ignores the unknown field, so
+// the recovered job sweeps on the one explorer and finishes with the same
+// exploration summary as a fresh submission of the same document.
+func TestRecoverAcceptWithRetiredExploreSeq(t *testing.T) {
+	dir := t.TempDir()
+	doc := exploreBoardDoc(t)
+	dec, err := boardio.Decode(bytes.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, hash := canonicalSubmission(dec, SubmitOptions{Explore: true})
+	payload, err := json.Marshal(&walRecord{
+		T: walAccept, ID: "job-1", TS: time.Now(), Key: "old-replica", Hash: hash,
+		Board: dec.Board.Name, Doc: raw, TimeoutNS: int64(time.Minute), Explore: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(payload, &fields); err != nil {
+		t.Fatal(err)
+	}
+	fields["explore_seq"] = json.RawMessage("true")
+	if payload, err = json.Marshal(fields); err != nil {
+		t.Fatal(err)
+	}
+	frame := make([]byte, walHeaderSize, walHeaderSize+len(payload))
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
+	if err := os.WriteFile(filepath.Join(dir, walFileName), append(frame, payload...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	ps, err := OpenStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(ps.Recovered()); got != 1 {
+		t.Fatalf("recovered %d jobs, want 1", got)
+	}
+	eng := New(Config{Workers: 1, QueueDepth: 4, JobTimeout: time.Minute, Store: ps})
+	eng.Start()
+	waitFor(t, "recovered sweep to finish", func() bool {
+		st, ok := eng.Job("job-1")
+		return ok && st.State.Terminal()
+	})
+	recovered, _ := eng.Job("job-1")
+	if err := eng.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := ps.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if recovered.State != StateDone || recovered.Exploration == nil {
+		t.Fatalf("recovered job = %s (%s), want a done sweep", recovered.State, recovered.Error)
+	}
+
+	fresh := New(Config{Workers: 1, QueueDepth: 4, JobTimeout: time.Minute})
+	fresh.Start()
+	id := submitExplore(t, fresh, doc, "fresh")
+	waitFor(t, "fresh sweep to finish", func() bool {
+		st, ok := fresh.Job(id)
+		return ok && st.State.Terminal()
+	})
+	baseline, _ := fresh.Job(id)
+	if err := fresh.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if baseline.State != StateDone || baseline.Exploration == nil {
+		t.Fatalf("fresh sweep = %s (%s)", baseline.State, baseline.Error)
+	}
+	if !reflect.DeepEqual(recovered.Exploration, baseline.Exploration) {
+		t.Fatalf("recovered summary %+v != fresh %+v", *recovered.Exploration, *baseline.Exploration)
+	}
 }

@@ -212,9 +212,8 @@ func (e *Engine) Start() {
 func (e *Engine) Accepting() bool { return e.accepting.Load() }
 
 // QueueLen and InFlight are the /metrics gauges.
-func (e *Engine) QueueLen() int                 { return len(e.queue) }
-func (e *Engine) InFlight() int64               { return e.inFlight.Load() }
-func (e *Engine) RetryAfterHint() time.Duration { return e.cfg.RetryAfter }
+func (e *Engine) QueueLen() int   { return len(e.queue) }
+func (e *Engine) InFlight() int64 { return e.inFlight.Load() }
 
 // SubmitOptions carries the per-submission knobs.
 type SubmitOptions struct {
@@ -231,10 +230,9 @@ type SubmitOptions struct {
 	// the job's report is the winning order's, and the status carries the
 	// best order plus tried/failed counts.
 	Explore bool
-	// ExploreWorkers and ExploreSequential mirror the sprout.RouteOptions
-	// explorer knobs (pool bound; force the sequential reference path).
-	ExploreWorkers    int
-	ExploreSequential bool
+	// ExploreWorkers mirrors sprout.RouteOptions.ExploreWorkers, the
+	// explorer's pool bound.
+	ExploreWorkers int
 	// Trace continues the submitter's distributed trace: the job tracer
 	// adopts its trace id and parents its root span under the propagated
 	// span ref. The zero value starts a fresh trace.
@@ -290,13 +288,12 @@ func (e *Engine) Submit(dec *boardio.Decoded, opt SubmitOptions) (Status, error)
 		Raw:     raw,
 		Doc:     dec,
 		Opt: sprout.RouteOptions{
-			Layer:             dec.RoutingLayer,
-			Budgets:           dec.Budgets,
-			Config:            dec.Config,
-			WithManual:        opt.WithManual,
-			SkipExtract:       opt.SkipExtract,
-			ExploreWorkers:    opt.ExploreWorkers,
-			ExploreSequential: opt.ExploreSequential,
+			Layer:          dec.RoutingLayer,
+			Budgets:        dec.Budgets,
+			Config:         dec.Config,
+			WithManual:     opt.WithManual,
+			SkipExtract:    opt.SkipExtract,
+			ExploreWorkers: opt.ExploreWorkers,
 		},
 		Timeout: timeout,
 		Explore: opt.Explore,

@@ -406,7 +406,7 @@ func TestExploreJobSurface(t *testing.T) {
 			BestScore: 0.25,
 			Tried:     2,
 			Failed:    []sprout.OrderError{{Order: []board.NetID{0, 1}, Kind: sprout.OrderKindRoute}},
-			Stats:     sprout.ExploreStats{Orders: 3, Parallel: true, PrefixHits: 3, PrefixMisses: 4},
+			Stats:     sprout.ExploreStats{Orders: 3, PrefixHits: 3, PrefixMisses: 4},
 		}, nil
 	}
 	eng.Start()
@@ -431,6 +431,8 @@ func TestExploreJobSurface(t *testing.T) {
 		t.Fatalf("bad explore_workers = %d, want 400", resp.StatusCode)
 	}
 
+	// explore_seq is no knob: it is ignored like any other unknown query
+	// key, so clients that still send it keep working.
 	resp, err = http.Post(ts.URL+"/v1/jobs?explore=1&explore_workers=2&explore_seq=1",
 		"application/json", bytes.NewReader(doc))
 	if err != nil {
@@ -449,7 +451,7 @@ func TestExploreJobSurface(t *testing.T) {
 		st, ok := eng.Job(sub.ID)
 		return ok && st.State == StateDone
 	})
-	if gotOpt.ExploreWorkers != 2 || !gotOpt.ExploreSequential {
+	if gotOpt.ExploreWorkers != 2 {
 		t.Fatalf("explore knobs not threaded: %+v", gotOpt)
 	}
 

@@ -159,9 +159,9 @@ type ExplorationSummary struct {
 	// OrdersTried and OrdersFailed count evaluated and failed orders.
 	OrdersTried  int `json:"orders_tried"`
 	OrdersFailed int `json:"orders_failed,omitempty"`
-	// PrefixHits and PrefixMisses report the prefix-cache effectiveness
-	// of the parallel explorer: misses count actual rail routes, hits
-	// count memoized reuses (both 0 on the sequential path).
+	// PrefixHits and PrefixMisses report the explorer's prefix-cache
+	// effectiveness: misses count actual rail routes, hits count memoized
+	// reuses.
 	PrefixHits   int64 `json:"prefix_hits,omitempty"`
 	PrefixMisses int64 `json:"prefix_misses,omitempty"`
 }

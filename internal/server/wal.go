@@ -66,7 +66,6 @@ type walRecord struct {
 	Manual         bool            `json:"manual,omitempty"`
 	SkipExtract    bool            `json:"skip_extract,omitempty"`
 	ExploreWorkers int             `json:"explore_workers,omitempty"`
-	ExploreSeq     bool            `json:"explore_seq,omitempty"`
 	// Trace is the submitter's X-Sprout-Trace header, persisted so a
 	// recovered job re-attaches to the originating distributed trace.
 	Trace string `json:"trace,omitempty"`

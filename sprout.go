@@ -235,15 +235,6 @@ type RouteOptions struct {
 	// ExploreWorkers bounds the order explorer's worker pool (0 =
 	// runtime.GOMAXPROCS(0)). Only ExploreNetOrdersCtx reads it.
 	ExploreWorkers int
-	// ExploreSequential forces the retained sequential explorer path —
-	// one order at a time, no prefix sharing. The parallel explorer is
-	// provably equivalent (see the differential suite), so this is a
-	// debugging/benchmarking escape hatch, not a correctness switch.
-	ExploreSequential bool
-	// ExploreNoPrefixCache disables prefix-tree memoization in the
-	// parallel explorer: every order routes from scratch on its own
-	// branch. For benchmarking the memoization win in isolation.
-	ExploreNoPrefixCache bool
 	// ExploreAllOrders explores every permutation regardless of net count
 	// (the default switches to rotations above four nets). Combine with
 	// ExploreMaxOrders to bound the sweep.
@@ -252,11 +243,10 @@ type RouteOptions struct {
 	// (0 = unbounded). Orders are enumerated deterministically, so a
 	// truncated sweep is a reproducible prefix of the full one.
 	ExploreMaxOrders int
-	// ExploreCheckpointEvery emits a durable checkpoint of the parallel
+	// ExploreCheckpointEvery emits a durable checkpoint of the
 	// explorer's frontier after every N settled orders (0 = never). A
 	// later run handed the checkpoint via ExploreResume replays the
-	// settled prefix verbatim and routes only the remainder. The
-	// sequential explorer ignores checkpointing entirely.
+	// settled prefix verbatim and routes only the remainder.
 	ExploreCheckpointEvery int
 	// ExploreCheckpointSink receives each emitted checkpoint. Sink
 	// failures are counted but never fail the sweep — a checkpoint is an
