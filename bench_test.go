@@ -7,7 +7,8 @@
 //	BenchmarkFig12Analysis        — Fig. 12b-d: PDN transient + AC + guideline per rail
 //	BenchmarkFig8Stages           — Fig. 8: seed→grow→refine demonstration scene
 //	BenchmarkMultilayerPlan       — Figs. 5/13 + Alg. 6: via planning and decomposition
-//	BenchmarkSpaceToGraph         — Alg. 1: tiling the two-rail available space
+//	BenchmarkSpaceToGraph         — Alg. 1: tiling the two-rail and six-rail V1 spaces
+//	BenchmarkAvailableSpace       — Eq. 1: every six-rail net's available space
 //	BenchmarkNodeCurrents         — Alg. 3: one node-current evaluation of a new mask
 //	BenchmarkSeed                 — Alg. 2: pairwise Dijkstra + void filling
 //	BenchmarkExtraction           — §III impedance extraction of a routed shape
@@ -120,7 +121,14 @@ func BenchmarkMultilayerPlan(b *testing.B) {
 // two-rail board for the micro-benchmarks.
 func twoRailSpace(b *testing.B) (geom.Region, []route.Terminal) {
 	b.Helper()
-	cs, err := cases.TwoRail()
+	return firstRailSpace(b, cases.TwoRail)
+}
+
+// firstRailSpace returns the available space and terminals of a case
+// board's first net on its routing layer.
+func firstRailSpace(b *testing.B, load func() (*cases.CaseStudy, error)) (geom.Region, []route.Terminal) {
+	b.Helper()
+	cs, err := load()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -133,12 +141,43 @@ func twoRailSpace(b *testing.B) (geom.Region, []route.Terminal) {
 	return avail, terms
 }
 
+// BenchmarkSpaceToGraph tiles one rail's available space (Alg. 1): the
+// two-rail VDD1 space at Δ=5, and the six-rail V1 space at the board's
+// own Δx=4, where tiling outweighs the grow/refine loop.
 func BenchmarkSpaceToGraph(b *testing.B) {
-	avail, terms := twoRailSpace(b)
+	for _, leg := range []struct {
+		name  string
+		load  func() (*cases.CaseStudy, error)
+		pitch int64
+	}{
+		{"tworail", cases.TwoRail, 5},
+		{"sixrail", cases.SixRail, 4},
+	} {
+		b.Run(leg.name, func(b *testing.B) {
+			avail, terms := firstRailSpace(b, leg.load)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := route.BuildTileGraph(avail, terms, leg.pitch, leg.pitch); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkAvailableSpace computes Eq. 1 for every net of the six-rail
+// board on its routing layer.
+func BenchmarkAvailableSpace(b *testing.B) {
+	cs, err := cases.SixRail()
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := route.BuildTileGraph(avail, terms, 5, 5); err != nil {
-			b.Fatal(err)
+		for _, net := range cs.Board.Nets {
+			if cs.Board.AvailableSpace(net.ID, cs.RoutingLayer).Empty() {
+				b.Fatalf("net %s has no available space", net.Name)
+			}
 		}
 	}
 }

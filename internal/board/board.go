@@ -314,25 +314,32 @@ func (b *Board) GroupsOn(net NetID, layer int) []TerminalGroup {
 // paper Eq. 1: the outline minus the clearance-buffered geometry of every
 // other net (terminal pads and obstacles), minus keepouts. Same-net
 // geometry is never removed — a net may legally cross its own buffers
-// (paper Fig. 4 caption).
+// (paper Fig. 4 caption). The buffers are gathered as rectangles and
+// subtracted in one pass; canonical form makes the result identical to
+// subtracting them one shape at a time.
 func (b *Board) AvailableSpace(net NetID, layer int) geom.Region {
-	avail := geom.RegionFromRect(b.Outline)
 	c := b.Rules.Clearance
+	var blocked []geom.Rect
+	bloat := func(shape geom.Region) {
+		for _, r := range shape.Rects() {
+			blocked = append(blocked, r.Expand(c))
+		}
+	}
 	for _, g := range b.Groups {
 		if g.Layer != layer || g.Net == net {
 			continue
 		}
 		for _, p := range g.Pads {
-			avail = avail.Subtract(p.Bloat(c))
+			bloat(p)
 		}
 	}
 	for _, o := range b.Obstacle {
 		if o.Layer != layer || (o.Net == net && o.Net != NetNone) {
 			continue
 		}
-		avail = avail.Subtract(o.Shape.Bloat(c))
+		bloat(o.Shape)
 	}
-	return avail
+	return geom.RegionFromRect(b.Outline).Subtract(geom.RegionFromRects(blocked))
 }
 
 // RoutableLayers returns the 1-indexed non-plane layers in order.

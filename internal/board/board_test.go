@@ -1,6 +1,9 @@
 package board
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"sprout/internal/geom"
@@ -175,6 +178,89 @@ func TestAvailableSpaceOwnObstacleKept(t *testing.T) {
 	vss := b.AddNet("VSS", 1, 1)
 	if b.AvailableSpace(vss, 1).Contains(geom.Pt(150, 150)) {
 		t.Fatal("own-net obstacle must block other nets")
+	}
+}
+
+// availableSpaceSequential is the original Eq. 1 loop: the outline minus
+// each other-net pad buffer and each obstacle buffer, one Subtract at a
+// time. AvailableSpace must return the identical region.
+func availableSpaceSequential(b *Board, net NetID, layer int) geom.Region {
+	avail := geom.RegionFromRect(b.Outline)
+	c := b.Rules.Clearance
+	for _, g := range b.Groups {
+		if g.Layer != layer || g.Net == net {
+			continue
+		}
+		for _, p := range g.Pads {
+			avail = avail.Subtract(p.Bloat(c))
+		}
+	}
+	for _, o := range b.Obstacle {
+		if o.Layer != layer || (o.Net == net && o.Net != NetNone) {
+			continue
+		}
+		avail = avail.Subtract(o.Shape.Bloat(c))
+	}
+	return avail
+}
+
+// TestAvailableSpaceMatchesSequentialSubtract compares the one-pass
+// AvailableSpace with the sequential Subtract loop on seeded random
+// boards: several nets on two routable layers, multi-pad groups, NetNone
+// keepouts, same-net obstacles, obstacles reaching past the outline, and
+// clearances including 0.
+func TestAvailableSpaceMatchesSequentialSubtract(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	shape := func(maxSide int) geom.Region {
+		var rects []geom.Rect
+		for k := 1 + r.Intn(3); k > 0; k-- {
+			x, y := int64(r.Intn(220)-10), int64(r.Intn(220)-10)
+			rects = append(rects, geom.R(x, y, x+int64(1+r.Intn(maxSide)), y+int64(1+r.Intn(maxSide))))
+		}
+		return geom.RegionFromRects(rects)
+	}
+	for i := 0; i < 400; i++ {
+		rules := DesignRules{Clearance: int64(r.Intn(5)), TileDX: 4, TileDY: 4}
+		b, err := New("random", geom.R(0, 0, 200, 200), testStackup(), rules)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nets := 1 + r.Intn(4)
+		for n := 0; n < nets; n++ {
+			b.AddNet(fmt.Sprintf("N%d", n), 1, 1)
+		}
+		for k := r.Intn(12); k > 0; k-- {
+			var pads []geom.Region
+			for p := 1 + r.Intn(4); p > 0; p-- {
+				if pad := shape(12).Intersect(geom.RegionFromRect(b.Outline)); !pad.Empty() {
+					pads = append(pads, pad)
+				}
+			}
+			if len(pads) == 0 {
+				continue
+			}
+			g := TerminalGroup{Name: fmt.Sprintf("g%d", k), Net: NetID(r.Intn(nets)), Layer: 1 + 2*r.Intn(2), Pads: pads}
+			if err := b.AddGroup(g); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for k := r.Intn(8); k > 0; k-- {
+			net := NetNone
+			if r.Intn(2) == 0 {
+				net = NetID(r.Intn(nets))
+			}
+			if err := b.AddObstacle(net, 1+2*r.Intn(2), shape(40)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for n := 0; n < nets; n++ {
+			for _, layer := range []int{1, 3} {
+				got := b.AvailableSpace(NetID(n), layer)
+				if want := availableSpaceSequential(b, NetID(n), layer); !reflect.DeepEqual(got, want) {
+					t.Fatalf("board %d net %d layer %d:\n got %v\nwant %v", i, n, layer, got, want)
+				}
+			}
+		}
 	}
 }
 

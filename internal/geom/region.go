@@ -87,6 +87,35 @@ func RegionFromRects(rects []Rect) Region {
 	return Region{bands: coalesceBands(bands)}
 }
 
+// RegionFromSortedRects returns the same region as RegionFromRects for
+// rectangles already laid out in bands: consecutive rectangles with equal
+// Y0 and Y1 form one band, bands ascend in y without overlapping, and the
+// rectangles of a band ascend in x without overlapping or touching. The
+// Rects of a region, and their clips to one rectangle, have this layout.
+// Such input is built into canonical form in one pass, merging vertically
+// adjacent bands with identical spans; any other input falls back to
+// RegionFromRects.
+func RegionFromSortedRects(rects []Rect) Region {
+	bands := make([]band, 0, len(rects))
+	spans := make([]span, len(rects))
+	for i, r := range rects {
+		if r.Empty() {
+			return RegionFromRects(rects)
+		}
+		spans[i] = span{r.X0, r.X1}
+		n := len(bands)
+		switch {
+		case n > 0 && bands[n-1].Y0 == r.Y0 && bands[n-1].Y1 == r.Y1 && rects[i-1].X1 < r.X0:
+			bands[n-1].Spans = spans[i-len(bands[n-1].Spans) : i+1 : i+1]
+		case n > 0 && r.Y0 < bands[n-1].Y1:
+			return RegionFromRects(rects)
+		default:
+			bands = append(bands, band{r.Y0, r.Y1, spans[i : i+1 : i+1]})
+		}
+	}
+	return Region{bands: coalesceBands(bands)}
+}
+
 // uniqueSorted sorts v and removes duplicates in place.
 func uniqueSorted(v []int64) []int64 {
 	sort.Slice(v, func(i, j int) bool { return v[i] < v[j] })
@@ -445,25 +474,25 @@ func (g Region) Translate(p Point) Region {
 // they share a boundary segment of positive length. Corner-touching pieces
 // are separate components, matching the electrical connectivity model: a
 // zero-width contact carries no current (paper Fig. 6 assigns conductance
-// proportional to contact width).
+// proportional to contact width). Components come in the order of their
+// union-find roots over the Rects decomposition.
 func (g Region) Components() []Region {
-	rects := g.Rects()
-	n := len(rects)
-	if n == 0 {
+	if g.Empty() {
 		return nil
+	}
+	// Rect k of the Rects decomposition is span k-first[bi] of band bi.
+	first := make([]int, len(g.bands)+1)
+	for bi, b := range g.bands {
+		first[bi+1] = first[bi] + len(b.Spans)
+	}
+	n := first[len(g.bands)]
+	if n == 1 {
+		return []Region{g}
 	}
 	uf := newUnionFind(n)
 	// Within a band, spans never touch (canonical form), so only vertical
-	// adjacency matters. Band rectangles are emitted bottom-to-top, so for
-	// each band find the next band and match overlapping spans.
-	// Build index of rect -> (band, span) implicitly by re-walking bands.
-	type bandRange struct{ lo, hi int } // rect index range of a band
-	var ranges []bandRange
-	idx := 0
-	for _, b := range g.bands {
-		ranges = append(ranges, bandRange{idx, idx + len(b.Spans)})
-		idx += len(b.Spans)
-	}
+	// adjacency matters: match the overlapping spans of each pair of
+	// touching bands.
 	for bi := 0; bi+1 < len(g.bands); bi++ {
 		lower, upper := g.bands[bi], g.bands[bi+1]
 		if lower.Y1 != upper.Y0 {
@@ -476,23 +505,39 @@ func (g Region) Components() []Region {
 			}
 			for k := ju; k < len(upper.Spans) && upper.Spans[k].X0 < s.X1; k++ {
 				// Positive-length overlap joins the components.
-				uf.union(ranges[bi].lo+jl, ranges[bi+1].lo+k)
+				uf.union(first[bi]+jl, first[bi+1]+k)
 			}
 		}
 	}
-	groups := map[int][]Rect{}
-	for i, r := range rects {
-		root := uf.find(i)
-		groups[root] = append(groups[root], r)
+	// Number the components by ascending root.
+	ord := make([]int, n)
+	nc := 0
+	for i := range ord {
+		if uf.find(i) == i {
+			ord[i] = nc
+			nc++
+		}
 	}
-	out := make([]Region, 0, len(groups))
-	roots := make([]int, 0, len(groups))
-	for root := range groups {
-		roots = append(roots, root)
+	if nc == 1 {
+		return []Region{g}
 	}
-	sort.Ints(roots)
-	for _, root := range roots {
-		out = append(out, RegionFromRects(groups[root]))
+	// Deal each span to its component; a component's spans within one
+	// band stay sorted, so coalescing its bands gives canonical form.
+	parts := make([][]band, nc)
+	for bi, b := range g.bands {
+		for j, s := range b.Spans {
+			c := ord[uf.find(first[bi]+j)]
+			bs := parts[c]
+			if len(bs) == 0 || bs[len(bs)-1].Y0 != b.Y0 {
+				bs = append(bs, band{b.Y0, b.Y1, nil})
+			}
+			bs[len(bs)-1].Spans = append(bs[len(bs)-1].Spans, s)
+			parts[c] = bs
+		}
+	}
+	out := make([]Region, nc)
+	for c, bs := range parts {
+		out[c] = Region{bands: coalesceBands(bs)}
 	}
 	return out
 }

@@ -1,6 +1,10 @@
 package route
 
-import "context"
+import (
+	"context"
+
+	"sprout/internal/geom"
+)
 
 // RouteEvals reruns the pipeline on tg with cfg and calls eval with every
 // member mask the pipeline scores, just before the nodal analysis runs.
@@ -16,4 +20,20 @@ func RouteEvals(tg *TileGraph, cfg Config, fresh bool, eval func(members []bool)
 		eval(members)
 	}
 	return tg.route(context.Background(), cfg, warm)
+}
+
+// BuildTileGraphOracle is the original Alg. 1 builder that BuildTileGraph
+// must reproduce exactly.
+var BuildTileGraphOracle = buildTileGraphOracle
+
+// TileCounts tiles avail on its own bounds like BuildTileGraph and reports
+// the number of pieces and the number of grid boxes split into several.
+func TileCounts(avail geom.Region, dx, dy int64) (pieces, splitBoxes int) {
+	t := tileRegion(avail, avail.Bounds(), dx, dy)
+	for c := 0; c+1 < len(t.cellStart); c++ {
+		if t.cellStart[c+1]-t.cellStart[c] > 1 {
+			splitBoxes++
+		}
+	}
+	return len(t.pieces), splitBoxes
 }

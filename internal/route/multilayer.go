@@ -100,39 +100,25 @@ func planMultilayer(spaces []LayerSpace, terms []MLTerminal, viaPitch int64, via
 		}
 	}
 
-	// Tile each layer at the via pitch; cells are whole grid boxes clipped
-	// to available space, one node per connected piece.
+	// Tile each layer at the via pitch over the shared frame; cells are
+	// whole grid boxes clipped to available space, one node per connected
+	// piece, numbered layer by layer in piece order.
 	type cell struct {
 		layer int // index into sorted
 		shape geom.Region
 	}
 	var cells []cell
-	// Per layer, map grid box -> node ids.
-	grids := make([]map[[2]int64][]int, len(sorted))
 	var frame geom.Rect
 	for _, ls := range sorted {
 		frame = frame.Union(ls.Avail.Bounds())
 	}
+	tilings := make([]*tiling, len(sorted))
+	first := make([]int, len(sorted)) // node id of each layer's piece 0
 	for li, ls := range sorted {
-		grids[li] = map[[2]int64][]int{}
-		if ls.Avail.Empty() {
-			continue
-		}
-		nx := (frame.X1 - frame.X0 + viaPitch - 1) / viaPitch
-		ny := (frame.Y1 - frame.Y0 + viaPitch - 1) / viaPitch
-		for i := int64(0); i < nx; i++ {
-			for j := int64(0); j < ny; j++ {
-				box := geom.R(frame.X0+i*viaPitch, frame.Y0+j*viaPitch,
-					frame.X0+(i+1)*viaPitch, frame.Y0+(j+1)*viaPitch)
-				piece := ls.Avail.IntersectRect(box)
-				if piece.Empty() {
-					continue
-				}
-				for _, comp := range piece.Components() {
-					grids[li][[2]int64{i, j}] = append(grids[li][[2]int64{i, j}], len(cells))
-					cells = append(cells, cell{li, comp})
-				}
-			}
+		tilings[li] = tileRegion(ls.Avail, frame, viaPitch, viaPitch)
+		first[li] = len(cells)
+		for _, piece := range tilings[li].pieces {
+			cells = append(cells, cell{li, piece})
 		}
 	}
 	if len(cells) == 0 {
@@ -140,28 +126,20 @@ func planMultilayer(spaces []LayerSpace, terms []MLTerminal, viaPitch int64, via
 	}
 
 	g := graph.New(len(cells))
-	// Lateral edges within a layer.
-	for li := range sorted {
-		for key, ids := range grids[li] {
-			for _, d := range [2][2]int64{{1, 0}, {0, 1}} {
-				nkey := [2]int64{key[0] + d[0], key[1] + d[1]}
-				for _, a := range ids {
-					for _, bid := range grids[li][nkey] {
-						if contactLength(cells[a].shape, cells[bid].shape) > 0 {
-							_ = g.AddEdge(a, bid, 1)
-						}
-					}
-				}
-			}
-		}
+	// Lateral edges within a layer: unit cost wherever pieces touch.
+	for li, t := range tilings {
+		t.contacts(func(pa, pb int, _ int64, _ bool) {
+			_ = g.AddEdge(first[li]+pa, first[li]+pb, 1)
+		})
 	}
 	// Vertical (via) edges between adjacent layers where cells overlap.
-	for li := 0; li+1 < len(sorted); li++ {
-		for key, ids := range grids[li] {
-			for _, a := range ids {
-				for _, bid := range grids[li+1][key] {
-					if cells[a].shape.Overlaps(cells[bid].shape) {
-						_ = g.AddEdge(a, bid, viaCost)
+	for li := 0; li+1 < len(tilings); li++ {
+		lo, hi := tilings[li], tilings[li+1]
+		for c := 0; c+1 < len(lo.cellStart); c++ {
+			for a := lo.cellStart[c]; a < lo.cellStart[c+1]; a++ {
+				for b := hi.cellStart[c]; b < hi.cellStart[c+1]; b++ {
+					if lo.pieces[a].Overlaps(hi.pieces[b]) {
+						_ = g.AddEdge(first[li]+a, first[li+1]+b, viaCost)
 					}
 				}
 			}

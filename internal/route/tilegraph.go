@@ -8,8 +8,9 @@
 package route
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"sprout/internal/geom"
 	"sprout/internal/graph"
@@ -69,38 +70,13 @@ func BuildTileGraph(avail geom.Region, terms []Terminal, dx, dy int64) (*TileGra
 	// Cut the available space into tiles; a tile whose intersection with
 	// the space is disconnected becomes several nodes so that the graph
 	// never conducts across a gap inside one grid box.
-	type rawCell struct {
-		region geom.Region
-		col    int64
-		row    int64
-	}
-	var raw []rawCell
-	// cellsAt[col][row] -> indices into raw (tiles may split into pieces).
-	nx := (b.X1 - b.X0 + dx - 1) / dx
-	ny := (b.Y1 - b.Y0 + dy - 1) / dy
-	cellsAt := make(map[[2]int64][]int)
-	for i := int64(0); i < nx; i++ {
-		x0 := b.X0 + i*dx
-		x1 := x0 + dx
-		for j := int64(0); j < ny; j++ {
-			y0 := b.Y0 + j*dy
-			y1 := y0 + dy
-			cell := avail.IntersectRect(geom.R(x0, y0, x1, y1))
-			if cell.Empty() {
-				continue
-			}
-			for _, piece := range cell.Components() {
-				cellsAt[[2]int64{i, j}] = append(cellsAt[[2]int64{i, j}], len(raw))
-				raw = append(raw, rawCell{piece, i, j})
-			}
-		}
-	}
-	if len(raw) == 0 {
+	t := tileRegion(avail, b, dx, dy)
+	if len(t.pieces) == 0 {
 		return nil, fmt.Errorf("route: available space produced no tiles")
 	}
 
 	// Contract terminal tiles with union-find.
-	parent := make([]int, len(raw))
+	parent := make([]int, len(t.pieces))
 	for i := range parent {
 		parent[i] = i
 	}
@@ -133,17 +109,15 @@ func BuildTileGraph(avail geom.Region, terms []Terminal, dx, dy int64) (*TileGra
 		i1 := (tb.X1 - b.X0) / dx
 		j0 := (tb.Y0 - b.Y0) / dy
 		j1 := (tb.Y1 - b.Y0) / dy
-		for i := i0; i <= i1 && i < nx; i++ {
-			for j := j0; j <= j1 && j < ny; j++ {
-				if i < 0 || j < 0 {
-					continue
-				}
-				for _, ri := range cellsAt[[2]int64{i, j}] {
-					if raw[ri].region.Overlaps(term.Shape) {
+		for i := max(i0, 0); i <= i1 && i < t.nx; i++ {
+			for j := max(j0, 0); j <= j1 && j < t.ny; j++ {
+				c := i*t.ny + j
+				for p := t.cellStart[c]; p < t.cellStart[c+1]; p++ {
+					if t.pieces[p].Overlaps(term.Shape) {
 						if first == -1 {
-							first = ri
+							first = p
 						} else {
-							union(first, ri)
+							union(first, p)
 						}
 					}
 				}
@@ -165,71 +139,62 @@ func BuildTileGraph(avail geom.Region, terms []Terminal, dx, dy int64) (*TileGra
 	}
 
 	// Assign final node ids (roots in ascending order for determinism).
-	nodeOf := make([]int, len(raw))
-	for i := range nodeOf {
-		nodeOf[i] = -1
-	}
-	var cells []geom.Region
-	var areas []int64
-	for i := range raw {
-		r := find(i)
-		if nodeOf[r] == -1 {
-			nodeOf[r] = len(cells)
-			cells = append(cells, geom.EmptyRegion())
-			areas = append(areas, 0)
+	nodeOf := make([]int, len(t.pieces))
+	cells := make([]geom.Region, 0, len(t.pieces))
+	for p, piece := range t.pieces {
+		r := find(p)
+		if r == p {
+			nodeOf[p] = len(cells)
+			cells = append(cells, piece)
+			continue
 		}
-		nodeOf[i] = nodeOf[r]
-		cells[nodeOf[r]] = cells[nodeOf[r]].Union(raw[i].region)
+		nodeOf[p] = nodeOf[r]
+		cells[nodeOf[r]] = cells[nodeOf[r]].Union(piece)
 	}
+	areas := make([]int64, len(cells))
 	for i := range cells {
 		areas[i] = cells[i].Area()
 	}
 
-	// Edges: adjacent columns/rows; conductance = contact width / pitch.
-	g := graph.New(len(cells))
-	type edgeKey struct{ a, b int }
-	acc := map[edgeKey]float64{}
-	addContact := func(ra, rb rawCell, na, nb int) {
+	// Edges: conductance = contact width / pitch across the contact.
+	// Contacts between the same two nodes (contracted terminals) sum in
+	// piece order, each piece's contacts to the right before those above;
+	// the stable sort on seq fixes that order whatever order contacts
+	// come in.
+	type edge struct {
+		a, b int
+		seq  int // 2*pa, plus 1 for a contact above
+		w    float64
+	}
+	edges := make([]edge, 0, 2*len(t.pieces))
+	t.contacts(func(pa, pb int, length int64, up bool) {
+		na, nb := nodeOf[pa], nodeOf[pb]
 		if na == nb {
 			return
 		}
-		contact := contactLength(ra.region, rb.region)
-		if contact <= 0 {
-			return
-		}
-		var w float64
-		if ra.col != rb.col {
-			w = float64(contact) / float64(dx)
-		} else {
-			w = float64(contact) / float64(dy)
-		}
-		k := edgeKey{na, nb}
 		if na > nb {
-			k = edgeKey{nb, na}
+			na, nb = nb, na
 		}
-		acc[k] += w
-	}
-	for i, rc := range raw {
-		ni := nodeOf[i]
-		// Right neighbor column and upper neighbor row.
-		for _, d := range [2][2]int64{{1, 0}, {0, 1}} {
-			for _, rj := range cellsAt[[2]int64{rc.col + d[0], rc.row + d[1]}] {
-				addContact(rc, raw[rj], ni, nodeOf[rj])
-			}
+		pitch, seq := dx, 2*pa
+		if up {
+			pitch, seq = dy, seq+1
 		}
-	}
-	keys := make([]edgeKey, 0, len(acc))
-	for k := range acc {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].a != keys[j].a {
-			return keys[i].a < keys[j].a
-		}
-		return keys[i].b < keys[j].b
+		edges = append(edges, edge{na, nb, seq, float64(length) / float64(pitch)})
 	})
-	for _, k := range keys {
-		if err := g.AddEdge(k.a, k.b, acc[k]); err != nil {
+	slices.SortStableFunc(edges, func(x, y edge) int {
+		return cmp.Or(cmp.Compare(x.a, y.a), cmp.Compare(x.b, y.b), cmp.Compare(x.seq, y.seq))
+	})
+	merged := edges[:0]
+	for _, e := range edges {
+		if n := len(merged); n > 0 && merged[n-1].a == e.a && merged[n-1].b == e.b {
+			merged[n-1].w += e.w
+			continue
+		}
+		merged = append(merged, e)
+	}
+	g := graph.New(len(cells))
+	for _, e := range merged {
+		if err := g.AddEdge(e.a, e.b, e.w); err != nil {
 			return nil, err
 		}
 	}
@@ -254,17 +219,163 @@ func BuildTileGraph(avail geom.Region, terms []Terminal, dx, dy int64) (*TileGra
 	return tg, nil
 }
 
-// contactLength returns the length of the shared boundary between two
-// disjoint regions that touch along grid lines. It shifts a by one unit in
-// each axis direction and measures the overlap area with b: the overlap is
-// a one-unit-thick sliver whose area equals the contact length.
-func contactLength(a, b geom.Region) int64 {
-	var total int64
-	for _, d := range []geom.Point{{X: 1, Y: 0}, {X: -1, Y: 0}, {X: 0, Y: 1}, {X: 0, Y: -1}} {
-		total += a.Translate(d).Intersect(b).Area()
+// tiling is the grid cut of Algorithm 1: a region divided into the dx×dy
+// boxes of a grid anchored at (x0, y0), each box's share of the region
+// split into edge-connected pieces. Boxes are numbered column-major
+// (box i*ny+j is column i, row j) and pieces follow box order, so piece
+// order is the node order of the tile graph.
+type tiling struct {
+	x0, y0, dx, dy int64
+	nx, ny         int64
+	// Box c holds pieces cellStart[c] to cellStart[c+1]-1.
+	cellStart []int
+	pieces    []geom.Region
+	// Piece p is the union of its fragments rects[rectStart[p]:rectStart[p+1]].
+	rectStart []int
+	rects     []geom.Rect
+}
+
+// tileRegion cuts region into the grid that covers frame at pitch dx×dy in
+// one scan over the region's canonical rectangles: each rectangle is
+// clipped into the boxes it crosses and the fragments are counting-sorted
+// by box, keeping their band order. A box with one fragment is one piece;
+// a box with several is rebuilt as a region and split into components.
+func tileRegion(region geom.Region, frame geom.Rect, dx, dy int64) *tiling {
+	t := &tiling{
+		x0: frame.X0, y0: frame.Y0, dx: dx, dy: dy,
+		nx: (frame.X1 - frame.X0 + dx - 1) / dx,
+		ny: (frame.Y1 - frame.Y0 + dy - 1) / dy,
 	}
-	// Each touching segment is counted once by exactly one direction since
-	// a and b are disjoint; shifting both ways catches either ordering.
+	// Count each box's fragments, then place them; the second pass visits
+	// the rectangles in the same band order, so each box keeps it.
+	rects := region.Rects()
+	boxes := func(r geom.Rect) (i0, i1, j0, j1 int64) {
+		return (r.X0 - t.x0) / dx, (r.X1 - 1 - t.x0) / dx, (r.Y0 - t.y0) / dy, (r.Y1 - 1 - t.y0) / dy
+	}
+	nbox := t.nx * t.ny
+	start := make([]int, nbox+1)
+	for _, r := range rects {
+		i0, i1, j0, j1 := boxes(r)
+		for i := i0; i <= i1; i++ {
+			for j := j0; j <= j1; j++ {
+				start[i*t.ny+j+1]++
+			}
+		}
+	}
+	for c := int64(0); c < nbox; c++ {
+		start[c+1] += start[c]
+	}
+	// Placing a fragment advances its box's start, which leaves start[c]
+	// at the end of box c; shifting by one restores the starts.
+	byBox := make([]geom.Rect, start[nbox])
+	for _, r := range rects {
+		i0, i1, j0, j1 := boxes(r)
+		for i := i0; i <= i1; i++ {
+			for j := j0; j <= j1; j++ {
+				c := i*t.ny + j
+				byBox[start[c]] = r.Intersect(geom.R(t.x0+i*dx, t.y0+j*dy, t.x0+(i+1)*dx, t.y0+(j+1)*dy))
+				start[c]++
+			}
+		}
+	}
+	copy(start[1:], start[:nbox])
+	start[0] = 0
+
+	// Split each box into pieces. A piece's rectangles are its fragments,
+	// regrouped in place by piece when a box splits, so byBox serves as
+	// rects; start is rewritten in place from fragment to piece indices.
+	t.rects = byBox
+	t.pieces = make([]geom.Region, 0, len(byBox))
+	t.rectStart = make([]int, 1, len(byBox)+1)
+	var held []geom.Rect
+	for c, lo := int64(0), 0; c < nbox; c++ {
+		hi := start[c+1]
+		switch box := byBox[lo:hi]; len(box) {
+		case 0:
+		case 1:
+			t.pieces = append(t.pieces, geom.RegionFromRect(box[0]))
+			t.rectStart = append(t.rectStart, hi)
+		default:
+			cell := geom.RegionFromSortedRects(box)
+			comps := cell.Components()
+			if len(comps) == 1 {
+				t.pieces = append(t.pieces, cell)
+				t.rectStart = append(t.rectStart, hi)
+				break
+			}
+			// A fragment lies in the component holding its lower-left
+			// unit square.
+			held = append(held[:0], box...)
+			at := lo
+			for _, comp := range comps {
+				for _, f := range held {
+					if comp.Contains(geom.Pt(f.X0, f.Y0)) {
+						byBox[at] = f
+						at++
+					}
+				}
+				t.pieces = append(t.pieces, comp)
+				t.rectStart = append(t.rectStart, at)
+			}
+		}
+		start[c+1] = len(t.pieces)
+		lo = hi
+	}
+	t.cellStart = start
+	return t
+}
+
+// contacts calls fn for every pair of pieces in neighbouring boxes that
+// share a boundary of positive length, with pa in the left or lower box,
+// the contact length, and whether pb lies above pa rather than to its
+// right. Pairs come in ascending box order; within a box, the contacts to
+// the right come before those above, each in piece order.
+func (t *tiling) contacts(fn func(pa, pb int, length int64, up bool)) {
+	for i := int64(0); i < t.nx; i++ {
+		for j := int64(0); j < t.ny; j++ {
+			c := i*t.ny + j
+			if i+1 < t.nx {
+				t.seams(c, c+t.ny, t.x0+(i+1)*t.dx, false, fn)
+			}
+			if j+1 < t.ny {
+				t.seams(c, c+1, t.y0+(j+1)*t.dy, true, fn)
+			}
+		}
+	}
+}
+
+// seams reports the contacts between the pieces of box c and those of its
+// neighbour n across the grid line at `at`: the vertical line x = at when
+// n is to the right, the horizontal line y = at when it is above.
+func (t *tiling) seams(c, n int64, at int64, up bool, fn func(pa, pb int, length int64, up bool)) {
+	for pa := t.cellStart[c]; pa < t.cellStart[c+1]; pa++ {
+		for pb := t.cellStart[n]; pb < t.cellStart[n+1]; pb++ {
+			if l := t.seam(pa, pb, at, up); l > 0 {
+				fn(pa, pb, l, up)
+			}
+		}
+	}
+}
+
+// seam returns the length of the grid line at `at` along which piece pa
+// meets piece pb: the 1-D overlap of pa's rectangles ending on the line
+// with pb's rectangles starting on it — in y across the vertical line
+// x = at, in x across the horizontal line y = at (up).
+func (t *tiling) seam(pa, pb int, at int64, up bool) int64 {
+	var total int64
+	for _, a := range t.rects[t.rectStart[pa]:t.rectStart[pa+1]] {
+		if !up && a.X1 != at || up && a.Y1 != at {
+			continue
+		}
+		for _, b := range t.rects[t.rectStart[pb]:t.rectStart[pb+1]] {
+			switch {
+			case !up && b.X0 == at:
+				total += max(0, min(a.Y1, b.Y1)-max(a.Y0, b.Y0))
+			case up && b.Y0 == at:
+				total += max(0, min(a.X1, b.X1)-max(a.X0, b.X0))
+			}
+		}
+	}
 	return total
 }
 

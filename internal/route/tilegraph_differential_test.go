@@ -1,0 +1,269 @@
+package route_test
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"strings"
+	"testing"
+
+	"sprout"
+	"sprout/internal/cases"
+	"sprout/internal/geom"
+	"sprout/internal/route"
+)
+
+// sameTileGraph builds the tile graph with BuildTileGraph and with the
+// original builder and fails unless both return deeply equal graphs —
+// node order, cells, areas, edge order and weight bits, terminals — or
+// the same error message. It reports whether the build succeeded.
+func sameTileGraph(t testing.TB, name string, avail geom.Region, terms []route.Terminal, dx, dy int64) bool {
+	t.Helper()
+	want, werr := route.BuildTileGraphOracle(avail, terms, dx, dy)
+	got, gerr := route.BuildTileGraph(avail, terms, dx, dy)
+	if (werr == nil) != (gerr == nil) || werr != nil && werr.Error() != gerr.Error() {
+		t.Fatalf("%s: error %v, oracle %v", name, gerr, werr)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: tile graph differs from the original builder (%d vs %d nodes, %d vs %d edges)",
+			name, got.G.N(), want.G.N(), got.G.M(), want.G.M())
+	}
+	return werr == nil
+}
+
+// railTerms lists a net's terminal groups on a layer as routing
+// terminals, the way the board router does.
+func railTerms(cs *cases.CaseStudy, net int) []route.Terminal {
+	var terms []route.Terminal
+	for _, g := range cs.Board.GroupsOn(cs.Board.Nets[net].ID, cs.RoutingLayer) {
+		terms = append(terms, route.Terminal{Name: g.Name, Shape: g.Shape(), Current: g.Current})
+	}
+	return terms
+}
+
+// randomTileCase draws an available space, terminals and a tile pitch
+// that exercise every branch of Alg. 1: a bounds origin away from zero
+// (negative too), unequal tile sides, one-unit slivers and slots that
+// split grid boxes into several pieces, terminals spanning several boxes,
+// and every input error.
+func randomTileCase(r *rand.Rand) (geom.Region, []route.Terminal, int64, int64) {
+	ox, oy := int64(r.Intn(201)-100), int64(r.Intn(201)-100)
+	w, h := int64(8+r.Intn(56)), int64(8+r.Intn(56))
+	rnd := func(maxW, maxH int) geom.Rect {
+		x, y := ox+int64(r.Intn(int(w))), oy+int64(r.Intn(int(h)))
+		return geom.R(x, y, x+int64(1+r.Intn(maxW)), y+int64(1+r.Intn(maxH)))
+	}
+	adds := []geom.Rect{geom.R(ox, oy, ox+w, oy+h)}
+	if r.Intn(3) == 0 { // a ragged union instead of a full frame
+		adds = adds[:0]
+		for k := 1 + r.Intn(6); k > 0; k-- {
+			adds = append(adds, rnd(30, 30))
+		}
+	}
+	for k := r.Intn(4); k > 0; k-- { // one-unit slivers
+		if r.Intn(2) == 0 {
+			adds = append(adds, rnd(1, 20))
+		} else {
+			adds = append(adds, rnd(20, 1))
+		}
+	}
+	var cuts []geom.Rect
+	for k := r.Intn(10); k > 0; k-- {
+		switch r.Intn(3) {
+		case 0:
+			cuts = append(cuts, rnd(1, 40)) // one-unit vertical slot
+		case 1:
+			cuts = append(cuts, rnd(40, 1)) // one-unit horizontal slot
+		default:
+			cuts = append(cuts, rnd(10, 10))
+		}
+	}
+	avail := geom.RegionFromRects(adds).Subtract(geom.RegionFromRects(cuts))
+	if r.Intn(100) == 0 {
+		avail = geom.EmptyRegion()
+	}
+	dx, dy := int64(1+r.Intn(10)), int64(1+r.Intn(10))
+	if r.Intn(100) == 0 {
+		dx = int64(-r.Intn(2))
+	}
+	nt := 2 + r.Intn(3)
+	if r.Intn(50) == 0 {
+		nt = r.Intn(2)
+	}
+	// Terminals mostly start inside the space: small pads, and often a
+	// large first one that spans several boxes and contracts their pieces.
+	rects := avail.Rects()
+	var terms []route.Terminal
+	for k := 0; k < nt; k++ {
+		shape := geom.RegionFromRect(rnd(1+int(w)/3, 1+int(h)/3))
+		if len(rects) > 0 && r.Intn(4) > 0 {
+			a := rects[r.Intn(len(rects))]
+			x, y := a.X0+r.Int63n(a.W()), a.Y0+r.Int63n(a.H())
+			side := int64(1 + r.Intn(3))
+			if k == 0 && r.Intn(2) == 0 {
+				side = int64(4 + r.Intn(16))
+			}
+			shape = geom.RegionFromRect(geom.R(x, y, x+side, y+side))
+		}
+		switch r.Intn(60) {
+		case 0:
+			shape = geom.EmptyRegion()
+		case 1:
+			shape = shape.Translate(geom.Pt(1000, 0))
+		}
+		terms = append(terms, route.Terminal{Name: fmt.Sprintf("t%d", k), Shape: shape, Current: float64(r.Intn(3))})
+	}
+	return avail, terms, dx, dy
+}
+
+// randomAbuttingCase draws two terminals that meet along grid lines: A
+// covers a block of whole boxes and B wraps it on the right and above, so
+// their contracted nodes share one edge summed from many contacts. Slots
+// through A split its boxes into pieces whose contacts to the right and
+// above interleave, and pitches that are not powers of two make the
+// weight bits depend on the order of that sum.
+func randomAbuttingCase(r *rand.Rand) (geom.Region, []route.Terminal, int64, int64) {
+	dx, dy := int64(3+r.Intn(6)), int64(3+r.Intn(6))
+	ox, oy := int64(r.Intn(41)-20), int64(r.Intn(41)-20)
+	nx, ny := int64(4+r.Intn(6)), int64(4+r.Intn(6))
+	frame := geom.R(ox, oy, ox+nx*dx, oy+ny*dy)
+	i1, j1 := 1+r.Int63n(nx-2), 1+r.Int63n(ny-2)
+	i0, j0 := r.Int63n(i1), r.Int63n(j1)
+	a := geom.R(ox+i0*dx, oy+j0*dy, ox+i1*dx, oy+j1*dy)
+	b := geom.RegionFromRects([]geom.Rect{
+		geom.R(a.X1, a.Y0, a.X1+dx*(1+r.Int63n(nx-i1)), a.Y1+dy),
+		geom.R(a.X0, a.Y1, a.X1, a.Y1+dy),
+	})
+	var cuts []geom.Rect
+	for k := 1 + r.Intn(6); k > 0; k-- {
+		x, y := a.X0+1+r.Int63n(a.W()), a.Y0+1+r.Int63n(a.H())
+		if r.Intn(2) == 0 {
+			cuts = append(cuts, geom.R(x, y-1-r.Int63n(2*dy), x+1, a.Y1))
+		} else {
+			cuts = append(cuts, geom.R(x-1-r.Int63n(2*dx), y, a.X1, y+1))
+		}
+	}
+	avail := geom.RegionFromRect(frame).Subtract(geom.RegionFromRects(cuts))
+	terms := []route.Terminal{
+		{Name: "A", Shape: geom.RegionFromRect(a), Current: 2},
+		{Name: "B", Shape: b, Current: 1},
+	}
+	return avail, terms, dx, dy
+}
+
+// TestBuildTileGraphMatchesOracle checks that the single-scan Alg. 1
+// builder returns exactly the original builder's graph on every rail space
+// of the golden boards, on the extraction re-tiles of their routed rails,
+// and on seeded random spaces covering every branch and error.
+func TestBuildTileGraphMatchesOracle(t *testing.T) {
+	t.Run("golden", func(t *testing.T) {
+		for _, tc := range []struct {
+			name string
+			load func() (*cases.CaseStudy, error)
+		}{
+			{"tworail", cases.TwoRail},
+			{"threerail", func() (*cases.CaseStudy, error) { return cases.ThreeRail(cases.Table4()[0]) }},
+			{"sixrail", cases.SixRail},
+		} {
+			cs, err := tc.load()
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := sprout.RouteBoard(cs.Board, sprout.RouteOptions{
+				Layer:       cs.RoutingLayer,
+				Budgets:     cs.Budgets,
+				Config:      cs.Config,
+				FailFast:    true,
+				SkipExtract: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Rebuild each rail's space as the board router does: Eq. 1
+			// minus the clearance-buffered copper of the rails before it.
+			copper := geom.EmptyRegion()
+			for _, rail := range res.Rails {
+				terms := railTerms(cs, int(rail.Net))
+				avail := cs.Board.AvailableSpace(rail.Net, cs.RoutingLayer).
+					Subtract(copper.Bloat(cs.Board.Rules.Clearance))
+				name := tc.name + "/" + rail.Name
+				sameTileGraph(t, name, avail, terms, cs.Config.DX, cs.Config.DY)
+				tg, err := route.BuildTileGraph(avail, terms, cs.Config.DX, cs.Config.DY)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(tg, rail.Route.Graph) {
+					t.Fatalf("%s: rebuilt rail space does not reproduce the routed tile graph", name)
+				}
+				// The extraction re-tile: routed copper plus terminal pads
+				// at the default extraction pitch.
+				shape := rail.Route.Shape
+				for _, term := range terms {
+					shape = shape.Union(term.Shape)
+				}
+				sameTileGraph(t, name+"/extract", shape, terms, 5, 5)
+				copper = copper.Union(rail.Route.Shape)
+			}
+		}
+		avail, terms := cases.Fig8Scene()
+		sameTileGraph(t, "fig8", avail, terms, 4, 4)
+	})
+
+	t.Run("abutting", func(t *testing.T) {
+		r := rand.New(rand.NewSource(1974))
+		for i := 0; i < 500; i++ {
+			avail, terms, dx, dy := randomAbuttingCase(r)
+			if !sameTileGraph(t, fmt.Sprintf("case %d", i), avail, terms, dx, dy) {
+				t.Fatalf("case %d: abutting terminals must tile", i)
+			}
+		}
+	})
+
+	t.Run("random", func(t *testing.T) {
+		r := rand.New(rand.NewSource(2021))
+		const n = 4000
+		built, split, contracted := 0, 0, 0
+		errs := map[string]int{}
+		for i := 0; i < n; i++ {
+			avail, terms, dx, dy := randomTileCase(r)
+			if sameTileGraph(t, fmt.Sprintf("case %d", i), avail, terms, dx, dy) {
+				built++
+				pieces, s := route.TileCounts(avail, dx, dy)
+				if s > 0 {
+					split++
+				}
+				if tg, _ := route.BuildTileGraph(avail, terms, dx, dy); tg.G.N() < pieces {
+					contracted++
+				}
+				continue
+			}
+			_, err := route.BuildTileGraph(avail, terms, dx, dy)
+			msg := err.Error()
+			for _, kind := range []string{"must be >= 1", "need at least 2", "empty available space",
+				"has empty shape", "overlaps no routable tile", "share a tile"} {
+				if strings.Contains(msg, kind) {
+					errs[kind]++
+				}
+			}
+		}
+		t.Logf("%d cases: %d built (%d with split boxes, %d with contracted pieces), errors %v",
+			n, built, split, contracted, errs)
+		if built < 2000 || split < built/2 || contracted < built/4 || len(errs) != 6 {
+			t.Fatalf("random cases miss a branch: %d built, %d split, %d contracted, errors %v",
+				built, split, contracted, errs)
+		}
+	})
+}
+
+// FuzzBuildTileGraph drives the same comparison with fuzzer-chosen seeds
+// and tile pitches.
+func FuzzBuildTileGraph(f *testing.F) {
+	f.Add(int64(1), uint8(4), uint8(4))
+	f.Add(int64(2), uint8(3), uint8(7))
+	f.Add(int64(3), uint8(1), uint8(1))
+	f.Add(int64(4), uint8(11), uint8(2))
+	f.Fuzz(func(t *testing.T, seed int64, dx, dy uint8) {
+		avail, terms, _, _ := randomTileCase(rand.New(rand.NewSource(seed)))
+		sameTileGraph(t, fmt.Sprintf("seed %d", seed), avail, terms, int64(dx%16), int64(dy%16))
+	})
+}

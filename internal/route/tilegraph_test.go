@@ -213,19 +213,3 @@ func TestIsTerminal(t *testing.T) {
 		t.Fatalf("terminal count = %d, want 2", count)
 	}
 }
-
-func TestContactLength(t *testing.T) {
-	a := geom.RegionFromRect(geom.R(0, 0, 10, 10))
-	b := geom.RegionFromRect(geom.R(10, 2, 20, 8))
-	if got := contactLength(a, b); got != 6 {
-		t.Fatalf("contact = %d, want 6", got)
-	}
-	c := geom.RegionFromRect(geom.R(10, 10, 20, 20)) // corner touch
-	if got := contactLength(a, c); got != 0 {
-		t.Fatalf("corner contact = %d, want 0", got)
-	}
-	d := geom.RegionFromRect(geom.R(30, 0, 40, 10)) // far away
-	if got := contactLength(a, d); got != 0 {
-		t.Fatalf("distant contact = %d, want 0", got)
-	}
-}
