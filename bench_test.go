@@ -249,79 +249,6 @@ func BenchmarkNodeCurrents(b *testing.B) {
 	}
 }
 
-// BenchmarkAMGPrecondition measures the aggregation-AMG rung on a board
-// large enough to clear the ladder's escalation gate (§5g): hierarchy
-// setup, one symmetric V(1,1) cycle, and a full CG solve preconditioned
-// by the cycle, against IC(0) on the same system for scale.
-func BenchmarkAMGPrecondition(b *testing.B) {
-	const w, h = 64, 64
-	n := w * h
-	var edges []sparse.WeightedEdge
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			id := y*w + x
-			if x+1 < w {
-				edges = append(edges, sparse.WeightedEdge{U: id, V: id + 1, W: 1})
-			}
-			if y+1 < h {
-				edges = append(edges, sparse.WeightedEdge{U: id, V: id + w, W: 1})
-			}
-		}
-	}
-	lap, err := sparse.NewLaplacian(n, edges, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	mat := lap.Matrix()
-	rhs := make([]float64, mat.Dim())
-	rhs[mat.Dim()-1] = 1
-	rhs[0] = -1
-	b.Run("setup", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := sparse.NewAMG(mat); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	m, err := sparse.NewAMG(mat)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("vcycle", func(b *testing.B) {
-		ap := m.NewApplier()
-		dst := make([]float64, mat.Dim())
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ap.Apply(dst, rhs)
-		}
-	})
-	b.Run("cg", func(b *testing.B) {
-		ap := m.NewApplier()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := sparse.CG(mat, rhs, nil, sparse.CGOptions{Apply: ap.Apply}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("ic0", func(b *testing.B) {
-		ic, err := sparse.NewIC0(mat)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := sparse.CG(mat, rhs, nil, sparse.CGOptions{Apply: ic.Apply}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 func BenchmarkSeed(b *testing.B) {
 	avail, terms := twoRailSpace(b)
 	tg, err := route.BuildTileGraph(avail, terms, 5, 5)

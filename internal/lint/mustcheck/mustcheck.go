@@ -1,7 +1,7 @@
 // Package mustcheck flags discarded results of the pure numeric and
 // geometric kernels: sparse solves (sparse.CG/CGCtx, Laplacian.Solve*,
 // Cholesky.Solve, the workspace-backed SolveAttemptsCtxWork), solver
-// setup that reports breakdowns (sparse.NewAMG, sparse.ReassembleLaplacian),
+// setup that reports validation errors (sparse.ReassembleLaplacian),
 // route's nodal-analysis entry points (NodeCurrents*, PairVoltages*,
 // Resistance), and geom's region/polygon clipping algebra (Union,
 // Intersect, Subtract, Xor, Bloat, Erode, Rasterize, ...). These
@@ -32,10 +32,8 @@ var Analyzer = &analysis.Analyzer{
 var mustUse = map[string]map[string]bool{
 	"internal/sparse": {
 		"CG": true, "CGCtx": true,
-		"Solve": true, "SolveCtx": true, "SolveAttemptsCtx": true,
-		"SolveAttemptsCtxWork": true,
-		"EffectiveResistance":  true,
-		"NewAMG":               true, "ReassembleLaplacian": true,
+		"Solve": true, "SolveCtx": true, "SolveAttemptsCtxWork": true,
+		"EffectiveResistance": true, "ReassembleLaplacian": true,
 	},
 	"internal/route": {
 		"NodeCurrents": true, "NodeCurrentsCtx": true,

@@ -51,11 +51,6 @@ func DropReassemble(l *sparse.Laplacian, edges []sparse.WeightedEdge) {
 	_, _ = sparse.ReassembleLaplacian(l, 4, edges, 0) // want `result of sparse.ReassembleLaplacian assigned to the blank identifier`
 }
 
-// DropAMG discards the hierarchy and its breakdown error: flagged.
-func DropAMG(m *sparse.CSR) {
-	sparse.NewAMG(m) // want `result of sparse.NewAMG discarded`
-}
-
 // DropNodeCurrents loses the metric evaluation and its error: flagged.
 func DropNodeCurrents(tg *route.TileGraph, members []bool) {
 	tg.NodeCurrents(members, nil) // want `result of route.NodeCurrents discarded`

@@ -63,11 +63,6 @@ const (
 	MSolverCacheHits          = "solver.cache.hits"
 	MSolverCacheRebuilds      = "solver.cache.rebuilds"
 	MSolverCacheInvalidations = "solver.cache.invalidations"
-	// Aggregation-AMG ladder rung (PR 10): hierarchy constructions and
-	// their level counts (one build per Laplacian, lazily on first
-	// escalation into the cg-amg rung).
-	MSolverAMGBuilds = "solver.amg.builds"
-	MSolverAMGLevels = "solver.amg.levels"
 
 	// Pipeline stage latency (PR 8): one histogram per paper stage,
 	// observed in milliseconds when the stage span closes. MStageSolve is
@@ -196,8 +191,6 @@ func init() {
 		MetricDef{Name: MSolverCacheHits, Kind: KindCounter, Help: "Always 0: the pipeline scores each member mask once, so no nodal analysis reuses the previous mask's structures."},
 		MetricDef{Name: MSolverCacheRebuilds, Kind: KindCounter, Help: "Nodal analyses through a caller's solve cache: each evaluation rebuilds the solver session's structures into its retained arenas."},
 		MetricDef{Name: MSolverCacheInvalidations, Kind: KindCounter, Help: "Warm-start vectors dropped after a rung-1 stall; the solve fell back to a cold rebuild."},
-		MetricDef{Name: MSolverAMGBuilds, Kind: KindCounter, Help: "AMG hierarchy constructions (lazy, one per Laplacian reaching the cg-amg rung)."},
-		MetricDef{Name: MSolverAMGLevels, Kind: KindHistogram, Help: "Levels per constructed AMG hierarchy.", Buckets: countBuckets},
 
 		MetricDef{Name: MStagePrefix + "*", Kind: KindHistogram, Help: "Pipeline stage latency in milliseconds.", Buckets: latencyBucketsMS},
 

@@ -99,27 +99,9 @@ var metricCallFuncs = map[string]bool{
 // in mustMetric catch dynamic names; this catches literals on paths no
 // test executes.
 func TestMetricNameLiteralsRegistered(t *testing.T) {
-	root := moduleRoot(t)
 	fset := token.NewFileSet()
 	var violations []string
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			name := d.Name()
-			if name == "testdata" || strings.HasPrefix(name, ".") || name == "related" {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, perr := parser.ParseFile(fset, path, nil, 0)
-		if perr != nil {
-			return perr
-		}
+	walkModuleSources(t, fset, func(_ string, f *ast.File) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok || len(call.Args) == 0 {
@@ -151,13 +133,92 @@ func TestMetricNameLiteralsRegistered(t *testing.T) {
 			}
 			return true
 		})
+	})
+	for _, v := range violations {
+		t.Error(v)
+	}
+}
+
+// TestRegisteredMetricsReferenced is the converse of
+// TestMetricNameLiteralsRegistered: every M* constant declared in
+// names.go must be used by at least one non-test Go file elsewhere in the
+// module tree, perfbench included, so a metric whose producer was deleted
+// does not linger in the registry.
+func TestRegisteredMetricsReferenced(t *testing.T) {
+	fset := token.NewFileSet()
+	names, err := parser.ParseFile(fset, "names.go", nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var consts []string
+	for _, d := range names.Decls {
+		gd, ok := d.(*ast.GenDecl)
+		if !ok || gd.Tok != token.CONST {
+			continue
+		}
+		for _, spec := range gd.Specs {
+			for _, id := range spec.(*ast.ValueSpec).Names {
+				if len(id.Name) > 1 && id.Name[0] == 'M' && ast.IsExported(id.Name[1:]) {
+					consts = append(consts, id.Name)
+				}
+			}
+		}
+	}
+	if len(consts) == 0 {
+		t.Fatal("no M* constants found in names.go")
+	}
+
+	namesPath, err := filepath.Abs("names.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	used := map[string]bool{}
+	walkModuleSources(t, fset, func(path string, f *ast.File) {
+		if path == namesPath {
+			return
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				used[id.Name] = true
+			}
+			return true
+		})
+	})
+	for _, c := range consts {
+		if !used[c] {
+			t.Errorf("%s is registered in internal/obs/names.go but no non-test Go file references it", c)
+		}
+	}
+}
+
+// walkModuleSources parses every non-test Go file in the module tree
+// (testdata, hidden and related directories excluded) and hands each one
+// to visit with its absolute path.
+func walkModuleSources(t *testing.T, fset *token.FileSet, visit func(path string, f *ast.File)) {
+	t.Helper()
+	err := filepath.WalkDir(moduleRoot(t), func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			name := d.Name()
+			if name == "testdata" || strings.HasPrefix(name, ".") || name == "related" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, perr := parser.ParseFile(fset, path, nil, 0)
+		if perr != nil {
+			return perr
+		}
+		visit(path, f)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	for _, v := range violations {
-		t.Error(v)
 	}
 }
 

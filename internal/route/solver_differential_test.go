@@ -110,7 +110,7 @@ func (tg *TileGraph) solvePairsScratch(ctx context.Context, members []bool, warm
 				x0[ci] = warm.pairVolts[pi][orig[si]]
 			}
 		}
-		v, attempts, err := lap.SolveAttemptsCtx(ctx, b, x0)
+		v, attempts, err := lap.SolveAttemptsCtxWork(ctx, b, x0, nil)
 		atts[pi] = attempts
 		if err != nil {
 			return fmt.Errorf("route: pair %d solve: %w", pi, err)

@@ -16,11 +16,7 @@ const (
 	// (Jacobi when the factorization was unavailable) at the default
 	// tolerance, warm-started when the caller has a previous solution.
 	RungCG = "cg-ic0"
-	// RungCGAMG is the large-board escalation: a cold CG restart
-	// preconditioned by an aggregation-AMG V-cycle at the full tolerance.
-	// It only runs when the grounded dimension is at least amgMinDim —
-	// below that the relaxed rung is cheaper than building a hierarchy —
-	// and the hierarchy is built lazily and cached on the Laplacian.
+	// RungCGAMG is a retired rung: no solve reports it; perfbench declares its metric.
 	RungCGAMG = "cg-amg"
 	// RungCGRelaxed retries cold with plain Jacobi preconditioning, a
 	// relaxed tolerance and a doubled iteration budget. It recovers cases
@@ -32,7 +28,8 @@ const (
 	RungDense = "dense-cholesky"
 )
 
-// relaxedTol is the rung-2 tolerance. Node-current ranking and effective
+// relaxedTol is the tolerance of rung 2, the relaxed Jacobi-CG retry,
+// whatever the system size. Node-current ranking and effective
 // resistances are stable well above this accuracy, so a relaxed solve is
 // preferable to no solve.
 const relaxedTol = 1e-7
@@ -42,15 +39,10 @@ const relaxedTol = 1e-7
 // so tests can exercise the "system too large" path cheaply.
 var denseFallbackMax = 2048
 
-// amgMinDim is the smallest grounded-system dimension for which the
-// cg-amg rung runs: the hierarchy setup only pays off on large boards,
-// and keeping small systems off the rung preserves the ladder's historic
-// escalation traces. A variable so tests can force the rung cheaply.
-var amgMinDim = 512
-
 // RungAttempt records one rung of the fallback ladder.
 type RungAttempt struct {
-	// Rung is the rung name (RungCG, RungCGRelaxed, RungDense).
+	// Rung is the name of one of the ladder's three rungs, in escalation
+	// order RungCG, RungCGRelaxed, RungDense.
 	Rung string
 	// Iterations is the iteration count the rung spent (0 for dense).
 	Iterations int
@@ -154,47 +146,11 @@ func (l *Laplacian) solveLadder(ctx context.Context, rhs, x0 []float64, ws *Work
 	obs.Event(ctx, "solver.escalate",
 		obs.A("from", RungCG), obs.A("iterations", iters))
 
-	// Rung 2 (large boards only): cold CG restart preconditioned by an
-	// aggregation-AMG V-cycle at the full tolerance. The hierarchy is
-	// built lazily, once, and cached on the Laplacian; small systems skip
-	// straight to the relaxed rung, which is cheaper than a setup.
-	n := mat.Dim()
-	if n >= amgMinDim {
-		amg, built, aerr := l.amgHierarchy()
-		if built && aerr == nil {
-			tr := obs.FromContext(ctx)
-			if tr.Enabled() {
-				tr.Counter(obs.MSolverAMGBuilds).Add(1)
-				tr.Histogram(obs.MSolverAMGLevels).Observe(float64(amg.Levels()))
-			}
-		}
-		if aerr != nil {
-			note(RungCGAMG, 0, math.NaN(), fmt.Errorf("sparse: AMG setup: %w", aerr))
-			obs.Event(ctx, "solver.escalate",
-				obs.A("from", RungCGAMG), obs.A("iterations", 0))
-		} else {
-			x, iters, err = CGCtx(ctx, mat, rhs, nil, CGOptions{
-				Apply: amg.NewApplier().Apply,
-				Stats: &st,
-				Work:  cgw,
-			})
-			if err == nil {
-				note(RungCGAMG, iters, st.Residual, nil)
-				return x, attempts, nil
-			}
-			if ctxErr(err) {
-				return nil, attempts, err
-			}
-			note(RungCGAMG, iters, relResidual(mat, rhs, x), err)
-			obs.Event(ctx, "solver.escalate",
-				obs.A("from", RungCGAMG), obs.A("iterations", iters))
-		}
-	}
-
-	// Rung 3: cold restart, plain Jacobi, relaxed tolerance, doubled
+	// Rung 2: cold restart, plain Jacobi, relaxed tolerance, doubled
 	// budget. A fresh Krylov space sidesteps warm-start or IC(0)
 	// pathologies; the relaxed tolerance accepts solves that stalled just
 	// short of the default.
+	n := mat.Dim()
 	x, iters, err = CGCtx(ctx, mat, rhs, nil, CGOptions{
 		Tol:     relaxedTol,
 		MaxIter: 20*n + 200,
@@ -213,7 +169,7 @@ func (l *Laplacian) solveLadder(ctx context.Context, rhs, x0 []float64, ws *Work
 	obs.Event(ctx, "solver.escalate",
 		obs.A("from", RungCGRelaxed), obs.A("iterations", iters))
 
-	// Final rung: dense Cholesky for small systems.
+	// Rung 3: dense Cholesky for small systems.
 	if n <= denseFallbackMax {
 		ch, cerr := mat.Dense().Cholesky()
 		if cerr == nil {

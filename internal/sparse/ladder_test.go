@@ -146,6 +146,37 @@ func TestLadderRecoversFromInjectedNoConvergence(t *testing.T) {
 	}
 }
 
+// TestLadderRelaxedRungRecoversLargeSystem pins the three-rung shape on a
+// system of 575 unknowns: when the primary rung fails, the relaxed
+// Jacobi-CG retry is the next rung at every size, and its answer agrees
+// with the dense oracle.
+func TestLadderRelaxedRungRecoversLargeSystem(t *testing.T) {
+	faultinject.Reset()
+	defer faultinject.Reset()
+	lap, b := gridLaplacian(t, 24, 24)
+	want := denseOracle(t, lap, b)
+
+	faultinject.Arm(faultinject.SiteCG, 1, func() error { return ErrNoConvergence })
+	got, attempts, err := lap.SolveAttemptsCtxWork(context.Background(), b, nil, nil)
+	if err != nil {
+		t.Fatalf("ladder did not recover: %v", err)
+	}
+	if len(attempts) != 2 {
+		t.Fatalf("attempts = %+v, want failed %s then accepted %s", attempts, RungCG, RungCGRelaxed)
+	}
+	if attempts[0].Rung != RungCG || attempts[0].Err == nil {
+		t.Fatalf("attempt 0 = %+v, want failed %s", attempts[0], RungCG)
+	}
+	if attempts[1].Rung != RungCGRelaxed || attempts[1].Err != nil {
+		t.Fatalf("attempt 1 = %+v, want accepted %s", attempts[1], RungCGRelaxed)
+	}
+	for i := range want {
+		if !almostEq(got[i], want[i], 1e-6) {
+			t.Fatalf("x[%d]: ladder %g vs oracle %g", i, got[i], want[i])
+		}
+	}
+}
+
 func TestLadderFallsBackToDenseCholesky(t *testing.T) {
 	faultinject.Reset()
 	defer faultinject.Reset()

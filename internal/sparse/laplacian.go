@@ -3,7 +3,6 @@ package sparse
 import (
 	"context"
 	"fmt"
-	"sync"
 )
 
 // WeightedEdge is an undirected graph edge with a positive conductance.
@@ -31,14 +30,6 @@ type Laplacian struct {
 	// reassembly can reuse it).
 	asm     *Builder
 	icStore *IC0
-
-	// Lazily built AMG hierarchy for the cg-amg ladder rung. Guarded by a
-	// mutex because pair solves run concurrently over one Laplacian;
-	// reassembly resets the cache.
-	amgMu    sync.Mutex
-	amgVal   *AMG
-	amgErr   error
-	amgBuilt bool
 }
 
 // NewLaplacian assembles the grounded Laplacian of an n-node graph.
@@ -66,9 +57,6 @@ func ReassembleLaplacian(dst *Laplacian, n int, edges []WeightedEdge, ground int
 	}
 	l.n = n
 	l.ground = ground
-	l.amgMu.Lock()
-	l.amgVal, l.amgErr, l.amgBuilt = nil, nil, false
-	l.amgMu.Unlock()
 	l.indexOf = growInts(l.indexOf, n)
 	l.nodeOf = growInts(l.nodeOf, n-1)[:0]
 	for i := 0; i < n; i++ {
@@ -121,20 +109,6 @@ func ReassembleLaplacian(dst *Laplacian, n int, edges []WeightedEdge, ground int
 	return l, nil
 }
 
-// amgHierarchy returns the cached AMG hierarchy for the grounded matrix,
-// building it on first use. built reports whether this call performed the
-// construction (for telemetry). Safe for concurrent solvers.
-func (l *Laplacian) amgHierarchy() (m *AMG, built bool, err error) {
-	l.amgMu.Lock()
-	defer l.amgMu.Unlock()
-	if !l.amgBuilt {
-		l.amgVal, l.amgErr = NewAMG(l.mat)
-		l.amgBuilt = true
-		built = true
-	}
-	return l.amgVal, built, l.amgErr
-}
-
 // N returns the number of nodes in the full (ungrounded) graph.
 func (l *Laplacian) N() int { return l.n }
 
@@ -175,19 +149,14 @@ func (l *Laplacian) Solve(b []float64, warm []float64) ([]float64, error) {
 // returned error is a *SolveError carrying per-rung iteration counts and
 // residuals. Context cancellation aborts the ladder with ctx.Err().
 func (l *Laplacian) SolveCtx(ctx context.Context, b []float64, warm []float64) ([]float64, error) {
-	x, _, err := l.SolveAttemptsCtx(ctx, b, warm)
+	x, _, err := l.SolveAttemptsCtxWork(ctx, b, warm, nil)
 	return x, err
 }
 
-// SolveAttemptsCtx is SolveCtx plus the solver-ladder trace: the returned
-// attempts list every rung tried, the last one being the accepted rung on
-// success. Callers that aggregate solver telemetry (SolveStats.Record) use
-// this variant so successful solves are observable too.
-func (l *Laplacian) SolveAttemptsCtx(ctx context.Context, b []float64, warm []float64) ([]float64, []RungAttempt, error) {
-	return l.SolveAttemptsCtxWork(ctx, b, warm, nil)
-}
-
-// SolveAttemptsCtxWork is SolveAttemptsCtx with caller-owned scratch: when
+// SolveAttemptsCtxWork is SolveCtx plus the solver-ladder trace: the
+// returned attempts list every rung tried, the last one being the accepted
+// rung on success. Callers that aggregate solver telemetry
+// (SolveStats.Record) use it so successful solves are observable too. When
 // ws is non-nil the grounded staging vectors and the CG iteration vectors
 // come from the workspace, making repeated solves allocation-free. The
 // returned solution then aliases the workspace and is only valid until its

@@ -79,11 +79,11 @@ func TestReassembleLaplacianBitIdentical(t *testing.T) {
 		b := make([]float64, n)
 		b[n-1] = 1
 		b[0] = -1
-		xr, ar, err := reused.SolveAttemptsCtx(context.Background(), b, nil)
+		xr, ar, err := reused.SolveAttemptsCtxWork(context.Background(), b, nil, nil)
 		if err != nil {
 			t.Fatalf("round %d: reused solve: %v", round, err)
 		}
-		xf, af, err := fresh.SolveAttemptsCtx(context.Background(), b, nil)
+		xf, af, err := fresh.SolveAttemptsCtxWork(context.Background(), b, nil, nil)
 		if err != nil {
 			t.Fatalf("round %d: fresh solve: %v", round, err)
 		}
@@ -138,7 +138,7 @@ func TestSolveWorkspaceBitIdentical(t *testing.T) {
 		rhs := make([]float64, len(b))
 		copy(rhs, b)
 		rhs[1+round] += 0.25
-		want, wa, err := lap.SolveAttemptsCtx(context.Background(), rhs, prev)
+		want, wa, err := lap.SolveAttemptsCtxWork(context.Background(), rhs, prev, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +160,7 @@ func TestSolveWorkspaceBitIdentical(t *testing.T) {
 func TestSolveWorkspaceSteadyStateAllocs(t *testing.T) {
 	lap, b := gridLaplacian(t, 12, 12)
 	var ws Workspace
-	warm, _, err := lap.SolveAttemptsCtx(context.Background(), b, nil)
+	warm, _, err := lap.SolveAttemptsCtxWork(context.Background(), b, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
