@@ -47,6 +47,8 @@ type SolveCache struct {
 	stats sparse.SolveStats
 	// sess is the lazily created solver session.
 	sess *solverSession
+	// guard is the erosion guard's search state (removeLowCurrent).
+	guard connScratch
 	// beforeEval, when set, sees every member mask just before it is
 	// evaluated. Production code never sets it; the package's tests use
 	// it (export_test.go) to discard the session and to watch the
@@ -56,6 +58,15 @@ type SolveCache struct {
 
 // NewSolveCache returns an empty cache ready to thread through a pipeline.
 func NewSolveCache() *SolveCache { return &SolveCache{} }
+
+// guardScratch returns the cache's erosion-guard search state, or fresh
+// state for a nil cache.
+func (c *SolveCache) guardScratch() *connScratch {
+	if c == nil {
+		return new(connScratch)
+	}
+	return &c.guard
+}
 
 // pairList enumerates the 2-subsets of the terminal list (paper Alg. 3
 // line 3, [Θ]²) with their injection weights. The weight of a pair is the

@@ -37,3 +37,17 @@ func TileCounts(avail geom.Region, dx, dy int64) (pieces, splitBoxes int) {
 	}
 	return len(t.pieces), splitBoxes
 }
+
+// RemoveLowCurrent runs the erosion guard of SmartRefine and Erode with
+// the search state of warm (fresh state when warm is nil): it removes up to
+// k low-current members of members that the terminals can spare and
+// returns their ids.
+func RemoveLowCurrent(tg *TileGraph, warm *SolveCache, members []bool, nodeCurrent []float64, k int) []int {
+	return tg.removeLowCurrent(warm.guardScratch(), members, nodeCurrent, k)
+}
+
+// RemoveLowCurrentOracle is the original erosion guard that
+// RemoveLowCurrent must reproduce exactly.
+func RemoveLowCurrentOracle(tg *TileGraph, members []bool, nodeCurrent []float64, k int) []int {
+	return tg.removeLowCurrentOracle(members, nodeCurrent, k)
+}

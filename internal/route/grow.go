@@ -1,8 +1,9 @@
 package route
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 
 	"sprout/internal/obs"
 )
@@ -54,12 +55,11 @@ func (tg *TileGraph) growByCurrent(members []bool, nodeCurrent []float64, k int)
 		})
 		cands = append(cands, cand{c, score})
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		//lint:ignore floateq sort comparators need exact comparison: an epsilon tie-break is not transitive and breaks strict weak ordering
-		if cands[i].score != cands[j].score {
-			return cands[i].score > cands[j].score
+	slices.SortFunc(cands, func(a, b cand) int {
+		if c := cmp.Compare(b.score, a.score); c != 0 {
+			return c
 		}
-		return cands[i].id < cands[j].id // deterministic tie-break
+		return cmp.Compare(a.id, b.id) // deterministic tie-break
 	})
 	if k > len(cands) {
 		k = len(cands)

@@ -31,7 +31,7 @@ func TestSeedConnectsTerminals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tg.terminalsConnected(members) {
+	if !tg.TerminalsConnected(members) {
 		t.Fatal("seed must connect all terminals")
 	}
 	for _, term := range tg.Terminals {
@@ -238,7 +238,7 @@ func TestSmartRefineKeepsAreaAndConnectivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tg.terminalsConnected(members) {
+	if !tg.TerminalsConnected(members) {
 		t.Fatal("refine must keep terminals connected")
 	}
 	if got := MemberCount(members); got != beforeCount {
@@ -268,13 +268,13 @@ func TestRemoveLowCurrentNeverRemovesTerminals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tg.removeLowCurrent(members, m.NodeCurrent, tg.G.N())
+	tg.removeLowCurrent(new(connScratch), members, m.NodeCurrent, tg.G.N())
 	for _, term := range tg.Terminals {
 		if !members[term] {
 			t.Fatal("terminal removed")
 		}
 	}
-	if !tg.terminalsConnected(members) {
+	if !tg.TerminalsConnected(members) {
 		t.Fatal("terminals disconnected")
 	}
 }
@@ -315,7 +315,7 @@ func TestDilateErode(t *testing.T) {
 	if got := tg.MembersArea(members); got > areaBefore {
 		t.Fatalf("erode left area %d > budget %d", got, areaBefore)
 	}
-	if !tg.terminalsConnected(members) {
+	if !tg.TerminalsConnected(members) {
 		t.Fatal("erode disconnected terminals")
 	}
 }

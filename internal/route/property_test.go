@@ -132,7 +132,7 @@ func TestPropertySeedFraction(t *testing.T) {
 			t.Fatalf("trial %d: seed area %d is %d%% of the space",
 				trial, a, 100*a/avail.Area())
 		}
-		if !tg.terminalsConnected(members) {
+		if !tg.TerminalsConnected(members) {
 			t.Fatalf("trial %d: seed does not connect terminals", trial)
 		}
 	}

@@ -1,10 +1,11 @@
 package route
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -117,7 +118,7 @@ func growf(s []float64, n int) []float64 {
 // rebuild re-derives every mask-dependent structure into the session's
 // arenas. The loops replay a from-scratch construction over
 // graph.InducedSubgraph, graph.Components and graph.Edges exactly — same
-// visit order, same sort comparator — so the resulting Laplacian is
+// visit order, same sort key — so the resulting Laplacian is
 // bit-identical to a from-scratch build for the same mask.
 func (s *solverSession) rebuild(tg *TileGraph, members []bool) error {
 	n := tg.G.N()
@@ -230,8 +231,8 @@ func (s *solverSession) rebuild(tg *TileGraph, members []bool) error {
 	}
 
 	// Edge list in graph.Edges() order: row-major (u < v) collection,
-	// then the identical (U, V, Weight) sort. sort.Slice is deterministic
-	// for identical input sequences, which this is.
+	// then a sort by (U, V, Weight). That key orders the edges totally up
+	// to equal values, so any correct sort yields the same sequence.
 	s.edges = s.edges[:0]
 	for uu := 0; uu < sn; uu++ {
 		for k := s.rowPtr[uu]; k < s.rowPtr[uu+1]; k++ {
@@ -240,14 +241,14 @@ func (s *solverSession) rebuild(tg *TileGraph, members []bool) error {
 			}
 		}
 	}
-	sort.Slice(s.edges, func(i, j int) bool {
-		if s.edges[i].u != s.edges[j].u {
-			return s.edges[i].u < s.edges[j].u
+	slices.SortFunc(s.edges, func(a, b subEdge) int {
+		if c := cmp.Compare(a.u, b.u); c != 0 {
+			return c
 		}
-		if s.edges[i].v != s.edges[j].v {
-			return s.edges[i].v < s.edges[j].v
+		if c := cmp.Compare(a.v, b.v); c != 0 {
+			return c
 		}
-		return s.edges[i].w < s.edges[j].w
+		return cmp.Compare(a.w, b.w)
 	})
 	s.cedges = s.cedges[:0]
 	for _, e := range s.edges {

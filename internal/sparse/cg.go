@@ -172,6 +172,10 @@ func CGCtx(ctx context.Context, a Matrix, b, x0 []float64, opt CGOptions) ([]flo
 	copy(p, z)
 	rz := dot(r, z)
 
+	// A *CSR operator takes the fused A·p and pᵀAp pass; any other Matrix
+	// runs MulVec then dot. Both sum in the same order, so the iterates are
+	// bit-identical either way.
+	csr, _ := a.(*CSR)
 	for it := 1; it <= maxIter; it++ {
 		if it%ctxCheckStride == 0 {
 			if err := ctx.Err(); err != nil {
@@ -179,18 +183,18 @@ func CGCtx(ctx context.Context, a Matrix, b, x0 []float64, opt CGOptions) ([]flo
 				return nil, it, err
 			}
 		}
-		a.MulVec(ap, p)
-		pap := dot(p, ap)
+		var pap float64
+		if csr != nil {
+			pap = csr.mulVecDot(ap, p)
+		} else {
+			a.MulVec(ap, p)
+			pap = dot(p, ap)
+		}
 		if pap <= 0 || math.IsNaN(pap) {
 			setStats(it)
 			return nil, it, fmt.Errorf("sparse: pᵀAp=%g at iteration %d: %w", pap, it, ErrBreakdown)
 		}
-		alpha := rz / pap
-		for i := range x {
-			x[i] += alpha * p[i]
-			r[i] -= alpha * ap[i]
-		}
-		lastRes = norm2(r) / normB
+		lastRes = math.Sqrt(updateXR(x, r, p, ap, rz/pap)) / normB
 		if lastRes <= tol {
 			setStats(it)
 			return x, it, nil
@@ -205,6 +209,24 @@ func CGCtx(ctx context.Context, a Matrix, b, x0 []float64, opt CGOptions) ([]flo
 	}
 	setStats(maxIter)
 	return x, maxIter, ErrNoConvergence
+}
+
+// updateXR performs the CG step x += alpha·p, r -= alpha·ap and returns
+// rᵀr of the updated residual, accumulated in index order exactly as
+// dot(r, r) would after the update. The reslices let the compiler drop
+// the per-element bounds checks.
+func updateXR(x, r, p, ap []float64, alpha float64) float64 {
+	r = r[:len(x)]
+	p = p[:len(x)]
+	ap = ap[:len(x)]
+	s := 0.0
+	for i := range x {
+		x[i] += alpha * p[i]
+		ri := r[i] - alpha*ap[i]
+		r[i] = ri
+		s += ri * ri
+	}
+	return s
 }
 
 func applyJacobi(dst, r, diag []float64) {
@@ -222,6 +244,7 @@ func applyJacobi(dst, r, diag []float64) {
 }
 
 func dot(a, b []float64) float64 {
+	b = b[:len(a)] // drops the bounds check on b[i]
 	s := 0.0
 	for i := range a {
 		s += a[i] * b[i]

@@ -7,16 +7,21 @@
 //
 // The paper notes (§II-H) that solving the Laplacian systems consumes up to
 // 90% of SPROUT's runtime, with sparse-solver complexity O(|V|^q),
-// q ∈ [1.5, 3]. CG with a Jacobi preconditioner on 2-D grid Laplacians sits
-// near the bottom of that range, matching the paper's best case. In this
-// implementation the whole grow/refine/reheat loop, solves included, is
-// 83% of a two-rail route at 2-unit tile pitch and 19% of a six-rail route,
-// where tiling and the manual baseline cost more (perfbench/NOTES.md).
+// q ∈ [1.5, 3]. CG preconditioned by IC(0) (Jacobi where the factorization
+// breaks down) on 2-D grid Laplacians sits near the bottom of that range,
+// matching the paper's best case. In this implementation the
+// grow/refine/reheat loop, solves included, is the largest stage of every
+// perfbench workload: 98% of a two-rail route at 2-unit tile pitch and 56%
+// of a six-rail route (perfbench/NOTES.md). About half of the loop's CPU
+// is CG, so the iteration fuses its reductions into the passes that
+// produce their operands, always in the order a separate dot product
+// would sum them: the results are bit-identical to the unfused loop.
 package sparse
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Matrix is a square operator that can multiply a vector.
@@ -82,13 +87,14 @@ func (b *Builder) Build() *CSR {
 // element-for-element identical to Build on the same entry sequence: the
 // sort and duplicate summation run over the same values in the same order,
 // only the destination storage differs.
+//
+// The sort is not stable, so the order in which equal (row, col) entries
+// are summed is whatever pdqsort leaves them in. slices.SortFunc runs the
+// same generated pdqsort as sort.Slice, comparison for comparison and swap
+// for swap, so the typed sort keeps every duplicate sum bit-identical
+// while skipping sort.Slice's reflection-based swapper.
 func (b *Builder) BuildInto(m *CSR) *CSR {
-	sort.Slice(b.entries, func(i, j int) bool {
-		if b.entries[i].row != b.entries[j].row {
-			return b.entries[i].row < b.entries[j].row
-		}
-		return b.entries[i].col < b.entries[j].col
-	})
+	slices.SortFunc(b.entries, compareEntries)
 	if m == nil {
 		m = &CSR{}
 	}
@@ -117,6 +123,14 @@ func (b *Builder) BuildInto(m *CSR) *CSR {
 		m.RowPtr[r+1] += m.RowPtr[r]
 	}
 	return m
+}
+
+// compareEntries orders entries by (row, col); equal keys compare equal.
+func compareEntries(a, b entry) int {
+	if c := cmp.Compare(a.row, b.row); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.col, b.col)
 }
 
 // growInts returns s resized to length n, reusing its backing array when
@@ -156,13 +170,40 @@ func (m *CSR) MulVec(dst, x []float64) {
 	if len(dst) != m.N || len(x) != m.N {
 		panic(fmt.Sprintf("sparse: MulVec dims dst=%d x=%d n=%d", len(dst), len(x), m.N))
 	}
-	for r := 0; r < m.N; r++ {
-		sum := 0.0
-		for k := m.RowPtr[r]; k < m.RowPtr[r+1]; k++ {
-			sum += m.Val[k] * x[m.Col[k]]
-		}
-		dst[r] = sum
+	for r := range dst {
+		dst[r] = m.rowDot(r, x)
 	}
+}
+
+// rowDot returns row r of A times x, summed in stored column order. The
+// row slices let the compiler drop the per-element bounds checks.
+func (m *CSR) rowDot(r int, x []float64) float64 {
+	lo, hi := m.RowPtr[r], m.RowPtr[r+1]
+	cols, vals := m.Col[lo:hi], m.Val[lo:hi]
+	vals = vals[:len(cols)]
+	sum := 0.0
+	for k, c := range cols {
+		sum += vals[k] * x[c]
+	}
+	return sum
+}
+
+// mulVecDot computes dst = A*x and returns xᵀ(A*x) in one row-order pass.
+// The product entries and the reduction are summed in exactly the order
+// MulVec followed by dot(x, dst) sums them, so the results are
+// bit-identical to that pair of calls.
+func (m *CSR) mulVecDot(dst, x []float64) float64 {
+	if len(dst) != m.N || len(x) != m.N {
+		panic(fmt.Sprintf("sparse: MulVec dims dst=%d x=%d n=%d", len(dst), len(x), m.N))
+	}
+	x = x[:len(dst)]
+	s := 0.0
+	for r := range dst {
+		v := m.rowDot(r, x)
+		dst[r] = v
+		s += x[r] * v
+	}
+	return s
 }
 
 // At returns the element at (row, col); zero if not stored.
