@@ -2,7 +2,7 @@
 // geometric kernels: sparse solves (sparse.CG/CGCtx, Laplacian.Solve*,
 // Cholesky.Solve, the workspace-backed SolveAttemptsCtxWork), solver
 // setup that reports validation errors (sparse.ReassembleLaplacian),
-// route's nodal-analysis entry points (NodeCurrents*, PairVoltages*,
+// route's nodal-analysis entry points (NodeCurrents*, PairVoltagesCtx,
 // Resistance), and geom's region/polygon clipping algebra (Union,
 // Intersect, Subtract, Xor, Bloat, Erode, Rasterize, ...). These
 // functions have no side effects — calling one as a statement, or
@@ -37,8 +37,7 @@ var mustUse = map[string]map[string]bool{
 	},
 	"internal/route": {
 		"NodeCurrents": true, "NodeCurrentsCtx": true,
-		"PairVoltages": true, "PairVoltagesCtx": true,
-		"Resistance": true,
+		"PairVoltagesCtx": true, "Resistance": true,
 	},
 	"internal/geom": {
 		"Union": true, "Intersect": true, "Subtract": true, "Xor": true,

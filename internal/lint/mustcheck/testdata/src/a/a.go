@@ -47,8 +47,8 @@ func DropWorkspaceSolve(l *sparse.Laplacian, rhs []float64, ws *sparse.Workspace
 
 // DropReassemble throws away both the assembled Laplacian and the
 // validation error: flagged.
-func DropReassemble(l *sparse.Laplacian, edges []sparse.WeightedEdge) {
-	_, _ = sparse.ReassembleLaplacian(l, 4, edges, 0) // want `result of sparse.ReassembleLaplacian assigned to the blank identifier`
+func DropReassemble(l *sparse.Laplacian, rowPtr, col []int, w []float64) {
+	_, _ = sparse.ReassembleLaplacian(l, rowPtr, col, w, 0) // want `result of sparse.ReassembleLaplacian assigned to the blank identifier`
 }
 
 // DropNodeCurrents loses the metric evaluation and its error: flagged.

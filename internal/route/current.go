@@ -34,8 +34,9 @@ type Metrics struct {
 // SolveCache keeps per-pair voltage solutions keyed by full-graph node id so
 // successive SmartGrow/SmartRefine iterations warm-start the CG solver on
 // nearly identical systems. It also owns the solver session (DESIGN.md
-// §5g), whose arenas for the induced subgraph, Laplacian, preconditioner,
-// and per-worker scratch are rebuilt in place for every evaluated mask.
+// §5g), whose arenas for the terminal component's adjacency, Laplacian,
+// preconditioner, and per-worker scratch are rebuilt in place for every
+// evaluated mask.
 //
 // A SolveCache is single-pipeline state: thread one instance through the
 // stages of one route, do not share it across goroutines.
@@ -95,17 +96,20 @@ func (tg *TileGraph) pairList() (pairs [][2]int, weights []float64) {
 }
 
 // pairSolution carries the nodal-analysis results for every terminal pair:
-// full-graph-indexed voltage vectors for a unit current injection.
+// full-graph-indexed voltage vectors for a unit current injection, and the
+// terminal component they were solved on in CSR form — component node ci
+// is full node nodes[ci], and its neighbours are nbr[rowPtr[ci]:rowPtr[ci+1]]
+// (component indices) with conductances nw. The metric accumulation below
+// walks the rows in order, so it is bit-stable.
 type pairSolution struct {
 	pairs   [][2]int    // terminal index pairs
 	weights []float64   // normalized injection weights
-	volts   [][]float64 // per pair, full-size voltages (0 outside subgraph)
-	orig    []int       // sub node -> full node id
-	// neighbors iterates a sub node's adjacency in insertion order — the
-	// same order graph.Graph.Neighbors uses on the induced subgraph — so
-	// the metric accumulation below is bit-stable.
-	neighbors func(si int, fn func(nj int, w float64))
-	stats     sparse.SolveStats // ladder telemetry of this call's solves
+	volts   [][]float64 // per pair, full-size voltages (0 outside the component)
+	nodes   []int
+	rowPtr  []int
+	nbr     []int
+	nw      []float64
+	stats   sparse.SolveStats // ladder telemetry of this call's solves
 }
 
 // runPairSolves drains n independent pair solves through a worker pool
@@ -215,41 +219,25 @@ func (tg *TileGraph) metrics(sol *pairSolution) *Metrics {
 	nodeCur := make([]float64, tg.G.N())
 	pairRes := make([]float64, len(sol.pairs))
 	totalRes := 0.0
-	// The accumulation closure is hoisted out of the pair/node loops and
-	// fed through captured slots: allocating it per node would dominate
-	// the per-evaluation allocation budget of the solver session.
-	var (
-		v   []float64
-		vid float64
-		sum float64
-	)
-	acc := func(nj int, g float64) {
-		sum += g * math.Abs(vid-v[sol.orig[nj]])
-	}
 	for pi, pr := range sol.pairs {
-		v = sol.volts[pi]
-		s := tg.Terminals[pr[0]]
-		t := tg.Terminals[pr[1]]
-		r := v[s] - v[t]
+		v := sol.volts[pi]
+		r := v[tg.Terminals[pr[0]]] - v[tg.Terminals[pr[1]]]
 		pairRes[pi] = r
 		totalRes += sol.weights[pi] * r
 		w := sol.weights[pi]
 		// Accumulate |I| per incident edge into both endpoints
-		// (paper Alg. 3 line 13).
-		for si, id := range sol.orig {
-			vid = v[id]
-			sum = 0
-			sol.neighbors(si, acc)
+		// (paper Alg. 3 line 13). Members outside the terminal component
+		// carry no current and keep 0.
+		for ci, id := range sol.nodes {
+			vid := v[id]
+			sum := 0.0
+			for k := sol.rowPtr[ci]; k < sol.rowPtr[ci+1]; k++ {
+				sum += sol.nw[k] * math.Abs(vid-v[sol.nodes[sol.nbr[k]]])
+			}
 			nodeCur[id] += w * sum
 		}
 	}
 	return &Metrics{NodeCurrent: nodeCur, Resistance: totalRes, PairResistance: pairRes, Solve: sol.stats}
-}
-
-// PairVoltages exposes the per-pair nodal voltages without cancellation
-// support; see PairVoltagesCtx.
-func (tg *TileGraph) PairVoltages(members []bool) (volts [][]float64, pairs [][2]int, weights []float64, err error) {
-	return tg.PairVoltagesCtx(context.Background(), members)
 }
 
 // PairVoltagesCtx exposes the per-pair nodal voltages over a member mask

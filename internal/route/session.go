@@ -1,11 +1,9 @@
 package route
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"runtime"
-	"slices"
 	"sync/atomic"
 	"time"
 
@@ -14,18 +12,18 @@ import (
 )
 
 // solverSession is the nodal-analysis core (DESIGN.md §5g). It owns the
-// structures one evaluation needs — the induced subgraph, the
-// terminal-component restriction, the grounded Laplacian with its IC(0)
-// factor, and per-worker solve scratch — and keeps their arenas across
+// structures one evaluation needs — the terminal component of the member
+// mask as a CSR adjacency, its grounded Laplacian with the IC(0) factor,
+// and per-worker solve scratch — and keeps their arenas across
 // evaluations:
 //
 //   - every evaluation rebuilds the structures for its mask into the
 //     retained arenas. The pipeline scores each mask once (SmartGrowCtx,
 //     SmartRefineCtx and ErodeCtx pass the metrics of the mask they leave
-//     forward), so there is no same-mask case to reuse. The rebuild
-//     replays the loop structure (and sort) of a from-scratch
-//     construction, so the assembled system is bit-identical to one and
-//     downstream solves follow the same float trajectories;
+//     forward), so there is no same-mask case to reuse. The rebuild walks
+//     tg.G directly and stamps the Laplacian in sorted edge order, so the
+//     assembled system is bit-identical to a from-scratch construction
+//     and downstream solves follow the same float trajectories;
 //   - warm-start stall: when the primary rung rejects a warm-started
 //     solve, the pair's warm vector is dropped (solver.cache.invalidations)
 //     and the ladder re-runs cold at full tolerance instead of settling
@@ -36,34 +34,23 @@ import (
 type solverSession struct {
 	tg *TileGraph
 
-	// Induced subgraph in CSR form, replicating graph.InducedSubgraph's
-	// per-node adjacency insertion order.
-	orig   []int // sub index -> full node id (ascending)
-	subIdx []int // full node id -> sub index, -1 outside
-	rowPtr []int
-	nbr    []int
-	nw     []float64
-	deg    []int // scratch: degree counts, then placement cursors
-
-	// Terminal-component restriction.
-	label     []int
-	queue     []int
+	// The terminal component, numbered in ascending node id, in CSR form:
+	// component node ci is full node compNodes[ci], and its neighbours are
+	// nbr[rowPtr[ci]:rowPtr[ci+1]] (component indices) with conductances nw.
+	compIdx   []int // full node id -> component index, -1 outside
 	compNodes []int
-	compIdx   []int
-	subTerms  []int
-
-	// Edge extraction, replicating graph.Edges() order.
-	edges  []subEdge
-	cedges []sparse.WeightedEdge
+	queue     []int // BFS scratch
+	rowPtr    []int
+	nbr       []int
+	nw        []float64
 
 	lap *sparse.Laplacian
 
 	pairs   [][2]int
 	weights []float64
-	volts   [][]float64                   // arena for pairSolution.volts
-	atts    [][]sparse.RungAttempt        // per-pair ladder traces
-	scratch []pairScratch                 // per-worker solve scratch
-	nbrFn   func(int, func(int, float64)) // cached method value for pairSolution
+	volts   [][]float64            // arena for pairSolution.volts
+	atts    [][]sparse.RungAttempt // per-pair ladder traces
+	scratch []pairScratch          // per-worker solve scratch
 
 	// invalidations counts dropped warm vectors; bumped atomically from
 	// concurrent pair workers.
@@ -78,25 +65,10 @@ type pairScratch struct {
 	x0 []float64
 }
 
-// subEdge mirrors graph.Edge over sub indices.
-type subEdge struct {
-	u, v int
-	w    float64
-}
-
 func newSolverSession(tg *TileGraph) *solverSession {
 	s := &solverSession{tg: tg}
 	s.pairs, s.weights = tg.pairList()
-	s.nbrFn = s.neighbors
 	return s
-}
-
-// neighbors iterates a sub node's adjacency in insertion order, matching
-// graph.Graph.Neighbors on the equivalent induced subgraph.
-func (s *solverSession) neighbors(si int, fn func(nj int, w float64)) {
-	for k := s.rowPtr[si]; k < s.rowPtr[si+1]; k++ {
-		fn(s.nbr[k], s.nw[k])
-	}
 }
 
 // growi and growf reuse a slice's backing array when it is large enough.
@@ -115,149 +87,61 @@ func growf(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-// rebuild re-derives every mask-dependent structure into the session's
-// arenas. The loops replay a from-scratch construction over
-// graph.InducedSubgraph, graph.Components and graph.Edges exactly — same
-// visit order, same sort key — so the resulting Laplacian is
-// bit-identical to a from-scratch build for the same mask.
+// rebuild derives the terminal component of the member mask and assembles
+// its grounded Laplacian into the session's arenas (paper Alg. 3 on
+// Γ_n[V_n^s]). A BFS from terminal 0 over the members finds the
+// component, its nodes are numbered in ascending id, and one filtered pass
+// over each node's adjacency in tg.G fills the component CSR, which
+// sparse.ReassembleLaplacian stamps row by row. Every adjacency list of a
+// tile graph ascends (TileGraph.G), so the rows ascend and the stamping
+// sequence is the sorted edge list of a from-scratch build: the Laplacian
+// is bit-identical to one.
 func (s *solverSession) rebuild(tg *TileGraph, members []bool) error {
-	n := tg.G.N()
-	s.subIdx = growi(s.subIdx, n)
-	for i := range s.subIdx {
-		s.subIdx[i] = -1
+	s.compIdx = growi(s.compIdx, tg.G.N())
+	for i := range s.compIdx {
+		s.compIdx[i] = -1
 	}
-	s.orig = s.orig[:0]
-	for id, in := range members {
-		if in {
-			s.subIdx[id] = len(s.orig)
-			s.orig = append(s.orig, id)
+	t0 := tg.Terminals[0]
+	s.compIdx[t0] = 0
+	s.queue = append(s.queue[:0], t0)
+	visit := func(v int, _ float64) {
+		if members[v] && s.compIdx[v] < 0 {
+			s.compIdx[v] = 0
+			s.queue = append(s.queue, v)
 		}
 	}
-	sn := len(s.orig)
-
-	// Two passes over the full graph's adjacency replicate the
-	// InducedSubgraph append order: pass 1 counts degrees, pass 2 places
-	// neighbors with per-node cursors. Both walk edges (u, v>u) in the
-	// identical order AddEdge would, so per-node neighbor order matches.
-	s.deg = growi(s.deg, sn)
-	for i := range s.deg {
-		s.deg[i] = 0
+	for head := 0; head < len(s.queue); head++ {
+		tg.G.Neighbors(s.queue[head], visit)
 	}
-	var u int
-	count := func(v int, _ float64) {
-		if v > u {
-			if nv := s.subIdx[v]; nv >= 0 {
-				s.deg[s.subIdx[u]]++
-				s.deg[nv]++
-			}
-		}
-	}
-	for _, uu := range s.orig {
-		u = uu
-		tg.G.Neighbors(u, count)
-	}
-	s.rowPtr = growi(s.rowPtr, sn+1)
-	s.rowPtr[0] = 0
-	for i := 0; i < sn; i++ {
-		s.rowPtr[i+1] = s.rowPtr[i] + s.deg[i]
-		s.deg[i] = s.rowPtr[i] // reuse as placement cursor
-	}
-	nnz := s.rowPtr[sn]
-	s.nbr = growi(s.nbr, nnz)
-	s.nw = growf(s.nw, nnz)
-	place := func(v int, w float64) {
-		if v > u {
-			if nv := s.subIdx[v]; nv >= 0 {
-				nu := s.subIdx[u]
-				s.nbr[s.deg[nu]] = nv
-				s.nw[s.deg[nu]] = w
-				s.deg[nu]++
-				s.nbr[s.deg[nv]] = nu
-				s.nw[s.deg[nv]] = w
-				s.deg[nv]++
-			}
-		}
-	}
-	for _, uu := range s.orig {
-		u = uu
-		tg.G.Neighbors(u, place)
-	}
-
-	s.subTerms = s.subTerms[:0]
 	for _, t := range tg.Terminals {
-		s.subTerms = append(s.subTerms, s.subIdx[t])
-	}
-
-	// Component labels by ascending-root BFS — label values match
-	// graph.Components regardless of adjacency order.
-	s.label = growi(s.label, sn)
-	for i := range s.label {
-		s.label[i] = -1
-	}
-	comp := 0
-	for i := 0; i < sn; i++ {
-		if s.label[i] != -1 {
-			continue
-		}
-		s.label[i] = comp
-		s.queue = append(s.queue[:0], i)
-		for head := 0; head < len(s.queue); head++ {
-			x := s.queue[head]
-			for k := s.rowPtr[x]; k < s.rowPtr[x+1]; k++ {
-				if y := s.nbr[k]; s.label[y] == -1 {
-					s.label[y] = comp
-					s.queue = append(s.queue, y)
-				}
-			}
-		}
-		comp++
-	}
-	for _, st := range s.subTerms {
-		if s.label[st] != s.label[s.subTerms[0]] {
+		if s.compIdx[t] < 0 {
 			return fmt.Errorf("route: terminals disconnected within subgraph")
 		}
 	}
 
-	tcomp := s.label[s.subTerms[0]]
-	s.compIdx = growi(s.compIdx, sn)
 	s.compNodes = s.compNodes[:0]
-	for i := 0; i < sn; i++ {
-		if s.label[i] == tcomp {
-			s.compIdx[i] = len(s.compNodes)
-			s.compNodes = append(s.compNodes, i)
-		} else {
-			s.compIdx[i] = -1
+	for id, c := range s.compIdx {
+		if c >= 0 {
+			s.compIdx[id] = len(s.compNodes)
+			s.compNodes = append(s.compNodes, id)
 		}
 	}
 
-	// Edge list in graph.Edges() order: row-major (u < v) collection,
-	// then a sort by (U, V, Weight). That key orders the edges totally up
-	// to equal values, so any correct sort yields the same sequence.
-	s.edges = s.edges[:0]
-	for uu := 0; uu < sn; uu++ {
-		for k := s.rowPtr[uu]; k < s.rowPtr[uu+1]; k++ {
-			if vv := s.nbr[k]; uu < vv {
-				s.edges = append(s.edges, subEdge{uu, vv, s.nw[k]})
-			}
+	// The component is closed under member adjacency, so its index alone
+	// filters the neighbours.
+	s.rowPtr = append(s.rowPtr[:0], 0)
+	s.nbr, s.nw = s.nbr[:0], s.nw[:0]
+	keep := func(v int, w float64) {
+		if c := s.compIdx[v]; c >= 0 {
+			s.nbr = append(s.nbr, c)
+			s.nw = append(s.nw, w)
 		}
 	}
-	slices.SortFunc(s.edges, func(a, b subEdge) int {
-		if c := cmp.Compare(a.u, b.u); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.v, b.v); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.w, b.w)
-	})
-	s.cedges = s.cedges[:0]
-	for _, e := range s.edges {
-		if s.compIdx[e.u] >= 0 && s.compIdx[e.v] >= 0 {
-			s.cedges = append(s.cedges, sparse.WeightedEdge{U: s.compIdx[e.u], V: s.compIdx[e.v], W: e.w})
-		}
+	for _, id := range s.compNodes {
+		tg.G.Neighbors(id, keep)
+		s.rowPtr = append(s.rowPtr, len(s.nbr))
 	}
-	ground := s.compIdx[s.subTerms[0]]
-	lap, err := sparse.ReassembleLaplacian(s.lap, len(s.compNodes), s.cedges, ground)
+	lap, err := sparse.ReassembleLaplacian(s.lap, s.rowPtr, s.nbr, s.nw, s.compIdx[t0])
 	if err != nil {
 		return fmt.Errorf("route: laplacian: %w", err)
 	}
@@ -332,13 +216,13 @@ func (tg *TileGraph) solveSession(ctx context.Context, members []bool, warm *Sol
 	}
 	invBefore := atomic.LoadInt64(&s.invalidations)
 
-	sol := &pairSolution{pairs: pairs, weights: weights, orig: s.orig, neighbors: s.nbrFn, volts: s.volts}
+	sol := &pairSolution{pairs: pairs, weights: weights, volts: s.volts,
+		nodes: s.compNodes, rowPtr: s.rowPtr, nbr: s.nbr, nw: s.nw}
 
 	solveOne := func(w int, pi int) error {
 		sc := &s.scratch[w]
 		pr := pairs[pi]
-		st0, st1 := s.subTerms[pr[0]], s.subTerms[pr[1]]
-		cs, ct := s.compIdx[st0], s.compIdx[st1]
+		cs, ct := s.compIdx[tg.Terminals[pr[0]]], s.compIdx[tg.Terminals[pr[1]]]
 		cn := len(s.compNodes)
 		sc.b = growf(sc.b, cn)
 		b := sc.b
@@ -351,8 +235,8 @@ func (tg *TileGraph) solveSession(ctx context.Context, members []bool, warm *Sol
 		if wv := warm.pairVolts[pi]; len(wv) == tg.G.N() {
 			sc.x0 = growf(sc.x0, cn)
 			x0 = sc.x0
-			for ci, si := range s.compNodes {
-				x0[ci] = wv[s.orig[si]]
+			for ci, id := range s.compNodes {
+				x0[ci] = wv[id]
 			}
 		}
 		v, attempts, err := s.lap.SolveAttemptsCtxWork(ctx, b, x0, &sc.ws)
@@ -384,8 +268,8 @@ func (tg *TileGraph) solveSession(ctx context.Context, members []bool, warm *Sol
 				full[i] = 0
 			}
 		}
-		for ci, si := range s.compNodes {
-			full[s.orig[si]] = v[ci]
+		for ci, id := range s.compNodes {
+			full[id] = v[ci]
 		}
 		warm.pairVolts[pi] = full
 		s.volts[pi] = full

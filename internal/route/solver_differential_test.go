@@ -1,10 +1,12 @@
 package route
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -90,7 +92,17 @@ func (tg *TileGraph) solvePairsScratch(ctx context.Context, members []bool, warm
 	if warm != nil && len(warm.pairVolts) != len(pairs) {
 		warm.pairVolts = make([][]float64, len(pairs))
 	}
-	sol := &pairSolution{pairs: pairs, weights: weights, orig: orig, neighbors: sub.Neighbors}
+	// The component's CSR adjacency for the metric, in the subgraph's
+	// neighbour insertion order.
+	sol := &pairSolution{pairs: pairs, weights: weights, rowPtr: []int{0}}
+	for _, si := range compNodes {
+		sol.nodes = append(sol.nodes, orig[si])
+		sub.Neighbors(si, func(nj int, w float64) {
+			sol.nbr = append(sol.nbr, compIdx[nj])
+			sol.nw = append(sol.nw, w)
+		})
+		sol.rowPtr = append(sol.rowPtr, len(sol.nbr))
+	}
 	sol.volts = make([][]float64, len(pairs))
 
 	// Each worker deposits its ladder trace in its own slot; the traces
@@ -168,8 +180,9 @@ type diffHarness struct {
 	members []bool
 	inc     *SolveCache // session path
 	scr     *SolveCache // warm-start vectors of the from-scratch oracle
-	// diverged flips once an invalidation ran: from then on the paths
-	// carry different warm vectors and only approximate agreement holds.
+	// diverged is set once only approximate agreement holds: after an
+	// invalidation ran, when the paths carry different warm vectors, or
+	// from the start on a graph off the ascending-adjacency invariant.
 	diverged bool
 }
 
@@ -345,6 +358,84 @@ func TestDifferentialIncrementalVsScratch(t *testing.T) {
 	}
 }
 
+// TestDifferentialUnsortedAdjacency shows the session stays correct off
+// the ascending-adjacency invariant of TileGraph.G. It reinserts the
+// differential board's edges in a shuffled order, so the session stamps
+// the Laplacian and sums node currents in another order than the oracle,
+// and requires agreement within sparse.ApproxEqualTol on random toggle
+// sequences.
+func TestDifferentialUnsortedAdjacency(t *testing.T) {
+	avail, terms := obstacleSpace(t)
+	built, err := BuildTileGraph(avail, terms, 5, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := built.G.Edges()
+	rand.New(rand.NewSource(7)).Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+	g := graph.New(built.G.N())
+	for _, e := range edges {
+		if err := g.AddEdge(e.V, e.U, e.Weight); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tg := *built
+	tg.G = g
+	unsorted := 0
+	for u := 0; u < g.N(); u++ {
+		prev := -1
+		g.Neighbors(u, func(v int, _ float64) {
+			if v < prev {
+				unsorted++
+			}
+			prev = v
+		})
+	}
+	if unsorted == 0 {
+		t.Fatal("shuffled insertion left every adjacency list ascending")
+	}
+	seedMask, err := tg.Seed()
+	if err != nil {
+		t.Fatal(err)
+	}
+	candidates := nonTerminalNodes(&tg)
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		h := newDiffHarness(t, &tg, seedMask)
+		h.diverged = true
+		for i := 0; i < 30; i++ {
+			st := toggleStep{candidates[rng.Intn(len(candidates))]}
+			if err := h.step(st); err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, i, err)
+			}
+		}
+	}
+}
+
+// handTileGraph builds a tile graph from hand-listed edges. It inserts them
+// sorted by (U, V) with U < V, as BuildTileGraph inserts its own, so every
+// adjacency list ascends (TileGraph.G). Each terminal draws unit current.
+func handTileGraph(t *testing.T, n int, edges []graph.Edge, terms []int) *TileGraph {
+	t.Helper()
+	sorted := make([]graph.Edge, len(edges))
+	for i, e := range edges {
+		sorted[i] = graph.Edge{U: min(e.U, e.V), V: max(e.U, e.V), Weight: e.Weight}
+	}
+	slices.SortFunc(sorted, func(a, b graph.Edge) int {
+		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
+	})
+	g := graph.New(n)
+	for _, e := range sorted {
+		if err := g.AddEdge(e.U, e.V, e.Weight); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cur := make([]float64, len(terms))
+	for i := range cur {
+		cur[i] = 1
+	}
+	return &TileGraph{G: g, Terminals: terms, TermCurrent: cur}
+}
+
 // weakBridgeTileGraph hand-builds the near-singular board of sparse's
 // TestWarmStartNearSingularLaplacian as a tile graph: two 4x4 unit grids
 // joined by a 1e-9 bridge, terminals at the far corners. The grounded
@@ -354,34 +445,24 @@ func weakBridgeTileGraph(t *testing.T) *TileGraph {
 	t.Helper()
 	w, h := 4, 4
 	n := 2 * w * h
-	g := graph.New(n)
-	addEdge := func(u, v int, wt float64) {
-		t.Helper()
-		if err := g.AddEdge(u, v, wt); err != nil {
-			t.Fatal(err)
-		}
-	}
+	var edges []graph.Edge
 	block := func(off int) {
 		for y := 0; y < h; y++ {
 			for x := 0; x < w; x++ {
 				id := off + y*w + x
 				if x+1 < w {
-					addEdge(id, id+1, 1)
+					edges = append(edges, graph.Edge{U: id, V: id + 1, Weight: 1})
 				}
 				if y+1 < h {
-					addEdge(id, id+w, 1)
+					edges = append(edges, graph.Edge{U: id, V: id + w, Weight: 1})
 				}
 			}
 		}
 	}
 	block(0)
 	block(w * h)
-	addEdge(w*h-1, w*h, 1e-9)
-	return &TileGraph{
-		G:           g,
-		Terminals:   []int{0, n - 1},
-		TermCurrent: []float64{1, 1},
-	}
+	edges = append(edges, graph.Edge{U: w*h - 1, V: w * h, Weight: 1e-9})
+	return handTileGraph(t, n, edges, []int{0, n - 1})
 }
 
 // TestStaleWarmVectorTriggersColdFallback is the regression gate on the

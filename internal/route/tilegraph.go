@@ -36,7 +36,11 @@ type Terminal struct {
 type TileGraph struct {
 	// G holds the conductance graph: edge weight = contact width divided by
 	// the tile pitch across the contact (unitless "squares" of sheet
-	// conductance).
+	// conductance). BuildTileGraph inserts its merged edges once each, in
+	// ascending (a, b) order, so every node's adjacency list strictly
+	// ascends. The solver session rests on that: walking the lists in
+	// order stamps the Laplacian in sorted edge order, bit-identical to a
+	// from-scratch build (TestTileGraphAdjacencyAscends pins it).
 	G *graph.Graph
 	// Cells maps node id to its tile geometry (union of tiles for
 	// contracted terminal nodes).

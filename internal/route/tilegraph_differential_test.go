@@ -151,58 +151,83 @@ func randomAbuttingCase(r *rand.Rand) (geom.Region, []route.Terminal, int64, int
 	return avail, terms, dx, dy
 }
 
+// tileSpace is one space a golden board tiles: a rail's available space at
+// the route pitch, or the extraction re-tile of its routed rail.
+type tileSpace struct {
+	name   string
+	avail  geom.Region
+	terms  []route.Terminal
+	dx, dy int64
+	routed *route.TileGraph // the rail's routed tile graph; nil for a re-tile
+}
+
+// goldenTileSpaces routes the golden boards and lists the spaces they tile:
+// each rail's space rebuilt as the board router builds it, and the
+// extraction re-tile of the routed rail.
+func goldenTileSpaces(t *testing.T) []tileSpace {
+	t.Helper()
+	var spaces []tileSpace
+	for _, tc := range []struct {
+		name string
+		load func() (*cases.CaseStudy, error)
+	}{
+		{"tworail", cases.TwoRail},
+		{"threerail", func() (*cases.CaseStudy, error) { return cases.ThreeRail(cases.Table4()[0]) }},
+		{"sixrail", cases.SixRail},
+	} {
+		cs, err := tc.load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sprout.RouteBoard(cs.Board, sprout.RouteOptions{
+			Layer:       cs.RoutingLayer,
+			Budgets:     cs.Budgets,
+			Config:      cs.Config,
+			FailFast:    true,
+			SkipExtract: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Rebuild each rail's space as the board router does: Eq. 1
+		// minus the clearance-buffered copper of the rails before it.
+		copper := geom.EmptyRegion()
+		for _, rail := range res.Rails {
+			terms := railTerms(cs, int(rail.Net))
+			avail := cs.Board.AvailableSpace(rail.Net, cs.RoutingLayer).
+				Subtract(copper.Bloat(cs.Board.Rules.Clearance))
+			name := tc.name + "/" + rail.Name
+			spaces = append(spaces, tileSpace{name, avail, terms, cs.Config.DX, cs.Config.DY, rail.Route.Graph})
+			// The extraction re-tile: routed copper plus terminal pads
+			// at the default extraction pitch.
+			shape := rail.Route.Shape
+			for _, term := range terms {
+				shape = shape.Union(term.Shape)
+			}
+			spaces = append(spaces, tileSpace{name + "/extract", shape, terms, 5, 5, nil})
+			copper = copper.Union(rail.Route.Shape)
+		}
+	}
+	return spaces
+}
+
 // TestBuildTileGraphMatchesOracle checks that the single-scan Alg. 1
 // builder returns exactly the original builder's graph on every rail space
 // of the golden boards, on the extraction re-tiles of their routed rails,
 // and on seeded random spaces covering every branch and error.
 func TestBuildTileGraphMatchesOracle(t *testing.T) {
 	t.Run("golden", func(t *testing.T) {
-		for _, tc := range []struct {
-			name string
-			load func() (*cases.CaseStudy, error)
-		}{
-			{"tworail", cases.TwoRail},
-			{"threerail", func() (*cases.CaseStudy, error) { return cases.ThreeRail(cases.Table4()[0]) }},
-			{"sixrail", cases.SixRail},
-		} {
-			cs, err := tc.load()
+		for _, sp := range goldenTileSpaces(t) {
+			sameTileGraph(t, sp.name, sp.avail, sp.terms, sp.dx, sp.dy)
+			if sp.routed == nil {
+				continue
+			}
+			tg, err := route.BuildTileGraph(sp.avail, sp.terms, sp.dx, sp.dy)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := sprout.RouteBoard(cs.Board, sprout.RouteOptions{
-				Layer:       cs.RoutingLayer,
-				Budgets:     cs.Budgets,
-				Config:      cs.Config,
-				FailFast:    true,
-				SkipExtract: true,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Rebuild each rail's space as the board router does: Eq. 1
-			// minus the clearance-buffered copper of the rails before it.
-			copper := geom.EmptyRegion()
-			for _, rail := range res.Rails {
-				terms := railTerms(cs, int(rail.Net))
-				avail := cs.Board.AvailableSpace(rail.Net, cs.RoutingLayer).
-					Subtract(copper.Bloat(cs.Board.Rules.Clearance))
-				name := tc.name + "/" + rail.Name
-				sameTileGraph(t, name, avail, terms, cs.Config.DX, cs.Config.DY)
-				tg, err := route.BuildTileGraph(avail, terms, cs.Config.DX, cs.Config.DY)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(tg, rail.Route.Graph) {
-					t.Fatalf("%s: rebuilt rail space does not reproduce the routed tile graph", name)
-				}
-				// The extraction re-tile: routed copper plus terminal pads
-				// at the default extraction pitch.
-				shape := rail.Route.Shape
-				for _, term := range terms {
-					shape = shape.Union(term.Shape)
-				}
-				sameTileGraph(t, name+"/extract", shape, terms, 5, 5)
-				copper = copper.Union(rail.Route.Shape)
+			if !reflect.DeepEqual(tg, sp.routed) {
+				t.Fatalf("%s: rebuilt rail space does not reproduce the routed tile graph", sp.name)
 			}
 		}
 		avail, terms := cases.Fig8Scene()
@@ -256,7 +281,8 @@ func TestBuildTileGraphMatchesOracle(t *testing.T) {
 }
 
 // FuzzBuildTileGraph drives the same comparison with fuzzer-chosen seeds
-// and tile pitches.
+// and tile pitches, and checks that every adjacency list of a built graph
+// strictly ascends.
 func FuzzBuildTileGraph(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint8(4))
 	f.Add(int64(2), uint8(3), uint8(7))
@@ -264,6 +290,46 @@ func FuzzBuildTileGraph(f *testing.F) {
 	f.Add(int64(4), uint8(11), uint8(2))
 	f.Fuzz(func(t *testing.T, seed int64, dx, dy uint8) {
 		avail, terms, _, _ := randomTileCase(rand.New(rand.NewSource(seed)))
-		sameTileGraph(t, fmt.Sprintf("seed %d", seed), avail, terms, int64(dx%16), int64(dy%16))
+		name := fmt.Sprintf("seed %d", seed)
+		if sameTileGraph(t, name, avail, terms, int64(dx%16), int64(dy%16)) {
+			tg, err := route.BuildTileGraph(avail, terms, int64(dx%16), int64(dy%16))
+			if err != nil {
+				t.Fatal(err)
+			}
+			adjacencyAscends(t, name, tg)
+		}
 	})
+}
+
+// adjacencyAscends fails unless every adjacency list of tg.G strictly
+// ascends: the invariant documented on TileGraph.G.
+func adjacencyAscends(t testing.TB, name string, tg *route.TileGraph) {
+	t.Helper()
+	for u := 0; u < tg.G.N(); u++ {
+		prev := -1
+		tg.G.Neighbors(u, func(v int, _ float64) {
+			if v <= prev {
+				t.Fatalf("%s: adjacency of node %d lists %d after %d", name, u, v, prev)
+			}
+			prev = v
+		})
+	}
+}
+
+// TestTileGraphAdjacencyAscends pins the invariant the solver session's
+// bit-identity rests on (TileGraph.G): every adjacency list strictly
+// ascends on each golden rail space at the route pitch and on each
+// extraction re-tile at pitch 5.
+func TestTileGraphAdjacencyAscends(t *testing.T) {
+	spaces := goldenTileSpaces(t)
+	for _, sp := range spaces {
+		tg, err := route.BuildTileGraph(sp.avail, sp.terms, sp.dx, sp.dy)
+		if err != nil {
+			t.Fatalf("%s: %v", sp.name, err)
+		}
+		adjacencyAscends(t, sp.name, tg)
+	}
+	if len(spaces) != 2*(2+3+6) {
+		t.Fatalf("checked %d spaces, want one route and one extraction space per golden rail", len(spaces))
+	}
 }

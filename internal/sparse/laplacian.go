@@ -32,24 +32,76 @@ type Laplacian struct {
 	icStore *IC0
 }
 
-// NewLaplacian assembles the grounded Laplacian of an n-node graph.
-// Edges with non-positive weight or out-of-range endpoints are rejected.
+// NewLaplacian assembles the grounded Laplacian of an n-node graph given
+// as an edge list. Edges with out-of-range endpoints, self-loops or
+// non-positive weight are rejected.
 func NewLaplacian(n int, edges []WeightedEdge, ground int) (*Laplacian, error) {
-	return ReassembleLaplacian(nil, n, edges, ground)
+	if err := checkGround(n, ground); err != nil {
+		return nil, err
+	}
+	rowPtr, col, w, err := adjacency(n, edges)
+	if err != nil {
+		return nil, err
+	}
+	return ReassembleLaplacian(nil, rowPtr, col, w, ground)
 }
 
-// ReassembleLaplacian assembles the grounded Laplacian into dst, reusing
-// its matrix, preconditioner, and index storage (nil dst allocates a fresh
-// Laplacian — NewLaplacian is exactly that). The result is numerically
-// identical to NewLaplacian on the same inputs: the builder receives the
-// same entry sequence, so the assembled matrix and its IC(0) factor match
-// bit for bit. On error dst is unusable until a later reassembly succeeds.
-func ReassembleLaplacian(dst *Laplacian, n int, edges []WeightedEdge, ground int) (*Laplacian, error) {
+// adjacency lays an edge list out as the CSR adjacency ReassembleLaplacian
+// takes: each edge in both endpoint rows, in list order. A list sorted by
+// (U, V) with U < V therefore gives ascending rows and is stamped in list
+// order.
+func adjacency(n int, edges []WeightedEdge) (rowPtr, col []int, w []float64, err error) {
+	rowPtr = make([]int, n+1)
+	for _, e := range edges {
+		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
+			return nil, nil, nil, fmt.Errorf("sparse: edge (%d,%d) out of range for n=%d", e.U, e.V, n)
+		}
+		rowPtr[e.U+1]++
+		rowPtr[e.V+1]++
+	}
+	for i := 0; i < n; i++ {
+		rowPtr[i+1] += rowPtr[i]
+	}
+	col = make([]int, rowPtr[n])
+	w = make([]float64, rowPtr[n])
+	next := append([]int(nil), rowPtr[:n]...)
+	for _, e := range edges {
+		col[next[e.U]], w[next[e.U]] = e.V, e.W
+		next[e.U]++
+		col[next[e.V]], w[next[e.V]] = e.U, e.W
+		next[e.V]++
+	}
+	return rowPtr, col, w, nil
+}
+
+// checkGround validates the node count and the reference node.
+func checkGround(n, ground int) error {
 	if n <= 1 {
-		return nil, fmt.Errorf("sparse: laplacian needs n >= 2, got %d", n)
+		return fmt.Errorf("sparse: laplacian needs n >= 2, got %d", n)
 	}
 	if ground < 0 || ground >= n {
-		return nil, fmt.Errorf("sparse: ground node %d out of range [0,%d)", ground, n)
+		return fmt.Errorf("sparse: ground node %d out of range [0,%d)", ground, n)
+	}
+	return nil
+}
+
+// ReassembleLaplacian assembles into dst the grounded Laplacian of the
+// graph whose symmetric adjacency is given in CSR form: node u's
+// neighbours are col[rowPtr[u]:rowPtr[u+1]] with conductances w at the
+// same positions, and the node count is len(rowPtr)-1. It reuses dst's
+// matrix, preconditioner and index storage (nil dst allocates a fresh
+// Laplacian). Each undirected edge sits in both of its endpoints' rows and
+// is stamped once, from the row of its smaller endpoint, in row order:
+// rows that list their columns in ascending order stamp the edges in
+// sorted (u, v) order. The builder then receives the same entry sequence
+// on every call with the same input, so the matrix and its IC(0) factor
+// are bit-identical whether dst is fresh or reused. Self-loops and
+// non-positive weights are rejected; on error dst is unusable until a
+// later reassembly succeeds.
+func ReassembleLaplacian(dst *Laplacian, rowPtr, col []int, w []float64, ground int) (*Laplacian, error) {
+	n := len(rowPtr) - 1
+	if err := checkGround(n, ground); err != nil {
+		return nil, err
 	}
 	l := dst
 	if l == nil {
@@ -73,26 +125,30 @@ func ReassembleLaplacian(dst *Laplacian, n int, edges []WeightedEdge, ground int
 		l.asm.Reset(n - 1)
 	}
 	b := l.asm
-	for _, e := range edges {
-		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
-			return nil, fmt.Errorf("sparse: edge (%d,%d) out of range for n=%d", e.U, e.V, n)
-		}
-		if e.U == e.V {
-			return nil, fmt.Errorf("sparse: self-loop at node %d", e.U)
-		}
-		if e.W <= 0 {
-			return nil, fmt.Errorf("sparse: edge (%d,%d) has non-positive weight %g", e.U, e.V, e.W)
-		}
-		iu, iv := l.indexOf[e.U], l.indexOf[e.V]
-		if iu >= 0 {
-			b.Add(iu, iu, e.W)
-		}
-		if iv >= 0 {
-			b.Add(iv, iv, e.W)
-		}
-		if iu >= 0 && iv >= 0 {
-			b.Add(iu, iv, -e.W)
-			b.Add(iv, iu, -e.W)
+	for u := 0; u < n; u++ {
+		iu := l.indexOf[u]
+		for k := rowPtr[u]; k < rowPtr[u+1]; k++ {
+			v, wt := col[k], w[k]
+			if v <= u {
+				if v == u {
+					return nil, fmt.Errorf("sparse: self-loop at node %d", u)
+				}
+				continue
+			}
+			if wt <= 0 {
+				return nil, fmt.Errorf("sparse: edge (%d,%d) has non-positive weight %g", u, v, wt)
+			}
+			iv := l.indexOf[v]
+			if iu >= 0 {
+				b.Add(iu, iu, wt)
+			}
+			if iv >= 0 {
+				b.Add(iv, iv, wt)
+			}
+			if iu >= 0 && iv >= 0 {
+				b.Add(iu, iv, -wt)
+				b.Add(iv, iu, -wt)
+			}
 		}
 	}
 	l.mat = b.BuildInto(l.mat)

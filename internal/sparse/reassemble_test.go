@@ -1,8 +1,12 @@
 package sparse
 
 import (
+	"cmp"
 	"context"
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -65,16 +69,15 @@ func TestReassembleLaplacianBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d: NewLaplacian: %v", round, err)
 		}
-		reused, err = ReassembleLaplacian(reused, n, edges, 0)
+		rowPtr, col, w, err := adjacency(n, edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reused, err = ReassembleLaplacian(reused, rowPtr, col, w, 0)
 		if err != nil {
 			t.Fatalf("round %d: ReassembleLaplacian: %v", round, err)
 		}
-		bitEqualInts(t, "RowPtr", reused.Matrix().RowPtr, fresh.Matrix().RowPtr)
-		bitEqualInts(t, "Col", reused.Matrix().Col, fresh.Matrix().Col)
-		bitEqualFloats(t, "Val", reused.Matrix().Val, fresh.Matrix().Val)
-		if reused.Preconditioner() != fresh.Preconditioner() {
-			t.Fatalf("round %d: preconditioner %q vs %q", round, reused.Preconditioner(), fresh.Preconditioner())
-		}
+		sameLaplacian(t, fmt.Sprintf("round %d", round), reused, fresh)
 
 		b := make([]float64, n)
 		b[n-1] = 1
@@ -103,26 +106,143 @@ func TestReassembleLaplacianRejectsBadInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReassembleLaplacian(l, 1, nil, 0); err == nil {
+	csr := func(n int, edges []WeightedEdge) ([]int, []int, []float64) {
+		t.Helper()
+		rowPtr, col, w, err := adjacency(n, edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rowPtr, col, w
+	}
+	if _, err := ReassembleLaplacian(l, []int{0, 0}, nil, nil, 0); err == nil {
 		t.Fatal("n=1 accepted")
 	}
-	if _, err := ReassembleLaplacian(l, 3, edges, 5); err == nil {
+	rowPtr, col, w := csr(3, edges)
+	if _, err := ReassembleLaplacian(l, rowPtr, col, w, 5); err == nil {
 		t.Fatal("ground out of range accepted")
 	}
-	if _, err := ReassembleLaplacian(l, 3, []WeightedEdge{{0, 0, 1}}, 0); err == nil {
+	rowPtr, col, w = csr(3, []WeightedEdge{{0, 0, 1}})
+	if _, err := ReassembleLaplacian(l, rowPtr, col, w, 0); err == nil {
 		t.Fatal("self-loop accepted")
 	}
-	if _, err := ReassembleLaplacian(l, 3, []WeightedEdge{{0, 1, -2}}, 0); err == nil {
+	rowPtr, col, w = csr(3, []WeightedEdge{{0, 1, -2}})
+	if _, err := ReassembleLaplacian(l, rowPtr, col, w, 0); err == nil {
 		t.Fatal("negative weight accepted")
 	}
 	// Recovery: a successful reassembly after failures works normally.
-	l, err = ReassembleLaplacian(l, 3, edges, 0)
+	rowPtr, col, w = csr(3, edges)
+	l, err = ReassembleLaplacian(l, rowPtr, col, w, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r, err := l.EffectiveResistance(0, 2); err != nil || !almostEq(r, 2, 1e-9) {
 		t.Fatalf("resistance after recovery = %g, %v; want 2", r, err)
 	}
+}
+
+// sortedAdjacency lays a graph's edges out as CSR rows sorted by (column,
+// weight), and returns them with the graph's sorted edge list: U < V,
+// ordered by (U, V, W) as graph.Edges orders it.
+func sortedAdjacency(n int, edges []WeightedEdge) (rowPtr, col []int, w []float64, sorted []WeightedEdge) {
+	byKey := func(a, b WeightedEdge) int {
+		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V), cmp.Compare(a.W, b.W))
+	}
+	rows := make([][]WeightedEdge, n) // row u holds {u, neighbour, weight}
+	for _, e := range edges {
+		u, v := min(e.U, e.V), max(e.U, e.V)
+		sorted = append(sorted, WeightedEdge{u, v, e.W})
+		rows[u] = append(rows[u], WeightedEdge{u, v, e.W})
+		rows[v] = append(rows[v], WeightedEdge{v, u, e.W})
+	}
+	slices.SortFunc(sorted, byKey)
+	rowPtr = make([]int, 1, n+1)
+	for _, r := range rows {
+		slices.SortFunc(r, byKey)
+		for _, e := range r {
+			col = append(col, e.V)
+			w = append(w, e.W)
+		}
+		rowPtr = append(rowPtr, len(col))
+	}
+	return rowPtr, col, w, sorted
+}
+
+// sameLaplacian fails unless got and want hold bit-equal grounded
+// matrices, diagonals and IC(0) factors.
+func sameLaplacian(t *testing.T, what string, got, want *Laplacian) {
+	t.Helper()
+	bitEqualInts(t, what+" RowPtr", got.mat.RowPtr, want.mat.RowPtr)
+	bitEqualInts(t, what+" Col", got.mat.Col, want.mat.Col)
+	bitEqualFloats(t, what+" Val", got.mat.Val, want.mat.Val)
+	bitEqualFloats(t, what+" diag", got.diag, want.diag)
+	if (got.ic == nil) != (want.ic == nil) {
+		t.Fatalf("%s: preconditioner %q vs %q", what, got.Preconditioner(), want.Preconditioner())
+	}
+	if got.ic != nil {
+		bitEqualInts(t, what+" IC0 rowPtr", got.ic.rowPtr, want.ic.rowPtr)
+		bitEqualInts(t, what+" IC0 col", got.ic.col, want.ic.col)
+		bitEqualInts(t, what+" IC0 diag", got.ic.diag, want.ic.diag)
+		bitEqualFloats(t, what+" IC0 val", got.ic.val, want.ic.val)
+	}
+}
+
+// FuzzLaplacianFromAdjacency pins the CSR assembly to the edge-list oracle
+// it replaced: on random connected graphs, parallel edges included, the
+// sorted CSR adjacency assembled into a reused Laplacian must give the
+// matrix, diagonal, IC(0) factor and solve of the oracle fed the sorted
+// edge list, bit for bit. NewLaplacian on that list must match too.
+func FuzzLaplacianFromAdjacency(f *testing.F) {
+	f.Add(int64(1), uint8(2), uint8(0), uint8(0))
+	f.Add(int64(2), uint8(30), uint8(40), uint8(7))
+	f.Add(int64(3), uint8(200), uint8(255), uint8(199))
+	f.Add(int64(4), uint8(9), uint8(90), uint8(4))
+	f.Fuzz(func(t *testing.T, seed int64, nb, extra, gb uint8) {
+		n := 2 + int(nb)
+		ground := int(gb) % n
+		edges := randomConnectedEdges(n, int(extra)%(3*n), seed)
+		rowPtr, col, w, sorted := sortedAdjacency(n, edges)
+		want, err := reassembleLaplacianEdges(nil, n, sorted, ground)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Reuse a Laplacian that held another graph first.
+		orp, ocol, ow, _ := sortedAdjacency(n+1, randomConnectedEdges(n+1, n, seed+1))
+		got, err := ReassembleLaplacian(nil, orp, ocol, ow, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err = ReassembleLaplacian(got, rowPtr, col, w, ground); err != nil {
+			t.Fatal(err)
+		}
+		sameLaplacian(t, "CSR path", got, want)
+		fresh, err := NewLaplacian(n, sorted, ground)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameLaplacian(t, "NewLaplacian", fresh, want)
+
+		b := make([]float64, n)
+		b[n-1] = 1
+		b[0] = -1
+		xg, ag, err := got.SolveAttemptsCtxWork(context.Background(), b, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		xw, aw, err := want.SolveAttemptsCtxWork(context.Background(), b, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bitEqualFloats(t, "solution", xg, xw)
+		if len(ag) != len(aw) {
+			t.Fatalf("attempt traces diverge: %+v vs %+v", ag, aw)
+		}
+		for i := range ag {
+			if ag[i].Rung != aw[i].Rung || ag[i].Iterations != aw[i].Iterations ||
+				math.Float64bits(ag[i].Residual) != math.Float64bits(aw[i].Residual) {
+				t.Fatalf("attempt %d diverges: %+v vs %+v", i, ag[i], aw[i])
+			}
+		}
+	})
 }
 
 // TestSolveWorkspaceBitIdentical checks the workspace-backed solve path
