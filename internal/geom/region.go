@@ -1,6 +1,8 @@
 package geom
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -61,11 +63,8 @@ func RegionFromRects(rects []Rect) Region {
 		return Region{}
 	}
 	ys = uniqueSorted(ys)
-	sort.Slice(live, func(i, j int) bool {
-		if live[i].Y0 != live[j].Y0 {
-			return live[i].Y0 < live[j].Y0
-		}
-		return live[i].X0 < live[j].X0
+	slices.SortFunc(live, func(a, b Rect) int {
+		return cmp.Or(cmp.Compare(a.Y0, b.Y0), cmp.Compare(a.X0, b.X0))
 	})
 	var bands []band
 	for i := 0; i+1 < len(ys); i++ {
@@ -118,7 +117,7 @@ func RegionFromSortedRects(rects []Rect) Region {
 
 // uniqueSorted sorts v and removes duplicates in place.
 func uniqueSorted(v []int64) []int64 {
-	sort.Slice(v, func(i, j int) bool { return v[i] < v[j] })
+	slices.Sort(v)
 	out := v[:0]
 	for i, x := range v {
 		if i == 0 || x != out[len(out)-1] {
@@ -130,7 +129,7 @@ func uniqueSorted(v []int64) []int64 {
 
 // mergeSpans sorts spans and merges overlapping or touching ones.
 func mergeSpans(spans []span) []span {
-	sort.Slice(spans, func(i, j int) bool { return spans[i].X0 < spans[j].X0 })
+	slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.X0, b.X0) })
 	out := spans[:0]
 	for _, s := range spans {
 		if s.X1 <= s.X0 {

@@ -1,12 +1,13 @@
 // Package graph provides the weighted undirected graph substrate used by
 // SPROUT's routing stages: adjacency storage, Dijkstra shortest paths
 // (paper §II-C; the Bellman-Ford it also cites is Dijkstra's test
-// oracle), connected components, induced subgraphs, and subgraph
-// boundary sets (the set C of paper §II-D).
+// oracle), and subgraph boundary sets (the set C of paper §II-D).
 package graph
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -47,9 +48,54 @@ func (g *Graph) N() int { return g.n }
 // M returns the undirected edge count.
 func (g *Graph) M() int { return g.m }
 
+// FromEdges builds the graph on n nodes that inserting edges one by one
+// with AddEdge, in list order, would build, and fails with AddEdge's error
+// on the first edge AddEdge would reject. It allocates per graph, not per
+// node: every adjacency list is carved from one exact-size array and capped
+// at its node's degree, so a later AddEdge reallocates that list instead
+// of overwriting its neighbour's. Nodes without edges keep nil lists, as
+// under AddEdge.
+func FromEdges(n int, edges []Edge) (*Graph, error) {
+	g := New(n)
+	deg := make([]int, n)
+	for _, e := range edges {
+		if err := g.checkEdge(e.U, e.V, e.Weight); err != nil {
+			return nil, err
+		}
+		deg[e.U]++
+		deg[e.V]++
+	}
+	arena := make([]halfEdge, 2*len(edges))
+	o := 0
+	for u, d := range deg {
+		if d > 0 {
+			g.adj[u] = arena[o : o : o+d]
+			o += d
+		}
+	}
+	for _, e := range edges {
+		g.adj[e.U] = append(g.adj[e.U], halfEdge{e.V, e.Weight})
+		g.adj[e.V] = append(g.adj[e.V], halfEdge{e.U, e.Weight})
+	}
+	g.m = len(edges)
+	return g, nil
+}
+
 // AddEdge inserts an undirected edge. Multi-edges are allowed (they act as
 // parallel conductances for electrical use and as alternatives for paths).
 func (g *Graph) AddEdge(u, v int, w float64) error {
+	if err := g.checkEdge(u, v, w); err != nil {
+		return err
+	}
+	g.adj[u] = append(g.adj[u], halfEdge{v, w})
+	g.adj[v] = append(g.adj[v], halfEdge{u, w})
+	g.m++
+	return nil
+}
+
+// checkEdge rejects out-of-range endpoints, self-loops and negative
+// weights.
+func (g *Graph) checkEdge(u, v int, w float64) error {
 	if u < 0 || u >= g.n || v < 0 || v >= g.n {
 		return fmt.Errorf("graph: edge (%d,%d) out of range for n=%d", u, v, g.n)
 	}
@@ -59,9 +105,6 @@ func (g *Graph) AddEdge(u, v int, w float64) error {
 	if w < 0 {
 		return fmt.Errorf("graph: negative weight %g on (%d,%d)", w, u, v)
 	}
-	g.adj[u] = append(g.adj[u], halfEdge{v, w})
-	g.adj[v] = append(g.adj[v], halfEdge{u, w})
-	g.m++
 	return nil
 }
 
@@ -87,45 +130,10 @@ func (g *Graph) Edges() []Edge {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
-		}
-		if out[i].V != out[j].V {
-			return out[i].V < out[j].V
-		}
-		return out[i].Weight < out[j].Weight
+	slices.SortFunc(out, func(a, b Edge) int {
+		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V), cmp.Compare(a.Weight, b.Weight))
 	})
 	return out
-}
-
-// InducedSubgraph returns the subgraph on the given node set together with
-// the mapping from new node index to original node index. Nodes absent
-// from the set are dropped along with their edges (paper Alg. 4 line 13,
-// Γ_n[V_n^s]).
-func (g *Graph) InducedSubgraph(nodes []int) (*Graph, []int) {
-	keep := make([]int, g.n)
-	for i := range keep {
-		keep[i] = -1
-	}
-	orig := make([]int, 0, len(nodes))
-	for _, u := range nodes {
-		if u >= 0 && u < g.n && keep[u] == -1 {
-			keep[u] = len(orig)
-			orig = append(orig, u)
-		}
-	}
-	sub := New(len(orig))
-	for newU, u := range orig {
-		for _, he := range g.adj[u] {
-			if he.to > u { // each undirected edge once
-				if newV := keep[he.to]; newV != -1 {
-					_ = sub.AddEdge(newU, newV, he.w)
-				}
-			}
-		}
-	}
-	return sub, orig
 }
 
 // Boundary returns the nodes of g adjacent to, but not members of, the set
@@ -149,49 +157,4 @@ func (g *Graph) Boundary(inside []bool) []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// Components labels each node with a component id (0-based, in order of
-// first occurrence) and returns the labels plus the component count.
-func (g *Graph) Components() ([]int, int) {
-	label := make([]int, g.n)
-	for i := range label {
-		label[i] = -1
-	}
-	next := 0
-	queue := make([]int, 0, g.n)
-	for s := 0; s < g.n; s++ {
-		if label[s] != -1 {
-			continue
-		}
-		label[s] = next
-		queue = append(queue[:0], s)
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, he := range g.adj[u] {
-				if label[he.to] == -1 {
-					label[he.to] = next
-					queue = append(queue, he.to)
-				}
-			}
-		}
-		next++
-	}
-	return label, next
-}
-
-// Connected reports whether all of the listed nodes lie in one component.
-func (g *Graph) Connected(nodes ...int) bool {
-	if len(nodes) <= 1 {
-		return true
-	}
-	label, _ := g.Components()
-	first := label[nodes[0]]
-	for _, u := range nodes[1:] {
-		if label[u] != first {
-			return false
-		}
-	}
-	return true
 }

@@ -167,47 +167,6 @@ func TestQuickDijkstraMatchesBellmanFord(t *testing.T) {
 	}
 }
 
-func TestComponents(t *testing.T) {
-	g := New(6)
-	mustAdd(t, g, 0, 1, 1)
-	mustAdd(t, g, 1, 2, 1)
-	mustAdd(t, g, 3, 4, 1)
-	label, n := g.Components()
-	if n != 3 {
-		t.Fatalf("components = %d, want 3", n)
-	}
-	if label[0] != label[2] || label[3] != label[4] || label[0] == label[3] || label[5] == label[0] {
-		t.Fatalf("labels = %v", label)
-	}
-	if !g.Connected(0, 1, 2) {
-		t.Fatal("0,1,2 connected")
-	}
-	if g.Connected(0, 5) {
-		t.Fatal("0,5 not connected")
-	}
-	if !g.Connected(3) || !g.Connected() {
-		t.Fatal("trivial cases are connected")
-	}
-}
-
-func TestInducedSubgraph(t *testing.T) {
-	g := New(5)
-	mustAdd(t, g, 0, 1, 1)
-	mustAdd(t, g, 1, 2, 2)
-	mustAdd(t, g, 2, 3, 3)
-	mustAdd(t, g, 3, 4, 4)
-	sub, orig := g.InducedSubgraph([]int{1, 2, 4, 2}) // duplicate ignored
-	if sub.N() != 3 {
-		t.Fatalf("sub nodes = %d, want 3", sub.N())
-	}
-	if sub.M() != 1 {
-		t.Fatalf("sub edges = %d, want 1 (only 1-2 survives)", sub.M())
-	}
-	if len(orig) != 3 || orig[0] != 1 || orig[1] != 2 || orig[2] != 4 {
-		t.Fatalf("orig mapping = %v", orig)
-	}
-}
-
 func TestBoundary(t *testing.T) {
 	// Path 0-1-2-3-4, inside = {1,2}: boundary = {0,3}.
 	g := New(5)

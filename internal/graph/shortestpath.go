@@ -1,14 +1,16 @@
 package graph
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
 
 // Dijkstra computes single-source shortest path distances and predecessor
 // links from src. Unreachable nodes have distance +Inf and predecessor -1.
-// Complexity O((V+E) log V) as analyzed in paper Eq. 6.
+// Complexity O((V+E) log V) as analyzed in paper Eq. 6. The priority queue
+// is a typed binary heap that moves entries exactly as container/heap
+// would, so equal-distance ties settle in the same order without boxing an
+// entry per push (TestDijkstraMatchesOracle pins dist and prev).
 func (g *Graph) Dijkstra(src int) (dist []float64, prev []int, err error) {
 	if src < 0 || src >= g.n {
 		return nil, nil, fmt.Errorf("graph: dijkstra source %d out of range", src)
@@ -20,10 +22,9 @@ func (g *Graph) Dijkstra(src int) (dist []float64, prev []int, err error) {
 		prev[i] = -1
 	}
 	dist[src] = 0
-	pq := &distHeap{}
-	heap.Push(pq, distItem{src, 0})
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(distItem)
+	pq := distHeap{{src, 0}}
+	for len(pq) > 0 {
+		it := pq.pop()
 		if it.d > dist[it.node] {
 			continue // stale entry
 		}
@@ -32,7 +33,7 @@ func (g *Graph) Dijkstra(src int) (dist []float64, prev []int, err error) {
 			if nd < dist[he.to] {
 				dist[he.to] = nd
 				prev[he.to] = it.node
-				heap.Push(pq, distItem{he.to, nd})
+				pq.push(distItem{he.to, nd})
 			}
 		}
 	}
@@ -91,17 +92,42 @@ type distItem struct {
 	d    float64
 }
 
-// distHeap is a binary min-heap of distItems.
+// distHeap is a binary min-heap of distItems on d. push and pop are
+// container/heap's Push and Pop with its up and down steps spelled out on
+// the typed slice.
 type distHeap []distItem
 
-func (h distHeap) Len() int            { return len(h) }
-func (h distHeap) Less(i, j int) bool  { return h[i].d < h[j].d }
-func (h distHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *distHeap) Push(x interface{}) { *h = append(*h, x.(distItem)) }
-func (h *distHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+func (h *distHeap) push(it distItem) {
+	*h = append(*h, it)
+	q := *h
+	for j := len(q) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if !(q[j].d < q[i].d) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
+
+func (h *distHeap) pop() distItem {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && q[j2].d < q[j].d {
+			j = j2 // right child
+		}
+		if !(q[j].d < q[i].d) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	*h = q[:n]
+	return q[n]
 }

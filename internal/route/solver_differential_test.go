@@ -28,7 +28,7 @@ import (
 
 // solvePairsScratch is the from-scratch nodal analysis, kept as the test
 // oracle: every structure is rebuilt for the given mask through
-// graph.InducedSubgraph, graph.Components and sparse.NewLaplacian, sharing
+// inducedMembers, components and sparse.NewLaplacian, sharing
 // no code with the session's rebuild. Only the warm-start vectors of warm
 // (which may be nil) carry over between calls.
 func (tg *TileGraph) solvePairsScratch(ctx context.Context, members []bool, warm *SolveCache) (*pairSolution, error) {
@@ -55,16 +55,18 @@ func (tg *TileGraph) solvePairsScratch(ctx context.Context, members []bool, warm
 	for i, t := range tg.Terminals {
 		subTerms[i] = subIdx[t]
 	}
-	if !sub.Connected(subTerms...) {
-		return nil, fmt.Errorf("route: terminals disconnected within subgraph")
+	label := components(sub)
+	tcomp := label[subTerms[0]]
+	for _, st := range subTerms {
+		if label[st] != tcomp {
+			return nil, fmt.Errorf("route: terminals disconnected within subgraph")
+		}
 	}
 
 	// The subgraph may contain satellite components without terminals
 	// (e.g. after removals); nodes outside the terminal component make the
 	// grounded Laplacian singular. Restrict the solve to the terminal
 	// component.
-	label, _ := sub.Components()
-	tcomp := label[subTerms[0]]
 	compNodes := make([]int, 0, sub.N())
 	compIdx := make([]int, sub.N())
 	for i := range compIdx {
@@ -148,15 +150,59 @@ func (tg *TileGraph) solvePairsScratch(ctx context.Context, members []bool, warm
 	return sol, nil
 }
 
-// inducedMembers builds the induced subgraph over the mask's set nodes.
+// inducedMembers returns the subgraph induced by the mask's set nodes
+// (paper Alg. 4 line 13, Γ_n[V_n^s]) together with the mapping from new
+// node index to original node index. Each edge is inserted once, from its
+// smaller endpoint, in adjacency order.
 func inducedMembers(g *graph.Graph, members []bool) (*graph.Graph, []int) {
-	nodes := make([]int, 0)
+	keep := make([]int, g.N())
+	var orig []int
 	for id, in := range members {
+		keep[id] = -1
 		if in {
-			nodes = append(nodes, id)
+			keep[id] = len(orig)
+			orig = append(orig, id)
 		}
 	}
-	return g.InducedSubgraph(nodes)
+	sub := graph.New(len(orig))
+	for newU, u := range orig {
+		g.Neighbors(u, func(v int, w float64) {
+			if v > u && keep[v] != -1 {
+				_ = sub.AddEdge(newU, keep[v], w)
+			}
+		})
+	}
+	return sub, orig
+}
+
+// components labels each node of g with its connected component, numbered
+// from 0 in order of each component's smallest node.
+func components(g *graph.Graph) []int {
+	label := make([]int, g.N())
+	for i := range label {
+		label[i] = -1
+	}
+	next := 0
+	var queue []int
+	for s := range label {
+		if label[s] != -1 {
+			continue
+		}
+		label[s] = next
+		queue = append(queue[:0], s)
+		for len(queue) > 0 {
+			u := queue[0]
+			queue = queue[1:]
+			g.Neighbors(u, func(v int, _ float64) {
+				if label[v] == -1 {
+					label[v] = next
+					queue = append(queue, v)
+				}
+			})
+		}
+		next++
+	}
+	return label
 }
 
 // nodeCurrentsScratch is NodeCurrents over the oracle.

@@ -58,7 +58,9 @@ type TileGraph struct {
 // BuildTileGraph converts an available space into its equivalent graph
 // (paper Algorithm 1 SPACETOGRAPH) and contracts terminal tiles. It fails
 // when a terminal has no routable tile or fewer than two terminals are
-// given.
+// given. It allocates per graph rather than per node: a contracted
+// terminal's cell is built in one pass over its pieces' fragments, and
+// graph.FromEdges carves the adjacency lists from one array.
 func BuildTileGraph(avail geom.Region, terms []Terminal, dx, dy int64) (*TileGraph, error) {
 	if dx < 1 || dy < 1 {
 		return nil, fmt.Errorf("route: tile size %dx%d must be >= 1", dx, dy)
@@ -142,9 +144,12 @@ func BuildTileGraph(avail geom.Region, terms []Terminal, dx, dy int64) (*TileGra
 		}
 	}
 
-	// Assign final node ids (roots in ascending order for determinism).
+	// Assign final node ids (roots in ascending order for determinism). A
+	// piece that is not its own root joins its root's node; its root comes
+	// first, so that node already has its id.
 	nodeOf := make([]int, len(t.pieces))
 	cells := make([]geom.Region, 0, len(t.pieces))
+	var joined []int
 	for p, piece := range t.pieces {
 		r := find(p)
 		if r == p {
@@ -153,7 +158,19 @@ func BuildTileGraph(avail geom.Region, terms []Terminal, dx, dy int64) (*TileGra
 			continue
 		}
 		nodeOf[p] = nodeOf[r]
-		cells[nodeOf[r]] = cells[nodeOf[r]].Union(piece)
+		joined = append(joined, p)
+	}
+	// A contracted node's cell is built once from the fragments of all its
+	// pieces; the canonical form makes it the union of the pieces.
+	slices.SortFunc(joined, func(p, q int) int { return cmp.Compare(nodeOf[p], nodeOf[q]) })
+	var frags []geom.Rect
+	for i := 0; i < len(joined); {
+		id := nodeOf[joined[i]]
+		frags = append(frags[:0], t.fragments(find(joined[i]))...)
+		for ; i < len(joined) && nodeOf[joined[i]] == id; i++ {
+			frags = append(frags, t.fragments(joined[i])...)
+		}
+		cells[id] = geom.RegionFromRects(frags)
 	}
 	areas := make([]int64, len(cells))
 	for i := range cells {
@@ -188,19 +205,17 @@ func BuildTileGraph(avail geom.Region, terms []Terminal, dx, dy int64) (*TileGra
 	slices.SortStableFunc(edges, func(x, y edge) int {
 		return cmp.Or(cmp.Compare(x.a, y.a), cmp.Compare(x.b, y.b), cmp.Compare(x.seq, y.seq))
 	})
-	merged := edges[:0]
+	merged := make([]graph.Edge, 0, len(edges))
 	for _, e := range edges {
-		if n := len(merged); n > 0 && merged[n-1].a == e.a && merged[n-1].b == e.b {
-			merged[n-1].w += e.w
+		if n := len(merged); n > 0 && merged[n-1].U == e.a && merged[n-1].V == e.b {
+			merged[n-1].Weight += e.w
 			continue
 		}
-		merged = append(merged, e)
+		merged = append(merged, graph.Edge{U: e.a, V: e.b, Weight: e.w})
 	}
-	g := graph.New(len(cells))
-	for _, e := range merged {
-		if err := g.AddEdge(e.a, e.b, e.w); err != nil {
-			return nil, err
-		}
+	g, err := graph.FromEdges(len(cells), merged)
+	if err != nil {
+		return nil, err
 	}
 
 	tg := &TileGraph{
@@ -361,17 +376,22 @@ func (t *tiling) seams(c, n int64, at int64, up bool, fn func(pa, pb int, length
 	}
 }
 
+// fragments returns the rectangles whose union is piece p.
+func (t *tiling) fragments(p int) []geom.Rect {
+	return t.rects[t.rectStart[p]:t.rectStart[p+1]]
+}
+
 // seam returns the length of the grid line at `at` along which piece pa
 // meets piece pb: the 1-D overlap of pa's rectangles ending on the line
 // with pb's rectangles starting on it — in y across the vertical line
 // x = at, in x across the horizontal line y = at (up).
 func (t *tiling) seam(pa, pb int, at int64, up bool) int64 {
 	var total int64
-	for _, a := range t.rects[t.rectStart[pa]:t.rectStart[pa+1]] {
+	for _, a := range t.fragments(pa) {
 		if !up && a.X1 != at || up && a.Y1 != at {
 			continue
 		}
-		for _, b := range t.rects[t.rectStart[pb]:t.rectStart[pb+1]] {
+		for _, b := range t.fragments(pb) {
 			switch {
 			case !up && b.X0 == at:
 				total += max(0, min(a.Y1, b.Y1)-max(a.Y0, b.Y0))
@@ -395,16 +415,21 @@ func (tg *TileGraph) IsTerminal(id int) bool {
 
 // CostGraph derives the shortest-path cost graph: cost = 1/conductance per
 // edge, so low-resistance corridors are preferred (paper §II-C uses
-// Dijkstra on the equivalent graph).
+// Dijkstra on the equivalent graph). Walking the strictly ascending
+// adjacency lists yields the edges u < v already in sorted order.
 func (tg *TileGraph) CostGraph() *graph.Graph {
-	cg := graph.New(tg.G.N())
-	for _, e := range tg.G.Edges() {
-		w := e.Weight
-		if w <= 0 {
-			continue
-		}
-		_ = cg.AddEdge(e.U, e.V, 1/w)
+	n := tg.G.N()
+	edges := make([]graph.Edge, 0, tg.G.M())
+	for u := 0; u < n; u++ {
+		tg.G.Neighbors(u, func(v int, w float64) {
+			if u < v && w > 0 {
+				edges = append(edges, graph.Edge{U: u, V: v, Weight: 1 / w})
+			}
+		})
 	}
+	// The edges come from a valid graph with positive weights, so
+	// FromEdges cannot reject them.
+	cg, _ := graph.FromEdges(n, edges)
 	return cg
 }
 
