@@ -355,12 +355,12 @@ func BenchmarkPreconditioners(b *testing.B) {
 		b.Fatal(err)
 	}
 	mat := lap.Matrix()
-	rhs := make([]float64, mat.Dim())
+	rhs := make([]float64, mat.N)
 	rhs[0] = 1
 	b.Run("jacobi", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := sparse.CG(mat, rhs, nil, sparse.CGOptions{Precond: mat.Diag()}); err != nil {
+			if _, _, err := sparse.CG(mat, rhs, nil, sparse.CGOptions{Precond: sparse.Jacobi(mat.Diag())}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -373,7 +373,7 @@ func BenchmarkPreconditioners(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := sparse.CG(mat, rhs, nil, sparse.CGOptions{Apply: ic.Apply}); err != nil {
+			if _, _, err := sparse.CG(mat, rhs, nil, sparse.CGOptions{Precond: ic}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -12,7 +12,6 @@ package board
 
 import (
 	"fmt"
-	"sort"
 
 	"sprout/internal/geom"
 )
@@ -351,28 +350,4 @@ func (b *Board) RoutableLayers() []int {
 		}
 	}
 	return out
-}
-
-// NetNames returns net names sorted by id, for reports.
-func (b *Board) NetNames() []string {
-	out := make([]string, len(b.Nets))
-	for i, n := range b.Nets {
-		out[i] = n.Name
-	}
-	return out
-}
-
-// SortGroups orders groups deterministically (net, layer, name); builders
-// that assemble boards from maps call this before routing.
-func (b *Board) SortGroups() {
-	sort.SliceStable(b.Groups, func(i, j int) bool {
-		gi, gj := b.Groups[i], b.Groups[j]
-		if gi.Net != gj.Net {
-			return gi.Net < gj.Net
-		}
-		if gi.Layer != gj.Layer {
-			return gi.Layer < gj.Layer
-		}
-		return gi.Name < gj.Name
-	})
 }

@@ -291,7 +291,7 @@ func TestPDNMinLoadVoltage(t *testing.T) {
 	}
 	// Drop must be at least the IR floor and less than 3x it (inductive
 	// overshoot bounded for this gentle slew).
-	ir := m.SteadyStateDrop()
+	ir := m.ILoad * m.ROhms
 	if vmin > 1-ir+1e-6 {
 		t.Fatalf("min voltage %g misses the IR floor %g", vmin, 1-ir)
 	}

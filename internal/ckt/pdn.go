@@ -161,12 +161,6 @@ func (m PDNModel) MinLoadVoltage() (float64, error) {
 	return m.VSupply + wf[load].Min(), nil
 }
 
-// SteadyStateDrop returns the DC IR drop I*R (the floor the transient
-// settles to).
-func (m PDNModel) SteadyStateDrop() float64 {
-	return m.ILoad * m.ROhms
-}
-
 // EffectiveInductancePH reports Im(Z)/ω of the rail seen from the load at
 // freqHz, including the decaps, in picohenries. This is the paper's
 // "normalized inductance @ 25 MHz" (Tables II/III, Fig. 12b): decaps shunt

@@ -96,15 +96,15 @@ func RunRuntime() (*RuntimeResult, error) {
 		return nil, err
 	}
 	mat := lap.Matrix()
-	rhs := make([]float64, mat.Dim())
+	rhs := make([]float64, mat.N)
 	rhs[0] = 1
-	if _, it, err := sparse.CG(mat, rhs, nil, sparse.CGOptions{Precond: mat.Diag()}); err == nil {
+	if _, it, err := sparse.CG(mat, rhs, nil, sparse.CGOptions{Precond: sparse.Jacobi(mat.Diag())}); err == nil {
 		out.JacobiIters = it
 	} else {
 		return nil, err
 	}
 	if ic, err := sparse.NewIC0(mat); err == nil {
-		if _, it, err := sparse.CG(mat, rhs, nil, sparse.CGOptions{Apply: ic.Apply}); err == nil {
+		if _, it, err := sparse.CG(mat, rhs, nil, sparse.CGOptions{Precond: ic}); err == nil {
 			out.IC0Iters = it
 		} else {
 			return nil, err

@@ -41,18 +41,6 @@ func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 // String implements fmt.Stringer.
 func (p Point) String() string { return fmt.Sprintf("(%d,%d)", p.X, p.Y) }
 
-// ManhattanDist returns the L1 distance between p and q.
-func (p Point) ManhattanDist(q Point) int64 {
-	return absInt64(p.X-q.X) + absInt64(p.Y-q.Y)
-}
-
-func absInt64(v int64) int64 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
 func minInt64(a, b int64) int64 {
 	if a < b {
 		return a

@@ -230,17 +230,3 @@ func Circle(c Point, r, pitch int64) Region {
 	}
 	return RegionFromRects(rects)
 }
-
-// Octagon returns a regular-ish octagonal pad region of half-width r
-// (chamfer 29% of r), a common BGA land shape; exact on the grid.
-func Octagon(c Point, r int64) Region {
-	ch := (r*29 + 50) / 100
-	if ch <= 0 {
-		return RegionFromRect(RectAround(c, r))
-	}
-	return RegionFromRects([]Rect{
-		{c.X - r + ch, c.Y - r, c.X + r - ch, c.Y + r},
-		{c.X - r, c.Y - r + ch, c.X + r, c.Y + r - ch},
-		{c.X - r + ch/2, c.Y - r + ch/2, c.X + r - ch/2, c.Y + r - ch/2},
-	})
-}

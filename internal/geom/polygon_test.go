@@ -118,23 +118,6 @@ func TestCircle(t *testing.T) {
 	}
 }
 
-func TestOctagon(t *testing.T) {
-	g := Octagon(Pt(100, 100), 20)
-	if g.Empty() {
-		t.Fatal("octagon not empty")
-	}
-	if !g.Contains(Pt(100, 100)) {
-		t.Fatal("octagon contains center")
-	}
-	if g.Contains(Pt(119, 119)) {
-		t.Fatal("octagon chamfers corners")
-	}
-	b := g.Bounds()
-	if b.W() != 40 || b.H() != 40 {
-		t.Fatalf("octagon bbox = %v, want 40x40", b)
-	}
-}
-
 func TestQuickRasterizeRectilinearMatchesRegion(t *testing.T) {
 	// For unions of rects, tracing to polygons and re-rasterizing must give
 	// back the identical region (round-trip through the polygon domain).

@@ -117,7 +117,4 @@ func TestPointOps(t *testing.T) {
 	if got, want := p.Sub(q), Pt(2, 6); got != want {
 		t.Fatalf("sub = %v, want %v", got, want)
 	}
-	if got := p.ManhattanDist(q); got != 8 {
-		t.Fatalf("manhattan = %d, want 8", got)
-	}
 }

@@ -108,9 +108,6 @@ func (g *Graph) checkEdge(u, v int, w float64) error {
 	return nil
 }
 
-// Degree returns the number of incident edges at u.
-func (g *Graph) Degree(u int) int { return len(g.adj[u]) }
-
 // Neighbors calls fn for every incident edge of u with the far endpoint and
 // the edge weight. Iteration order is insertion order (deterministic).
 func (g *Graph) Neighbors(u int, fn func(v int, w float64)) {

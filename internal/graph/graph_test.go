@@ -28,8 +28,13 @@ func TestAddEdgeValidation(t *testing.T) {
 	if err := g.AddEdge(0, 1, 2); err != nil {
 		t.Fatal(err)
 	}
-	if g.M() != 1 || g.Degree(0) != 1 || g.Degree(1) != 1 {
-		t.Fatalf("M=%d deg0=%d deg1=%d", g.M(), g.Degree(0), g.Degree(1))
+	degree := func(u int) int {
+		d := 0
+		g.Neighbors(u, func(int, float64) { d++ })
+		return d
+	}
+	if g.M() != 1 || degree(0) != 1 || degree(1) != 1 {
+		t.Fatalf("M=%d deg0=%d deg1=%d", g.M(), degree(0), degree(1))
 	}
 }
 
@@ -62,22 +67,26 @@ func TestDijkstraSimple(t *testing.T) {
 	mustAdd(t, g, 0, 1, 1)
 	mustAdd(t, g, 1, 2, 1)
 	mustAdd(t, g, 0, 2, 5)
-	path, cost, err := g.ShortestPath(0, 2)
+	paths, err := g.ShortestPaths(0, []int{2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cost != 2 {
-		t.Fatalf("cost = %g, want 2", cost)
+	dist, _, err := g.Dijkstra(0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(path) != 3 || path[0] != 0 || path[1] != 1 || path[2] != 2 {
-		t.Fatalf("path = %v, want [0 1 2]", path)
+	if dist[2] != 2 {
+		t.Fatalf("cost = %g, want 2", dist[2])
+	}
+	if path := paths[0]; len(path) != 3 || path[0] != 0 || path[1] != 1 || path[2] != 2 {
+		t.Fatalf("path = %v, want [0 1 2]", paths[0])
 	}
 }
 
 func TestDijkstraUnreachable(t *testing.T) {
 	g := New(4)
 	mustAdd(t, g, 0, 1, 1)
-	if _, _, err := g.ShortestPath(0, 3); err == nil {
+	if _, err := g.ShortestPaths(0, []int{1, 3}); err == nil {
 		t.Fatal("unreachable node must error")
 	}
 	dist, _, err := g.Dijkstra(0)
@@ -184,11 +193,15 @@ func TestMultiEdgePathUsesCheapest(t *testing.T) {
 	g := New(2)
 	mustAdd(t, g, 0, 1, 5)
 	mustAdd(t, g, 0, 1, 2)
-	_, cost, err := g.ShortestPath(0, 1)
+	paths, err := g.ShortestPaths(0, []int{1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cost != 2 {
-		t.Fatalf("multi-edge cost = %g, want 2", cost)
+	dist, _, err := g.Dijkstra(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths[0]) != 2 || dist[1] != 2 {
+		t.Fatalf("multi-edge path %v cost %g, want [0 1] at cost 2", paths[0], dist[1])
 	}
 }

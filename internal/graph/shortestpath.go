@@ -40,19 +40,9 @@ func (g *Graph) Dijkstra(src int) (dist []float64, prev []int, err error) {
 	return dist, prev, nil
 }
 
-// ShortestPath returns the node sequence of a minimum-cost path from src to
-// dst (inclusive) and its total cost. It returns an error when dst is
-// unreachable.
-func (g *Graph) ShortestPath(src, dst int) ([]int, float64, error) {
-	dist, prev, err := g.Dijkstra(src)
-	if err != nil {
-		return nil, 0, err
-	}
-	return extractPath(dist, prev, src, dst)
-}
-
-// ShortestPaths returns minimum-cost paths from src to each dst, sharing a
-// single Dijkstra pass (paper Alg. 2 line 4 computes one-to-many paths).
+// ShortestPaths returns minimum-cost paths from src to each dst (inclusive),
+// sharing a single Dijkstra pass (paper Alg. 2 line 4 computes one-to-many
+// paths). It returns an error when a dst is out of range or unreachable.
 func (g *Graph) ShortestPaths(src int, dsts []int) ([][]int, error) {
 	dist, prev, err := g.Dijkstra(src)
 	if err != nil {
@@ -60,7 +50,7 @@ func (g *Graph) ShortestPaths(src int, dsts []int) ([][]int, error) {
 	}
 	out := make([][]int, len(dsts))
 	for i, dst := range dsts {
-		path, _, err := extractPath(dist, prev, src, dst)
+		path, err := extractPath(dist, prev, src, dst)
 		if err != nil {
 			return nil, err
 		}
@@ -69,12 +59,12 @@ func (g *Graph) ShortestPaths(src int, dsts []int) ([][]int, error) {
 	return out, nil
 }
 
-func extractPath(dist []float64, prev []int, src, dst int) ([]int, float64, error) {
+func extractPath(dist []float64, prev []int, src, dst int) ([]int, error) {
 	if dst < 0 || dst >= len(dist) {
-		return nil, 0, fmt.Errorf("graph: path target %d out of range", dst)
+		return nil, fmt.Errorf("graph: path target %d out of range", dst)
 	}
 	if math.IsInf(dist[dst], 1) {
-		return nil, 0, fmt.Errorf("graph: no path from %d to %d", src, dst)
+		return nil, fmt.Errorf("graph: no path from %d to %d", src, dst)
 	}
 	var rev []int
 	for u := dst; u != -1; u = prev[u] {
@@ -83,7 +73,7 @@ func extractPath(dist []float64, prev []int, src, dst int) ([]int, float64, erro
 	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
 		rev[i], rev[j] = rev[j], rev[i]
 	}
-	return rev, dist[dst], nil
+	return rev, nil
 }
 
 // distItem is a priority-queue element.

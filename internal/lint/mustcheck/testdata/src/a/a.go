@@ -24,17 +24,17 @@ func UseClip(a, b geom.Region) geom.Region {
 }
 
 // DropSolve throws away both the solution and the convergence error: flagged.
-func DropSolve(m sparse.Matrix, rhs []float64) {
+func DropSolve(m *sparse.CSR, rhs []float64) {
 	sparse.CG(m, rhs, nil, sparse.CGOptions{}) // want `result of sparse.CG discarded`
 }
 
 // BlankSolve discards every result explicitly: flagged.
-func BlankSolve(m sparse.Matrix, rhs []float64) {
+func BlankSolve(m *sparse.CSR, rhs []float64) {
 	_, _, _ = sparse.CG(m, rhs, nil, sparse.CGOptions{}) // want `result of sparse.CG assigned to the blank identifier`
 }
 
 // UseSolve is the accepted fix: solution and error are consumed.
-func UseSolve(m sparse.Matrix, rhs []float64) ([]float64, error) {
+func UseSolve(m *sparse.CSR, rhs []float64) ([]float64, error) {
 	x, _, err := sparse.CG(m, rhs, nil, sparse.CGOptions{})
 	return x, err
 }

@@ -83,27 +83,19 @@ func Route(avail geom.Region, terms []route.Terminal, areaTarget int64, tile int
 }
 
 // backbones extracts the pairwise center-line polylines through the tile
-// graph.
+// graph: the route layer's terminal-pair paths, through tile centers.
 func backbones(tg *route.TileGraph) ([][]geom.Point, error) {
-	cost := tg.CostGraph()
-	var out [][]geom.Point
-	k := len(tg.Terminals)
-	for i := 0; i < k; i++ {
-		rest := tg.Terminals[i+1:]
-		if len(rest) == 0 {
-			break
+	paths, err := tg.TerminalPaths()
+	if err != nil {
+		return nil, fmt.Errorf("manual: backbone: %w", err)
+	}
+	out := make([][]geom.Point, len(paths))
+	for i, p := range paths {
+		line := make([]geom.Point, len(p))
+		for pi, id := range p {
+			line[pi] = tg.Cells[id].Bounds().Center()
 		}
-		paths, err := cost.ShortestPaths(tg.Terminals[i], rest)
-		if err != nil {
-			return nil, fmt.Errorf("manual: backbone: %w", err)
-		}
-		for _, p := range paths {
-			line := make([]geom.Point, len(p))
-			for pi, id := range p {
-				line[pi] = tg.Cells[id].Bounds().Center()
-			}
-			out = append(out, line)
-		}
+		out[i] = line
 	}
 	return out, nil
 }

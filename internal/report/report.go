@@ -103,40 +103,3 @@ func (s *Series) Add(x, y float64) {
 	s.X = append(s.X, x)
 	s.Y = append(s.Y, y)
 }
-
-// RenderSeries writes one or more curves as aligned columns sharing the x
-// axis of the first series.
-func RenderSeries(w io.Writer, title, xLabel string, series ...*Series) error {
-	if len(series) == 0 {
-		return fmt.Errorf("report: no series")
-	}
-	cols := []string{xLabel}
-	for _, s := range series {
-		cols = append(cols, s.Name)
-	}
-	t := NewTable(title, cols...)
-	for i := range series[0].X {
-		row := make([]interface{}, 0, len(series)+1)
-		row = append(row, series[0].X[i])
-		for _, s := range series {
-			if i < len(s.Y) {
-				row = append(row, s.Y[i])
-			} else {
-				row = append(row, "-")
-			}
-		}
-		t.AddRow(row...)
-	}
-	return t.Render(w)
-}
-
-// Monotone reports whether the series y-values are non-increasing within
-// a relative tolerance — used to audit the Fig. 12 trends.
-func (s *Series) Monotone(tol float64) bool {
-	for i := 1; i < len(s.Y); i++ {
-		if s.Y[i] > s.Y[i-1]*(1+tol) {
-			return false
-		}
-	}
-	return true
-}

@@ -1,7 +1,6 @@
 package report
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
@@ -35,49 +34,5 @@ func TestTableFloatFormatting(t *testing.T) {
 	tab.AddRow(0.00012345)
 	if !strings.Contains(tab.String(), "0.0001234") {
 		t.Fatalf("float formatting: %s", tab.String())
-	}
-}
-
-func TestSeriesRender(t *testing.T) {
-	a := &Series{Name: "R"}
-	a.Add(15, 3.2)
-	a.Add(20, 2.1)
-	b := &Series{Name: "L"}
-	b.Add(15, 120)
-	var buf bytes.Buffer
-	if err := RenderSeries(&buf, "Fig 12a", "area", a, b); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "Fig 12a") || !strings.Contains(out, "3.2") {
-		t.Fatalf("series render: %s", out)
-	}
-	// Second series shorter: missing cell renders "-".
-	if !strings.Contains(out, "-") {
-		t.Fatalf("missing placeholder: %s", out)
-	}
-	if err := RenderSeries(&buf, "empty", "x"); err == nil {
-		t.Fatal("no series must error")
-	}
-}
-
-func TestSeriesMonotone(t *testing.T) {
-	s := &Series{Name: "R"}
-	for _, y := range []float64{5, 4, 3.5, 3.4} {
-		s.Add(0, y)
-	}
-	if !s.Monotone(0) {
-		t.Fatal("decreasing series must be monotone")
-	}
-	s.Add(0, 3.41)
-	if s.Monotone(0) {
-		t.Fatal("bump must break zero-tolerance monotonicity")
-	}
-	if !s.Monotone(0.01) {
-		t.Fatal("tiny bump within tolerance must pass")
-	}
-	s.Add(0, 4.5)
-	if s.Monotone(0.05) {
-		t.Fatal("large bump must break monotonicity")
 	}
 }

@@ -3,7 +3,6 @@ package route
 import (
 	"context"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -112,23 +111,20 @@ type pairSolution struct {
 	stats   sparse.SolveStats // ladder telemetry of this call's solves
 }
 
-// runPairSolves drains n independent pair solves through a worker pool
-// (the paper's runtime was measured on an 8-core machine). solveOne is
-// called with a stable worker index so workers can own scratch arenas.
-// Each worker writes only its own slots, keeping results deterministic.
-// The single-solve case runs inline without a context check, matching the
-// historic behavior.
-func runPairSolves(ctx context.Context, n int, solveOne func(worker, pi int) error) error {
+// runPairSolves drains n independent pair solves through a pool of at most
+// workers >= 1 goroutines (the paper's runtime was measured on an 8-core
+// machine). solveOne is called with a stable worker index below workers so
+// workers can own scratch arenas. Each worker writes only its own slots,
+// keeping results deterministic. The single-solve case runs inline without
+// a context check, matching the historic behavior.
+func runPairSolves(ctx context.Context, n, workers int, solveOne func(worker, pi int) error) error {
 	if n == 0 {
 		return nil
 	}
 	if n == 1 {
 		return solveOne(0, 0)
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
+	workers = min(workers, n)
 	var (
 		wg       sync.WaitGroup
 		next     int32

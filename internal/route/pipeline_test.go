@@ -1,7 +1,9 @@
 package route
 
 import (
+	"context"
 	"math"
+	"sync"
 	"testing"
 
 	"sprout/internal/geom"
@@ -136,6 +138,33 @@ func TestNodeCurrentsErrors(t *testing.T) {
 	only[tg.Terminals[1]] = true
 	if _, err := tg.NodeCurrents(only, nil); err == nil {
 		t.Fatal("disconnected terminals must error")
+	}
+}
+
+// TestRunPairSolvesWorkerIndexBelowCount checks that the pool hands every
+// solve a worker index below the count it was given, whatever GOMAXPROCS
+// reads at the time, and runs each pair exactly once.
+func TestRunPairSolvesWorkerIndexBelowCount(t *testing.T) {
+	for _, c := range []struct{ n, workers int }{{1, 1}, {1, 4}, {3, 8}, {5, 2}, {8, 8}, {16, 3}} {
+		var mu sync.Mutex
+		runs := make([]int, c.n)
+		err := runPairSolves(context.Background(), c.n, c.workers, func(w, pi int) error {
+			mu.Lock()
+			defer mu.Unlock()
+			if w < 0 || w >= c.workers {
+				t.Errorf("n=%d workers=%d: worker index %d", c.n, c.workers, w)
+			}
+			runs[pi]++
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("n=%d workers=%d: %v", c.n, c.workers, err)
+		}
+		for pi, k := range runs {
+			if k != 1 {
+				t.Fatalf("n=%d workers=%d: pair %d solved %d times", c.n, c.workers, pi, k)
+			}
+		}
 	}
 }
 

@@ -61,15 +61,13 @@ type Config struct {
 	// negligible, triggering termination"). Default 1e-3.
 	RefineTol float64
 	// ReheatDilations is the number of dilation sweeps of the reheating
-	// stage (§II-F). Zero disables reheating.
+	// stage (§II-F). Zero disables reheating. Erosion, in the trim after
+	// SmartGrow and in reheating, removes GrowNodes nodes per iteration.
 	ReheatDilations int
-	// ErodeBatch is the number of nodes removed per erosion iteration
-	// during reheating. Default GrowNodes.
-	ErodeBatch int
 }
 
 // Validate rejects configurations that would silently misbehave once
-// withDefaults filled the zero fields: negative tile dimensions, a
+// WithDefaults filled the zero fields: negative tile dimensions, a
 // negative area budget, or a refinement tolerance that is NaN or negative
 // (the improvement test would then never terminate refinement early).
 func (c Config) Validate() error {
@@ -85,8 +83,9 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// withDefaults fills zero fields.
-func (c Config) withDefaults() Config {
+// WithDefaults returns c with its zero fields set to the documented
+// defaults.
+func (c Config) WithDefaults() Config {
 	if c.DX == 0 {
 		c.DX = 10
 	}
@@ -147,7 +146,7 @@ func RouteCtx(ctx context.Context, avail geom.Region, terms []Terminal, cfg Conf
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	tg, err := spaceToGraph(ctx, avail, terms, cfg)
 	if err != nil {
 		return nil, err
@@ -181,7 +180,7 @@ func SeedOnly(ctx context.Context, avail geom.Region, terms []Terminal, cfg Conf
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	tg, err := spaceToGraph(ctx, avail, terms, cfg)
 	if err != nil {
 		return nil, err
@@ -234,7 +233,7 @@ func (tg *TileGraph) route(ctx context.Context, cfg Config, warm *SolveCache) (*
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	start := time.Now()
 	var trace []IterRecord
 
@@ -315,10 +314,6 @@ func (tg *TileGraph) route(ctx context.Context, cfg Config, warm *SolveCache) (*
 			refineNodes = 1
 		}
 	}
-	erodeBatch := cfg.ErodeBatch
-	if erodeBatch <= 0 {
-		erodeBatch = growNodes
-	}
 
 	// Stage 2: SmartGrow until the area budget is reached (Alg. 4, §II-D),
 	// then trim any overshoot so the budget constraint of Eq. 5 holds from
@@ -347,7 +342,7 @@ func (tg *TileGraph) route(ctx context.Context, cfg Config, warm *SolveCache) (*
 		sp.SetAttrs(obs.A("iterations", grows), obs.A("area", tg.MembersArea(members)))
 		// The last grow batch may overshoot A_max; erode the excess.
 		var err error
-		if m, err = tg.ErodeCtx(sctx, members, m, areaMax, erodeBatch, warm); err != nil {
+		if m, err = tg.ErodeCtx(sctx, members, m, areaMax, growNodes, warm); err != nil {
 			return fmt.Errorf("route: trim: %w", err)
 		}
 		return nil
@@ -409,7 +404,7 @@ func (tg *TileGraph) route(ctx context.Context, cfg Config, warm *SolveCache) (*
 				return fmt.Errorf("route: dilate metrics: %w", err)
 			}
 			record("dilate", members, m.Resistance)
-			if m, err = tg.ErodeCtx(sctx, members, m, areaMax, erodeBatch, warm); err != nil {
+			if m, err = tg.ErodeCtx(sctx, members, m, areaMax, growNodes, warm); err != nil {
 				return fmt.Errorf("route: erode: %w", err)
 			}
 			record("erode", members, m.Resistance)

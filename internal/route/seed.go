@@ -6,27 +6,37 @@ import (
 	"sprout/internal/geom"
 )
 
+// TerminalPaths returns a minimum-resistance path through the cost graph
+// between every terminal pair, in (i, j) order with i < j (paper Alg. 2
+// line 4: one Dijkstra pass per source terminal). An error names the
+// source terminal whose search failed.
+func (tg *TileGraph) TerminalPaths() ([][]int, error) {
+	cost := tg.CostGraph()
+	k := len(tg.Terminals)
+	out := make([][]int, 0, k*(k-1)/2)
+	for i := 0; i+1 < k; i++ {
+		paths, err := cost.ShortestPaths(tg.Terminals[i], tg.Terminals[i+1:])
+		if err != nil {
+			return nil, fmt.Errorf("from terminal %d: %w", i, err)
+		}
+		out = append(out, paths...)
+	}
+	return out, nil
+}
+
 // Seed builds the voidless seed subgraph of paper Algorithm 2: the union
 // of minimum-resistance paths between every terminal pair, with interior
 // voids filled to accelerate convergence (Fig. 8a-b). It returns the
 // member mask over tile-graph nodes.
 func (tg *TileGraph) Seed() ([]bool, error) {
-	cost := tg.CostGraph()
+	paths, err := tg.TerminalPaths()
+	if err != nil {
+		return nil, fmt.Errorf("route: seed %w", err)
+	}
 	members := make([]bool, tg.G.N())
-	k := len(tg.Terminals)
-	for i := 0; i < k; i++ {
-		rest := tg.Terminals[i+1:]
-		if len(rest) == 0 {
-			break
-		}
-		paths, err := cost.ShortestPaths(tg.Terminals[i], rest)
-		if err != nil {
-			return nil, fmt.Errorf("route: seed from terminal %d: %w", i, err)
-		}
-		for _, p := range paths {
-			for _, id := range p {
-				members[id] = true
-			}
+	for _, p := range paths {
+		for _, id := range p {
+			members[id] = true
 		}
 	}
 	tg.fillVoids(members)

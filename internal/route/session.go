@@ -153,19 +153,10 @@ func (s *solverSession) rebuild(tg *TileGraph, members []bool) error {
 // pair over the member subgraph. Structures are rebuilt into the session's
 // arenas and pair solves run through per-worker workspaces, warm-started
 // from the cache's previous solutions. A nil warm solves cold on a
-// throwaway session; being no cache, it stays out of the solver.cache
-// counters. Cancelling the context aborts the worker pool between pair
-// solves and inside the CG iterations.
+// throwaway cache; being no caller's cache, it stays out of
+// solver.cache.rebuilds. Cancelling the context aborts the worker pool
+// between pair solves and inside the CG iterations.
 func (tg *TileGraph) solvePairs(ctx context.Context, members []bool, warm *SolveCache) (*pairSolution, error) {
-	if warm == nil {
-		return tg.solveSession(ctx, members, NewSolveCache(), false)
-	}
-	return tg.solveSession(ctx, members, warm, true)
-}
-
-// solveSession is solvePairs on a non-nil cache; cached says whether the
-// cache is the caller's, to be counted in solver.cache.rebuilds.
-func (tg *TileGraph) solveSession(ctx context.Context, members []bool, warm *SolveCache, cached bool) (*pairSolution, error) {
 	// stage.solve times the whole nodal analysis. The clock is only read
 	// when tracing is on, keeping the disabled path byte-identical.
 	var solveStart time.Time
@@ -179,6 +170,10 @@ func (tg *TileGraph) solveSession(ctx context.Context, members []bool, warm *Sol
 		if !members[t] {
 			return nil, fmt.Errorf("route: terminal %d (node %d) outside subgraph", ti, t)
 		}
+	}
+	cached := warm != nil
+	if !cached {
+		warm = NewSolveCache()
 	}
 	if warm.beforeEval != nil {
 		warm.beforeEval(members)
@@ -204,13 +199,9 @@ func (tg *TileGraph) solveSession(ctx context.Context, members []bool, warm *Sol
 	for i := range s.atts {
 		s.atts[i] = nil
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(pairs) {
-		workers = len(pairs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	// One GOMAXPROCS read sizes both the scratch and the pool, so every
+	// worker index the pool hands out has its scratch.
+	workers := max(1, min(runtime.GOMAXPROCS(0), len(pairs)))
 	for len(s.scratch) < workers {
 		s.scratch = append(s.scratch, pairScratch{})
 	}
@@ -275,7 +266,7 @@ func (tg *TileGraph) solveSession(ctx context.Context, members []bool, warm *Sol
 		s.volts[pi] = full
 		return nil
 	}
-	solveErr := runPairSolves(ctx, len(pairs), solveOne)
+	solveErr := runPairSolves(ctx, len(pairs), workers, solveOne)
 	sol.stats = foldSolveStats(ctx, s.atts, s.lap, solveStart)
 	warm.stats.Merge(sol.stats)
 	if tr := obs.FromContext(ctx); tr.Enabled() {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -139,7 +140,7 @@ func (tg *TileGraph) solvePairsScratch(ctx context.Context, members []bool, warm
 		sol.volts[pi] = full
 		return nil
 	}
-	solveErr := runPairSolves(ctx, len(pairs), solveOne)
+	solveErr := runPairSolves(ctx, len(pairs), runtime.GOMAXPROCS(0), solveOne)
 	sol.stats = foldSolveStats(ctx, atts, lap, solveStart)
 	if warm != nil {
 		warm.stats.Merge(sol.stats)

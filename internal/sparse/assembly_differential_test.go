@@ -1,7 +1,6 @@
 package sparse
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -121,70 +120,6 @@ func TestAssemblySortMatchesSortSlice(t *testing.T) {
 				bitEqualInts(t, name+" RowPtr", mg.RowPtr, mw.RowPtr)
 				bitEqualInts(t, name+" Col", mg.Col, mw.Col)
 				bitEqualFloats(t, name+" Val", mg.Val, mw.Val)
-			}
-		}
-	}
-}
-
-// genericMatrix hides a *CSR behind the Matrix interface, so CGCtx takes
-// its generic MulVec-then-dot path instead of the fused *CSR pass.
-type genericMatrix struct{ m *CSR }
-
-func (g genericMatrix) Dim() int                { return g.m.Dim() }
-func (g genericMatrix) MulVec(dst, x []float64) { g.m.MulVec(dst, x) }
-
-// TestCGFusedMatchesGeneric pins the fused *CSR iteration to the generic
-// one: on seeded random grounded Laplacians, with the IC(0) and the Jacobi
-// preconditioner, cold and warm-started, both paths must return
-// bit-identical solutions, iteration counts and residuals.
-func TestCGFusedMatchesGeneric(t *testing.T) {
-	for seed := int64(0); seed < 24; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		n := 2 + r.Intn(400)
-		lap, err := NewLaplacian(n, randomConnectedEdges(n, r.Intn(3*n), seed), r.Intn(n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		a := lap.Matrix()
-		b := make([]float64, a.Dim())
-		for i := range b {
-			b[i] = r.NormFloat64()
-		}
-		warm := make([]float64, a.Dim())
-		for i := range warm {
-			warm[i] = r.NormFloat64()
-		}
-		ic, err := NewIC0(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, pc := range []string{"ic0", "jacobi"} {
-			for _, x0 := range [][]float64{nil, warm} {
-				name := fmt.Sprintf("seed=%d n=%d %s warm=%v", seed, n, pc, x0 != nil)
-				solve := func(m Matrix, work *CGWork) ([]float64, int, CGStats) {
-					var st CGStats
-					opt := CGOptions{Precond: a.Diag(), Stats: &st, Work: work}
-					if pc == "ic0" {
-						opt.Apply = ic.Apply
-					}
-					x, it, err := CGCtx(context.Background(), m, b, x0, opt)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					return x, it, st
-				}
-				xf, itf, stf := solve(a, nil)
-				xg, itg, stg := solve(genericMatrix{a}, &CGWork{})
-				if itf != itg || stf.Iterations != stg.Iterations {
-					t.Fatalf("%s: %d iterations fused, %d generic", name, itf, itg)
-				}
-				if math.Float64bits(stf.Residual) != math.Float64bits(stg.Residual) {
-					t.Fatalf("%s: residual %x fused, %x generic", name, stf.Residual, stg.Residual)
-				}
-				if itf == 0 {
-					t.Fatalf("%s: the solve ran no iteration; the comparison is vacuous", name)
-				}
-				bitEqualFloats(t, name+" x", xf, xg)
 			}
 		}
 	}

@@ -34,6 +34,31 @@ type CGStats struct {
 	Residual float64
 }
 
+// Preconditioner applies dst = M⁻¹r for an SPD approximation M of the
+// operator. dst and r must not alias. *IC0 and Jacobi satisfy it.
+type Preconditioner interface {
+	Apply(dst, r []float64)
+}
+
+// Jacobi is the diagonal preconditioner M = diag(A). A nil Jacobi is the
+// identity; zero entries pass their residual through unscaled.
+type Jacobi []float64
+
+// Apply computes dst = M⁻¹r.
+func (d Jacobi) Apply(dst, r []float64) {
+	if d == nil {
+		copy(dst, r)
+		return
+	}
+	for i := range r {
+		if d[i] != 0 {
+			dst[i] = r[i] / d[i]
+		} else {
+			dst[i] = r[i]
+		}
+	}
+}
+
 // CGOptions configures the preconditioned conjugate-gradient solver.
 type CGOptions struct {
 	// Tol is the relative residual tolerance ‖b-Ax‖/‖b‖. Zero selects 1e-10.
@@ -42,21 +67,16 @@ type CGOptions struct {
 	// MaxIter caps the iteration count. Zero selects 10*n + 100. Negative
 	// values are rejected.
 	MaxIter int
-	// Precond is the preconditioner diagonal (Jacobi). Nil disables
-	// preconditioning.
-	Precond []float64
-	// Apply, when non-nil, is a general preconditioner dst = M⁻¹r (e.g.
-	// IC(0)); it takes precedence over Precond.
-	Apply func(dst, r []float64)
+	// Precond is the preconditioner: an *IC0 factor or a Jacobi diagonal.
+	// Nil disables preconditioning.
+	Precond Preconditioner
 	// Stats, when non-nil, receives the iteration count and final
 	// residual of the solve — telemetry for the fallback ladder and the
 	// observability layer.
 	Stats *CGStats
-	// Work, when non-nil, supplies the iteration vectors so repeated
-	// solves allocate nothing. The returned solution then aliases the
-	// workspace and is only valid until its next use. The arithmetic is
-	// identical either way — the buffers are fully (re)initialized before
-	// use.
+	// Work supplies the iteration vectors, so repeated solves through one
+	// workspace allocate nothing; nil selects a fresh one. The returned
+	// solution aliases the workspace and is only valid until its next use.
 	Work *CGWork
 }
 
@@ -74,22 +94,22 @@ func (o CGOptions) validate() error {
 }
 
 // CG solves A*x = b without cancellation support; see CGCtx.
-func CG(a Matrix, b, x0 []float64, opt CGOptions) ([]float64, int, error) {
+func CG(a *CSR, b, x0 []float64, opt CGOptions) ([]float64, int, error) {
 	return CGCtx(context.Background(), a, b, x0, opt)
 }
 
 // CGCtx solves A*x = b for symmetric positive definite A using the
-// conjugate gradient method with optional Jacobi preconditioning. x0 seeds
-// the iteration when non-nil (warm starts matter: SmartGrow re-solves
-// nearly identical systems every iteration). It returns the solution and
+// preconditioned conjugate gradient method. x0 seeds the iteration when
+// non-nil (warm starts matter: SmartGrow re-solves nearly identical
+// systems every iteration). It returns the solution and
 // the number of iterations performed. The context is checked periodically;
 // on cancellation the iteration aborts and ctx.Err() is returned.
 //
 // On ErrNoConvergence the best iterate found so far is still returned
 // alongside the error, so callers can inspect the residual or hand the
 // partial solution to a fallback.
-func CGCtx(ctx context.Context, a Matrix, b, x0 []float64, opt CGOptions) ([]float64, int, error) {
-	n := a.Dim()
+func CGCtx(ctx context.Context, a *CSR, b, x0 []float64, opt CGOptions) ([]float64, int, error) {
+	n := a.N
 	if len(b) != n {
 		return nil, 0, fmt.Errorf("sparse: CG rhs dim %d, want %d", len(b), n)
 	}
@@ -120,17 +140,15 @@ func CGCtx(ctx context.Context, a Matrix, b, x0 []float64, opt CGOptions) ([]flo
 		}
 	}
 
-	var x, r []float64
-	if opt.Work != nil {
-		x = vec(&opt.Work.x, n)
-		for i := range x {
-			x[i] = 0
-		}
-		r = vec(&opt.Work.r, n)
-	} else {
-		x = make([]float64, n)
-		r = make([]float64, n)
+	work := opt.Work
+	if work == nil {
+		work = &CGWork{}
 	}
+	x := vec(&work.x, n)
+	for i := range x {
+		x[i] = 0
+	}
+	r := vec(&work.r, n)
 	if x0 != nil {
 		copy(x, x0)
 	}
@@ -153,29 +171,15 @@ func CGCtx(ctx context.Context, a Matrix, b, x0 []float64, opt CGOptions) ([]flo
 		return x, 0, nil
 	}
 
-	precond := opt.Apply
+	precond := opt.Precond
 	if precond == nil {
-		diag := opt.Precond
-		precond = func(dst, r []float64) { applyJacobi(dst, r, diag) }
+		precond = Jacobi(nil)
 	}
-	var z, p, ap []float64
-	if opt.Work != nil {
-		z = vec(&opt.Work.z, n)
-		p = vec(&opt.Work.p, n)
-		ap = vec(&opt.Work.ap, n)
-	} else {
-		z = make([]float64, n)
-		p = make([]float64, n)
-		ap = make([]float64, n)
-	}
-	precond(z, r)
+	z, p, ap := vec(&work.z, n), vec(&work.p, n), vec(&work.ap, n)
+	precond.Apply(z, r)
 	copy(p, z)
 	rz := dot(r, z)
 
-	// A *CSR operator takes the fused A·p and pᵀAp pass; any other Matrix
-	// runs MulVec then dot. Both sum in the same order, so the iterates are
-	// bit-identical either way.
-	csr, _ := a.(*CSR)
 	for it := 1; it <= maxIter; it++ {
 		if it%ctxCheckStride == 0 {
 			if err := ctx.Err(); err != nil {
@@ -183,13 +187,7 @@ func CGCtx(ctx context.Context, a Matrix, b, x0 []float64, opt CGOptions) ([]flo
 				return nil, it, err
 			}
 		}
-		var pap float64
-		if csr != nil {
-			pap = csr.mulVecDot(ap, p)
-		} else {
-			a.MulVec(ap, p)
-			pap = dot(p, ap)
-		}
+		pap := a.mulVecDot(ap, p)
 		if pap <= 0 || math.IsNaN(pap) {
 			setStats(it)
 			return nil, it, fmt.Errorf("sparse: pᵀAp=%g at iteration %d: %w", pap, it, ErrBreakdown)
@@ -199,7 +197,7 @@ func CGCtx(ctx context.Context, a Matrix, b, x0 []float64, opt CGOptions) ([]flo
 			setStats(it)
 			return x, it, nil
 		}
-		precond(z, r)
+		precond.Apply(z, r)
 		rzNext := dot(r, z)
 		beta := rzNext / rz
 		rz = rzNext
@@ -227,20 +225,6 @@ func updateXR(x, r, p, ap []float64, alpha float64) float64 {
 		s += ri * ri
 	}
 	return s
-}
-
-func applyJacobi(dst, r, diag []float64) {
-	if diag == nil {
-		copy(dst, r)
-		return
-	}
-	for i := range r {
-		if diag[i] != 0 {
-			dst[i] = r[i] / diag[i]
-		} else {
-			dst[i] = r[i]
-		}
-	}
 }
 
 func dot(a, b []float64) float64 {

@@ -16,6 +16,12 @@
 // is CG, so the iteration fuses its reductions into the passes that
 // produce their operands, always in the order a separate dot product
 // would sum them: the results are bit-identical to the unfused loop.
+//
+// CG has one path: the operator is always a *CSR and takes the fused
+// A·p, pᵀAp row pass; the iteration vectors always come from a CGWork (a
+// fresh one when the caller supplies none); and the preconditioner is one
+// field, an *IC0 factor or a Jacobi diagonal. Laplacian solves likewise
+// always stage their vectors in a Workspace.
 package sparse
 
 import (
@@ -23,15 +29,6 @@ import (
 	"fmt"
 	"slices"
 )
-
-// Matrix is a square operator that can multiply a vector.
-type Matrix interface {
-	// Dim returns the matrix dimension n (the matrix is n x n).
-	Dim() int
-	// MulVec computes dst = A*x. dst and x must have length Dim and must
-	// not alias.
-	MulVec(dst, x []float64)
-}
 
 // entry is a coordinate-format matrix element used during assembly.
 type entry struct {
@@ -66,14 +63,6 @@ func (b *Builder) Add(row, col int, v float64) {
 		panic(fmt.Sprintf("sparse: Add(%d,%d) out of range for n=%d", row, col, b.n))
 	}
 	b.entries = append(b.entries, entry{row, col, v})
-}
-
-// AddSym accumulates v at (row, col) and (col, row).
-func (b *Builder) AddSym(row, col int, v float64) {
-	b.Add(row, col, v)
-	if row != col {
-		b.Add(col, row, v)
-	}
 }
 
 // Build assembles the CSR matrix, summing duplicates and dropping explicit
@@ -159,13 +148,11 @@ type CSR struct {
 	Val    []float64
 }
 
-// Dim implements Matrix.
-func (m *CSR) Dim() int { return m.N }
-
 // NNZ returns the number of stored nonzeros.
 func (m *CSR) NNZ() int { return len(m.Val) }
 
-// MulVec implements Matrix: dst = A*x.
+// MulVec computes dst = A*x. dst and x must have length N and must not
+// alias.
 func (m *CSR) MulVec(dst, x []float64) {
 	if len(dst) != m.N || len(x) != m.N {
 		panic(fmt.Sprintf("sparse: MulVec dims dst=%d x=%d n=%d", len(dst), len(x), m.N))

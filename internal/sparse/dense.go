@@ -17,9 +17,6 @@ func NewDense(n int) *Dense {
 	return &Dense{N: n, A: make([]float64, n*n)}
 }
 
-// Dim implements Matrix.
-func (d *Dense) Dim() int { return d.N }
-
 // At returns the element at (r, c).
 func (d *Dense) At(r, c int) float64 { return d.A[r*d.N+c] }
 
@@ -29,7 +26,7 @@ func (d *Dense) Set(r, c int, v float64) { d.A[r*d.N+c] = v }
 // Addd accumulates v at (r, c).
 func (d *Dense) Addd(r, c int, v float64) { d.A[r*d.N+c] += v }
 
-// MulVec implements Matrix.
+// MulVec computes dst = A*x.
 func (d *Dense) MulVec(dst, x []float64) {
 	for r := 0; r < d.N; r++ {
 		sum := 0.0

@@ -39,8 +39,8 @@ func FuzzCSRMatVec(f *testing.F) {
 		m := b.Build()
 
 		// Structural invariants of the compressed form.
-		if m.Dim() != n {
-			t.Fatalf("dim %d, want %d", m.Dim(), n)
+		if m.N != n {
+			t.Fatalf("dim %d, want %d", m.N, n)
 		}
 		if m.RowPtr[0] != 0 || m.RowPtr[n] != m.NNZ() {
 			t.Fatalf("RowPtr endpoints %d,%d with nnz %d", m.RowPtr[0], m.RowPtr[n], m.NNZ())

@@ -57,7 +57,8 @@ func TestIC0ExactOnTridiagonal(t *testing.T) {
 	for i := 0; i < n; i++ {
 		b.Add(i, i, 2.5)
 		if i+1 < n {
-			b.AddSym(i, i+1, -1)
+			b.Add(i, i+1, -1)
+			b.Add(i+1, i, -1)
 		}
 	}
 	m := b.Build()
@@ -83,7 +84,8 @@ func TestIC0ExactOnTridiagonal(t *testing.T) {
 
 func TestIC0RejectsMissingDiagonal(t *testing.T) {
 	b := NewBuilder(2)
-	b.AddSym(0, 1, -1) // no diagonal entries
+	b.Add(0, 1, -1) // no diagonal entries
+	b.Add(1, 0, -1)
 	if _, err := NewIC0(b.Build()); err == nil {
 		t.Fatal("missing diagonal must error")
 	}
@@ -100,7 +102,7 @@ func TestIC0RejectsIndefinite(t *testing.T) {
 
 func TestIC0BeatsJacobiOnGrid(t *testing.T) {
 	m, rhs, _ := gridLaplacianCSR(t, 30, 30)
-	_, itJacobi, err := CG(m, rhs, nil, CGOptions{Precond: m.Diag()})
+	_, itJacobi, err := CG(m, rhs, nil, CGOptions{Precond: Jacobi(m.Diag())})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +110,7 @@ func TestIC0BeatsJacobiOnGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, itIC, err := CG(m, rhs, nil, CGOptions{Apply: ic.Apply})
+	_, itIC, err := CG(m, rhs, nil, CGOptions{Precond: ic})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +121,7 @@ func TestIC0BeatsJacobiOnGrid(t *testing.T) {
 
 func TestIC0SolutionMatchesJacobi(t *testing.T) {
 	m, rhs, _ := gridLaplacianCSR(t, 15, 10)
-	xJ, _, err := CG(m, rhs, nil, CGOptions{Precond: m.Diag(), Tol: 1e-12})
+	xJ, _, err := CG(m, rhs, nil, CGOptions{Precond: Jacobi(m.Diag()), Tol: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +129,7 @@ func TestIC0SolutionMatchesJacobi(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	xI, _, err := CG(m, rhs, nil, CGOptions{Apply: ic.Apply, Tol: 1e-12})
+	xI, _, err := CG(m, rhs, nil, CGOptions{Precond: ic, Tol: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,7 +83,7 @@ func (e *SolveError) Error() string {
 func (e *SolveError) Unwrap() error { return e.Err }
 
 // relResidual computes ‖b-Ax‖/‖b‖ (NaN when x is nil or b is zero).
-func relResidual(a Matrix, b, x []float64) float64 {
+func relResidual(a *CSR, b, x []float64) float64 {
 	if x == nil {
 		return math.NaN()
 	}
@@ -101,20 +101,15 @@ func relResidual(a Matrix, b, x []float64) float64 {
 
 // solveLadder runs the fallback ladder on the grounded system mat*x = rhs.
 // x0 optionally warm-starts the first rung. Context cancellation aborts
-// the ladder immediately — a cancelled solve is not a solver fault. ws,
-// when non-nil, supplies the CG iteration vectors (the returned solution
-// may then alias it).
+// the ladder immediately — a cancelled solve is not a solver fault. ws
+// supplies the CG iteration vectors; the returned solution may alias it.
 //
 // The returned attempts list every rung tried, in order; on success the
 // final attempt is the accepted rung with a nil Err and the residual the
 // solve actually achieved, so callers see degraded-but-recovered solves
 // without a SolveError.
 func (l *Laplacian) solveLadder(ctx context.Context, rhs, x0 []float64, ws *Workspace) ([]float64, []RungAttempt, error) {
-	mat, diag, ic := l.mat, l.diag, l.ic
-	var cgw *CGWork
-	if ws != nil {
-		cgw = &ws.cg
-	}
+	mat, cgw, st := l.mat, &ws.cg, &ws.st
 	var attempts []RungAttempt
 	totalIters := 0
 	bestRes := math.NaN()
@@ -127,10 +122,11 @@ func (l *Laplacian) solveLadder(ctx context.Context, rhs, x0 []float64, ws *Work
 	}
 
 	// Rung 1: CG with IC(0) (Jacobi when IC(0) broke down at assembly).
-	var st CGStats
-	opt := CGOptions{Precond: diag, Stats: &st, Work: cgw}
-	if ic != nil {
-		opt.Apply = ic.Apply
+	opt := CGOptions{Stats: st, Work: cgw}
+	if l.ic != nil {
+		opt.Precond = l.ic
+	} else {
+		opt.Precond = Jacobi(l.diag)
 	}
 	x, iters, err := CGCtx(ctx, mat, rhs, x0, opt)
 	if err == nil {
@@ -150,12 +146,12 @@ func (l *Laplacian) solveLadder(ctx context.Context, rhs, x0 []float64, ws *Work
 	// budget. A fresh Krylov space sidesteps warm-start or IC(0)
 	// pathologies; the relaxed tolerance accepts solves that stalled just
 	// short of the default.
-	n := mat.Dim()
+	n := mat.N
 	x, iters, err = CGCtx(ctx, mat, rhs, nil, CGOptions{
 		Tol:     relaxedTol,
 		MaxIter: 20*n + 200,
-		Precond: diag,
-		Stats:   &st,
+		Precond: Jacobi(l.diag),
+		Stats:   st,
 		Work:    cgw,
 	})
 	if err == nil {

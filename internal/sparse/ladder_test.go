@@ -83,10 +83,10 @@ func TestCGRejectsNegativeOptions(t *testing.T) {
 }
 
 func TestCGBreakdownIsTyped(t *testing.T) {
-	d := NewDense(2)
-	d.Set(0, 0, 1)
-	d.Set(1, 1, -2)
-	_, _, err := CG(d, []float64{0, 1}, nil, CGOptions{})
+	b := NewBuilder(2)
+	b.Add(0, 0, 1)
+	b.Add(1, 1, -2)
+	_, _, err := CG(b.Build(), []float64{0, 1}, nil, CGOptions{})
 	if !errors.Is(err, ErrBreakdown) {
 		t.Fatalf("indefinite matrix: want ErrBreakdown, got %v", err)
 	}

@@ -212,22 +212,19 @@ func (l *Laplacian) SolveCtx(ctx context.Context, b []float64, warm []float64) (
 // SolveAttemptsCtxWork is SolveCtx plus the solver-ladder trace: the
 // returned attempts list every rung tried, the last one being the accepted
 // rung on success. Callers that aggregate solver telemetry
-// (SolveStats.Record) use it so successful solves are observable too. When
-// ws is non-nil the grounded staging vectors and the CG iteration vectors
-// come from the workspace, making repeated solves allocation-free. The
-// returned solution then aliases the workspace and is only valid until its
-// next solve; callers must copy what they keep. The arithmetic is
-// identical to the workspace-free path.
+// (SolveStats.Record) use it so successful solves are observable too. The
+// grounded staging vectors and the CG iteration vectors come from ws (a
+// fresh workspace when nil), so repeated solves through one workspace are
+// allocation-free. The returned solution aliases the workspace and is only
+// valid until its next solve; callers must copy what they keep.
 func (l *Laplacian) SolveAttemptsCtxWork(ctx context.Context, b []float64, warm []float64, ws *Workspace) ([]float64, []RungAttempt, error) {
 	if len(b) != l.n {
 		return nil, nil, fmt.Errorf("sparse: Solve rhs dim %d, want %d", len(b), l.n)
 	}
-	var rhs []float64
-	if ws != nil {
-		rhs = vec(&ws.rhs, l.n-1)
-	} else {
-		rhs = make([]float64, l.n-1)
+	if ws == nil {
+		ws = &Workspace{}
 	}
+	rhs := vec(&ws.rhs, l.n-1)
 	for gi, node := range l.nodeOf {
 		rhs[gi] = b[node]
 	}
@@ -236,11 +233,7 @@ func (l *Laplacian) SolveAttemptsCtxWork(ctx context.Context, b []float64, warm 
 		if len(warm) != l.n {
 			return nil, nil, fmt.Errorf("sparse: warm start dim %d, want %d", len(warm), l.n)
 		}
-		if ws != nil {
-			x0 = vec(&ws.x0, l.n-1)
-		} else {
-			x0 = make([]float64, l.n-1)
-		}
+		x0 = vec(&ws.x0, l.n-1)
 		for gi, node := range l.nodeOf {
 			x0[gi] = warm[node]
 		}
@@ -249,13 +242,8 @@ func (l *Laplacian) SolveAttemptsCtxWork(ctx context.Context, b []float64, warm 
 	if err != nil {
 		return nil, attempts, fmt.Errorf("sparse: laplacian solve: %w", err)
 	}
-	var out []float64
-	if ws != nil {
-		out = vec(&ws.out, l.n)
-		out[l.ground] = 0
-	} else {
-		out = make([]float64, l.n)
-	}
+	out := vec(&ws.out, l.n)
+	out[l.ground] = 0
 	for gi, node := range l.nodeOf {
 		out[node] = x[gi]
 	}

@@ -95,6 +95,19 @@ func TestCholeskyRejectsIndefinite(t *testing.T) {
 	}
 }
 
+// denseCSR stores the nonzeros of a dense matrix in CSR form.
+func denseCSR(d *Dense) *CSR {
+	b := NewBuilder(d.N)
+	for r := 0; r < d.N; r++ {
+		for c := 0; c < d.N; c++ {
+			if v := d.At(r, c); v != 0 {
+				b.Add(r, c, v)
+			}
+		}
+	}
+	return b.Build()
+}
+
 func TestCGMatchesCholesky(t *testing.T) {
 	// Random SPD system A = Mᵀ M + I; CG and Cholesky must agree.
 	rng := rand.New(rand.NewSource(17))
@@ -127,7 +140,7 @@ func TestCGMatchesCholesky(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := ch.Solve(b)
-	got, iters, err := CG(a, b, nil, CGOptions{Tol: 1e-12})
+	got, iters, err := CG(denseCSR(a), b, nil, CGOptions{Tol: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,10 +200,10 @@ func TestCGDimensionMismatch(t *testing.T) {
 }
 
 func TestCGBreakdownOnIndefinite(t *testing.T) {
-	d := NewDense(2)
-	d.Set(0, 0, 1)
-	d.Set(1, 1, -2)
-	if _, _, err := CG(d, []float64{0, 1}, nil, CGOptions{}); err == nil {
+	b := NewBuilder(2)
+	b.Add(0, 0, 1)
+	b.Add(1, 1, -2)
+	if _, _, err := CG(b.Build(), []float64{0, 1}, nil, CGOptions{}); err == nil {
 		t.Fatal("CG must report breakdown on an indefinite matrix")
 	}
 }

@@ -10,6 +10,10 @@ package sparse
 type Workspace struct {
 	rhs, x0, out []float64
 	cg           CGWork
+	// st receives the ladder's CG stats. It lives here rather than on the
+	// ladder's stack because CGCtx calls the preconditioner through an
+	// interface, which leaks the options and so the Stats pointer.
+	st CGStats
 }
 
 // CGWork is reusable scratch for CGCtx: the iterate, residual,

@@ -103,14 +103,6 @@ func (c *Canvas) Region(g geom.Region, st Style) {
 		strings.TrimSpace(d.String()), st.attrs(c)))
 }
 
-// RegionRects draws a region as its canonical rectangles (useful for
-// showing the tile structure).
-func (c *Canvas) RegionRects(g geom.Region, st Style) {
-	for _, r := range g.Rects() {
-		c.Rect(r, st)
-	}
-}
-
 // Rect draws a single rectangle.
 func (c *Canvas) Rect(r geom.Rect, st Style) {
 	if r.Empty() {

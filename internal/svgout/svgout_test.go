@@ -89,16 +89,6 @@ func TestSVGCircleAndEmpty(t *testing.T) {
 	}
 }
 
-func TestSVGRegionRects(t *testing.T) {
-	g := geom.RegionFromRects([]geom.Rect{{X0: 0, Y0: 0, X1: 5, Y1: 5}, {X0: 10, Y0: 0, X1: 15, Y1: 5}})
-	out := render(t, func(c *Canvas) {
-		c.RegionRects(g, Style{Fill: "#123"})
-	})
-	if strings.Count(out, "<rect") != 2 {
-		t.Fatalf("expected 2 rects, got %s", out)
-	}
-}
-
 func TestSVGWriteFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "out.svg")

@@ -110,9 +110,9 @@ func Simulate(op *extract.OperatingPoint, sheetOhms float64, opt Options) (*Map,
 
 	q := op.NodeJouleHeat(sheetOhms)
 	ic, icErr := sparse.NewIC0(mat)
-	cgOpt := sparse.CGOptions{Precond: mat.Diag()}
+	cgOpt := sparse.CGOptions{Precond: sparse.Jacobi(mat.Diag())}
 	if icErr == nil {
-		cgOpt.Apply = ic.Apply
+		cgOpt.Precond = ic
 	}
 	temp, _, err := sparse.CG(mat, q, nil, cgOpt)
 	if err != nil {

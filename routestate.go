@@ -213,11 +213,7 @@ func (r *boardRun) routeNext(ctx context.Context, parent *routeState, net board.
 		if target <= 0 {
 			target = rail.Route.Shape.Area()
 		}
-		tile := cfg.DX
-		if tile == 0 {
-			tile = 10
-		}
-		man, merr := manual.Route(mAvail, terms, target, tile)
+		man, merr := manual.Route(mAvail, terms, target, cfg.WithDefaults().DX)
 		if merr != nil {
 			if r.opt.FailFast {
 				return nil, &RailError{Net: net.ID, Name: net.Name, Stage: "manual baseline", Err: merr}
