@@ -10,6 +10,7 @@
 //	BenchmarkSpaceToGraph         — Alg. 1: tiling the two-rail and six-rail V1 spaces
 //	BenchmarkAvailableSpace       — Eq. 1: every six-rail net's available space
 //	BenchmarkNodeCurrents         — Alg. 3: one node-current evaluation of a new mask
+//	BenchmarkRouteLoop            — Algs. 2-5 + §II-F: the pipeline on a built tile graph
 //	BenchmarkSeed                 — Alg. 2: pairwise Dijkstra + void filling
 //	BenchmarkExtraction           — §III impedance extraction of a routed shape
 //	BenchmarkRegionBoolean        — the Eq. 1 clipping substrate
@@ -244,6 +245,28 @@ func BenchmarkNodeCurrents(b *testing.B) {
 			m = notched
 		}
 		if _, err := tg.NodeCurrentsCtx(ctx, m, warm); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRouteLoop runs the pipeline on the two-rail VDD1 tile graph at
+// Δx = 5, built outside the timer: seed, grow, refine and reheat, whose
+// evaluations refill the node-current buffers of the metrics the pipeline
+// has left and rebuild into amortized solver arenas (DESIGN.md §5g). CI's
+// bench-smoke job gates its B/op.
+func BenchmarkRouteLoop(b *testing.B) {
+	avail, terms := twoRailSpace(b)
+	tg, err := route.BuildTileGraph(avail, terms, 5, 5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := route.Config{DX: 5, DY: 5, AreaMax: 6000, ReheatDilations: 2}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := tg.RouteCtx(ctx, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -136,11 +136,19 @@ func (g *Graph) Edges() []Edge {
 // Boundary returns the nodes of g adjacent to, but not members of, the set
 // `inside` — the boundary set C of paper §II-D. Result is sorted.
 func (g *Graph) Boundary(inside []bool) []int {
-	if len(inside) != g.n {
-		panic(fmt.Sprintf("graph: Boundary mask len %d, want %d", len(inside), g.n))
+	return g.BoundaryInto(nil, make([]bool, g.n), inside)
+}
+
+// BoundaryInto is Boundary writing into caller storage, for loops that
+// take a boundary at every step: the sorted boundary replaces the contents
+// of dst, whose backing array is reused when large enough, and seen is the
+// visit scratch. seen must hold g.N() false entries; it holds only false
+// entries again on return.
+func (g *Graph) BoundaryInto(dst []int, seen []bool, inside []bool) []int {
+	if len(inside) != g.n || len(seen) != g.n {
+		panic(fmt.Sprintf("graph: Boundary mask len %d, scratch len %d, want %d", len(inside), len(seen), g.n))
 	}
-	seen := make([]bool, g.n)
-	var out []int
+	out := dst[:0]
 	for u := 0; u < g.n; u++ {
 		if !inside[u] {
 			continue
@@ -151,6 +159,9 @@ func (g *Graph) Boundary(inside []bool) []int {
 				out = append(out, he.to)
 			}
 		}
+	}
+	for _, v := range out {
+		seen[v] = false
 	}
 	sort.Ints(out)
 	return out

@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -186,6 +187,34 @@ func TestBoundary(t *testing.T) {
 	b := g.Boundary(inside)
 	if len(b) != 2 || b[0] != 0 || b[1] != 3 {
 		t.Fatalf("boundary = %v, want [0 3]", b)
+	}
+}
+
+// TestBoundaryIntoReusesStorage takes boundaries of a shrinking set into
+// one buffer and one scratch: each must equal Boundary, land in the
+// caller's array, and leave the scratch all false.
+func TestBoundaryIntoReusesStorage(t *testing.T) {
+	g := New(6)
+	for i := 0; i < 5; i++ {
+		mustAdd(t, g, i, i+1, 1)
+	}
+	seen := make([]bool, g.N())
+	dst := make([]int, 0, 4)
+	for _, inside := range [][]bool{
+		{false, true, false, false, true, false},
+		{false, false, true, true, false, false},
+		{true, true, true, true, true, true},
+	} {
+		got := g.BoundaryInto(dst, seen, inside)
+		if want := g.Boundary(inside); !slices.Equal(got, want) {
+			t.Fatalf("BoundaryInto(%v) = %v, want %v", inside, got, want)
+		}
+		if len(got) > 0 && &got[0] != &dst[:1][0] {
+			t.Errorf("BoundaryInto(%v) did not reuse the caller's array", inside)
+		}
+		if slices.Contains(seen, true) {
+			t.Fatalf("BoundaryInto(%v) left marks in the scratch: %v", inside, seen)
+		}
 	}
 }
 

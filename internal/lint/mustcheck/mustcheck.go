@@ -33,7 +33,7 @@ var mustUse = map[string]map[string]bool{
 	"internal/sparse": {
 		"CG": true, "CGCtx": true,
 		"Solve": true, "SolveCtx": true, "SolveAttemptsCtxWork": true,
-		"EffectiveResistance": true, "ReassembleLaplacian": true,
+		"ReassembleLaplacian": true,
 	},
 	"internal/route": {
 		"NodeCurrents": true, "NodeCurrentsCtx": true,

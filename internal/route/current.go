@@ -15,8 +15,13 @@ import (
 // over the current subgraph.
 type Metrics struct {
 	// NodeCurrent holds the per-node current metric indexed by full-graph
-	// node id (zero outside the subgraph): the sum over terminal pairs of
-	// the absolute currents in the node's incident subgraph edges.
+	// node id (zero outside the terminal component): the sum over terminal
+	// pairs of the absolute currents in the node's incident subgraph
+	// edges. The buffer belongs to whoever received the Metrics. Only the
+	// pipeline hands it back, for a mask it has left, and only then does
+	// a later evaluation through the same SolveCache refill it
+	// (DESIGN.md §5g); a Metrics returned to an exported caller is never
+	// reused.
 	NodeCurrent []float64
 	// Resistance is the injection-weighted sum of pairwise effective
 	// resistances of the subgraph — the objective R(Γ_n^s, Θ_n) of paper
@@ -37,6 +42,11 @@ type Metrics struct {
 // preconditioner, and per-worker scratch are rebuilt in place for every
 // evaluated mask.
 //
+// The cache also keeps the loop's other per-step storage: the NodeCurrent
+// buffers of metrics the pipeline has handed back, which later
+// evaluations refill instead of allocating node-sized vectors, and the
+// grow and erosion-guard scratch.
+//
 // A SolveCache is single-pipeline state: thread one instance through the
 // stages of one route, do not share it across goroutines.
 type SolveCache struct {
@@ -49,6 +59,11 @@ type SolveCache struct {
 	sess *solverSession
 	// guard is the erosion guard's search state (removeLowCurrent).
 	guard connScratch
+	// grow is SmartGrow's boundary and candidate scratch.
+	grow growScratch
+	// spare holds NodeCurrent buffers handed back by release, for
+	// nodeCurrentBuf to refill.
+	spare [][]float64
 	// beforeEval, when set, sees every member mask just before it is
 	// evaluated. Production code never sets it; the package's tests use
 	// it (export_test.go) to discard the session and to watch the
@@ -66,6 +81,51 @@ func (c *SolveCache) guardScratch() *connScratch {
 		return new(connScratch)
 	}
 	return &c.guard
+}
+
+// growScratch returns the cache's grow scratch, or fresh scratch for a
+// nil cache.
+func (c *SolveCache) growScratch() *growScratch {
+	if c == nil {
+		return new(growScratch)
+	}
+	return &c.grow
+}
+
+// nodeCurrentBuf returns n zeroed entries for a NodeCurrent vector: a
+// buffer handed back by release when the cache holds one of that length,
+// fresh storage otherwise.
+func (c *SolveCache) nodeCurrentBuf(n int) []float64 {
+	for c != nil && len(c.spare) > 0 {
+		buf := c.spare[len(c.spare)-1]
+		c.spare = c.spare[:len(c.spare)-1]
+		if len(buf) == n {
+			clear(buf)
+			return buf
+		}
+	}
+	return make([]float64, n)
+}
+
+// release hands back the metrics of a mask the pipeline has left: a later
+// evaluation through c refills its NodeCurrent buffer. Only the code that
+// produced m, and passed it to no exported caller, may release it; m's
+// NodeCurrent is nil afterwards, so a stray read fails loudly.
+func (c *SolveCache) release(m *Metrics) {
+	if c == nil || m == nil || m.NodeCurrent == nil {
+		return
+	}
+	c.spare = append(c.spare, m.NodeCurrent)
+	m.NodeCurrent = nil
+}
+
+// advance returns next, the metrics a step left, and releases old, the
+// metrics the step received, when the step replaced them.
+func (c *SolveCache) advance(old, next *Metrics) *Metrics {
+	if next != old {
+		c.release(old)
+	}
+	return next
 }
 
 // pairList enumerates the 2-subsets of the terminal list (paper Alg. 3
@@ -206,13 +266,13 @@ func (tg *TileGraph) NodeCurrentsCtx(ctx context.Context, members []bool, warm *
 	if err != nil {
 		return nil, err
 	}
-	return tg.metrics(sol), nil
+	return tg.metrics(sol, warm.nodeCurrentBuf(tg.G.N())), nil
 }
 
 // metrics folds the pair solutions into the node-current metric and the
-// resistance objective (paper Alg. 3 lines 9-13).
-func (tg *TileGraph) metrics(sol *pairSolution) *Metrics {
-	nodeCur := make([]float64, tg.G.N())
+// resistance objective (paper Alg. 3 lines 9-13). nodeCur is the zeroed,
+// node-sized NodeCurrent vector to fill.
+func (tg *TileGraph) metrics(sol *pairSolution, nodeCur []float64) *Metrics {
 	pairRes := make([]float64, len(sol.pairs))
 	totalRes := 0.0
 	for pi, pr := range sol.pairs {

@@ -8,14 +8,16 @@ import (
 
 // RouteEvals reruns the pipeline on tg with cfg and calls eval with every
 // member mask the pipeline scores, just before the nodal analysis runs.
-// With fresh set, the solver session is thrown away before every
-// evaluation, so each one builds its structures anew and only the
+// With fresh set, the solver session and the node-current buffers handed
+// back to the cache are thrown away before every evaluation, so each one
+// builds its structures and its NodeCurrent vector anew and only the
 // warm-start vectors carry over.
 func RouteEvals(tg *TileGraph, cfg Config, fresh bool, eval func(members []bool)) (*Result, error) {
 	warm := NewSolveCache()
 	warm.beforeEval = func(members []bool) {
 		if fresh {
 			warm.sess = nil
+			warm.spare = nil
 		}
 		eval(members)
 	}

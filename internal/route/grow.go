@@ -22,7 +22,7 @@ func (tg *TileGraph) SmartGrow(members []bool, m *Metrics, k int, warm *SolveCac
 // m itself when nothing was added. The caller is responsible for stopping
 // at the area budget.
 func (tg *TileGraph) SmartGrowCtx(ctx context.Context, members []bool, m *Metrics, k int, warm *SolveCache) ([]int, *Metrics, error) {
-	added := tg.growByCurrent(members, m.NodeCurrent, k)
+	added := tg.growByCurrent(warm.growScratch(), members, m.NodeCurrent, k)
 	obs.Event(ctx, "grow.batch", obs.A("requested", k), obs.A("added", len(added)))
 	if len(added) == 0 {
 		return nil, m, nil
@@ -34,38 +34,50 @@ func (tg *TileGraph) SmartGrowCtx(ctx context.Context, members []bool, m *Metric
 	return added, next, nil
 }
 
+// growScratch is SmartGrow's reusable candidate state. A pipeline keeps
+// one in its SolveCache.
+type growScratch struct {
+	seen     []bool // Boundary visit marks, all false between calls
+	boundary []int
+	cands    []growCand
+}
+
+// growCand is a boundary candidate of growByCurrent.
+type growCand struct {
+	id    int
+	score float64
+}
+
 // growByCurrent scores every boundary candidate by the summed node current
 // of its member neighbours (paper Alg. 4 lines 7-8) and admits the top k.
-func (tg *TileGraph) growByCurrent(members []bool, nodeCurrent []float64, k int) []int {
-	boundary := tg.G.Boundary(members)
-	if len(boundary) == 0 || k <= 0 {
+// The boundary and the candidates are built in s.
+func (tg *TileGraph) growByCurrent(s *growScratch, members []bool, nodeCurrent []float64, k int) []int {
+	if len(s.seen) != tg.G.N() {
+		s.seen = make([]bool, tg.G.N())
+	}
+	s.boundary = tg.G.BoundaryInto(s.boundary, s.seen, members)
+	if len(s.boundary) == 0 || k <= 0 {
 		return nil
 	}
-	type cand struct {
-		id    int
-		score float64
-	}
-	cands := make([]cand, 0, len(boundary))
-	for _, c := range boundary {
+	s.cands = s.cands[:0]
+	for _, c := range s.boundary {
 		score := 0.0
 		tg.G.Neighbors(c, func(v int, w float64) {
 			if members[v] {
 				score += nodeCurrent[v]
 			}
 		})
-		cands = append(cands, cand{c, score})
+		s.cands = append(s.cands, growCand{c, score})
 	}
-	slices.SortFunc(cands, func(a, b cand) int {
+	slices.SortFunc(s.cands, func(a, b growCand) int {
 		if c := cmp.Compare(b.score, a.score); c != 0 {
 			return c
 		}
 		return cmp.Compare(a.id, b.id) // deterministic tie-break
 	})
-	if k > len(cands) {
-		k = len(cands)
-	}
+	k = min(k, len(s.cands))
 	added := make([]int, 0, k)
-	for _, c := range cands[:k] {
+	for _, c := range s.cands[:k] {
 		members[c.id] = true
 		added = append(added, c.id)
 	}

@@ -191,7 +191,8 @@ func (tg *TileGraph) SmartRefine(members []bool, m *Metrics, k int, warm *SolveC
 // highest-current boundary. m must hold the metrics of members as
 // received; the step evaluates the pruned and the re-grown mask once each
 // and returns the metrics of the mask it leaves — m itself when no node
-// could be removed.
+// could be removed. The pruned mask's metrics never leave the step, so it
+// hands them back to warm once the re-grow has replaced them.
 func (tg *TileGraph) SmartRefineCtx(ctx context.Context, members []bool, m *Metrics, k int, warm *SolveCache) (*Metrics, error) {
 	removed := tg.removeLowCurrent(warm.guardScratch(), members, m.NodeCurrent, k)
 	obs.Event(ctx, "refine.swap", obs.A("requested", k), obs.A("swapped", len(removed)))
@@ -205,7 +206,10 @@ func (tg *TileGraph) SmartRefineCtx(ctx context.Context, members []bool, m *Metr
 	// Re-grow exactly as many nodes as were removed (Alg. 5 line 7 calls
 	// SmartGrow with k).
 	_, next, err := tg.SmartGrowCtx(ctx, members, pruned, len(removed), warm)
-	return next, err
+	if err != nil {
+		return nil, err
+	}
+	return warm.advance(pruned, next), nil
 }
 
 // Erode erodes to the area budget without cancellation support; see
@@ -220,13 +224,16 @@ func (tg *TileGraph) Erode(members []bool, m *Metrics, areaMax int64, batch int,
 // Each batch of at most `batch` removals is chosen by the current metrics
 // and followed by one evaluation of the shrunken mask, so the removals
 // track the shifting current distribution. It returns the metrics of the
-// mask it leaves — m itself when nothing was removed.
+// mask it leaves — m itself when nothing was removed. The metrics of the
+// intermediate masks never leave the step, so each is handed back to warm
+// once the next batch has replaced it; m stays the caller's.
 func (tg *TileGraph) ErodeCtx(ctx context.Context, members []bool, m *Metrics, areaMax int64, batch int, warm *SolveCache) (*Metrics, error) {
 	if batch < 1 {
 		batch = 1
 	}
 	tileArea := tg.DX * tg.DY
 	guard := warm.guardScratch()
+	in := m
 	for {
 		over := tg.MembersArea(members) - areaMax
 		if over <= 0 {
@@ -250,6 +257,9 @@ func (tg *TileGraph) ErodeCtx(ctx context.Context, members []bool, m *Metrics, a
 		next, err := tg.NodeCurrentsCtx(ctx, members, warm)
 		if err != nil {
 			return nil, err
+		}
+		if m != in {
+			warm.release(m)
 		}
 		m = next
 	}

@@ -223,7 +223,9 @@ func (tg *TileGraph) Route(cfg Config) (*Result, error) {
 
 // RouteCtx runs the pipeline on an already built tile graph. Every mask
 // the pipeline visits is evaluated once: each stage hands the metrics of
-// the mask it leaves to the next, from the seed through to the Result.
+// the mask it leaves to the next, from the seed through to the Result,
+// and the metrics a stage replaced go back to the solve cache, whose later
+// evaluations refill their NodeCurrent buffers.
 func (tg *TileGraph) RouteCtx(ctx context.Context, cfg Config) (*Result, error) {
 	return tg.route(ctx, cfg, NewSolveCache())
 }
@@ -335,16 +337,17 @@ func (tg *TileGraph) route(ctx context.Context, cfg Config, warm *SolveCache) (*
 			if len(added) == 0 {
 				break // space exhausted before the budget
 			}
-			m = next
+			m = warm.advance(m, next)
 			grows++
 			record("grow", members, m.Resistance)
 		}
 		sp.SetAttrs(obs.A("iterations", grows), obs.A("area", tg.MembersArea(members)))
 		// The last grow batch may overshoot A_max; erode the excess.
-		var err error
-		if m, err = tg.ErodeCtx(sctx, members, m, areaMax, growNodes, warm); err != nil {
+		next, err := tg.ErodeCtx(sctx, members, m, areaMax, growNodes, warm)
+		if err != nil {
 			return fmt.Errorf("route: trim: %w", err)
 		}
+		m = warm.advance(m, next)
 		return nil
 	}); err != nil {
 		return nil, err
@@ -364,7 +367,7 @@ func (tg *TileGraph) route(ctx context.Context, cfg Config, warm *SolveCache) (*
 			if err != nil {
 				return err
 			}
-			m = next
+			m = warm.advance(m, next)
 			record("refine", members, m.Resistance)
 			if prev-m.Resistance < cfg.RefineTol*prev {
 				return nil
@@ -399,14 +402,16 @@ func (tg *TileGraph) route(ctx context.Context, cfg Config, warm *SolveCache) (*
 					break
 				}
 			}
-			var err error
-			if m, err = tg.NodeCurrentsCtx(sctx, members, warm); err != nil {
+			next, err := tg.NodeCurrentsCtx(sctx, members, warm)
+			if err != nil {
 				return fmt.Errorf("route: dilate metrics: %w", err)
 			}
+			m = warm.advance(m, next)
 			record("dilate", members, m.Resistance)
-			if m, err = tg.ErodeCtx(sctx, members, m, areaMax, growNodes, warm); err != nil {
+			if next, err = tg.ErodeCtx(sctx, members, m, areaMax, growNodes, warm); err != nil {
 				return fmt.Errorf("route: erode: %w", err)
 			}
+			m = warm.advance(m, next)
 			record("erode", members, m.Resistance)
 
 			// A short refine pass settles the eroded shape.
@@ -422,9 +427,10 @@ func (tg *TileGraph) route(ctx context.Context, cfg Config, warm *SolveCache) (*
 				sp.SetAttrs(obs.A("restored", true))
 				// The one mask the pipeline scores twice: the restored
 				// best was evaluated before reheating moved away from it.
-				if m, err = tg.NodeCurrentsCtx(sctx, members, warm); err != nil {
+				if next, err = tg.NodeCurrentsCtx(sctx, members, warm); err != nil {
 					return fmt.Errorf("route: restore metrics: %w", err)
 				}
+				m = warm.advance(m, next)
 			}
 			return nil
 		}); err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -71,20 +72,13 @@ func newSolverSession(tg *TileGraph) *solverSession {
 	return s
 }
 
-// growi and growf reuse a slice's backing array when it is large enough.
-// Contents are unspecified; callers overwrite every element.
-func growi(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
-}
-
-func growf(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
+// grow returns s resized to length n, reusing its backing array when the
+// capacity suffices. Contents are unspecified; callers overwrite every
+// element. Otherwise the array grows by append's amortized policy, like
+// the sparse arenas, because the terminal component gets a little larger
+// at every grow step.
+func grow[E any](s []E, n int) []E {
+	return slices.Grow(s[:0], n)[:n]
 }
 
 // rebuild derives the terminal component of the member mask and assembles
@@ -97,7 +91,7 @@ func growf(s []float64, n int) []float64 {
 // sequence is the sorted edge list of a from-scratch build: the Laplacian
 // is bit-identical to one.
 func (s *solverSession) rebuild(tg *TileGraph, members []bool) error {
-	s.compIdx = growi(s.compIdx, tg.G.N())
+	s.compIdx = grow(s.compIdx, tg.G.N())
 	for i := range s.compIdx {
 		s.compIdx[i] = -1
 	}
@@ -215,7 +209,7 @@ func (tg *TileGraph) solvePairs(ctx context.Context, members []bool, warm *Solve
 		pr := pairs[pi]
 		cs, ct := s.compIdx[tg.Terminals[pr[0]]], s.compIdx[tg.Terminals[pr[1]]]
 		cn := len(s.compNodes)
-		sc.b = growf(sc.b, cn)
+		sc.b = grow(sc.b, cn)
 		b := sc.b
 		for i := range b {
 			b[i] = 0
@@ -224,7 +218,7 @@ func (tg *TileGraph) solvePairs(ctx context.Context, members []bool, warm *Solve
 		b[ct] -= 1
 		var x0 []float64
 		if wv := warm.pairVolts[pi]; len(wv) == tg.G.N() {
-			sc.x0 = growf(sc.x0, cn)
+			sc.x0 = grow(sc.x0, cn)
 			x0 = sc.x0
 			for ci, id := range s.compNodes {
 				x0[ci] = wv[id]

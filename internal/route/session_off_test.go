@@ -11,12 +11,12 @@ import (
 )
 
 // TestGoldenSessionOff routes the golden corpus, then reruns every rail's
-// tile graph with the solver session thrown away before each evaluation.
-// The session only keeps arenas between evaluations, so the rerun must
-// decide and score exactly like the original: same member set, route and
-// pair resistances, solver summary, and iteration trace (wall clock
-// aside). The rerun also checks that the pipeline never scores the same
-// mask twice in a row.
+// tile graph with the solver session and the cache's reusable
+// node-current buffers thrown away before each evaluation. Both only keep
+// memory between evaluations, so the rerun must decide and score exactly
+// like the original: same member set, route and pair resistances, solver
+// summary, and iteration trace (wall clock aside). The rerun also checks
+// that the pipeline never scores the same mask twice in a row.
 func TestGoldenSessionOff(t *testing.T) {
 	rerun := func(t *testing.T, name string, want *route.Result, cfg route.Config) {
 		t.Helper()

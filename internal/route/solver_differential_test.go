@@ -212,7 +212,7 @@ func (tg *TileGraph) nodeCurrentsScratch(members []bool, warm *SolveCache) (*Met
 	if err != nil {
 		return nil, err
 	}
-	return tg.metrics(sol), nil
+	return tg.metrics(sol, make([]float64, tg.G.N())), nil
 }
 
 // toggleStep is one step of a differential scenario: the non-terminal

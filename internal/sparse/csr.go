@@ -88,7 +88,7 @@ func (b *Builder) BuildInto(m *CSR) *CSR {
 		m = &CSR{}
 	}
 	m.N = b.n
-	m.RowPtr = growInts(m.RowPtr, b.n+1)
+	m.RowPtr = grow(m.RowPtr, b.n+1)
 	for i := range m.RowPtr {
 		m.RowPtr[i] = 0
 	}
@@ -122,22 +122,14 @@ func compareEntries(a, b entry) int {
 	return cmp.Compare(a.col, b.col)
 }
 
-// growInts returns s resized to length n, reusing its backing array when
-// the capacity suffices. Contents are unspecified.
-func growInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
-}
-
-// growFloats returns s resized to length n, reusing its backing array when
-// the capacity suffices. Contents are unspecified.
-func growFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
+// grow returns s resized to length n, reusing its backing array when the
+// capacity suffices. Contents are unspecified. Otherwise the array grows
+// by append's amortized policy, so an arena whose system gets a few nodes
+// larger at every evaluation reallocates a logarithmic number of times
+// instead of at every one. From an empty slice append allocates exactly
+// what make([]E, n) would, so a one-shot assembly keeps its footprint.
+func grow[E any](s []E, n int) []E {
+	return slices.Grow(s[:0], n)[:n]
 }
 
 // CSR is a compressed-sparse-row matrix.
@@ -211,7 +203,7 @@ func (m *CSR) Diag() []float64 {
 // DiagInto extracts the diagonal into dst, reusing its backing array when
 // large enough (nil dst allocates).
 func (m *CSR) DiagInto(dst []float64) []float64 {
-	dst = growFloats(dst, m.N)
+	dst = grow(dst, m.N)
 	for r := 0; r < m.N; r++ {
 		dst[r] = m.At(r, r)
 	}

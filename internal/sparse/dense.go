@@ -26,18 +26,6 @@ func (d *Dense) Set(r, c int, v float64) { d.A[r*d.N+c] = v }
 // Addd accumulates v at (r, c).
 func (d *Dense) Addd(r, c int, v float64) { d.A[r*d.N+c] += v }
 
-// MulVec computes dst = A*x.
-func (d *Dense) MulVec(dst, x []float64) {
-	for r := 0; r < d.N; r++ {
-		sum := 0.0
-		row := d.A[r*d.N : (r+1)*d.N]
-		for c, v := range row {
-			sum += v * x[c]
-		}
-		dst[r] = sum
-	}
-}
-
 // Cholesky computes the lower-triangular factor L with A = L*Lᵀ.
 // It returns an error when the matrix is not (numerically) symmetric
 // positive definite.

@@ -36,9 +36,9 @@ func NewIC0Into(dst *IC0, a *CSR) (*IC0, error) {
 		ic = &IC0{}
 	}
 	ic.n = n
-	ic.rowPtr = growInts(ic.rowPtr, n+1)
+	ic.rowPtr = grow(ic.rowPtr, n+1)
 	ic.rowPtr[0] = 0
-	ic.diag = growInts(ic.diag, n)
+	ic.diag = grow(ic.diag, n)
 	ic.col = ic.col[:0]
 	ic.val = ic.val[:0]
 	// Collect the lower triangle (including diagonal) row by row.

@@ -150,7 +150,7 @@ func TestLaplacianUsesIC0(t *testing.T) {
 	if lap.ic == nil {
 		t.Fatal("laplacian should carry an IC(0) preconditioner")
 	}
-	r, err := lap.EffectiveResistance(0, 3)
+	r, err := lap.effectiveResistance(0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

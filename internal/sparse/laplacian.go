@@ -109,8 +109,8 @@ func ReassembleLaplacian(dst *Laplacian, rowPtr, col []int, w []float64, ground 
 	}
 	l.n = n
 	l.ground = ground
-	l.indexOf = growInts(l.indexOf, n)
-	l.nodeOf = growInts(l.nodeOf, n-1)[:0]
+	l.indexOf = grow(l.indexOf, n)
+	l.nodeOf = grow(l.nodeOf, n-1)[:0]
 	for i := 0; i < n; i++ {
 		if i == ground {
 			l.indexOf[i] = -1
@@ -248,23 +248,4 @@ func (l *Laplacian) SolveAttemptsCtxWork(ctx context.Context, b []float64, warm 
 		out[node] = x[gi]
 	}
 	return out, attempts, nil
-}
-
-// EffectiveResistance returns the two-terminal effective resistance between
-// nodes s and t: inject +1 A at s, -1 A at t, and report V(s) - V(t).
-func (l *Laplacian) EffectiveResistance(s, t int) (float64, error) {
-	if s == t {
-		return 0, nil
-	}
-	if s < 0 || s >= l.n || t < 0 || t >= l.n {
-		return 0, fmt.Errorf("sparse: effective resistance nodes (%d,%d) out of range", s, t)
-	}
-	b := make([]float64, l.n)
-	b[s] = 1
-	b[t] = -1
-	v, err := l.Solve(b, nil)
-	if err != nil {
-		return 0, err
-	}
-	return v[s] - v[t], nil
 }

@@ -22,8 +22,8 @@ func reassembleLaplacianEdges(dst *Laplacian, n int, edges []WeightedEdge, groun
 	}
 	l.n = n
 	l.ground = ground
-	l.indexOf = growInts(l.indexOf, n)
-	l.nodeOf = growInts(l.nodeOf, n-1)[:0]
+	l.indexOf = grow(l.indexOf, n)
+	l.nodeOf = grow(l.nodeOf, n-1)[:0]
 	for i := 0; i < n; i++ {
 		if i == ground {
 			l.indexOf[i] = -1

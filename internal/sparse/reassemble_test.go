@@ -135,7 +135,7 @@ func TestReassembleLaplacianRejectsBadInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r, err := l.EffectiveResistance(0, 2); err != nil || !almostEq(r, 2, 1e-9) {
+	if r, err := l.effectiveResistance(0, 2); err != nil || !almostEq(r, 2, 1e-9) {
 		t.Fatalf("resistance after recovery = %g, %v; want 2", r, err)
 	}
 }

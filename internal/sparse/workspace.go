@@ -27,6 +27,6 @@ type CGWork struct {
 // vec returns *buf resized to length n, reusing the backing array when
 // possible. Contents are unspecified.
 func vec(buf *[]float64, n int) []float64 {
-	*buf = growFloats(*buf, n)
+	*buf = grow(*buf, n)
 	return *buf
 }

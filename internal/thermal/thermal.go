@@ -109,10 +109,13 @@ func Simulate(op *extract.OperatingPoint, sheetOhms float64, opt Options) (*Map,
 	mat := b.Build()
 
 	q := op.NodeJouleHeat(sheetOhms)
-	ic, icErr := sparse.NewIC0(mat)
-	cgOpt := sparse.CGOptions{Precond: sparse.Jacobi(mat.Diag())}
-	if icErr == nil {
+	// IC(0) preconditions the solve; the Jacobi diagonal is built only
+	// when the factorization breaks down.
+	var cgOpt sparse.CGOptions
+	if ic, err := sparse.NewIC0(mat); err == nil {
 		cgOpt.Precond = ic
+	} else {
+		cgOpt.Precond = sparse.Jacobi(mat.Diag())
 	}
 	temp, _, err := sparse.CG(mat, q, nil, cgOpt)
 	if err != nil {
