@@ -52,10 +52,17 @@ func DCOperate(shape geom.Region, source route.Terminal, loads []route.Terminal,
 	if err != nil {
 		return nil, fmt.Errorf("extract: %w", err)
 	}
-	// Conductance edges in siemens: squares / sheetOhms.
-	var edges []sparse.WeightedEdge
-	for _, e := range tg.G.Edges() {
-		edges = append(edges, sparse.WeightedEdge{U: e.U, V: e.V, W: e.Weight / opt.SheetOhms})
+	// Conductance edges in siemens (squares / sheetOhms), in row order:
+	// one walk over the graph serves the Laplacian and the branch
+	// currents.
+	edges := make([]sparse.WeightedEdge, 0, tg.G.M())
+	for u := 0; u < tg.G.N(); u++ {
+		to, w := tg.G.Adj(u)
+		for k, v := range to {
+			if u < v {
+				edges = append(edges, sparse.WeightedEdge{U: u, V: v, W: w[k] / opt.SheetOhms})
+			}
+		}
 	}
 	srcNode := tg.Terminals[0]
 	lap, err := sparse.NewLaplacian(tg.G.N(), edges, srcNode)
@@ -96,33 +103,39 @@ func DCOperate(shape geom.Region, source route.Terminal, loads []route.Terminal,
 			op.WorstLoad = i
 		}
 	}
-	for _, e := range tg.G.Edges() {
-		g := e.Weight / opt.SheetOhms
-		i := g * (v[e.U] - v[e.V])
-		op.Edges = append(op.Edges, EdgeCurrent{U: e.U, V: e.V, Amps: i})
-		op.TotalPowerW += i * i / g
+	op.Edges = make([]EdgeCurrent, len(edges))
+	for k, e := range edges {
+		i := e.W * (v[e.U] - v[e.V])
+		op.Edges[k] = EdgeCurrent{U: e.U, V: e.V, Amps: i}
+		op.TotalPowerW += i * i / e.W
 	}
 	return op, nil
 }
 
 // NodeJouleHeat distributes the per-edge ohmic power onto the nodes (half
 // to each endpoint), the heat-source vector of the thermal analysis.
+// op.Edges lists the graph's edges in row order, so the k-th edge with
+// u < v met walking the rows carries op.Edges[k]'s current.
 func (op *OperatingPoint) NodeJouleHeat(sheetOhms float64) []float64 {
-	q := make([]float64, op.TG.G.N())
-	// Recover each edge's conductance from the graph for the power split.
-	type key struct{ u, v int }
-	gOf := map[key]float64{}
-	for _, e := range op.TG.G.Edges() {
-		gOf[key{e.U, e.V}] = e.Weight / sheetOhms
-	}
-	for _, ec := range op.Edges {
-		g := gOf[key{ec.U, ec.V}]
-		if g <= 0 {
-			continue
+	g := op.TG.G
+	q := make([]float64, g.N())
+	k := 0
+	for u := 0; u < g.N(); u++ {
+		to, w := g.Adj(u)
+		for j, v := range to {
+			if u > v {
+				continue
+			}
+			ec := op.Edges[k]
+			k++
+			c := w[j] / sheetOhms
+			if c <= 0 {
+				continue
+			}
+			p := ec.Amps * ec.Amps / c
+			q[ec.U] += p / 2
+			q[ec.V] += p / 2
 		}
-		p := ec.Amps * ec.Amps / g
-		q[ec.U] += p / 2
-		q[ec.V] += p / 2
 	}
 	return q
 }

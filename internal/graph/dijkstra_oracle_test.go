@@ -8,10 +8,11 @@ import (
 	"testing"
 )
 
-// dijkstraHeapOracle is Dijkstra over container/heap, kept verbatim as the
-// reference the typed heap must reproduce: the same pushes and pops, so
-// the same dist and prev, equal-distance ties included.
-func (g *Graph) dijkstraHeapOracle(src int) (dist []float64, prev []int, err error) {
+// dijkstraHeapOracle is Dijkstra over container/heap and the
+// insertion-order lists, with each edge costing its stored weight, kept as
+// the reference the typed heap must reproduce: the same pushes and pops,
+// so the same dist and prev, equal-distance ties included.
+func (g *listGraph) dijkstraHeapOracle(src int) (dist []float64, prev []int, err error) {
 	if src < 0 || src >= g.n {
 		return nil, nil, fmt.Errorf("graph: dijkstra source %d out of range", src)
 	}
@@ -56,34 +57,68 @@ func (h *oracleHeap) Pop() interface{} {
 	return it
 }
 
-// randomTieGraph draws a graph on n nodes with m edge attempts whose
-// weights are small integers, zero included, so equal path lengths (and
-// so heap ties) are common; parallel edges are kept.
-func randomTieGraph(rng *rand.Rand, n, m, maxW int) *Graph {
-	g := New(n)
+// randomTieEdges draws m edge attempts on n nodes whose weights are small
+// integers, zero included, so equal path lengths (and so heap ties) are
+// common; parallel edges are kept.
+func randomTieEdges(rng *rand.Rand, n, m, maxW int) []Edge {
+	var edges []Edge
 	for k := 0; k < m; k++ {
 		u, v := rng.Intn(n), rng.Intn(n)
 		if u != v {
-			_ = g.AddEdge(u, v, float64(rng.Intn(maxW+1)))
+			edges = append(edges, Edge{u, v, float64(rng.Intn(maxW + 1))})
 		}
 	}
-	return g
+	return edges
 }
 
-// checkDijkstraMatchesOracle compares Dijkstra with the oracle from every
-// source of g, bit for bit.
-func checkDijkstraMatchesOracle(t *testing.T, g *Graph) {
-	t.Helper()
-	for src := 0; src < g.N(); src++ {
-		dist, prev, err := g.Dijkstra(src)
-		wantDist, wantPrev, wantErr := g.dijkstraHeapOracle(src)
-		if err != nil || wantErr != nil {
-			t.Fatalf("src %d: err %v, oracle err %v", src, err, wantErr)
+func identity(w float64) float64   { return w }
+func reciprocal(w float64) float64 { return 1 / w }
+
+// reciprocalEdges is the explicit cost graph of the reciprocal rule: the
+// edges in list order with weight 1/w, those of weight 0 left out.
+func reciprocalEdges(edges []Edge) []Edge {
+	var out []Edge
+	for _, e := range edges {
+		if e.Weight > 0 {
+			out = append(out, Edge{e.U, e.V, 1 / e.Weight})
 		}
-		for i := range wantDist {
-			if math.Float64bits(dist[i]) != math.Float64bits(wantDist[i]) || prev[i] != wantPrev[i] {
-				t.Fatalf("src %d node %d: dist %v prev %d, oracle dist %v prev %d",
-					src, i, dist[i], prev[i], wantDist[i], wantPrev[i])
+	}
+	return out
+}
+
+// checkDijkstraMatchesOracle compares Dijkstra on FromEdges(n, edges)
+// with the oracle from every source, bit for bit, under both cost rules:
+// the stored weight against the oracle on the same lists, and the
+// reciprocal against the oracle on the explicit 1/w graph.
+func checkDijkstraMatchesOracle(t *testing.T, n int, edges []Edge) {
+	t.Helper()
+	g, err := FromEdges(n, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rule := range []struct {
+		name  string
+		cost  func(float64) float64
+		edges []Edge
+	}{
+		{"weight", identity, edges},
+		{"reciprocal", reciprocal, reciprocalEdges(edges)},
+	} {
+		oracle, err := addEdges(n, rule.edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for src := 0; src < n; src++ {
+			dist, prev, err := g.Dijkstra(src, rule.cost)
+			wantDist, wantPrev, wantErr := oracle.dijkstraHeapOracle(src)
+			if err != nil || wantErr != nil {
+				t.Fatalf("%s src %d: err %v, oracle err %v", rule.name, src, err, wantErr)
+			}
+			for i := range wantDist {
+				if math.Float64bits(dist[i]) != math.Float64bits(wantDist[i]) || prev[i] != wantPrev[i] {
+					t.Fatalf("%s src %d node %d: dist %v prev %d, oracle dist %v prev %d",
+						rule.name, src, i, dist[i], prev[i], wantDist[i], wantPrev[i])
+				}
 			}
 		}
 	}
@@ -93,30 +128,31 @@ func TestDijkstraMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for trial := 0; trial < 300; trial++ {
 		n := 1 + rng.Intn(40)
-		g := randomTieGraph(rng, n, rng.Intn(4*n+1), 1+rng.Intn(4))
-		checkDijkstraMatchesOracle(t, g)
+		checkDijkstraMatchesOracle(t, n, randomTieEdges(rng, n, rng.Intn(4*n+1), 1+rng.Intn(4)))
 	}
-	if _, _, err := New(3).Dijkstra(3); err == nil {
+	g, _ := FromEdges(3, nil)
+	if _, _, err := g.Dijkstra(3, identity); err == nil {
 		t.Fatal("out-of-range source must error")
 	}
 }
 
 // FuzzDijkstraMatchesOracle builds a graph from the fuzz bytes, three per
 // edge attempt (endpoints and a weight in 0..3), and checks Dijkstra
-// against the container/heap oracle from every source.
+// against the container/heap oracle from every source under both cost
+// rules.
 func FuzzDijkstraMatchesOracle(f *testing.F) {
 	f.Add(uint8(4), []byte{0, 1, 1, 1, 2, 1, 0, 2, 2, 2, 3, 0})
 	f.Add(uint8(6), []byte{0, 1, 0, 0, 2, 0, 1, 3, 1, 2, 3, 1, 3, 4, 2, 0, 4, 3})
 	f.Add(uint8(1), []byte{})
 	f.Fuzz(func(t *testing.T, nb uint8, data []byte) {
 		n := 1 + int(nb)%48
-		g := New(n)
+		var edges []Edge
 		for k := 0; k+2 < len(data); k += 3 {
 			u, v := int(data[k])%n, int(data[k+1])%n
 			if u != v {
-				_ = g.AddEdge(u, v, float64(data[k+2]%4))
+				edges = append(edges, Edge{u, v, float64(data[k+2] % 4)})
 			}
 		}
-		checkDijkstraMatchesOracle(t, g)
+		checkDijkstraMatchesOracle(t, n, edges)
 	})
 }

@@ -1,142 +1,116 @@
 // Package graph provides the weighted undirected graph substrate used by
-// SPROUT's routing stages: adjacency storage, Dijkstra shortest paths
-// (paper §II-C; the Bellman-Ford it also cites is Dijkstra's test
+// SPROUT's routing stages: a read-only CSR adjacency, Dijkstra shortest
+// paths (paper §II-C; the Bellman-Ford it also cites is Dijkstra's test
 // oracle), and subgraph boundary sets (the set C of paper §II-D).
 package graph
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"sort"
 )
 
-// Edge is an undirected weighted edge between node indices U and V.
-// Weight is interpreted as a cost for shortest paths; SPROUT uses the
-// reciprocal of the inter-tile conductance so that low-resistance corridors
-// are preferred.
+// Edge is an undirected weighted edge between node indices U and V. For
+// tile graphs Weight is the inter-tile conductance; shortest paths take
+// their edge cost from it through the caller's cost rule.
 type Edge struct {
 	U, V   int
 	Weight float64
 }
 
-// Graph is a weighted undirected graph over nodes 0..N-1 with adjacency
-// lists. The zero value is unusable; construct with New.
+// Graph is an immutable weighted undirected graph over nodes 0..N-1 in
+// compressed sparse row form: node u's neighbours are
+// to[rowPtr[u]:rowPtr[u+1]], with the edge weights at the same positions
+// of w. Every edge sits in both of its endpoints' rows. Construct with
+// FromEdges.
 type Graph struct {
-	n   int
-	adj [][]halfEdge
-	m   int
-}
-
-// halfEdge is the adjacency-list entry: the far endpoint and the weight.
-type halfEdge struct {
-	to int
-	w  float64
-}
-
-// New creates a graph with n nodes and no edges.
-func New(n int) *Graph {
-	if n < 0 {
-		panic(fmt.Sprintf("graph: negative node count %d", n))
-	}
-	return &Graph{n: n, adj: make([][]halfEdge, n)}
+	rowPtr []int
+	to     []int
+	w      []float64
 }
 
 // N returns the node count.
-func (g *Graph) N() int { return g.n }
+func (g *Graph) N() int { return len(g.rowPtr) - 1 }
 
 // M returns the undirected edge count.
-func (g *Graph) M() int { return g.m }
+func (g *Graph) M() int { return len(g.to) / 2 }
 
-// FromEdges builds the graph on n nodes that inserting edges one by one
-// with AddEdge, in list order, would build, and fails with AddEdge's error
-// on the first edge AddEdge would reject. It allocates per graph, not per
-// node: every adjacency list is carved from one exact-size array and capped
-// at its node's degree, so a later AddEdge reallocates that list instead
-// of overwriting its neighbour's. Nodes without edges keep nil lists, as
-// under AddEdge.
+// FromEdges builds the graph on n nodes whose rows list each node's edges
+// in list order: edge k sits in the rows of both endpoints after every
+// earlier edge there. Parallel edges are kept (they act as parallel
+// conductances for electrical use and as alternatives for paths). It fails
+// on the first edge with an out-of-range endpoint, a self-loop or a
+// negative weight.
 func FromEdges(n int, edges []Edge) (*Graph, error) {
-	g := New(n)
-	deg := make([]int, n)
+	if n < 0 {
+		panic(fmt.Sprintf("graph: negative node count %d", n))
+	}
+	rowPtr := make([]int, n+1)
 	for _, e := range edges {
-		if err := g.checkEdge(e.U, e.V, e.Weight); err != nil {
+		if err := checkEdge(n, e); err != nil {
 			return nil, err
 		}
-		deg[e.U]++
-		deg[e.V]++
+		rowPtr[e.U+1]++
+		rowPtr[e.V+1]++
 	}
-	arena := make([]halfEdge, 2*len(edges))
-	o := 0
-	for u, d := range deg {
-		if d > 0 {
-			g.adj[u] = arena[o : o : o+d]
-			o += d
-		}
+	for u := 0; u < n; u++ {
+		rowPtr[u+1] += rowPtr[u]
 	}
+	g := &Graph{rowPtr: rowPtr, to: make([]int, rowPtr[n]), w: make([]float64, rowPtr[n])}
+	// rowPtr[u] is row u's fill cursor and ends at row u's end, the start
+	// of row u+1; shifting by one restores the offsets.
 	for _, e := range edges {
-		g.adj[e.U] = append(g.adj[e.U], halfEdge{e.V, e.Weight})
-		g.adj[e.V] = append(g.adj[e.V], halfEdge{e.U, e.Weight})
+		g.to[rowPtr[e.U]], g.w[rowPtr[e.U]] = e.V, e.Weight
+		rowPtr[e.U]++
+		g.to[rowPtr[e.V]], g.w[rowPtr[e.V]] = e.U, e.Weight
+		rowPtr[e.V]++
 	}
-	g.m = len(edges)
+	copy(rowPtr[1:], rowPtr[:n])
+	rowPtr[0] = 0
 	return g, nil
-}
-
-// AddEdge inserts an undirected edge. Multi-edges are allowed (they act as
-// parallel conductances for electrical use and as alternatives for paths).
-func (g *Graph) AddEdge(u, v int, w float64) error {
-	if err := g.checkEdge(u, v, w); err != nil {
-		return err
-	}
-	g.adj[u] = append(g.adj[u], halfEdge{v, w})
-	g.adj[v] = append(g.adj[v], halfEdge{u, w})
-	g.m++
-	return nil
 }
 
 // checkEdge rejects out-of-range endpoints, self-loops and negative
 // weights.
-func (g *Graph) checkEdge(u, v int, w float64) error {
-	if u < 0 || u >= g.n || v < 0 || v >= g.n {
-		return fmt.Errorf("graph: edge (%d,%d) out of range for n=%d", u, v, g.n)
+func checkEdge(n int, e Edge) error {
+	if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
+		return fmt.Errorf("graph: edge (%d,%d) out of range for n=%d", e.U, e.V, n)
 	}
-	if u == v {
-		return fmt.Errorf("graph: self-loop at %d", u)
+	if e.U == e.V {
+		return fmt.Errorf("graph: self-loop at %d", e.U)
 	}
-	if w < 0 {
-		return fmt.Errorf("graph: negative weight %g on (%d,%d)", w, u, v)
+	if e.Weight < 0 {
+		return fmt.Errorf("graph: negative weight %g on (%d,%d)", e.Weight, e.U, e.V)
 	}
 	return nil
 }
 
-// Neighbors calls fn for every incident edge of u with the far endpoint and
-// the edge weight. Iteration order is insertion order (deterministic).
-func (g *Graph) Neighbors(u int, fn func(v int, w float64)) {
-	for _, he := range g.adj[u] {
-		fn(he.to, he.w)
-	}
+// Adj returns node u's row: its neighbours and the weights of the edges to
+// them, in FromEdges list order. The slices share the graph's storage and
+// are capped at the row's end; callers must not write to them.
+func (g *Graph) Adj(u int) (to []int, w []float64) {
+	lo, hi := g.rowPtr[u], g.rowPtr[u+1]
+	return g.to[lo:hi:hi], g.w[lo:hi:hi]
 }
 
-// Edges returns all undirected edges with U < V, sorted, for deterministic
-// downstream assembly.
+// Edges returns every undirected edge once, with U < V, in row order:
+// sorted by (U, V) whenever every row ascends, as a tile graph's rows do.
 func (g *Graph) Edges() []Edge {
-	out := make([]Edge, 0, g.m)
-	for u := 0; u < g.n; u++ {
-		for _, he := range g.adj[u] {
-			if u < he.to {
-				out = append(out, Edge{u, he.to, he.w})
+	out := make([]Edge, 0, g.M())
+	for u := 0; u < g.N(); u++ {
+		to, w := g.Adj(u)
+		for k, v := range to {
+			if u < v {
+				out = append(out, Edge{u, v, w[k]})
 			}
 		}
 	}
-	slices.SortFunc(out, func(a, b Edge) int {
-		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V), cmp.Compare(a.Weight, b.Weight))
-	})
 	return out
 }
 
 // Boundary returns the nodes of g adjacent to, but not members of, the set
 // `inside` — the boundary set C of paper §II-D. Result is sorted.
 func (g *Graph) Boundary(inside []bool) []int {
-	return g.BoundaryInto(nil, make([]bool, g.n), inside)
+	return g.BoundaryInto(nil, make([]bool, g.N()), inside)
 }
 
 // BoundaryInto is Boundary writing into caller storage, for loops that
@@ -145,18 +119,19 @@ func (g *Graph) Boundary(inside []bool) []int {
 // visit scratch. seen must hold g.N() false entries; it holds only false
 // entries again on return.
 func (g *Graph) BoundaryInto(dst []int, seen []bool, inside []bool) []int {
-	if len(inside) != g.n || len(seen) != g.n {
-		panic(fmt.Sprintf("graph: Boundary mask len %d, scratch len %d, want %d", len(inside), len(seen), g.n))
+	if len(inside) != g.N() || len(seen) != g.N() {
+		panic(fmt.Sprintf("graph: Boundary mask len %d, scratch len %d, want %d", len(inside), len(seen), g.N()))
 	}
 	out := dst[:0]
-	for u := 0; u < g.n; u++ {
-		if !inside[u] {
+	for u, in := range inside {
+		if !in {
 			continue
 		}
-		for _, he := range g.adj[u] {
-			if !inside[he.to] && !seen[he.to] {
-				seen[he.to] = true
-				out = append(out, he.to)
+		to, _ := g.Adj(u)
+		for _, v := range to {
+			if !inside[v] && !seen[v] {
+				seen[v] = true
+				out = append(out, v)
 			}
 		}
 	}

@@ -8,71 +8,69 @@ import (
 	"testing/quick"
 )
 
-func mustAdd(t *testing.T, g *Graph, u, v int, w float64) {
+// mustGraph builds the graph on n nodes from the listed edges.
+func mustGraph(t *testing.T, n int, edges ...Edge) *Graph {
 	t.Helper()
-	if err := g.AddEdge(u, v, w); err != nil {
+	g, err := FromEdges(n, edges)
+	if err != nil {
 		t.Fatal(err)
+	}
+	return g
+}
+
+// path builds the path graph 0-1-...-(n-1) with weight w(i) on edge
+// (i, i+1).
+func path(t *testing.T, n int, w func(i int) float64) *Graph {
+	t.Helper()
+	var edges []Edge
+	for i := 0; i+1 < n; i++ {
+		edges = append(edges, Edge{i, i + 1, w(i)})
+	}
+	return mustGraph(t, n, edges...)
+}
+
+func TestFromEdgesValidation(t *testing.T) {
+	for _, e := range []Edge{{0, 3, 1}, {1, 1, 1}, {0, 1, -1}} {
+		if _, err := FromEdges(3, []Edge{e}); err == nil {
+			t.Fatalf("edge %v must error", e)
+		}
+	}
+	g := mustGraph(t, 3, Edge{0, 1, 2})
+	deg := func(u int) int { to, _ := g.Adj(u); return len(to) }
+	if g.N() != 3 || g.M() != 1 || deg(0) != 1 || deg(1) != 1 || deg(2) != 0 {
+		t.Fatalf("N=%d M=%d deg0=%d deg1=%d deg2=%d", g.N(), g.M(), deg(0), deg(1), deg(2))
 	}
 }
 
-func TestAddEdgeValidation(t *testing.T) {
-	g := New(3)
-	if err := g.AddEdge(0, 3, 1); err == nil {
-		t.Fatal("out-of-range edge must error")
+func TestAdjAndEdges(t *testing.T) {
+	g := mustGraph(t, 4, Edge{0, 1, 1}, Edge{0, 2, 2}, Edge{2, 3, 3})
+	to, w := g.Adj(0)
+	if !slices.Equal(to, []int{1, 2}) || !slices.Equal(w, []float64{1, 2}) {
+		t.Fatalf("Adj(0) = %v, %v", to, w)
 	}
-	if err := g.AddEdge(1, 1, 1); err == nil {
-		t.Fatal("self loop must error")
-	}
-	if err := g.AddEdge(0, 1, -1); err == nil {
-		t.Fatal("negative weight must error")
-	}
-	if err := g.AddEdge(0, 1, 2); err != nil {
-		t.Fatal(err)
-	}
-	degree := func(u int) int {
-		d := 0
-		g.Neighbors(u, func(int, float64) { d++ })
-		return d
-	}
-	if g.M() != 1 || degree(0) != 1 || degree(1) != 1 {
-		t.Fatalf("M=%d deg0=%d deg1=%d", g.M(), degree(0), degree(1))
-	}
-}
-
-func TestNeighborsAndEdges(t *testing.T) {
-	g := New(4)
-	mustAdd(t, g, 0, 1, 1)
-	mustAdd(t, g, 0, 2, 2)
-	mustAdd(t, g, 2, 3, 3)
-	var got []int
-	g.Neighbors(0, func(v int, w float64) { got = append(got, v) })
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("neighbors of 0 = %v", got)
-	}
-	edges := g.Edges()
-	if len(edges) != 3 {
-		t.Fatalf("edges = %v", edges)
+	if cap(to) != len(to) || cap(w) != len(w) {
+		t.Fatalf("Adj(0) capacities %d, %d, want the row length %d", cap(to), cap(w), len(to))
 	}
 	want := []Edge{{0, 1, 1}, {0, 2, 2}, {2, 3, 3}}
-	for i := range want {
-		if edges[i] != want[i] {
-			t.Fatalf("edge %d = %v, want %v", i, edges[i], want[i])
-		}
+	if edges := g.Edges(); !slices.Equal(edges, want) {
+		t.Fatalf("edges = %v, want %v", edges, want)
+	}
+	// Edges walks the rows: a row listed out of order stays out of order.
+	g = mustGraph(t, 3, Edge{0, 2, 1}, Edge{1, 0, 2})
+	if edges, want := g.Edges(), []Edge{{0, 2, 1}, {0, 1, 2}}; !slices.Equal(edges, want) {
+		t.Fatalf("edges = %v, want row order %v", edges, want)
 	}
 }
 
 func TestDijkstraSimple(t *testing.T) {
 	//  0 --1-- 1 --1-- 2
 	//   \------5------/
-	g := New(3)
-	mustAdd(t, g, 0, 1, 1)
-	mustAdd(t, g, 1, 2, 1)
-	mustAdd(t, g, 0, 2, 5)
-	paths, err := g.ShortestPaths(0, []int{2})
+	g := mustGraph(t, 3, Edge{0, 1, 1}, Edge{1, 2, 1}, Edge{0, 2, 5})
+	paths, err := g.ShortestPaths(0, []int{2}, identity)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, _, err := g.Dijkstra(0)
+	dist, _, err := g.Dijkstra(0, identity)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,12 +83,11 @@ func TestDijkstraSimple(t *testing.T) {
 }
 
 func TestDijkstraUnreachable(t *testing.T) {
-	g := New(4)
-	mustAdd(t, g, 0, 1, 1)
-	if _, err := g.ShortestPaths(0, []int{1, 3}); err == nil {
+	g := mustGraph(t, 4, Edge{0, 1, 1})
+	if _, err := g.ShortestPaths(0, []int{1, 3}, identity); err == nil {
 		t.Fatal("unreachable node must error")
 	}
-	dist, _, err := g.Dijkstra(0)
+	dist, _, err := g.Dijkstra(0, identity)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,11 +97,8 @@ func TestDijkstraUnreachable(t *testing.T) {
 }
 
 func TestShortestPathsOneToMany(t *testing.T) {
-	g := New(5)
-	for i := 0; i < 4; i++ {
-		mustAdd(t, g, i, i+1, float64(i+1))
-	}
-	paths, err := g.ShortestPaths(0, []int{2, 4})
+	g := path(t, 5, func(i int) float64 { return float64(i + 1) })
+	paths, err := g.ShortestPaths(0, []int{2, 4}, identity)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,16 +109,16 @@ func TestShortestPathsOneToMany(t *testing.T) {
 
 // bellmanFord computes single-source shortest path distances by edge
 // relaxation: the slower oracle that cross-validates Dijkstra (both are
-// cited in paper §II-C). Negative edges are rejected at AddEdge, so no
+// cited in paper §II-C). Negative edges are rejected by FromEdges, so no
 // negative cycles can exist.
 func bellmanFord(g *Graph, src int) []float64 {
-	dist := make([]float64, g.n)
+	dist := make([]float64, g.N())
 	for i := range dist {
 		dist[i] = math.Inf(1)
 	}
 	dist[src] = 0
 	edges := g.Edges()
-	for i := 0; i < g.n; i++ {
+	for i := 0; i < g.N(); i++ {
 		changed := false
 		for _, e := range edges {
 			if dist[e.U]+e.Weight < dist[e.V] {
@@ -147,16 +141,20 @@ func TestQuickDijkstraMatchesBellmanFord(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	f := func() bool {
 		n := 2 + rng.Intn(20)
-		g := New(n)
+		var edges []Edge
 		mEdges := n + rng.Intn(3*n)
 		for k := 0; k < mEdges; k++ {
 			u, v := rng.Intn(n), rng.Intn(n)
 			if u != v {
-				_ = g.AddEdge(u, v, rng.Float64()*10)
+				edges = append(edges, Edge{u, v, rng.Float64() * 10})
 			}
 		}
+		g, err := FromEdges(n, edges)
+		if err != nil {
+			return false
+		}
 		src := rng.Intn(n)
-		d1, _, err := g.Dijkstra(src)
+		d1, _, err := g.Dijkstra(src, identity)
 		if err != nil {
 			return false
 		}
@@ -179,10 +177,7 @@ func TestQuickDijkstraMatchesBellmanFord(t *testing.T) {
 
 func TestBoundary(t *testing.T) {
 	// Path 0-1-2-3-4, inside = {1,2}: boundary = {0,3}.
-	g := New(5)
-	for i := 0; i < 4; i++ {
-		mustAdd(t, g, i, i+1, 1)
-	}
+	g := path(t, 5, func(int) float64 { return 1 })
 	inside := []bool{false, true, true, false, false}
 	b := g.Boundary(inside)
 	if len(b) != 2 || b[0] != 0 || b[1] != 3 {
@@ -194,10 +189,7 @@ func TestBoundary(t *testing.T) {
 // one buffer and one scratch: each must equal Boundary, land in the
 // caller's array, and leave the scratch all false.
 func TestBoundaryIntoReusesStorage(t *testing.T) {
-	g := New(6)
-	for i := 0; i < 5; i++ {
-		mustAdd(t, g, i, i+1, 1)
-	}
+	g := path(t, 6, func(int) float64 { return 1 })
 	seen := make([]bool, g.N())
 	dst := make([]int, 0, 4)
 	for _, inside := range [][]bool{
@@ -219,14 +211,12 @@ func TestBoundaryIntoReusesStorage(t *testing.T) {
 }
 
 func TestMultiEdgePathUsesCheapest(t *testing.T) {
-	g := New(2)
-	mustAdd(t, g, 0, 1, 5)
-	mustAdd(t, g, 0, 1, 2)
-	paths, err := g.ShortestPaths(0, []int{1})
+	g := mustGraph(t, 2, Edge{0, 1, 5}, Edge{0, 1, 2})
+	paths, err := g.ShortestPaths(0, []int{1}, identity)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, _, err := g.Dijkstra(0)
+	dist, _, err := g.Dijkstra(0, identity)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,17 +6,23 @@ import (
 )
 
 // Dijkstra computes single-source shortest path distances and predecessor
-// links from src. Unreachable nodes have distance +Inf and predecessor -1.
-// Complexity O((V+E) log V) as analyzed in paper Eq. 6. The priority queue
-// is a typed binary heap that moves entries exactly as container/heap
-// would, so equal-distance ties settle in the same order without boxing an
-// entry per push (TestDijkstraMatchesOracle pins dist and prev).
-func (g *Graph) Dijkstra(src int) (dist []float64, prev []int, err error) {
-	if src < 0 || src >= g.n {
+// links from src, where an edge of stored weight w costs cost(w): callers
+// differ in how a weight becomes a path cost (the seed takes 1/w of a
+// conductance, the multilayer planner the weight itself). A cost must not
+// be negative; an edge whose cost is +Inf or NaN (1/w at w = 0, say)
+// relaxes nothing, as if it were absent. Unreachable nodes have distance
+// +Inf and predecessor -1. Complexity O((V+E) log V) as analyzed in paper
+// Eq. 6. The priority queue is a typed binary heap that moves entries
+// exactly as container/heap would, so equal-distance ties settle in the
+// same order without boxing an entry per push (TestDijkstraMatchesOracle
+// pins dist and prev).
+func (g *Graph) Dijkstra(src int, cost func(w float64) float64) (dist []float64, prev []int, err error) {
+	n := g.N()
+	if src < 0 || src >= n {
 		return nil, nil, fmt.Errorf("graph: dijkstra source %d out of range", src)
 	}
-	dist = make([]float64, g.n)
-	prev = make([]int, g.n)
+	dist = make([]float64, n)
+	prev = make([]int, n)
 	for i := range dist {
 		dist[i] = math.Inf(1)
 		prev[i] = -1
@@ -28,23 +34,24 @@ func (g *Graph) Dijkstra(src int) (dist []float64, prev []int, err error) {
 		if it.d > dist[it.node] {
 			continue // stale entry
 		}
-		for _, he := range g.adj[it.node] {
-			nd := it.d + he.w
-			if nd < dist[he.to] {
-				dist[he.to] = nd
-				prev[he.to] = it.node
-				pq.push(distItem{he.to, nd})
+		to, w := g.Adj(it.node)
+		for k, v := range to {
+			if nd := it.d + cost(w[k]); nd < dist[v] {
+				dist[v] = nd
+				prev[v] = it.node
+				pq.push(distItem{v, nd})
 			}
 		}
 	}
 	return dist, prev, nil
 }
 
-// ShortestPaths returns minimum-cost paths from src to each dst (inclusive),
-// sharing a single Dijkstra pass (paper Alg. 2 line 4 computes one-to-many
-// paths). It returns an error when a dst is out of range or unreachable.
-func (g *Graph) ShortestPaths(src int, dsts []int) ([][]int, error) {
-	dist, prev, err := g.Dijkstra(src)
+// ShortestPaths returns minimum-cost paths under the cost rule from src to
+// each dst (inclusive), sharing a single Dijkstra pass (paper Alg. 2 line 4
+// computes one-to-many paths). It returns an error when a dst is out of
+// range or unreachable.
+func (g *Graph) ShortestPaths(src int, dsts []int, cost func(w float64) float64) ([][]int, error) {
+	dist, prev, err := g.Dijkstra(src, cost)
 	if err != nil {
 		return nil, err
 	}

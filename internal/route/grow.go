@@ -62,11 +62,12 @@ func (tg *TileGraph) growByCurrent(s *growScratch, members []bool, nodeCurrent [
 	s.cands = s.cands[:0]
 	for _, c := range s.boundary {
 		score := 0.0
-		tg.G.Neighbors(c, func(v int, w float64) {
+		to, _ := tg.G.Adj(c)
+		for _, v := range to {
 			if members[v] {
 				score += nodeCurrent[v]
 			}
-		})
+		}
 		s.cands = append(s.cands, growCand{c, score})
 	}
 	slices.SortFunc(s.cands, func(a, b growCand) int {

@@ -65,6 +65,10 @@ func PlanMultilayerCtx(ctx context.Context, spaces []LayerSpace, terms []MLTermi
 	return plan, nil
 }
 
+// stepCost is the multilayer planner's shortest-path cost: an edge costs
+// its stored weight, 1 per lateral step and viaCost per via.
+func stepCost(w float64) float64 { return w }
+
 // planMultilayer determines the least-cost layer assignment for a net whose
 // terminals cannot be connected within a single layer (paper Algorithm 6).
 // It tiles every layer at the via pitch, builds the 3-D graph with
@@ -125,11 +129,11 @@ func planMultilayer(spaces []LayerSpace, terms []MLTerminal, viaPitch int64, via
 		return nil, fmt.Errorf("route: no routable space on any layer")
 	}
 
-	g := graph.New(len(cells))
 	// Lateral edges within a layer: unit cost wherever pieces touch.
+	var edges []graph.Edge
 	for li, t := range tilings {
 		t.contacts(func(pa, pb int, _ int64, _ bool) {
-			_ = g.AddEdge(first[li]+pa, first[li]+pb, 1)
+			edges = append(edges, graph.Edge{U: first[li] + pa, V: first[li] + pb, Weight: 1})
 		})
 	}
 	// Vertical (via) edges between adjacent layers where cells overlap.
@@ -139,11 +143,15 @@ func planMultilayer(spaces []LayerSpace, terms []MLTerminal, viaPitch int64, via
 			for a := lo.cellStart[c]; a < lo.cellStart[c+1]; a++ {
 				for b := hi.cellStart[c]; b < hi.cellStart[c+1]; b++ {
 					if lo.pieces[a].Overlaps(hi.pieces[b]) {
-						_ = g.AddEdge(first[li]+a, first[li+1]+b, viaCost)
+						edges = append(edges, graph.Edge{U: first[li] + a, V: first[li+1] + b, Weight: viaCost})
 					}
 				}
 			}
 		}
+	}
+	g, err := graph.FromEdges(len(cells), edges)
+	if err != nil {
+		return nil, fmt.Errorf("route: multilayer graph: %w", err)
 	}
 
 	// Map terminals onto nodes (first overlapping cell on the terminal's
@@ -178,7 +186,7 @@ func planMultilayer(spaces []LayerSpace, terms []MLTerminal, viaPitch int64, via
 		if len(dsts) == 0 {
 			break
 		}
-		paths, err := g.ShortestPaths(termNode[i], dsts)
+		paths, err := g.ShortestPaths(termNode[i], dsts, stepCost)
 		if err != nil {
 			return nil, fmt.Errorf("route: multilayer path from %q: %w", terms[i].Name, err)
 		}

@@ -87,7 +87,7 @@ func planMultilayerOracle(spaces []LayerSpace, terms []MLTerminal, viaPitch int6
 		return nil, fmt.Errorf("route: no routable space on any layer")
 	}
 
-	g := graph.New(len(cells))
+	var edges []graph.Edge
 	// Lateral edges within a layer.
 	for li := range sorted {
 		for _, key := range sortedBoxes(grids[li]) {
@@ -97,7 +97,7 @@ func planMultilayerOracle(spaces []LayerSpace, terms []MLTerminal, viaPitch int6
 				for _, a := range ids {
 					for _, bid := range grids[li][nkey] {
 						if contactLength(cells[a].shape, cells[bid].shape) > 0 {
-							_ = g.AddEdge(a, bid, 1)
+							edges = append(edges, graph.Edge{U: a, V: bid, Weight: 1})
 						}
 					}
 				}
@@ -111,11 +111,15 @@ func planMultilayerOracle(spaces []LayerSpace, terms []MLTerminal, viaPitch int6
 			for _, a := range ids {
 				for _, bid := range grids[li+1][key] {
 					if cells[a].shape.Overlaps(cells[bid].shape) {
-						_ = g.AddEdge(a, bid, viaCost)
+						edges = append(edges, graph.Edge{U: a, V: bid, Weight: viaCost})
 					}
 				}
 			}
 		}
+	}
+	g, err := graph.FromEdges(len(cells), edges)
+	if err != nil {
+		return nil, err
 	}
 
 	// Map terminals onto nodes (first overlapping cell on the terminal's
@@ -150,7 +154,7 @@ func planMultilayerOracle(spaces []LayerSpace, terms []MLTerminal, viaPitch int6
 		if len(dsts) == 0 {
 			break
 		}
-		paths, err := g.ShortestPaths(termNode[i], dsts)
+		paths, err := g.ShortestPaths(termNode[i], dsts, stepCost)
 		if err != nil {
 			return nil, fmt.Errorf("route: multilayer path from %q: %w", terms[i].Name, err)
 		}

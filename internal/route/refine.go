@@ -110,11 +110,12 @@ func (s *connScratch) visit(v int) bool {
 func (tg *TileGraph) removalKeepsConnected(s *connScratch, members []bool, c int) bool {
 	s.begin(tg.G.N())
 	s.nbrs = s.nbrs[:0]
-	tg.G.Neighbors(c, func(v int, _ float64) {
+	to, _ := tg.G.Adj(c)
+	for _, v := range to {
 		if members[v] && s.visit(v) {
 			s.nbrs = append(s.nbrs, v)
 		}
-	})
+	}
 	if len(s.nbrs) <= 1 {
 		return true // an isolated or leaf node carries no path
 	}
@@ -133,15 +134,16 @@ func (tg *TileGraph) neighboursReconnect(s *connScratch, members []bool) bool {
 	s.queue = append(s.queue, s.nbrs[0])
 	missing := len(s.nbrs) - 1
 	for head := 0; head < len(s.queue) && head < localSearchBudget; head++ {
-		tg.G.Neighbors(s.queue[head], func(v int, _ float64) {
+		to, _ := tg.G.Adj(s.queue[head])
+		for _, v := range to {
 			if !members[v] || !s.visit(v) {
-				return
+				continue
 			}
 			s.queue = append(s.queue, v)
 			if slices.Contains(s.nbrs[1:], v) {
 				missing--
 			}
-		})
+		}
 		if missing == 0 {
 			return true
 		}
@@ -166,11 +168,12 @@ func (tg *TileGraph) terminalsConnected(s *connScratch, members []bool) bool {
 	s.visit(start)
 	s.queue = append(s.queue, start)
 	for head := 0; head < len(s.queue); head++ {
-		tg.G.Neighbors(s.queue[head], func(v int, _ float64) {
+		to, _ := tg.G.Adj(s.queue[head])
+		for _, v := range to {
 			if members[v] && s.visit(v) {
 				s.queue = append(s.queue, v)
 			}
-		})
+		}
 	}
 	for _, t := range tg.Terminals {
 		if s.mark[t] != s.epoch {

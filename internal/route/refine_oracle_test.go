@@ -56,12 +56,13 @@ func (tg *TileGraph) terminalsConnectedOracle(members []bool) bool {
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		tg.G.Neighbors(u, func(v int, w float64) {
+		to, _ := tg.G.Adj(u)
+		for _, v := range to {
 			if members[v] && !seen[v] {
 				seen[v] = true
 				queue = append(queue, v)
 			}
-		})
+		}
 	}
 	for _, t := range tg.Terminals {
 		if !seen[t] {

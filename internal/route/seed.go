@@ -6,16 +6,17 @@ import (
 	"sprout/internal/geom"
 )
 
-// TerminalPaths returns a minimum-resistance path through the cost graph
-// between every terminal pair, in (i, j) order with i < j (paper Alg. 2
-// line 4: one Dijkstra pass per source terminal). An error names the
-// source terminal whose search failed.
+// TerminalPaths returns a minimum-resistance path between every terminal
+// pair, in (i, j) order with i < j (paper Alg. 2 line 4: one Dijkstra pass
+// per source terminal over the equivalent graph). An edge costs the
+// reciprocal of its conductance, so low-resistance corridors are
+// preferred; a zero-conductance edge costs +Inf and is never taken. An
+// error names the source terminal whose search failed.
 func (tg *TileGraph) TerminalPaths() ([][]int, error) {
-	cost := tg.CostGraph()
 	k := len(tg.Terminals)
 	out := make([][]int, 0, k*(k-1)/2)
 	for i := 0; i+1 < k; i++ {
-		paths, err := cost.ShortestPaths(tg.Terminals[i], tg.Terminals[i+1:])
+		paths, err := tg.G.ShortestPaths(tg.Terminals[i], tg.Terminals[i+1:], resistance)
 		if err != nil {
 			return nil, fmt.Errorf("from terminal %d: %w", i, err)
 		}
@@ -23,6 +24,9 @@ func (tg *TileGraph) TerminalPaths() ([][]int, error) {
 	}
 	return out, nil
 }
+
+// resistance is the shortest-path cost of an edge of conductance w.
+func resistance(w float64) float64 { return 1 / w }
 
 // Seed builds the voidless seed subgraph of paper Algorithm 2: the union
 // of minimum-resistance paths between every terminal pair, with interior

@@ -85,9 +85,9 @@ func grow[E any](s []E, n int) []E {
 // its grounded Laplacian into the session's arenas (paper Alg. 3 on
 // Γ_n[V_n^s]). A BFS from terminal 0 over the members finds the
 // component, its nodes are numbered in ascending id, and one filtered pass
-// over each node's adjacency in tg.G fills the component CSR, which
-// sparse.ReassembleLaplacian stamps row by row. Every adjacency list of a
-// tile graph ascends (TileGraph.G), so the rows ascend and the stamping
+// over each node's row of tg.G fills the component CSR, which
+// sparse.ReassembleLaplacian stamps row by row. Every row of a tile graph
+// ascends (TileGraph.G), so the component rows ascend and the stamping
 // sequence is the sorted edge list of a from-scratch build: the Laplacian
 // is bit-identical to one.
 func (s *solverSession) rebuild(tg *TileGraph, members []bool) error {
@@ -98,14 +98,14 @@ func (s *solverSession) rebuild(tg *TileGraph, members []bool) error {
 	t0 := tg.Terminals[0]
 	s.compIdx[t0] = 0
 	s.queue = append(s.queue[:0], t0)
-	visit := func(v int, _ float64) {
-		if members[v] && s.compIdx[v] < 0 {
-			s.compIdx[v] = 0
-			s.queue = append(s.queue, v)
-		}
-	}
 	for head := 0; head < len(s.queue); head++ {
-		tg.G.Neighbors(s.queue[head], visit)
+		to, _ := tg.G.Adj(s.queue[head])
+		for _, v := range to {
+			if members[v] && s.compIdx[v] < 0 {
+				s.compIdx[v] = 0
+				s.queue = append(s.queue, v)
+			}
+		}
 	}
 	for _, t := range tg.Terminals {
 		if s.compIdx[t] < 0 {
@@ -125,14 +125,14 @@ func (s *solverSession) rebuild(tg *TileGraph, members []bool) error {
 	// filters the neighbours.
 	s.rowPtr = append(s.rowPtr[:0], 0)
 	s.nbr, s.nw = s.nbr[:0], s.nw[:0]
-	keep := func(v int, w float64) {
-		if c := s.compIdx[v]; c >= 0 {
-			s.nbr = append(s.nbr, c)
-			s.nw = append(s.nw, w)
-		}
-	}
 	for _, id := range s.compNodes {
-		tg.G.Neighbors(id, keep)
+		to, w := tg.G.Adj(id)
+		for k, v := range to {
+			if c := s.compIdx[v]; c >= 0 {
+				s.nbr = append(s.nbr, c)
+				s.nw = append(s.nw, w[k])
+			}
+		}
 		s.rowPtr = append(s.rowPtr, len(s.nbr))
 	}
 	lap, err := sparse.ReassembleLaplacian(s.lap, s.rowPtr, s.nbr, s.nw, s.compIdx[t0])

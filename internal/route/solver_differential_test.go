@@ -96,14 +96,15 @@ func (tg *TileGraph) solvePairsScratch(ctx context.Context, members []bool, warm
 		warm.pairVolts = make([][]float64, len(pairs))
 	}
 	// The component's CSR adjacency for the metric, in the subgraph's
-	// neighbour insertion order.
+	// row order.
 	sol := &pairSolution{pairs: pairs, weights: weights, rowPtr: []int{0}}
 	for _, si := range compNodes {
 		sol.nodes = append(sol.nodes, orig[si])
-		sub.Neighbors(si, func(nj int, w float64) {
+		to, w := sub.Adj(si)
+		for k, nj := range to {
 			sol.nbr = append(sol.nbr, compIdx[nj])
-			sol.nw = append(sol.nw, w)
-		})
+			sol.nw = append(sol.nw, w[k])
+		}
 		sol.rowPtr = append(sol.rowPtr, len(sol.nbr))
 	}
 	sol.volts = make([][]float64, len(pairs))
@@ -153,8 +154,8 @@ func (tg *TileGraph) solvePairsScratch(ctx context.Context, members []bool, warm
 
 // inducedMembers returns the subgraph induced by the mask's set nodes
 // (paper Alg. 4 line 13, Γ_n[V_n^s]) together with the mapping from new
-// node index to original node index. Each edge is inserted once, from its
-// smaller endpoint, in adjacency order.
+// node index to original node index. Each edge is listed once, from its
+// smaller endpoint, in row order.
 func inducedMembers(g *graph.Graph, members []bool) (*graph.Graph, []int) {
 	keep := make([]int, g.N())
 	var orig []int
@@ -165,14 +166,17 @@ func inducedMembers(g *graph.Graph, members []bool) (*graph.Graph, []int) {
 			orig = append(orig, id)
 		}
 	}
-	sub := graph.New(len(orig))
+	var edges []graph.Edge
 	for newU, u := range orig {
-		g.Neighbors(u, func(v int, w float64) {
+		to, w := g.Adj(u)
+		for k, v := range to {
 			if v > u && keep[v] != -1 {
-				_ = sub.AddEdge(newU, keep[v], w)
+				edges = append(edges, graph.Edge{U: newU, V: keep[v], Weight: w[k]})
 			}
-		})
+		}
 	}
+	// The edges come from a valid graph, so FromEdges cannot reject them.
+	sub, _ := graph.FromEdges(len(orig), edges)
 	return sub, orig
 }
 
@@ -194,12 +198,13 @@ func components(g *graph.Graph) []int {
 		for len(queue) > 0 {
 			u := queue[0]
 			queue = queue[1:]
-			g.Neighbors(u, func(v int, _ float64) {
+			to, _ := g.Adj(u)
+			for _, v := range to {
 				if label[v] == -1 {
 					label[v] = next
 					queue = append(queue, v)
 				}
-			})
+			}
 		}
 		next++
 	}
@@ -419,23 +424,23 @@ func TestDifferentialUnsortedAdjacency(t *testing.T) {
 	}
 	edges := built.G.Edges()
 	rand.New(rand.NewSource(7)).Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
-	g := graph.New(built.G.N())
-	for _, e := range edges {
-		if err := g.AddEdge(e.V, e.U, e.Weight); err != nil {
-			t.Fatal(err)
-		}
+	for i, e := range edges {
+		edges[i] = graph.Edge{U: e.V, V: e.U, Weight: e.Weight}
+	}
+	g, err := graph.FromEdges(built.G.N(), edges)
+	if err != nil {
+		t.Fatal(err)
 	}
 	tg := *built
 	tg.G = g
 	unsorted := 0
 	for u := 0; u < g.N(); u++ {
-		prev := -1
-		g.Neighbors(u, func(v int, _ float64) {
-			if v < prev {
+		to, _ := g.Adj(u)
+		for k := 1; k < len(to); k++ {
+			if to[k] < to[k-1] {
 				unsorted++
 			}
-			prev = v
-		})
+		}
 	}
 	if unsorted == 0 {
 		t.Fatal("shuffled insertion left every adjacency list ascending")
@@ -458,9 +463,9 @@ func TestDifferentialUnsortedAdjacency(t *testing.T) {
 	}
 }
 
-// handTileGraph builds a tile graph from hand-listed edges. It inserts them
-// sorted by (U, V) with U < V, as BuildTileGraph inserts its own, so every
-// adjacency list ascends (TileGraph.G). Each terminal draws unit current.
+// handTileGraph builds a tile graph from hand-listed edges. It lists them
+// sorted by (U, V) with U < V, as BuildTileGraph lists its own, so every
+// row ascends (TileGraph.G). Each terminal draws unit current.
 func handTileGraph(t *testing.T, n int, edges []graph.Edge, terms []int) *TileGraph {
 	t.Helper()
 	sorted := make([]graph.Edge, len(edges))
@@ -470,11 +475,9 @@ func handTileGraph(t *testing.T, n int, edges []graph.Edge, terms []int) *TileGr
 	slices.SortFunc(sorted, func(a, b graph.Edge) int {
 		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
 	})
-	g := graph.New(n)
-	for _, e := range sorted {
-		if err := g.AddEdge(e.U, e.V, e.Weight); err != nil {
-			t.Fatal(err)
-		}
+	g, err := graph.FromEdges(n, sorted)
+	if err != nil {
+		t.Fatal(err)
 	}
 	cur := make([]float64, len(terms))
 	for i := range cur {

@@ -36,11 +36,12 @@ type Terminal struct {
 type TileGraph struct {
 	// G holds the conductance graph: edge weight = contact width divided by
 	// the tile pitch across the contact (unitless "squares" of sheet
-	// conductance). BuildTileGraph inserts its merged edges once each, in
-	// ascending (a, b) order, so every node's adjacency list strictly
-	// ascends. The solver session rests on that: walking the lists in
-	// order stamps the Laplacian in sorted edge order, bit-identical to a
-	// from-scratch build (TestTileGraphAdjacencyAscends pins it).
+	// conductance). BuildTileGraph lists its merged edges once each, in
+	// ascending (a, b) order, so every node's row strictly ascends and
+	// G.Edges() comes out sorted. The solver session rests on that:
+	// walking the rows in order stamps the Laplacian in sorted edge order,
+	// bit-identical to a from-scratch build (TestTileGraphAdjacencyAscends
+	// pins it).
 	G *graph.Graph
 	// Cells maps node id to its tile geometry (union of tiles for
 	// contracted terminal nodes).
@@ -60,7 +61,7 @@ type TileGraph struct {
 // when a terminal has no routable tile or fewer than two terminals are
 // given. It allocates per graph rather than per node: a contracted
 // terminal's cell is built in one pass over its pieces' fragments, and
-// graph.FromEdges carves the adjacency lists from one array.
+// graph.FromEdges lays the merged edges out as one CSR adjacency.
 func BuildTileGraph(avail geom.Region, terms []Terminal, dx, dy int64) (*TileGraph, error) {
 	if dx < 1 || dy < 1 {
 		return nil, fmt.Errorf("route: tile size %dx%d must be >= 1", dx, dy)
@@ -411,26 +412,6 @@ func (tg *TileGraph) IsTerminal(id int) bool {
 		}
 	}
 	return false
-}
-
-// CostGraph derives the shortest-path cost graph: cost = 1/conductance per
-// edge, so low-resistance corridors are preferred (paper §II-C uses
-// Dijkstra on the equivalent graph). Walking the strictly ascending
-// adjacency lists yields the edges u < v already in sorted order.
-func (tg *TileGraph) CostGraph() *graph.Graph {
-	n := tg.G.N()
-	edges := make([]graph.Edge, 0, tg.G.M())
-	for u := 0; u < n; u++ {
-		tg.G.Neighbors(u, func(v int, w float64) {
-			if u < v && w > 0 {
-				edges = append(edges, graph.Edge{U: u, V: v, Weight: 1 / w})
-			}
-		})
-	}
-	// The edges come from a valid graph with positive weights, so
-	// FromEdges cannot reject them.
-	cg, _ := graph.FromEdges(n, edges)
-	return cg
 }
 
 // Union returns the copper region covered by the given member mask

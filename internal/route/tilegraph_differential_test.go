@@ -2,6 +2,7 @@ package route_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"sprout"
 	"sprout/internal/cases"
 	"sprout/internal/geom"
+	"sprout/internal/graph"
 	"sprout/internal/route"
 )
 
@@ -281,8 +283,8 @@ func TestBuildTileGraphMatchesOracle(t *testing.T) {
 }
 
 // FuzzBuildTileGraph drives the same comparison with fuzzer-chosen seeds
-// and tile pitches, and checks that every adjacency list of a built graph
-// strictly ascends.
+// and tile pitches, and checks that every row of a built graph strictly
+// ascends.
 func FuzzBuildTileGraph(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint8(4))
 	f.Add(int64(2), uint8(3), uint8(7))
@@ -301,18 +303,17 @@ func FuzzBuildTileGraph(f *testing.F) {
 	})
 }
 
-// adjacencyAscends fails unless every adjacency list of tg.G strictly
-// ascends: the invariant documented on TileGraph.G.
+// adjacencyAscends fails unless every row of tg.G strictly ascends: the
+// invariant documented on TileGraph.G.
 func adjacencyAscends(t testing.TB, name string, tg *route.TileGraph) {
 	t.Helper()
 	for u := 0; u < tg.G.N(); u++ {
-		prev := -1
-		tg.G.Neighbors(u, func(v int, _ float64) {
-			if v <= prev {
-				t.Fatalf("%s: adjacency of node %d lists %d after %d", name, u, v, prev)
+		to, _ := tg.G.Adj(u)
+		for k := 1; k < len(to); k++ {
+			if to[k] <= to[k-1] {
+				t.Fatalf("%s: row of node %d lists %d after %d", name, u, to[k], to[k-1])
 			}
-			prev = v
-		})
+		}
 	}
 }
 
@@ -332,4 +333,121 @@ func TestTileGraphAdjacencyAscends(t *testing.T) {
 	if len(spaces) != 2*(2+3+6) {
 		t.Fatalf("checked %d spaces, want one route and one extraction space per golden rail", len(spaces))
 	}
+}
+
+// TestTileGraphEdgesAscend pins what Edges' row walk rests on for tile
+// graphs: on every golden tile graph it lists each edge once, with
+// U < V, in strictly ascending (U, V) order.
+func TestTileGraphEdgesAscend(t *testing.T) {
+	for _, sp := range goldenTileSpaces(t) {
+		tg, err := route.BuildTileGraph(sp.avail, sp.terms, sp.dx, sp.dy)
+		if err != nil {
+			t.Fatalf("%s: %v", sp.name, err)
+		}
+		edges := tg.G.Edges()
+		if len(edges) != tg.G.M() {
+			t.Fatalf("%s: Edges lists %d edges, M() = %d", sp.name, len(edges), tg.G.M())
+		}
+		for k, e := range edges {
+			if e.U >= e.V {
+				t.Fatalf("%s: edge %d is %v, want U < V", sp.name, k, e)
+			}
+			if k > 0 {
+				if p := edges[k-1]; p.U > e.U || p.U == e.U && p.V >= e.V {
+					t.Fatalf("%s: edge %d %v follows %v", sp.name, k, e, p)
+				}
+			}
+		}
+	}
+}
+
+// TestTerminalPathsMatchBellmanFord checks the seed's cost rule on the
+// two-rail and six-rail tile graphs against an explicitly built 1/w cost
+// graph (zero conductances left out): TerminalPaths must return the very
+// paths Dijkstra finds on that graph, and each path must be a walk over
+// its edges whose cost equals the Bellman-Ford distance between the
+// pair's terminals.
+func TestTerminalPathsMatchBellmanFord(t *testing.T) {
+	checked := 0
+	for _, sp := range goldenTileSpaces(t) {
+		if sp.routed == nil || !strings.HasPrefix(sp.name, "tworail/") && !strings.HasPrefix(sp.name, "sixrail/") {
+			continue
+		}
+		checked++
+		tg := sp.routed
+		var costEdges []graph.Edge
+		edgeCost := map[[2]int]float64{}
+		for _, e := range tg.G.Edges() {
+			if e.Weight > 0 {
+				costEdges = append(costEdges, graph.Edge{U: e.U, V: e.V, Weight: 1 / e.Weight})
+				edgeCost[[2]int{e.U, e.V}] = 1 / e.Weight
+			}
+		}
+		cost, err := graph.FromEdges(tg.G.N(), costEdges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		paths, err := tg.TerminalPaths()
+		if err != nil {
+			t.Fatalf("%s: %v", sp.name, err)
+		}
+		p := 0
+		for i, src := range tg.Terminals {
+			want, err := cost.ShortestPaths(src, tg.Terminals[i+1:], func(w float64) float64 { return w })
+			if err != nil {
+				t.Fatalf("%s: %v", sp.name, err)
+			}
+			dist := bellmanFord(tg.G.N(), costEdges, src)
+			for j, dst := range tg.Terminals[i+1:] {
+				path := paths[p]
+				p++
+				if !reflect.DeepEqual(path, want[j]) {
+					t.Fatalf("%s: path %d->%d differs from Dijkstra on the 1/w graph", sp.name, i, i+1+j)
+				}
+				if path[0] != src || path[len(path)-1] != dst {
+					t.Fatalf("%s: path %d->%d runs %d..%d", sp.name, i, i+1+j, path[0], path[len(path)-1])
+				}
+				sum := 0.0
+				for k := 1; k < len(path); k++ {
+					c, ok := edgeCost[[2]int{min(path[k-1], path[k]), max(path[k-1], path[k])}]
+					if !ok {
+						t.Fatalf("%s: path %d->%d steps %d-%d off the cost graph", sp.name, i, i+1+j, path[k-1], path[k])
+					}
+					sum += c
+				}
+				if math.Abs(sum-dist[dst]) > 1e-9*dist[dst] {
+					t.Fatalf("%s: path %d->%d costs %v, Bellman-Ford distance %v", sp.name, i, i+1+j, sum, dist[dst])
+				}
+			}
+		}
+		if p != len(paths) {
+			t.Fatalf("%s: %d terminal paths, want %d", sp.name, len(paths), p)
+		}
+	}
+	if checked != 2+6 {
+		t.Fatalf("checked %d rails, want the two-rail and six-rail rails", checked)
+	}
+}
+
+// bellmanFord returns the single-source distances over the undirected
+// edges by relaxation to a fixed point: the slower oracle paper §II-C
+// cites next to Dijkstra.
+func bellmanFord(n int, edges []graph.Edge, src int) []float64 {
+	dist := make([]float64, n)
+	for i := range dist {
+		dist[i] = math.Inf(1)
+	}
+	dist[src] = 0
+	for changed := true; changed; {
+		changed = false
+		for _, e := range edges {
+			if d := dist[e.U] + e.Weight; d < dist[e.V] {
+				dist[e.V], changed = d, true
+			}
+			if d := dist[e.V] + e.Weight; d < dist[e.U] {
+				dist[e.U], changed = d, true
+			}
+		}
+	}
+	return dist
 }

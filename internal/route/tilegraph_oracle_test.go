@@ -146,7 +146,6 @@ func buildTileGraphOracle(avail geom.Region, terms []Terminal, dx, dy int64) (*T
 	}
 
 	// Edges: adjacent columns/rows; conductance = contact width / pitch.
-	g := graph.New(len(cells))
 	type edgeKey struct{ a, b int }
 	acc := map[edgeKey]float64{}
 	addContact := func(ra, rb rawCell, na, nb int) {
@@ -188,10 +187,13 @@ func buildTileGraphOracle(avail geom.Region, terms []Terminal, dx, dy int64) (*T
 		}
 		return keys[i].b < keys[j].b
 	})
-	for _, k := range keys {
-		if err := g.AddEdge(k.a, k.b, acc[k]); err != nil {
-			return nil, err
-		}
+	edges := make([]graph.Edge, len(keys))
+	for i, k := range keys {
+		edges[i] = graph.Edge{U: k.a, V: k.b, Weight: acc[k]}
+	}
+	g, err := graph.FromEdges(len(cells), edges)
+	if err != nil {
+		return nil, err
 	}
 
 	tg := &TileGraph{

@@ -156,25 +156,6 @@ func TestBuildTileGraphErrors(t *testing.T) {
 	}
 }
 
-func TestCostGraphReciprocal(t *testing.T) {
-	tg, _ := twoTerm(t, 40, 20, 10)
-	cost := tg.CostGraph()
-	for _, e := range cost.Edges() {
-		orig := 0.0
-		tg.G.Neighbors(e.U, func(v int, w float64) {
-			if v == e.V {
-				orig = w
-			}
-		})
-		if orig == 0 {
-			t.Fatalf("cost edge (%d,%d) missing in conductance graph", e.U, e.V)
-		}
-		if e.Weight != 1/orig {
-			t.Fatalf("cost = %g, want %g", e.Weight, 1/orig)
-		}
-	}
-}
-
 func TestUnionAndMembersArea(t *testing.T) {
 	tg, avail := twoTerm(t, 40, 20, 10)
 	all := make([]bool, tg.G.N())
