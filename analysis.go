@@ -32,7 +32,8 @@ func RailDC(b *board.Board, layer int, rail RailResult, vSupply float64) (*DCRes
 // RailDCCtx solves the rail's DC operating point (PMIC sources the net
 // current, every other terminal group sinks its weighted share) and the
 // resulting thermal map. vSupply scales the reported minimum voltage. The
-// DC solve and the thermal simulation each run under a tracing span.
+// DC solve and the thermal simulation each run under a tracing span, and
+// context cancellation aborts either solve.
 func RailDCCtx(ctx context.Context, b *board.Board, layer int, rail RailResult, vSupply float64) (*DCResult, error) {
 	if rail.Route == nil {
 		if rail.Diag.Err != nil {
@@ -72,15 +73,15 @@ func RailDCCtx(ctx context.Context, b *board.Board, layer int, rail RailResult, 
 		HeightUM:  b.Stackup.DistanceToPlaneUM(layer),
 	}
 	shape := rail.Route.Shape.Union(termShapes(source, loads))
-	_, dcSp := obs.StartSpan(ctx, "DCOperate", obs.A("net", net.Name))
-	op, err := extract.DCOperate(shape, *source, loads, totalA, exOpt)
+	dcCtx, dcSp := obs.StartSpan(ctx, "DCOperate", obs.A("net", net.Name))
+	op, err := extract.DCOperate(dcCtx, shape, *source, loads, totalA, exOpt)
 	dcSp.Fail(err)
 	dcSp.End()
 	if err != nil {
 		return nil, fmt.Errorf("sprout: net %s DC: %w", net.Name, err)
 	}
-	_, thSp := obs.StartSpan(ctx, "Thermal", obs.A("net", net.Name))
-	tm, err := thermal.Simulate(op, exOpt.SheetOhms, thermal.Options{CopperUM: layerInfo.CopperUM})
+	thCtx, thSp := obs.StartSpan(ctx, "Thermal", obs.A("net", net.Name))
+	tm, err := thermal.Simulate(thCtx, op, exOpt.SheetOhms, thermal.Options{CopperUM: layerInfo.CopperUM})
 	thSp.Fail(err)
 	thSp.End()
 	if err != nil {

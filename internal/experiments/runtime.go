@@ -87,11 +87,8 @@ func RunRuntime() (*RuntimeResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	var wedges []sparse.WeightedEdge
-	for _, e := range tg.G.Edges() {
-		wedges = append(wedges, sparse.WeightedEdge{U: e.U, V: e.V, W: e.Weight})
-	}
-	lap, err := sparse.NewLaplacian(tg.G.N(), wedges, tg.Terminals[0])
+	rowPtr, to, w := tg.G.CSR()
+	lap, err := sparse.ReassembleLaplacian(nil, rowPtr, to, w, tg.Terminals[0])
 	if err != nil {
 		return nil, err
 	}

@@ -121,7 +121,6 @@ func ExtractCtx(ctx context.Context, shape geom.Region, terms []route.Terminal, 
 	}
 
 	rep := &Report{Nodes: tg.G.N()}
-	edges := tg.G.Edges()
 	var wsum float64
 	for pi := range pairs {
 		v := volts[pi]
@@ -135,16 +134,23 @@ func ExtractCtx(ctx context.Context, shape geom.Region, terms []route.Terminal, 
 		// in squares (see package comment for the derivation; the segment
 		// aspect ratio ℓ/w equals 1/g).
 		var l float64
-		for _, e := range edges {
-			i := e.Weight * math.Abs(v[e.U]-v[e.V])
-			if i == 0 {
-				continue
-			}
-			l += i * i / e.Weight
-			// Edge current per contact width: width = g·pitch.
-			dens := i / (e.Weight * float64(opt.Pitch))
-			if dens > rep.MaxCurrentDensity {
-				rep.MaxCurrentDensity = dens
+		for u := 0; u < tg.G.N(); u++ {
+			to, w := tg.G.Adj(u)
+			for k, x := range to {
+				if x <= u {
+					continue
+				}
+				g := w[k]
+				i := g * math.Abs(v[u]-v[x])
+				if i == 0 {
+					continue
+				}
+				l += i * i / g
+				// Edge current per contact width: width = g·pitch.
+				dens := i / (g * float64(opt.Pitch))
+				if dens > rep.MaxCurrentDensity {
+					rep.MaxCurrentDensity = dens
+				}
 			}
 		}
 		lPH := Mu0PHPerUM * opt.HeightUM * l

@@ -1,6 +1,7 @@
 package extract
 
 import (
+	"context"
 	"fmt"
 
 	"sprout/internal/geom"
@@ -38,8 +39,8 @@ type OperatingPoint struct {
 
 // DCOperate solves the distributed-load operating point of a copper shape:
 // source supplies totalA amperes; each load sinks a share proportional to
-// its Current weight.
-func DCOperate(shape geom.Region, source route.Terminal, loads []route.Terminal, totalA float64, opt Options) (*OperatingPoint, error) {
+// its Current weight. Context cancellation aborts the solve.
+func DCOperate(ctx context.Context, shape geom.Region, source route.Terminal, loads []route.Terminal, totalA float64, opt Options) (*OperatingPoint, error) {
 	opt = opt.withDefaults()
 	if totalA <= 0 {
 		return nil, fmt.Errorf("extract: total current %g must be positive", totalA)
@@ -52,20 +53,15 @@ func DCOperate(shape geom.Region, source route.Terminal, loads []route.Terminal,
 	if err != nil {
 		return nil, fmt.Errorf("extract: %w", err)
 	}
-	// Conductance edges in siemens (squares / sheetOhms), in row order:
-	// one walk over the graph serves the Laplacian and the branch
-	// currents.
-	edges := make([]sparse.WeightedEdge, 0, tg.G.M())
-	for u := 0; u < tg.G.N(); u++ {
-		to, w := tg.G.Adj(u)
-		for k, v := range to {
-			if u < v {
-				edges = append(edges, sparse.WeightedEdge{U: u, V: v, W: w[k] / opt.SheetOhms})
-			}
-		}
+	// The Laplacian is stamped from the tile graph's own adjacency with
+	// its weights scaled to siemens (squares / sheetOhms).
+	rowPtr, to, squares := tg.G.CSR()
+	siemens := make([]float64, len(squares))
+	for k, sq := range squares {
+		siemens[k] = sq / opt.SheetOhms
 	}
 	srcNode := tg.Terminals[0]
-	lap, err := sparse.NewLaplacian(tg.G.N(), edges, srcNode)
+	lap, err := sparse.ReassembleLaplacian(nil, rowPtr, to, siemens, srcNode)
 	if err != nil {
 		return nil, fmt.Errorf("extract: %w", err)
 	}
@@ -87,7 +83,7 @@ func DCOperate(shape geom.Region, source route.Terminal, loads []route.Terminal,
 		}
 		inj[tg.Terminals[i+1]] -= totalA * w / wsum
 	}
-	v, err := lap.Solve(inj, nil)
+	v, err := lap.SolveCtx(ctx, inj, nil)
 	if err != nil {
 		return nil, fmt.Errorf("extract: operating point: %w", err)
 	}
@@ -103,11 +99,18 @@ func DCOperate(shape geom.Region, source route.Terminal, loads []route.Terminal,
 			op.WorstLoad = i
 		}
 	}
-	op.Edges = make([]EdgeCurrent, len(edges))
-	for k, e := range edges {
-		i := e.W * (v[e.U] - v[e.V])
-		op.Edges[k] = EdgeCurrent{U: e.U, V: e.V, Amps: i}
-		op.TotalPowerW += i * i / e.W
+	// Branch currents in row order, each edge once from its smaller
+	// endpoint's row.
+	op.Edges = make([]EdgeCurrent, 0, tg.G.M())
+	for u := 0; u < tg.G.N(); u++ {
+		for k := rowPtr[u]; k < rowPtr[u+1]; k++ {
+			if x := to[k]; u < x {
+				g := siemens[k]
+				i := g * (v[u] - v[x])
+				op.Edges = append(op.Edges, EdgeCurrent{U: u, V: x, Amps: i})
+				op.TotalPowerW += i * i / g
+			}
+		}
 	}
 	return op, nil
 }

@@ -1,6 +1,7 @@
 package extract
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -12,7 +13,7 @@ func TestDCOperateUniformStrip(t *testing.T) {
 	// 1 A through a 100x10 strip (sheet 1 mΩ/sq): end-to-end drop equals
 	// the squares count times sheet times current.
 	shape, terms := strip(100, 10, 5)
-	op, err := DCOperate(shape, terms[0], terms[1:], 1.0,
+	op, err := DCOperate(context.Background(), shape, terms[0], terms[1:], 1.0,
 		Options{Pitch: 5, SheetOhms: 0.001, HeightUM: 100})
 	if err != nil {
 		t.Fatal(err)
@@ -41,7 +42,7 @@ func TestDCOperateKCL(t *testing.T) {
 	// Branch currents must satisfy KCL: net flow out of the source equals
 	// the injected total.
 	shape, terms := strip(100, 10, 5)
-	op, err := DCOperate(shape, terms[0], terms[1:], 2.0, Options{})
+	op, err := DCOperate(context.Background(), shape, terms[0], terms[1:], 2.0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestDCOperateDistributedLoads(t *testing.T) {
 		{Name: "heavy", Shape: geom.RegionFromRect(geom.R(110, 5, 118, 13)), Current: 3},
 		{Name: "light", Shape: geom.RegionFromRect(geom.R(110, 47, 118, 55)), Current: 1},
 	}
-	op, err := DCOperate(shape, source, loads, 4.0, Options{})
+	op, err := DCOperate(context.Background(), shape, source, loads, 4.0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,10 +87,10 @@ func TestDCOperateDistributedLoads(t *testing.T) {
 
 func TestDCOperateValidation(t *testing.T) {
 	shape, terms := strip(100, 10, 5)
-	if _, err := DCOperate(shape, terms[0], terms[1:], 0, Options{}); err == nil {
+	if _, err := DCOperate(context.Background(), shape, terms[0], terms[1:], 0, Options{}); err == nil {
 		t.Fatal("zero current must error")
 	}
-	if _, err := DCOperate(shape, terms[0], nil, 1, Options{}); err == nil {
+	if _, err := DCOperate(context.Background(), shape, terms[0], nil, 1, Options{}); err == nil {
 		t.Fatal("no loads must error")
 	}
 }
@@ -97,7 +98,7 @@ func TestDCOperateValidation(t *testing.T) {
 func TestNodeJouleHeatSumsToTotalPower(t *testing.T) {
 	shape, terms := strip(100, 10, 5)
 	opt := Options{Pitch: 5, SheetOhms: 0.001, HeightUM: 100}
-	op, err := DCOperate(shape, terms[0], terms[1:], 1.5, opt)
+	op, err := DCOperate(context.Background(), shape, terms[0], terms[1:], 1.5, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

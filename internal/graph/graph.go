@@ -92,19 +92,12 @@ func (g *Graph) Adj(u int) (to []int, w []float64) {
 	return g.to[lo:hi:hi], g.w[lo:hi:hi]
 }
 
-// Edges returns every undirected edge once, with U < V, in row order:
-// sorted by (U, V) whenever every row ascends, as a tile graph's rows do.
-func (g *Graph) Edges() []Edge {
-	out := make([]Edge, 0, g.M())
-	for u := 0; u < g.N(); u++ {
-		to, w := g.Adj(u)
-		for k, v := range to {
-			if u < v {
-				out = append(out, Edge{u, v, w[k]})
-			}
-		}
-	}
-	return out
+// CSR exposes the whole adjacency in compressed sparse row form: node u's
+// neighbours are to[rowPtr[u]:rowPtr[u+1]], with the edge weights at the
+// same positions of w, each edge in both of its endpoints' rows. The
+// slices are the graph's own storage; callers must not write to them.
+func (g *Graph) CSR() (rowPtr, to []int, w []float64) {
+	return g.rowPtr, g.to, g.w
 }
 
 // Boundary returns the nodes of g adjacent to, but not members of, the set

@@ -51,14 +51,23 @@ func TestAdjAndEdges(t *testing.T) {
 	if cap(to) != len(to) || cap(w) != len(w) {
 		t.Fatalf("Adj(0) capacities %d, %d, want the row length %d", cap(to), cap(w), len(to))
 	}
-	want := []Edge{{0, 1, 1}, {0, 2, 2}, {2, 3, 3}}
-	if edges := g.Edges(); !slices.Equal(edges, want) {
-		t.Fatalf("edges = %v, want %v", edges, want)
+	// CSR exposes every row at once, each edge in both endpoints' rows.
+	rowPtr, csrTo, csrW := g.CSR()
+	if !slices.Equal(rowPtr, []int{0, 2, 3, 5, 6}) || !slices.Equal(csrTo, []int{1, 2, 0, 0, 3, 2}) ||
+		!slices.Equal(csrW, []float64{1, 2, 1, 2, 3, 3}) {
+		t.Fatalf("CSR = %v, %v, %v", rowPtr, csrTo, csrW)
 	}
-	// Edges walks the rows: a row listed out of order stays out of order.
+	for u := 0; u < g.N(); u++ {
+		to, w := g.Adj(u)
+		lo, hi := rowPtr[u], rowPtr[u+1]
+		if !slices.Equal(csrTo[lo:hi], to) || !slices.Equal(csrW[lo:hi], w) {
+			t.Fatalf("CSR row %d = %v, %v; Adj = %v, %v", u, csrTo[lo:hi], csrW[lo:hi], to, w)
+		}
+	}
+	// Rows keep list order: a row listed out of order stays out of order.
 	g = mustGraph(t, 3, Edge{0, 2, 1}, Edge{1, 0, 2})
-	if edges, want := g.Edges(), []Edge{{0, 2, 1}, {0, 1, 2}}; !slices.Equal(edges, want) {
-		t.Fatalf("edges = %v, want row order %v", edges, want)
+	if to, w := g.Adj(0); !slices.Equal(to, []int{2, 1}) || !slices.Equal(w, []float64{1, 2}) {
+		t.Fatalf("Adj(0) = %v, %v, want list order [2 1], [1 2]", to, w)
 	}
 }
 
@@ -117,17 +126,17 @@ func bellmanFord(g *Graph, src int) []float64 {
 		dist[i] = math.Inf(1)
 	}
 	dist[src] = 0
-	edges := g.Edges()
 	for i := 0; i < g.N(); i++ {
 		changed := false
-		for _, e := range edges {
-			if dist[e.U]+e.Weight < dist[e.V] {
-				dist[e.V] = dist[e.U] + e.Weight
-				changed = true
-			}
-			if dist[e.V]+e.Weight < dist[e.U] {
-				dist[e.U] = dist[e.V] + e.Weight
-				changed = true
+		// Every edge sits in both endpoints' rows, so walking the rows
+		// relaxes it in both directions.
+		for u := 0; u < g.N(); u++ {
+			to, w := g.Adj(u)
+			for k, v := range to {
+				if dist[u]+w[k] < dist[v] {
+					dist[v] = dist[u] + w[k]
+					changed = true
+				}
 			}
 		}
 		if !changed {

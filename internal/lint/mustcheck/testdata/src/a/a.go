@@ -68,6 +68,6 @@ func UseNodeCurrents(tg *route.TileGraph, members []bool) (*route.Metrics, error
 
 // MutatorsAreFine: functions outside the must-use table keep working as
 // statements.
-func MutatorsAreFine(b *sparse.Builder) {
-	b.Add(0, 0, 1.0)
+func MutatorsAreFine(m *sparse.CSR, dst, x []float64) {
+	m.MulVec(dst, x)
 }

@@ -29,8 +29,8 @@ import (
 
 // solvePairsScratch is the from-scratch nodal analysis, kept as the test
 // oracle: every structure is rebuilt for the given mask through
-// inducedMembers, components and sparse.NewLaplacian, sharing
-// no code with the session's rebuild. Only the warm-start vectors of warm
+// inducedMembers, components and a graph.FromEdges layout of the terminal
+// component's edge list, sharing no code with the session's rebuild. Only the warm-start vectors of warm
 // (which may be nil) carry over between calls.
 func (tg *TileGraph) solvePairsScratch(ctx context.Context, members []bool, warm *SolveCache) (*pairSolution, error) {
 	// stage.solve times the whole nodal analysis. The clock is only read
@@ -79,14 +79,18 @@ func (tg *TileGraph) solvePairsScratch(ctx context.Context, members []bool, warm
 			compNodes = append(compNodes, i)
 		}
 	}
-	var cedges []sparse.WeightedEdge
-	for _, e := range sub.Edges() {
+	var cedges []graph.Edge
+	for _, e := range rowEdges(sub) {
 		if compIdx[e.U] >= 0 && compIdx[e.V] >= 0 {
-			cedges = append(cedges, sparse.WeightedEdge{U: compIdx[e.U], V: compIdx[e.V], W: e.Weight})
+			cedges = append(cedges, graph.Edge{U: compIdx[e.U], V: compIdx[e.V], Weight: e.Weight})
 		}
 	}
-	ground := compIdx[subTerms[0]]
-	lap, err := sparse.NewLaplacian(len(compNodes), cedges, ground)
+	cg, err := graph.FromEdges(len(compNodes), cedges)
+	if err != nil {
+		return nil, fmt.Errorf("route: laplacian: %w", err)
+	}
+	rowPtr, to, w := cg.CSR()
+	lap, err := sparse.ReassembleLaplacian(nil, rowPtr, to, w, compIdx[subTerms[0]])
 	if err != nil {
 		return nil, fmt.Errorf("route: laplacian: %w", err)
 	}
@@ -422,7 +426,7 @@ func TestDifferentialUnsortedAdjacency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	edges := built.G.Edges()
+	edges := rowEdges(built.G)
 	rand.New(rand.NewSource(7)).Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
 	for i, e := range edges {
 		edges[i] = graph.Edge{U: e.V, V: e.U, Weight: e.Weight}
@@ -641,4 +645,19 @@ func FuzzIncrementalNodeCurrents(f *testing.F) {
 			}
 		}
 	})
+}
+
+// rowEdges lists every edge of g once, from its smaller endpoint's row, in
+// row order: sorted by (U, V) on a graph whose rows ascend.
+func rowEdges(g *graph.Graph) []graph.Edge {
+	edges := make([]graph.Edge, 0, g.M())
+	for u := 0; u < g.N(); u++ {
+		to, w := g.Adj(u)
+		for k, v := range to {
+			if u < v {
+				edges = append(edges, graph.Edge{U: u, V: v, Weight: w[k]})
+			}
+		}
+	}
+	return edges
 }

@@ -37,11 +37,11 @@ type TileGraph struct {
 	// G holds the conductance graph: edge weight = contact width divided by
 	// the tile pitch across the contact (unitless "squares" of sheet
 	// conductance). BuildTileGraph lists its merged edges once each, in
-	// ascending (a, b) order, so every node's row strictly ascends and
-	// G.Edges() comes out sorted. The solver session rests on that:
-	// walking the rows in order stamps the Laplacian in sorted edge order,
-	// bit-identical to a from-scratch build (TestTileGraphAdjacencyAscends
-	// pins it).
+	// ascending (a, b) order, so every node's row strictly ascends and a
+	// walk over the rows meets the edges sorted. Every nodal system rests
+	// on that: walking the rows in order stamps the Laplacian in sorted
+	// edge order, bit-identical to a from-scratch build
+	// (TestTileGraphAdjacencyAscends pins it).
 	G *graph.Graph
 	// Cells maps node id to its tile geometry (union of tiles for
 	// contracted terminal nodes).

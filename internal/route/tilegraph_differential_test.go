@@ -335,28 +335,33 @@ func TestTileGraphAdjacencyAscends(t *testing.T) {
 	}
 }
 
-// TestTileGraphEdgesAscend pins what Edges' row walk rests on for tile
-// graphs: on every golden tile graph it lists each edge once, with
-// U < V, in strictly ascending (U, V) order.
+// TestTileGraphEdgesAscend pins what a row walk over a tile graph rests
+// on: on every golden tile graph, taking each edge from its smaller
+// endpoint's row lists every edge once, in strictly ascending (U, V)
+// order.
 func TestTileGraphEdgesAscend(t *testing.T) {
 	for _, sp := range goldenTileSpaces(t) {
 		tg, err := route.BuildTileGraph(sp.avail, sp.terms, sp.dx, sp.dy)
 		if err != nil {
 			t.Fatalf("%s: %v", sp.name, err)
 		}
-		edges := tg.G.Edges()
-		if len(edges) != tg.G.M() {
-			t.Fatalf("%s: Edges lists %d edges, M() = %d", sp.name, len(edges), tg.G.M())
-		}
-		for k, e := range edges {
-			if e.U >= e.V {
-				t.Fatalf("%s: edge %d is %v, want U < V", sp.name, k, e)
-			}
-			if k > 0 {
-				if p := edges[k-1]; p.U > e.U || p.U == e.U && p.V >= e.V {
-					t.Fatalf("%s: edge %d %v follows %v", sp.name, k, e, p)
+		var prev [2]int
+		m := 0
+		for u := 0; u < tg.G.N(); u++ {
+			to, _ := tg.G.Adj(u)
+			for _, v := range to {
+				if v <= u {
+					continue
 				}
+				if m > 0 && (prev[0] > u || prev[0] == u && prev[1] >= v) {
+					t.Fatalf("%s: edge (%d,%d) follows %v", sp.name, u, v, prev)
+				}
+				prev = [2]int{u, v}
+				m++
 			}
+		}
+		if m != tg.G.M() {
+			t.Fatalf("%s: the row walk lists %d edges, M() = %d", sp.name, m, tg.G.M())
 		}
 	}
 }
@@ -377,10 +382,13 @@ func TestTerminalPathsMatchBellmanFord(t *testing.T) {
 		tg := sp.routed
 		var costEdges []graph.Edge
 		edgeCost := map[[2]int]float64{}
-		for _, e := range tg.G.Edges() {
-			if e.Weight > 0 {
-				costEdges = append(costEdges, graph.Edge{U: e.U, V: e.V, Weight: 1 / e.Weight})
-				edgeCost[[2]int{e.U, e.V}] = 1 / e.Weight
+		for u := 0; u < tg.G.N(); u++ {
+			to, w := tg.G.Adj(u)
+			for k, v := range to {
+				if u < v && w[k] > 0 {
+					costEdges = append(costEdges, graph.Edge{U: u, V: v, Weight: 1 / w[k]})
+					edgeCost[[2]int{u, v}] = 1 / w[k]
+				}
 			}
 		}
 		cost, err := graph.FromEdges(tg.G.N(), costEdges)

@@ -52,7 +52,7 @@ func TestBuildTileGraphEdgeConductance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	edges := tg.G.Edges()
+	edges := rowEdges(tg.G)
 	if len(edges) != 1 {
 		t.Fatalf("edges = %d, want 1", len(edges))
 	}
@@ -76,7 +76,7 @@ func TestBuildTileGraphHalfContact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	edges := tg.G.Edges()
+	edges := rowEdges(tg.G)
 	if len(edges) != 1 {
 		t.Fatalf("edges = %d, want 1", len(edges))
 	}

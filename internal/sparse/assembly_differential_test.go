@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-// sortEntriesOracle is the assembly sort BuildInto used before it moved to
+// sortEntriesOracle is the assembly sort buildInto used before it moved to
 // slices.SortFunc: sort.Slice with a (row, col) less function. Neither
 // sort is stable, so the order it leaves equal keys in is what decides
 // the summation order of duplicate entries.
@@ -22,9 +22,9 @@ func sortEntriesOracle(es []entry) {
 	})
 }
 
-// buildIntoOracle is BuildInto as it was with the sort.Slice assembly
+// buildIntoOracle is buildInto as it was with the sort.Slice assembly
 // sort, building a fresh matrix.
-func buildIntoOracle(b *Builder) *CSR {
+func buildIntoOracle(b *builder) *CSR {
 	sortEntriesOracle(b.entries)
 	m := &CSR{N: b.n, RowPtr: make([]int, b.n+1)}
 	for i := 0; i < len(b.entries); {
@@ -84,7 +84,7 @@ func randomEntries(r *rand.Rand, n, m int, pattern int) []entry {
 // sort.Slice it replaced: on entry lists with many duplicate keys, and at
 // sizes on both sides of pdqsort's insertion-sort (12), ninther (50) and
 // pattern-breaking thresholds, slices.SortFunc must leave exactly the
-// same entry sequence, and BuildInto must build a bit-identical CSR.
+// same entry sequence, and buildInto must build a bit-identical CSR.
 func TestAssemblySortMatchesSortSlice(t *testing.T) {
 	sizes := []int{0, 1, 2, 3, 11, 12, 13, 24, 49, 50, 51, 64, 100, 127, 128, 129, 500, 1000, 4096, 20000}
 	for _, m := range sizes {
@@ -108,12 +108,12 @@ func TestAssemblySortMatchesSortSlice(t *testing.T) {
 					}
 				}
 
-				bg, bw := NewBuilder(n), NewBuilder(n)
+				bg, bw := newBuilder(n), newBuilder(n)
 				for _, e := range es {
-					bg.Add(e.row, e.col, e.val)
-					bw.Add(e.row, e.col, e.val)
+					bg.add(e.row, e.col, e.val)
+					bw.add(e.row, e.col, e.val)
 				}
-				mg, mw := bg.BuildInto(nil), buildIntoOracle(bw)
+				mg, mw := bg.buildInto(nil), buildIntoOracle(bw)
 				if mg.N != mw.N {
 					t.Fatalf("%s: N %d vs %d", name, mg.N, mw.N)
 				}

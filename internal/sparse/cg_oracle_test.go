@@ -141,7 +141,7 @@ func checkCGMatchesOracle(t *testing.T, name string, a *CSR, b, warm []float64, 
 // side and warm start.
 func randomGroundedSystem(t *testing.T, r *rand.Rand, n int, seed int64) (*CSR, []float64, []float64) {
 	t.Helper()
-	lap, err := NewLaplacian(n, randomConnectedEdges(n, r.Intn(3*n), seed), r.Intn(n))
+	lap, err := newLaplacian(n, randomConnectedEdges(n, r.Intn(3*n), seed), r.Intn(n))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,6 +17,12 @@
 // produce their operands, always in the order a separate dot product
 // would sum them: the results are bit-identical to the unfused loop.
 //
+// A Laplacian has one constructor, ReassembleLaplacian, which stamps the
+// grounded matrix from a graph's CSR adjacency (for tile graphs, the
+// graph's own storage): the route session, the DC operating point, the
+// thermal map and the runtime study all build their nodal system that
+// way, and all solve it through the same fallback ladder.
+//
 // CG has one path: the operator is always a *CSR and takes the fused
 // A·p, pᵀAp row pass; the iteration vectors always come from a CGWork (a
 // fresh one when the caller supplies none); and the preconditioner is one
@@ -36,53 +42,42 @@ type entry struct {
 	val      float64
 }
 
-// Builder accumulates coordinate-format entries; duplicate (row, col)
-// entries are summed, which makes stamping conductances idiomatic.
-type Builder struct {
+// builder accumulates coordinate-format entries for ReassembleLaplacian;
+// duplicate (row, col) entries are summed, which makes stamping
+// conductances idiomatic. The zero value is an empty 0 x 0 builder.
+type builder struct {
 	n       int
 	entries []entry
 }
 
-// NewBuilder returns a Builder for an n x n matrix.
-func NewBuilder(n int) *Builder {
-	return &Builder{n: n}
-}
-
-// Reset reuses the builder's entry storage for a fresh n x n assembly.
+// reset reuses the builder's entry storage for a fresh n x n assembly.
 // Repeated assemblies through a reset builder are allocation-free once the
 // entry buffer has grown to the working-set size.
-func (b *Builder) Reset(n int) {
+func (b *builder) reset(n int) {
 	b.n = n
 	b.entries = b.entries[:0]
 }
 
-// Add accumulates v at (row, col). Out-of-range indices panic: assembly
+// add accumulates v at (row, col). Out-of-range indices panic: assembly
 // indices are program logic, not data.
-func (b *Builder) Add(row, col int, v float64) {
+func (b *builder) add(row, col int, v float64) {
 	if row < 0 || row >= b.n || col < 0 || col >= b.n {
-		panic(fmt.Sprintf("sparse: Add(%d,%d) out of range for n=%d", row, col, b.n))
+		panic(fmt.Sprintf("sparse: add(%d,%d) out of range for n=%d", row, col, b.n))
 	}
 	b.entries = append(b.entries, entry{row, col, v})
 }
 
-// Build assembles the CSR matrix, summing duplicates and dropping explicit
-// zeros that cancelled out.
-func (b *Builder) Build() *CSR {
-	return b.BuildInto(nil)
-}
-
-// BuildInto assembles into m, reusing its backing slices when they are
-// large enough (nil m allocates a fresh matrix). The resulting matrix is
-// element-for-element identical to Build on the same entry sequence: the
-// sort and duplicate summation run over the same values in the same order,
-// only the destination storage differs.
+// buildInto assembles the CSR matrix into m, summing duplicates and
+// dropping explicit zeros that cancelled out. It reuses m's backing slices
+// when they are large enough (nil m allocates a fresh matrix); the
+// destination storage never changes the values.
 //
 // The sort is not stable, so the order in which equal (row, col) entries
 // are summed is whatever pdqsort leaves them in. slices.SortFunc runs the
 // same generated pdqsort as sort.Slice, comparison for comparison and swap
 // for swap, so the typed sort keeps every duplicate sum bit-identical
 // while skipping sort.Slice's reflection-based swapper.
-func (b *Builder) BuildInto(m *CSR) *CSR {
+func (b *builder) buildInto(m *CSR) *CSR {
 	slices.SortFunc(b.entries, compareEntries)
 	if m == nil {
 		m = &CSR{}

@@ -26,7 +26,7 @@ func FuzzCSRMatVec(f *testing.F) {
 			v    float64
 		}
 		var entries []coo
-		b := NewBuilder(n)
+		b := newBuilder(n)
 		for i := 0; i+2 < len(data) && len(entries) < 64; i += 3 {
 			e := coo{
 				r: int(data[i]) % n,
@@ -34,9 +34,9 @@ func FuzzCSRMatVec(f *testing.F) {
 				v: float64(int8(data[i+2])) / 8,
 			}
 			entries = append(entries, e)
-			b.Add(e.r, e.c, e.v)
+			b.add(e.r, e.c, e.v)
 		}
-		m := b.Build()
+		m := b.build()
 
 		// Structural invariants of the compressed form.
 		if m.N != n {
@@ -77,7 +77,7 @@ func FuzzCSRMatVec(f *testing.F) {
 		for r := 0; r < n; r++ {
 			for k := m.RowPtr[r]; k < m.RowPtr[r+1]; k++ {
 				if m.Val[k] == 0 {
-					t.Fatalf("explicit zero stored at (%d,%d): Build must drop cancelled entries", r, m.Col[k])
+					t.Fatalf("explicit zero stored at (%d,%d): buildInto must drop cancelled entries", r, m.Col[k])
 				}
 			}
 		}

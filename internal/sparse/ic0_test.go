@@ -3,24 +3,26 @@ package sparse
 import (
 	"math"
 	"testing"
+
+	"sprout/internal/graph"
 )
 
 // gridLaplacianCSR builds the grounded Laplacian CSR of a w x h unit grid.
 func gridLaplacianCSR(t *testing.T, w, h int) (*CSR, []float64, *Laplacian) {
 	t.Helper()
 	id := func(x, y int) int { return y*w + x }
-	var edges []WeightedEdge
+	var edges []graph.Edge
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			if x+1 < w {
-				edges = append(edges, WeightedEdge{id(x, y), id(x+1, y), 1})
+				edges = append(edges, graph.Edge{U: id(x, y), V: id(x+1, y), Weight: 1})
 			}
 			if y+1 < h {
-				edges = append(edges, WeightedEdge{id(x, y), id(x, y+1), 1})
+				edges = append(edges, graph.Edge{U: id(x, y), V: id(x, y+1), Weight: 1})
 			}
 		}
 	}
-	lap, err := NewLaplacian(w*h, edges, w*h-1)
+	lap, err := newLaplacian(w*h, edges, w*h-1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,11 +32,11 @@ func gridLaplacianCSR(t *testing.T, w, h int) (*CSR, []float64, *Laplacian) {
 }
 
 func TestIC0DiagonalMatrix(t *testing.T) {
-	b := NewBuilder(3)
-	b.Add(0, 0, 4)
-	b.Add(1, 1, 9)
-	b.Add(2, 2, 16)
-	ic, err := NewIC0(b.Build())
+	b := newBuilder(3)
+	b.add(0, 0, 4)
+	b.add(1, 1, 9)
+	b.add(2, 2, 16)
+	ic, err := NewIC0(b.build())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,15 +55,15 @@ func TestIC0ExactOnTridiagonal(t *testing.T) {
 	// For a tridiagonal SPD matrix IC(0) has no dropped fill, so the
 	// factorization is exact and Apply solves the system.
 	n := 12
-	b := NewBuilder(n)
+	b := newBuilder(n)
 	for i := 0; i < n; i++ {
-		b.Add(i, i, 2.5)
+		b.add(i, i, 2.5)
 		if i+1 < n {
-			b.Add(i, i+1, -1)
-			b.Add(i+1, i, -1)
+			b.add(i, i+1, -1)
+			b.add(i+1, i, -1)
 		}
 	}
-	m := b.Build()
+	m := b.build()
 	ic, err := NewIC0(m)
 	if err != nil {
 		t.Fatal(err)
@@ -83,19 +85,19 @@ func TestIC0ExactOnTridiagonal(t *testing.T) {
 }
 
 func TestIC0RejectsMissingDiagonal(t *testing.T) {
-	b := NewBuilder(2)
-	b.Add(0, 1, -1) // no diagonal entries
-	b.Add(1, 0, -1)
-	if _, err := NewIC0(b.Build()); err == nil {
+	b := newBuilder(2)
+	b.add(0, 1, -1) // no diagonal entries
+	b.add(1, 0, -1)
+	if _, err := NewIC0(b.build()); err == nil {
 		t.Fatal("missing diagonal must error")
 	}
 }
 
 func TestIC0RejectsIndefinite(t *testing.T) {
-	b := NewBuilder(2)
-	b.Add(0, 0, 1)
-	b.Add(1, 1, -1)
-	if _, err := NewIC0(b.Build()); err == nil {
+	b := newBuilder(2)
+	b.add(0, 0, 1)
+	b.add(1, 1, -1)
+	if _, err := NewIC0(b.build()); err == nil {
 		t.Fatal("indefinite matrix must break down")
 	}
 }
@@ -143,7 +145,7 @@ func TestIC0SolutionMatchesJacobi(t *testing.T) {
 func TestLaplacianUsesIC0(t *testing.T) {
 	// The Laplacian constructor should pick up IC(0); its solves stay
 	// correct (series chain oracle).
-	lap, err := NewLaplacian(4, []WeightedEdge{{0, 1, 2}, {1, 2, 2}, {2, 3, 2}}, 3)
+	lap, err := newLaplacian(4, []graph.Edge{{U: 0, V: 1, Weight: 2}, {U: 1, V: 2, Weight: 2}, {U: 2, V: 3, Weight: 2}}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"sprout/internal/faultinject"
+	"sprout/internal/graph"
 )
 
 // gridLaplacian builds a w x h grid-graph Laplacian with unit conductances
@@ -14,19 +15,19 @@ import (
 func gridLaplacian(t *testing.T, w, h int) (*Laplacian, []float64) {
 	t.Helper()
 	n := w * h
-	var edges []WeightedEdge
+	var edges []graph.Edge
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			id := y*w + x
 			if x+1 < w {
-				edges = append(edges, WeightedEdge{id, id + 1, 1})
+				edges = append(edges, graph.Edge{U: id, V: id + 1, Weight: 1})
 			}
 			if y+1 < h {
-				edges = append(edges, WeightedEdge{id, id + w, 1})
+				edges = append(edges, graph.Edge{U: id, V: id + w, Weight: 1})
 			}
 		}
 	}
-	lap, err := NewLaplacian(n, edges, 0)
+	lap, err := newLaplacian(n, edges, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,13 +37,14 @@ func gridLaplacian(t *testing.T, w, h int) (*Laplacian, []float64) {
 	return lap, b
 }
 
-// denseOracle solves the grounded system with dense Cholesky.
-func denseOracle(t *testing.T, lap *Laplacian, b []float64) []float64 {
+// denseOracle solves the grounded system of lap, grounded at node ground,
+// with dense Cholesky.
+func denseOracle(t *testing.T, lap *Laplacian, b []float64, ground int) []float64 {
 	t.Helper()
-	rhs := make([]float64, lap.N()-1)
+	rhs := make([]float64, len(b)-1)
 	gi := 0
-	for node := 0; node < lap.N(); node++ {
-		if node == lap.Ground() {
+	for node := 0; node < len(b); node++ {
+		if node == ground {
 			continue
 		}
 		rhs[gi] = b[node]
@@ -53,10 +55,10 @@ func denseOracle(t *testing.T, lap *Laplacian, b []float64) []float64 {
 		t.Fatal(err)
 	}
 	x := ch.Solve(rhs)
-	out := make([]float64, lap.N())
+	out := make([]float64, len(b))
 	gi = 0
-	for node := 0; node < lap.N(); node++ {
-		if node == lap.Ground() {
+	for node := 0; node < len(b); node++ {
+		if node == ground {
 			continue
 		}
 		out[node] = x[gi]
@@ -66,10 +68,10 @@ func denseOracle(t *testing.T, lap *Laplacian, b []float64) []float64 {
 }
 
 func TestCGRejectsNegativeOptions(t *testing.T) {
-	b := NewBuilder(2)
-	b.Add(0, 0, 1)
-	b.Add(1, 1, 1)
-	m := b.Build()
+	b := newBuilder(2)
+	b.add(0, 0, 1)
+	b.add(1, 1, 1)
+	m := b.build()
 	rhs := []float64{1, 1}
 	if _, _, err := CG(m, rhs, nil, CGOptions{MaxIter: -1}); err == nil {
 		t.Fatal("negative MaxIter must be rejected")
@@ -83,10 +85,10 @@ func TestCGRejectsNegativeOptions(t *testing.T) {
 }
 
 func TestCGBreakdownIsTyped(t *testing.T) {
-	b := NewBuilder(2)
-	b.Add(0, 0, 1)
-	b.Add(1, 1, -2)
-	_, _, err := CG(b.Build(), []float64{0, 1}, nil, CGOptions{})
+	b := newBuilder(2)
+	b.add(0, 0, 1)
+	b.add(1, 1, -2)
+	_, _, err := CG(b.build(), []float64{0, 1}, nil, CGOptions{})
 	if !errors.Is(err, ErrBreakdown) {
 		t.Fatalf("indefinite matrix: want ErrBreakdown, got %v", err)
 	}
@@ -94,7 +96,7 @@ func TestCGBreakdownIsTyped(t *testing.T) {
 
 func TestCGNoConvergenceReturnsBestIterate(t *testing.T) {
 	lap, b := gridLaplacian(t, 12, 12)
-	rhs := make([]float64, lap.N()-1)
+	rhs := make([]float64, len(b)-1)
 	for i := range rhs {
 		rhs[i] = b[i+1] // ground is node 0
 	}
@@ -112,7 +114,7 @@ func TestCGNoConvergenceReturnsBestIterate(t *testing.T) {
 
 func TestCGCancelledContext(t *testing.T) {
 	lap, b := gridLaplacian(t, 16, 16)
-	rhs := make([]float64, lap.N()-1)
+	rhs := make([]float64, len(b)-1)
 	for i := range rhs {
 		rhs[i] = b[i+1]
 	}
@@ -127,7 +129,7 @@ func TestLadderRecoversFromInjectedNoConvergence(t *testing.T) {
 	faultinject.Reset()
 	defer faultinject.Reset()
 	lap, b := gridLaplacian(t, 10, 10)
-	want := denseOracle(t, lap, b)
+	want := denseOracle(t, lap, b, 0)
 
 	// Rung 1's CG call fails with forced non-convergence; rung 2 must
 	// recover with the relaxed retry.
@@ -154,7 +156,7 @@ func TestLadderRelaxedRungRecoversLargeSystem(t *testing.T) {
 	faultinject.Reset()
 	defer faultinject.Reset()
 	lap, b := gridLaplacian(t, 24, 24)
-	want := denseOracle(t, lap, b)
+	want := denseOracle(t, lap, b, 0)
 
 	faultinject.Arm(faultinject.SiteCG, 1, func() error { return ErrNoConvergence })
 	got, attempts, err := lap.SolveAttemptsCtxWork(context.Background(), b, nil, nil)
@@ -181,7 +183,7 @@ func TestLadderFallsBackToDenseCholesky(t *testing.T) {
 	faultinject.Reset()
 	defer faultinject.Reset()
 	lap, b := gridLaplacian(t, 10, 10)
-	want := denseOracle(t, lap, b)
+	want := denseOracle(t, lap, b, 0)
 
 	// Every CG invocation fails: both iterative rungs are exhausted and
 	// only the dense rung can deliver.
@@ -240,31 +242,31 @@ func TestWarmStartNearSingularLaplacian(t *testing.T) {
 	// starts historically produced stale answers.
 	w, h := 4, 4
 	n := 2 * w * h
-	var edges []WeightedEdge
+	var edges []graph.Edge
 	block := func(off int) {
 		for y := 0; y < h; y++ {
 			for x := 0; x < w; x++ {
 				id := off + y*w + x
 				if x+1 < w {
-					edges = append(edges, WeightedEdge{id, id + 1, 1})
+					edges = append(edges, graph.Edge{U: id, V: id + 1, Weight: 1})
 				}
 				if y+1 < h {
-					edges = append(edges, WeightedEdge{id, id + w, 1})
+					edges = append(edges, graph.Edge{U: id, V: id + w, Weight: 1})
 				}
 			}
 		}
 	}
 	block(0)
 	block(w * h)
-	edges = append(edges, WeightedEdge{w*h - 1, w * h, 1e-9}) // weak bridge
-	lap, err := NewLaplacian(n, edges, 0)
+	edges = append(edges, graph.Edge{U: w*h - 1, V: w * h, Weight: 1e-9}) // weak bridge
+	lap, err := newLaplacian(n, edges, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := make([]float64, n)
 	b[0] = -1
 	b[n-1] = 1
-	want := denseOracle(t, lap, b)
+	want := denseOracle(t, lap, b, 0)
 
 	cold, err := lap.Solve(b, nil)
 	if err != nil {

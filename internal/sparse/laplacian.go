@@ -5,12 +5,6 @@ import (
 	"fmt"
 )
 
-// WeightedEdge is an undirected graph edge with a positive conductance.
-type WeightedEdge struct {
-	U, V int
-	W    float64
-}
-
 // Laplacian is a grounded graph Laplacian: the full Laplacian of a weighted
 // undirected graph with one node chosen as the voltage reference (paper
 // Eq. 3 uses "a grounded Laplacian matrix" L so that V = L⁻¹E is well
@@ -28,67 +22,16 @@ type Laplacian struct {
 	// Assembly arenas retained for ReassembleLaplacian: the coordinate
 	// builder and the IC(0) storage (kept even while ic is nil so a later
 	// reassembly can reuse it).
-	asm     *Builder
+	asm     builder
 	icStore *IC0
 }
 
-// NewLaplacian assembles the grounded Laplacian of an n-node graph given
-// as an edge list. Edges with out-of-range endpoints, self-loops or
-// non-positive weight are rejected.
-func NewLaplacian(n int, edges []WeightedEdge, ground int) (*Laplacian, error) {
-	if err := checkGround(n, ground); err != nil {
-		return nil, err
-	}
-	rowPtr, col, w, err := adjacency(n, edges)
-	if err != nil {
-		return nil, err
-	}
-	return ReassembleLaplacian(nil, rowPtr, col, w, ground)
-}
-
-// adjacency lays an edge list out as the CSR adjacency ReassembleLaplacian
-// takes: each edge in both endpoint rows, in list order. A list sorted by
-// (U, V) with U < V therefore gives ascending rows and is stamped in list
-// order.
-func adjacency(n int, edges []WeightedEdge) (rowPtr, col []int, w []float64, err error) {
-	rowPtr = make([]int, n+1)
-	for _, e := range edges {
-		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
-			return nil, nil, nil, fmt.Errorf("sparse: edge (%d,%d) out of range for n=%d", e.U, e.V, n)
-		}
-		rowPtr[e.U+1]++
-		rowPtr[e.V+1]++
-	}
-	for i := 0; i < n; i++ {
-		rowPtr[i+1] += rowPtr[i]
-	}
-	col = make([]int, rowPtr[n])
-	w = make([]float64, rowPtr[n])
-	next := append([]int(nil), rowPtr[:n]...)
-	for _, e := range edges {
-		col[next[e.U]], w[next[e.U]] = e.V, e.W
-		next[e.U]++
-		col[next[e.V]], w[next[e.V]] = e.U, e.W
-		next[e.V]++
-	}
-	return rowPtr, col, w, nil
-}
-
-// checkGround validates the node count and the reference node.
-func checkGround(n, ground int) error {
-	if n <= 1 {
-		return fmt.Errorf("sparse: laplacian needs n >= 2, got %d", n)
-	}
-	if ground < 0 || ground >= n {
-		return fmt.Errorf("sparse: ground node %d out of range [0,%d)", ground, n)
-	}
-	return nil
-}
-
-// ReassembleLaplacian assembles into dst the grounded Laplacian of the
-// graph whose symmetric adjacency is given in CSR form: node u's
-// neighbours are col[rowPtr[u]:rowPtr[u+1]] with conductances w at the
-// same positions, and the node count is len(rowPtr)-1. It reuses dst's
+// ReassembleLaplacian, the one constructor of a Laplacian, assembles into
+// dst the grounded Laplacian of the graph whose symmetric adjacency is
+// given in CSR form (a graph.Graph's CSR, or a caller's own): node u's
+// neighbours are col[rowPtr[u]:rowPtr[u+1]], each in [0, n), with
+// conductances w at the same positions, and the node count n is
+// len(rowPtr)-1. It reuses dst's
 // matrix, preconditioner and index storage (nil dst allocates a fresh
 // Laplacian). Each undirected edge sits in both of its endpoints' rows and
 // is stamped once, from the row of its smaller endpoint, in row order:
@@ -100,8 +43,11 @@ func checkGround(n, ground int) error {
 // later reassembly succeeds.
 func ReassembleLaplacian(dst *Laplacian, rowPtr, col []int, w []float64, ground int) (*Laplacian, error) {
 	n := len(rowPtr) - 1
-	if err := checkGround(n, ground); err != nil {
-		return nil, err
+	if n <= 1 {
+		return nil, fmt.Errorf("sparse: laplacian needs n >= 2, got %d", n)
+	}
+	if ground < 0 || ground >= n {
+		return nil, fmt.Errorf("sparse: ground node %d out of range [0,%d)", ground, n)
 	}
 	l := dst
 	if l == nil {
@@ -119,12 +65,8 @@ func ReassembleLaplacian(dst *Laplacian, rowPtr, col []int, w []float64, ground 
 		l.indexOf[i] = len(l.nodeOf)
 		l.nodeOf = append(l.nodeOf, i)
 	}
-	if l.asm == nil {
-		l.asm = NewBuilder(n - 1)
-	} else {
-		l.asm.Reset(n - 1)
-	}
-	b := l.asm
+	b := &l.asm
+	b.reset(n - 1)
 	for u := 0; u < n; u++ {
 		iu := l.indexOf[u]
 		for k := rowPtr[u]; k < rowPtr[u+1]; k++ {
@@ -140,18 +82,18 @@ func ReassembleLaplacian(dst *Laplacian, rowPtr, col []int, w []float64, ground 
 			}
 			iv := l.indexOf[v]
 			if iu >= 0 {
-				b.Add(iu, iu, wt)
+				b.add(iu, iu, wt)
 			}
 			if iv >= 0 {
-				b.Add(iv, iv, wt)
+				b.add(iv, iv, wt)
 			}
 			if iu >= 0 && iv >= 0 {
-				b.Add(iu, iv, -wt)
-				b.Add(iv, iu, -wt)
+				b.add(iu, iv, -wt)
+				b.add(iv, iu, -wt)
 			}
 		}
 	}
-	l.mat = b.BuildInto(l.mat)
+	l.mat = b.buildInto(l.mat)
 	l.diag = l.mat.DiagInto(l.diag)
 	// IC(0) exists for the grounded Laplacian (an M-matrix); fall back to
 	// Jacobi if a degenerate input breaks the factorization.
@@ -164,12 +106,6 @@ func ReassembleLaplacian(dst *Laplacian, rowPtr, col []int, w []float64, ground 
 	}
 	return l, nil
 }
-
-// N returns the number of nodes in the full (ungrounded) graph.
-func (l *Laplacian) N() int { return l.n }
-
-// Ground returns the reference node id.
-func (l *Laplacian) Ground() int { return l.ground }
 
 // Matrix exposes the grounded CSR matrix (dimension n-1).
 func (l *Laplacian) Matrix() *CSR { return l.mat }

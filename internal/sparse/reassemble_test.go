@@ -8,23 +8,25 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"sprout/internal/graph"
 )
 
 // randomConnectedEdges builds a connected weighted graph on n nodes: a
 // random spanning chain plus extra chords. Deterministic per seed.
-func randomConnectedEdges(n int, extra int, seed int64) []WeightedEdge {
+func randomConnectedEdges(n int, extra int, seed int64) []graph.Edge {
 	rng := rand.New(rand.NewSource(seed))
-	edges := make([]WeightedEdge, 0, n-1+extra)
+	edges := make([]graph.Edge, 0, n-1+extra)
 	for v := 1; v < n; v++ {
 		u := rng.Intn(v)
-		edges = append(edges, WeightedEdge{U: u, V: v, W: 0.5 + rng.Float64()})
+		edges = append(edges, graph.Edge{U: u, V: v, Weight: 0.5 + rng.Float64()})
 	}
 	for i := 0; i < extra; i++ {
 		u, v := rng.Intn(n), rng.Intn(n)
 		if u == v {
 			continue
 		}
-		edges = append(edges, WeightedEdge{U: u, V: v, W: 0.5 + rng.Float64()})
+		edges = append(edges, graph.Edge{U: u, V: v, Weight: 0.5 + rng.Float64()})
 	}
 	return edges
 }
@@ -56,7 +58,7 @@ func bitEqualInts(t *testing.T, what string, got, want []int) {
 // TestReassembleLaplacianBitIdentical is the contract the route solver
 // session rests on: reassembling into a reused Laplacian — across edge
 // sets of different sizes, in any order — produces exactly the matrix,
-// preconditioner, and solve results a fresh NewLaplacian would.
+// preconditioner, and solve results a fresh assembly (nil dst) would.
 func TestReassembleLaplacianBitIdentical(t *testing.T) {
 	const n = 60
 	setA := randomConnectedEdges(n, 40, 1)
@@ -64,15 +66,16 @@ func TestReassembleLaplacianBitIdentical(t *testing.T) {
 	setC := randomConnectedEdges(n, 5, 3)
 
 	var reused *Laplacian
-	for round, edges := range [][]WeightedEdge{setA, setB, setC, setA, setC, setB} {
-		fresh, err := NewLaplacian(n, edges, 0)
+	for round, edges := range [][]graph.Edge{setA, setB, setC, setA, setC, setB} {
+		fresh, err := newLaplacian(n, edges, 0)
 		if err != nil {
-			t.Fatalf("round %d: NewLaplacian: %v", round, err)
+			t.Fatalf("round %d: newLaplacian: %v", round, err)
 		}
-		rowPtr, col, w, err := adjacency(n, edges)
+		g, err := graph.FromEdges(n, edges)
 		if err != nil {
 			t.Fatal(err)
 		}
+		rowPtr, col, w := g.CSR()
 		reused, err = ReassembleLaplacian(reused, rowPtr, col, w, 0)
 		if err != nil {
 			t.Fatalf("round %d: ReassembleLaplacian: %v", round, err)
@@ -101,36 +104,29 @@ func TestReassembleLaplacianBitIdentical(t *testing.T) {
 // reuse path and that a reused Laplacian survives a failed reassembly once
 // a later one succeeds.
 func TestReassembleLaplacianRejectsBadInput(t *testing.T) {
-	edges := []WeightedEdge{{0, 1, 1}, {1, 2, 1}}
-	l, err := NewLaplacian(3, edges, 0)
+	edges := []graph.Edge{{U: 0, V: 1, Weight: 1}, {U: 1, V: 2, Weight: 1}}
+	l, err := newLaplacian(3, edges, 0)
 	if err != nil {
 		t.Fatal(err)
-	}
-	csr := func(n int, edges []WeightedEdge) ([]int, []int, []float64) {
-		t.Helper()
-		rowPtr, col, w, err := adjacency(n, edges)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rowPtr, col, w
 	}
 	if _, err := ReassembleLaplacian(l, []int{0, 0}, nil, nil, 0); err == nil {
 		t.Fatal("n=1 accepted")
 	}
-	rowPtr, col, w := csr(3, edges)
+	// The path 0-1-2 of edges, laid out by hand.
+	rowPtr, col, w := []int{0, 1, 3, 4}, []int{1, 0, 2, 1}, []float64{1, 1, 1, 1}
 	if _, err := ReassembleLaplacian(l, rowPtr, col, w, 5); err == nil {
 		t.Fatal("ground out of range accepted")
 	}
-	rowPtr, col, w = csr(3, []WeightedEdge{{0, 0, 1}})
-	if _, err := ReassembleLaplacian(l, rowPtr, col, w, 0); err == nil {
+	if _, err := ReassembleLaplacian(l, []int{0, 2, 2, 2}, []int{0, 0}, []float64{1, 1}, 0); err == nil {
 		t.Fatal("self-loop accepted")
 	}
-	rowPtr, col, w = csr(3, []WeightedEdge{{0, 1, -2}})
-	if _, err := ReassembleLaplacian(l, rowPtr, col, w, 0); err == nil {
+	if _, err := ReassembleLaplacian(l, []int{0, 1, 2, 2}, []int{1, 0}, []float64{-2, -2}, 0); err == nil {
 		t.Fatal("negative weight accepted")
 	}
+	if _, err := ReassembleLaplacian(l, []int{0, 1, 2, 2}, []int{1, 0}, []float64{0, 0}, 0); err == nil {
+		t.Fatal("zero weight accepted")
+	}
 	// Recovery: a successful reassembly after failures works normally.
-	rowPtr, col, w = csr(3, edges)
 	l, err = ReassembleLaplacian(l, rowPtr, col, w, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -142,17 +138,18 @@ func TestReassembleLaplacianRejectsBadInput(t *testing.T) {
 
 // sortedAdjacency lays a graph's edges out as CSR rows sorted by (column,
 // weight), and returns them with the graph's sorted edge list: U < V,
-// ordered by (U, V, W) as graph.Edges orders it.
-func sortedAdjacency(n int, edges []WeightedEdge) (rowPtr, col []int, w []float64, sorted []WeightedEdge) {
-	byKey := func(a, b WeightedEdge) int {
-		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V), cmp.Compare(a.W, b.W))
+// ordered by (U, V, Weight), the order a tile graph's ascending rows list
+// them in.
+func sortedAdjacency(n int, edges []graph.Edge) (rowPtr, col []int, w []float64, sorted []graph.Edge) {
+	byKey := func(a, b graph.Edge) int {
+		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V), cmp.Compare(a.Weight, b.Weight))
 	}
-	rows := make([][]WeightedEdge, n) // row u holds {u, neighbour, weight}
+	rows := make([][]graph.Edge, n) // row u holds {u, neighbour, weight}
 	for _, e := range edges {
 		u, v := min(e.U, e.V), max(e.U, e.V)
-		sorted = append(sorted, WeightedEdge{u, v, e.W})
-		rows[u] = append(rows[u], WeightedEdge{u, v, e.W})
-		rows[v] = append(rows[v], WeightedEdge{v, u, e.W})
+		sorted = append(sorted, graph.Edge{U: u, V: v, Weight: e.Weight})
+		rows[u] = append(rows[u], graph.Edge{U: u, V: v, Weight: e.Weight})
+		rows[v] = append(rows[v], graph.Edge{U: v, V: u, Weight: e.Weight})
 	}
 	slices.SortFunc(sorted, byKey)
 	rowPtr = make([]int, 1, n+1)
@@ -160,7 +157,7 @@ func sortedAdjacency(n int, edges []WeightedEdge) (rowPtr, col []int, w []float6
 		slices.SortFunc(r, byKey)
 		for _, e := range r {
 			col = append(col, e.V)
-			w = append(w, e.W)
+			w = append(w, e.Weight)
 		}
 		rowPtr = append(rowPtr, len(col))
 	}
@@ -190,7 +187,8 @@ func sameLaplacian(t *testing.T, what string, got, want *Laplacian) {
 // it replaced: on random connected graphs, parallel edges included, the
 // sorted CSR adjacency assembled into a reused Laplacian must give the
 // matrix, diagonal, IC(0) factor and solve of the oracle fed the sorted
-// edge list, bit for bit. NewLaplacian on that list must match too.
+// edge list, bit for bit. The graph.FromEdges layout of that list must
+// match too.
 func FuzzLaplacianFromAdjacency(f *testing.F) {
 	f.Add(int64(1), uint8(2), uint8(0), uint8(0))
 	f.Add(int64(2), uint8(30), uint8(40), uint8(7))
@@ -215,11 +213,11 @@ func FuzzLaplacianFromAdjacency(f *testing.F) {
 			t.Fatal(err)
 		}
 		sameLaplacian(t, "CSR path", got, want)
-		fresh, err := NewLaplacian(n, sorted, ground)
+		fresh, err := newLaplacian(n, sorted, ground)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameLaplacian(t, "NewLaplacian", fresh, want)
+		sameLaplacian(t, "FromEdges path", fresh, want)
 
 		b := make([]float64, n)
 		b[n-1] = 1
@@ -298,23 +296,23 @@ func TestSolveWorkspaceSteadyStateAllocs(t *testing.T) {
 }
 
 func TestBuilderResetAndBuildInto(t *testing.T) {
-	bld := NewBuilder(3)
-	bld.Add(0, 0, 2)
-	bld.Add(1, 1, 2)
-	bld.Add(2, 2, 2)
-	bld.Add(0, 1, -1)
-	bld.Add(1, 0, -1)
-	first := bld.Build()
+	bld := newBuilder(3)
+	bld.add(0, 0, 2)
+	bld.add(1, 1, 2)
+	bld.add(2, 2, 2)
+	bld.add(0, 1, -1)
+	bld.add(1, 0, -1)
+	first := bld.build()
 
-	bld.Reset(3)
-	bld.Add(0, 0, 2)
-	bld.Add(1, 1, 2)
-	bld.Add(2, 2, 2)
-	bld.Add(0, 1, -1)
-	bld.Add(1, 0, -1)
-	second := bld.BuildInto(first) // reuse first's arrays in place
+	bld.reset(3)
+	bld.add(0, 0, 2)
+	bld.add(1, 1, 2)
+	bld.add(2, 2, 2)
+	bld.add(0, 1, -1)
+	bld.add(1, 0, -1)
+	second := bld.buildInto(first) // reuse first's arrays in place
 	if second != first {
-		t.Fatal("BuildInto did not return its destination")
+		t.Fatal("buildInto did not return its destination")
 	}
 	bitEqualInts(t, "RowPtr", second.RowPtr, []int{0, 2, 4, 5})
 	bitEqualInts(t, "Col", second.Col, []int{0, 1, 0, 1, 2})

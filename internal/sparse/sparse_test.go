@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"sprout/internal/graph"
 )
 
 func almostEq(a, b, tol float64) bool {
@@ -13,12 +15,12 @@ func almostEq(a, b, tol float64) bool {
 }
 
 func TestBuilderAccumulates(t *testing.T) {
-	b := NewBuilder(3)
-	b.Add(0, 1, 2)
-	b.Add(0, 1, 3)
-	b.Add(2, 2, -1)
-	b.Add(1, 0, 4)
-	m := b.Build()
+	b := newBuilder(3)
+	b.add(0, 1, 2)
+	b.add(0, 1, 3)
+	b.add(2, 2, -1)
+	b.add(1, 0, 4)
+	m := b.build()
 	if got := m.At(0, 1); got != 5 {
 		t.Fatalf("duplicate accumulation: got %g, want 5", got)
 	}
@@ -37,11 +39,11 @@ func TestBuilderAccumulates(t *testing.T) {
 }
 
 func TestBuilderDropsCancelledZeros(t *testing.T) {
-	b := NewBuilder(2)
-	b.Add(0, 0, 1.5)
-	b.Add(0, 0, -1.5)
-	b.Add(1, 1, 2)
-	m := b.Build()
+	b := newBuilder(2)
+	b.add(0, 0, 1.5)
+	b.add(0, 0, -1.5)
+	b.add(1, 1, 2)
+	m := b.build()
 	if m.NNZ() != 1 {
 		t.Fatalf("cancelled entry must be dropped, nnz = %d", m.NNZ())
 	}
@@ -50,19 +52,19 @@ func TestBuilderDropsCancelledZeros(t *testing.T) {
 func TestBuilderPanicsOutOfRange(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("expected panic on out-of-range Add")
+			t.Fatal("expected panic on out-of-range add")
 		}
 	}()
-	NewBuilder(2).Add(2, 0, 1)
+	newBuilder(2).add(2, 0, 1)
 }
 
 func TestCSRMulVec(t *testing.T) {
 	// [2 1; 0 3] * [1 2] = [4 6]
-	b := NewBuilder(2)
-	b.Add(0, 0, 2)
-	b.Add(0, 1, 1)
-	b.Add(1, 1, 3)
-	m := b.Build()
+	b := newBuilder(2)
+	b.add(0, 0, 2)
+	b.add(0, 1, 1)
+	b.add(1, 1, 3)
+	m := b.build()
 	dst := make([]float64, 2)
 	m.MulVec(dst, []float64{1, 2})
 	if dst[0] != 4 || dst[1] != 6 {
@@ -98,15 +100,15 @@ func TestCholeskyRejectsIndefinite(t *testing.T) {
 
 // denseCSR stores the nonzeros of a dense matrix in CSR form.
 func denseCSR(d *Dense) *CSR {
-	b := NewBuilder(d.N)
+	b := newBuilder(d.N)
 	for r := 0; r < d.N; r++ {
 		for c := 0; c < d.N; c++ {
 			if v := d.At(r, c); v != 0 {
-				b.Add(r, c, v)
+				b.add(r, c, v)
 			}
 		}
 	}
-	return b.Build()
+	return b.build()
 }
 
 func TestCGMatchesCholesky(t *testing.T) {
@@ -156,10 +158,10 @@ func TestCGMatchesCholesky(t *testing.T) {
 }
 
 func TestCGZeroRHS(t *testing.T) {
-	b := NewBuilder(2)
-	b.Add(0, 0, 1)
-	b.Add(1, 1, 1)
-	x, iters, err := CG(b.Build(), []float64{0, 0}, nil, CGOptions{})
+	b := newBuilder(2)
+	b.add(0, 0, 1)
+	b.add(1, 1, 1)
+	x, iters, err := CG(b.build(), []float64{0, 0}, nil, CGOptions{})
 	if err != nil || iters != 0 {
 		t.Fatalf("zero rhs: err=%v iters=%d", err, iters)
 	}
@@ -169,10 +171,10 @@ func TestCGZeroRHS(t *testing.T) {
 }
 
 func TestCGWarmStart(t *testing.T) {
-	b := NewBuilder(2)
-	b.Add(0, 0, 2)
-	b.Add(1, 1, 5)
-	m := b.Build()
+	b := newBuilder(2)
+	b.add(0, 0, 2)
+	b.add(1, 1, 5)
+	m := b.build()
 	rhs := []float64{4, 10}
 	exact := []float64{2, 2}
 	_, cold, err := CG(m, rhs, nil, CGOptions{})
@@ -192,26 +194,26 @@ func TestCGWarmStart(t *testing.T) {
 }
 
 func TestCGDimensionMismatch(t *testing.T) {
-	b := NewBuilder(2)
-	b.Add(0, 0, 1)
-	b.Add(1, 1, 1)
-	if _, _, err := CG(b.Build(), []float64{1}, nil, CGOptions{}); err == nil {
+	b := newBuilder(2)
+	b.add(0, 0, 1)
+	b.add(1, 1, 1)
+	if _, _, err := CG(b.build(), []float64{1}, nil, CGOptions{}); err == nil {
 		t.Fatal("dimension mismatch must error")
 	}
 }
 
 func TestCGBreakdownOnIndefinite(t *testing.T) {
-	b := NewBuilder(2)
-	b.Add(0, 0, 1)
-	b.Add(1, 1, -2)
-	if _, _, err := CG(b.Build(), []float64{0, 1}, nil, CGOptions{}); err == nil {
+	b := newBuilder(2)
+	b.add(0, 0, 1)
+	b.add(1, 1, -2)
+	if _, _, err := CG(b.build(), []float64{0, 1}, nil, CGOptions{}); err == nil {
 		t.Fatal("CG must report breakdown on an indefinite matrix")
 	}
 }
 
 func TestLaplacianSeriesResistors(t *testing.T) {
 	// 0 -1Ω- 1 -1Ω- 2: R(0,2) = 2.
-	lap, err := NewLaplacian(3, []WeightedEdge{{0, 1, 1}, {1, 2, 1}}, 2)
+	lap, err := newLaplacian(3, []graph.Edge{{U: 0, V: 1, Weight: 1}, {U: 1, V: 2, Weight: 1}}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +228,7 @@ func TestLaplacianSeriesResistors(t *testing.T) {
 
 func TestLaplacianParallelResistors(t *testing.T) {
 	// Two 1Ω conductors in parallel between 0 and 1: R = 0.5.
-	lap, err := NewLaplacian(2, []WeightedEdge{{0, 1, 1}, {0, 1, 1}}, 1)
+	lap, err := newLaplacian(2, []graph.Edge{{U: 0, V: 1, Weight: 1}, {U: 0, V: 1, Weight: 1}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,10 +244,10 @@ func TestLaplacianParallelResistors(t *testing.T) {
 func TestLaplacianWheatstoneBridge(t *testing.T) {
 	// Balanced Wheatstone bridge, all 1Ω: R(s,t) = 1.
 	// s=0, t=3, mid nodes 1, 2, bridge 1-2.
-	edges := []WeightedEdge{
-		{0, 1, 1}, {0, 2, 1}, {1, 3, 1}, {2, 3, 1}, {1, 2, 1},
+	edges := []graph.Edge{
+		{U: 0, V: 1, Weight: 1}, {U: 0, V: 2, Weight: 1}, {U: 1, V: 3, Weight: 1}, {U: 2, V: 3, Weight: 1}, {U: 1, V: 2, Weight: 1},
 	}
-	lap, err := NewLaplacian(4, edges, 3)
+	lap, err := newLaplacian(4, edges, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,19 +265,19 @@ func TestLaplacianGridAgainstCholesky(t *testing.T) {
 	// Cholesky solve of the grounded Laplacian.
 	const w, h = 5, 5
 	id := func(x, y int) int { return y*w + x }
-	var edges []WeightedEdge
+	var edges []graph.Edge
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			if x+1 < w {
-				edges = append(edges, WeightedEdge{id(x, y), id(x+1, y), 1})
+				edges = append(edges, graph.Edge{U: id(x, y), V: id(x+1, y), Weight: 1})
 			}
 			if y+1 < h {
-				edges = append(edges, WeightedEdge{id(x, y), id(x, y+1), 1})
+				edges = append(edges, graph.Edge{U: id(x, y), V: id(x, y+1), Weight: 1})
 			}
 		}
 	}
 	ground := id(w-1, h-1)
-	lap, err := NewLaplacian(w*h, edges, ground)
+	lap, err := newLaplacian(w*h, edges, ground)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,19 +307,19 @@ func TestLaplacianGridAgainstCholesky(t *testing.T) {
 }
 
 func TestLaplacianRejectsBadInput(t *testing.T) {
-	if _, err := NewLaplacian(1, nil, 0); err == nil {
+	if _, err := newLaplacian(1, nil, 0); err == nil {
 		t.Fatal("n=1 must be rejected")
 	}
-	if _, err := NewLaplacian(3, nil, 5); err == nil {
+	if _, err := newLaplacian(3, nil, 5); err == nil {
 		t.Fatal("ground out of range must be rejected")
 	}
-	if _, err := NewLaplacian(3, []WeightedEdge{{0, 0, 1}}, 0); err == nil {
+	if _, err := newLaplacian(3, []graph.Edge{{U: 0, V: 0, Weight: 1}}, 0); err == nil {
 		t.Fatal("self loop must be rejected")
 	}
-	if _, err := NewLaplacian(3, []WeightedEdge{{0, 1, -2}}, 0); err == nil {
+	if _, err := newLaplacian(3, []graph.Edge{{U: 0, V: 1, Weight: -2}}, 0); err == nil {
 		t.Fatal("negative weight must be rejected")
 	}
-	if _, err := NewLaplacian(3, []WeightedEdge{{0, 7, 1}}, 0); err == nil {
+	if _, err := newLaplacian(3, []graph.Edge{{U: 0, V: 7, Weight: 1}}, 0); err == nil {
 		t.Fatal("out-of-range edge must be rejected")
 	}
 }
@@ -327,18 +329,18 @@ func TestQuickEffectiveResistanceTriangleInequality(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	f := func() bool {
 		n := 4 + rng.Intn(5)
-		var edges []WeightedEdge
+		var edges []graph.Edge
 		// Ring to guarantee connectivity, plus random chords.
 		for i := 0; i < n; i++ {
-			edges = append(edges, WeightedEdge{i, (i + 1) % n, 0.5 + rng.Float64()})
+			edges = append(edges, graph.Edge{U: i, V: (i + 1) % n, Weight: 0.5 + rng.Float64()})
 		}
 		for k := 0; k < n; k++ {
 			u, v := rng.Intn(n), rng.Intn(n)
 			if u != v {
-				edges = append(edges, WeightedEdge{u, v, 0.5 + rng.Float64()})
+				edges = append(edges, graph.Edge{U: u, V: v, Weight: 0.5 + rng.Float64()})
 			}
 		}
-		lap, err := NewLaplacian(n, edges, 0)
+		lap, err := newLaplacian(n, edges, 0)
 		if err != nil {
 			return false
 		}
@@ -362,11 +364,11 @@ func TestQuickRayleighMonotonicity(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	f := func() bool {
 		n := 4 + rng.Intn(4)
-		var edges []WeightedEdge
+		var edges []graph.Edge
 		for i := 0; i < n; i++ {
-			edges = append(edges, WeightedEdge{i, (i + 1) % n, 0.5 + rng.Float64()})
+			edges = append(edges, graph.Edge{U: i, V: (i + 1) % n, Weight: 0.5 + rng.Float64()})
 		}
-		lap1, err := NewLaplacian(n, edges, 0)
+		lap1, err := newLaplacian(n, edges, 0)
 		if err != nil {
 			return false
 		}
@@ -374,8 +376,8 @@ func TestQuickRayleighMonotonicity(t *testing.T) {
 		for u == v {
 			v = rng.Intn(n)
 		}
-		more := append(append([]WeightedEdge(nil), edges...), WeightedEdge{u, v, 1})
-		lap2, err := NewLaplacian(n, more, 0)
+		more := append(append([]graph.Edge(nil), edges...), graph.Edge{U: u, V: v, Weight: 1})
+		lap2, err := newLaplacian(n, more, 0)
 		if err != nil {
 			return false
 		}
@@ -395,11 +397,11 @@ func TestQuickRayleighMonotonicity(t *testing.T) {
 
 func TestDenseMulVecMatchesCSR(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	b := NewBuilder(8)
+	b := newBuilder(8)
 	for k := 0; k < 20; k++ {
-		b.Add(rng.Intn(8), rng.Intn(8), rng.NormFloat64())
+		b.add(rng.Intn(8), rng.Intn(8), rng.NormFloat64())
 	}
-	m := b.Build()
+	m := b.build()
 	d := m.Dense()
 	x := make([]float64, 8)
 	for i := range x {

@@ -10,19 +10,25 @@
 // adjacent tiles is κ_cu·t_cu per square times the contact geometry (the
 // same "squares" the electrical graph uses), and every tile leaks to
 // ambient through an effective board heat-transfer coefficient times its
-// area. The resulting (Laplacian + diagonal) system is SPD and solved with
-// the same preconditioned CG as the electrical analysis.
+// area. The heat network is the tile graph plus one ambient node that
+// every tile's sink conductance reaches; grounding the ambient node gives
+// an SPD grounded Laplacian whose potentials are the rises above ambient.
+// It is stamped and solved exactly as the electrical analysis is:
+// sparse.ReassembleLaplacian and the solver's fallback ladder.
 package thermal
 
 import (
+	"context"
 	"fmt"
+	"math"
 
 	"sprout/internal/extract"
 	"sprout/internal/geom"
 	"sprout/internal/sparse"
 )
 
-// Options sets the material and boundary parameters.
+// Options sets the material and boundary parameters. Negative, NaN and
+// infinite values are rejected.
 type Options struct {
 	// CopperWPerMK is copper thermal conductivity. Zero selects 400 W/mK.
 	CopperWPerMK float64
@@ -36,20 +42,29 @@ type Options struct {
 	UnitMM float64
 }
 
-func (o Options) withDefaults() Options {
-	if o.CopperWPerMK == 0 {
-		o.CopperWPerMK = 400
+// withDefaults fills zero fields with their defaults. A negative, NaN or
+// infinite field is an error naming it: a negative copper conductivity or
+// thickness would make every lateral conductance negative, and a negative
+// unit size would be squared away unnoticed.
+func (o Options) withDefaults() (Options, error) {
+	for _, f := range []struct {
+		name string
+		v    *float64
+		def  float64
+	}{
+		{"CopperWPerMK", &o.CopperWPerMK, 400},
+		{"CopperUM", &o.CopperUM, 35},
+		{"BoardHTC", &o.BoardHTC, 800},
+		{"UnitMM", &o.UnitMM, 0.1},
+	} {
+		if !(*f.v >= 0) || math.IsInf(*f.v, 1) {
+			return o, fmt.Errorf("thermal: %s %g must be a finite non-negative number; use 0 for the default", f.name, *f.v)
+		}
+		if *f.v == 0 {
+			*f.v = f.def
+		}
 	}
-	if o.CopperUM == 0 {
-		o.CopperUM = 35
-	}
-	if o.BoardHTC == 0 {
-		o.BoardHTC = 800
-	}
-	if o.UnitMM == 0 {
-		o.UnitMM = 0.1
-	}
-	return o
+	return o, nil
 }
 
 // Map is the temperature-rise field over the shape's tiles.
@@ -67,14 +82,18 @@ type Map struct {
 
 // Simulate solves the steady-state heat balance for an electrical
 // operating point. sheetOhms must match the extraction that produced op.
-func Simulate(op *extract.OperatingPoint, sheetOhms float64, opt Options) (*Map, error) {
+// Context cancellation aborts the solve.
+func Simulate(ctx context.Context, op *extract.OperatingPoint, sheetOhms float64, opt Options) (*Map, error) {
 	if op == nil || op.TG == nil {
 		return nil, fmt.Errorf("thermal: nil operating point")
 	}
 	if sheetOhms <= 0 {
 		return nil, fmt.Errorf("thermal: sheet resistance %g must be positive", sheetOhms)
 	}
-	opt = opt.withDefaults()
+	opt, err := opt.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	tg := op.TG
 	n := tg.G.N()
 	if n == 0 {
@@ -88,46 +107,44 @@ func Simulate(op *extract.OperatingPoint, sheetOhms float64, opt Options) (*Map,
 	unitM := opt.UnitMM * 1e-3
 	areaScale := unitM * unitM
 
-	b := sparse.NewBuilder(n)
-	for _, e := range tg.G.Edges() {
-		g := kSheet * e.Weight
-		if g <= 0 {
-			continue
+	// Node n is ambient. Each tile's row lists its lateral neighbours and
+	// then the ambient node; the ambient row lists every tile.
+	gRow, gTo, squares := tg.G.CSR()
+	m := len(gTo) + 2*n
+	rowPtr, to, w := make([]int, n+2), make([]int, 0, m), make([]float64, 0, m)
+	for u := 0; u < n; u++ {
+		for k := gRow[u]; k < gRow[u+1]; k++ {
+			to = append(to, gTo[k])
+			w = append(w, kSheet*squares[k])
 		}
-		b.Add(e.U, e.U, g)
-		b.Add(e.V, e.V, g)
-		b.Add(e.U, e.V, -g)
-		b.Add(e.V, e.U, -g)
-	}
-	for i := 0; i < n; i++ {
-		gv := opt.BoardHTC * float64(tg.Area[i]) * areaScale
-		if gv <= 0 {
-			return nil, fmt.Errorf("thermal: node %d has no sink path", i)
+		sink := opt.BoardHTC * float64(tg.Area[u]) * areaScale
+		if sink <= 0 {
+			return nil, fmt.Errorf("thermal: node %d has no sink path", u)
 		}
-		b.Add(i, i, gv)
+		to = append(to, n)
+		w = append(w, sink)
+		rowPtr[u+1] = len(to)
 	}
-	mat := b.Build()
-
-	q := op.NodeJouleHeat(sheetOhms)
-	// IC(0) preconditions the solve; the Jacobi diagonal is built only
-	// when the factorization breaks down.
-	var cgOpt sparse.CGOptions
-	if ic, err := sparse.NewIC0(mat); err == nil {
-		cgOpt.Precond = ic
-	} else {
-		cgOpt.Precond = sparse.Jacobi(mat.Diag())
+	for u := 0; u < n; u++ {
+		to = append(to, u)
+		w = append(w, w[rowPtr[u+1]-1])
 	}
-	temp, _, err := sparse.CG(mat, q, nil, cgOpt)
+	rowPtr[n+1] = len(to)
+	lap, err := sparse.ReassembleLaplacian(nil, rowPtr, to, w, n)
+	if err != nil {
+		return nil, fmt.Errorf("thermal: %w", err)
+	}
+	temp, err := lap.SolveCtx(ctx, append(op.NodeJouleHeat(sheetOhms), 0), nil)
 	if err != nil {
 		return nil, fmt.Errorf("thermal: solve: %w", err)
 	}
 
-	m := &Map{Cells: tg.Cells, RiseC: temp, TotalPowerW: op.TotalPowerW}
-	for i, t := range temp {
-		if t > m.MaxRiseC {
-			m.MaxRiseC = t
-			m.Hotspot = tg.Cells[i].Bounds().Center()
+	mp := &Map{Cells: tg.Cells, RiseC: temp[:n], TotalPowerW: op.TotalPowerW}
+	for i, t := range mp.RiseC {
+		if t > mp.MaxRiseC {
+			mp.MaxRiseC = t
+			mp.Hotspot = tg.Cells[i].Bounds().Center()
 		}
 	}
-	return m, nil
+	return mp, nil
 }

@@ -1,6 +1,8 @@
 package sprout_test
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"sprout"
@@ -162,6 +164,27 @@ func TestRailDCAnalysis(t *testing.T) {
 	badRail.Net = sprout.NetID(99)
 	if _, err := sprout.RailDC(b, 1, badRail, 1.0); err == nil {
 		t.Fatal("unknown net must error")
+	}
+}
+
+// TestRailDCCtxCancelled requires a cancelled context to abort the DC
+// analysis with an error that wraps context.Canceled instead of returning
+// a full result.
+func TestRailDCCtxCancelled(t *testing.T) {
+	b, vdd := facadeBoard(t)
+	res, err := sprout.RouteBoard(b, sprout.RouteOptions{
+		Layer:   1,
+		Budgets: map[sprout.NetID]int64{vdd: 1500},
+		Config:  sprout.RouteConfig{DX: 5, DY: 5},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	dc, err := sprout.RailDCCtx(ctx, b, 1, res.Rails[0], 1.0)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled RailDCCtx: result %v, error %v; want context.Canceled", dc != nil, err)
 	}
 }
 
