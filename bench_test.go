@@ -101,7 +101,7 @@ func BenchmarkFig8Stages(b *testing.B) {
 	avail, terms := cases.Fig8Scene()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := route.Route(avail, terms, route.Config{
+		if _, err := route.RouteCtx(context.Background(), avail, terms, route.Config{
 			DX: 4, DY: 4, AreaMax: 4000, ReheatDilations: 2,
 		}); err != nil {
 			b.Fatal(err)
@@ -290,7 +290,7 @@ func BenchmarkSeed(b *testing.B) {
 
 func BenchmarkExtraction(b *testing.B) {
 	avail, terms := twoRailSpace(b)
-	res, err := route.Route(avail, terms, route.Config{DX: 5, DY: 5, AreaMax: 6000})
+	res, err := route.RouteCtx(context.Background(), avail, terms, route.Config{DX: 5, DY: 5, AreaMax: 6000})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func BenchmarkExtraction(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := extract.Extract(shape, terms, extract.Options{}); err != nil {
+		if _, err := extract.ExtractCtx(context.Background(), shape, terms, extract.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -328,7 +328,7 @@ func BenchmarkRegionBoolean(b *testing.B) {
 
 func BenchmarkDCOperateAndThermal(b *testing.B) {
 	avail, terms := twoRailSpace(b)
-	res, err := route.Route(avail, terms, route.Config{DX: 5, DY: 5, AreaMax: 6000})
+	res, err := route.RouteCtx(context.Background(), avail, terms, route.Config{DX: 5, DY: 5, AreaMax: 6000})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -381,7 +381,7 @@ func BenchmarkPreconditioners(b *testing.B) {
 	b.Run("jacobi", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := sparse.CG(mat, rhs, nil, sparse.CGOptions{Precond: sparse.Jacobi(mat.Diag())}); err != nil {
+			if _, _, err := sparse.CGCtx(context.Background(), mat, rhs, nil, sparse.CGOptions{Precond: sparse.Jacobi(mat.Diag())}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -394,7 +394,7 @@ func BenchmarkPreconditioners(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := sparse.CG(mat, rhs, nil, sparse.CGOptions{Precond: ic}); err != nil {
+			if _, _, err := sparse.CGCtx(context.Background(), mat, rhs, nil, sparse.CGOptions{Precond: ic}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -403,7 +403,7 @@ func BenchmarkPreconditioners(b *testing.B) {
 
 func BenchmarkGerberWrite(b *testing.B) {
 	avail, terms := twoRailSpace(b)
-	res, err := route.Route(avail, terms, route.Config{DX: 5, DY: 5, AreaMax: 6000})
+	res, err := route.RouteCtx(context.Background(), avail, terms, route.Config{DX: 5, DY: 5, AreaMax: 6000})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -435,7 +435,7 @@ func BenchmarkAblationReheat(b *testing.B) {
 		b.Run(cfg.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := route.Route(avail, terms, route.Config{
+				if _, err := route.RouteCtx(context.Background(), avail, terms, route.Config{
 					DX: 4, DY: 4, AreaMax: 4000, ReheatDilations: cfg.dilates,
 				}); err != nil {
 					b.Fatal(err)

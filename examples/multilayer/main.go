@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -19,6 +20,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// Layer 1 is split by a keepout wall; layer 2 is open except for an
 	// unrelated blockage. S and T sit on opposite sides of the wall.
 	l1 := geom.RegionFromRect(geom.R(0, 0, 200, 80)).
@@ -34,7 +36,7 @@ func main() {
 		{Name: "T", Layer: 1, Shape: geom.RegionFromRect(geom.R(186, 32, 196, 48)), Current: 2},
 	}
 
-	plan, err := route.PlanMultilayer(spaces, terms, 10, 6)
+	plan, err := route.PlanMultilayerCtx(ctx, spaces, terms, 10, 6)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -51,7 +53,7 @@ func main() {
 	t2 := report.NewTable("per-layer routing after decomposition",
 		"layer", "terminals", "copper units²")
 	for _, layer := range plan.LayersUsed() {
-		results, err := route.RouteLayer(availOf[layer], plan.PerLayer[layer],
+		results, err := route.RouteLayerCtx(ctx, availOf[layer], plan.PerLayer[layer],
 			route.Config{DX: 5, DY: 5, AreaMax: 1800})
 		if err != nil {
 			log.Fatalf("layer %d: %v", layer, err)

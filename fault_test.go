@@ -3,6 +3,7 @@ package sprout_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -198,6 +199,66 @@ func TestRouteBoardDegradesToSeedOnly(t *testing.T) {
 		}
 		if !rail.Route.Graph.TerminalsConnected(rail.Route.Members) {
 			t.Fatalf("rail %s degraded route must connect its terminals", rail.Name)
+		}
+	}
+}
+
+// TestRouteBoardExtractFaultPolicy pins the rail-fault policy for the
+// stages after routing: an extraction failure on the first rail's SPROUT
+// shape (extraction call 1) or manual shape (call 2) aborts the board
+// with a *RailError under FailFast, and otherwise joins the rail's Diag
+// while every other rail still routes and extracts.
+func TestRouteBoardExtractFaultPolicy(t *testing.T) {
+	injected := errors.New("injected extract failure")
+	for _, tc := range []struct {
+		at       int
+		stage    string
+		failFast bool
+	}{
+		{1, "extract", true},
+		{1, "extract", false},
+		{2, "extract manual", true},
+		{2, "extract manual", false},
+	} {
+		faultinject.Reset()
+		b, ids := twoRailBoard(t)
+		faultinject.Arm(faultinject.SiteExtract, tc.at, func() error { return injected })
+		res, err := sprout.RouteBoard(b, sprout.RouteOptions{
+			Layer:      1,
+			Budgets:    map[sprout.NetID]int64{ids[0]: 3000, ids[1]: 3000},
+			Config:     sprout.RouteConfig{DX: 5, DY: 5},
+			WithManual: true,
+			FailFast:   tc.failFast,
+		})
+		faultinject.Reset()
+		name := fmt.Sprintf("%s/failFast=%v", tc.stage, tc.failFast)
+		failed := err
+		if !tc.failFast {
+			if err != nil {
+				t.Fatalf("%s: isolated extraction failure aborted the board: %v", name, err)
+			}
+			failed = nil
+			for _, rail := range res.Rails {
+				switch {
+				case rail.Net == ids[0]:
+					failed = rail.Diag.Err
+					if (tc.stage == "extract") != (rail.Extract == nil) ||
+						(tc.stage == "extract manual") != (rail.ManualExtract == nil) {
+						t.Fatalf("%s: only the failed stage's report may be missing: %+v %+v",
+							name, rail.Extract, rail.ManualExtract)
+					}
+				case rail.Diag.Failed() || rail.Route == nil || rail.Extract == nil ||
+					rail.Manual == nil || rail.ManualExtract == nil:
+					t.Fatalf("%s: rail %s did not route cleanly: %v", name, rail.Name, rail.Diag.Err)
+				}
+			}
+		}
+		var re *sprout.RailError
+		if !errors.As(failed, &re) || re.Net != ids[0] || re.Stage != tc.stage || !errors.Is(re, injected) {
+			t.Fatalf("%s: failure %v, want a *RailError for the first rail at stage %q", name, failed, tc.stage)
+		}
+		if want := "sprout: " + tc.stage + " net VDD: extract: " + injected.Error(); re.Error() != want {
+			t.Fatalf("%s: message %q, want %q", name, re.Error(), want)
 		}
 	}
 }

@@ -12,6 +12,7 @@ package sprout_test
 // float64 losslessly, so the goldens pin bits, not approximations.
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -160,7 +161,7 @@ func TestGoldenSixRail(t *testing.T) {
 // through the packaged pipeline (same config as the experiments command).
 func TestGoldenFig8(t *testing.T) {
 	avail, terms := cases.Fig8Scene()
-	res, err := route.Route(avail, terms, route.Config{
+	res, err := route.RouteCtx(context.Background(), avail, terms, route.Config{
 		DX: 4, DY: 4, AreaMax: 4000,
 		GrowNodes: 20, RefineNodes: 10, RefineIters: 10, ReheatDilations: 2,
 	})

@@ -1,6 +1,7 @@
 package cases_test
 
 import (
+	"context"
 	"testing"
 
 	"sprout"
@@ -164,7 +165,7 @@ func TestTable4Progression(t *testing.T) {
 
 func TestFig8SceneRoutes(t *testing.T) {
 	avail, terms := cases.Fig8Scene()
-	res, err := route.Route(avail, terms, route.Config{DX: 4, DY: 4, AreaMax: 3000})
+	res, err := route.RouteCtx(context.Background(), avail, terms, route.Config{DX: 4, DY: 4, AreaMax: 3000})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -29,6 +30,7 @@ type AblationResult struct {
 // pipeline, and tile-size variants. It quantifies what each mechanism of
 // §II-C..F buys.
 func RunAblation() (*AblationResult, error) {
+	ctx := context.Background()
 	avail, terms := cases.Fig8Scene()
 	const budget = 4000
 	out := &AblationResult{}
@@ -54,8 +56,11 @@ func RunAblation() (*AblationResult, error) {
 		if err != nil {
 			return 0, 0, err
 		}
-		r, err := tg.Resistance(members)
-		return r, tg.MembersArea(members), err
+		m, err := tg.NodeCurrentsCtx(ctx, members, nil)
+		if err != nil {
+			return 0, 0, err
+		}
+		return m.Resistance, tg.MembersArea(members), nil
 	}); err != nil {
 		return nil, err
 	}
@@ -80,15 +85,18 @@ func RunAblation() (*AblationResult, error) {
 		if err := erodeUnguided(tg, members, budget); err != nil {
 			return 0, 0, err
 		}
-		r, err := tg.Resistance(members)
-		return r, tg.MembersArea(members), err
+		m, err := tg.NodeCurrentsCtx(ctx, members, nil)
+		if err != nil {
+			return 0, 0, err
+		}
+		return m.Resistance, tg.MembersArea(members), nil
 	}); err != nil {
 		return nil, err
 	}
 
 	// Grow only (no refine, no reheat).
 	if err := run("grow-only (Alg. 4)", func() (float64, int64, error) {
-		res, err := route.Route(avail, terms, route.Config{
+		res, err := route.RouteCtx(ctx, avail, terms, route.Config{
 			DX: 4, DY: 4, AreaMax: budget, RefineIters: -1,
 		})
 		if err != nil {
@@ -101,7 +109,7 @@ func RunAblation() (*AblationResult, error) {
 
 	// Grow + refine (no reheat): the paper's core loop.
 	if err := run("grow+refine (Algs. 4-5)", func() (float64, int64, error) {
-		res, err := route.Route(avail, terms, route.Config{DX: 4, DY: 4, AreaMax: budget, GrowNodes: 20, RefineNodes: 10, RefineIters: 10})
+		res, err := route.RouteCtx(ctx, avail, terms, route.Config{DX: 4, DY: 4, AreaMax: budget, GrowNodes: 20, RefineNodes: 10, RefineIters: 10})
 		if err != nil {
 			return 0, 0, err
 		}
@@ -112,7 +120,7 @@ func RunAblation() (*AblationResult, error) {
 
 	// Full pipeline with reheating (§II-F).
 	if err := run("full+reheat (§II-F)", func() (float64, int64, error) {
-		res, err := route.Route(avail, terms, route.Config{
+		res, err := route.RouteCtx(ctx, avail, terms, route.Config{
 			DX: 4, DY: 4, AreaMax: budget, GrowNodes: 20, RefineNodes: 10,
 			RefineIters: 10, ReheatDilations: 3,
 		})
@@ -128,7 +136,7 @@ func RunAblation() (*AblationResult, error) {
 	for _, dx := range []int64{8, 2} {
 		dx := dx
 		if err := run(fmt.Sprintf("full, Δx=%d", dx), func() (float64, int64, error) {
-			res, err := route.Route(avail, terms, route.Config{DX: dx, DY: dx, AreaMax: budget, GrowNodes: 20, RefineNodes: 10, RefineIters: 10})
+			res, err := route.RouteCtx(ctx, avail, terms, route.Config{DX: dx, DY: dx, AreaMax: budget, GrowNodes: 20, RefineNodes: 10, RefineIters: 10})
 			if err != nil {
 				return 0, 0, err
 			}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"path/filepath"
@@ -19,6 +20,7 @@ type Fig8Result struct {
 // RunFig8 routes the three-terminal demonstration scene and, when outDir
 // is non-empty, renders per-stage snapshots mirroring paper Fig. 8a-f.
 func RunFig8(outDir string) (*Fig8Result, error) {
+	ctx := context.Background()
 	avail, terms := cases.Fig8Scene()
 	tg, err := route.BuildTileGraph(avail, terms, 4, 4)
 	if err != nil {
@@ -44,14 +46,14 @@ func RunFig8(outDir string) (*Fig8Result, error) {
 	snap("a_seed")
 	// Each step hands on the metrics of the mask it leaves, so every mask
 	// is scored once.
-	m, err := tg.NodeCurrents(members, nil)
+	m, err := tg.NodeCurrentsCtx(ctx, members, nil)
 	if err != nil {
 		return nil, err
 	}
 	grow := func(steps int) error {
 		for i := 0; i < steps; i++ {
 			var err error
-			if _, m, err = tg.SmartGrow(members, m, 20, nil); err != nil {
+			if _, m, err = tg.SmartGrowCtx(ctx, members, m, 20, nil); err != nil {
 				return err
 			}
 		}
@@ -60,7 +62,7 @@ func RunFig8(outDir string) (*Fig8Result, error) {
 	refine := func(steps int) error {
 		for i := 0; i < steps; i++ {
 			var err error
-			if m, err = tg.SmartRefine(members, m, 8, nil); err != nil {
+			if m, err = tg.SmartRefineCtx(ctx, members, m, 8, nil); err != nil {
 				return err
 			}
 		}
@@ -99,7 +101,7 @@ func RunFig8(outDir string) (*Fig8Result, error) {
 	}
 
 	// Also run the packaged pipeline for the convergence trace.
-	res, err := route.Route(avail, terms, route.Config{DX: 4, DY: 4, AreaMax: 4000, GrowNodes: 20, RefineNodes: 10, RefineIters: 10, ReheatDilations: 2})
+	res, err := route.RouteCtx(ctx, avail, terms, route.Config{DX: 4, DY: 4, AreaMax: 4000, GrowNodes: 20, RefineNodes: 10, RefineIters: 10, ReheatDilations: 2})
 	if err != nil {
 		return nil, err
 	}

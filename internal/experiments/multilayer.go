@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"path/filepath"
@@ -24,6 +25,7 @@ type MultilayerResult struct {
 // to a lower layer and come back up (Algorithm 6), after which each layer
 // routes independently.
 func RunMultilayer(outDir string) (*MultilayerResult, error) {
+	ctx := context.Background()
 	l1 := geom.RegionFromRect(geom.R(0, 0, 160, 60)).
 		Subtract(geom.RegionFromRect(geom.R(72, 0, 88, 60)))
 	l2 := geom.RegionFromRect(geom.R(0, 0, 160, 60)).
@@ -33,7 +35,7 @@ func RunMultilayer(outDir string) (*MultilayerResult, error) {
 		{Name: "S", Layer: 1, Shape: geom.RegionFromRect(geom.R(2, 24, 10, 36)), Current: 2},
 		{Name: "T", Layer: 1, Shape: geom.RegionFromRect(geom.R(150, 24, 158, 36)), Current: 2},
 	}
-	plan, err := route.PlanMultilayer(spaces, terms, 8, 6)
+	plan, err := route.PlanMultilayerCtx(ctx, spaces, terms, 8, 6)
 	if err != nil {
 		return nil, err
 	}
@@ -45,7 +47,7 @@ func RunMultilayer(outDir string) (*MultilayerResult, error) {
 		LayersUsed: plan.LayersUsed(),
 	}
 	for _, layer := range plan.LayersUsed() {
-		results, err := route.RouteLayer(availOf[layer], plan.PerLayer[layer],
+		results, err := route.RouteLayerCtx(ctx, availOf[layer], plan.PerLayer[layer],
 			route.Config{DX: 4, DY: 4, AreaMax: 1400})
 		if err != nil {
 			return nil, fmt.Errorf("layer %d: %w", layer, err)

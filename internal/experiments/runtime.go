@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -37,6 +38,7 @@ type RuntimeResult struct {
 // tile sizes. Smaller tiles quadratically increase |V| (paper Eq. 13), so
 // the sweep exposes the solve-time scaling the paper analyzes.
 func RunRuntime() (*RuntimeResult, error) {
+	ctx := context.Background()
 	cs, err := cases.TwoRail()
 	if err != nil {
 		return nil, err
@@ -63,14 +65,14 @@ func RunRuntime() (*RuntimeResult, error) {
 			all[i] = true
 		}
 		t1 := time.Now()
-		m, err := tg.NodeCurrents(all, nil)
+		m, err := tg.NodeCurrentsCtx(ctx, all, nil)
 		if err != nil {
 			return nil, err
 		}
 		solve := time.Since(t1)
 
 		t2 := time.Now()
-		if _, err := tg.Route(route.Config{DX: dx, DY: dx, AreaMax: cs.Budgets[net.ID]}); err != nil {
+		if _, err := tg.RouteCtx(ctx, route.Config{DX: dx, DY: dx, AreaMax: cs.Budgets[net.ID]}); err != nil {
 			return nil, err
 		}
 		full := time.Since(t2)
@@ -95,13 +97,13 @@ func RunRuntime() (*RuntimeResult, error) {
 	mat := lap.Matrix()
 	rhs := make([]float64, mat.N)
 	rhs[0] = 1
-	if _, it, err := sparse.CG(mat, rhs, nil, sparse.CGOptions{Precond: sparse.Jacobi(mat.Diag())}); err == nil {
+	if _, it, err := sparse.CGCtx(ctx, mat, rhs, nil, sparse.CGOptions{Precond: sparse.Jacobi(mat.Diag())}); err == nil {
 		out.JacobiIters = it
 	} else {
 		return nil, err
 	}
 	if ic, err := sparse.NewIC0(mat); err == nil {
-		if _, it, err := sparse.CG(mat, rhs, nil, sparse.CGOptions{Precond: ic}); err == nil {
+		if _, it, err := sparse.CGCtx(ctx, mat, rhs, nil, sparse.CGOptions{Precond: ic}); err == nil {
 			out.IC0Iters = it
 		} else {
 			return nil, err

@@ -48,14 +48,29 @@ type Options struct {
 	HeightUM float64
 }
 
+// Validate rejects a negative pitch and a negative, NaN or infinite sheet
+// resistance or dielectric height; zero selects the field's default.
+func (o Options) Validate() error {
+	if o.Pitch < 0 {
+		return fmt.Errorf("extract: Pitch %d must be non-negative (0 selects the default 5)", o.Pitch)
+	}
+	if !(o.SheetOhms >= 0) || math.IsInf(o.SheetOhms, 1) {
+		return fmt.Errorf("extract: SheetOhms %g must be a finite non-negative number (0 selects the default 0.5 mΩ/sq)", o.SheetOhms)
+	}
+	if !(o.HeightUM >= 0) || math.IsInf(o.HeightUM, 1) {
+		return fmt.Errorf("extract: HeightUM %g must be a finite non-negative number (0 selects the default 100)", o.HeightUM)
+	}
+	return nil
+}
+
 func (o Options) withDefaults() Options {
-	if o.Pitch <= 0 {
+	if o.Pitch == 0 {
 		o.Pitch = 5
 	}
-	if o.SheetOhms <= 0 {
+	if o.SheetOhms == 0 {
 		o.SheetOhms = 0.0005
 	}
-	if o.HeightUM <= 0 {
+	if o.HeightUM == 0 {
 		o.HeightUM = 100
 	}
 	return o
@@ -83,17 +98,14 @@ type Report struct {
 	Nodes int
 }
 
-// Extract computes the impedance report without cancellation or tracing
-// support; see ExtractCtx.
-func Extract(shape geom.Region, terms []route.Terminal, opt Options) (*Report, error) {
-	return ExtractCtx(context.Background(), shape, terms, opt)
-}
-
 // ExtractCtx computes the impedance report for a copper shape connecting
 // the given terminals. The fine re-tiling and the per-pair nodal solves
 // run under an "Extract" tracing span; context cancellation aborts the
 // solves.
 func ExtractCtx(ctx context.Context, shape geom.Region, terms []route.Terminal, opt Options) (*Report, error) {
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
 	opt = opt.withDefaults()
 	if shape.Empty() {
 		return nil, fmt.Errorf("extract: empty shape")

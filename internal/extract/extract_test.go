@@ -1,7 +1,9 @@
 package extract
 
 import (
+	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"sprout/internal/geom"
@@ -22,7 +24,7 @@ func strip(w, h, tw int64) (geom.Region, []route.Terminal) {
 func TestExtractStripResistanceMatchesSheetModel(t *testing.T) {
 	// 100x10 strip, 5-wide end terminals: interior is 90/10 = 9 squares.
 	shape, terms := strip(100, 10, 5)
-	rep, err := Extract(shape, terms, Options{Pitch: 5, SheetOhms: 0.001, HeightUM: 100})
+	rep, err := ExtractCtx(context.Background(), shape, terms, Options{Pitch: 5, SheetOhms: 0.001, HeightUM: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +40,7 @@ func TestExtractStripResistanceMatchesSheetModel(t *testing.T) {
 func TestExtractStripInductanceMatchesMicrostrip(t *testing.T) {
 	// L = μ0·h·ℓ/w for a uniform strip: 9 squares at h=100 µm.
 	shape, terms := strip(100, 10, 5)
-	rep, err := Extract(shape, terms, Options{Pitch: 5, SheetOhms: 0.001, HeightUM: 100})
+	rep, err := ExtractCtx(context.Background(), shape, terms, Options{Pitch: 5, SheetOhms: 0.001, HeightUM: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,11 +53,11 @@ func TestExtractStripInductanceMatchesMicrostrip(t *testing.T) {
 func TestExtractWiderShapeLowerImpedance(t *testing.T) {
 	shapeN, termsN := strip(100, 10, 5)
 	shapeW, termsW := strip(100, 20, 5)
-	repN, err := Extract(shapeN, termsN, Options{})
+	repN, err := ExtractCtx(context.Background(), shapeN, termsN, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	repW, err := Extract(shapeW, termsW, Options{})
+	repW, err := ExtractCtx(context.Background(), shapeW, termsW, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +75,11 @@ func TestExtractWiderShapeLowerImpedance(t *testing.T) {
 
 func TestExtractTallerDielectricHigherInductance(t *testing.T) {
 	shape, terms := strip(100, 10, 5)
-	lo, err := Extract(shape, terms, Options{HeightUM: 50})
+	lo, err := ExtractCtx(context.Background(), shape, terms, Options{HeightUM: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hi, err := Extract(shape, terms, Options{HeightUM: 200})
+	hi, err := ExtractCtx(context.Background(), shape, terms, Options{HeightUM: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,11 +103,11 @@ func TestExtractLShapeHigherThanDirect(t *testing.T) {
 		{Name: "S", Shape: geom.RegionFromRect(geom.R(0, 0, 10, 5)), Current: 1},
 		{Name: "T", Shape: geom.RegionFromRect(geom.R(95, 90, 100, 100)), Current: 1},
 	}
-	repD, err := Extract(direct, terms, Options{})
+	repD, err := ExtractCtx(context.Background(), direct, terms, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	repL, err := Extract(l, lTerms, Options{})
+	repL, err := ExtractCtx(context.Background(), l, lTerms, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +118,7 @@ func TestExtractLShapeHigherThanDirect(t *testing.T) {
 
 func TestExtractCurrentDensityPositive(t *testing.T) {
 	shape, terms := strip(100, 10, 5)
-	rep, err := Extract(shape, terms, Options{})
+	rep, err := ExtractCtx(context.Background(), shape, terms, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +139,7 @@ func TestExtractMultiTerminalWeighting(t *testing.T) {
 		{Name: "B1", Shape: geom.RegionFromRect(geom.R(95, 0, 100, 10)), Current: 5},
 		{Name: "B2", Shape: geom.RegionFromRect(geom.R(95, 30, 100, 40)), Current: 5},
 	}
-	rep, err := Extract(shape, terms, Options{})
+	rep, err := ExtractCtx(context.Background(), shape, terms, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,19 +163,52 @@ func TestExtractMultiTerminalWeighting(t *testing.T) {
 }
 
 func TestExtractErrors(t *testing.T) {
-	if _, err := Extract(geom.EmptyRegion(), nil, Options{}); err == nil {
+	if _, err := ExtractCtx(context.Background(), geom.EmptyRegion(), nil, Options{}); err == nil {
 		t.Fatal("empty shape must error")
 	}
 	shape := geom.RegionFromRect(geom.R(0, 0, 10, 10))
 	terms := []route.Terminal{{Name: "only", Shape: shape}}
-	if _, err := Extract(shape, terms, Options{}); err == nil {
+	if _, err := ExtractCtx(context.Background(), shape, terms, Options{}); err == nil {
 		t.Fatal("single terminal must error")
+	}
+}
+
+// TestBadOptionsRejected pins that extraction and the DC operating point
+// reject a negative, NaN or infinite option with an error naming the
+// field, instead of defaulting it or solving with it.
+func TestBadOptionsRejected(t *testing.T) {
+	shape, terms := strip(100, 10, 5)
+	extract := func(opt Options) error {
+		_, err := ExtractCtx(context.Background(), shape, terms, opt)
+		return err
+	}
+	dc := func(opt Options) error {
+		_, err := DCOperate(context.Background(), shape, terms[0], terms[1:], 1, opt)
+		return err
+	}
+	for _, tc := range []struct {
+		name  string
+		run   func(Options) error
+		opt   Options
+		field string
+	}{
+		{"extract NaN sheet", extract, Options{SheetOhms: math.NaN()}, "SheetOhms"},
+		{"extract negative pitch", extract, Options{Pitch: -5}, "Pitch"},
+		{"extract infinite height", extract, Options{HeightUM: math.Inf(1)}, "HeightUM"},
+		{"DC negative sheet", dc, Options{SheetOhms: -0.001}, "SheetOhms"},
+		{"DC NaN height", dc, Options{HeightUM: math.NaN()}, "HeightUM"},
+		{"DC negative pitch", dc, Options{Pitch: -1}, "Pitch"},
+	} {
+		err := tc.run(tc.opt)
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: err = %v, want an error naming %s", tc.name, err, tc.field)
+		}
 	}
 }
 
 func TestExtractDefaultsApplied(t *testing.T) {
 	shape, terms := strip(100, 10, 5)
-	rep, err := Extract(shape, terms, Options{})
+	rep, err := ExtractCtx(context.Background(), shape, terms, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,6 +41,9 @@ type OperatingPoint struct {
 // source supplies totalA amperes; each load sinks a share proportional to
 // its Current weight. Context cancellation aborts the solve.
 func DCOperate(ctx context.Context, shape geom.Region, source route.Terminal, loads []route.Terminal, totalA float64, opt Options) (*OperatingPoint, error) {
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
 	opt = opt.withDefaults()
 	if totalA <= 0 {
 		return nil, fmt.Errorf("extract: total current %g must be positive", totalA)
@@ -83,7 +86,7 @@ func DCOperate(ctx context.Context, shape geom.Region, source route.Terminal, lo
 		}
 		inj[tg.Terminals[i+1]] -= totalA * w / wsum
 	}
-	v, err := lap.SolveCtx(ctx, inj, nil)
+	v, _, err := lap.SolveCtx(ctx, inj, nil, nil)
 	if err != nil {
 		return nil, fmt.Errorf("extract: operating point: %w", err)
 	}

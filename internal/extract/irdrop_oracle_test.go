@@ -91,7 +91,7 @@ func dcOperateEdgeList(shape geom.Region, source route.Terminal, loads []route.T
 		}
 		inj[tg.Terminals[i+1]] -= totalA * w / wsum
 	}
-	v, err := lap.Solve(inj, nil)
+	v, _, err := lap.SolveCtx(context.Background(), inj, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -243,7 +243,7 @@ func TestNodeJouleHeatMatchesMapOracle(t *testing.T) {
 	for _, g := range cs.Board.GroupsOn(net.ID, cs.RoutingLayer) {
 		terms = append(terms, route.Terminal{Name: g.Name, Shape: g.Shape(), Current: g.Current})
 	}
-	res, err := route.Route(cs.Board.AvailableSpace(net.ID, cs.RoutingLayer), terms, route.Config{DX: 5, DY: 5, AreaMax: 6000})
+	res, err := route.RouteCtx(context.Background(), cs.Board.AvailableSpace(net.ID, cs.RoutingLayer), terms, route.Config{DX: 5, DY: 5, AreaMax: 6000})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,11 @@
 // Package ctxdelegate enforces SPROUT's cancellation conventions:
 //
-//  1. An exported context-free wrapper F whose package also defines FCtx
-//     (same receiver) must consist of exactly one statement that delegates
-//     to FCtx with context.Background() or context.TODO() as the first
-//     argument. Wrappers that re-implement logic drift from their Ctx
-//     variant and lose cancellation coverage.
+//  1. An exported context-free F beside an FCtx with the same receiver is
+//     reported outright in a package whose path contains /internal/:
+//     internal packages keep one ctx-first entry per operation. In the
+//     public facade F must be one statement delegating to FCtx with
+//     context.Background() or context.TODO(), since wrappers that
+//     re-implement logic drift from their Ctx variant.
 //
 //  2. In the solver-adjacent packages (internal/route, internal/sparse),
 //     any function containing an unbounded loop — `for { ... }` or a
@@ -26,7 +27,7 @@ import (
 // Analyzer is the ctxdelegate pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "ctxdelegate",
-	Doc:  "context-free wrappers must delegate to their Ctx variant; unbounded loops in route/sparse need a context.Context parameter",
+	Doc:  "internal packages keep one Ctx entry per operation; public context-free wrappers must delegate to their Ctx variant; unbounded loops in route/sparse need a context.Context parameter",
 	Run:  run,
 }
 
@@ -34,6 +35,7 @@ var Analyzer = &analysis.Analyzer{
 var loopScopeSuffixes = []string{"internal/route", "internal/sparse"}
 
 func run(pass *analysis.Pass) (any, error) {
+	internal := strings.Contains(pass.Pkg.Path(), "/internal/")
 	loopScope := false
 	for _, s := range loopScopeSuffixes {
 		if strings.HasSuffix(pass.Pkg.Path(), s) {
@@ -47,7 +49,7 @@ func run(pass *analysis.Pass) (any, error) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			checkWrapper(pass, f, fd)
+			checkWrapper(pass, f, fd, internal)
 			if loopScope {
 				checkLoops(pass, fd)
 			}
@@ -81,12 +83,18 @@ func isContextType(t types.Type) bool {
 }
 
 // checkWrapper applies rule 1 to one function declaration.
-func checkWrapper(pass *analysis.Pass, file *ast.File, fd *ast.FuncDecl) {
+func checkWrapper(pass *analysis.Pass, file *ast.File, fd *ast.FuncDecl, internal bool) {
 	if !fd.Name.IsExported() || strings.HasSuffix(fd.Name.Name, "Ctx") || hasCtxParam(pass, fd.Type) {
 		return
 	}
 	ctxName := fd.Name.Name + "Ctx"
 	if !siblingExists(pass, file, fd, ctxName) {
+		return
+	}
+	if internal {
+		pass.Reportf(fd.Name.Pos(),
+			"internal package exports both %s and %s: keep only the ctx-first entry %s",
+			fd.Name.Name, ctxName, ctxName)
 		return
 	}
 	if len(fd.Body.List) == 1 && delegates(pass, fd.Body.List[0], ctxName) {

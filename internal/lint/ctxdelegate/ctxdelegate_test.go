@@ -14,3 +14,7 @@ func TestWrapperDelegation(t *testing.T) {
 func TestUnboundedLoops(t *testing.T) {
 	analysistest.Run(t, "testdata", ctxdelegate.Analyzer, "x/internal/route")
 }
+
+func TestInternalTwins(t *testing.T) {
+	analysistest.Run(t, "testdata", ctxdelegate.Analyzer, "x/internal/extract")
+}

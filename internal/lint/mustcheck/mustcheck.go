@@ -1,14 +1,13 @@
 // Package mustcheck flags discarded results of the pure numeric and
-// geometric kernels: sparse solves (sparse.CG/CGCtx, Laplacian.Solve*,
-// Cholesky.Solve, the workspace-backed SolveAttemptsCtxWork), solver
-// setup that reports validation errors (sparse.ReassembleLaplacian),
-// route's nodal-analysis entry points (NodeCurrents*, PairVoltagesCtx,
-// Resistance), and geom's region/polygon clipping algebra (Union,
-// Intersect, Subtract, Xor, Bloat, Erode, Rasterize, ...). These
-// functions have no side effects — calling one as a statement, or
+// geometric kernels: sparse solves (sparse.CGCtx, Laplacian.SolveCtx,
+// Cholesky.Solve), solver setup that reports validation errors
+// (sparse.ReassembleLaplacian), route's nodal-analysis entry points
+// (NodeCurrentsCtx, PairVoltagesCtx), and geom's region/polygon clipping
+// algebra (Union, Intersect, Subtract, Xor, Bloat, Erode, Rasterize, ...).
+// These functions have no side effects — calling one as a statement, or
 // assigning every result to the blank identifier, throws the computation
-// (and, for solves, the error that says whether it converged) away. Such
-// a call is either dead code or a lost error check; both are bugs.
+// (and, for solves, the error that says whether it converged) away. Such a
+// call is either dead code or a lost error check; both are bugs.
 package mustcheck
 
 import (
@@ -31,13 +30,11 @@ var Analyzer = &analysis.Analyzer{
 // in that package.
 var mustUse = map[string]map[string]bool{
 	"internal/sparse": {
-		"CG": true, "CGCtx": true,
-		"Solve": true, "SolveCtx": true, "SolveAttemptsCtxWork": true,
+		"CGCtx": true, "Solve": true, "SolveCtx": true,
 		"ReassembleLaplacian": true,
 	},
 	"internal/route": {
-		"NodeCurrents": true, "NodeCurrentsCtx": true,
-		"PairVoltagesCtx": true, "Resistance": true,
+		"NodeCurrentsCtx": true, "PairVoltagesCtx": true,
 	},
 	"internal/geom": {
 		"Union": true, "Intersect": true, "Subtract": true, "Xor": true,

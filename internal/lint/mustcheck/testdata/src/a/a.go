@@ -25,24 +25,24 @@ func UseClip(a, b geom.Region) geom.Region {
 
 // DropSolve throws away both the solution and the convergence error: flagged.
 func DropSolve(m *sparse.CSR, rhs []float64) {
-	sparse.CG(m, rhs, nil, sparse.CGOptions{}) // want `result of sparse.CG discarded`
+	sparse.CGCtx(nil, m, rhs, nil, sparse.CGOptions{}) // want `result of sparse.CGCtx discarded`
 }
 
 // BlankSolve discards every result explicitly: flagged.
 func BlankSolve(m *sparse.CSR, rhs []float64) {
-	_, _, _ = sparse.CG(m, rhs, nil, sparse.CGOptions{}) // want `result of sparse.CG assigned to the blank identifier`
+	_, _, _ = sparse.CGCtx(nil, m, rhs, nil, sparse.CGOptions{}) // want `result of sparse.CGCtx assigned to the blank identifier`
 }
 
 // UseSolve is the accepted fix: solution and error are consumed.
 func UseSolve(m *sparse.CSR, rhs []float64) ([]float64, error) {
-	x, _, err := sparse.CG(m, rhs, nil, sparse.CGOptions{})
+	x, _, err := sparse.CGCtx(nil, m, rhs, nil, sparse.CGOptions{})
 	return x, err
 }
 
 // DropWorkspaceSolve loses the session-path solve and its ladder trace:
 // flagged.
 func DropWorkspaceSolve(l *sparse.Laplacian, rhs []float64, ws *sparse.Workspace) {
-	l.SolveAttemptsCtxWork(nil, rhs, nil, ws) // want `result of sparse.SolveAttemptsCtxWork discarded`
+	l.SolveCtx(nil, rhs, nil, ws) // want `result of sparse.SolveCtx discarded`
 }
 
 // DropReassemble throws away both the assembled Laplacian and the
@@ -53,17 +53,17 @@ func DropReassemble(l *sparse.Laplacian, rowPtr, col []int, w []float64) {
 
 // DropNodeCurrents loses the metric evaluation and its error: flagged.
 func DropNodeCurrents(tg *route.TileGraph, members []bool) {
-	tg.NodeCurrents(members, nil) // want `result of route.NodeCurrents discarded`
+	tg.NodeCurrentsCtx(nil, members, nil) // want `result of route.NodeCurrentsCtx discarded`
 }
 
-// BlankResistance hides the objective and its error: flagged.
-func BlankResistance(tg *route.TileGraph, members []bool) {
-	_, _ = tg.Resistance(members) // want `result of route.Resistance assigned to the blank identifier`
+// BlankPairVoltages hides the pair solutions and their error: flagged.
+func BlankPairVoltages(tg *route.TileGraph, members []bool) {
+	_, _, _, _ = tg.PairVoltagesCtx(nil, members) // want `result of route.PairVoltagesCtx assigned to the blank identifier`
 }
 
 // UseNodeCurrents is the accepted fix: metrics and error are consumed.
 func UseNodeCurrents(tg *route.TileGraph, members []bool) (*route.Metrics, error) {
-	return tg.NodeCurrents(members, nil)
+	return tg.NodeCurrentsCtx(nil, members, nil)
 }
 
 // MutatorsAreFine: functions outside the must-use table keep working as

@@ -1,6 +1,7 @@
 package manual
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -90,16 +91,16 @@ func TestManualVsSproutImpedanceComparable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spr, err := route.Route(avail, terms, route.Config{DX: 10, DY: 10, AreaMax: target})
+	spr, err := route.RouteCtx(context.Background(), avail, terms, route.Config{DX: 10, DY: 10, AreaMax: target})
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt := extract.Options{Pitch: 5, SheetOhms: 0.0005, HeightUM: 100}
-	repMan, err := extract.Extract(man.Shape, terms, opt)
+	repMan, err := extract.ExtractCtx(context.Background(), man.Shape, terms, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	repSpr, err := extract.Extract(spr.Shape, terms, opt)
+	repSpr, err := extract.ExtractCtx(context.Background(), spr.Shape, terms, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func TestConfigValidateRejectsBadValues(t *testing.T) {
 				t.Fatalf("%s must be rejected", tc.name)
 			}
 			avail, terms := obstacleSpace(t)
-			if _, err := Route(avail, terms, tc.cfg); err == nil {
+			if _, err := RouteCtx(context.Background(), avail, terms, tc.cfg); err == nil {
 				t.Fatalf("Route must reject %s", tc.name)
 			}
 		})
@@ -99,7 +99,7 @@ func TestSeedOnlyProducesConnectedRoute(t *testing.T) {
 	if math.IsNaN(res.Resistance) {
 		t.Fatal("healthy seed must carry metrics")
 	}
-	full, err := Route(avail, terms, Config{DX: 5})
+	full, err := RouteCtx(context.Background(), avail, terms, Config{DX: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

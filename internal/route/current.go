@@ -250,12 +250,6 @@ func foldSolveStats(ctx context.Context, atts [][]sparse.RungAttempt, lap *spars
 	return st
 }
 
-// NodeCurrents evaluates the node-current metric without cancellation
-// support; see NodeCurrentsCtx.
-func (tg *TileGraph) NodeCurrents(members []bool, warm *SolveCache) (*Metrics, error) {
-	return tg.NodeCurrentsCtx(context.Background(), members, warm)
-}
-
 // NodeCurrentsCtx evaluates the node-current metric over the member
 // subgraph (paper Algorithm 3). All terminals must be members and mutually
 // connected within the mask. warm may be nil: the evaluation then solves
@@ -306,14 +300,4 @@ func (tg *TileGraph) PairVoltagesCtx(ctx context.Context, members []bool) (volts
 		return nil, nil, nil, err
 	}
 	return sol.volts, sol.pairs, sol.weights, nil
-}
-
-// Resistance computes only the objective value for a member mask, without
-// the per-node currents (used by tests and traces).
-func (tg *TileGraph) Resistance(members []bool) (float64, error) {
-	m, err := tg.NodeCurrents(members, nil)
-	if err != nil {
-		return 0, err
-	}
-	return m.Resistance, nil
 }

@@ -8,12 +8,6 @@ import (
 	"sprout/internal/obs"
 )
 
-// SmartGrow grows the subgraph without cancellation support; see
-// SmartGrowCtx.
-func (tg *TileGraph) SmartGrow(members []bool, m *Metrics, k int, warm *SolveCache) ([]int, *Metrics, error) {
-	return tg.SmartGrowCtx(context.Background(), members, m, k, warm)
-}
-
 // SmartGrowCtx adds up to k boundary nodes to the member subgraph, choosing
 // the candidates adjacent to the members with the highest node current
 // (paper Algorithm 4). m must hold the metrics of members as received; the

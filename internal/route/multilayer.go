@@ -44,12 +44,6 @@ type ViaPlan struct {
 	PerLayer map[int][]Terminal
 }
 
-// PlanMultilayer plans the layer assignment without cancellation or
-// tracing support; see PlanMultilayerCtx.
-func PlanMultilayer(spaces []LayerSpace, terms []MLTerminal, viaPitch int64, viaCost float64) (*ViaPlan, error) {
-	return PlanMultilayerCtx(context.Background(), spaces, terms, viaPitch, viaCost)
-}
-
 // PlanMultilayerCtx runs the multilayer planning stage (paper Algorithm 6)
 // under its tracing span, annotated with the resulting via count.
 func PlanMultilayerCtx(ctx context.Context, spaces []LayerSpace, terms []MLTerminal, viaPitch int64, viaCost float64) (*ViaPlan, error) {
@@ -270,12 +264,6 @@ func planMultilayer(spaces []LayerSpace, terms []MLTerminal, viaPitch int64, via
 		}
 	}
 	return plan, nil
-}
-
-// RouteLayer routes one layer of a multilayer plan without cancellation
-// support; see RouteLayerCtx.
-func RouteLayer(avail geom.Region, terms []Terminal, cfg Config) ([]*Result, error) {
-	return RouteLayerCtx(context.Background(), avail, terms, cfg)
 }
 
 // RouteLayerCtx routes one layer of a multilayer plan. The available space

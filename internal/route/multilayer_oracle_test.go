@@ -1,6 +1,7 @@
 package route
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -299,7 +300,7 @@ func TestPlanMultilayerMatchesOracle(t *testing.T) {
 	check := func(name string, spaces []LayerSpace, terms []MLTerminal, pitch int64, viaCost float64) bool {
 		t.Helper()
 		want, werr := planMultilayerOracle(spaces, terms, pitch, viaCost)
-		got, gerr := PlanMultilayer(spaces, terms, pitch, viaCost)
+		got, gerr := PlanMultilayerCtx(context.Background(), spaces, terms, pitch, viaCost)
 		if (werr == nil) != (gerr == nil) || werr != nil && werr.Error() != gerr.Error() {
 			t.Fatalf("%s: error %v, oracle %v", name, gerr, werr)
 		}

@@ -1,6 +1,7 @@
 package route
 
 import (
+	"context"
 	"testing"
 
 	"sprout/internal/geom"
@@ -23,7 +24,7 @@ func disjointScene() ([]LayerSpace, []MLTerminal) {
 
 func TestPlanMultilayerUsesVias(t *testing.T) {
 	spaces, terms := disjointScene()
-	plan, err := PlanMultilayer(spaces, terms, 10, 4)
+	plan, err := PlanMultilayerCtx(context.Background(), spaces, terms, 10, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestPlanMultilayerMinimizesVias(t *testing.T) {
 		{Name: "S", Layer: 1, Shape: geom.RegionFromRect(geom.R(0, 15, 5, 25))},
 		{Name: "T", Layer: 1, Shape: geom.RegionFromRect(geom.R(95, 15, 100, 25))},
 	}
-	plan, err := PlanMultilayer(spaces, terms, 10, 4)
+	plan, err := PlanMultilayerCtx(context.Background(), spaces, terms, 10, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestPlanMultilayerEndToEndRoute(t *testing.T) {
 	// that copper shapes plus via columns form one electrically continuous
 	// path from S to T across layers (paper Fig. 13c).
 	spaces, terms := disjointScene()
-	plan, err := PlanMultilayer(spaces, terms, 10, 4)
+	plan, err := PlanMultilayerCtx(context.Background(), spaces, terms, 10, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestPlanMultilayerEndToEndRoute(t *testing.T) {
 	}
 	copperByLayer := map[int][]geom.Region{}
 	for _, layer := range plan.LayersUsed() {
-		results, err := RouteLayer(availOf[layer], plan.PerLayer[layer], Config{DX: 5, DY: 5, AreaMax: 1200})
+		results, err := RouteLayerCtx(context.Background(), availOf[layer], plan.PerLayer[layer], Config{DX: 5, DY: 5, AreaMax: 1200})
 		if err != nil {
 			t.Fatalf("layer %d route: %v", layer, err)
 		}
@@ -166,7 +167,7 @@ func TestPlanMultilayerTerminalsOnDifferentLayers(t *testing.T) {
 		{Name: "BGA", Layer: 1, Shape: geom.RegionFromRect(geom.R(0, 15, 5, 25))},
 		{Name: "PMIC", Layer: 2, Shape: geom.RegionFromRect(geom.R(75, 15, 80, 25))},
 	}
-	plan, err := PlanMultilayer(spaces, terms, 10, 4)
+	plan, err := PlanMultilayerCtx(context.Background(), spaces, terms, 10, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,27 +184,27 @@ func TestPlanMultilayerErrors(t *testing.T) {
 		{Name: "S", Layer: 1, Shape: pad},
 		{Name: "T", Layer: 1, Shape: geom.RegionFromRect(geom.R(45, 45, 50, 50))},
 	}
-	if _, err := PlanMultilayer(nil, terms, 10, 4); err == nil {
+	if _, err := PlanMultilayerCtx(context.Background(), nil, terms, 10, 4); err == nil {
 		t.Fatal("no spaces must error")
 	}
-	if _, err := PlanMultilayer(spaces, terms[:1], 10, 4); err == nil {
+	if _, err := PlanMultilayerCtx(context.Background(), spaces, terms[:1], 10, 4); err == nil {
 		t.Fatal("one terminal must error")
 	}
-	if _, err := PlanMultilayer(spaces, terms, 0, 4); err == nil {
+	if _, err := PlanMultilayerCtx(context.Background(), spaces, terms, 0, 4); err == nil {
 		t.Fatal("bad pitch must error")
 	}
 	dup := []LayerSpace{{Layer: 1, Avail: l1}, {Layer: 1, Avail: l1}}
-	if _, err := PlanMultilayer(dup, terms, 10, 4); err == nil {
+	if _, err := PlanMultilayerCtx(context.Background(), dup, terms, 10, 4); err == nil {
 		t.Fatal("duplicate layer must error")
 	}
 	badTerm := []MLTerminal{terms[0], {Name: "X", Layer: 9, Shape: pad}}
-	if _, err := PlanMultilayer(spaces, badTerm, 10, 4); err == nil {
+	if _, err := PlanMultilayerCtx(context.Background(), spaces, badTerm, 10, 4); err == nil {
 		t.Fatal("terminal on unknown layer must error")
 	}
 	// Unreachable: two islands on a single layer with no second layer.
 	split := geom.RegionFromRect(geom.R(0, 0, 50, 50)).
 		Subtract(geom.RegionFromRect(geom.R(20, 0, 30, 50)))
-	if _, err := PlanMultilayer([]LayerSpace{{Layer: 1, Avail: split}}, terms, 10, 4); err == nil {
+	if _, err := PlanMultilayerCtx(context.Background(), []LayerSpace{{Layer: 1, Avail: split}}, terms, 10, 4); err == nil {
 		t.Fatal("unreachable terminals must error")
 	}
 }
@@ -220,14 +221,14 @@ func TestPlanMultilayerViaCostTradeoff(t *testing.T) {
 		{Name: "S", Layer: 1, Shape: geom.RegionFromRect(geom.R(0, 0, 5, 10))},
 		{Name: "T", Layer: 1, Shape: geom.RegionFromRect(geom.R(95, 0, 100, 10))},
 	}
-	expensive, err := PlanMultilayer(spaces, terms, 10, 1000)
+	expensive, err := PlanMultilayerCtx(context.Background(), spaces, terms, 10, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(expensive.Vias) != 0 {
 		t.Fatalf("expensive vias must force the detour, got %d vias", len(expensive.Vias))
 	}
-	cheap, err := PlanMultilayer(spaces, terms, 10, 0.5)
+	cheap, err := PlanMultilayerCtx(context.Background(), spaces, terms, 10, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}

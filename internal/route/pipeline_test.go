@@ -98,7 +98,7 @@ func TestNodeCurrentsSeriesChain(t *testing.T) {
 	for i := range members {
 		members[i] = true
 	}
-	m, err := tg.NodeCurrents(members, nil)
+	m, err := tg.NodeCurrentsCtx(context.Background(), members, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,18 +125,18 @@ func TestNodeCurrentsSeriesChain(t *testing.T) {
 func TestNodeCurrentsErrors(t *testing.T) {
 	tg, _ := twoTerm(t, 40, 20, 10)
 	bad := make([]bool, 3)
-	if _, err := tg.NodeCurrents(bad, nil); err == nil {
+	if _, err := tg.NodeCurrentsCtx(context.Background(), bad, nil); err == nil {
 		t.Fatal("wrong mask length must error")
 	}
 	none := make([]bool, tg.G.N())
-	if _, err := tg.NodeCurrents(none, nil); err == nil {
+	if _, err := tg.NodeCurrentsCtx(context.Background(), none, nil); err == nil {
 		t.Fatal("terminals outside subgraph must error")
 	}
 	// Terminals present but disconnected.
 	only := make([]bool, tg.G.N())
 	only[tg.Terminals[0]] = true
 	only[tg.Terminals[1]] = true
-	if _, err := tg.NodeCurrents(only, nil); err == nil {
+	if _, err := tg.NodeCurrentsCtx(context.Background(), only, nil); err == nil {
 		t.Fatal("disconnected terminals must error")
 	}
 }
@@ -179,27 +179,21 @@ func TestSmartGrowReducesResistance(t *testing.T) {
 		t.Fatal(err)
 	}
 	warm := NewSolveCache()
-	m, err := tg.NodeCurrents(members, warm)
+	m, err := tg.NodeCurrentsCtx(context.Background(), members, warm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev, err := tg.Resistance(members)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prev := coldResistance(t, tg, members)
 	for i := 0; i < 5; i++ {
 		var added []int
-		added, m, err = tg.SmartGrow(members, m, 6, warm)
+		added, m, err = tg.SmartGrowCtx(context.Background(), members, m, 6, warm)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(added) == 0 {
 			break
 		}
-		cur, err := tg.Resistance(members)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cur := coldResistance(t, tg, members)
 		// Rayleigh monotonicity: adding conductors can only help.
 		if cur > prev+1e-9 {
 			t.Fatalf("grow iteration %d increased resistance %g -> %g", i, prev, cur)
@@ -224,11 +218,11 @@ func TestSmartGrowPrefersHighCurrentRegions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := tg.NodeCurrents(members, nil)
+	m, err := tg.NodeCurrentsCtx(context.Background(), members, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	added, _, err := tg.SmartGrow(members, m, 10, nil)
+	added, _, err := tg.SmartGrowCtx(context.Background(), members, m, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,15 +249,15 @@ func TestSmartRefineKeepsAreaAndConnectivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := tg.NodeCurrents(members, nil)
+	m, err := tg.NodeCurrentsCtx(context.Background(), members, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, m, err = tg.SmartGrow(members, m, 30, nil); err != nil {
+	if _, m, err = tg.SmartGrowCtx(context.Background(), members, m, 30, nil); err != nil {
 		t.Fatal(err)
 	}
 	beforeCount := MemberCount(members)
-	res, err := tg.SmartRefine(members, m, 5, nil)
+	res, err := tg.SmartRefineCtx(context.Background(), members, m, 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,10 +272,7 @@ func TestSmartRefineKeepsAreaAndConnectivity(t *testing.T) {
 	}
 	// The returned metrics are those of the mask refine left behind: with
 	// no warm cache both sides solve cold, so they agree bit for bit.
-	want, err := tg.Resistance(members)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := coldResistance(t, tg, members)
 	if res.Resistance != want {
 		t.Fatalf("refine returned resistance %x, mask it left scores %x", res.Resistance, want)
 	}
@@ -293,7 +284,7 @@ func TestRemoveLowCurrentNeverRemovesTerminals(t *testing.T) {
 	for i := range members {
 		members[i] = true
 	}
-	m, err := tg.NodeCurrents(members, nil)
+	m, err := tg.NodeCurrentsCtx(context.Background(), members, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,18 +317,15 @@ func TestDilateErode(t *testing.T) {
 	if tg.MembersArea(members) <= areaBefore {
 		t.Fatal("dilate must increase area")
 	}
-	m, err := tg.NodeCurrents(members, nil)
+	m, err := tg.NodeCurrentsCtx(context.Background(), members, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eroded, err := tg.Erode(members, m, areaBefore, 4, nil)
+	eroded, err := tg.ErodeCtx(context.Background(), members, m, areaBefore, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := tg.Resistance(members)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := coldResistance(t, tg, members)
 	if eroded.Resistance != want {
 		t.Fatalf("erode returned resistance %x, mask it left scores %x", eroded.Resistance, want)
 	}
@@ -351,7 +339,7 @@ func TestDilateErode(t *testing.T) {
 
 func TestRouteEndToEnd(t *testing.T) {
 	avail, terms := obstacleSpace(t)
-	res, err := Route(avail, terms, Config{DX: 5, DY: 5, AreaMax: 3200, ReheatDilations: 2})
+	res, err := RouteCtx(context.Background(), avail, terms, Config{DX: 5, DY: 5, AreaMax: 3200, ReheatDilations: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +387,7 @@ func TestRouteMoreAreaLowerResistance(t *testing.T) {
 	avail, terms := obstacleSpace(t)
 	var prev float64
 	for i, budget := range []int64{2500, 3500, 5000} {
-		res, err := Route(avail, terms, Config{DX: 5, DY: 5, AreaMax: budget})
+		res, err := RouteCtx(context.Background(), avail, terms, Config{DX: 5, DY: 5, AreaMax: budget})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -412,7 +400,7 @@ func TestRouteMoreAreaLowerResistance(t *testing.T) {
 
 func TestRouteRespectsAreaBudgetTightly(t *testing.T) {
 	avail, terms := obstacleSpace(t)
-	res, err := Route(avail, terms, Config{DX: 5, DY: 5, AreaMax: 2800})
+	res, err := RouteCtx(context.Background(), avail, terms, Config{DX: 5, DY: 5, AreaMax: 2800})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,14 +415,14 @@ func TestRouteRespectsAreaBudgetTightly(t *testing.T) {
 
 func TestRouteSeedExceedsBudgetError(t *testing.T) {
 	avail, terms := obstacleSpace(t)
-	if _, err := Route(avail, terms, Config{DX: 5, DY: 5, AreaMax: 10}); err == nil {
+	if _, err := RouteCtx(context.Background(), avail, terms, Config{DX: 5, DY: 5, AreaMax: 10}); err == nil {
 		t.Fatal("impossible budget must error")
 	}
 }
 
 func TestRouteDefaultsApplied(t *testing.T) {
 	avail, terms := obstacleSpace(t)
-	res, err := Route(avail, terms, Config{DX: 5, DY: 5})
+	res, err := RouteCtx(context.Background(), avail, terms, Config{DX: 5, DY: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,4 +431,14 @@ func TestRouteDefaultsApplied(t *testing.T) {
 		t.Fatalf("default budget should be ~4x seed area: got %d vs seed %d",
 			res.Shape.Area(), seedArea)
 	}
+}
+
+// coldResistance scores members on a throwaway solve session.
+func coldResistance(t *testing.T, tg *TileGraph, members []bool) float64 {
+	t.Helper()
+	m, err := tg.NodeCurrentsCtx(context.Background(), members, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.Resistance
 }

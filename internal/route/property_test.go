@@ -1,6 +1,7 @@
 package route
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -75,7 +76,7 @@ func TestPropertyRouteInvariants(t *testing.T) {
 		}
 		budget := avail.Area() / 3
 		cfg := Config{DX: 5, DY: 5, AreaMax: budget}
-		res, err := Route(avail, terms, cfg)
+		res, err := RouteCtx(context.Background(), avail, terms, cfg)
 		if err != nil {
 			// A legal failure: seed larger than the random budget.
 			continue
@@ -159,7 +160,7 @@ func TestPropertyGrowMonotone(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		m, err := tg.NodeCurrents(members, nil)
+		m, err := tg.NodeCurrentsCtx(context.Background(), members, nil)
 		if err != nil {
 			continue
 		}
@@ -167,7 +168,7 @@ func TestPropertyGrowMonotone(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			prev := m.Resistance
 			var added []int
-			added, m, err = tg.SmartGrow(members, m, 8, nil)
+			added, m, err = tg.SmartGrowCtx(context.Background(), members, m, 8, nil)
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}

@@ -183,12 +183,6 @@ func (tg *TileGraph) terminalsConnected(s *connScratch, members []bool) bool {
 	return true
 }
 
-// SmartRefine performs one refinement step without cancellation support;
-// see SmartRefineCtx.
-func (tg *TileGraph) SmartRefine(members []bool, m *Metrics, k int, warm *SolveCache) (*Metrics, error) {
-	return tg.SmartRefineCtx(context.Background(), members, m, k, warm)
-}
-
 // SmartRefineCtx performs one refinement step (paper Algorithm 5): remove
 // the k lowest-current nodes, then re-grow as many nodes at the
 // highest-current boundary. m must hold the metrics of members as
@@ -213,12 +207,6 @@ func (tg *TileGraph) SmartRefineCtx(ctx context.Context, members []bool, m *Metr
 		return nil, err
 	}
 	return warm.advance(pruned, next), nil
-}
-
-// Erode erodes to the area budget without cancellation support; see
-// ErodeCtx.
-func (tg *TileGraph) Erode(members []bool, m *Metrics, areaMax int64, batch int, warm *SolveCache) (*Metrics, error) {
-	return tg.ErodeCtx(context.Background(), members, m, areaMax, batch, warm)
 }
 
 // ErodeCtx removes member nodes in ascending current order until the

@@ -1,6 +1,7 @@
 package route_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -127,7 +128,7 @@ func TestRemoveLowCurrentMatchesOracle(t *testing.T) {
 					if grow {
 						tg.Dilate(members)
 					}
-					m, err := tg.NodeCurrents(members, nil)
+					m, err := tg.NodeCurrentsCtx(context.Background(), members, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -203,7 +204,7 @@ func TestRemoveLowCurrentAllocs(t *testing.T) {
 		}
 	}
 	tg, base := rail.Graph, rail.Members
-	m, err := tg.NodeCurrents(base, nil)
+	m, err := tg.NodeCurrentsCtx(context.Background(), base, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

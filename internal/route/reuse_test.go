@@ -1,6 +1,7 @@
 package route
 
 import (
+	"context"
 	"math"
 	"slices"
 	"testing"
@@ -38,7 +39,7 @@ func TestReusedNodeCurrentCarriesNothingStale(t *testing.T) {
 	}
 
 	warm := NewSolveCache()
-	big, err := tg.NodeCurrents(twice, warm)
+	big, err := tg.NodeCurrentsCtx(context.Background(), twice, warm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,14 +56,14 @@ func TestReusedNodeCurrentCarriesNothingStale(t *testing.T) {
 	warm.release(big)
 	warm.pairVolts = nil // solve cold, like the nil-cache reference
 
-	got, err := tg.NodeCurrents(smaller, warm)
+	got, err := tg.NodeCurrentsCtx(context.Background(), smaller, warm)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if &got.NodeCurrent[0] != &buf[0] {
 		t.Fatal("the evaluation did not refill the buffer handed back")
 	}
-	want, err := tg.NodeCurrents(smaller, nil)
+	want, err := tg.NodeCurrentsCtx(context.Background(), smaller, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,14 +108,14 @@ func TestStepsNeverReuseCallerMetrics(t *testing.T) {
 		all = append(all, held{m, slices.Clone(m.NodeCurrent)})
 		return m
 	}
-	m, err := tg.NodeCurrents(members, warm)
+	m, err := tg.NodeCurrentsCtx(context.Background(), members, warm)
 	if err != nil {
 		t.Fatal(err)
 	}
 	keep(m)
 	areaMax := tg.MembersArea(members) * 2
 	for tg.MembersArea(members) < 3*areaMax/2 {
-		added, next, err := tg.SmartGrow(members, m, 8, warm)
+		added, next, err := tg.SmartGrowCtx(context.Background(), members, m, 8, warm)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,12 +124,12 @@ func TestStepsNeverReuseCallerMetrics(t *testing.T) {
 		}
 		m = keep(next)
 	}
-	if m, err = tg.Erode(members, m, areaMax, 4, warm); err != nil {
+	if m, err = tg.ErodeCtx(context.Background(), members, m, areaMax, 4, warm); err != nil {
 		t.Fatal(err)
 	}
 	keep(m)
 	for it := 0; it < 4; it++ {
-		if m, err = tg.SmartRefine(members, m, 4, warm); err != nil {
+		if m, err = tg.SmartRefineCtx(context.Background(), members, m, 4, warm); err != nil {
 			t.Fatal(err)
 		}
 		keep(m)

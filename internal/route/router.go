@@ -132,11 +132,6 @@ type Result struct {
 	Solve sparse.SolveStats
 }
 
-// Route runs the full pipeline without cancellation support; see RouteCtx.
-func Route(avail geom.Region, terms []Terminal, cfg Config) (*Result, error) {
-	return RouteCtx(context.Background(), avail, terms, cfg)
-}
-
 // RouteCtx runs the full SPROUT pipeline on one net's available space
 // (paper Fig. 3): tile → seed → SmartGrow to the area budget → SmartRefine
 // → optional reheating → back conversion. The context is checked between
@@ -213,12 +208,6 @@ func SeedOnly(ctx context.Context, avail geom.Region, terms []Terminal, cfg Conf
 		Resistance: res.Resistance,
 	}}
 	return res, nil
-}
-
-// Route runs the pipeline on an already built tile graph without
-// cancellation support; see RouteCtx.
-func (tg *TileGraph) Route(cfg Config) (*Result, error) {
-	return tg.RouteCtx(context.Background(), cfg)
 }
 
 // RouteCtx runs the pipeline on an already built tile graph. Every mask

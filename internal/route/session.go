@@ -224,7 +224,7 @@ func (tg *TileGraph) solvePairs(ctx context.Context, members []bool, warm *Solve
 				x0[ci] = wv[id]
 			}
 		}
-		v, attempts, err := s.lap.SolveAttemptsCtxWork(ctx, b, x0, &sc.ws)
+		v, attempts, err := s.lap.SolveCtx(ctx, b, x0, &sc.ws)
 		if x0 != nil && len(attempts) > 0 && attempts[0].Err != nil && ctx.Err() == nil {
 			// Warm-start stall: the primary rung rejected the warm
 			// vector (stale after a component change, or otherwise
@@ -234,7 +234,7 @@ func (tg *TileGraph) solvePairs(ctx context.Context, members []bool, warm *Solve
 			atomic.AddInt64(&s.invalidations, 1)
 			warm.pairVolts[pi] = nil
 			failed := attempts[0]
-			v, attempts, err = s.lap.SolveAttemptsCtxWork(ctx, b, nil, &sc.ws)
+			v, attempts, err = s.lap.SolveCtx(ctx, b, nil, &sc.ws)
 			combined := make([]sparse.RungAttempt, 0, len(attempts)+1)
 			combined = append(combined, failed)
 			attempts = append(combined, attempts...)

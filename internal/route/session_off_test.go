@@ -1,6 +1,7 @@
 package route_test
 
 import (
+	"context"
 	"reflect"
 	"slices"
 	"testing"
@@ -89,7 +90,7 @@ func TestGoldenSessionOff(t *testing.T) {
 			DX: 4, DY: 4, AreaMax: 4000,
 			GrowNodes: 20, RefineNodes: 10, RefineIters: 10, ReheatDilations: 2,
 		}
-		res, err := route.Route(avail, terms, cfg)
+		res, err := route.RouteCtx(context.Background(), avail, terms, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -130,7 +130,7 @@ func (tg *TileGraph) solvePairsScratch(ctx context.Context, members []bool, warm
 				x0[ci] = warm.pairVolts[pi][orig[si]]
 			}
 		}
-		v, attempts, err := lap.SolveAttemptsCtxWork(ctx, b, x0, nil)
+		v, attempts, err := lap.SolveCtx(ctx, b, x0, nil)
 		atts[pi] = attempts
 		if err != nil {
 			return fmt.Errorf("route: pair %d solve: %w", pi, err)
@@ -277,7 +277,7 @@ func (h *diffHarness) step(st toggleStep) error {
 	if h.inc.sess != nil {
 		invBefore = h.inc.sess.invalidations
 	}
-	mi, erri := h.tg.NodeCurrents(h.members, h.inc)
+	mi, erri := h.tg.NodeCurrentsCtx(context.Background(), h.members, h.inc)
 	ms, errs := h.tg.nodeCurrentsScratch(h.members, h.scr)
 	if (erri == nil) != (errs == nil) {
 		return fmt.Errorf("error disagreement: incremental %v, scratch %v", erri, errs)
@@ -533,13 +533,13 @@ func TestStaleWarmVectorTriggersColdFallback(t *testing.T) {
 		members[i] = true
 	}
 	// The cold oracle: no warm cache at all.
-	oracle, err := tg.NodeCurrents(members, nil)
+	oracle, err := tg.NodeCurrentsCtx(context.Background(), members, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	poison := func(warm *SolveCache) {
 		t.Helper()
-		if _, err := tg.NodeCurrents(members, warm); err != nil {
+		if _, err := tg.NodeCurrentsCtx(context.Background(), members, warm); err != nil {
 			t.Fatal(err)
 		}
 		if len(warm.pairVolts) != 1 || warm.pairVolts[0] == nil {
@@ -575,7 +575,7 @@ func TestStaleWarmVectorTriggersColdFallback(t *testing.T) {
 	// vector dropped, and the ladder re-run cold at full tolerance.
 	sess := NewSolveCache()
 	poison(sess)
-	mSess, err := tg.NodeCurrents(members, sess)
+	mSess, err := tg.NodeCurrentsCtx(context.Background(), members, sess)
 	if err != nil {
 		t.Fatalf("session path: %v", err)
 	}

@@ -93,11 +93,6 @@ func (o CGOptions) validate() error {
 	return nil
 }
 
-// CG solves A*x = b without cancellation support; see CGCtx.
-func CG(a *CSR, b, x0 []float64, opt CGOptions) ([]float64, int, error) {
-	return CGCtx(context.Background(), a, b, x0, opt)
-}
-
 // CGCtx solves A*x = b for symmetric positive definite A using the
 // preconditioned conjugate gradient method. x0 seeds the iteration when
 // non-nil (warm starts matter: SmartGrow re-solves nearly identical

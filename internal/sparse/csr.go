@@ -26,8 +26,10 @@
 // CG has one path: the operator is always a *CSR and takes the fused
 // A·p, pᵀAp row pass; the iteration vectors always come from a CGWork (a
 // fresh one when the caller supplies none); and the preconditioner is one
-// field, an *IC0 factor or a Jacobi diagonal. Laplacian solves likewise
-// always stage their vectors in a Workspace.
+// field, an *IC0 factor or a Jacobi diagonal. A Laplacian likewise has one
+// solve entry, SolveCtx, which always stages its vectors in a Workspace
+// and reports the ladder's attempts. Every exported operation here takes
+// its context first; there are no context-free twins.
 package sparse
 
 import (

@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -104,7 +105,7 @@ func TestIC0RejectsIndefinite(t *testing.T) {
 
 func TestIC0BeatsJacobiOnGrid(t *testing.T) {
 	m, rhs, _ := gridLaplacianCSR(t, 30, 30)
-	_, itJacobi, err := CG(m, rhs, nil, CGOptions{Precond: Jacobi(m.Diag())})
+	_, itJacobi, err := CGCtx(context.Background(), m, rhs, nil, CGOptions{Precond: Jacobi(m.Diag())})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestIC0BeatsJacobiOnGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, itIC, err := CG(m, rhs, nil, CGOptions{Precond: ic})
+	_, itIC, err := CGCtx(context.Background(), m, rhs, nil, CGOptions{Precond: ic})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestIC0BeatsJacobiOnGrid(t *testing.T) {
 
 func TestIC0SolutionMatchesJacobi(t *testing.T) {
 	m, rhs, _ := gridLaplacianCSR(t, 15, 10)
-	xJ, _, err := CG(m, rhs, nil, CGOptions{Precond: Jacobi(m.Diag()), Tol: 1e-12})
+	xJ, _, err := CGCtx(context.Background(), m, rhs, nil, CGOptions{Precond: Jacobi(m.Diag()), Tol: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,7 @@ func TestIC0SolutionMatchesJacobi(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	xI, _, err := CG(m, rhs, nil, CGOptions{Precond: ic, Tol: 1e-12})
+	xI, _, err := CGCtx(context.Background(), m, rhs, nil, CGOptions{Precond: ic, Tol: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,13 +73,13 @@ func TestCGRejectsNegativeOptions(t *testing.T) {
 	b.add(1, 1, 1)
 	m := b.build()
 	rhs := []float64{1, 1}
-	if _, _, err := CG(m, rhs, nil, CGOptions{MaxIter: -1}); err == nil {
+	if _, _, err := CGCtx(context.Background(), m, rhs, nil, CGOptions{MaxIter: -1}); err == nil {
 		t.Fatal("negative MaxIter must be rejected")
 	}
-	if _, _, err := CG(m, rhs, nil, CGOptions{Tol: -1e-9}); err == nil {
+	if _, _, err := CGCtx(context.Background(), m, rhs, nil, CGOptions{Tol: -1e-9}); err == nil {
 		t.Fatal("negative Tol must be rejected")
 	}
-	if _, _, err := CG(m, rhs, nil, CGOptions{Tol: math.NaN()}); err == nil {
+	if _, _, err := CGCtx(context.Background(), m, rhs, nil, CGOptions{Tol: math.NaN()}); err == nil {
 		t.Fatal("NaN Tol must be rejected")
 	}
 }
@@ -88,7 +88,7 @@ func TestCGBreakdownIsTyped(t *testing.T) {
 	b := newBuilder(2)
 	b.add(0, 0, 1)
 	b.add(1, 1, -2)
-	_, _, err := CG(b.build(), []float64{0, 1}, nil, CGOptions{})
+	_, _, err := CGCtx(context.Background(), b.build(), []float64{0, 1}, nil, CGOptions{})
 	if !errors.Is(err, ErrBreakdown) {
 		t.Fatalf("indefinite matrix: want ErrBreakdown, got %v", err)
 	}
@@ -100,7 +100,7 @@ func TestCGNoConvergenceReturnsBestIterate(t *testing.T) {
 	for i := range rhs {
 		rhs[i] = b[i+1] // ground is node 0
 	}
-	x, iters, err := CG(lap.Matrix(), rhs, nil, CGOptions{MaxIter: 2, Tol: 1e-14})
+	x, iters, err := CGCtx(context.Background(), lap.Matrix(), rhs, nil, CGOptions{MaxIter: 2, Tol: 1e-14})
 	if !errors.Is(err, ErrNoConvergence) {
 		t.Fatalf("want ErrNoConvergence, got %v", err)
 	}
@@ -134,7 +134,7 @@ func TestLadderRecoversFromInjectedNoConvergence(t *testing.T) {
 	// Rung 1's CG call fails with forced non-convergence; rung 2 must
 	// recover with the relaxed retry.
 	faultinject.Arm(faultinject.SiteCG, 1, func() error { return ErrNoConvergence })
-	got, err := lap.Solve(b, nil)
+	got, _, err := lap.SolveCtx(context.Background(), b, nil, nil)
 	if err != nil {
 		t.Fatalf("ladder did not recover: %v", err)
 	}
@@ -159,7 +159,7 @@ func TestLadderRelaxedRungRecoversLargeSystem(t *testing.T) {
 	want := denseOracle(t, lap, b, 0)
 
 	faultinject.Arm(faultinject.SiteCG, 1, func() error { return ErrNoConvergence })
-	got, attempts, err := lap.SolveAttemptsCtxWork(context.Background(), b, nil, nil)
+	got, attempts, err := lap.SolveCtx(context.Background(), b, nil, nil)
 	if err != nil {
 		t.Fatalf("ladder did not recover: %v", err)
 	}
@@ -188,7 +188,7 @@ func TestLadderFallsBackToDenseCholesky(t *testing.T) {
 	// Every CG invocation fails: both iterative rungs are exhausted and
 	// only the dense rung can deliver.
 	faultinject.Arm(faultinject.SiteCG, 0, func() error { return ErrNoConvergence })
-	got, err := lap.Solve(b, nil)
+	got, _, err := lap.SolveCtx(context.Background(), b, nil, nil)
 	if err != nil {
 		t.Fatalf("dense fallback did not recover: %v", err)
 	}
@@ -211,7 +211,7 @@ func TestLadderSolveErrorCarriesRungTrace(t *testing.T) {
 
 	lap, b := gridLaplacian(t, 6, 6)
 	faultinject.Arm(faultinject.SiteCG, 0, func() error { return ErrNoConvergence })
-	_, err := lap.Solve(b, nil)
+	_, _, err := lap.SolveCtx(context.Background(), b, nil, nil)
 	if err == nil {
 		t.Fatal("all rungs failing must surface an error")
 	}
@@ -268,11 +268,11 @@ func TestWarmStartNearSingularLaplacian(t *testing.T) {
 	b[n-1] = 1
 	want := denseOracle(t, lap, b, 0)
 
-	cold, err := lap.Solve(b, nil)
+	cold, _, err := lap.SolveCtx(context.Background(), b, nil, nil)
 	if err != nil {
 		t.Fatalf("cold solve: %v", err)
 	}
-	warm, err := lap.Solve(b, cold)
+	warm, _, err := lap.SolveCtx(context.Background(), b, cold, nil)
 	if err != nil {
 		t.Fatalf("warm solve: %v", err)
 	}

@@ -3,6 +3,7 @@ package sparse
 import (
 	"context"
 	"fmt"
+	"math"
 )
 
 // Laplacian is a grounded graph Laplacian: the full Laplacian of a weighted
@@ -39,8 +40,8 @@ type Laplacian struct {
 // sorted (u, v) order. The builder then receives the same entry sequence
 // on every call with the same input, so the matrix and its IC(0) factor
 // are bit-identical whether dst is fresh or reused. Self-loops and
-// non-positive weights are rejected; on error dst is unusable until a
-// later reassembly succeeds.
+// non-positive, NaN or infinite weights are rejected; on error dst is
+// unusable until a later reassembly succeeds.
 func ReassembleLaplacian(dst *Laplacian, rowPtr, col []int, w []float64, ground int) (*Laplacian, error) {
 	n := len(rowPtr) - 1
 	if n <= 1 {
@@ -77,8 +78,8 @@ func ReassembleLaplacian(dst *Laplacian, rowPtr, col []int, w []float64, ground 
 				}
 				continue
 			}
-			if wt <= 0 {
-				return nil, fmt.Errorf("sparse: edge (%d,%d) has non-positive weight %g", u, v, wt)
+			if !(wt > 0) || wt > math.MaxFloat64 {
+				return nil, fmt.Errorf("sparse: edge (%d,%d) weight %g must be positive and finite", u, v, wt)
 			}
 			iv := l.indexOf[v]
 			if iu >= 0 {
@@ -123,37 +124,23 @@ func (l *Laplacian) Preconditioner() string {
 // NNZ returns the number of stored nonzeros in the grounded matrix.
 func (l *Laplacian) NNZ() int { return l.mat.NNZ() }
 
-// Solve computes node potentials without cancellation support; see
-// SolveCtx.
-func (l *Laplacian) Solve(b []float64, warm []float64) ([]float64, error) {
-	return l.SolveCtx(context.Background(), b, warm)
-}
-
 // SolveCtx computes node potentials for the injected currents b
 // (full-length n; the entry at the ground node is ignored — ground absorbs
 // the return current). The result is full-length with the ground entry
 // fixed at 0. warm, when non-nil, seeds the iteration with a previous
-// full-length solution.
+// full-length solution. ws (a fresh Workspace when nil) stages the
+// grounded vectors and the CG iteration vectors, so repeated solves
+// through one workspace are allocation-free; the result aliases it and is
+// only valid until its next solve.
 //
 // The solve runs a resilience ladder: CG with IC(0) at the default
 // tolerance, then a cold Jacobi retry at a relaxed tolerance, then a dense
-// Cholesky factorization for small systems. When every rung fails the
-// returned error is a *SolveError carrying per-rung iteration counts and
-// residuals. Context cancellation aborts the ladder with ctx.Err().
-func (l *Laplacian) SolveCtx(ctx context.Context, b []float64, warm []float64) ([]float64, error) {
-	x, _, err := l.SolveAttemptsCtxWork(ctx, b, warm, nil)
-	return x, err
-}
-
-// SolveAttemptsCtxWork is SolveCtx plus the solver-ladder trace: the
-// returned attempts list every rung tried, the last one being the accepted
-// rung on success. Callers that aggregate solver telemetry
-// (SolveStats.Record) use it so successful solves are observable too. The
-// grounded staging vectors and the CG iteration vectors come from ws (a
-// fresh workspace when nil), so repeated solves through one workspace are
-// allocation-free. The returned solution aliases the workspace and is only
-// valid until its next solve; callers must copy what they keep.
-func (l *Laplacian) SolveAttemptsCtxWork(ctx context.Context, b []float64, warm []float64, ws *Workspace) ([]float64, []RungAttempt, error) {
+// Cholesky factorization for small systems. The attempts list every rung
+// tried, the accepted one last, so SolveStats.Record sees successful
+// solves too. When every rung fails the error is a *SolveError carrying
+// per-rung iteration counts and residuals; cancellation aborts the ladder
+// with ctx.Err().
+func (l *Laplacian) SolveCtx(ctx context.Context, b []float64, warm []float64, ws *Workspace) ([]float64, []RungAttempt, error) {
 	if len(b) != l.n {
 		return nil, nil, fmt.Errorf("sparse: Solve rhs dim %d, want %d", len(b), l.n)
 	}

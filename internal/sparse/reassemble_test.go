@@ -85,11 +85,11 @@ func TestReassembleLaplacianBitIdentical(t *testing.T) {
 		b := make([]float64, n)
 		b[n-1] = 1
 		b[0] = -1
-		xr, ar, err := reused.SolveAttemptsCtxWork(context.Background(), b, nil, nil)
+		xr, ar, err := reused.SolveCtx(context.Background(), b, nil, nil)
 		if err != nil {
 			t.Fatalf("round %d: reused solve: %v", round, err)
 		}
-		xf, af, err := fresh.SolveAttemptsCtxWork(context.Background(), b, nil, nil)
+		xf, af, err := fresh.SolveCtx(context.Background(), b, nil, nil)
 		if err != nil {
 			t.Fatalf("round %d: fresh solve: %v", round, err)
 		}
@@ -125,6 +125,12 @@ func TestReassembleLaplacianRejectsBadInput(t *testing.T) {
 	}
 	if _, err := ReassembleLaplacian(l, []int{0, 1, 2, 2}, []int{1, 0}, []float64{0, 0}, 0); err == nil {
 		t.Fatal("zero weight accepted")
+	}
+	if _, err := ReassembleLaplacian(l, []int{0, 1, 2, 2}, []int{1, 0}, []float64{math.NaN(), math.NaN()}, 0); err == nil {
+		t.Fatal("NaN weight accepted")
+	}
+	if _, err := ReassembleLaplacian(l, []int{0, 1, 2, 2}, []int{1, 0}, []float64{math.Inf(1), math.Inf(1)}, 0); err == nil {
+		t.Fatal("+Inf weight accepted")
 	}
 	// Recovery: a successful reassembly after failures works normally.
 	l, err = ReassembleLaplacian(l, rowPtr, col, w, 0)
@@ -222,11 +228,11 @@ func FuzzLaplacianFromAdjacency(f *testing.F) {
 		b := make([]float64, n)
 		b[n-1] = 1
 		b[0] = -1
-		xg, ag, err := got.SolveAttemptsCtxWork(context.Background(), b, nil, nil)
+		xg, ag, err := got.SolveCtx(context.Background(), b, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		xw, aw, err := want.SolveAttemptsCtxWork(context.Background(), b, nil, nil)
+		xw, aw, err := want.SolveCtx(context.Background(), b, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,11 +262,11 @@ func TestSolveWorkspaceBitIdentical(t *testing.T) {
 		rhs := make([]float64, len(b))
 		copy(rhs, b)
 		rhs[1+round] += 0.25
-		want, wa, err := lap.SolveAttemptsCtxWork(context.Background(), rhs, prev, nil)
+		want, wa, err := lap.SolveCtx(context.Background(), rhs, prev, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, ga, err := lap.SolveAttemptsCtxWork(context.Background(), rhs, prev, &ws)
+		got, ga, err := lap.SolveCtx(context.Background(), rhs, prev, &ws)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -278,13 +284,13 @@ func TestSolveWorkspaceBitIdentical(t *testing.T) {
 func TestSolveWorkspaceSteadyStateAllocs(t *testing.T) {
 	lap, b := gridLaplacian(t, 12, 12)
 	var ws Workspace
-	warm, _, err := lap.SolveAttemptsCtxWork(context.Background(), b, nil, nil)
+	warm, _, err := lap.SolveCtx(context.Background(), b, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, _, err := lap.SolveAttemptsCtxWork(ctx, b, warm, &ws); err != nil {
+		if _, _, err := lap.SolveCtx(ctx, b, warm, &ws); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -143,7 +144,7 @@ func TestCGMatchesCholesky(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := ch.Solve(b)
-	got, iters, err := CG(denseCSR(a), b, nil, CGOptions{Tol: 1e-12})
+	got, iters, err := CGCtx(context.Background(), denseCSR(a), b, nil, CGOptions{Tol: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestCGZeroRHS(t *testing.T) {
 	b := newBuilder(2)
 	b.add(0, 0, 1)
 	b.add(1, 1, 1)
-	x, iters, err := CG(b.build(), []float64{0, 0}, nil, CGOptions{})
+	x, iters, err := CGCtx(context.Background(), b.build(), []float64{0, 0}, nil, CGOptions{})
 	if err != nil || iters != 0 {
 		t.Fatalf("zero rhs: err=%v iters=%d", err, iters)
 	}
@@ -177,11 +178,11 @@ func TestCGWarmStart(t *testing.T) {
 	m := b.build()
 	rhs := []float64{4, 10}
 	exact := []float64{2, 2}
-	_, cold, err := CG(m, rhs, nil, CGOptions{})
+	_, cold, err := CGCtx(context.Background(), m, rhs, nil, CGOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, warm, err := CG(m, rhs, exact, CGOptions{})
+	_, warm, err := CGCtx(context.Background(), m, rhs, exact, CGOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +198,7 @@ func TestCGDimensionMismatch(t *testing.T) {
 	b := newBuilder(2)
 	b.add(0, 0, 1)
 	b.add(1, 1, 1)
-	if _, _, err := CG(b.build(), []float64{1}, nil, CGOptions{}); err == nil {
+	if _, _, err := CGCtx(context.Background(), b.build(), []float64{1}, nil, CGOptions{}); err == nil {
 		t.Fatal("dimension mismatch must error")
 	}
 }
@@ -206,7 +207,7 @@ func TestCGBreakdownOnIndefinite(t *testing.T) {
 	b := newBuilder(2)
 	b.add(0, 0, 1)
 	b.add(1, 1, -2)
-	if _, _, err := CG(b.build(), []float64{0, 1}, nil, CGOptions{}); err == nil {
+	if _, _, err := CGCtx(context.Background(), b.build(), []float64{0, 1}, nil, CGOptions{}); err == nil {
 		t.Fatal("CG must report breakdown on an indefinite matrix")
 	}
 }
@@ -284,7 +285,7 @@ func TestLaplacianGridAgainstCholesky(t *testing.T) {
 	b := make([]float64, w*h)
 	b[id(0, 0)] = 1
 	b[ground] = -1
-	got, err := lap.Solve(b, nil)
+	got, _, err := lap.SolveCtx(context.Background(), b, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +431,7 @@ func (l *Laplacian) effectiveResistance(s, t int) (float64, error) {
 	b := make([]float64, l.n)
 	b[s] = 1
 	b[t] = -1
-	v, err := l.Solve(b, nil)
+	v, _, err := l.SolveCtx(context.Background(), b, nil, nil)
 	if err != nil {
 		return 0, err
 	}

@@ -11,7 +11,7 @@ func TestSolveAttemptsCtxRecordsSuccessfulSolve(t *testing.T) {
 	faultinject.Reset()
 	defer faultinject.Reset()
 	lap, b := gridLaplacian(t, 10, 10)
-	x, attempts, err := lap.SolveAttemptsCtxWork(t.Context(), b, nil, nil)
+	x, attempts, err := lap.SolveCtx(t.Context(), b, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestSolveAttemptsCtxRecordsEscalation(t *testing.T) {
 	defer faultinject.Reset()
 	lap, b := gridLaplacian(t, 10, 10)
 	faultinject.Arm(faultinject.SiteCG, 1, func() error { return ErrNoConvergence })
-	_, attempts, err := lap.SolveAttemptsCtxWork(t.Context(), b, nil, nil)
+	_, attempts, err := lap.SolveCtx(t.Context(), b, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

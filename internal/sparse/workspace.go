@@ -1,7 +1,7 @@
 package sparse
 
 // Workspace is reusable scratch for repeated Laplacian solves. One
-// workspace serves one goroutine: SolveAttemptsCtxWork stages the grounded
+// workspace serves one goroutine: Laplacian.SolveCtx stages the grounded
 // right-hand side, warm start, and solution in it and hands the CG rungs
 // their iteration vectors from it, so a steady stream of solves over
 // same-sized systems performs no per-solve allocations. The solution slice

@@ -134,7 +134,7 @@ func Simulate(ctx context.Context, op *extract.OperatingPoint, sheetOhms float64
 	if err != nil {
 		return nil, fmt.Errorf("thermal: %w", err)
 	}
-	temp, err := lap.SolveCtx(ctx, append(op.NodeJouleHeat(sheetOhms), 0), nil)
+	temp, _, err := lap.SolveCtx(ctx, append(op.NodeJouleHeat(sheetOhms), 0), nil, nil)
 	if err != nil {
 		return nil, fmt.Errorf("thermal: solve: %w", err)
 	}

@@ -2,6 +2,7 @@ package thermal_test
 
 import (
 	"cmp"
+	"context"
 	"math"
 	"slices"
 	"testing"
@@ -69,7 +70,7 @@ func simulateBuilderCG(op *extract.OperatingPoint, sheetOhms float64, opt therma
 	} else {
 		cgOpt.Precond = sparse.Jacobi(mat.Diag())
 	}
-	temp, _, err := sparse.CG(mat, op.NodeJouleHeat(sheetOhms), nil, cgOpt)
+	temp, _, err := sparse.CGCtx(context.Background(), mat, op.NodeJouleHeat(sheetOhms), nil, cgOpt)
 	if err != nil {
 		return nil, geom.Point{}, err
 	}

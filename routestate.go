@@ -25,7 +25,7 @@ type RailError struct {
 	Net  board.NetID
 	Name string
 	// Stage is the pipeline phase that failed: "" for the routing
-	// synthesis itself, "extract" or "manual baseline" otherwise.
+	// synthesis itself, else "extract", "manual baseline" or "extract manual".
 	Stage string
 	// Err is the underlying failure.
 	Err error
@@ -52,7 +52,8 @@ type boardRun struct {
 	exOpt extract.Options
 }
 
-// newBoardRun validates the layer and prepares the extraction options.
+// newBoardRun validates the layer and prepares the extraction options,
+// rejecting bad ones once here rather than once per rail.
 func newBoardRun(b *board.Board, opt RouteOptions) (*boardRun, error) {
 	if opt.Layer < 1 || opt.Layer > b.Stackup.NumLayers() {
 		return nil, fmt.Errorf("sprout: routing layer %d out of range [1,%d]", opt.Layer, b.Stackup.NumLayers())
@@ -61,15 +62,15 @@ func newBoardRun(b *board.Board, opt RouteOptions) (*boardRun, error) {
 	if layerInfo.IsPlane {
 		return nil, fmt.Errorf("sprout: layer %d is a reference plane, not routable", opt.Layer)
 	}
-	return &boardRun{
-		b:   b,
-		opt: opt,
-		exOpt: extract.Options{
-			Pitch:     opt.ExtractPitch,
-			SheetOhms: layerInfo.SheetResistance(),
-			HeightUM:  b.Stackup.DistanceToPlaneUM(opt.Layer),
-		},
-	}, nil
+	exOpt := extract.Options{
+		Pitch:     opt.ExtractPitch,
+		SheetOhms: layerInfo.SheetResistance(),
+		HeightUM:  b.Stackup.DistanceToPlaneUM(opt.Layer),
+	}
+	if err := exOpt.Validate(); err != nil {
+		return nil, fmt.Errorf("sprout: %w", err)
+	}
+	return &boardRun{b: b, opt: opt, exOpt: exOpt}, nil
 }
 
 // resolveOrder expands and validates a routing order: the default is net
@@ -187,22 +188,36 @@ func (r *boardRun) routeNext(ctx context.Context, parent *routeState, net board.
 		}
 	}
 
+	// fault applies the rail-fault policy to a failed stage after routing:
+	// a context error aborts, FailFast aborts with a *RailError, and
+	// otherwise the failure joins the rail's Diag and nil is returned.
+	fault := func(stage string, err error) error {
+		if isCtxErr(err) {
+			return err
+		}
+		rerr := &RailError{Net: net.ID, Name: net.Name, Stage: stage, Err: err}
+		if r.opt.FailFast {
+			return rerr
+		}
+		rail.Diag.Err = errors.Join(rail.Diag.Err, rerr)
+		return nil
+	}
+	// extractShape extracts a shape with its terminal pads; a failure the
+	// policy records returns a nil report and a nil error.
+	extractShape := func(stage string, shape geom.Region) (*extract.Report, error) {
+		rep, err := extract.ExtractCtx(rctx, shape.Union(termPads(terms)), terms, r.exOpt)
+		if err != nil {
+			return nil, fault(stage, err)
+		}
+		return rep, nil
+	}
+
 	if rail.Route != nil {
 		rail.Solve = rail.Route.Solve
 		sproutCopper = sproutCopper.Union(rail.Route.Shape)
 		if !r.opt.SkipExtract {
-			rep, xerr := extract.ExtractCtx(rctx, rail.Route.Shape.Union(termPads(terms)), terms, r.exOpt)
-			if xerr != nil {
-				if isCtxErr(xerr) {
-					return nil, xerr
-				}
-				if r.opt.FailFast {
-					return nil, &RailError{Net: net.ID, Name: net.Name, Stage: "extract", Err: xerr}
-				}
-				rail.Diag.Err = errors.Join(rail.Diag.Err,
-					&RailError{Net: net.ID, Name: net.Name, Stage: "extract", Err: xerr})
-			} else {
-				rail.Extract = rep
+			if rail.Extract, err = extractShape("extract", rail.Route.Shape); err != nil {
+				return nil, err
 			}
 		}
 	}
@@ -215,27 +230,15 @@ func (r *boardRun) routeNext(ctx context.Context, parent *routeState, net board.
 		}
 		man, merr := manual.Route(mAvail, terms, target, cfg.WithDefaults().DX)
 		if merr != nil {
-			if r.opt.FailFast {
-				return nil, &RailError{Net: net.ID, Name: net.Name, Stage: "manual baseline", Err: merr}
+			if err := fault("manual baseline", merr); err != nil {
+				return nil, err
 			}
-			rail.Diag.Err = errors.Join(rail.Diag.Err,
-				&RailError{Net: net.ID, Name: net.Name, Stage: "manual baseline", Err: merr})
 		} else {
 			manualCopper = manualCopper.Union(man.Shape)
 			rail.Manual = man
 			if !r.opt.SkipExtract {
-				rep, xerr := extract.ExtractCtx(rctx, man.Shape.Union(termPads(terms)), terms, r.exOpt)
-				if xerr != nil {
-					if isCtxErr(xerr) {
-						return nil, xerr
-					}
-					if r.opt.FailFast {
-						return nil, &RailError{Net: net.ID, Name: net.Name, Stage: "extract manual", Err: xerr}
-					}
-					rail.Diag.Err = errors.Join(rail.Diag.Err,
-						&RailError{Net: net.ID, Name: net.Name, Stage: "extract manual", Err: xerr})
-				} else {
-					rail.ManualExtract = rep
+				if rail.ManualExtract, err = extractShape("extract manual", man.Shape); err != nil {
+					return nil, err
 				}
 			}
 		}

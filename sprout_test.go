@@ -3,6 +3,7 @@ package sprout_test
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"sprout"
@@ -67,6 +68,10 @@ func TestRouteBoardValidation(t *testing.T) {
 	}
 	if _, err := sprout.RouteBoard(b, sprout.RouteOptions{Layer: 2}); err == nil {
 		t.Fatal("plane layer must error")
+	}
+	// A negative extraction pitch fails the run up front, not per rail.
+	if _, err := sprout.RouteBoard(b, sprout.RouteOptions{Layer: 1, ExtractPitch: -1}); err == nil || !strings.Contains(err.Error(), "Pitch") {
+		t.Fatalf("negative ExtractPitch: err = %v, want an error naming Pitch", err)
 	}
 	// A board whose nets have fewer than two groups on the layer.
 	stack := sprout.Stackup{Layers: []sprout.Layer{{Name: "L1", CopperUM: 35}}}
