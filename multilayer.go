@@ -69,14 +69,18 @@ func RouteBoardMultilayerCtx(ctx context.Context, b *board.Board, opt MLRouteOpt
 		rootSp.Fail(err)
 		rootSp.End()
 	}()
-	layers := opt.Layers
+	// Sort a copy: the caller's Layers stay in their preference order.
+	layers := append([]int(nil), opt.Layers...)
 	if len(layers) == 0 {
 		layers = b.RoutableLayers()
 	}
 	sort.Ints(layers)
-	for _, l := range layers {
+	for i, l := range layers {
 		if l < 1 || l > b.Stackup.NumLayers() {
 			return nil, fmt.Errorf("sprout: multilayer layer %d out of range", l)
+		}
+		if i > 0 && layers[i-1] == l {
+			return nil, fmt.Errorf("sprout: multilayer layer %d listed twice", l)
 		}
 		if b.Stackup.Layer(l).IsPlane {
 			return nil, fmt.Errorf("sprout: layer %d is a reference plane", l)

@@ -1,6 +1,8 @@
 package sprout_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"sprout"
@@ -128,5 +130,30 @@ func TestRouteBoardMultilayerValidation(t *testing.T) {
 	}
 	if _, err := sprout.RouteBoardMultilayer(empty, sprout.MLRouteOptions{}); err == nil {
 		t.Fatal("no nets must error")
+	}
+}
+
+// TestRouteBoardMultilayerLayersOption: the facade reads the caller's
+// Layers without reordering them, and rejects a repeated layer in its
+// up-front check instead of deep inside a net's plan.
+func TestRouteBoardMultilayerLayersOption(t *testing.T) {
+	b, vdd := mlBoard(t)
+	layers := []int{2, 1}
+	if _, err := sprout.RouteBoardMultilayer(b, sprout.MLRouteOptions{
+		Layers:  layers,
+		Budgets: map[sprout.NetID]int64{vdd: 1200},
+		Config:  sprout.RouteConfig{DX: 5, DY: 5},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(layers) != "[2 1]" {
+		t.Fatalf("caller's Layers reordered to %v", layers)
+	}
+	_, err := sprout.RouteBoardMultilayer(b, sprout.MLRouteOptions{Layers: []int{1, 1}})
+	if err == nil {
+		t.Fatal("duplicate layers must error")
+	}
+	if strings.Contains(err.Error(), "plan") {
+		t.Fatalf("duplicate layers reached the planner: %v", err)
 	}
 }

@@ -138,10 +138,7 @@ func (r *boardRun) routeNext(ctx context.Context, parent *routeState, net board.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	terms, err := railTerminals(r.b, net.ID, r.opt.Layer)
-	if err != nil {
-		return nil, err
-	}
+	terms := railTerminals(r.b, net.ID, r.opt.Layer)
 	if len(terms) < 2 {
 		return parent, nil // nothing to route on this layer for this net
 	}
@@ -212,6 +209,7 @@ func (r *boardRun) routeNext(ctx context.Context, parent *routeState, net board.
 		return rep, nil
 	}
 
+	var err error
 	if rail.Route != nil {
 		rail.Solve = rail.Route.Solve
 		sproutCopper = sproutCopper.Union(rail.Route.Shape)

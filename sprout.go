@@ -246,7 +246,8 @@ type RouteOptions struct {
 	// ExploreCheckpointEvery emits a durable checkpoint of the
 	// explorer's frontier after every N settled orders (0 = never). A
 	// later run handed the checkpoint via ExploreResume replays the
-	// settled prefix verbatim and routes only the remainder.
+	// settled prefix verbatim and routes only the remainder, plus the
+	// winning order again when it is one of the settled ones.
 	ExploreCheckpointEvery int
 	// ExploreCheckpointSink receives each emitted checkpoint. Sink
 	// failures are counted but never fail the sweep — a checkpoint is an
@@ -312,8 +313,8 @@ func isCtxErr(err error) bool {
 }
 
 // railTerminals converts a net's terminal groups on the layer into routing
-// terminals.
-func railTerminals(b *board.Board, net board.NetID, layer int) ([]route.Terminal, error) {
+// terminals, in GroupsOn order.
+func railTerminals(b *board.Board, net board.NetID, layer int) []route.Terminal {
 	groups := b.GroupsOn(net, layer)
 	terms := make([]route.Terminal, 0, len(groups))
 	for _, g := range groups {
@@ -323,7 +324,7 @@ func railTerminals(b *board.Board, net board.NetID, layer int) ([]route.Terminal
 			Current: g.Current,
 		})
 	}
-	return terms, nil
+	return terms
 }
 
 func termPads(terms []route.Terminal) geom.Region {
