@@ -92,7 +92,7 @@ func main() {
 	log := obs.NewLogger(os.Stderr, verbosity)
 	tracer := obs.New(obs.WithReplica(*name))
 
-	var store server.JobStore
+	var store *server.Store
 	if *dataDir != "" {
 		ps, err := server.OpenStore(*dataDir, server.StoreOptions{
 			Name:          *name,

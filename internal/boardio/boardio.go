@@ -103,11 +103,10 @@ type ObstacleJSON struct {
 
 // RouterJSON carries optional SPROUT pipeline tuning (see route.Config).
 type RouterJSON struct {
-	GrowNodes       int     `json:"grow_nodes,omitempty"`
-	RefineNodes     int     `json:"refine_nodes,omitempty"`
-	RefineIters     int     `json:"refine_iters,omitempty"`
-	RefineTol       float64 `json:"refine_tol,omitempty"`
-	ReheatDilations int     `json:"reheat_dilations,omitempty"`
+	GrowNodes       int `json:"grow_nodes,omitempty"`
+	RefineNodes     int `json:"refine_nodes,omitempty"`
+	RefineIters     int `json:"refine_iters,omitempty"`
+	ReheatDilations int `json:"reheat_dilations,omitempty"`
 }
 
 // BoardJSON is the interchange document.
@@ -274,7 +273,6 @@ func FromJSON(doc *BoardJSON) (*Decoded, error) {
 		cfg.GrowNodes = doc.Router.GrowNodes
 		cfg.RefineNodes = doc.Router.RefineNodes
 		cfg.RefineIters = doc.Router.RefineIters
-		cfg.RefineTol = doc.Router.RefineTol
 		cfg.ReheatDilations = doc.Router.ReheatDilations
 	}
 	return &Decoded{Board: b, RoutingLayer: doc.RoutingLayer, Budgets: budgets, Config: cfg, Doc: doc}, nil

@@ -20,11 +20,6 @@ func (v ViaSpec) Validate() error {
 	if v.DrillUM <= 0 || v.PlatingUM <= 0 || v.LengthUM <= 0 {
 		return fmt.Errorf("extract: via spec %+v must be positive", v)
 	}
-	if v.PlatingUM*2 >= v.DrillUM+2*v.PlatingUM {
-		// Always true structurally; guard kept for clarity of the model:
-		// the barrel is an annulus of outer radius drill/2+plating.
-		_ = v
-	}
 	return nil
 }
 

@@ -126,18 +126,11 @@ func (t *Tracer) WritePrometheus(w io.Writer, opts PromOptions) error {
 	if !t.Enabled() {
 		return nil
 	}
-	counters, hists := t.MetricsSnapshot()
-	gauges := t.GaugesSnapshot()
-	return writePromSnapshot(w, counters, gauges, hists, opts)
-}
-
-// writePromSnapshot renders already-snapshotted metric maps — shared by
-// WritePrometheus and the fleet-metrics aggregator, which re-exposes
-// peers' snapshots under their own replica labels.
-func writePromSnapshot(w io.Writer, counters, gauges map[string]int64, hists map[string]HistogramSummary, opts PromOptions) error {
 	if len(opts.Labels)%2 != 0 {
 		return fmt.Errorf("obs: prometheus: odd global label count")
 	}
+	counters, hists := t.MetricsSnapshot()
+	gauges := t.GaugesSnapshot()
 	var fs familySet
 
 	for _, name := range sortedKeys(counters) {

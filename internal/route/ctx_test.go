@@ -17,8 +17,6 @@ func TestConfigValidateRejectsBadValues(t *testing.T) {
 		{"negative DX", Config{DX: -5}},
 		{"negative DY", Config{DX: 5, DY: -5}},
 		{"negative AreaMax", Config{AreaMax: -100}},
-		{"negative RefineTol", Config{RefineTol: -0.5}},
-		{"NaN RefineTol", Config{RefineTol: math.NaN()}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

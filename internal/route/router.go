@@ -40,6 +40,11 @@ func stageCtx(ctx context.Context, stage string, attrs ...obs.Attr) (context.Con
 	}
 }
 
+// refineTol stops refinement when the relative resistance improvement
+// falls below it (paper Fig. 8f: "the reduction in impedance is
+// negligible, triggering termination").
+const refineTol = 1e-3
+
 // Config tunes the SPROUT pipeline. Zero values select the documented
 // defaults.
 type Config struct {
@@ -56,10 +61,6 @@ type Config struct {
 	// RefineIters caps the refinement iterations. Default 10; negative
 	// disables refinement entirely (used by ablation studies).
 	RefineIters int
-	// RefineTol stops refinement when the relative resistance improvement
-	// falls below it (paper Fig. 8f: "the reduction in impedance is
-	// negligible, triggering termination"). Default 1e-3.
-	RefineTol float64
 	// ReheatDilations is the number of dilation sweeps of the reheating
 	// stage (§II-F). Zero disables reheating. Erosion, in the trim after
 	// SmartGrow and in reheating, removes GrowNodes nodes per iteration.
@@ -67,18 +68,14 @@ type Config struct {
 }
 
 // Validate rejects configurations that would silently misbehave once
-// WithDefaults filled the zero fields: negative tile dimensions, a
-// negative area budget, or a refinement tolerance that is NaN or negative
-// (the improvement test would then never terminate refinement early).
+// WithDefaults filled the zero fields: negative tile dimensions or a
+// negative area budget.
 func (c Config) Validate() error {
 	if c.DX < 0 || c.DY < 0 {
 		return fmt.Errorf("route: tile dimensions DX=%d DY=%d must be non-negative (0 selects the default)", c.DX, c.DY)
 	}
 	if c.AreaMax < 0 {
 		return fmt.Errorf("route: AreaMax %d must be non-negative (0 selects 4x the seed area)", c.AreaMax)
-	}
-	if math.IsNaN(c.RefineTol) || c.RefineTol < 0 {
-		return fmt.Errorf("route: RefineTol %g must be a non-negative number (0 selects the default 1e-3)", c.RefineTol)
 	}
 	return nil
 }
@@ -94,9 +91,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.RefineIters == 0 {
 		c.RefineIters = 10
-	}
-	if c.RefineTol == 0 {
-		c.RefineTol = 1e-3
 	}
 	return c
 }
@@ -358,7 +352,7 @@ func (tg *TileGraph) route(ctx context.Context, cfg Config, warm *SolveCache) (*
 			}
 			m = warm.advance(m, next)
 			record("refine", members, m.Resistance)
-			if prev-m.Resistance < cfg.RefineTol*prev {
+			if prev-m.Resistance < refineTol*prev {
 				return nil
 			}
 		}

@@ -16,7 +16,7 @@ func BenchmarkStoreAccept(b *testing.B) {
 	doc := encodeBoardDoc(b)
 	spec := specFor(b, doc, "")
 
-	bench := func(b *testing.B, open func(b *testing.B) JobStore) {
+	bench := func(b *testing.B, open func(b *testing.B) *Store) {
 		st := open(b)
 		defer st.Close()
 		b.ReportAllocs()
@@ -37,10 +37,10 @@ func BenchmarkStoreAccept(b *testing.B) {
 	}
 
 	b.Run("mem", func(b *testing.B) {
-		bench(b, func(b *testing.B) JobStore { return newMemStore("") })
+		bench(b, func(b *testing.B) *Store { return newStore(StoreOptions{}) })
 	})
 	b.Run("wal-fsync", func(b *testing.B) {
-		bench(b, func(b *testing.B) JobStore {
+		bench(b, func(b *testing.B) *Store {
 			st, err := OpenStore(b.TempDir(), StoreOptions{})
 			if err != nil {
 				b.Fatal(err)
@@ -49,7 +49,7 @@ func BenchmarkStoreAccept(b *testing.B) {
 		})
 	})
 	b.Run("wal-nosync", func(b *testing.B) {
-		bench(b, func(b *testing.B) JobStore {
+		bench(b, func(b *testing.B) *Store {
 			st, err := OpenStore(b.TempDir(), StoreOptions{NoSync: true})
 			if err != nil {
 				b.Fatal(err)

@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"sprout"
 	"sprout/internal/boardio"
 	"sprout/internal/faultinject"
 	"sprout/internal/obs"
@@ -33,11 +32,7 @@ func specFor(t testing.TB, doc []byte, key string) JobSpec {
 		Hash:    hash,
 		Raw:     raw,
 		Doc:     dec,
-		Opt: sprout.RouteOptions{
-			Layer:   dec.RoutingLayer,
-			Budgets: dec.Budgets,
-			Config:  dec.Config,
-		},
+		Opt:     routeOptions(dec, SubmitOptions{}),
 		Timeout: time.Minute,
 	}
 }
@@ -300,7 +295,7 @@ func TestSnapshotCompactionBoundsWAL(t *testing.T) {
 		t.Fatalf("recovered %d jobs, want 0 (all terminal)", len(st2.Recovered()))
 	}
 	for i := 1; i <= 6; i++ {
-		j := st2.Get(st2.mem.jobID(i))
+		j := st2.Get(st2.jobID(i))
 		if j == nil {
 			t.Fatalf("job %d lost across compaction", i)
 		}

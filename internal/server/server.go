@@ -1,9 +1,9 @@
 // Package server is sproutd's long-running routing service: a bounded
 // worker pool with admission control in front of the sprout facade,
 // per-job isolation (deadline-derived contexts, panic containment,
-// per-job run reports and traces), an idempotent in-memory job store,
-// and chaos-tested graceful shutdown that drains in-flight work under a
-// bounded deadline.
+// per-job run reports and traces), an idempotent job store that is
+// in-memory or crash-safe on disk, and chaos-tested graceful shutdown
+// that drains in-flight work under a bounded deadline.
 //
 // The package deliberately splits the engine (this file: pool,
 // admission, lifecycle) from the HTTP surface (http.go) so the
@@ -35,14 +35,14 @@ import (
 type Config struct {
 	// Workers is the number of concurrent routing jobs (in-flight limit).
 	Workers int
-	// Store is the job table (nil = in-memory; pass OpenStore's result
-	// for the crash-safe persistent store). The engine re-enqueues the
-	// store's Recovered jobs on Start. Closing the store after Shutdown
-	// is the creator's responsibility.
-	Store JobStore
+	// Store is the job table: nil keeps jobs in memory until the process
+	// exits; OpenStore's result makes them survive a crash. The engine
+	// re-enqueues the store's Recovered jobs on Start. Closing the store
+	// after Shutdown is the creator's responsibility.
+	Store *Store
 	// NodeName prefixes job ids minted by the default in-memory store
-	// (replica identity for sharded deployments; a persistent store takes
-	// its name from StoreOptions instead).
+	// (replica identity for sharded deployments; a store opened with
+	// OpenStore takes its name from StoreOptions instead).
 	NodeName string
 	// Shard labels this replica's Prometheus series with its shard
 	// identity ("" = NodeName).
@@ -129,10 +129,10 @@ func defaultExplore(ctx context.Context, dec *boardio.Decoded, opt sprout.RouteO
 // with Start, stop with Shutdown.
 type Engine struct {
 	cfg     Config
-	store   JobStore
+	store   *Store
 	route   routeFunc
 	explore exploreFunc
-	// recovered holds the persistent store's accepted-but-unfinished jobs
+	// recovered holds the store's accepted-but-unfinished jobs
 	// until Start re-enqueues them.
 	recovered []*Job
 
@@ -163,7 +163,7 @@ func New(cfg Config) *Engine {
 	cfg = cfg.Normalize()
 	st := cfg.Store
 	if st == nil {
-		st = newMemStore(cfg.NodeName)
+		st = newStore(StoreOptions{Name: cfg.NodeName})
 	}
 	recovered := st.Recovered()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -188,7 +188,7 @@ func New(cfg Config) *Engine {
 	return e
 }
 
-// Start re-enqueues jobs a persistent store recovered (in their original
+// Start re-enqueues jobs the store recovered (in their original
 // acceptance order, ahead of any new admission), then launches the
 // worker pool.
 func (e *Engine) Start() {
@@ -287,14 +287,7 @@ func (e *Engine) Submit(dec *boardio.Decoded, opt SubmitOptions) (Status, error)
 		Hash:    hash,
 		Raw:     raw,
 		Doc:     dec,
-		Opt: sprout.RouteOptions{
-			Layer:          dec.RoutingLayer,
-			Budgets:        dec.Budgets,
-			Config:         dec.Config,
-			WithManual:     opt.WithManual,
-			SkipExtract:    opt.SkipExtract,
-			ExploreWorkers: opt.ExploreWorkers,
-		},
+		Opt:     routeOptions(dec, opt),
 		Timeout: timeout,
 		Explore: opt.Explore,
 		Trace:   opt.Trace,
@@ -368,11 +361,14 @@ func (e *Engine) Requeue(id string) (Status, bool, error) {
 	if err := e.store.Requeue(j, time.Now()); err != nil {
 		return Status{}, true, err
 	}
+	// Snapshot before the send: once the job is on the queue a worker can
+	// finish it before this goroutine reads its state again.
+	st := e.store.Status(j)
 	select {
 	case e.queue <- j:
 		e.count(obs.MJobsRequeued, 1)
 		e.cfg.Log.Info("job requeued from quarantine", "job", j.id, "board", j.board)
-		return e.store.Status(j), true, nil
+		return st, true, nil
 	default:
 		// No queue slot: park the job back in quarantine so it stays
 		// revivable instead of sitting queued-but-unreachable.

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -113,9 +114,9 @@ type Job struct {
 	// doc and opt are the decoded request, consumed by the worker.
 	doc *boardio.Decoded
 	opt sprout.RouteOptions
-	// raw is the canonical document encoding, kept by the persistent
-	// store so the job can be re-decoded and re-run after a crash (nil in
-	// the in-memory store, and cleared once the job is terminal).
+	// raw is the canonical document encoding, logged in the accept
+	// record so the job can be re-decoded and re-run after a crash
+	// (cleared once the job is terminal).
 	raw []byte
 	// explore marks an order-exploration job (worker calls the explore
 	// function instead of the route function).
@@ -125,8 +126,8 @@ type Job struct {
 	exploration *ExplorationSummary
 	// timeout is the per-job deadline.
 	timeout time.Duration
-	// attempts counts how many times a worker started this job. The
-	// persistent store makes each start durable before the board is
+	// attempts counts how many times a worker started this job. A store
+	// with a directory makes each start durable before the board is
 	// touched, so recovery can quarantine a job that keeps killing the
 	// process instead of re-enqueueing it forever.
 	attempts int
@@ -146,7 +147,8 @@ type Job struct {
 	tracer *obs.Tracer
 }
 
-// ID returns the job id (stable across restarts of a persistent store).
+// ID returns the job id (stable across restarts of a store opened with
+// OpenStore).
 func (j *Job) ID() string { return j.id }
 
 // ExplorationSummary is the status-surface digest of an exploration
@@ -188,14 +190,14 @@ type Status struct {
 }
 
 // JobSpec is the store-facing shape of one submission, assembled by the
-// engine's Submit path.
+// engine's Submit path and, on replay, from the logged accept record.
 type JobSpec struct {
 	// IdemKey is the client idempotency key ("" = none).
 	IdemKey string
 	// Hash is the canonical content hash of the document ("" disables
 	// content dedupe for this submission).
 	Hash string
-	// Raw is the canonical document encoding; the persistent store
+	// Raw is the canonical document encoding; a store with a directory
 	// appends it to the accept record so the job survives a crash.
 	Raw []byte
 	// Doc and Opt are the decoded request the worker consumes.
@@ -223,98 +225,98 @@ const (
 	DedupeContent
 )
 
-// JobStore is the job table behind the engine: idempotent creation,
+// Store is the job table behind the engine: idempotent creation,
 // lifecycle transitions with terminal-once semantics, and snapshots for
-// the HTTP surface. Two implementations exist: the in-memory memStore
-// (PR 4 semantics — results live until the process exits) and the
-// crash-safe persistStore (WAL + snapshot on disk; accepted jobs survive
-// a SIGKILL and are re-enqueued on the next start).
+// the HTTP surface. It outlives the worker pool: results stay fetchable
+// after the drain so clients can collect the outcome of every accepted
+// job.
 //
-// Every implementation must keep the terminal-once invariant: Finish
-// transitions a job at most once, and late writers are dropped.
-type JobStore interface {
-	// Create registers a new queued job, or returns the existing one the
-	// submission dedupes onto (dedupe != DedupeNone). A non-nil error
-	// means the job could not be made durable and was not registered.
-	Create(spec JobSpec, now time.Time) (j *Job, dedupe DedupeKind, err error)
-	// Drop removes a job that was never accepted (queue full). Dropping
-	// is not loss: the submitter got a 429 and knows to retry.
-	Drop(j *Job)
-	// Get returns the job by id (nil when unknown).
-	Get(id string) *Job
-	// SetRunning transitions a queued job to running and hands the worker
-	// its payload; ok=false when the job already went terminal.
-	SetRunning(j *Job, tracer *obs.Tracer, now time.Time) (doc *boardio.Decoded, opt sprout.RouteOptions, explore, ok bool)
-	// NoteExploration records the sweep digest of an exploration job.
-	NoteExploration(j *Job, ex *sprout.OrderExploration)
-	// Finish transitions a job to its terminal state exactly once; the
-	// return reports whether this call was the terminal transition.
-	Finish(j *Job, report *obs.RunReport, err error, now time.Time) bool
-	// NonTerminal snapshots every job not yet terminal.
-	NonTerminal() []*Job
-	// Status and Result snapshot a job for the HTTP layer.
-	Status(j *Job) Status
-	Result(j *Job) (*obs.RunReport, *obs.Tracer)
-	// Recovered returns the jobs a restart found accepted but unfinished,
-	// in original acceptance order; the engine re-enqueues them on Start.
-	// Empty for the in-memory store.
-	Recovered() []*Job
-	// List snapshots every job in the given state (all jobs when state is
-	// empty), in acceptance order.
-	List(state JobState) []Status
-	// Quarantined returns the jobs currently in quarantine, in acceptance
-	// order. The engine sizes its queue so each has a requeue slot.
-	Quarantined() []*Job
-	// Quarantine force-transitions a non-terminal job into quarantine with
-	// the given diagnostic; false when the job was already terminal.
-	Quarantine(j *Job, reason string, now time.Time) bool
-	// Requeue revives a quarantined job: back to queued with a fresh
-	// attempt budget. Fails when the job is not quarantined or when the
-	// transition could not be made durable.
-	Requeue(j *Job, now time.Time) error
-	// SaveCheckpoint durably records the job's latest exploration
-	// checkpoint; Checkpoint returns the stored frame (nil when none).
-	// Both are no-ops once the job is terminal.
-	SaveCheckpoint(j *Job, frame []byte) error
-	Checkpoint(j *Job) []byte
-	// Close releases store resources (fsyncs and closes the WAL). The
-	// in-memory store's Close is a no-op.
-	Close() error
-}
+// A store opened on a directory (OpenStore) also logs every transition
+// to a write-ahead log and replays that log through the same transitions
+// when it is opened again (persist.go). A store with no directory (the
+// engine's default) keeps results until the process exits.
+//
+// Finish transitions a job at most once; late writers are dropped.
+type Store struct {
+	opts StoreOptions
+	dir  string
+	// wal is the open log, nil for an in-memory store.
+	wal *walFile
 
-// memStore is the idempotent in-memory job table. It outlives the worker
-// pool: results stay fetchable after the drain so clients can collect
-// the outcome of every accepted job.
-type memStore struct {
+	// logMu serializes each transition with its WAL append, so the log
+	// order always matches the table order. It is taken before mu.
+	// Reads take only mu, so they never wait on an fsync.
+	logMu   sync.Mutex
+	appends int
+
 	mu     sync.Mutex
-	prefix string
 	next   int
 	jobs   map[string]*Job
 	byKey  map[string]string // idempotency key -> job id
 	byHash map[string]string // canonical content hash -> job id
+
+	// recovered lists the jobs OpenStore found accepted but unfinished.
+	recovered []*Job
 }
 
-func newMemStore(prefix string) *memStore {
-	return &memStore{prefix: prefix, jobs: map[string]*Job{}, byKey: map[string]string{}, byHash: map[string]string{}}
+// newStore builds an empty store with no directory.
+func newStore(opts StoreOptions) *Store {
+	return &Store{
+		opts:   opts.normalize(),
+		jobs:   map[string]*Job{},
+		byKey:  map[string]string{},
+		byHash: map[string]string{},
+	}
+}
+
+// newJob builds the queued job for one submission. Create and the
+// replay of an accept record both build their jobs here.
+func newJob(id, board string, spec JobSpec, now time.Time) *Job {
+	return &Job{
+		id:        id,
+		idemKey:   spec.IdemKey,
+		hash:      spec.Hash,
+		state:     StateQueued,
+		board:     board,
+		submitted: now,
+		doc:       spec.Doc,
+		opt:       spec.Opt,
+		raw:       spec.Raw,
+		explore:   spec.Explore,
+		timeout:   spec.Timeout,
+		trace:     spec.Trace,
+	}
+}
+
+// routeOptions builds a job's routing options: the layer, budgets and
+// router config come from its document, the rest from the submission.
+func routeOptions(dec *boardio.Decoded, opt SubmitOptions) sprout.RouteOptions {
+	return sprout.RouteOptions{
+		Layer:          dec.RoutingLayer,
+		Budgets:        dec.Budgets,
+		Config:         dec.Config,
+		WithManual:     opt.WithManual,
+		SkipExtract:    opt.SkipExtract,
+		ExploreWorkers: opt.ExploreWorkers,
+	}
 }
 
 // jobID formats the id for the n-th job of this store. The optional
-// prefix (Config.NodeName) makes ids unique across replicas, which the
+// name (StoreOptions.Name) makes ids unique across replicas, which the
 // shard proxy's scatter-on-miss lookup relies on.
-func (s *memStore) jobID(n int) string {
-	if s.prefix != "" {
-		return fmt.Sprintf("%s-job-%d", s.prefix, n)
+func (s *Store) jobID(n int) string {
+	if s.opts.Name != "" {
+		return fmt.Sprintf("%s-job-%d", s.opts.Name, n)
 	}
 	return fmt.Sprintf("job-%d", n)
 }
 
 // jobSeq parses the sequence number back out of an id minted by jobID
-// (ok=false for foreign ids). The persistent store uses it to restore
-// the id counter from a replayed log.
-func (s *memStore) jobSeq(id string) (int, bool) {
+// (ok=false for foreign ids). Replay uses it to restore the id counter.
+func (s *Store) jobSeq(id string) (int, bool) {
 	rest, found := strings.CutPrefix(id, "job-")
-	if s.prefix != "" {
-		rest, found = strings.CutPrefix(id, s.prefix+"-job-")
+	if s.opts.Name != "" {
+		rest, found = strings.CutPrefix(id, s.opts.Name+"-job-")
 	}
 	if !found {
 		return 0, false
@@ -326,6 +328,16 @@ func (s *memStore) jobSeq(id string) (int, bool) {
 	return n, true
 }
 
+// sortBySeq orders jobs by acceptance: the sequence number embedded in
+// the id, which persists across restarts.
+func (s *Store) sortBySeq(jobs []*Job) {
+	sort.Slice(jobs, func(a, b int) bool {
+		na, _ := s.jobSeq(jobs[a].id)
+		nb, _ := s.jobSeq(jobs[b].id)
+		return na < nb
+	})
+}
+
 // Create registers a new queued job, or returns the existing job this
 // submission dedupes onto: by idempotency key first, else — only for
 // keyless submissions — by canonical content hash. A submission that
@@ -333,39 +345,45 @@ func (s *memStore) jobSeq(id string) (int, bool) {
 // its content matches an existing job. Failed jobs never absorb new
 // submissions: their hash registration is cleared so an equivalent
 // resubmission gets a fresh attempt.
-func (s *memStore) Create(spec JobSpec, now time.Time) (j *Job, dedupe DedupeKind, err error) {
+//
+// A store with a directory makes the acceptance durable (fsync unless
+// NoSync) before the submitter sees a 202. A WAL failure unwinds the
+// registration: the submission is rejected rather than accepted without
+// durability, and the error is non-nil.
+func (s *Store) Create(spec JobSpec, now time.Time) (*Job, DedupeKind, error) {
+	s.logMu.Lock()
+	defer s.logMu.Unlock()
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if spec.IdemKey != "" {
 		if id, ok := s.byKey[spec.IdemKey]; ok {
-			return s.jobs[id], DedupeKey, nil
+			j := s.jobs[id]
+			s.mu.Unlock()
+			return j, DedupeKey, nil
 		}
 	} else if spec.Hash != "" {
 		if id, ok := s.byHash[spec.Hash]; ok {
-			return s.jobs[id], DedupeContent, nil
+			j := s.jobs[id]
+			s.mu.Unlock()
+			return j, DedupeContent, nil
 		}
 	}
 	s.next++
-	j = &Job{
-		id:        s.jobID(s.next),
-		idemKey:   spec.IdemKey,
-		hash:      spec.Hash,
-		state:     StateQueued,
-		board:     spec.Doc.Board.Name,
-		submitted: now,
-		doc:       spec.Doc,
-		opt:       spec.Opt,
-		raw:       spec.Raw,
-		explore:   spec.Explore,
-		timeout:   spec.Timeout,
-		trace:     spec.Trace,
-	}
+	j := newJob(s.jobID(s.next), spec.Doc.Board.Name, spec, now)
 	s.insertLocked(j)
+	rec := acceptRecord(j)
+	s.mu.Unlock()
+	if err := s.appendLocked(rec, !s.opts.NoSync); err != nil {
+		s.mu.Lock()
+		s.dropLocked(j)
+		s.mu.Unlock()
+		return nil, DedupeNone, fmt.Errorf("server: persist accept: %w", err)
+	}
 	return j, DedupeNone, nil
 }
 
-// insertLocked registers a job in the tables. Callers hold s.mu.
-func (s *memStore) insertLocked(j *Job) {
+// insertLocked registers a job in the tables and advances the id
+// counter past its sequence number. Callers hold s.mu.
+func (s *Store) insertLocked(j *Job) {
 	s.jobs[j.id] = j
 	if j.idemKey != "" {
 		s.byKey[j.idemKey] = j.id
@@ -375,23 +393,45 @@ func (s *memStore) insertLocked(j *Job) {
 			s.byHash[j.hash] = j.id
 		}
 	}
+	if n, ok := s.jobSeq(j.id); ok && n > s.next {
+		s.next = n
+	}
 }
 
-// Drop removes a job that was never accepted (queue full).
-func (s *memStore) Drop(j *Job) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.jobs, j.id)
-	if j.idemKey != "" {
-		delete(s.byKey, j.idemKey)
-	}
+// forgetHashLocked stops a job from absorbing equivalent resubmissions.
+// Callers hold s.mu.
+func (s *Store) forgetHashLocked(j *Job) {
 	if j.hash != "" && s.byHash[j.hash] == j.id {
 		delete(s.byHash, j.hash)
 	}
 }
 
+// Drop removes a job that was never accepted (queue full). Dropping is
+// not loss: the submitter got a 429 and knows to retry. The drop record
+// is not fsynced: losing it merely resurrects a job the client was told
+// to retry, which then runs to a terminal state — wasted work, not loss.
+func (s *Store) Drop(j *Job) {
+	s.logMu.Lock()
+	defer s.logMu.Unlock()
+	s.mu.Lock()
+	s.dropLocked(j)
+	s.mu.Unlock()
+	if err := s.appendLocked(&walRecord{T: walDrop, ID: j.id, TS: time.Now()}, false); err != nil {
+		s.opts.Log.Warn("wal drop record failed", "job", j.id, "err", err)
+	}
+}
+
+// dropLocked unregisters a job. Callers hold s.mu.
+func (s *Store) dropLocked(j *Job) {
+	delete(s.jobs, j.id)
+	if j.idemKey != "" {
+		delete(s.byKey, j.idemKey)
+	}
+	s.forgetHashLocked(j)
+}
+
 // Get returns the job by id (nil when unknown).
-func (s *memStore) Get(id string) *Job {
+func (s *Store) Get(id string) *Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.jobs[id]
@@ -402,22 +442,38 @@ func (s *memStore) Get(id string) *Job {
 // state (e.g. failed by the drain sweep racing the worker), in which
 // case the worker must not run it. The payload is read under the store
 // lock so the worker never touches fields a finish may clear.
-func (s *memStore) SetRunning(j *Job, tracer *obs.Tracer, now time.Time) (doc *boardio.Decoded, opt sprout.RouteOptions, explore, ok bool) {
+//
+// The start is logged as an attempt record, fsynced (unless NoSync)
+// before the worker touches the board: the attempt budget only works if
+// a start that SIGKILLs the process a microsecond later is still counted
+// at the next recovery. A failed append is logged, not fatal — an
+// undercounted attempt grants a poison job one extra try, it never loses
+// a job.
+func (s *Store) SetRunning(j *Job, tracer *obs.Tracer, now time.Time) (doc *boardio.Decoded, opt sprout.RouteOptions, explore, ok bool) {
+	s.logMu.Lock()
+	defer s.logMu.Unlock()
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if j.state.Terminal() {
+		s.mu.Unlock()
 		return nil, sprout.RouteOptions{}, false, false
 	}
 	j.state = StateRunning
 	j.started = now
 	j.attempts++
 	j.tracer = tracer
-	return j.doc, j.opt, j.explore, true
+	doc, opt, explore = j.doc, j.opt, j.explore
+	rec := &walRecord{T: walAttempt, ID: j.id, TS: now, Attempt: j.attempts}
+	s.mu.Unlock()
+	if err := s.appendLocked(rec, !s.opts.NoSync); err != nil {
+		s.opts.Log.Warn("wal attempt record failed", "job", j.id, "err", err)
+	}
+	return doc, opt, explore, true
 }
 
 // NoteExploration records the sweep digest of an exploration job before
 // it goes terminal, so the status surface can report the winning order.
-func (s *memStore) NoteExploration(j *Job, ex *sprout.OrderExploration) {
+// It is not logged on its own: the digest rides the finish record.
+func (s *Store) NoteExploration(j *Job, ex *sprout.OrderExploration) {
 	sum := &ExplorationSummary{
 		BestScore:    ex.BestScore,
 		OrdersTried:  ex.Tried,
@@ -436,13 +492,41 @@ func (s *memStore) NoteExploration(j *Job, ex *sprout.OrderExploration) {
 // Finish transitions a job to its terminal state exactly once; late
 // writers (a worker completing after the drain sweep already failed the
 // job) are dropped, keeping the first terminal outcome authoritative.
-func (s *memStore) Finish(j *Job, report *obs.RunReport, err error, now time.Time) bool {
+// The return reports whether this call was the terminal transition.
+//
+// The finish record carries the run report, so results survive restart.
+// It is not fsynced: a finish record lost to a crash re-runs the job
+// (at-least-once execution), it never loses it.
+func (s *Store) Finish(j *Job, report *obs.RunReport, err error, now time.Time) bool {
+	s.logMu.Lock()
+	defer s.logMu.Unlock()
+	kind := classify(err)
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.finishLocked(j, report, err, now)
+	finished := s.finishLocked(j, report, err, kind, now)
+	rec := &walRecord{T: walFinish, ID: j.id, TS: now, Exploration: j.exploration}
+	s.mu.Unlock()
+	if !finished {
+		return false
+	}
+	if err != nil {
+		rec.Err, rec.Kind = err.Error(), kind
+		if rec.Err == "" {
+			rec.Err = "unknown failure"
+		}
+	} else if report != nil {
+		if b, merr := json.Marshal(report); merr == nil {
+			rec.Report = b
+		}
+	}
+	if aerr := s.appendLocked(rec, false); aerr != nil {
+		s.opts.Log.Warn("wal finish record failed", "job", j.id, "err", aerr)
+	}
+	return true
 }
 
-func (s *memStore) finishLocked(j *Job, report *obs.RunReport, err error, now time.Time) bool {
+// finishLocked is the terminal transition: a non-nil err fails the job
+// with the given kind, a nil err marks it done. Callers hold s.mu.
+func (s *Store) finishLocked(j *Job, report *obs.RunReport, err error, kind ErrKind, now time.Time) bool {
 	if j.state.Terminal() {
 		return false
 	}
@@ -457,12 +541,10 @@ func (s *memStore) finishLocked(j *Job, report *obs.RunReport, err error, now ti
 	if err != nil {
 		j.state = StateFailed
 		j.err = err
-		j.kind = classify(err)
+		j.kind = kind
 		// A failed job must not absorb equivalent resubmissions — clear
 		// its content registration so the next one runs fresh.
-		if j.hash != "" && s.byHash[j.hash] == j.id {
-			delete(s.byHash, j.hash)
-		}
+		s.forgetHashLocked(j)
 	} else {
 		j.state = StateDone
 	}
@@ -470,7 +552,7 @@ func (s *memStore) finishLocked(j *Job, report *obs.RunReport, err error, now ti
 }
 
 // NonTerminal snapshots every job that has not reached a terminal state.
-func (s *memStore) NonTerminal() []*Job {
+func (s *Store) NonTerminal() []*Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []*Job
@@ -483,13 +565,13 @@ func (s *memStore) NonTerminal() []*Job {
 }
 
 // Status snapshots a job for the HTTP layer.
-func (s *memStore) Status(j *Job) Status {
+func (s *Store) Status(j *Job) Status {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.statusLocked(j)
 }
 
-func (s *memStore) statusLocked(j *Job) Status {
+func (s *Store) statusLocked(j *Job) Status {
 	st := Status{ID: j.id, State: j.state, Board: j.board, Exploration: j.exploration, Attempts: j.attempts}
 	if j.err != nil {
 		st.Error = j.err.Error()
@@ -508,41 +590,39 @@ func (s *memStore) statusLocked(j *Job) Status {
 }
 
 // Result returns the job's report and tracer (both may be nil).
-func (s *memStore) Result(j *Job) (*obs.RunReport, *obs.Tracer) {
+func (s *Store) Result(j *Job) (*obs.RunReport, *obs.Tracer) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return j.report, j.tracer
 }
 
-// Recovered is empty for the in-memory store: nothing survives restart.
-func (s *memStore) Recovered() []*Job { return nil }
+// Recovered returns the jobs OpenStore found accepted but unfinished, in
+// acceptance order; the engine re-enqueues them on Start. Empty for an
+// in-memory store.
+func (s *Store) Recovered() []*Job { return s.recovered }
 
 // List snapshots every job in the given state (all when state is ""),
-// in acceptance order — the sequence number embedded in the id, which
-// persists across restarts of the durable store.
-func (s *memStore) List(state JobState) []Status {
+// in acceptance order.
+func (s *Store) List(state JobState) []Status {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	jobs := make([]*Job, 0, len(s.jobs))
 	for _, j := range s.jobs {
 		if state == "" || j.state == state {
 			jobs = append(jobs, j)
 		}
 	}
-	sort.Slice(jobs, func(a, b int) bool {
-		na, _ := s.jobSeq(jobs[a].id)
-		nb, _ := s.jobSeq(jobs[b].id)
-		return na < nb
-	})
+	s.sortBySeq(jobs)
 	out := make([]Status, len(jobs))
 	for i, j := range jobs {
 		out[i] = s.statusLocked(j)
 	}
-	s.mu.Unlock()
 	return out
 }
 
-// Quarantined returns the quarantined jobs in acceptance order.
-func (s *memStore) Quarantined() []*Job {
+// Quarantined returns the quarantined jobs in acceptance order. The
+// engine sizes its queue so each has a requeue slot.
+func (s *Store) Quarantined() []*Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []*Job
@@ -551,24 +631,37 @@ func (s *memStore) Quarantined() []*Job {
 			out = append(out, j)
 		}
 	}
-	sort.Slice(out, func(a, b int) bool {
-		na, _ := s.jobSeq(out[a].id)
-		nb, _ := s.jobSeq(out[b].id)
-		return na < nb
-	})
+	s.sortBySeq(out)
 	return out
 }
 
-// Quarantine force-transitions a non-terminal job into quarantine. Like
-// a failure, a quarantined job must not absorb equivalent resubmissions,
-// but unlike a failure it keeps its document so a requeue can re-run it.
-func (s *memStore) Quarantine(j *Job, reason string, now time.Time) bool {
+// Quarantine force-transitions a non-terminal job into quarantine with
+// the given diagnostic; false when the job was already terminal. The
+// quarantine record is fsynced unless NoSync: quarantine is a promise
+// the job will not run again without an operator, so it must hold
+// across a crash.
+func (s *Store) Quarantine(j *Job, reason string, now time.Time) bool {
+	s.logMu.Lock()
+	defer s.logMu.Unlock()
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.quarantineLocked(j, reason, now)
+	quarantined := s.quarantineLocked(j, reason, now)
+	rec := &walRecord{T: walQuarantine, ID: j.id, TS: now, Err: reason, Kind: KindPoisoned, Attempt: j.attempts}
+	s.mu.Unlock()
+	if !quarantined {
+		return false
+	}
+	if err := s.appendLocked(rec, !s.opts.NoSync); err != nil {
+		s.opts.Log.Warn("wal quarantine record failed", "job", j.id, "err", err)
+	}
+	s.opts.Tracer.Counter(obs.MJobsQuarantined).Add(1)
+	return true
 }
 
-func (s *memStore) quarantineLocked(j *Job, reason string, now time.Time) bool {
+// quarantineLocked parks a non-terminal job. Like a failure, a
+// quarantined job must not absorb equivalent resubmissions, but unlike a
+// failure it keeps its document so a requeue can re-run it. Callers
+// hold s.mu.
+func (s *Store) quarantineLocked(j *Job, reason string, now time.Time) bool {
 	if j.state.Terminal() {
 		return false
 	}
@@ -576,22 +669,40 @@ func (s *memStore) quarantineLocked(j *Job, reason string, now time.Time) bool {
 	j.kind = KindPoisoned
 	j.err = errors.New(reason)
 	j.finished = now
-	if j.hash != "" && s.byHash[j.hash] == j.id {
-		delete(s.byHash, j.hash)
-	}
+	s.forgetHashLocked(j)
 	return true
 }
 
 // Requeue revives a quarantined job: back to queued with a cleared
 // outcome and a fresh attempt budget. The stored checkpoint survives, so
-// a requeued exploration job resumes instead of restarting.
-func (s *memStore) Requeue(j *Job, now time.Time) error {
+// a requeued exploration job resumes instead of restarting. It fails
+// when the job is not quarantined or when the transition could not be
+// made durable.
+//
+// The requeue record is fsynced (unless NoSync) before the caller may
+// enqueue the job: a revival the disk never saw would re-quarantine the
+// job at the next recovery while a worker is already rerunning it. A WAL
+// failure unwinds the transition so table and log stay consistent.
+func (s *Store) Requeue(j *Job, now time.Time) error {
+	s.logMu.Lock()
+	defer s.logMu.Unlock()
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.requeueLocked(j, now)
+	err := s.requeueLocked(j)
+	s.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	if aerr := s.appendLocked(&walRecord{T: walRequeue, ID: j.id, TS: now}, !s.opts.NoSync); aerr != nil {
+		s.mu.Lock()
+		s.quarantineLocked(j, "server: requeue not durable: "+aerr.Error(), now)
+		s.mu.Unlock()
+		return fmt.Errorf("server: persist requeue: %w", aerr)
+	}
+	return nil
 }
 
-func (s *memStore) requeueLocked(j *Job, now time.Time) error {
+// requeueLocked is the revival transition. Callers hold s.mu.
+func (s *Store) requeueLocked(j *Job) error {
 	if j.state != StateQuarantined {
 		return fmt.Errorf("server: requeue %s: state is %q: %w", j.id, j.state, ErrNotQuarantined)
 	}
@@ -604,23 +715,44 @@ func (s *memStore) requeueLocked(j *Job, now time.Time) error {
 	return nil
 }
 
-// SaveCheckpoint records the job's latest exploration checkpoint.
-func (s *memStore) SaveCheckpoint(j *Job, frame []byte) error {
+// SaveCheckpoint records the job's latest exploration checkpoint; a
+// no-op once the job is terminal. A store with a directory logs the
+// frame first (fsynced unless NoSync — a checkpoint that vanishes in the
+// crash it exists to survive is dead weight) and keeps it only once the
+// log has it. Errors are returned, not fatal: the sweep continues and
+// simply loses resume coverage for this interval.
+func (s *Store) SaveCheckpoint(j *Job, frame []byte) error {
+	s.logMu.Lock()
+	defer s.logMu.Unlock()
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if j.state.Terminal() {
+	terminal := j.state.Terminal()
+	s.mu.Unlock()
+	if terminal {
 		return nil
 	}
-	j.checkpoint = frame
+	rec := &walRecord{T: walCheckpoint, ID: j.id, TS: time.Now(), Ckpt: frame}
+	if err := s.appendLocked(rec, !s.opts.NoSync); err != nil {
+		s.opts.Tracer.Counter(obs.MWALCkptWriteErrors).Add(1)
+		return fmt.Errorf("server: persist checkpoint: %w", err)
+	}
+	s.mu.Lock()
+	s.setCheckpointLocked(j, frame)
+	s.mu.Unlock()
+	s.opts.Tracer.Counter(obs.MWALCkptWrites).Add(1)
 	return nil
 }
 
+// setCheckpointLocked stores a checkpoint frame on a job that can still
+// run. Callers hold s.mu.
+func (s *Store) setCheckpointLocked(j *Job, frame []byte) {
+	if !j.state.Terminal() {
+		j.checkpoint = frame
+	}
+}
+
 // Checkpoint returns the stored checkpoint frame (nil when none).
-func (s *memStore) Checkpoint(j *Job) []byte {
+func (s *Store) Checkpoint(j *Job) []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return j.checkpoint
 }
-
-// Close is a no-op for the in-memory store.
-func (s *memStore) Close() error { return nil }
