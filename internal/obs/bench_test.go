@@ -4,6 +4,7 @@ import (
 	"context"
 	"io"
 	"testing"
+	"time"
 )
 
 // The disabled-path benchmarks back the <2% overhead claim: every
@@ -75,9 +76,10 @@ func benchParts() []TracePart {
 			if i > 0 {
 				parent = uint64(i) // chain under the previous span
 			}
-			part.Spans = append(part.Spans, PartSpan{
+			part.Spans = append(part.Spans, SpanRecord{
 				ID: id, Parent: parent, Name: "Grow",
-				StartNS: int64(i) * 1000, EndNS: int64(i)*1000 + 500,
+				Start: time.Duration(i) * time.Microsecond,
+				End:   time.Duration(i)*time.Microsecond + 500,
 			})
 		}
 		parentRef = SpanRef(replica, 200)

@@ -5,11 +5,11 @@
 // machine-readable RunReport (report.go) embedded in routing results.
 //
 // The paper attributes most of SPROUT's runtime to node-current
-// evaluation (§II-H: ~90%). Measured here, the split depends on the board:
-// the route loop is 83% of a fine-pitch two-rail route, but 19% of a
-// six-rail route, behind the manual baseline, Alg. 1 tiling and the
-// available-space computation. This package exists so that cost is
-// measured per rail and per pipeline stage before it is optimized.
+// evaluation (§II-H: ~90%). Measured here, the split depends on the
+// board; perfbench's per-layer output (`perfbench/run.sh --trace 1`)
+// reports it per workload from these spans. This package exists so that
+// cost is measured per rail and per pipeline stage before it is
+// optimized.
 //
 // Everything is nil-safe and gated on one atomic load: a context without
 // a tracer (or with a disabled one) makes StartSpan, Event, Counter.Add
@@ -30,42 +30,44 @@ import (
 // Attr is one key/value annotation on a span or event. Values should be
 // JSON-encodable (strings, numbers, bools).
 type Attr struct {
-	Key string
-	Val any
+	Key string `json:"k"`
+	Val any    `json:"v"`
 }
 
 // A builds an Attr.
 func A(key string, val any) Attr { return Attr{Key: key, Val: val} }
 
-// SpanRecord is one completed span as stored by the tracer. Records are
-// appended when a span ends; nested spans therefore precede their parent
-// in the record list, and the ordering is deterministic for a
-// deterministic pipeline.
+// SpanRecord is one completed span as stored by the tracer and as
+// exported in a TracePart. Records are appended when a span ends; nested
+// spans therefore precede their parent in the record list, and the
+// ordering is deterministic for a deterministic pipeline.
 type SpanRecord struct {
 	// ID is the span id, assigned in start order from 1.
-	ID uint64
+	ID uint64 `json:"id"`
 	// Parent is the id of the enclosing span (0 for a root span).
-	Parent uint64
+	Parent uint64 `json:"parent,omitempty"`
 	// Track is the logical track name assigned with WithTrack ("" for the
 	// main track). The Chrome exporter maps each track to its own thread
 	// row.
-	Track string
+	Track string `json:"track,omitempty"`
 	// Name is the span name (a paper stage such as "Seed" or "Grow").
-	Name string
-	// Start and End are offsets from the tracer epoch.
-	Start, End time.Duration
+	Name string `json:"name"`
+	// Start and End are offsets from the tracer epoch, encoded as integer
+	// nanoseconds.
+	Start time.Duration `json:"start_ns"`
+	End   time.Duration `json:"end_ns"`
 	// Attrs holds the span annotations.
-	Attrs []Attr
+	Attrs []Attr `json:"attrs,omitempty"`
 	// Err is the failure recorded with Fail ("" for a clean span).
-	Err string
+	Err string `json:"err,omitempty"`
 }
 
 // EventRecord is one instant event (Event), e.g. a single grow iteration.
 type EventRecord struct {
-	Track string
-	Name  string
-	TS    time.Duration
-	Attrs []Attr
+	Track string        `json:"track,omitempty"`
+	Name  string        `json:"name"`
+	TS    time.Duration `json:"ts_ns"`
+	Attrs []Attr        `json:"attrs,omitempty"`
 }
 
 // Tracer collects spans, events, counters and histograms for one run.
@@ -96,8 +98,6 @@ type Tracer struct {
 	nextSpan uint64
 	spans    []SpanRecord
 	events   []EventRecord
-	trackIDs map[string]int64 // track name -> tid (main track "" = 0)
-	tracks   []string         // tid-1 -> name, in first-use order
 
 	metricsMu sync.Mutex
 	counters  map[string]*Counter
@@ -211,38 +211,6 @@ func (t *Tracer) EventRecords() []EventRecord {
 	return append([]EventRecord(nil), t.events...)
 }
 
-// trackID interns a track name, assigning tids 1,2,... ("" is tid 0).
-func (t *Tracer) trackID(name string) int64 {
-	if name == "" {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.trackIDs == nil {
-		t.trackIDs = map[string]int64{}
-	}
-	id, ok := t.trackIDs[name]
-	if !ok {
-		id = int64(len(t.tracks) + 1)
-		t.trackIDs[name] = id
-		t.tracks = append(t.tracks, name)
-	}
-	return id
-}
-
-// trackName resolves a tid back to its name.
-func (t *Tracer) trackName(tid int64) string {
-	if tid == 0 {
-		return ""
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if int(tid) <= len(t.tracks) {
-		return t.tracks[tid-1]
-	}
-	return ""
-}
-
 // ctxKey keys the context values carried by this package.
 type ctxKey int
 
@@ -281,7 +249,7 @@ func WithTrack(ctx context.Context, name string) context.Context {
 	if !t.Enabled() {
 		return ctx
 	}
-	return context.WithValue(ctx, trackKey, t.trackID(name))
+	return context.WithValue(ctx, trackKey, name)
 }
 
 // Span is one in-flight span. The nil span (returned by StartSpan when
@@ -290,7 +258,7 @@ type Span struct {
 	t      *Tracer
 	id     uint64
 	parent uint64
-	tid    int64
+	track  string
 	name   string
 	start  time.Duration
 	attrs  []Attr
@@ -311,10 +279,10 @@ func StartSpan(ctx context.Context, name string, attrs ...Attr) (context.Context
 	}
 	if parent, ok := ctx.Value(spanKey).(*Span); ok && parent != nil {
 		s.parent = parent.id
-		s.tid = parent.tid
+		s.track = parent.track
 	}
-	if tid, ok := ctx.Value(trackKey).(int64); ok {
-		s.tid = tid
+	if track, ok := ctx.Value(trackKey).(string); ok {
+		s.track = track
 	}
 	t.mu.Lock()
 	t.nextSpan++
@@ -348,12 +316,11 @@ func (s *Span) End() {
 		return
 	}
 	end := s.t.now()
-	track := s.t.trackName(s.tid)
 	s.t.mu.Lock()
 	s.t.spans = append(s.t.spans, SpanRecord{
 		ID:     s.id,
 		Parent: s.parent,
-		Track:  track,
+		Track:  s.track,
 		Name:   s.name,
 		Start:  s.start,
 		End:    end,
@@ -377,14 +344,13 @@ func Event(ctx context.Context, name string, attrs ...Attr) {
 	if !t.Enabled() {
 		return
 	}
-	var tid int64
+	rec := EventRecord{Name: name, TS: t.now()}
 	if sp, ok := ctx.Value(spanKey).(*Span); ok && sp != nil {
-		tid = sp.tid
+		rec.Track = sp.track
 	}
-	if v, ok := ctx.Value(trackKey).(int64); ok {
-		tid = v
+	if track, ok := ctx.Value(trackKey).(string); ok {
+		rec.Track = track
 	}
-	rec := EventRecord{Track: t.trackName(tid), Name: name, TS: t.now()}
 	if len(attrs) > 0 {
 		rec.Attrs = append(rec.Attrs, attrs...)
 	}

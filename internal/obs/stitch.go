@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"time"
 )
@@ -16,33 +15,6 @@ import (
 // as one Perfetto-loadable Chrome trace — each replica a process row,
 // each track a thread row, cross-replica edges drawn as flow arrows.
 
-// PartAttr is the JSON shape of one span/event annotation in a part.
-type PartAttr struct {
-	Key string `json:"k"`
-	Val any    `json:"v"`
-}
-
-// PartSpan is one exported span. Times are nanosecond offsets from the
-// part epoch.
-type PartSpan struct {
-	ID      uint64     `json:"id"`
-	Parent  uint64     `json:"parent,omitempty"`
-	Track   string     `json:"track,omitempty"`
-	Name    string     `json:"name"`
-	StartNS int64      `json:"start_ns"`
-	EndNS   int64      `json:"end_ns"`
-	Attrs   []PartAttr `json:"attrs,omitempty"`
-	Err     string     `json:"err,omitempty"`
-}
-
-// PartEvent is one exported instant event.
-type PartEvent struct {
-	Track string     `json:"track,omitempty"`
-	Name  string     `json:"name"`
-	TSNS  int64      `json:"ts_ns"`
-	Attrs []PartAttr `json:"attrs,omitempty"`
-}
-
 // TracePart is one replica's slice of a distributed trace — the unit
 // served by GET /v1/jobs/{id}/traceparts and consumed by Stitch.
 type TracePart struct {
@@ -52,20 +24,9 @@ type TracePart struct {
 	// root spans nest under (0 = this part starts the trace).
 	ParentRef uint64 `json:"parent_ref,omitempty"`
 	// EpochUnixNano is the wall-clock origin of the part's offsets.
-	EpochUnixNano int64       `json:"epoch_unix_nano"`
-	Spans         []PartSpan  `json:"spans,omitempty"`
-	Events        []PartEvent `json:"events,omitempty"`
-}
-
-func partAttrs(attrs []Attr) []PartAttr {
-	if len(attrs) == 0 {
-		return nil
-	}
-	out := make([]PartAttr, len(attrs))
-	for i, a := range attrs {
-		out[i] = PartAttr{Key: a.Key, Val: a.Val}
-	}
-	return out
+	EpochUnixNano int64         `json:"epoch_unix_nano"`
+	Spans         []SpanRecord  `json:"spans,omitempty"`
+	Events        []EventRecord `json:"events,omitempty"`
 }
 
 // TracePart exports the tracer's completed spans and events for
@@ -82,54 +43,27 @@ func (t *Tracer) TracePart() TracePart {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, s := range t.spans {
-		part.Spans = append(part.Spans, PartSpan{
-			ID:      s.ID,
-			Parent:  s.Parent,
-			Track:   s.Track,
-			Name:    s.Name,
-			StartNS: s.Start.Nanoseconds(),
-			EndNS:   s.End.Nanoseconds(),
-			Attrs:   partAttrs(s.Attrs),
-			Err:     s.Err,
-		})
-	}
-	for _, e := range t.events {
-		part.Events = append(part.Events, PartEvent{
-			Track: e.Track,
-			Name:  e.Name,
-			TSNS:  e.TS.Nanoseconds(),
-			Attrs: partAttrs(e.Attrs),
-		})
-	}
+	part.Spans = append(part.Spans, t.spans...)
+	part.Events = append(part.Events, t.events...)
 	return part
 }
 
-// StitchedSpan is one span of a merged trace, with a globally unique id
-// and its parent resolved across replicas. Times are offsets from the
-// stitched epoch (the earliest part epoch).
+// StitchedSpan is one span of a merged trace: the recorded span with a
+// globally unique ID, its Parent resolved across replicas, and Start/End
+// shifted onto the stitched epoch (the earliest part epoch).
 type StitchedSpan struct {
-	ID      uint64
-	Parent  uint64
+	SpanRecord
 	Replica string
-	Track   string
-	Name    string
-	Start   time.Duration
-	End     time.Duration
-	Attrs   []PartAttr
-	Err     string
 	// Remote marks a span whose parent lives on a different replica —
 	// the stitch point the Chrome exporter draws a flow arrow for.
 	Remote bool
 }
 
-// StitchedEvent is one instant event of a merged trace.
+// StitchedEvent is one instant event of a merged trace, its TS shifted
+// onto the stitched epoch.
 type StitchedEvent struct {
+	EventRecord
 	Replica string
-	Track   string
-	Name    string
-	TS      time.Duration
-	Attrs   []PartAttr
 }
 
 // StitchedTrace is the merged view of one distributed trace.
@@ -208,16 +142,10 @@ func Stitch(parts []TracePart) (*StitchedTrace, error) {
 	for pi, p := range kept {
 		skew := time.Duration(p.EpochUnixNano - epoch0)
 		for _, s := range p.Spans {
-			out := StitchedSpan{
-				ID:      gids[key{pi, s.ID}],
-				Replica: p.Replica,
-				Track:   s.Track,
-				Name:    s.Name,
-				Start:   skew + time.Duration(s.StartNS),
-				End:     skew + time.Duration(s.EndNS),
-				Attrs:   s.Attrs,
-				Err:     s.Err,
-			}
+			out := StitchedSpan{SpanRecord: s, Replica: p.Replica}
+			out.ID, out.Parent = gids[key{pi, s.ID}], 0
+			out.Start += skew
+			out.End += skew
 			switch {
 			case s.Parent != 0:
 				out.Parent = gids[key{pi, s.Parent}]
@@ -230,143 +158,23 @@ func Stitch(parts []TracePart) (*StitchedTrace, error) {
 			st.Spans = append(st.Spans, out)
 		}
 		for _, e := range p.Events {
-			st.Events = append(st.Events, StitchedEvent{
-				Replica: p.Replica,
-				Track:   e.Track,
-				Name:    e.Name,
-				TS:      skew + time.Duration(e.TSNS),
-				Attrs:   e.Attrs,
-			})
+			out := StitchedEvent{EventRecord: e, Replica: p.Replica}
+			out.TS += skew
+			st.Events = append(st.Events, out)
 		}
 	}
-	sort.SliceStable(st.Spans, func(i, j int) bool {
-		if st.Spans[i].Start != st.Spans[j].Start {
-			return st.Spans[i].Start < st.Spans[j].Start
-		}
-		return st.Spans[i].ID < st.Spans[j].ID
-	})
+	sortByStart(st.Spans)
 	return st, nil
 }
 
-// WriteChromeTrace renders the stitched trace as Chrome trace-event
-// JSON: one process row per replica, one thread row per track, duration
-// events for spans, instant events, and flow arrows across the
-// cross-replica stitch points.
-func (st *StitchedTrace) WriteChromeTrace(w io.Writer) error {
-	// Process ids in first-appearance order; tid 0 of each process is the
-	// replica's main track.
-	pidOf := map[string]int{}
-	var replicas []string
-	for _, r := range st.Replicas {
-		if _, ok := pidOf[r]; !ok {
-			pidOf[r] = len(replicas) + 1
-			replicas = append(replicas, r)
+// sortByStart orders spans by (start, id). Spans are recorded in end
+// order; start order makes the nesting read top-down in the viewer and
+// keeps the output stable.
+func sortByStart(spans []StitchedSpan) {
+	sort.SliceStable(spans, func(i, j int) bool {
+		if spans[i].Start != spans[j].Start {
+			return spans[i].Start < spans[j].Start
 		}
-	}
-	pid := func(replica string) int {
-		if p, ok := pidOf[replica]; ok {
-			return p
-		}
-		return 1
-	}
-	type trackKey struct {
-		pid   int
-		track string
-	}
-	tids := map[trackKey]int64{}
-	var trackMeta []chromeEvent
-	tid := func(p int, track string) int64 {
-		if track == "" {
-			return 0
-		}
-		k := trackKey{p, track}
-		if id, ok := tids[k]; ok {
-			return id
-		}
-		id := int64(len(tids) + 1)
-		tids[k] = id
-		trackMeta = append(trackMeta, chromeEvent{
-			Name: "thread_name", Ph: "M", PID: p, TID: id,
-			Args: map[string]any{"name": track},
-		})
-		return id
-	}
-
-	var events []chromeEvent
-	for i, r := range replicas {
-		name := r
-		if name == "" {
-			name = "sprout"
-		}
-		events = append(events, chromeEvent{
-			Name: "process_name", Ph: "M", PID: i + 1, TID: 0,
-			Args: map[string]any{"name": name},
-		}, chromeEvent{
-			Name: "thread_name", Ph: "M", PID: i + 1, TID: 0,
-			Args: map[string]any{"name": "main"},
-		})
-	}
-
-	byID := map[uint64]*StitchedSpan{}
-	for i := range st.Spans {
-		byID[st.Spans[i].ID] = &st.Spans[i]
-	}
-	var body []chromeEvent
-	for i := range st.Spans {
-		s := &st.Spans[i]
-		p := pid(s.Replica)
-		body = append(body, chromeEvent{
-			Name: s.Name,
-			Cat:  "stage",
-			Ph:   "X",
-			TS:   usec(s.Start),
-			Dur:  usec(s.End - s.Start),
-			PID:  p,
-			TID:  tid(p, s.Track),
-			Args: attrArgs(toAttrs(s.Attrs), s.Err),
-		})
-		if s.Remote && s.Parent != 0 {
-			if par, ok := byID[s.Parent]; ok {
-				pp := pid(par.Replica)
-				flowID := fmt.Sprintf("%d", s.ID)
-				body = append(body, chromeEvent{
-					Name: "hop", Cat: "trace", Ph: "s", ID: flowID,
-					TS: usec(par.Start), PID: pp, TID: tid(pp, par.Track),
-				}, chromeEvent{
-					Name: "hop", Cat: "trace", Ph: "f", BP: "e", ID: flowID,
-					TS: usec(s.Start), PID: p, TID: tid(p, s.Track),
-				})
-			}
-		}
-	}
-	for _, e := range st.Events {
-		p := pid(e.Replica)
-		body = append(body, chromeEvent{
-			Name: e.Name,
-			Cat:  "iter",
-			Ph:   "i",
-			TS:   usec(e.TS),
-			PID:  p,
-			TID:  tid(p, e.Track),
-			S:    "t",
-			Args: attrArgs(toAttrs(e.Attrs), ""),
-		})
-	}
-
-	events = append(events, trackMeta...)
-	events = append(events, body...)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(chromeTrace{TraceEvents: events, DisplayTimeUnit: "ms"})
-}
-
-func toAttrs(attrs []PartAttr) []Attr {
-	if len(attrs) == 0 {
-		return nil
-	}
-	out := make([]Attr, len(attrs))
-	for i, a := range attrs {
-		out[i] = Attr{Key: a.Key, Val: a.Val}
-	}
-	return out
+		return spans[i].ID < spans[j].ID
+	})
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -261,5 +263,62 @@ func TestStitchedChromeTraceDrawsHops(t *testing.T) {
 	}
 	if spanPID["ShardSubmit"] != pids["a"] || spanPID["Job"] != pids["b"] {
 		t.Fatalf("span/process attribution wrong: %v vs %v", spanPID, pids)
+	}
+}
+
+// encodePart encodes a part the way GET /v1/jobs/{id}/traceparts does.
+func encodePart(t *testing.T, part TracePart) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", " ")
+	if err := enc.Encode(part); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestTracePartWireGolden pins the part format replicas of different
+// versions exchange: testdata/tracepart_golden.json is goldenTracer's
+// part (trace id and epoch fixed) as the wire encoded it before spans
+// and parts shared one record type. It is not regenerated.
+func TestTracePartWireGolden(t *testing.T) {
+	tr := goldenTracer()
+	part := tr.TracePart()
+	part.TraceID = "0123456789abcdef0123456789abcdef"
+	part.EpochUnixNano = 1700000000000000000
+	want, err := os.ReadFile(filepath.Join("testdata", "tracepart_golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := encodePart(t, part); !bytes.Equal(got, want) {
+		t.Fatalf("trace part wire format drifted:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+
+	var decoded TracePart
+	if err := json.Unmarshal(want, &decoded); err != nil {
+		t.Fatal(err)
+	}
+	if got := encodePart(t, decoded); !bytes.Equal(got, want) {
+		t.Fatalf("decode and re-encode changed the part:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+
+	// The decoded part stitches to what the tracer itself renders: with the
+	// tracer's counters, the Chrome golden byte for byte.
+	st, err := Stitch([]TracePart{decoded})
+	if err != nil {
+		t.Fatal(err)
+	}
+	counters, _ := tr.MetricsSnapshot()
+	var buf bytes.Buffer
+	if err := st.writeChromeTrace(&buf, counters); err != nil {
+		t.Fatal(err)
+	}
+	chrome, err := os.ReadFile(filepath.Join("testdata", "chrometrace_golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), chrome) {
+		t.Fatalf("stitched part renders differently from the tracer:\n--- got ---\n%s\n--- want ---\n%s", buf.Bytes(), chrome)
 	}
 }

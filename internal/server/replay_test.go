@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -32,14 +33,16 @@ func TestReplayMatchesLiveTransitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Wall-clock-only times: a monotonic reading would not survive the
-	// JSON round trip, and the status durations must match exactly.
+	// The first job runs on the real clock, the rest on fixed ticks. The
+	// store keeps wall-clock time only, so the status durations of both
+	// must match exactly after the JSON round trip.
 	base := time.Date(2024, 1, 2, 3, 4, 5, 0, time.UTC)
 	tick := 0
-	now := func() time.Time {
+	ticks := func() time.Time {
 		tick++
 		return base.Add(time.Duration(tick) * time.Millisecond)
 	}
+	now := time.Now
 	create := func(key string) *Job {
 		t.Helper()
 		j, _, err := st.Create(specFor(t, doc, key), now())
@@ -68,6 +71,7 @@ func TestReplayMatchesLiveTransitions(t *testing.T) {
 		t.Fatal("finish of done job was not the terminal transition")
 	}
 	kept = append(kept, done)
+	now = ticks
 
 	explored := create("explored")
 	start(explored, "explored-frame")
@@ -203,4 +207,42 @@ func TestReplayMatchesLiveTransitions(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestStoreKeepsWallClockTimes drives jobs on time.Now() and checks that
+// no time the store keeps carries a monotonic reading. The WAL and the
+// snapshot keep wall-clock time only, so a status duration computed from
+// monotonic readings would change when the job is reloaded.
+func TestStoreKeepsWallClockTimes(t *testing.T) {
+	st, err := OpenStore(t.TempDir(), StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	doc := encodeBoardDoc(t)
+	wallOnly := func(what string, ts time.Time) {
+		t.Helper()
+		if strings.Contains(ts.String(), "m=") {
+			t.Errorf("%s time %s carries a monotonic reading", what, ts)
+		}
+	}
+
+	j, _, err := st.Create(specFor(t, doc, "run"), time.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wallOnly("submitted", j.submitted)
+	if _, _, _, ok := st.SetRunning(j, obs.New(), time.Now()); !ok {
+		t.Fatal("job did not start")
+	}
+	wallOnly("started", j.started)
+	st.Finish(j, &obs.RunReport{Tool: "wall-clock"}, nil, time.Now())
+	wallOnly("finished", j.finished)
+
+	parked, _, err := st.Create(specFor(t, doc, "parked"), time.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Quarantine(parked, "poisoned board", time.Now())
+	wallOnly("quarantined", parked.finished)
 }

@@ -271,6 +271,10 @@ func newStore(opts StoreOptions) *Store {
 
 // newJob builds the queued job for one submission. Create and the
 // replay of an accept record both build their jobs here.
+//
+// Every time a job keeps is stripped of its monotonic reading (Round(0)):
+// the WAL and snapshot keep wall-clock time only, and a status duration
+// must not change when the job is reloaded from them.
 func newJob(id, board string, spec JobSpec, now time.Time) *Job {
 	return &Job{
 		id:        id,
@@ -278,7 +282,7 @@ func newJob(id, board string, spec JobSpec, now time.Time) *Job {
 		hash:      spec.Hash,
 		state:     StateQueued,
 		board:     board,
-		submitted: now,
+		submitted: now.Round(0),
 		doc:       spec.Doc,
 		opt:       spec.Opt,
 		raw:       spec.Raw,
@@ -458,7 +462,7 @@ func (s *Store) SetRunning(j *Job, tracer *obs.Tracer, now time.Time) (doc *boar
 		return nil, sprout.RouteOptions{}, false, false
 	}
 	j.state = StateRunning
-	j.started = now
+	j.started = now.Round(0)
 	j.attempts++
 	j.tracer = tracer
 	doc, opt, explore = j.doc, j.opt, j.explore
@@ -530,7 +534,7 @@ func (s *Store) finishLocked(j *Job, report *obs.RunReport, err error, kind ErrK
 	if j.state.Terminal() {
 		return false
 	}
-	j.finished = now
+	j.finished = now.Round(0)
 	j.report = report
 	// The decoded board is dead weight once the job is terminal; free it
 	// so a long-lived server does not accumulate every board ever routed.
@@ -668,7 +672,7 @@ func (s *Store) quarantineLocked(j *Job, reason string, now time.Time) bool {
 	j.state = StateQuarantined
 	j.kind = KindPoisoned
 	j.err = errors.New(reason)
-	j.finished = now
+	j.finished = now.Round(0)
 	s.forgetHashLocked(j)
 	return true
 }

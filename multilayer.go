@@ -15,8 +15,9 @@ import (
 
 // MLRouteOptions configures a multilayer routing run.
 type MLRouteOptions struct {
-	// Layers lists the candidate routing layers in preference order;
-	// empty selects every non-plane layer.
+	// Layers lists the candidate routing layers; empty selects every
+	// non-plane layer. The order does not matter: the router works on a
+	// sorted copy and does not reorder the caller's slice.
 	Layers []int
 	// Budgets maps each net to its per-component metal-area budget.
 	Budgets map[board.NetID]int64
@@ -69,7 +70,7 @@ func RouteBoardMultilayerCtx(ctx context.Context, b *board.Board, opt MLRouteOpt
 		rootSp.Fail(err)
 		rootSp.End()
 	}()
-	// Sort a copy: the caller's Layers stay in their preference order.
+	// Sort a copy: the caller's slice is not reordered.
 	layers := append([]int(nil), opt.Layers...)
 	if len(layers) == 0 {
 		layers = b.RoutableLayers()
