@@ -34,8 +34,10 @@
 //
 // With -self and -peers, the replica joins a consistent-hash shard ring:
 // submissions owned by a peer are proxied there (failing over along the
-// ring when peers are down), and reads for jobs this replica does not
-// hold are scattered to the peers.
+// ring past peers that are down or draining), and reads for jobs this
+// replica does not hold are scattered to the peers. Each replica is its
+// own ring member, so its /metrics series carry replica and shard labels
+// both set to -name.
 //
 // Usage:
 //
@@ -69,14 +71,13 @@ func main() {
 	maxJobTimeout := flag.Duration("max-job-timeout", 10*time.Minute, "cap on client-requested ?timeout=")
 	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint on 429/503 rejections")
 	dataDir := flag.String("data", "", "durable store directory (WAL + snapshot); empty = in-memory, nothing survives restart")
-	name := flag.String("name", "", "replica name: prefixes job ids so they are unique across a shard ring")
+	name := flag.String("name", "", "replica name: prefixes job ids so they are unique across a shard ring, and labels /metrics series (replica and shard)")
 	noFsync := flag.Bool("no-fsync", false, "skip the fsync after each accepted job (faster accepts, jobs in the unsynced window can vanish in a crash)")
 	snapshotEvery := flag.Int("snapshot-every", 0, "WAL appends between snapshot+compaction passes (0 = default)")
 	maxAttempts := flag.Int("max-attempts", 0, "job starts before recovery quarantines a crash-looping job (0 = default 3, negative disables)")
 	checkpointEvery := flag.Int("checkpoint-every", 0, "settled orders between durable exploration checkpoints (0 = default 8, negative disables)")
 	self := flag.String("self", "", "this replica's base URL on the shard ring (enables proxy mode with -peers)")
 	peers := flag.String("peers", "", "comma-separated peer base URLs on the shard ring")
-	shard := flag.String("shard", "", "shard label on exported Prometheus series (default: replica name)")
 	fleetTimeout := flag.Duration("fleet-timeout", 2*time.Second, "per-peer timeout for /v1/fleet/metrics scrapes and trace-part gathers")
 	verbose := flag.Bool("v", false, "verbose: log per-job detail")
 	quiet := flag.Bool("q", false, "quiet: log errors only")
@@ -119,7 +120,6 @@ func main() {
 		Workers:         *workers,
 		Store:           store,
 		NodeName:        *name,
-		Shard:           *shard,
 		FleetTimeout:    *fleetTimeout,
 		QueueDepth:      *queue,
 		JobTimeout:      *jobTimeout,

@@ -2,8 +2,8 @@
 // core (internal/geom, internal/sparse, internal/route). `a == b` on
 // floats is almost always a latent bug around rounding — the SPROUT
 // pipeline's V = L⁻¹E solves and geometry predicates accumulate error —
-// so comparisons must go through the epsilon helpers
-// (geom.AlmostEqual, sparse.ApproxEqual) instead.
+// so comparisons must go through the epsilon helper
+// sparse.ApproxEqualTol instead.
 //
 // Comparisons against an exact constant zero are exempt: in IEEE-754,
 // "was this knob left at its zero value" (cfg.Tol == 0) and "skip the
@@ -24,7 +24,7 @@ import (
 // Analyzer is the floateq pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "floateq",
-	Doc:  "no ==/!= between floating-point expressions in geom/sparse/route; use the epsilon helpers",
+	Doc:  "no ==/!= between floating-point expressions in geom/sparse/route; use sparse.ApproxEqualTol",
 	Run:  run,
 }
 
@@ -55,7 +55,7 @@ func run(pass *analysis.Pass) (any, error) {
 				return true
 			}
 			pass.Reportf(b.OpPos,
-				"exact floating-point %s: use an epsilon comparison (geom.AlmostEqual / sparse.ApproxEqual) or //lint:ignore with a justification", b.Op)
+				"exact floating-point %s: use an epsilon comparison (sparse.ApproxEqualTol) or //lint:ignore with a justification", b.Op)
 			return true
 		})
 	}

@@ -25,7 +25,7 @@ import (
 // depend on exact float comparisons. After an
 // invalidation the paths legitimately diverge (the session solved cold at
 // full tolerance where the oracle kept a stale warm vector), so agreement
-// drops to sparse.ApproxEqual.
+// drops to sparse.ApproxEqualTol.
 
 // solvePairsScratch is the from-scratch nodal analysis, kept as the test
 // oracle: every structure is rebuilt for the given mask through

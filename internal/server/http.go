@@ -346,7 +346,7 @@ func (e *Engine) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", obs.PromContentType)
 	e.cfg.Tracer.WritePrometheus(w, obs.PromOptions{
-		Labels: []string{"replica", e.cfg.NodeName, "shard", e.cfg.Shard},
+		Labels: []string{"replica", e.cfg.NodeName, "shard", e.cfg.NodeName},
 	})
 }
 

@@ -207,7 +207,7 @@ func TestShardProxyTraceStitchAcrossFailover(t *testing.T) {
 func TestMetricsPrometheusStageQuantiles(t *testing.T) {
 	doc := encodeBoardDoc(t)
 	tracer := obs.New(obs.WithReplica("m1"))
-	eng := New(Config{Workers: 2, QueueDepth: 8, NodeName: "m1", Shard: "s1", Tracer: tracer})
+	eng := New(Config{Workers: 2, QueueDepth: 8, NodeName: "m1", Tracer: tracer})
 	eng.Start()
 	t.Cleanup(func() { _ = eng.Shutdown(context.Background()) })
 	ts := httptest.NewServer(eng.Handler())
@@ -238,7 +238,7 @@ func TestMetricsPrometheusStageQuantiles(t *testing.T) {
 	}
 	text := string(body)
 
-	if !strings.Contains(text, `replica="m1"`) || !strings.Contains(text, `shard="s1"`) {
+	if !strings.Contains(text, `replica="m1"`) || !strings.Contains(text, `shard="m1"`) {
 		t.Fatal("exposition lacks the replica/shard labels")
 	}
 	stageFams := regexp.MustCompile(`(?m)^# TYPE (sprout_stage_\w+) histogram$`).FindAllStringSubmatch(text, -1)

@@ -42,11 +42,10 @@ type Config struct {
 	Store *Store
 	// NodeName prefixes job ids minted by the default in-memory store
 	// (replica identity for sharded deployments; a store opened with
-	// OpenStore takes its name from StoreOptions instead).
+	// OpenStore takes its name from StoreOptions instead). It also labels
+	// the Prometheus series as both replica and shard: every replica is
+	// its own ring member, so its shard is its name.
 	NodeName string
-	// Shard labels this replica's Prometheus series with its shard
-	// identity ("" = NodeName).
-	Shard string
 	// FleetTimeout bounds each per-peer scrape of the fleet-metrics
 	// scatter-gather (default 2s).
 	FleetTimeout time.Duration
@@ -99,9 +98,6 @@ func (c Config) Normalize() Config {
 	}
 	if c.CheckpointEvery == 0 {
 		c.CheckpointEvery = 8
-	}
-	if c.Shard == "" {
-		c.Shard = c.NodeName
 	}
 	if c.Log == nil {
 		c.Log = slog.New(slog.NewTextHandler(io.Discard, nil))

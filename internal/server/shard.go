@@ -12,7 +12,6 @@ import (
 	"io"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -26,13 +25,14 @@ import (
 const forwardedByHeader = "X-Sprout-Forwarded-By"
 
 // This file is the multi-replica layer: a consistent-hash ring assigns
-// every submission an owning replica, the ShardClient routes and fails
-// over on the client side, and ShardHandler gives each sproutd a thin
-// proxy mode so a client that talks to the "wrong" replica still lands
-// on the right one. Routing is by content: the idempotency key when the
-// client supplies one, else the SHA-256 of the document bytes — so
-// retries and equivalent submissions from different front-ends converge
-// on the same replica, where the store's dedupe can singleflight them.
+// every submission an owning replica, and ShardHandler gives each
+// sproutd a thin proxy mode so a client that talks to the "wrong"
+// replica still lands on the right one, failing over along the ring
+// past dead or draining replicas. Routing is by content: the
+// idempotency key when the client supplies one, else the SHA-256 of the
+// document bytes — so retries and equivalent submissions from different
+// front-ends converge on the same replica, where the store's dedupe can
+// singleflight them.
 
 // ringVnodes is the virtual-node multiplier: enough points that three
 // replicas split the key space within a few percent of evenly, small
@@ -79,20 +79,6 @@ func ringHash(s string) uint64 {
 	return x
 }
 
-// owner returns the replica owning the key (the first ring point at or
-// after the key's hash, wrapping).
-func (r *hashRing) owner(key string) string {
-	if len(r.points) == 0 {
-		return ""
-	}
-	h := ringHash(key)
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	if i == len(r.points) {
-		i = 0
-	}
-	return r.points[i].node
-}
-
 // sequence returns every replica in failover order for the key: the
 // owner first, then the remaining distinct replicas walking the ring.
 // A client that exhausts the sequence has genuinely tried everyone.
@@ -114,13 +100,13 @@ func (r *hashRing) sequence(key string) []string {
 	return out
 }
 
-// ContentKey is the shard-routing key of a submission: the idempotency
+// contentKey is the shard-routing key of a submission: the idempotency
 // key when present, else the hex SHA-256 of the raw document bytes.
 // Byte-identical retries therefore always land on the same replica.
 // (Byte-different but equivalent documents may land on different
 // replicas; each replica's canonical-hash dedupe still collapses the
 // copies it receives.)
-func ContentKey(doc []byte, idemKey string) string {
+func contentKey(doc []byte, idemKey string) string {
 	if idemKey != "" {
 		return idemKey
 	}
@@ -128,174 +114,9 @@ func ContentKey(doc []byte, idemKey string) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// AllReplicasError reports a shard operation that exhausted every
-// replica. Errs maps each replica base URL to the error it produced,
-// so the caller can tell a cluster-wide drain from a network partition.
-type AllReplicasError struct {
-	Op   string
-	Key  string
-	Errs map[string]error
-}
-
-func (e *AllReplicasError) Error() string {
-	parts := make([]string, 0, len(e.Errs))
-	for _, base := range sortedKeys(e.Errs) {
-		parts = append(parts, fmt.Sprintf("%s: %v", base, e.Errs[base]))
-	}
-	return fmt.Sprintf("shard: %s %q failed on all %d replicas: %s", e.Op, e.Key, len(e.Errs), strings.Join(parts, "; "))
-}
-
-func sortedKeys(m map[string]error) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// ShardClient fans a client across N sproutd replicas: submissions are
-// routed to their consistent-hash owner and failed over to the next
-// replica on transport failure or retry exhaustion (a draining or dead
-// replica must not fail the cluster). Status and result polls follow
-// the replica that actually accepted the job.
-type ShardClient struct {
-	// Tracer receives shard.failovers (optional).
-	Tracer *obs.Tracer
-
-	ring     *hashRing
-	replicas map[string]*Client
-
-	mu     sync.Mutex
-	owners map[string]*Client // job id -> replica that accepted it
-}
-
-// NewShardClient builds a shard client over the replica base URLs. The
-// seed drives every per-replica client's backoff jitter. configure (may
-// be nil) runs on each underlying Client for retry tuning.
-func NewShardClient(bases []string, seed int64, configure func(*Client)) *ShardClient {
-	s := &ShardClient{
-		ring:     newHashRing(bases),
-		replicas: make(map[string]*Client, len(bases)),
-		owners:   map[string]*Client{},
-	}
-	for i, b := range bases {
-		c := NewClient(b, seed+int64(i))
-		if configure != nil {
-			configure(c)
-		}
-		s.replicas[b] = c
-	}
-	return s
-}
-
-// Submit routes the document to its owning replica and fails over along
-// the ring until a replica accepts it. Non-retryable rejections
-// (*RejectedError — a malformed document is malformed everywhere) and
-// context cancellation stop the walk immediately; everything else
-// (connection refused, retries exhausted against a draining replica)
-// moves to the next replica and bumps shard.failovers. When every
-// replica fails, the error is a typed *AllReplicasError.
-func (s *ShardClient) Submit(ctx context.Context, doc []byte, idemKey string) (Status, error) {
-	key := ContentKey(doc, idemKey)
-	if s.Tracer.Enabled() {
-		// Client-side spans: each replica attempt becomes a hop of the
-		// distributed trace, and the X-Sprout-Trace header the per-replica
-		// client derives from the span context parents the server side.
-		ctx = obs.WithTracer(ctx, s.Tracer)
-	}
-	errs := map[string]error{}
-	for i, base := range s.ring.sequence(key) {
-		if i > 0 {
-			s.count(obs.MShardFailovers, 1)
-		}
-		c := s.replicas[base]
-		sctx, sp := obs.StartSpan(ctx, "ShardSubmit", obs.A("peer", base), obs.A("attempt", i+1))
-		st, err := c.Submit(sctx, doc, idemKey)
-		sp.Fail(err)
-		sp.End()
-		if err == nil {
-			s.mu.Lock()
-			s.owners[st.ID] = c
-			s.mu.Unlock()
-			return st, nil
-		}
-		var rej *RejectedError
-		if errors.As(err, &rej) {
-			return Status{}, err
-		}
-		errs[base] = err
-		if ctx.Err() != nil {
-			return Status{}, fmt.Errorf("shard: submit interrupted: %w", ctx.Err())
-		}
-	}
-	return Status{}, &AllReplicasError{Op: "submit", Key: key, Errs: errs}
-}
-
-// owner returns the replica that accepted the job, or every replica (in
-// stable order) when the id is unknown — the scatter path for callers
-// that learned a job id out of band.
-func (s *ShardClient) candidates(id string) []*Client {
-	s.mu.Lock()
-	c := s.owners[id]
-	s.mu.Unlock()
-	if c != nil {
-		return []*Client{c}
-	}
-	out := make([]*Client, 0, len(s.replicas))
-	for _, base := range s.ring.nodes {
-		out = append(out, s.replicas[base])
-	}
-	return out
-}
-
-// Status fetches a job's status from the replica that owns it,
-// scattering across all replicas when the owner is unknown.
-func (s *ShardClient) Status(ctx context.Context, id string) (Status, error) {
-	errs := map[string]error{}
-	for _, c := range s.candidates(id) {
-		st, err := c.Status(ctx, id)
-		if err == nil {
-			return st, nil
-		}
-		errs[c.Base] = err
-		if ctx.Err() != nil {
-			return Status{}, fmt.Errorf("shard: status interrupted: %w", ctx.Err())
-		}
-	}
-	return Status{}, &AllReplicasError{Op: "status", Key: id, Errs: errs}
-}
-
-// WaitResult polls the job to a terminal state on its owning replica
-// (scattering when unknown). A *JobFailedError passes through: the job
-// finished, just not successfully — that is an answer, not a reason to
-// ask another replica.
-func (s *ShardClient) WaitResult(ctx context.Context, id string, poll time.Duration) (*obs.RunReport, error) {
-	errs := map[string]error{}
-	for _, c := range s.candidates(id) {
-		rep, err := c.WaitResult(ctx, id, poll)
-		if err == nil {
-			return rep, nil
-		}
-		var jf *JobFailedError
-		if errors.As(err, &jf) {
-			return rep, err
-		}
-		errs[c.Base] = err
-		if ctx.Err() != nil {
-			return nil, fmt.Errorf("shard: wait interrupted: %w", ctx.Err())
-		}
-	}
-	return nil, &AllReplicasError{Op: "wait", Key: id, Errs: errs}
-}
-
-func (s *ShardClient) count(name string, n int64) {
-	s.Tracer.Counter(name).Add(n)
-}
-
 // ShardHandler wraps the engine's HTTP API in a thin proxy: submissions
 // whose consistent-hash owner is another replica are forwarded there
-// (with ring-order failover back to this replica when peers are down),
+// (failing over in ring order past replicas that are down or draining),
 // and status/result/trace reads for jobs this replica does not hold are
 // scattered to the peers. self and peers are base URLs; self names this
 // replica on the ring and must appear in every replica's configuration
@@ -334,21 +155,10 @@ type shardProxy struct {
 // the job id out of the status JSON it just relayed.
 type captureWriter struct {
 	http.ResponseWriter
-	status int
-	buf    bytes.Buffer
-}
-
-func (c *captureWriter) WriteHeader(code int) {
-	if c.status == 0 {
-		c.status = code
-	}
-	c.ResponseWriter.WriteHeader(code)
+	buf bytes.Buffer
 }
 
 func (c *captureWriter) Write(b []byte) (int, error) {
-	if c.status == 0 {
-		c.status = http.StatusOK
-	}
 	if c.buf.Len() < maxBodyBytes {
 		c.buf.Write(b)
 	}
@@ -365,9 +175,18 @@ func jobIDFromBody(body []byte) string {
 	return st.ID
 }
 
+// errPeerDraining marks a peer that answered a forwarded submission with
+// 503. handleSubmit sends 503 only for sprout.ErrShuttingDown, before
+// anything is stored, so the peer will not take the job and the next
+// replica on the ring must.
+var errPeerDraining = errors.New("peer draining")
+
 // submit routes a submission to its owning replica. The body must be
 // read up front to compute the routing key; it is re-wrapped for
-// whichever handler ends up serving it.
+// whichever handler ends up serving it. A replica that is unreachable
+// or draining — this one included — is skipped in ring order; 429 and
+// other rejections are relayed, since retrying the same owner keeps
+// dedupe on one replica and a 4xx is the same answer everywhere.
 //
 // Every hop is traced: the proxy opens a tracer that continues the
 // client's X-Sprout-Trace (or starts the trace when there is none), one
@@ -404,28 +223,29 @@ func (p *shardProxy) submit(w http.ResponseWriter, r *http.Request) {
 	tr := obs.New(topts...)
 	ctx := obs.WithTracer(r.Context(), tr)
 
-	key := ContentKey(body, r.Header.Get("Idempotency-Key"))
+	key := contentKey(body, r.Header.Get("Idempotency-Key"))
 	for i, node := range p.ring.sequence(key) {
 		if i > 0 {
 			p.engine.count(obs.MShardFailovers, 1)
+		}
+		if node == p.self && !p.engine.Accepting() {
+			continue
 		}
 		sctx, sp := obs.StartSpan(ctx, "ShardSubmit", obs.A("peer", node), obs.A("attempt", i+1))
 		if node == p.self {
 			p.serveLocalSubmit(w, r, sctx, body, tr, sp)
 			return
 		}
-		if served, jobID := p.forward(w, r, node, body, obs.TraceHeader(sctx)); served {
-			sp.End()
+		jobID, err := p.forward(w, r, node, body, obs.TraceHeader(sctx))
+		sp.Fail(err)
+		sp.End()
+		if err == nil {
 			p.engine.AddTracePart(jobID, tr.TracePart())
 			return
 		}
-		sp.Fail(errors.New("peer unreachable"))
-		sp.End()
 	}
-	// Every remote owner was unreachable and self was not on the
-	// sequence (cannot happen — self is always ringed) or forwarding
-	// failed everywhere: serve locally so the cluster degrades to a
-	// single replica instead of erroring.
+	// Every replica was skipped, this one because it is draining: the
+	// local handler answers 503 with Retry-After, as a lone replica would.
 	sctx, sp := obs.StartSpan(ctx, "ShardSubmit", obs.A("peer", p.self), obs.A("fallback", true))
 	p.serveLocalSubmit(w, r, sctx, body, tr, sp)
 }
@@ -445,16 +265,15 @@ func (p *shardProxy) serveLocalSubmit(w http.ResponseWriter, r *http.Request, sc
 	p.engine.AddTracePart(jobIDFromBody(cw.buf.Bytes()), tr.TracePart())
 }
 
-// forward proxies the submission to a peer. It reports true when the
-// peer produced any HTTP response (even a rejection — that is the
-// peer's answer, not a transport failure) and false when the peer was
-// unreachable, in which case the caller fails over. On success the
-// second return is the job id the peer answered with ("" on rejection
-// bodies), so the caller can file its hop spans under the job.
-func (p *shardProxy) forward(w http.ResponseWriter, r *http.Request, base string, body []byte, traceHeader string) (bool, string) {
+// forward proxies the submission to a peer and relays the peer's
+// answer, returning the job id it carries ("" on rejection bodies) so
+// the caller can file its hop spans under the job. A non-nil error
+// means nothing was written and the caller fails over: the peer was
+// unreachable, or it answered 503 (errPeerDraining).
+func (p *shardProxy) forward(w http.ResponseWriter, r *http.Request, base string, body []byte, traceHeader string) (string, error) {
 	req, err := http.NewRequestWithContext(r.Context(), r.Method, base+r.URL.RequestURI(), bytes.NewReader(body))
 	if err != nil {
-		return false, ""
+		return "", err
 	}
 	req.Header = r.Header.Clone()
 	req.Header.Set(forwardedByHeader, p.self)
@@ -464,18 +283,15 @@ func (p *shardProxy) forward(w http.ResponseWriter, r *http.Request, base string
 	resp, err := p.http.Do(req)
 	if err != nil {
 		p.engine.cfg.Log.Warn("shard forward failed", "peer", base, "err", err)
-		return false, ""
+		return "", fmt.Errorf("peer unreachable: %w", err)
 	}
 	defer resp.Body.Close()
-	respBody, _ := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
-	for k, vs := range resp.Header {
-		for _, v := range vs {
-			w.Header().Add(k, v)
-		}
+	if resp.StatusCode == http.StatusServiceUnavailable {
+		return "", errPeerDraining
 	}
-	w.WriteHeader(resp.StatusCode)
-	w.Write(respBody)
-	return true, jobIDFromBody(respBody)
+	cw := &captureWriter{ResponseWriter: w}
+	relay(cw, resp)
+	return jobIDFromBody(cw.buf.Bytes()), nil
 }
 
 // read serves job status/result/trace: locally when this replica holds
@@ -526,7 +342,16 @@ func (p *shardProxy) trace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if known && !forwarded {
-		if peer := p.gatherPeerParts(r.Context(), id); len(peer) > 0 {
+		// Unreachable peers and 404s contribute nothing — a partial trace
+		// is still a trace.
+		var peer []obs.TracePart
+		for _, rep := range p.fanOut(r.Context(), "/v1/jobs/"+id+"/traceparts") {
+			var parts []obs.TracePart
+			if rep.err == nil && json.Unmarshal(rep.body, &parts) == nil {
+				peer = append(peer, parts...)
+			}
+		}
+		if len(peer) > 0 {
 			writeStitchedTrace(w, p.engine.cfg.Log, id, append(p.engine.TraceParts(id), peer...))
 			return
 		}
@@ -537,41 +362,60 @@ func (p *shardProxy) trace(w http.ResponseWriter, r *http.Request) {
 	p.local.ServeHTTP(w, r)
 }
 
-// gatherPeerParts collects the trace parts every peer holds for a job,
-// sequentially, each under the fleet timeout. Unreachable peers and
-// 404s contribute nothing — a partial trace is still a trace.
-func (p *shardProxy) gatherPeerParts(ctx context.Context, id string) []obs.TracePart {
-	var parts []obs.TracePart
-	for _, node := range p.peers {
-		pctx, cancel := context.WithTimeout(ctx, p.engine.cfg.FleetTimeout)
-		req, err := http.NewRequestWithContext(pctx, http.MethodGet, node+"/v1/jobs/"+id+"/traceparts", nil)
-		if err != nil {
-			cancel()
-			continue
-		}
-		req.Header.Set(forwardedByHeader, p.self)
-		resp, err := p.http.Do(req)
-		if err != nil {
-			cancel()
-			continue
-		}
-		if resp.StatusCode == http.StatusOK {
-			var peer []obs.TracePart
-			if derr := json.NewDecoder(io.LimitReader(resp.Body, maxBodyBytes)).Decode(&peer); derr == nil {
-				parts = append(parts, peer...)
-			}
-		}
-		resp.Body.Close()
-		cancel()
+// peerReply is one peer's answer to a fan-out GET: the body of a 200
+// and how long the request took, or why there is no body.
+type peerReply struct {
+	body []byte
+	took time.Duration
+	err  error
+}
+
+// fanOut GETs path from every peer concurrently, each under the fleet
+// timeout and marked as forwarded so the peer answers from its own
+// state instead of gathering again. Replies come back in peer order; a
+// transport failure or a non-200 status is the reply's error.
+func (p *shardProxy) fanOut(ctx context.Context, path string) []peerReply {
+	replies := make([]peerReply, len(p.peers))
+	var wg sync.WaitGroup
+	for i, node := range p.peers {
+		wg.Add(1)
+		go func(i int, node string) {
+			defer wg.Done()
+			replies[i] = p.getPeer(ctx, node+path)
+		}(i, node)
 	}
-	return parts
+	wg.Wait()
+	return replies
+}
+
+// getPeer is one leg of fanOut.
+func (p *shardProxy) getPeer(ctx context.Context, url string) peerReply {
+	start := time.Now()
+	pctx, cancel := context.WithTimeout(ctx, p.engine.cfg.FleetTimeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(pctx, http.MethodGet, url, nil)
+	if err != nil {
+		return peerReply{err: err}
+	}
+	req.Header.Set(forwardedByHeader, p.self)
+	resp, err := p.http.Do(req)
+	if err != nil {
+		return peerReply{err: err}
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return peerReply{err: fmt.Errorf("unexpected status %d", resp.StatusCode)}
+	}
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
+	return peerReply{body: body, took: time.Since(start), err: err}
 }
 
 // fleetMetrics scatter-gathers every replica's metrics snapshot. Peers
 // are scraped concurrently, each under its own fleet timeout; an
 // unreachable peer keeps its row with the error recorded, so a partial
 // fleet view is visibly partial ("replica down") rather than silently
-// smaller ("replica missing").
+// smaller ("replica missing"). Each failed scrape counts
+// fleet.peer_errors; each good one observes fleet.scrape_ms.
 func (p *shardProxy) fleetMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Header.Get(forwardedByHeader) != "" {
 		p.local.ServeHTTP(w, r)
@@ -579,56 +423,26 @@ func (p *shardProxy) fleetMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	p.engine.syncGauges()
 	self := p.engine.metricsDoc()
-	peerRows := make([]FleetReplica, len(p.peers))
-	var wg sync.WaitGroup
-	for i, node := range p.peers {
-		wg.Add(1)
-		go func(i int, node string) {
-			defer wg.Done()
-			peerRows[i] = p.scrapePeer(r.Context(), node)
-		}(i, node)
+	rows := []FleetReplica{{Replica: p.self, Self: true, Metrics: &self}}
+	for i, rep := range p.fanOut(r.Context(), "/metrics?format=json") {
+		row := FleetReplica{Replica: p.peers[i]}
+		m := &Metrics{}
+		err := rep.err
+		if err == nil {
+			err = json.Unmarshal(rep.body, m)
+		}
+		if err != nil {
+			p.engine.count(obs.MFleetPeerErrors, 1)
+			row.Error = err.Error()
+		} else {
+			row.Metrics = m
+			if p.engine.cfg.Tracer.Enabled() {
+				p.engine.cfg.Tracer.Histogram(obs.MFleetScrapeMS).Observe(float64(rep.took.Nanoseconds()) / 1e6)
+			}
+		}
+		rows = append(rows, row)
 	}
-	wg.Wait()
-	rows := append([]FleetReplica{{Replica: p.self, Self: true, Metrics: &self}}, peerRows...)
 	writeJSON(w, http.StatusOK, FleetMetrics{Replicas: rows})
-}
-
-// scrapePeer fetches one peer's JSON metrics snapshot under the fleet
-// timeout, recording fleet.peer_errors and fleet.scrape_ms.
-func (p *shardProxy) scrapePeer(ctx context.Context, node string) FleetReplica {
-	row := FleetReplica{Replica: node}
-	start := time.Now()
-	pctx, cancel := context.WithTimeout(ctx, p.engine.cfg.FleetTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(pctx, http.MethodGet, node+"/metrics?format=json", nil)
-	if err != nil {
-		row.Error = err.Error()
-		return row
-	}
-	req.Header.Set(forwardedByHeader, p.self)
-	resp, err := p.http.Do(req)
-	if err != nil {
-		p.engine.count(obs.MFleetPeerErrors, 1)
-		row.Error = err.Error()
-		return row
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		p.engine.count(obs.MFleetPeerErrors, 1)
-		row.Error = fmt.Sprintf("unexpected status %d", resp.StatusCode)
-		return row
-	}
-	m := &Metrics{}
-	if derr := json.NewDecoder(io.LimitReader(resp.Body, maxBodyBytes)).Decode(m); derr != nil {
-		p.engine.count(obs.MFleetPeerErrors, 1)
-		row.Error = derr.Error()
-		return row
-	}
-	row.Metrics = m
-	if p.engine.cfg.Tracer.Enabled() {
-		p.engine.cfg.Tracer.Histogram(obs.MFleetScrapeMS).Observe(float64(time.Since(start).Nanoseconds()) / 1e6)
-	}
-	return row
 }
 
 // relay copies a proxied response through verbatim.

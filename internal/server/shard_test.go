@@ -62,17 +62,14 @@ func TestHashRingDeterministicAndCovering(t *testing.T) {
 	owned := map[string]int{}
 	for i := 0; i < 999; i++ {
 		key := fmt.Sprintf("key-%d", i)
-		owner := ring.owner(key)
-		owned[owner]++
 		seq := ring.sequence(key)
 		if len(seq) != len(nodes) {
 			t.Fatalf("sequence(%q) has %d nodes, want %d", key, len(seq), len(nodes))
 		}
-		if seq[0] != owner {
-			t.Fatalf("sequence(%q)[0] = %s, owner = %s; the owner must come first", key, seq[0], owner)
-		}
-		if owner != ring.owner(key) {
-			t.Fatalf("owner(%q) not deterministic", key)
+		owner := seq[0]
+		owned[owner]++
+		if again := ring.sequence(key); again[0] != owner {
+			t.Fatalf("owner of %q not deterministic: %s then %s", key, owner, again[0])
 		}
 		seen := map[string]bool{}
 		for _, n := range seq {
@@ -91,121 +88,16 @@ func TestHashRingDeterministicAndCovering(t *testing.T) {
 	}
 }
 
-// shardFixture stands up n replicas behind plain handlers and returns
-// their URLs plus a way to reach each engine.
-func shardFixture(t *testing.T, n int) (urls []string, engines []*Engine, tracers []*obs.Tracer, servers []*httptest.Server) {
-	t.Helper()
-	for i := 0; i < n; i++ {
-		eng, tr := newTestReplica(t, fmt.Sprintf("r%d", i+1))
-		ts := httptest.NewServer(eng.Handler())
-		t.Cleanup(ts.Close)
-		urls = append(urls, ts.URL)
-		engines = append(engines, eng)
-		tracers = append(tracers, tr)
-		servers = append(servers, ts)
-	}
-	return urls, engines, tracers, servers
-}
-
 // keysOwnedBy searches out keys whose ring owner is the given URL.
 func keysOwnedBy(ring *hashRing, owner string, want int) []string {
 	var keys []string
 	for i := 0; len(keys) < want && i < 100000; i++ {
 		k := fmt.Sprintf("owned-%s-%d", owner, i)
-		if ring.owner(k) == owner {
+		if ring.sequence(k)[0] == owner {
 			keys = append(keys, k)
 		}
 	}
 	return keys
-}
-
-// TestShardClientFailover: with one of three replicas hard-down
-// (connection refused), submissions owned by the dead replica must fail
-// over along the ring and succeed, counting each hop.
-func TestShardClientFailover(t *testing.T) {
-	doc := encodeBoardDoc(t)
-	urls, _, _, servers := shardFixture(t, 3)
-	dead := urls[1]
-	servers[1].Close()
-
-	tr := obs.New()
-	sc := NewShardClient(urls, 7, func(c *Client) {
-		c.MaxAttempts = 2
-		c.BaseBackoff = time.Millisecond
-		c.MaxBackoff = 4 * time.Millisecond
-	})
-	sc.Tracer = tr
-
-	ring := newHashRing(urls)
-	keys := append(keysOwnedBy(ring, dead, 4), keysOwnedBy(ring, urls[0], 2)...)
-	ids := map[string]string{}
-	for _, key := range keys {
-		st, err := sc.Submit(context.Background(), doc, key)
-		if err != nil {
-			t.Fatalf("submit %q: %v (must fail over, not fail)", key, err)
-		}
-		if strings.HasPrefix(st.ID, "r2-") {
-			t.Fatalf("key %q landed on the dead replica", key)
-		}
-		ids[key] = st.ID
-	}
-	counters, _ := tr.MetricsSnapshot()
-	if counters["shard.failovers"] < 4 {
-		t.Fatalf("shard.failovers = %d, want >= 4 (one per dead-owned key)", counters["shard.failovers"])
-	}
-	// Every accepted job is pollable to its result through the client.
-	for key, id := range ids {
-		rep, err := sc.WaitResult(context.Background(), id, 2*time.Millisecond)
-		if err != nil || rep == nil {
-			t.Fatalf("wait %s (key %q) = (%v, %v)", id, key, rep, err)
-		}
-		if _, err := sc.Status(context.Background(), id); err != nil {
-			t.Fatalf("status %s: %v", id, err)
-		}
-	}
-}
-
-// TestShardClientAllReplicasExhausted: when every replica is draining,
-// the client must come back with the typed *AllReplicasError, not a
-// generic failure and not a hang.
-func TestShardClientAllReplicasExhausted(t *testing.T) {
-	doc := encodeBoardDoc(t)
-	urls, engines, _, _ := shardFixture(t, 3)
-	for _, eng := range engines {
-		if err := eng.Shutdown(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sc := NewShardClient(urls, 7, func(c *Client) {
-		c.MaxAttempts = 1
-		c.BaseBackoff = time.Millisecond
-	})
-	_, err := sc.Submit(context.Background(), doc, "doomed")
-	var all *AllReplicasError
-	if !errors.As(err, &all) {
-		t.Fatalf("submit against a fully draining ring = %v, want *AllReplicasError", err)
-	}
-	if len(all.Errs) != 3 {
-		t.Fatalf("AllReplicasError covers %d replicas, want 3", len(all.Errs))
-	}
-}
-
-// TestShardClientRejectedStopsImmediately: a non-retryable rejection
-// (malformed document) is the same everywhere — no failover, no retries.
-func TestShardClientRejectedStopsImmediately(t *testing.T) {
-	urls, _, _, _ := shardFixture(t, 3)
-	tr := obs.New()
-	sc := NewShardClient(urls, 7, nil)
-	sc.Tracer = tr
-	_, err := sc.Submit(context.Background(), []byte("{not json"), "bad")
-	var rej *RejectedError
-	if !errors.As(err, &rej) || rej.Code != http.StatusBadRequest {
-		t.Fatalf("malformed submit = %v, want *RejectedError with 400", err)
-	}
-	counters, _ := tr.MetricsSnapshot()
-	if counters["shard.failovers"] != 0 {
-		t.Fatalf("shard.failovers = %d after a 400, want 0", counters["shard.failovers"])
-	}
 }
 
 // shardProxyFixture stands up n replicas in proxy mode (ShardHandler),
@@ -235,6 +127,32 @@ func shardProxyFixture(t *testing.T, n int) (urls []string, engines []*Engine, t
 	return urls, engines, tracers, servers
 }
 
+// postJob submits doc to base under the idempotency key ("" = none) and
+// returns the response (body consumed) and the status document it
+// carried, if any. The request is bounded, so a proxy that never
+// answers fails the test instead of hanging it.
+func postJob(t *testing.T, base string, doc []byte, key string) (*http.Response, Status) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/jobs", bytes.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	if key != "" {
+		req.Header.Set("Idempotency-Key", key)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st Status
+	_ = json.NewDecoder(resp.Body).Decode(&st) // rejections carry an error document
+	return resp, st
+}
+
 // TestShardProxyRoutesToOwner: submissions posted to any replica land on
 // their consistent-hash owner, and reads for the job work from every
 // replica via the scatter path.
@@ -245,23 +163,9 @@ func TestShardProxyRoutesToOwner(t *testing.T) {
 
 	post := func(base, key string) Status {
 		t.Helper()
-		req, err := http.NewRequest(http.MethodPost, base+"/v1/jobs", bytes.NewReader(doc))
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set("Idempotency-Key", key)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
+		resp, st := postJob(t, base, doc, key)
 		if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
 			t.Fatalf("submit %q = %d", key, resp.StatusCode)
-		}
-		var st Status
-		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-			t.Fatal(err)
 		}
 		return st
 	}
@@ -272,7 +176,7 @@ func TestShardProxyRoutesToOwner(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		key := fmt.Sprintf("proxy-%d", i)
 		st := post(urls[0], key)
-		wantOwner := names[ring.owner(key)]
+		wantOwner := names[ring.sequence(key)[0]]
 		if !strings.HasPrefix(st.ID, wantOwner+"-") {
 			t.Fatalf("key %q ran as %s, want owner %s", key, st.ID, wantOwner)
 		}
@@ -280,7 +184,7 @@ func TestShardProxyRoutesToOwner(t *testing.T) {
 
 		// The job is readable from a replica that does not hold it.
 		other := urls[2]
-		if ring.owner(key) == other {
+		if ring.sequence(key)[0] == other {
 			other = urls[1]
 		}
 		resp, err := http.Get(other + "/v1/jobs/" + st.ID)
@@ -325,20 +229,7 @@ func TestShardProxyFailover(t *testing.T) {
 
 	keys := keysOwnedBy(ring, urls[1], 3)
 	for _, key := range keys {
-		req, err := http.NewRequest(http.MethodPost, urls[0]+"/v1/jobs", bytes.NewReader(doc))
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set("Idempotency-Key", key)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var st Status
-		if derr := json.NewDecoder(resp.Body).Decode(&st); derr != nil {
-			t.Fatal(derr)
-		}
-		resp.Body.Close()
+		resp, st := postJob(t, urls[0], doc, key)
 		if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
 			t.Fatalf("submit %q through dead owner = %d", key, resp.StatusCode)
 		}
@@ -352,23 +243,158 @@ func TestShardProxyFailover(t *testing.T) {
 	}
 }
 
+// TestShardProxySkipsDrainingOwner: a draining replica answers
+// submissions 503 without storing anything, so the proxy must move on to
+// the next replica in ring order and count the hop — both when the
+// draining owner is a peer and when it is the entry replica itself.
+func TestShardProxySkipsDrainingOwner(t *testing.T) {
+	doc := encodeBoardDoc(t)
+	urls, engines, tracers, _ := shardProxyFixture(t, 3)
+	ring := newHashRing(urls)
+	names := map[string]string{urls[0]: "r1", urls[1]: "r2", urls[2]: "r3"}
+	if err := engines[1].Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	keys := keysOwnedBy(ring, urls[1], 4)
+	for i, key := range keys {
+		entry := i % 2 // r1 proxies to the draining r2; r2 skips itself
+		before, _ := tracers[entry].MetricsSnapshot()
+		resp, st := postJob(t, urls[entry], doc, key)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("key %q owned by the draining r2, posted to %s = %d, want 202 from the next ring node",
+				key, names[urls[entry]], resp.StatusCode)
+		}
+		if want := names[ring.sequence(key)[1]]; !strings.HasPrefix(st.ID, want+"-") {
+			t.Fatalf("key %q ran as %s, want the next ring node %s", key, st.ID, want)
+		}
+		after, _ := tracers[entry].MetricsSnapshot()
+		if after["shard.failovers"] <= before["shard.failovers"] {
+			t.Fatalf("shard.failovers on %s stayed at %d across a draining-owner hop",
+				names[urls[entry]], after["shard.failovers"])
+		}
+	}
+}
+
+// TestShardProxyAllDraining: with every replica draining the proxy runs
+// out of ring and answers 503 with Retry-After itself — promptly, so
+// clients back off instead of hanging.
+func TestShardProxyAllDraining(t *testing.T) {
+	doc := encodeBoardDoc(t)
+	urls, engines, _, _ := shardProxyFixture(t, 3)
+	for _, eng := range engines {
+		if err := eng.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, base := range urls {
+		resp, _ := postJob(t, base, doc, "doomed")
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("submit to a fully draining ring via %s = %d, want 503", base, resp.StatusCode)
+		}
+		if resp.Header.Get("Retry-After") == "" {
+			t.Fatalf("503 from a fully draining ring via %s carries no Retry-After", base)
+		}
+	}
+}
+
+// TestShardProxyRelaysRejection: a malformed board is malformed on every
+// replica, so the owner's 400 is relayed as-is — whether the owner is a
+// peer or the entry replica — and nothing fails over.
+func TestShardProxyRelaysRejection(t *testing.T) {
+	urls, _, tracers, _ := shardProxyFixture(t, 3)
+	ring := newHashRing(urls)
+	for _, owner := range urls {
+		key := keysOwnedBy(ring, owner, 1)[0]
+		resp, _ := postJob(t, urls[0], []byte("{not json"), key)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("malformed submit owned by %s = %d, want 400", owner, resp.StatusCode)
+		}
+	}
+	counters, _ := tracers[0].MetricsSnapshot()
+	if counters["shard.failovers"] != 0 {
+		t.Fatalf("shard.failovers = %d after 400s, want 0", counters["shard.failovers"])
+	}
+}
+
+// TestShardTraceGatherHungPeers: the trace gather asks every peer at
+// once, so peers that never answer cost one fleet timeout in total, not
+// one each.
+func TestShardTraceGatherHungPeers(t *testing.T) {
+	const fleetTimeout = 300 * time.Millisecond
+	release := make(chan struct{})
+	var peers []string
+	for i := 0; i < 3; i++ {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			select {
+			case <-release:
+			case <-r.Context().Done():
+			}
+		}))
+		t.Cleanup(ts.Close)
+		peers = append(peers, ts.URL)
+	}
+	// Cleanups run last-in first-out: the hung handlers return before
+	// their servers close.
+	t.Cleanup(func() { close(release) })
+
+	eng, _ := newTestReplica(t, "r1")
+	eng.cfg.FleetTimeout = fleetTimeout
+	swap := &swapHandler{}
+	ts := httptest.NewServer(swap)
+	t.Cleanup(ts.Close)
+	swap.set(eng.ShardHandler(ts.URL, peers, nil))
+
+	// Marked as forwarded, the submission runs here instead of being
+	// proxied to a hung owner.
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/jobs", bytes.NewReader(encodeBoardDoc(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(forwardedByHeader, "test")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st Status
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	waitTerminal(t, ts.URL, st.ID)
+
+	start := time.Now()
+	tresp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tresp.Body.Close()
+	if took := time.Since(start); took >= 2*fleetTimeout {
+		t.Fatalf("trace with %d hung peers took %v, want under %v (one fleet timeout, not one per peer)",
+			len(peers), took, 2*fleetTimeout)
+	}
+	if tresp.StatusCode != http.StatusOK {
+		t.Fatalf("trace = %d, want 200 from the local parts", tresp.StatusCode)
+	}
+}
+
 // TestShardMultiReplicaDrainUnderLoad is the sharded half of the chaos
-// suite: concurrent clients submit through the shard client while one of
-// three replicas drains mid-load (PR 4 semantics: 503 + Retry-After).
-// Every submission must succeed — retried onto the draining replica's
-// successor — and every accepted job must reach a terminal state
-// somewhere in the cluster.
+// suite: concurrent clients submit through the proxies of two replicas
+// while the third drains mid-load (503 + Retry-After). Every submission
+// must succeed — the proxies skip the draining replica in ring order —
+// and every accepted job must reach a terminal state somewhere in the
+// cluster.
 func TestShardMultiReplicaDrainUnderLoad(t *testing.T) {
 	doc := encodeBoardDoc(t)
-	urls, engines, _, _ := shardFixture(t, 3)
-
-	tr := obs.New()
-	sc := NewShardClient(urls, 11, func(c *Client) {
+	urls, engines, tracers, _ := shardProxyFixture(t, 3)
+	// Clients post to r2 and r3, the replicas that stay up.
+	client := func(i int) *Client {
+		c := NewClient(urls[1+i%2], int64(11+i))
 		c.MaxAttempts = 2
 		c.BaseBackoff = time.Millisecond
 		c.MaxBackoff = 4 * time.Millisecond
-	})
-	sc.Tracer = tr
+		return c
+	}
 
 	var (
 		mu  sync.Mutex
@@ -380,8 +406,9 @@ func TestShardMultiReplicaDrainUnderLoad(t *testing.T) {
 		wg.Add(1)
 		go func(ci int) {
 			defer wg.Done()
+			c := client(ci)
 			for i := 0; i < perClient; i++ {
-				st, err := sc.Submit(context.Background(), doc, fmt.Sprintf("drain-%d-%d", ci, i))
+				st, err := c.Submit(context.Background(), doc, fmt.Sprintf("drain-%d-%d", ci, i))
 				if err != nil {
 					t.Errorf("submit %d-%d: %v (two replicas stayed up; no submission may fail)", ci, i, err)
 					return
@@ -400,9 +427,10 @@ func TestShardMultiReplicaDrainUnderLoad(t *testing.T) {
 
 	// After the drain, keys owned by the drained replica must still be
 	// accepted (failover), and the hop counter must show it happened.
+	entry := client(0)
 	ring := newHashRing(urls)
 	for _, key := range keysOwnedBy(ring, urls[0], 3) {
-		st, err := sc.Submit(context.Background(), doc, key)
+		st, err := entry.Submit(context.Background(), doc, key)
 		if err != nil {
 			t.Fatalf("post-drain submit %q: %v", key, err)
 		}
@@ -413,17 +441,17 @@ func TestShardMultiReplicaDrainUnderLoad(t *testing.T) {
 		ids = append(ids, st.ID)
 		mu.Unlock()
 	}
-	counters, _ := tr.MetricsSnapshot()
+	counters, _ := tracers[1].MetricsSnapshot()
 	if counters["shard.failovers"] < 3 {
 		t.Fatalf("shard.failovers = %d, want >= 3", counters["shard.failovers"])
 	}
 
 	// Zero accepted-job loss, cluster-wide: every id resolves to a
-	// terminal state through the shard client (drained replicas keep
-	// serving reads).
+	// terminal state through one replica's read scatter (drained
+	// replicas keep serving reads).
 	for _, id := range ids {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		rep, err := sc.WaitResult(ctx, id, 2*time.Millisecond)
+		rep, err := entry.WaitResult(ctx, id, 2*time.Millisecond)
 		cancel()
 		var jf *JobFailedError
 		switch {

@@ -2,21 +2,10 @@ package sparse
 
 import "math"
 
-// DefaultTol is the default relative tolerance for comparing solver
-// quantities (residuals, resistances, matrix entries): looser than the CG
-// convergence tolerance, so values that the solver considers converged
-// also compare equal.
-const DefaultTol = 1e-9
-
-// ApproxEqual reports whether a and b agree to within DefaultTol,
-// combining an absolute test near zero with a relative one elsewhere.
-// This is the comparison the floateq analyzer demands in place of == on
-// floats. NaNs never compare equal, matching IEEE semantics.
-func ApproxEqual(a, b float64) bool {
-	return ApproxEqualTol(a, b, DefaultTol)
-}
-
-// ApproxEqualTol is ApproxEqual with a caller-chosen tolerance.
+// ApproxEqualTol reports whether a and b agree to within tol, combining
+// an absolute test near zero with a relative one elsewhere. This is the
+// comparison the floateq analyzer demands in place of == on floats. NaNs
+// never compare equal, matching IEEE semantics.
 func ApproxEqualTol(a, b, tol float64) bool {
 	if a == b { //lint:ignore floateq the exact fast path is the point of this helper
 		return true
