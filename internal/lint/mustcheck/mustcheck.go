@@ -1,7 +1,7 @@
 // Package mustcheck flags discarded results of the pure numeric and
 // geometric kernels: sparse solves (sparse.CGCtx, Laplacian.SolveCtx,
 // Cholesky.Solve), solver setup that reports validation errors
-// (sparse.ReassembleLaplacian), route's nodal-analysis entry points
+// (sparse.ReassembleLaplacian, sparse.StampLaplacian), route's nodal-analysis entry points
 // (NodeCurrentsCtx, PairVoltagesCtx), and geom's region/polygon clipping
 // algebra (Union, Intersect, Subtract, Xor, Bloat, Erode, Rasterize, ...).
 // These functions have no side effects — calling one as a statement, or
@@ -31,7 +31,7 @@ var Analyzer = &analysis.Analyzer{
 var mustUse = map[string]map[string]bool{
 	"internal/sparse": {
 		"CGCtx": true, "Solve": true, "SolveCtx": true,
-		"ReassembleLaplacian": true,
+		"ReassembleLaplacian": true, "StampLaplacian": true,
 	},
 	"internal/route": {
 		"NodeCurrentsCtx": true, "PairVoltagesCtx": true,

@@ -51,6 +51,12 @@ func DropReassemble(l *sparse.Laplacian, rowPtr, col []int, w []float64) {
 	_, _ = sparse.ReassembleLaplacian(l, rowPtr, col, w, 0) // want `result of sparse.ReassembleLaplacian assigned to the blank identifier`
 }
 
+// DropStamp discards the stamped Laplacian and its validation error:
+// flagged.
+func DropStamp(l *sparse.Laplacian, rowPtr, col []int, w []float64) {
+	sparse.StampLaplacian(l, rowPtr, col, w, 0) // want `result of sparse.StampLaplacian discarded`
+}
+
 // DropNodeCurrents loses the metric evaluation and its error: flagged.
 func DropNodeCurrents(tg *route.TileGraph, members []bool) {
 	tg.NodeCurrentsCtx(nil, members, nil) // want `result of route.NodeCurrentsCtx discarded`

@@ -256,7 +256,7 @@ func foldSolveStats(ctx context.Context, atts [][]sparse.RungAttempt, lap *spars
 // cold on a throwaway session. Reused across calls, warm warm-starts the
 // CG solves and rebuilds the session into its retained arenas.
 func (tg *TileGraph) NodeCurrentsCtx(ctx context.Context, members []bool, warm *SolveCache) (*Metrics, error) {
-	sol, err := tg.solvePairs(ctx, members, warm)
+	sol, err := tg.solvePairs(ctx, members, warm, sparse.StampLaplacian)
 	if err != nil {
 		return nil, err
 	}
@@ -295,7 +295,7 @@ func (tg *TileGraph) metrics(sol *pairSolution, nodeCur []float64) *Metrics {
 // under a unit current injected into pair p. pairs hold terminal indices
 // and weights the normalized injection weights.
 func (tg *TileGraph) PairVoltagesCtx(ctx context.Context, members []bool) (volts [][]float64, pairs [][2]int, weights []float64, err error) {
-	sol, err := tg.solvePairs(ctx, members, nil)
+	sol, err := tg.solvePairs(ctx, members, nil, sparse.ReassembleLaplacian)
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"sprout/internal/geom"
+	"sprout/internal/sparse"
 )
 
 // RouteEvals reruns the pipeline on tg with cfg and calls eval with every
@@ -22,6 +23,34 @@ func RouteEvals(tg *TileGraph, cfg Config, fresh bool, eval func(members []bool)
 		eval(members)
 	}
 	return tg.route(context.Background(), cfg, warm)
+}
+
+// RouteAssemblies reruns the pipeline on tg with cfg and calls check with
+// the Laplacian the loop's session assembled for every member mask the
+// pipeline scores, next to the one sparse.ReassembleLaplacian assembles
+// into fresh storage from the same mask. Each loop Laplacian is checked
+// just before the next evaluation rebuilds it, the last one after the
+// route; a mask whose terminals are disconnected assembles nothing and
+// is skipped.
+func RouteAssemblies(tg *TileGraph, cfg Config, check func(loop, sorted *sparse.Laplacian)) (*Result, error) {
+	warm := NewSolveCache()
+	var prev []bool
+	checkPrev := func() {
+		if prev == nil {
+			return
+		}
+		sorted := newSolverSession(tg)
+		if sorted.rebuild(tg, prev, sparse.ReassembleLaplacian) == nil {
+			check(warm.sess.lap, sorted.lap)
+		}
+	}
+	warm.beforeEval = func(members []bool) {
+		checkPrev()
+		prev = append(prev[:0], members...)
+	}
+	res, err := tg.route(context.Background(), cfg, warm)
+	checkPrev()
+	return res, err
 }
 
 // BuildTileGraphOracle is the original Alg. 1 builder that BuildTileGraph

@@ -22,9 +22,14 @@ import (
 //     retained arenas. The pipeline scores each mask once (SmartGrowCtx,
 //     SmartRefineCtx and ErodeCtx pass the metrics of the mask they leave
 //     forward), so there is no same-mask case to reuse. The rebuild walks
-//     tg.G directly and stamps the Laplacian in sorted edge order, so the
-//     assembled system is bit-identical to a from-scratch construction
-//     and downstream solves follow the same float trajectories;
+//     tg.G directly into an ascending component CSR and hands it to the
+//     entry point's assembler: the loop (NodeCurrentsCtx) stamps the rows
+//     in place with sparse.StampLaplacian, extraction (PairVoltagesCtx)
+//     sums through sparse.ReassembleLaplacian's sort, whose ulp-level
+//     diagonal order the pinned exploration ties depend on. Either way
+//     the system is bit-identical to a from-scratch construction through
+//     the same assembler, and downstream solves follow the same float
+//     trajectories;
 //   - warm-start stall: when the primary rung rejects a warm-started
 //     solve, the pair's warm vector is dropped (solver.cache.invalidations)
 //     and the ladder re-runs cold at full tolerance instead of settling
@@ -81,16 +86,22 @@ func grow[E any](s []E, n int) []E {
 	return slices.Grow(s[:0], n)[:n]
 }
 
+// assembler builds a grounded Laplacian from a symmetric CSR adjacency
+// into reusable storage: sparse.StampLaplacian or
+// sparse.ReassembleLaplacian.
+type assembler func(dst *sparse.Laplacian, rowPtr, col []int, w []float64, ground int) (*sparse.Laplacian, error)
+
 // rebuild derives the terminal component of the member mask and assembles
-// its grounded Laplacian into the session's arenas (paper Alg. 3 on
-// Γ_n[V_n^s]). A BFS from terminal 0 over the members finds the
+// its grounded Laplacian into the session's arenas with assemble (paper
+// Alg. 3 on Γ_n[V_n^s]). A BFS from terminal 0 over the members finds the
 // component, its nodes are numbered in ascending id, and one filtered pass
-// over each node's row of tg.G fills the component CSR, which
-// sparse.ReassembleLaplacian stamps row by row. Every row of a tile graph
-// ascends (TileGraph.G), so the component rows ascend and the stamping
-// sequence is the sorted edge list of a from-scratch build: the Laplacian
-// is bit-identical to one.
-func (s *solverSession) rebuild(tg *TileGraph, members []bool) error {
+// over each node's row of tg.G fills the component CSR. Every row of a
+// tile graph ascends (TileGraph.G), so the component rows ascend without
+// repeats, as sparse.StampLaplacian requires, and
+// sparse.ReassembleLaplacian receives the sorted edge list of a
+// from-scratch build: either Laplacian is bit-identical to a fresh one.
+// Rows that do not ascend are assembled by sparse.ReassembleLaplacian.
+func (s *solverSession) rebuild(tg *TileGraph, members []bool, assemble assembler) error {
 	s.compIdx = grow(s.compIdx, tg.G.N())
 	for i := range s.compIdx {
 		s.compIdx[i] = -1
@@ -125,17 +136,27 @@ func (s *solverSession) rebuild(tg *TileGraph, members []bool) error {
 	// filters the neighbours.
 	s.rowPtr = append(s.rowPtr[:0], 0)
 	s.nbr, s.nw = s.nbr[:0], s.nw[:0]
+	ascending := true
 	for _, id := range s.compNodes {
 		to, w := tg.G.Adj(id)
+		prev := -1
 		for k, v := range to {
 			if c := s.compIdx[v]; c >= 0 {
+				ascending = ascending && c > prev
+				prev = c
 				s.nbr = append(s.nbr, c)
 				s.nw = append(s.nw, w[k])
 			}
 		}
 		s.rowPtr = append(s.rowPtr, len(s.nbr))
 	}
-	lap, err := sparse.ReassembleLaplacian(s.lap, s.rowPtr, s.nbr, s.nw, s.compIdx[t0])
+	if !ascending {
+		// A tile graph built by hand off the TileGraph.G invariant (rows
+		// out of order, or parallel edges) goes through the sorting
+		// constructor, which takes rows in any order.
+		assemble = sparse.ReassembleLaplacian
+	}
+	lap, err := assemble(s.lap, s.rowPtr, s.nbr, s.nw, s.compIdx[t0])
 	if err != nil {
 		return fmt.Errorf("route: laplacian: %w", err)
 	}
@@ -145,12 +166,13 @@ func (s *solverSession) rebuild(tg *TileGraph, members []bool) error {
 
 // solvePairs performs the nodal analysis of paper Eq. 3 for every terminal
 // pair over the member subgraph. Structures are rebuilt into the session's
-// arenas and pair solves run through per-worker workspaces, warm-started
-// from the cache's previous solutions. A nil warm solves cold on a
-// throwaway cache; being no caller's cache, it stays out of
-// solver.cache.rebuilds. Cancelling the context aborts the worker pool
-// between pair solves and inside the CG iterations.
-func (tg *TileGraph) solvePairs(ctx context.Context, members []bool, warm *SolveCache) (*pairSolution, error) {
+// arenas, the Laplacian through assemble, and pair solves run through
+// per-worker workspaces, warm-started from the cache's previous
+// solutions. A nil warm solves cold on a throwaway cache; being no
+// caller's cache, it stays out of solver.cache.rebuilds. Cancelling the
+// context aborts the worker pool between pair solves and inside the CG
+// iterations.
+func (tg *TileGraph) solvePairs(ctx context.Context, members []bool, warm *SolveCache, assemble assembler) (*pairSolution, error) {
 	// stage.solve times the whole nodal analysis. The clock is only read
 	// when tracing is on, keeping the disabled path byte-identical.
 	var solveStart time.Time
@@ -177,7 +199,7 @@ func (tg *TileGraph) solvePairs(ctx context.Context, members []bool, warm *Solve
 		s = newSolverSession(tg)
 		warm.sess = s
 	}
-	if err := s.rebuild(tg, members); err != nil {
+	if err := s.rebuild(tg, members, assemble); err != nil {
 		return nil, err
 	}
 	pairs, weights := s.pairs, s.weights

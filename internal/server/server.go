@@ -46,8 +46,10 @@ type Config struct {
 	// the Prometheus series as both replica and shard: every replica is
 	// its own ring member, so its shard is its name.
 	NodeName string
-	// FleetTimeout bounds each per-peer scrape of the fleet-metrics
-	// scatter-gather (default 2s).
+	// FleetTimeout bounds each per-peer request of the shard proxy's
+	// scatter-gathers: a fleet-metrics scrape, a trace-parts gather, and
+	// a status/result read of a job another replica holds, relay
+	// included (default 2s).
 	FleetTimeout time.Duration
 	// QueueDepth bounds the admission queue; a submission that finds the
 	// queue full is rejected with sprout.ErrOverloaded (HTTP 429).

@@ -295,36 +295,45 @@ func (p *shardProxy) forward(w http.ResponseWriter, r *http.Request, base string
 }
 
 // read serves job status/result/trace: locally when this replica holds
-// the job, else scattered to the peers in ring order. A peer's 404
-// keeps scattering; any other peer answer is relayed as-is.
+// the job, else scattered to the peers in ring order. A peer's 404 or
+// failure keeps scattering; any other peer answer is relayed as-is.
 func (p *shardProxy) read(w http.ResponseWriter, r *http.Request) {
 	if p.engine.store.Get(r.PathValue("id")) != nil || r.Header.Get(forwardedByHeader) != "" {
 		p.local.ServeHTTP(w, r)
 		return
 	}
 	for _, node := range p.ring.nodes {
-		if node == p.self {
-			continue
+		if node != p.self && p.readPeer(w, r, node) {
+			return
 		}
-		req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, node+r.URL.RequestURI(), nil)
-		if err != nil {
-			continue
-		}
-		req.Header.Set(forwardedByHeader, p.self)
-		resp, err := p.http.Do(req)
-		if err != nil {
-			continue
-		}
-		if resp.StatusCode == http.StatusNotFound {
-			resp.Body.Close()
-			continue
-		}
-		defer resp.Body.Close()
-		relay(w, resp)
-		return
 	}
 	// Nobody has it: answer with the local 404.
 	p.local.ServeHTTP(w, r)
+}
+
+// readPeer asks node for the read r and relays its answer. It reports
+// false, having written nothing, when the peer is unreachable, does not
+// answer within the fleet timeout, or answers 404. The timeout also
+// covers the relay, so one hung replica delays a read by at most one
+// fleet timeout.
+func (p *shardProxy) readPeer(w http.ResponseWriter, r *http.Request, node string) bool {
+	ctx, cancel := context.WithTimeout(r.Context(), p.engine.cfg.FleetTimeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, node+r.URL.RequestURI(), nil)
+	if err != nil {
+		return false
+	}
+	req.Header.Set(forwardedByHeader, p.self)
+	resp, err := p.http.Do(req)
+	if err != nil {
+		return false
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusNotFound {
+		return false
+	}
+	relay(w, resp)
+	return true
 }
 
 // trace serves the fleet-stitched Chrome trace for a job. The replica

@@ -378,6 +378,46 @@ func TestShardTraceGatherHungPeers(t *testing.T) {
 	}
 }
 
+// TestShardReadHungPeer: a status read of a job no replica holds asks
+// each peer under its own fleet timeout, so a peer that never answers
+// delays the 404 by one fleet timeout instead of stalling it, even when
+// the proxy's HTTP client has no timeout of its own.
+func TestShardReadHungPeer(t *testing.T) {
+	const fleetTimeout = 300 * time.Millisecond
+	release := make(chan struct{})
+	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-release:
+		case <-r.Context().Done():
+		}
+	}))
+	t.Cleanup(hung.Close)
+	// Cleanups run last-in first-out: the hung handler returns before
+	// its server closes.
+	t.Cleanup(func() { close(release) })
+
+	eng, _ := newTestReplica(t, "r1")
+	eng.cfg.FleetTimeout = fleetTimeout
+	swap := &swapHandler{}
+	ts := httptest.NewServer(swap)
+	t.Cleanup(ts.Close)
+	swap.set(eng.ShardHandler(ts.URL, []string{hung.URL}, nil))
+
+	client := &http.Client{Timeout: 10 * fleetTimeout}
+	start := time.Now()
+	resp, err := client.Get(ts.URL + "/v1/jobs/no-such-job")
+	if err != nil {
+		t.Fatalf("read with a hung peer: %v", err)
+	}
+	resp.Body.Close()
+	if took := time.Since(start); took >= 2*fleetTimeout {
+		t.Fatalf("read with a hung peer took %v, want under %v (one fleet timeout)", took, 2*fleetTimeout)
+	}
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("read = %d, want the local 404", resp.StatusCode)
+	}
+}
+
 // TestShardMultiReplicaDrainUnderLoad is the sharded half of the chaos
 // suite: concurrent clients submit through the proxies of two replicas
 // while the third drains mid-load (503 + Retry-After). Every submission

@@ -17,11 +17,28 @@
 // produce their operands, always in the order a separate dot product
 // would sum them: the results are bit-identical to the unfused loop.
 //
-// A Laplacian has one constructor, ReassembleLaplacian, which stamps the
-// grounded matrix from a graph's CSR adjacency (for tile graphs, the
-// graph's own storage): the route session, the DC operating point, the
-// thermal map and the runtime study all build their nodal system that
-// way, and all solve it through the same fallback ladder.
+// A Laplacian has two constructors with one signature. Both stamp the
+// grounded matrix from a graph's symmetric CSR adjacency (for tile graphs,
+// the graph's own storage) into reusable storage, and every Laplacian
+// solves through the same fallback ladder:
+//
+//   - StampLaplacian writes each row in place in O(nnz), summing its
+//     diagonal in ascending column order. The route session's
+//     grow/refine/reheat loop (route.TileGraph.NodeCurrentsCtx) assembles
+//     through it.
+//   - ReassembleLaplacian sums each diagonal through a coordinate builder
+//     and its unstable sort. Extraction (route.TileGraph.PairVoltagesCtx),
+//     the DC operating point, the thermal map and the runtime study
+//     assemble through it.
+//
+// The two are bit-identical whenever every diagonal sum is exact in any
+// order, as it is for the route-pitch conductances 1 and 0.5 of the
+// benchmark boards. Extraction's conductances (0.2, 0.4, ...) are not: in
+// row order the extracted R and L move by about 1e-15, and the scores of
+// net orders that route identically on Table IV layouts 5 and 6 tie
+// exactly instead of differing by an ulp, so the exploration sweep picks
+// another order than the one the benchmark pins. Extraction keeps the
+// sort until the sweep breaks such ties explicitly.
 //
 // CG has one path: the operator is always a *CSR and takes the fused
 // A·p, pᵀAp row pass; the iteration vectors always come from a CGWork (a

@@ -174,18 +174,8 @@ func sortedAdjacency(n int, edges []graph.Edge) (rowPtr, col []int, w []float64,
 // matrices, diagonals and IC(0) factors.
 func sameLaplacian(t *testing.T, what string, got, want *Laplacian) {
 	t.Helper()
-	bitEqualInts(t, what+" RowPtr", got.mat.RowPtr, want.mat.RowPtr)
-	bitEqualInts(t, what+" Col", got.mat.Col, want.mat.Col)
-	bitEqualFloats(t, what+" Val", got.mat.Val, want.mat.Val)
-	bitEqualFloats(t, what+" diag", got.diag, want.diag)
-	if (got.ic == nil) != (want.ic == nil) {
-		t.Fatalf("%s: preconditioner %q vs %q", what, got.Preconditioner(), want.Preconditioner())
-	}
-	if got.ic != nil {
-		bitEqualInts(t, what+" IC0 rowPtr", got.ic.rowPtr, want.ic.rowPtr)
-		bitEqualInts(t, what+" IC0 col", got.ic.col, want.ic.col)
-		bitEqualInts(t, what+" IC0 diag", got.ic.diag, want.ic.diag)
-		bitEqualFloats(t, what+" IC0 val", got.ic.val, want.ic.val)
+	if err := DiffLaplacians(got, want); err != nil {
+		t.Fatalf("%s: %v", what, err)
 	}
 }
 
