@@ -49,14 +49,6 @@ func (c *Circuit) Node(name string) int {
 	return len(c.names) - 1
 }
 
-// NodeName returns the name of a node.
-func (c *Circuit) NodeName(id int) string {
-	if id < 0 || id >= len(c.names) {
-		return fmt.Sprintf("node%d", id)
-	}
-	return c.names[id]
-}
-
 func (c *Circuit) checkNodes(a, b int) error {
 	if a < 0 || a >= len(c.names) || b < 0 || b >= len(c.names) {
 		return fmt.Errorf("ckt: nodes (%d,%d) out of range [0,%d)", a, b, len(c.names))

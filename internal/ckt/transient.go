@@ -26,20 +26,6 @@ func (w Waveform) Min() float64 {
 	return min
 }
 
-// Max returns the maximum sample value (0 for an empty waveform).
-func (w Waveform) Max() float64 {
-	if len(w.V) == 0 {
-		return 0
-	}
-	max := w.V[0]
-	for _, v := range w.V[1:] {
-		if v > max {
-			max = v
-		}
-	}
-	return max
-}
-
 // Transient integrates the circuit from t=0 (all states zero) to tStop
 // with fixed step dt using the trapezoidal rule (A-stable; the standard
 // SPICE companion models). It returns one waveform per node, indexed by

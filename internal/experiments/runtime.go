@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"time"
 
 	"sprout/internal/cases"
@@ -18,7 +19,7 @@ type RuntimePoint struct {
 	TileDX      int64
 	Nodes       int
 	BuildTime   time.Duration // SPACETOGRAPH (Alg. 1)
-	SolveTime   time.Duration // one node-current evaluation (Alg. 3)
+	SolveTime   time.Duration // median cold node-current evaluation (Alg. 3)
 	FullRoute   time.Duration // complete pipeline
 	ResistanceR float64
 }
@@ -33,6 +34,11 @@ type RuntimeResult struct {
 	// that keeps SPROUT at the low end of the paper's q band.
 	JacobiIters, IC0Iters int
 }
+
+// solveRuns is how many cold node-current evaluations are timed per
+// pitch; their median is the pitch's SolveTime. One sample moved the
+// fitted q by about 0.1 from run to run.
+const solveRuns = 5
 
 // RunRuntime measures SPROUT's stage costs on the two-rail board across
 // tile sizes. Smaller tiles quadratically increase |V| (paper Eq. 13), so
@@ -64,12 +70,18 @@ func RunRuntime() (*RuntimeResult, error) {
 		for i := range all {
 			all[i] = true
 		}
-		t1 := time.Now()
-		m, err := tg.NodeCurrentsCtx(ctx, all, nil)
-		if err != nil {
-			return nil, err
+		// Each evaluation gets a fresh nil cache, so every run is cold.
+		var m *route.Metrics
+		solves := make([]time.Duration, solveRuns)
+		for i := range solves {
+			t1 := time.Now()
+			if m, err = tg.NodeCurrentsCtx(ctx, all, nil); err != nil {
+				return nil, err
+			}
+			solves[i] = time.Since(t1)
 		}
-		solve := time.Since(t1)
+		slices.Sort(solves)
+		solve := solves[solveRuns/2]
 
 		t2 := time.Now()
 		if _, err := tg.RouteCtx(ctx, route.Config{DX: dx, DY: dx, AreaMax: cs.Budgets[net.ID]}); err != nil {

@@ -99,9 +99,6 @@ func IsSite(name string) bool {
 	return ok
 }
 
-// SiteDoc returns the registered description of a site ("" if unknown).
-func SiteDoc(name string) string { return registry[name] }
-
 // hook is one armed injection site.
 type hook struct {
 	// at is the 1-indexed call count the hook fires on; 0 fires on every

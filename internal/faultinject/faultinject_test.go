@@ -208,8 +208,8 @@ func TestRegistry(t *testing.T) {
 		if !IsSite(s) {
 			t.Fatalf("IsSite(%q) = false", s)
 		}
-		if SiteDoc(s) == "" {
-			t.Fatalf("SiteDoc(%q) empty: every registered site needs a description", s)
+		if registry[s] == "" {
+			t.Fatalf("site %q has an empty description: every registered site needs one", s)
 		}
 	}
 	if IsSite("sparse.gc") {

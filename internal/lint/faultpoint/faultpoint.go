@@ -33,7 +33,6 @@ var siteFuncs = map[string]bool{
 	"Disarm":           true,
 	"Calls":            true,
 	"Fired":            true,
-	"SiteDoc":          true,
 }
 
 func run(pass *analysis.Pass) (any, error) {

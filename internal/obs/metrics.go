@@ -191,14 +191,6 @@ func (g *Gauge) Set(v int64) {
 	g.v.Store(v)
 }
 
-// Add moves the gauge by n (no-op on nil).
-func (g *Gauge) Add(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(n)
-}
-
 // Value returns the current gauge value (0 on nil).
 func (g *Gauge) Value() int64 {
 	if g == nil {

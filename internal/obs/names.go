@@ -121,12 +121,6 @@ const (
 	// HTTP surface (PR 8): request latency by route/status via WithLabels.
 	MHTTPRequestMS = "http.request_ms"
 
-	// Client-side retry telemetry (PR 8).
-	MClientSubmitAttempts   = "client.submit.attempts"
-	MClientSubmitBackoffMS  = "client.submit.backoff_ms"
-	MClientRetryAfterUsed   = "client.submit.retry_after_honored"
-	MClientTransportRetries = "client.submit.transport_retries"
-
 	// Self-healing execution (PR 9): attempt budgets, poison quarantine
 	// and durable exploration checkpoints.
 	MJobsQuarantined     = "server.jobs.quarantined"
@@ -150,7 +144,8 @@ var countBuckets = []float64{1, 4, 16, 64, 256, 1024, 4096, 16384}
 // appends through multi-minute routing jobs.
 var latencyBucketsMS = []float64{0.01, 0.05, 0.1, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 60000}
 
-// attemptBuckets bound small try-count distributions (client retries).
+// attemptBuckets bound small try-count distributions (start attempts
+// per job).
 var attemptBuckets = []float64{1, 2, 3, 4, 6, 8, 12, 16}
 
 // MetricDef describes one registered metric (or a "prefix.*" family).
@@ -238,11 +233,6 @@ func init() {
 		MetricDef{Name: MTracePartsEvicted, Kind: KindCounter, Help: "Foreign trace parts evicted by the bounded part store."},
 
 		MetricDef{Name: MHTTPRequestMS, Kind: KindHistogram, Help: "HTTP handler latency in milliseconds by route and status.", Buckets: latencyBucketsMS},
-
-		MetricDef{Name: MClientSubmitAttempts, Kind: KindHistogram, Help: "Submit attempts used per client submission.", Buckets: attemptBuckets},
-		MetricDef{Name: MClientSubmitBackoffMS, Kind: KindHistogram, Help: "Client backoff sleeps in milliseconds.", Buckets: latencyBucketsMS},
-		MetricDef{Name: MClientRetryAfterUsed, Kind: KindCounter, Help: "Backoff sleeps that honored a server Retry-After hint."},
-		MetricDef{Name: MClientTransportRetries, Kind: KindCounter, Help: "Submit attempts retried after a transport-level failure."},
 
 		MetricDef{Name: MJobsQuarantined, Kind: KindCounter, Help: "Jobs quarantined after exhausting their attempt budget."},
 		MetricDef{Name: MJobsRequeued, Kind: KindCounter, Help: "Quarantined jobs revived by an operator requeue."},

@@ -172,14 +172,6 @@ func (t *Tracer) TraceID() string {
 	return t.traceID
 }
 
-// Replica returns the replica name the tracer records under ("" on nil).
-func (t *Tracer) Replica() string {
-	if t == nil {
-		return ""
-	}
-	return t.replica
-}
-
 // Enabled reports whether the tracer records anything. Nil-safe: a nil
 // tracer is disabled.
 func (t *Tracer) Enabled() bool { return t != nil && t.enabled.Load() }

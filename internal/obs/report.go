@@ -104,12 +104,3 @@ func (r *RunReport) WriteJSONFile(path string) error {
 	}
 	return nil
 }
-
-// ReadReport parses a RunReport previously written with WriteJSON.
-func ReadReport(r io.Reader) (*RunReport, error) {
-	var rep RunReport
-	if err := json.NewDecoder(r).Decode(&rep); err != nil {
-		return nil, fmt.Errorf("obs: decode report: %w", err)
-	}
-	return &rep, nil
-}

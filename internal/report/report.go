@@ -37,9 +37,6 @@ func (t *Table) AddRow(values ...interface{}) {
 	t.rows = append(t.rows, row)
 }
 
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // Render writes the aligned table.
 func (t *Table) Render(w io.Writer) error {
 	widths := make([]int, len(t.Columns))

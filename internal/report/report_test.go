@@ -20,8 +20,8 @@ func TestTableRendering(t *testing.T) {
 	if len(lines) != 5 { // title, header, rule, 2 rows
 		t.Fatalf("lines = %d, want 5:\n%s", len(lines), out)
 	}
-	if tab.NumRows() != 2 {
-		t.Fatalf("rows = %d", tab.NumRows())
+	if len(tab.rows) != 2 {
+		t.Fatalf("rows = %d", len(tab.rows))
 	}
 	// Columns align: header "Net" padded to width of "VDD1".
 	if !strings.HasPrefix(lines[1], "Net ") {

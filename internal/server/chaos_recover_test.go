@@ -54,12 +54,14 @@ func TestChaosKillAndRecover(t *testing.T) {
 	eng.Start()
 	ts := httptest.NewServer(eng.Handler())
 
-	cl := NewClient(ts.URL, 1)
 	ids := make([]string, 0, total)
 	for i := 0; i < total; i++ {
-		st, err := cl.Submit(context.Background(), doc, fmt.Sprintf("kr-%d", i))
+		resp, st, err := postJob(ts.URL, doc, fmt.Sprintf("kr-%d", i))
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
+		}
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %d = %d, want 202", i, resp.StatusCode)
 		}
 		ids = append(ids, st.ID)
 	}

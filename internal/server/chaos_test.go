@@ -125,27 +125,40 @@ func TestChaosShutdownUnderLoad(t *testing.T) {
 		accepted = map[string]bool{}
 		rejected int
 	)
+	// Each client makes perClient single-attempt submissions spread over
+	// twice the SIGTERM delay, so the signal lands mid-load: the early
+	// submissions meet the small queue, the late ones meet the drain.
+	const sigDelay = 150 * time.Millisecond
 	clients := 4
 	perClient := 4 * soak
+	gap := 2 * sigDelay / time.Duration(perClient)
 	var wg sync.WaitGroup
 	for ci := 0; ci < clients; ci++ {
 		wg.Add(1)
 		go func(ci int) {
 			defer wg.Done()
-			cl := NewClient(ts.URL, int64(ci))
-			cl.MaxAttempts = 3
-			cl.BaseBackoff = 2 * time.Millisecond
-			cl.MaxBackoff = 20 * time.Millisecond
 			for i := 0; i < perClient; i++ {
+				if i > 0 {
+					time.Sleep(gap)
+				}
 				key := fmt.Sprintf("chaos-%d-%d", ci, i)
-				st, err := cl.Submit(context.Background(), doc, key)
+				resp, st, err := postJob(ts.URL, doc, key)
 				mu.Lock()
-				if err != nil {
-					// Typed rejection after bounded retries: the submitter
-					// knows the job never landed — rejection, not loss.
-					rejected++
-				} else {
+				switch {
+				case err != nil:
+					t.Errorf("submit %s: %v", key, err)
+				case resp.StatusCode == http.StatusAccepted:
 					accepted[st.ID] = true
+				case resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable:
+					// Invariant 2: a typed rejection with a Retry-After
+					// hint. The submitter knows the job never landed —
+					// rejection, not loss.
+					rejected++
+					if resp.Header.Get("Retry-After") == "" {
+						t.Errorf("submit %s = %d without Retry-After", key, resp.StatusCode)
+					}
+				default:
+					t.Errorf("submit %s = %d, want 202, 429 or 503", key, resp.StatusCode)
 				}
 				mu.Unlock()
 			}
@@ -153,7 +166,7 @@ func TestChaosShutdownUnderLoad(t *testing.T) {
 	}
 
 	// Let load build, then deliver SIGTERM to ourselves.
-	time.Sleep(150 * time.Millisecond)
+	time.Sleep(sigDelay)
 	proc, err := os.FindProcess(os.Getpid())
 	if err != nil {
 		t.Fatal(err)
@@ -219,8 +232,8 @@ func TestChaosShutdownUnderLoad(t *testing.T) {
 		len(accepted), done, failed, rejected, drainDur,
 		faultinject.Calls(faultinject.SiteCG), faultinject.Fired(faultinject.SiteCG))
 
-	// Invariant 2: post-drain submissions are typed 503s with a
-	// Retry-After hint (the 429 variant is covered by TestHTTPSurface).
+	// Invariant 2, after the load: post-drain submissions are typed 503s
+	// with a Retry-After hint (TestHTTPSurface pins the 429 variant).
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(doc))
 	if err != nil {
 		t.Fatal(err)

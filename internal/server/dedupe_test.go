@@ -10,7 +10,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"sprout"
 	"sprout/internal/boardio"
@@ -60,15 +59,18 @@ func TestContentDedupeSingleflight(t *testing.T) {
 
 	// First submission lands and starts computing; the gate holds it
 	// running while the equivalent copies race in.
-	cl := NewClient(ts.URL, 1)
-	first, err := cl.Submit(context.Background(), doc, "")
+	resp, first, err := postJob(ts.URL, doc, "")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("first submit = %d, want 202", resp.StatusCode)
 	}
 	waitFor(t, "first job to start", func() bool { return calls.Load() == 1 })
 
 	const racers = 6
 	var wg sync.WaitGroup
+	codes := make([]int, racers)
 	statuses := make([]Status, racers)
 	errs := make([]error, racers)
 	for i := 0; i < racers; i++ {
@@ -79,7 +81,11 @@ func TestContentDedupeSingleflight(t *testing.T) {
 			if i%2 == 1 {
 				body = alt // byte-different, canonically equivalent
 			}
-			statuses[i], errs[i] = NewClient(ts.URL, int64(i)).Submit(context.Background(), body, "")
+			var resp *http.Response
+			resp, statuses[i], errs[i] = postJob(ts.URL, body, "")
+			if resp != nil {
+				codes[i] = resp.StatusCode
+			}
 		}(i)
 	}
 	wg.Wait()
@@ -89,6 +95,9 @@ func TestContentDedupeSingleflight(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("racer %d: %v", i, errs[i])
 		}
+		if codes[i] != http.StatusOK {
+			t.Fatalf("racer %d = %d, want 200 (answered from the existing job)", i, codes[i])
+		}
 		if statuses[i].ID != first.ID {
 			t.Fatalf("racer %d landed on job %s, want singleflight onto %s", i, statuses[i].ID, first.ID)
 		}
@@ -97,9 +106,10 @@ func TestContentDedupeSingleflight(t *testing.T) {
 		}
 	}
 	// One computation, every submitter gets the same successful result.
-	rep, err := cl.WaitResult(context.Background(), first.ID, 5*time.Millisecond)
-	if err != nil || rep == nil || rep.Tool != "singleflight" {
-		t.Fatalf("result = (%+v, %v), want the shared report", rep, err)
+	waitTerminal(t, ts.URL, first.ID)
+	var rep obs.RunReport
+	if code := callJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+first.ID+"/result", &rep); code != http.StatusOK || rep.Tool != "singleflight" {
+		t.Fatalf("result = %d %+v, want 200 with the shared report", code, rep)
 	}
 	if got := calls.Load(); got != 1 {
 		t.Fatalf("route ran %d times, want exactly 1", got)
@@ -127,16 +137,15 @@ func TestContentDedupePolicy(t *testing.T) {
 		defer eng.Shutdown(context.Background())
 		ts := httptest.NewServer(eng.Handler())
 		defer ts.Close()
-		cl := NewClient(ts.URL, 1)
-		a, err := cl.Submit(context.Background(), doc, "key-a")
+		_, a, err := postJob(ts.URL, doc, "key-a")
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := cl.Submit(context.Background(), doc, "key-b")
+		_, b, err := postJob(ts.URL, doc, "key-b")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a.ID == b.ID {
+		if a.ID == "" || b.ID == "" || a.ID == b.ID {
 			t.Fatalf("distinct keys collapsed onto one job %s", a.ID)
 		}
 	})
@@ -154,8 +163,7 @@ func TestContentDedupePolicy(t *testing.T) {
 		defer eng.Shutdown(context.Background())
 		ts := httptest.NewServer(eng.Handler())
 		defer ts.Close()
-		cl := NewClient(ts.URL, 1)
-		a, err := cl.Submit(context.Background(), doc, "")
+		_, a, err := postJob(ts.URL, doc, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,15 +171,15 @@ func TestContentDedupePolicy(t *testing.T) {
 			st, _ := eng.Job(a.ID)
 			return st.State == StateFailed
 		})
-		b, err := cl.Submit(context.Background(), doc, "")
+		resp, b, err := postJob(ts.URL, doc, "")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if b.ID == a.ID {
-			t.Fatal("equivalent resubmission deduped onto a failed job")
+		if resp.StatusCode != http.StatusAccepted || b.ID == a.ID {
+			t.Fatalf("equivalent resubmission = %d as %s, want a fresh 202 (not deduped onto failed %s)", resp.StatusCode, b.ID, a.ID)
 		}
-		if rep, werr := cl.WaitResult(context.Background(), b.ID, 5*time.Millisecond); werr != nil || rep == nil {
-			t.Fatalf("fresh attempt = (%v, %v), want success", rep, werr)
+		if st := waitTerminal(t, ts.URL, b.ID); st.State != StateDone {
+			t.Fatalf("fresh attempt = %s (%s), want done", st.State, st.Error)
 		}
 	})
 

@@ -49,24 +49,40 @@ func getChromeTrace(t *testing.T, url string) chromeDoc {
 }
 
 // waitTerminal polls a job's status through any replica until it reaches
-// a terminal state.
-func waitTerminal(t *testing.T, base, id string) {
+// a terminal state, and returns that status.
+func waitTerminal(t *testing.T, base, id string) Status {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		resp, err := http.Get(base + "/v1/jobs/" + id)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var st Status
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err == nil && st.State.Terminal() {
-			return
+		if callJSON(t, http.MethodGet, base+"/v1/jobs/"+id, &st) == http.StatusOK && st.State.Terminal() {
+			return st
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatalf("job %s never reached a terminal state", id)
+	return Status{}
+}
+
+// callJSON makes one bodiless request, decodes the JSON answer into out
+// (nil skips the body) and returns the status code.
+func callJSON(t *testing.T, method, url string, out any) int {
+	t.Helper()
+	req, err := http.NewRequest(method, url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if out != nil {
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			t.Fatalf("%s %s = %d with an undecodable body: %v", method, url, resp.StatusCode, err)
+		}
+	}
+	return resp.StatusCode
 }
 
 // TestShardProxyTraceStitchAcrossFailover is the headline acceptance
@@ -466,63 +482,6 @@ func TestFleetMetricsScatterGather(t *testing.T) {
 		t.Fatal("fleet.scrape_ms recorded nothing for the live peer")
 	}
 	_ = engines
-}
-
-// TestClientRetryTelemetry: the submit client reports attempts used,
-// backoff slept and Retry-After hints honored into its tracer.
-func TestClientRetryTelemetry(t *testing.T) {
-	var mu sync.Mutex
-	requests := 0
-	sawTrace := false
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		mu.Lock()
-		requests++
-		n := requests
-		sawTrace = sawTrace || r.Header.Get(obs.TraceHeaderName) != ""
-		mu.Unlock()
-		if n == 1 {
-			w.Header().Set("Retry-After", "1")
-			w.WriteHeader(http.StatusTooManyRequests)
-			return
-		}
-		writeJSON(w, http.StatusAccepted, Status{ID: "j-1", State: StateQueued})
-	}))
-	t.Cleanup(ts.Close)
-
-	tr := obs.New(obs.WithReplica("cli"))
-	c := &Client{Base: ts.URL, MaxAttempts: 3, Tracer: tr}
-	if _, err := c.Submit(context.Background(), []byte(`{}`), "retry-key"); err != nil {
-		t.Fatalf("submit should succeed on the second attempt: %v", err)
-	}
-	counters, hists := tr.MetricsSnapshot()
-	if counters[obs.MClientRetryAfterUsed] != 1 {
-		t.Fatalf("retry_after_honored = %d, want 1", counters[obs.MClientRetryAfterUsed])
-	}
-	att := hists[obs.MClientSubmitAttempts]
-	if att.Count != 1 || att.Sum != 2 {
-		t.Fatalf("attempts histogram = %+v, want one submission of 2 attempts", att)
-	}
-	bo := hists[obs.MClientSubmitBackoffMS]
-	if bo.Count != 1 || bo.Sum < 1000 {
-		t.Fatalf("backoff histogram = %+v, want one >=1000ms sleep (the Retry-After hint)", bo)
-	}
-	if !sawTrace {
-		t.Fatal("client with a tracer must propagate X-Sprout-Trace")
-	}
-
-	// Transport-level failures count separately.
-	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
-	deadURL := dead.URL
-	dead.Close()
-	tr2 := obs.New()
-	c2 := &Client{Base: deadURL, MaxAttempts: 2, BaseBackoff: time.Millisecond, Tracer: tr2}
-	if _, err := c2.Submit(context.Background(), []byte(`{}`), "gone"); err == nil {
-		t.Fatal("submit to a dead server must fail")
-	}
-	counters2, _ := tr2.MetricsSnapshot()
-	if counters2[obs.MClientTransportRetries] != 2 {
-		t.Fatalf("transport_retries = %d, want 2 (both attempts refused)", counters2[obs.MClientTransportRetries])
-	}
 }
 
 // syncWriter serializes log writes from the engine's goroutines.

@@ -65,12 +65,14 @@ func TestChaosPoisonJobQuarantine(t *testing.T) {
 		eng.route = script
 		eng.Start()
 		ts := httptest.NewServer(eng.Handler())
-		cl := NewClient(ts.URL, int64(cycle))
 
 		if cycle == 1 {
-			st, err := cl.Submit(context.Background(), poisonDoc, "poison")
+			resp, st, err := postJob(ts.URL, poisonDoc, "poison")
 			if err != nil {
 				t.Fatalf("submit poison: %v", err)
+			}
+			if resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("submit poison = %d, want 202", resp.StatusCode)
 			}
 			poisonID = st.ID
 		}
@@ -82,12 +84,12 @@ func TestChaosPoisonJobQuarantine(t *testing.T) {
 		})
 		// The replica keeps serving while the poison job wedges a worker.
 		for i := 0; i < soak; i++ {
-			st, err := cl.Submit(context.Background(), goodDoc, fmt.Sprintf("good-%d-%d", cycle, i))
+			_, st, err := postJob(ts.URL, goodDoc, fmt.Sprintf("good-%d-%d", cycle, i))
 			if err != nil {
 				t.Fatalf("cycle %d: submit good job: %v", cycle, err)
 			}
-			if _, err := cl.WaitResult(context.Background(), st.ID, time.Millisecond); err != nil {
-				t.Fatalf("cycle %d: good job alongside poison: %v", cycle, err)
+			if fin := waitTerminal(t, ts.URL, st.ID); fin.State != StateDone {
+				t.Fatalf("cycle %d: good job alongside poison = %s (%s), want done", cycle, fin.State, fin.Error)
 			}
 		}
 
@@ -127,7 +129,6 @@ func TestChaosPoisonJobQuarantine(t *testing.T) {
 	}
 	eng.Start()
 	ts := httptest.NewServer(eng.Handler())
-	cl := NewClient(ts.URL, 99)
 
 	st, ok := eng.Job(poisonID)
 	if !ok {
@@ -143,52 +144,38 @@ func TestChaosPoisonJobQuarantine(t *testing.T) {
 		t.Fatalf("quarantine diagnostics missing attempt history: %q", st.Error)
 	}
 	// The replica stays healthy: a fresh job routes while the poison sits.
-	fresh, err := cl.Submit(context.Background(), goodDoc, "good-after-quarantine")
+	_, fresh, err := postJob(ts.URL, goodDoc, "good-after-quarantine")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.WaitResult(context.Background(), fresh.ID, time.Millisecond); err != nil {
-		t.Fatalf("fresh job after quarantine: %v", err)
+	if fin := waitTerminal(t, ts.URL, fresh.ID); fin.State != StateDone {
+		t.Fatalf("fresh job after quarantine = %s (%s), want done", fin.State, fin.Error)
 	}
 
-	// Operator surfaces: the quarantine listing shows the job, the result
-	// endpoint maps it to 422, and WaitResult stops polling with the typed
-	// error instead of spinning to the deadline.
-	listed, err := cl.ListJobs(context.Background(), StateQuarantined)
-	if err != nil {
-		t.Fatal(err)
+	// Operator surfaces: the quarantine listing shows the job, and the
+	// result endpoint answers 422 with the quarantined status, a terminal
+	// answer that tells the caller to stop polling.
+	var listed JobList
+	if code := callJSON(t, http.MethodGet, ts.URL+"/v1/jobs?state="+string(StateQuarantined), &listed); code != http.StatusOK {
+		t.Fatalf("quarantine listing = HTTP %d, want 200", code)
 	}
-	if len(listed) != 1 || listed[0].ID != poisonID {
-		t.Fatalf("quarantine listing = %+v, want exactly [%s]", listed, poisonID)
+	if len(listed.Jobs) != 1 || listed.Jobs[0].ID != poisonID {
+		t.Fatalf("quarantine listing = %+v, want exactly [%s]", listed.Jobs, poisonID)
 	}
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + poisonID + "/result")
-	if err != nil {
-		t.Fatal(err)
+	var qst Status
+	if code := callJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+poisonID+"/result", &qst); code != http.StatusUnprocessableEntity {
+		t.Fatalf("result of quarantined job = HTTP %d, want 422", code)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("result of quarantined job = HTTP %d, want 422", resp.StatusCode)
-	}
-	waitCtx, waitCancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer waitCancel()
-	_, werr := cl.WaitResult(waitCtx, poisonID, time.Millisecond)
-	var qerr *JobQuarantinedError
-	if !errors.As(werr, &qerr) {
-		t.Fatalf("WaitResult on quarantined job = %v, want *JobQuarantinedError", werr)
-	}
-	if qerr.Status.Attempts != DefaultMaxAttempts || qerr.Status.ErrorKind != KindPoisoned {
-		t.Fatalf("quarantine error status = %+v", qerr.Status)
-	}
-	if waitCtx.Err() != nil {
-		t.Fatal("WaitResult polled a quarantined job until the deadline")
+	if qst.State != StateQuarantined || qst.Attempts != DefaultMaxAttempts || qst.ErrorKind != KindPoisoned {
+		t.Fatalf("quarantined result status = %+v", qst)
 	}
 
 	// Requeue rejections are typed: unknown id is 404, non-quarantined 409.
-	if _, err := cl.Requeue(context.Background(), "job-404"); err == nil || !strings.Contains(err.Error(), "404") {
-		t.Fatalf("requeue of unknown job: %v, want HTTP 404", err)
+	if code := callJSON(t, http.MethodPost, ts.URL+"/v1/jobs/job-404/requeue", nil); code != http.StatusNotFound {
+		t.Fatalf("requeue of unknown job = HTTP %d, want 404", code)
 	}
-	if _, err := cl.Requeue(context.Background(), fresh.ID); err == nil || !strings.Contains(err.Error(), "409") {
-		t.Fatalf("requeue of done job: %v, want HTTP 409", err)
+	if code := callJSON(t, http.MethodPost, ts.URL+"/v1/jobs/"+fresh.ID+"/requeue", nil); code != http.StatusConflict {
+		t.Fatalf("requeue of done job = HTTP %d, want 409", code)
 	}
 
 	// Clean restart: quarantine is a durable promise, not recovery-local
@@ -221,17 +208,19 @@ func TestChaosPoisonJobQuarantine(t *testing.T) {
 	eng2.Start()
 	ts2 := httptest.NewServer(eng2.Handler())
 	defer ts2.Close()
-	cl2 := NewClient(ts2.URL, 7)
-	rst, err := cl2.Requeue(context.Background(), poisonID)
-	if err != nil {
-		t.Fatalf("requeue healed job: %v", err)
+	var rst Status
+	if code := callJSON(t, http.MethodPost, ts2.URL+"/v1/jobs/"+poisonID+"/requeue", &rst); code != http.StatusOK {
+		t.Fatalf("requeue healed job = HTTP %d, want 200", code)
 	}
 	if rst.State.Terminal() {
 		t.Fatalf("requeued job still terminal: %+v", rst)
 	}
-	rep, err := cl2.WaitResult(context.Background(), poisonID, time.Millisecond)
-	if err != nil {
-		t.Fatalf("requeued job: %v", err)
+	if fin := waitTerminal(t, ts2.URL, poisonID); fin.State != StateDone {
+		t.Fatalf("requeued job = %s (%s), want done", fin.State, fin.Error)
+	}
+	var rep obs.RunReport
+	if code := callJSON(t, http.MethodGet, ts2.URL+"/v1/jobs/"+poisonID+"/result", &rep); code != http.StatusOK {
+		t.Fatalf("result of requeued job = HTTP %d, want 200", code)
 	}
 	if rep.Tool != "poison" {
 		t.Fatalf("requeued job report = %q, want the poison board's run", rep.Tool)

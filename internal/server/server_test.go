@@ -488,87 +488,6 @@ func TestExploreJobSurface(t *testing.T) {
 	}
 }
 
-func TestClientRetriesWithBackoff(t *testing.T) {
-	var attempts int
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		attempts++
-		if attempts <= 2 {
-			w.Header().Set("Retry-After", "0") // malformed-as-useless hint: forces backoff path
-			w.WriteHeader(http.StatusTooManyRequests)
-			return
-		}
-		w.WriteHeader(http.StatusAccepted)
-		_ = json.NewEncoder(w).Encode(Status{ID: "job-9", State: StateQueued})
-	}))
-	defer srv.Close()
-
-	cl := NewClient(srv.URL, 7)
-	cl.BaseBackoff = time.Millisecond
-	cl.MaxBackoff = 8 * time.Millisecond
-	st, err := cl.Submit(context.Background(), []byte("{}"), "k")
-	if err != nil {
-		t.Fatalf("submit should succeed after retries: %v", err)
-	}
-	if st.ID != "job-9" || attempts != 3 {
-		t.Fatalf("st=%+v attempts=%d, want job-9 after 3 attempts", st, attempts)
-	}
-}
-
-func TestClientHonorsRetryAfter(t *testing.T) {
-	var attempts int
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		attempts++
-		if attempts == 1 {
-			w.Header().Set("Retry-After", "1")
-			w.WriteHeader(http.StatusServiceUnavailable)
-			return
-		}
-		w.WriteHeader(http.StatusAccepted)
-		_ = json.NewEncoder(w).Encode(Status{ID: "job-1", State: StateQueued})
-	}))
-	defer srv.Close()
-
-	cl := NewClient(srv.URL, 7)
-	cl.BaseBackoff = time.Millisecond // would retry almost instantly without the hint
-	start := time.Now()
-	if _, err := cl.Submit(context.Background(), []byte("{}"), ""); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed < time.Second {
-		t.Fatalf("client retried after %v, must honor the 1s Retry-After hint", elapsed)
-	}
-}
-
-func TestClientGivesUpEventually(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusServiceUnavailable)
-	}))
-	defer srv.Close()
-	cl := NewClient(srv.URL, 7)
-	cl.MaxAttempts = 3
-	cl.BaseBackoff = time.Millisecond
-	cl.MaxBackoff = 2 * time.Millisecond
-	_, err := cl.Submit(context.Background(), []byte("{}"), "")
-	if err == nil || !strings.Contains(err.Error(), "gave up after 3 attempts") {
-		t.Fatalf("want bounded retries, got %v", err)
-	}
-}
-
-func TestJobFailedErrorUnwrapsTyped(t *testing.T) {
-	shut := &JobFailedError{Status: Status{ErrorKind: KindShutdown}}
-	if !errors.Is(shut, sprout.ErrShuttingDown) {
-		t.Fatal("shutdown kind must unwrap to ErrShuttingDown")
-	}
-	dead := &JobFailedError{Status: Status{ErrorKind: KindDeadline}}
-	if !errors.Is(dead, context.DeadlineExceeded) {
-		t.Fatal("deadline kind must unwrap to DeadlineExceeded")
-	}
-	internal := &JobFailedError{Status: Status{ErrorKind: KindInternal}}
-	if errors.Is(internal, sprout.ErrShuttingDown) || errors.Is(internal, context.DeadlineExceeded) {
-		t.Fatal("internal kind must not unwrap to a typed error")
-	}
-}
-
 func TestClassify(t *testing.T) {
 	cases := []struct {
 		err  error
