@@ -170,13 +170,14 @@ type TerminalGroup struct {
 	Current float64
 }
 
-// Shape returns the union of the group's pads.
+// Shape returns the union of the group's pads, built in one pass over
+// their rectangles.
 func (t TerminalGroup) Shape() geom.Region {
-	var u geom.Region
+	var rects []geom.Rect
 	for _, p := range t.Pads {
-		u = u.Union(p)
+		rects = p.AppendRects(rects)
 	}
-	return u
+	return geom.RegionFromRects(rects)
 }
 
 // Obstacle is net-owned or keepout geometry on a layer. Other nets must
@@ -320,8 +321,10 @@ func (b *Board) AvailableSpace(net NetID, layer int) geom.Region {
 	c := b.Rules.Clearance
 	var blocked []geom.Rect
 	bloat := func(shape geom.Region) {
-		for _, r := range shape.Rects() {
-			blocked = append(blocked, r.Expand(c))
+		n := len(blocked)
+		blocked = shape.AppendRects(blocked)
+		for i := n; i < len(blocked); i++ {
+			blocked[i] = blocked[i].Expand(c)
 		}
 	}
 	for _, g := range b.Groups {

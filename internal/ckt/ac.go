@@ -12,7 +12,7 @@ import (
 // 0. freqHz = 0 degenerates to DC: inductors become shorts (modelled as
 // tiny resistances) and capacitors open circuits.
 func (c *Circuit) ACSolve(freqHz float64) ([]complex128, error) {
-	n := len(c.names) - 1 // unknowns (ground eliminated)
+	n := c.nodes - 1 // unknowns (ground eliminated)
 	if n == 0 {
 		return []complex128{0}, nil
 	}
@@ -61,7 +61,7 @@ func (c *Circuit) ACSolve(freqHz float64) ([]complex128, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]complex128, len(c.names))
+	out := make([]complex128, c.nodes)
 	for i := 0; i < n; i++ {
 		out[i+1] = x[i]
 	}
@@ -71,7 +71,7 @@ func (c *Circuit) ACSolve(freqHz float64) ([]complex128, error) {
 // Impedance returns the driving-point impedance seen at `node` against
 // ground at freqHz, ignoring the circuit's own current sources.
 func (c *Circuit) Impedance(node int, freqHz float64) (complex128, error) {
-	if node <= 0 || node >= len(c.names) {
+	if node <= 0 || node >= c.nodes {
 		return 0, fmt.Errorf("ckt: impedance node %d out of range", node)
 	}
 	probe := *c

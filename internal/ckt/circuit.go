@@ -34,24 +34,25 @@ type element struct {
 // Circuit is a lumped linear circuit. Node 0 is ground. The zero value is
 // not usable; construct with New.
 type Circuit struct {
-	names []string
+	// nodes counts the nodes, ground included.
+	nodes int
 	elems []element
 }
 
 // New creates an empty circuit containing only the ground node.
 func New() *Circuit {
-	return &Circuit{names: []string{"gnd"}}
+	return &Circuit{nodes: 1}
 }
 
 // Node allocates a new circuit node and returns its id.
-func (c *Circuit) Node(name string) int {
-	c.names = append(c.names, name)
-	return len(c.names) - 1
+func (c *Circuit) Node() int {
+	c.nodes++
+	return c.nodes - 1
 }
 
 func (c *Circuit) checkNodes(a, b int) error {
-	if a < 0 || a >= len(c.names) || b < 0 || b >= len(c.names) {
-		return fmt.Errorf("ckt: nodes (%d,%d) out of range [0,%d)", a, b, len(c.names))
+	if a < 0 || a >= c.nodes || b < 0 || b >= c.nodes {
+		return fmt.Errorf("ckt: nodes (%d,%d) out of range [0,%d)", a, b, c.nodes)
 	}
 	if a == b {
 		return fmt.Errorf("ckt: element shorted to itself at node %d", a)

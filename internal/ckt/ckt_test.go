@@ -13,7 +13,7 @@ func step(i float64) func(float64) float64 {
 func TestACResistorDivider(t *testing.T) {
 	// 1A into two 2Ω resistors in parallel to ground: V = 1.
 	c := New()
-	n := c.Node("n")
+	n := c.Node()
 	if err := c.AddR(Ground, n, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -35,11 +35,11 @@ func TestACResistorDivider(t *testing.T) {
 func TestACRCImpedance(t *testing.T) {
 	// Series R-C driven at f: Z = R - j/(ωC).
 	c := New()
-	n1 := c.Node("n1")
+	n1 := c.Node()
 	if err := c.AddR(Ground, n1, 10); err != nil {
 		t.Fatal(err)
 	}
-	n2 := c.Node("n2")
+	n2 := c.Node()
 	if err := c.AddC(n1, n2, 1e-6); err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestACRCImpedance(t *testing.T) {
 func TestACInductorImpedance(t *testing.T) {
 	// Z of L to ground: jωL.
 	c := New()
-	n := c.Node("n")
+	n := c.Node()
 	l := 1e-9
 	if err := c.AddL(n, Ground, l); err != nil {
 		t.Fatal(err)
@@ -90,8 +90,8 @@ func TestACDecapShuntsInductance(t *testing.T) {
 	// Rail L with a decap at the load: effective L @ 25 MHz drops well
 	// below the bare rail L (the paper's Table II/III mechanism).
 	bare := New()
-	load := bare.Node("load")
-	mid := bare.Node("mid")
+	load := bare.Node()
+	mid := bare.Node()
 	if err := bare.AddR(Ground, mid, 0.01); err != nil {
 		t.Fatal(err)
 	}
@@ -117,9 +117,9 @@ func TestACDecapShuntsInductance(t *testing.T) {
 
 func TestACSingularDetection(t *testing.T) {
 	c := New()
-	n := c.Node("floating")
+	n := c.Node()
 	_ = n
-	m := c.Node("m")
+	m := c.Node()
 	if err := c.AddR(m, Ground, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestACSingularDetection(t *testing.T) {
 func TestTransientRCStepResponse(t *testing.T) {
 	// Current step I into R ∥ C: v(t) = IR(1 - e^{-t/RC}).
 	c := New()
-	n := c.Node("n")
+	n := c.Node()
 	r, cap, i0 := 100.0, 1e-6, 0.01
 	if err := c.AddR(n, Ground, r); err != nil {
 		t.Fatal(err)
@@ -159,9 +159,9 @@ func TestTransientRLCSettlesToIRDrop(t *testing.T) {
 	// Series R-L rail feeding a load with a damping capacitor, drawing a
 	// ramped current: the load deviation must settle to -I*R.
 	c := New()
-	mid := c.Node("mid")
-	load := c.Node("load")
-	cap1 := c.Node("cap1")
+	mid := c.Node()
+	load := c.Node()
+	cap1 := c.Node()
 	r, l, i0 := 0.1, 1e-9, 1.0
 	if err := c.AddR(Ground, mid, r); err != nil {
 		t.Fatal(err)
@@ -205,7 +205,7 @@ func TestTransientLCOscillation(t *testing.T) {
 	// f = 1/(2π√(LC)) with little numerical damping (trapezoidal is
 	// A-stable and non-dissipative).
 	c := New()
-	n := c.Node("n")
+	n := c.Node()
 	l, cap := 1e-9, 1e-9
 	if err := c.AddL(n, Ground, l); err != nil {
 		t.Fatal(err)
@@ -242,7 +242,7 @@ func TestTransientLCOscillation(t *testing.T) {
 
 func TestTransientValidation(t *testing.T) {
 	c := New()
-	n := c.Node("n")
+	n := c.Node()
 	if err := c.AddR(n, Ground, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestTransientValidation(t *testing.T) {
 
 func TestCircuitValidation(t *testing.T) {
 	c := New()
-	n := c.Node("n")
+	n := c.Node()
 	if err := c.AddR(n, n, 1); err == nil {
 		t.Fatal("self loop must error")
 	}

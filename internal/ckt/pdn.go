@@ -69,8 +69,8 @@ func (m PDNModel) build(withLoadCap bool) (*Circuit, int, error) {
 		return nil, 0, err
 	}
 	c := New()
-	mid := c.Node("rail_mid")
-	load := c.Node("load")
+	mid := c.Node()
+	load := c.Node()
 	if err := c.AddR(Ground, mid, m.ROhms); err != nil {
 		return nil, 0, err
 	}
@@ -89,7 +89,7 @@ func (m PDNModel) build(withLoadCap bool) (*Circuit, int, error) {
 		if cesr <= 0 {
 			cesr = 0.01
 		}
-		nl := c.Node("cload_rc")
+		nl := c.Node()
 		if err := c.AddR(load, nl, cesr); err != nil {
 			return nil, 0, err
 		}
@@ -97,9 +97,9 @@ func (m PDNModel) build(withLoadCap bool) (*Circuit, int, error) {
 			return nil, 0, err
 		}
 	}
-	for i, d := range m.Decaps {
-		n1 := c.Node(fmt.Sprintf("decap%d_rc", i))
-		n2 := c.Node(fmt.Sprintf("decap%d_lc", i))
+	for _, d := range m.Decaps {
+		n1 := c.Node()
+		n2 := c.Node()
 		if err := c.AddR(load, n1, d.ESR); err != nil {
 			return nil, 0, err
 		}

@@ -34,7 +34,7 @@ func (c *Circuit) Transient(tStop, dt float64) ([]Waveform, error) {
 	if dt <= 0 || tStop <= 0 || tStop < dt {
 		return nil, fmt.Errorf("ckt: bad transient window tStop=%g dt=%g", tStop, dt)
 	}
-	n := len(c.names) - 1
+	n := c.nodes - 1
 	if n == 0 {
 		return []Waveform{{}}, nil
 	}
@@ -81,12 +81,12 @@ func (c *Circuit) Transient(tStop, dt float64) ([]Waveform, error) {
 		return nil, fmt.Errorf("ckt: transient matrix not SPD (floating node?): %w", err)
 	}
 
-	wf := make([]Waveform, len(c.names))
+	wf := make([]Waveform, c.nodes)
 	for i := range wf {
 		wf[i].T = make([]float64, 0, steps)
 		wf[i].V = make([]float64, 0, steps)
 	}
-	volts := make([]float64, len(c.names))
+	volts := make([]float64, c.nodes)
 	rhs := make([]float64, n)
 	record := func(t float64) {
 		for i := range wf {

@@ -36,8 +36,9 @@ type RuntimeResult struct {
 }
 
 // solveRuns is how many cold node-current evaluations are timed per
-// pitch; their median is the pitch's SolveTime. One sample moved the
-// fitted q by about 0.1 from run to run.
+// pitch, after one untimed warm-up evaluation; their median is the
+// pitch's SolveTime. One sample moved the fitted q by about 0.1 from run
+// to run.
 const solveRuns = 5
 
 // RunRuntime measures SPROUT's stage costs on the two-rail board across
@@ -71,7 +72,12 @@ func RunRuntime() (*RuntimeResult, error) {
 			all[i] = true
 		}
 		// Each evaluation gets a fresh nil cache, so every run is cold.
-		var m *route.Metrics
+		// One untimed evaluation first warms the process for this graph
+		// size, so the first pitches are not timed colder than the rest.
+		m, err := tg.NodeCurrentsCtx(ctx, all, nil)
+		if err != nil {
+			return nil, err
+		}
 		solves := make([]time.Duration, solveRuns)
 		for i := range solves {
 			t1 := time.Now()

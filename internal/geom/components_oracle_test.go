@@ -16,7 +16,8 @@ func componentsOracle(g Region) []Region {
 	if n == 0 {
 		return nil
 	}
-	uf := newUnionFind(n)
+	var uf unionFind
+	uf.reset(n)
 	type bandRange struct{ lo, hi int } // rect index range of a band
 	var ranges []bandRange
 	idx := 0
@@ -95,7 +96,7 @@ func TestRegionFromSortedRects(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for i := 0; i < 3000; i++ {
 		g := randomSlottedRegion(r)
-		if got := RegionFromSortedRects(g.Rects()); !reflect.DeepEqual(got, g) {
+		if got := new(Arena).RegionFromSortedRects(g.Rects()); !reflect.DeepEqual(got, g) {
 			t.Fatalf("case %d: rebuilt %v, want %v", i, got, g)
 		}
 		// A clip of the rectangles to a box keeps the band layout, but
@@ -108,17 +109,17 @@ func TestRegionFromSortedRects(t *testing.T) {
 				clip = append(clip, c)
 			}
 		}
-		if got, want := RegionFromSortedRects(clip), g.IntersectRect(box); !reflect.DeepEqual(got, want) {
+		if got, want := new(Arena).RegionFromSortedRects(clip), g.IntersectRect(box); !reflect.DeepEqual(got, want) {
 			t.Fatalf("case %d clip %v: got %v, want %v", i, box, got, want)
 		}
 		// Unsorted, overlapping, touching or empty input falls back.
 		raw := []Rect{box, {x - 3, y, x, y + 2}, {x, y, x + 1, y + 1}, {}}
 		r.Shuffle(len(raw), func(a, b int) { raw[a], raw[b] = raw[b], raw[a] })
-		if got, want := RegionFromSortedRects(raw), RegionFromRects(raw); !reflect.DeepEqual(got, want) {
+		if got, want := new(Arena).RegionFromSortedRects(raw), RegionFromRects(raw); !reflect.DeepEqual(got, want) {
 			t.Fatalf("case %d unsorted %v: got %v, want %v", i, raw, got, want)
 		}
 	}
-	if got := RegionFromSortedRects(nil); !reflect.DeepEqual(got, Region{}) {
+	if got := new(Arena).RegionFromSortedRects(nil); !reflect.DeepEqual(got, Region{}) {
 		t.Fatalf("no rectangles: got %v", got)
 	}
 }

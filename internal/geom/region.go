@@ -66,10 +66,11 @@ func RegionFromRects(rects []Rect) Region {
 	slices.SortFunc(live, func(a, b Rect) int {
 		return cmp.Or(cmp.Compare(a.Y0, b.Y0), cmp.Compare(a.X0, b.X0))
 	})
-	var bands []band
+	bands := make([]band, 0, len(ys)-1)
+	var spans []span
 	for i := 0; i+1 < len(ys); i++ {
 		y0, y1 := ys[i], ys[i+1]
-		var spans []span
+		lo := len(spans)
 		for _, r := range live {
 			if r.Y0 >= y1 {
 				break // sorted by Y0; nothing further can cover this slab
@@ -78,41 +79,27 @@ func RegionFromRects(rects []Rect) Region {
 				spans = append(spans, span{r.X0, r.X1})
 			}
 		}
-		if len(spans) == 0 {
+		if len(spans) == lo {
 			continue
 		}
-		bands = append(bands, band{y0, y1, mergeSpans(spans)})
+		spans = spans[:lo+len(mergeSpans(spans[lo:]))]
+		bands = append(bands, band{y0, y1, spans[lo:]})
 	}
+	pointBands(bands, spans)
 	return Region{bands: coalesceBands(bands)}
 }
 
-// RegionFromSortedRects returns the same region as RegionFromRects for
-// rectangles already laid out in bands: consecutive rectangles with equal
-// Y0 and Y1 form one band, bands ascend in y without overlapping, and the
-// rectangles of a band ascend in x without overlapping or touching. The
-// Rects of a region, and their clips to one rectangle, have this layout.
-// Such input is built into canonical form in one pass, merging vertically
-// adjacent bands with identical spans; any other input falls back to
-// RegionFromRects.
-func RegionFromSortedRects(rects []Rect) Region {
-	bands := make([]band, 0, len(rects))
-	spans := make([]span, len(rects))
-	for i, r := range rects {
-		if r.Empty() {
-			return RegionFromRects(rects)
-		}
-		spans[i] = span{r.X0, r.X1}
-		n := len(bands)
-		switch {
-		case n > 0 && bands[n-1].Y0 == r.Y0 && bands[n-1].Y1 == r.Y1 && rects[i-1].X1 < r.X0:
-			bands[n-1].Spans = spans[i-len(bands[n-1].Spans) : i+1 : i+1]
-		case n > 0 && r.Y0 < bands[n-1].Y1:
-			return RegionFromRects(rects)
-		default:
-			bands = append(bands, band{r.Y0, r.Y1, spans[i : i+1 : i+1]})
-		}
+// pointBands points each band's Spans at its window of spans. The bands
+// were recorded, in order, with windows of the right length into a
+// backing slice that appending may since have moved, so the windows are
+// laid out again over the final one, each capped at its end.
+func pointBands(bands []band, spans []span) {
+	off := 0
+	for i := range bands {
+		n := len(bands[i].Spans)
+		bands[i].Spans = spans[off : off+n : off+n]
+		off += n
 	}
-	return Region{bands: coalesceBands(bands)}
 }
 
 // uniqueSorted sorts v and removes duplicates in place.
@@ -209,13 +196,25 @@ func (g Region) Bounds() Rect {
 // Rects returns the canonical rectangle decomposition of the region:
 // one rectangle per (band, span), sorted bottom-to-top then left-to-right.
 func (g Region) Rects() []Rect {
-	var out []Rect
+	n := 0
+	for _, b := range g.bands {
+		n += len(b.Spans)
+	}
+	if n == 0 {
+		return nil
+	}
+	return g.AppendRects(make([]Rect, 0, n))
+}
+
+// AppendRects appends the Rects decomposition of the region to dst and
+// returns the extended slice.
+func (g Region) AppendRects(dst []Rect) []Rect {
 	for _, b := range g.bands {
 		for _, s := range b.Spans {
-			out = append(out, Rect{s.X0, b.Y0, s.X1, b.Y1})
+			dst = append(dst, Rect{s.X0, b.Y0, s.X1, b.Y1})
 		}
 	}
-	return out
+	return dst
 }
 
 // Contains reports whether p lies inside the region.
@@ -251,19 +250,13 @@ func (g Region) Equal(h Region) bool {
 	return true
 }
 
-// boolOp combines two span lists per the truth table selected by keep.
-// keep(inA, inB) decides whether a segment is in the output.
-func spanBool(a, b []span, keep func(bool, bool) bool) []span {
+// spanBool appends to out the spans of the segments that keep(inA, inB)
+// selects from the span lists a and b, each sorted and disjoint. xs is
+// breakpoint scratch; spanBool returns out and xs for the next call.
+func spanBool(out []span, xs []int64, a, b []span, keep func(bool, bool) bool) ([]span, []int64) {
 	// Sweep over merged breakpoints.
-	var xs []int64
-	for _, s := range a {
-		xs = append(xs, s.X0, s.X1)
-	}
-	for _, s := range b {
-		xs = append(xs, s.X0, s.X1)
-	}
-	xs = uniqueSorted(xs)
-	var out []span
+	xs = breaks(xs[:0], a, b)
+	lo := len(out)
 	ia, ib := 0, 0
 	for i := 0; i+1 < len(xs); i++ {
 		x0, x1 := xs[i], xs[i+1]
@@ -276,30 +269,65 @@ func spanBool(a, b []span, keep func(bool, bool) bool) []span {
 		inA := ia < len(a) && a[ia].X0 <= x0
 		inB := ib < len(b) && b[ib].X0 <= x0
 		if keep(inA, inB) {
-			if n := len(out); n > 0 && out[n-1].X1 == x0 {
+			if n := len(out); n > lo && out[n-1].X1 == x0 {
 				out[n-1].X1 = x1
 			} else {
 				out = append(out, span{x0, x1})
 			}
 		}
 	}
-	return out
+	return out, xs
 }
 
-// combine applies a per-segment boolean op between g and h.
+// breaks appends to xs the distinct span ends of a and b in ascending
+// order, merging the two sorted lists.
+func breaks(xs []int64, a, b []span) []int64 {
+	end := func(s []span, k int) int64 {
+		if k%2 == 0 {
+			return s[k/2].X0
+		}
+		return s[k/2].X1
+	}
+	for i, j := 0, 0; i < 2*len(a) || j < 2*len(b); {
+		var x int64
+		if j == 2*len(b) || i < 2*len(a) && end(a, i) <= end(b, j) {
+			x = end(a, i)
+			i++
+		} else {
+			x = end(b, j)
+			j++
+		}
+		if n := len(xs); n == 0 || xs[n-1] != x {
+			xs = append(xs, x)
+		}
+	}
+	return xs
+}
+
+// combine applies a per-segment boolean op between g and h. The spans of
+// all output bands go into one backing slice.
 func (g Region) combine(h Region, keep func(bool, bool) bool) Region {
 	if g.Empty() && h.Empty() {
 		return Region{}
 	}
-	var ys []int64
-	for _, b := range g.bands {
-		ys = append(ys, b.Y0, b.Y1)
-	}
-	for _, b := range h.bands {
-		ys = append(ys, b.Y0, b.Y1)
+	// A slab meets at most one band of each region, so its breakpoints
+	// number at most twice the widest band of g plus that of h. The
+	// output spans start with room for the inputs' span count.
+	ys := make([]int64, 0, 2*(len(g.bands)+len(h.bands)))
+	widest, total := 0, 0
+	for _, r := range [2]Region{g, h} {
+		w := 0
+		for _, b := range r.bands {
+			ys = append(ys, b.Y0, b.Y1)
+			w = max(w, len(b.Spans))
+			total += len(b.Spans)
+		}
+		widest += w
 	}
 	ys = uniqueSorted(ys)
-	var out []band
+	out := make([]band, 0, len(ys)-1)
+	spans := make([]span, 0, total)
+	xs := make([]int64, 0, 2*widest)
 	ig, ih := 0, 0
 	for i := 0; i+1 < len(ys); i++ {
 		y0, y1 := ys[i], ys[i+1]
@@ -316,11 +344,13 @@ func (g Region) combine(h Region, keep func(bool, bool) bool) Region {
 		if ih < len(h.bands) && h.bands[ih].Y0 <= y0 {
 			sb = h.bands[ih].Spans
 		}
-		spans := spanBool(sa, sb, keep)
-		if len(spans) > 0 {
-			out = append(out, band{y0, y1, spans})
+		lo := len(spans)
+		spans, xs = spanBool(spans, xs, sa, sb, keep)
+		if len(spans) > lo {
+			out = append(out, band{y0, y1, spans[lo:]})
 		}
 	}
+	pointBands(out, spans)
 	return Region{bands: coalesceBands(out)}
 }
 
@@ -476,69 +506,8 @@ func (g Region) Translate(p Point) Region {
 // proportional to contact width). Components come in the order of their
 // union-find roots over the Rects decomposition.
 func (g Region) Components() []Region {
-	if g.Empty() {
-		return nil
-	}
-	// Rect k of the Rects decomposition is span k-first[bi] of band bi.
-	first := make([]int, len(g.bands)+1)
-	for bi, b := range g.bands {
-		first[bi+1] = first[bi] + len(b.Spans)
-	}
-	n := first[len(g.bands)]
-	if n == 1 {
-		return []Region{g}
-	}
-	uf := newUnionFind(n)
-	// Within a band, spans never touch (canonical form), so only vertical
-	// adjacency matters: match the overlapping spans of each pair of
-	// touching bands.
-	for bi := 0; bi+1 < len(g.bands); bi++ {
-		lower, upper := g.bands[bi], g.bands[bi+1]
-		if lower.Y1 != upper.Y0 {
-			continue
-		}
-		ju := 0
-		for jl, s := range lower.Spans {
-			for ju < len(upper.Spans) && upper.Spans[ju].X1 <= s.X0 {
-				ju++
-			}
-			for k := ju; k < len(upper.Spans) && upper.Spans[k].X0 < s.X1; k++ {
-				// Positive-length overlap joins the components.
-				uf.union(first[bi]+jl, first[bi+1]+k)
-			}
-		}
-	}
-	// Number the components by ascending root.
-	ord := make([]int, n)
-	nc := 0
-	for i := range ord {
-		if uf.find(i) == i {
-			ord[i] = nc
-			nc++
-		}
-	}
-	if nc == 1 {
-		return []Region{g}
-	}
-	// Deal each span to its component; a component's spans within one
-	// band stay sorted, so coalescing its bands gives canonical form.
-	parts := make([][]band, nc)
-	for bi, b := range g.bands {
-		for j, s := range b.Spans {
-			c := ord[uf.find(first[bi]+j)]
-			bs := parts[c]
-			if len(bs) == 0 || bs[len(bs)-1].Y0 != b.Y0 {
-				bs = append(bs, band{b.Y0, b.Y1, nil})
-			}
-			bs[len(bs)-1].Spans = append(bs[len(bs)-1].Spans, s)
-			parts[c] = bs
-		}
-	}
-	out := make([]Region, nc)
-	for c, bs := range parts {
-		out[c] = Region{bands: coalesceBands(bs)}
-	}
-	return out
+	var a Arena
+	return a.Components(g)
 }
 
 // unionFind is a standard disjoint-set forest with path compression.
@@ -547,12 +516,14 @@ type unionFind struct {
 	rank   []int
 }
 
-func newUnionFind(n int) *unionFind {
-	uf := &unionFind{parent: make([]int, n), rank: make([]int, n)}
+// reset makes the forest n singletons, reusing its storage.
+func (uf *unionFind) reset(n int) {
+	uf.parent = resize(uf.parent, n)
+	uf.rank = resize(uf.rank, n)
 	for i := range uf.parent {
 		uf.parent[i] = i
+		uf.rank[i] = 0
 	}
-	return uf
 }
 
 func (uf *unionFind) find(i int) int {

@@ -111,12 +111,17 @@ func (g Region) boundaryEdges() []dirEdge {
 		ys = append(ys, y)
 	}
 	sort.Slice(ys, func(i, j int) bool { return ys[i] < ys[j] })
+	onlyA := func(a, b bool) bool { return a && !b }
+	var segs []span
+	var xs []int64
 	for _, y := range ys {
 		c := cov[y]
-		for _, s := range spanBool(c.above, c.below, func(a, b bool) bool { return a && !b }) {
+		segs, xs = spanBool(segs[:0], xs, c.above, c.below, onlyA)
+		for _, s := range segs {
 			edges = append(edges, dirEdge{Point{s.X0, y}, Point{s.X1, y}}) // bottom: +x
 		}
-		for _, s := range spanBool(c.below, c.above, func(a, b bool) bool { return a && !b }) {
+		segs, xs = spanBool(segs[:0], xs, c.below, c.above, onlyA)
+		for _, s := range segs {
 			edges = append(edges, dirEdge{Point{s.X1, y}, Point{s.X0, y}}) // top: -x
 		}
 	}

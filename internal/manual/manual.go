@@ -43,10 +43,11 @@ func Route(avail geom.Region, terms []route.Terminal, areaTarget int64, tile int
 		return nil, err
 	}
 
-	pads := geom.EmptyRegion()
+	var padRects []geom.Rect
 	for _, t := range terms {
-		pads = pads.Union(t.Shape)
+		padRects = t.Shape.AppendRects(padRects)
 	}
+	pads := geom.RegionFromRects(padRects)
 
 	// Binary search the corridor width to hit the area target. Wider
 	// corridors clip against the space, so area is monotone in width.
@@ -103,40 +104,61 @@ func backbones(tg *route.TileGraph) ([][]geom.Point, error) {
 // corridors converts polylines into a union of axis-aligned rectangles of
 // the given width. Diagonal steps between tile centers are rectified into
 // an L (horizontal then vertical), which is exactly the "regular geometry"
-// a human designer draws.
+// a human designer draws. Consecutive steps along one line form one
+// rectangle: the padded steps of a straight run overlap end to end, so
+// their union is the padded run.
 func corridors(polylines [][]geom.Point, width int64) geom.Region {
-	half := width / 2
-	if half < 1 {
-		half = 1
-	}
-	var rects []geom.Rect
-	seg := func(a, b geom.Point) {
-		// Build the padded rect directly: the raw segment rect is
-		// degenerate (zero width or height) and Expand treats degenerate
-		// rects as empty.
-		x0, x1 := a.X, b.X
-		if x0 > x1 {
-			x0, x1 = x1, x0
-		}
-		y0, y1 := a.Y, b.Y
-		if y0 > y1 {
-			y0, y1 = y1, y0
-		}
-		rects = append(rects, geom.R(x0-half, y0-half, x1+half, y1+half))
-	}
+	c := corridorRects{half: max(width/2, 1)}
 	for _, line := range polylines {
 		for i := 0; i+1 < len(line); i++ {
 			a, b := line[i], line[i+1]
 			if a.X == b.X || a.Y == b.Y {
-				seg(a, b)
+				c.step(a, b)
 				continue
 			}
 			corner := geom.Pt(b.X, a.Y)
-			seg(a, corner)
-			seg(corner, b)
+			c.step(a, corner)
+			c.step(corner, b)
 		}
+		c.flush()
 	}
-	return geom.RegionFromRects(rects)
+	return geom.RegionFromRects(c.rects)
+}
+
+// corridorRects collects the padded rectangles of axis-aligned steps,
+// merging each step into the straight run before it.
+type corridorRects struct {
+	half  int64
+	rects []geom.Rect
+	// run bounds the points of the open run, which lie on one
+	// horizontal or vertical line.
+	run  geom.Rect
+	open bool
+}
+
+// step adds the step from a to b, which starts where the last one ended.
+func (c *corridorRects) step(a, b geom.Point) {
+	s := geom.Rect{X0: min(a.X, b.X), Y0: min(a.Y, b.Y), X1: max(a.X, b.X), Y1: max(a.Y, b.Y)}
+	if c.open {
+		u := geom.Rect{X0: min(c.run.X0, s.X0), Y0: min(c.run.Y0, s.Y0), X1: max(c.run.X1, s.X1), Y1: max(c.run.Y1, s.Y1)}
+		if u.X0 == u.X1 || u.Y0 == u.Y1 {
+			c.run = u
+			return
+		}
+		c.flush()
+	}
+	c.run, c.open = s, true
+}
+
+// flush emits the open run padded by half on every side. The run is
+// degenerate (zero width or height), and Expand treats degenerate rects
+// as empty, so the padded rect is built directly.
+func (c *corridorRects) flush() {
+	if c.open {
+		r := c.run
+		c.rects = append(c.rects, geom.R(r.X0-c.half, r.Y0-c.half, r.X1+c.half, r.Y1+c.half))
+		c.open = false
+	}
 }
 
 // connectsAll reports whether one connected component of the shape touches

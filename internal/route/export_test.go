@@ -69,6 +69,24 @@ func TileCounts(avail geom.Region, dx, dy int64) (pieces, splitBoxes int) {
 	return len(t.pieces), splitBoxes
 }
 
+// TilingParts is the tiling of a space on its own bounds: the pieces,
+// each piece's first fragment, each box's first piece, and the fragments.
+type TilingParts struct {
+	Pieces               []geom.Region
+	RectStart, CellStart []int
+	Rects                []geom.Rect
+}
+
+// Tiling tiles avail on its own bounds like BuildTileGraph, and with the
+// per-box reference tiling that tileRegion must reproduce.
+func Tiling(avail geom.Region, dx, dy int64) (got, want TilingParts) {
+	parts := func(t *tiling) TilingParts {
+		return TilingParts{t.pieces, t.rectStart, t.cellStart, t.rects}
+	}
+	return parts(tileRegion(avail, avail.Bounds(), dx, dy)),
+		parts(tileRegionReference(avail, avail.Bounds(), dx, dy))
+}
+
 // RemoveLowCurrent runs the erosion guard of SmartRefine and Erode with
 // the search state of warm (fresh state when warm is nil): it removes up to
 // k low-current members of members that the terminals can spare and

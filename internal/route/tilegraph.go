@@ -258,8 +258,8 @@ type tiling struct {
 // tileRegion cuts region into the grid that covers frame at pitch dx×dy in
 // one scan over the region's canonical rectangles: each rectangle is
 // clipped into the boxes it crosses and the fragments are counting-sorted
-// by box, keeping their band order. A box with one fragment is one piece;
-// a box with several is rebuilt as a region and split into components.
+// by box, keeping their band order. Each box is rebuilt as a region and
+// split into components, all carved from one arena.
 func tileRegion(region geom.Region, frame geom.Rect, dx, dy int64) *tiling {
 	t := &tiling{
 		x0: frame.X0, y0: frame.Y0, dx: dx, dy: dy,
@@ -301,9 +301,15 @@ func tileRegion(region geom.Region, frame geom.Rect, dx, dy int64) *tiling {
 	copy(start[1:], start[:nbox])
 	start[0] = 0
 
-	// Split each box into pieces. A piece's rectangles are its fragments,
-	// regrouped in place by piece when a box splits, so byBox serves as
-	// rects; start is rewritten in place from fragment to piece indices.
+	// Split each box into pieces, carving every piece from one arena
+	// sized to the boxes' canonical cells. A piece's rectangles are its
+	// fragments, regrouped in place by piece when a box splits, so byBox
+	// serves as rects; start is rewritten in place from fragment to piece
+	// indices.
+	var arena geom.Arena
+	for c := int64(0); c < nbox; c++ {
+		arena.Reserve(byBox[start[c]:start[c+1]])
+	}
 	t.rects = byBox
 	t.pieces = make([]geom.Region, 0, len(byBox))
 	t.rectStart = make([]int, 1, len(byBox)+1)
@@ -312,12 +318,9 @@ func tileRegion(region geom.Region, frame geom.Rect, dx, dy int64) *tiling {
 		hi := start[c+1]
 		switch box := byBox[lo:hi]; len(box) {
 		case 0:
-		case 1:
-			t.pieces = append(t.pieces, geom.RegionFromRect(box[0]))
-			t.rectStart = append(t.rectStart, hi)
 		default:
-			cell := geom.RegionFromSortedRects(box)
-			comps := cell.Components()
+			cell := arena.RegionFromSortedRects(box)
+			comps := arena.Components(cell)
 			if len(comps) == 1 {
 				t.pieces = append(t.pieces, cell)
 				t.rectStart = append(t.rectStart, hi)
@@ -420,7 +423,7 @@ func (tg *TileGraph) Union(members []bool) geom.Region {
 	var rects []geom.Rect
 	for id, in := range members {
 		if in {
-			rects = append(rects, tg.Cells[id].Rects()...)
+			rects = tg.Cells[id].AppendRects(rects)
 		}
 	}
 	return geom.RegionFromRects(rects)

@@ -282,6 +282,39 @@ func TestBuildTileGraphMatchesOracle(t *testing.T) {
 	})
 }
 
+// TestTilingMatchesPerBoxReference checks that the arena-built tiling
+// returns the per-box reference's pieces, fragment grouping and box
+// starts on every golden rail space and extraction re-tile, and on seeded
+// random spaces, half of which split boxes into several pieces.
+func TestTilingMatchesPerBoxReference(t *testing.T) {
+	same := func(name string, avail geom.Region, dx, dy int64) {
+		t.Helper()
+		got, want := route.Tiling(avail, dx, dy)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: arena tiling differs from the per-box reference (%d vs %d pieces)",
+				name, len(got.Pieces), len(want.Pieces))
+		}
+	}
+	for _, sp := range goldenTileSpaces(t) {
+		same(sp.name, sp.avail, sp.dx, sp.dy)
+	}
+	r := rand.New(rand.NewSource(32))
+	split := 0
+	for i := 0; i < 2000; i++ {
+		avail, _, dx, dy := randomTileCase(r)
+		if avail.Empty() || dx < 1 || dy < 1 {
+			continue
+		}
+		same(fmt.Sprintf("case %d", i), avail, dx, dy)
+		if _, s := route.TileCounts(avail, dx, dy); s > 0 {
+			split++
+		}
+	}
+	if split < 500 {
+		t.Fatalf("only %d random spaces split a box", split)
+	}
+}
+
 // FuzzBuildTileGraph drives the same comparison with fuzzer-chosen seeds
 // and tile pitches, and checks that every row of a built graph strictly
 // ascends.

@@ -1,0 +1,82 @@
+package route
+
+import "sprout/internal/geom"
+
+// tileRegionReference is tileRegion as it was before the arena: every
+// box rebuilt as a region of its own, with its own band and span slices,
+// and split with Region.Components. tileRegion must return the same
+// pieces, fragment grouping and box starts.
+func tileRegionReference(region geom.Region, frame geom.Rect, dx, dy int64) *tiling {
+	t := &tiling{
+		x0: frame.X0, y0: frame.Y0, dx: dx, dy: dy,
+		nx: (frame.X1 - frame.X0 + dx - 1) / dx,
+		ny: (frame.Y1 - frame.Y0 + dy - 1) / dy,
+	}
+	rects := region.Rects()
+	boxes := func(r geom.Rect) (i0, i1, j0, j1 int64) {
+		return (r.X0 - t.x0) / dx, (r.X1 - 1 - t.x0) / dx, (r.Y0 - t.y0) / dy, (r.Y1 - 1 - t.y0) / dy
+	}
+	nbox := t.nx * t.ny
+	start := make([]int, nbox+1)
+	for _, r := range rects {
+		i0, i1, j0, j1 := boxes(r)
+		for i := i0; i <= i1; i++ {
+			for j := j0; j <= j1; j++ {
+				start[i*t.ny+j+1]++
+			}
+		}
+	}
+	for c := int64(0); c < nbox; c++ {
+		start[c+1] += start[c]
+	}
+	byBox := make([]geom.Rect, start[nbox])
+	for _, r := range rects {
+		i0, i1, j0, j1 := boxes(r)
+		for i := i0; i <= i1; i++ {
+			for j := j0; j <= j1; j++ {
+				c := i*t.ny + j
+				byBox[start[c]] = r.Intersect(geom.R(t.x0+i*dx, t.y0+j*dy, t.x0+(i+1)*dx, t.y0+(j+1)*dy))
+				start[c]++
+			}
+		}
+	}
+	copy(start[1:], start[:nbox])
+	start[0] = 0
+
+	t.rects = byBox
+	t.rectStart = []int{0}
+	var held []geom.Rect
+	for c, lo := int64(0), 0; c < nbox; c++ {
+		hi := start[c+1]
+		switch box := byBox[lo:hi]; len(box) {
+		case 0:
+		case 1:
+			t.pieces = append(t.pieces, geom.RegionFromRect(box[0]))
+			t.rectStart = append(t.rectStart, hi)
+		default:
+			cell := new(geom.Arena).RegionFromSortedRects(box)
+			comps := cell.Components()
+			if len(comps) == 1 {
+				t.pieces = append(t.pieces, cell)
+				t.rectStart = append(t.rectStart, hi)
+				break
+			}
+			held = append(held[:0], box...)
+			at := lo
+			for _, comp := range comps {
+				for _, f := range held {
+					if comp.Contains(geom.Pt(f.X0, f.Y0)) {
+						byBox[at] = f
+						at++
+					}
+				}
+				t.pieces = append(t.pieces, comp)
+				t.rectStart = append(t.rectStart, at)
+			}
+		}
+		start[c+1] = len(t.pieces)
+		lo = hi
+	}
+	t.cellStart = start
+	return t
+}

@@ -327,12 +327,14 @@ func railTerminals(b *board.Board, net board.NetID, layer int) []route.Terminal 
 	return terms
 }
 
+// termPads returns the union of the terminals' shapes, built in one pass
+// over their rectangles.
 func termPads(terms []route.Terminal) geom.Region {
-	u := geom.EmptyRegion()
+	var rects []geom.Rect
 	for _, t := range terms {
-		u = u.Union(t.Shape)
+		rects = t.Shape.AppendRects(rects)
 	}
-	return u
+	return geom.RegionFromRects(rects)
 }
 
 // RailAnalysis is the Fig. 12c/d system-level view of one extracted rail.
