@@ -35,7 +35,6 @@ import (
 	"sprout/internal/gerber"
 	"sprout/internal/obs"
 	"sprout/internal/report"
-	"sprout/internal/route"
 	"sprout/internal/svgout"
 )
 
@@ -148,34 +147,28 @@ func (c *cli) writeReport(rep *obs.RunReport) error {
 
 func run(ctx context.Context, c *cli, caseName, boardPath string, withManual bool, outDir, dumpBoard string, runDRC bool, gerberPath string, multilayer bool) error {
 	var (
-		b       *board.Board
-		layer   int
-		budgets map[board.NetID]int64
-		cfg     route.Config
+		dec *boardio.Decoded
+		err error
 	)
 	switch {
 	case caseName != "" && boardPath != "":
 		return fmt.Errorf("use either -case or -board, not both")
 	case caseName != "":
-		cs, err := loadCase(caseName)
-		if err != nil {
-			return err
-		}
-		b, layer, budgets, cfg = cs.Board, cs.RoutingLayer, cs.Budgets, cs.Config
+		dec, err = loadCase(caseName)
 	case boardPath != "":
-		f, err := os.Open(boardPath)
-		if err != nil {
+		var f *os.File
+		if f, err = os.Open(boardPath); err != nil {
 			return err
 		}
 		defer f.Close()
-		dec, err := boardio.Decode(f)
-		if err != nil {
-			return err
-		}
-		b, layer, budgets, cfg = dec.Board, dec.RoutingLayer, dec.Budgets, dec.Config
+		dec, err = boardio.Decode(f)
 	default:
 		return fmt.Errorf("select a board with -case or -board")
 	}
+	if err != nil {
+		return err
+	}
+	b, layer := dec.Board, dec.RoutingLayer
 
 	if dumpBoard != "" {
 		f, err := os.Create(dumpBoard)
@@ -183,7 +176,7 @@ func run(ctx context.Context, c *cli, caseName, boardPath string, withManual boo
 			return err
 		}
 		defer f.Close()
-		if err := boardio.Encode(f, b, layer, budgets); err != nil {
+		if err := boardio.Encode(f, dec); err != nil {
 			return err
 		}
 		c.log.Info("wrote board document", "path", dumpBoard)
@@ -191,14 +184,14 @@ func run(ctx context.Context, c *cli, caseName, boardPath string, withManual boo
 	}
 
 	if multilayer {
-		return runMultilayer(ctx, c, b, budgets, cfg, outDir)
+		return runMultilayer(ctx, c, dec, outDir)
 	}
 
 	start := time.Now()
 	res, err := sprout.RouteBoardCtx(ctx, b, sprout.RouteOptions{
 		Layer:      layer,
-		Budgets:    budgets,
-		Config:     cfg,
+		Budgets:    dec.Budgets,
+		Config:     dec.Config,
 		WithManual: withManual,
 	})
 	if err != nil {
@@ -260,7 +253,7 @@ func run(ctx context.Context, c *cli, caseName, boardPath string, withManual boo
 	}
 
 	if runDRC {
-		violations := sprout.Audit(res, sprout.DRCLimits{MinWidth: cfg.DX})
+		violations := sprout.Audit(res, sprout.DRCLimits{MinWidth: dec.Config.DX})
 		if len(violations) == 0 {
 			fmt.Println("\nDRC: clean")
 		} else {
@@ -314,11 +307,12 @@ func run(ctx context.Context, c *cli, caseName, boardPath string, withManual boo
 
 // runMultilayer routes every net across all routable layers and reports
 // per-layer copper, placed vias, and the via parasitic estimates.
-func runMultilayer(ctx context.Context, c *cli, b *board.Board, budgets map[board.NetID]int64, cfg route.Config, outDir string) error {
+func runMultilayer(ctx context.Context, c *cli, dec *boardio.Decoded, outDir string) error {
 	start := time.Now()
+	b := dec.Board
 	res, err := sprout.RouteBoardMultilayerCtx(ctx, b, sprout.MLRouteOptions{
-		Budgets: budgets,
-		Config:  cfg,
+		Budgets: dec.Budgets,
+		Config:  dec.Config,
 	})
 	if err != nil {
 		return err
@@ -395,16 +389,25 @@ func totalSpanUM(b *board.Board) float64 {
 	return total
 }
 
-func loadCase(name string) (*cases.CaseStudy, error) {
+func loadCase(name string) (*boardio.Decoded, error) {
+	var (
+		cs  *cases.CaseStudy
+		err error
+	)
 	switch name {
 	case "tworail":
-		return cases.TwoRail()
+		cs, err = cases.TwoRail()
 	case "sixrail":
-		return cases.SixRail()
+		cs, err = cases.SixRail()
 	case "threerail":
-		return cases.ThreeRail(cases.Table4()[4]) // the middle layout
+		cs, err = cases.ThreeRail(cases.Table4()[4]) // the middle layout
+	default:
+		return nil, fmt.Errorf("unknown case %q (want tworail, sixrail, threerail)", name)
 	}
-	return nil, fmt.Errorf("unknown case %q (want tworail, sixrail, threerail)", name)
+	if err != nil {
+		return nil, err
+	}
+	return &boardio.Decoded{Board: cs.Board, RoutingLayer: cs.RoutingLayer, Budgets: cs.Budgets, Config: cs.Config}, nil
 }
 
 func renderLayout(res *sprout.BoardResult, path string) error {

@@ -24,7 +24,7 @@ func main() {
 		{Name: "L1-pwr", CopperUM: 35, DielectricBelowUM: 120},
 		{Name: "L2-gnd", CopperUM: 35, DielectricBelowUM: 0, IsPlane: true},
 	}}
-	rules := sprout.DesignRules{Clearance: 2, TileDX: 5, TileDY: 5, ViaCost: 5}
+	rules := sprout.DesignRules{Clearance: 2, ViaCost: 5}
 	b, err := sprout.NewBoard("decap-plan", geom.R(0, 0, 220, 80), stack, rules)
 	if err != nil {
 		log.Fatal(err)

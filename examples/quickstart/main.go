@@ -20,7 +20,7 @@ func main() {
 		{Name: "L1-pwr", CopperUM: 35, DielectricBelowUM: 100},
 		{Name: "L2-gnd", CopperUM: 35, DielectricBelowUM: 0, IsPlane: true},
 	}}
-	rules := sprout.DesignRules{Clearance: 2, TileDX: 5, TileDY: 5, ViaCost: 5}
+	rules := sprout.DesignRules{Clearance: 2, ViaCost: 5}
 	b, err := sprout.NewBoard("quickstart", geom.R(0, 0, 200, 100), stack, rules)
 	if err != nil {
 		log.Fatal(err)

@@ -23,7 +23,7 @@ func buildBoard() (*sprout.Board, sprout.NetID, error) {
 		{Name: "L1-pwr", CopperUM: 35, DielectricBelowUM: 100},
 		{Name: "L2-gnd", CopperUM: 35, DielectricBelowUM: 0, IsPlane: true},
 	}}
-	rules := sprout.DesignRules{Clearance: 2, TileDX: 5, TileDY: 5, ViaCost: 5}
+	rules := sprout.DesignRules{Clearance: 2, ViaCost: 5}
 	b, err := sprout.NewBoard("tradeoff", geom.R(0, 0, 240, 120), stack, rules)
 	if err != nil {
 		return nil, 0, err

@@ -17,7 +17,7 @@ func orderBoard(t *testing.T) *sprout.Board {
 		{Name: "L1", CopperUM: 35, DielectricBelowUM: 100},
 		{Name: "L2", CopperUM: 35, DielectricBelowUM: 0, IsPlane: true},
 	}}
-	rules := sprout.DesignRules{Clearance: 2, TileDX: 5, TileDY: 5, ViaCost: 5}
+	rules := sprout.DesignRules{Clearance: 2, ViaCost: 5}
 	b, err := sprout.NewBoard("order", geom.R(0, 0, 200, 120), stack, rules)
 	if err != nil {
 		t.Fatal(err)

@@ -22,7 +22,7 @@ func twoRailBoard(t *testing.T) (*sprout.Board, []sprout.NetID) {
 		{Name: "L1", CopperUM: 35, DielectricBelowUM: 100},
 		{Name: "L2", CopperUM: 35, DielectricBelowUM: 0, IsPlane: true},
 	}}
-	rules := sprout.DesignRules{Clearance: 2, TileDX: 5, TileDY: 5, ViaCost: 5}
+	rules := sprout.DesignRules{Clearance: 2, ViaCost: 5}
 	b, err := sprout.NewBoard("fault2", geom.R(0, 0, 200, 100), stack, rules)
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +56,7 @@ func walledBoard(t *testing.T) (*sprout.Board, sprout.NetID, sprout.NetID) {
 		{Name: "L1", CopperUM: 35, DielectricBelowUM: 100},
 		{Name: "L2", CopperUM: 35, DielectricBelowUM: 0, IsPlane: true},
 	}}
-	rules := sprout.DesignRules{Clearance: 2, TileDX: 5, TileDY: 5, ViaCost: 5}
+	rules := sprout.DesignRules{Clearance: 2, ViaCost: 5}
 	b, err := sprout.NewBoard("walled", geom.R(0, 0, 200, 100), stack, rules)
 	if err != nil {
 		t.Fatal(err)

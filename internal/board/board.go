@@ -188,13 +188,12 @@ type Obstacle struct {
 	Shape geom.Region
 }
 
-// DesignRules capture the manufacturing constraints SPROUT honors.
+// DesignRules capture the manufacturing constraints SPROUT honors. The
+// Alg. 1 tile pitch is a router setting, not a rule: see route.Config.
 type DesignRules struct {
 	// Clearance is the buffer half-width in grid units between geometry of
 	// different nets (paper Fig. 4).
 	Clearance int64
-	// TileDX, TileDY are the routing tile dimensions (paper Alg. 1 Δx, Δy).
-	TileDX, TileDY int64
 	// ViaCost is the extra path cost of crossing one layer through a via,
 	// relative to traversing one tile (paper Appendix: vertical edges are
 	// assigned a higher cost).
@@ -205,9 +204,6 @@ type DesignRules struct {
 func (r DesignRules) Valid() error {
 	if r.Clearance < 0 {
 		return fmt.Errorf("board: negative clearance %d", r.Clearance)
-	}
-	if r.TileDX < 1 || r.TileDY < 1 {
-		return fmt.Errorf("board: tile size %dx%d must be >= 1", r.TileDX, r.TileDY)
 	}
 	if r.ViaCost < 0 {
 		return fmt.Errorf("board: negative via cost %g", r.ViaCost)

@@ -18,7 +18,7 @@ func testStackup() Stackup {
 }
 
 func testRules() DesignRules {
-	return DesignRules{Clearance: 2, TileDX: 10, TileDY: 10, ViaCost: 5}
+	return DesignRules{Clearance: 2, ViaCost: 5}
 }
 
 func newTestBoard(t *testing.T) *Board {
@@ -38,7 +38,7 @@ func TestNewValidation(t *testing.T) {
 		t.Fatal("empty stackup must error")
 	}
 	bad := testRules()
-	bad.TileDX = 0
+	bad.Clearance = -1
 	if _, err := New("x", geom.R(0, 0, 10, 10), testStackup(), bad); err == nil {
 		t.Fatal("bad rules must error")
 	}
@@ -220,7 +220,7 @@ func TestAvailableSpaceMatchesSequentialSubtract(t *testing.T) {
 		return geom.RegionFromRects(rects)
 	}
 	for i := 0; i < 400; i++ {
-		rules := DesignRules{Clearance: int64(r.Intn(5)), TileDX: 4, TileDY: 4}
+		rules := DesignRules{Clearance: int64(r.Intn(5))}
 		b, err := New("random", geom.R(0, 0, 200, 200), testStackup(), rules)
 		if err != nil {
 			t.Fatal(err)

@@ -68,11 +68,12 @@ type LayerJSON struct {
 	IsPlane           bool    `json:"is_plane,omitempty"`
 }
 
-// RulesJSON mirrors board.DesignRules.
+// RulesJSON mirrors board.DesignRules, plus the router's tile pitch:
+// tile_dx and tile_dy set route.Config's DX and DY (paper Alg. 1 Δx, Δy).
 type RulesJSON struct {
 	Clearance int64   `json:"clearance"`
-	TileDX    int64   `json:"tile_dx"`
-	TileDY    int64   `json:"tile_dy"`
+	DX        int64   `json:"tile_dx"`
+	DY        int64   `json:"tile_dy"`
 	ViaCost   float64 `json:"via_cost"`
 }
 
@@ -146,8 +147,8 @@ type Decoded struct {
 	RoutingLayer int
 	// Budgets holds per-net area budgets from the document.
 	Budgets map[board.NetID]int64
-	// Config is the router tuning: tile sizes from the rules plus any
-	// optional "router" section of the document.
+	// Config is the router tuning: the tile pitch from rules.tile_dx and
+	// rules.tile_dy plus the optional "router" section of the document.
 	Config route.Config
 	// Doc is the parsed source document, retained so callers can
 	// re-serialize the submission in canonical form (persistence, content
@@ -194,11 +195,10 @@ func FromJSON(doc *BoardJSON) (*Decoded, error) {
 			DielectricBelowUM: l.DielectricBelowUM, IsPlane: l.IsPlane,
 		}
 	}
-	rules := board.DesignRules{
-		Clearance: doc.Rules.Clearance,
-		TileDX:    doc.Rules.TileDX, TileDY: doc.Rules.TileDY,
-		ViaCost: doc.Rules.ViaCost,
+	if doc.Rules.DX < 1 || doc.Rules.DY < 1 {
+		return nil, fmt.Errorf("boardio: tile size %dx%d must be >= 1", doc.Rules.DX, doc.Rules.DY)
 	}
+	rules := board.DesignRules{Clearance: doc.Rules.Clearance, ViaCost: doc.Rules.ViaCost}
 	b, err := board.New(doc.Name,
 		geom.R(doc.Outline[0], doc.Outline[1], doc.Outline[2], doc.Outline[3]),
 		board.Stackup{Layers: layers}, rules)
@@ -268,7 +268,7 @@ func FromJSON(doc *BoardJSON) (*Decoded, error) {
 		return nil, fmt.Errorf("boardio: routing_layer %d out of range [1,%d]",
 			doc.RoutingLayer, b.Stackup.NumLayers())
 	}
-	cfg := route.Config{DX: rules.TileDX, DY: rules.TileDY}
+	cfg := route.Config{DX: doc.Rules.DX, DY: doc.Rules.DY}
 	if doc.Router != nil {
 		cfg.GrowNodes = doc.Router.GrowNodes
 		cfg.RefineNodes = doc.Router.RefineNodes
@@ -278,18 +278,29 @@ func FromJSON(doc *BoardJSON) (*Decoded, error) {
 	return &Decoded{Board: b, RoutingLayer: doc.RoutingLayer, Budgets: budgets, Config: cfg, Doc: doc}, nil
 }
 
-// Encode writes the Board as a BoardJSON document. Region geometry is
+// Encode writes d as a BoardJSON document that Decode turns back into the
+// same board, routing layer, budgets and router config. The tile pitch is
+// written with route.Config's defaults applied; region geometry is
 // emitted as canonical rectangles.
-func Encode(w io.Writer, b *board.Board, routingLayer int, budgets map[board.NetID]int64) error {
+func Encode(w io.Writer, d *Decoded) error {
+	b, cfg := d.Board, d.Config
+	pitch := cfg.WithDefaults()
 	doc := BoardJSON{
 		Name:    b.Name,
 		Outline: []int64{b.Outline.X0, b.Outline.Y0, b.Outline.X1, b.Outline.Y1},
 		Rules: RulesJSON{
 			Clearance: b.Rules.Clearance,
-			TileDX:    b.Rules.TileDX, TileDY: b.Rules.TileDY,
+			DX:        pitch.DX, DY: pitch.DY,
 			ViaCost: b.Rules.ViaCost,
 		},
-		RoutingLayer: routingLayer,
+		RoutingLayer: d.RoutingLayer,
+	}
+	router := RouterJSON{
+		GrowNodes: cfg.GrowNodes, RefineNodes: cfg.RefineNodes,
+		RefineIters: cfg.RefineIters, ReheatDilations: cfg.ReheatDilations,
+	}
+	if router != (RouterJSON{}) {
+		doc.Router = &router
 	}
 	for _, l := range b.Stackup.Layers {
 		doc.Stackup = append(doc.Stackup, LayerJSON{
@@ -300,7 +311,7 @@ func Encode(w io.Writer, b *board.Board, routingLayer int, budgets map[board.Net
 	for _, n := range b.Nets {
 		doc.Nets = append(doc.Nets, NetJSON{
 			Name: n.Name, Current: n.Current, SlewNS: n.SlewTimeNS,
-			AreaBudget: budgets[n.ID],
+			AreaBudget: d.Budgets[n.ID],
 		})
 	}
 	for _, g := range b.Groups {

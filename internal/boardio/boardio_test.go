@@ -2,7 +2,10 @@ package boardio
 
 import (
 	"bytes"
+	"math"
 	"os"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -79,6 +82,8 @@ func TestDecodeErrors(t *testing.T) {
      "pads": [{"rect": [5, 40, 15, 60]}]`, `"net": "NOPE", "layer": 1, "current": 3,
      "pads": [{"rect": [5, 40, 15, 60]}]`, 1)},
 		{"bad routing layer", strings.Replace(minimalDoc, `"routing_layer": 1`, `"routing_layer": 7`, 1)},
+		{"zero tile", strings.Replace(minimalDoc, `"tile_dx": 10`, `"tile_dx": 0`, 1)},
+		{"negative tile", strings.Replace(minimalDoc, `"tile_dy": 10`, `"tile_dy": -4`, 1)},
 	}
 	for _, c := range cases {
 		if _, err := Decode(strings.NewReader(c.doc)); err == nil {
@@ -112,7 +117,7 @@ func TestRoundTripTwoRail(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := Encode(&buf, cs.Board, cs.RoutingLayer, cs.Budgets); err != nil {
+	if err := Encode(&buf, caseDecoded(cs)); err != nil {
 		t.Fatal(err)
 	}
 	dec, err := Decode(bytes.NewReader(buf.Bytes()))
@@ -149,6 +154,85 @@ func TestRoundTripTwoRail(t *testing.T) {
 		if dec.Budgets[id] != v {
 			t.Fatalf("budget for net %d: %d != %d", id, dec.Budgets[id], v)
 		}
+	}
+}
+
+// caseDecoded is a case study's routing setup as a document carries it.
+func caseDecoded(cs *cases.CaseStudy) *Decoded {
+	return &Decoded{Board: cs.Board, RoutingLayer: cs.RoutingLayer, Budgets: cs.Budgets, Config: cs.Config}
+}
+
+// TestRoundTripRoutesLikeTheCase dumps each case study as a document and
+// routes the decoded board: the document must carry the whole routing
+// setup (tile pitch and router knobs included), so every rail and its
+// manual baseline come out exactly as on the case itself.
+func TestRoundTripRoutesLikeTheCase(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode: skipping four full board routes")
+	}
+	t4 := cases.Table4()
+	for _, tc := range []struct {
+		name string
+		load func() (*cases.CaseStudy, error)
+	}{
+		{"tworail", cases.TwoRail},
+		{"sixrail", cases.SixRail},
+		{"threerail-row0", func() (*cases.CaseStudy, error) { return cases.ThreeRail(t4[0]) }},
+		{"threerail-row8", func() (*cases.CaseStudy, error) { return cases.ThreeRail(t4[8]) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cs, err := tc.load()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := caseDecoded(cs)
+			var buf bytes.Buffer
+			if err := Encode(&buf, want); err != nil {
+				t.Fatal(err)
+			}
+			got, err := Decode(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Config != want.Config || got.RoutingLayer != want.RoutingLayer ||
+				!reflect.DeepEqual(got.Budgets, want.Budgets) {
+				t.Fatalf("decoded setup config=%+v layer=%d budgets=%v, want config=%+v layer=%d budgets=%v",
+					got.Config, got.RoutingLayer, got.Budgets, want.Config, want.RoutingLayer, want.Budgets)
+			}
+			route := func(d *Decoded) *sprout.BoardResult {
+				res, err := sprout.RouteBoard(d.Board, sprout.RouteOptions{
+					Layer: d.RoutingLayer, Budgets: d.Budgets, Config: d.Config, WithManual: true,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			a, b := route(want), route(got)
+			if len(a.Rails) != len(b.Rails) {
+				t.Fatalf("rails %d != %d", len(b.Rails), len(a.Rails))
+			}
+			sameBits := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+			for i, ra := range a.Rails {
+				rb := b.Rails[i]
+				if ra.Route == nil || rb.Route == nil || ra.Extract == nil || rb.Extract == nil ||
+					ra.ManualExtract == nil || rb.ManualExtract == nil {
+					t.Fatalf("rail %s did not route and extract on both boards", ra.Name)
+				}
+				if !ra.Route.Shape.Equal(rb.Route.Shape) || !slices.Equal(ra.Route.Members, rb.Route.Members) {
+					t.Errorf("rail %s: decoded board routes different copper", ra.Name)
+				}
+				if !sameBits(ra.Extract.ResistanceOhms, rb.Extract.ResistanceOhms) ||
+					!sameBits(ra.Extract.InductancePH, rb.Extract.InductancePH) {
+					t.Errorf("rail %s: R/L %g/%g on the document, %g/%g on the case", ra.Name,
+						rb.Extract.ResistanceOhms, rb.Extract.InductancePH, ra.Extract.ResistanceOhms, ra.Extract.InductancePH)
+				}
+				if !sameBits(ra.ManualExtract.ResistanceOhms, rb.ManualExtract.ResistanceOhms) ||
+					!sameBits(ra.ManualExtract.InductancePH, rb.ManualExtract.InductancePH) {
+					t.Errorf("rail %s: manual R/L differ after the round trip", ra.Name)
+				}
+			}
+		})
 	}
 }
 

@@ -30,7 +30,7 @@ func SixRail() (*CaseStudy, error) {
 		{Name: "L9-pwr", CopperUM: 70, DielectricBelowUM: 80},
 		{Name: "L10-bot", CopperUM: 35, DielectricBelowUM: 0},
 	}}
-	rules := board.DesignRules{Clearance: 1, TileDX: 4, TileDY: 4, ViaCost: 5}
+	rules := board.DesignRules{Clearance: 1, ViaCost: 5}
 	b, err := board.New("six-rail-congested", geom.R(0, 0, 320, 300), stack, rules)
 	if err != nil {
 		return nil, err

@@ -60,7 +60,7 @@ func ThreeRail(row AreaRow) (*CaseStudy, error) {
 		{Name: "L9-pwr", CopperUM: 35, DielectricBelowUM: 80},
 		{Name: "L10-bot", CopperUM: 35, DielectricBelowUM: 0},
 	}}
-	rules := board.DesignRules{Clearance: 2, TileDX: 4, TileDY: 4, ViaCost: 5}
+	rules := board.DesignRules{Clearance: 2, ViaCost: 5}
 	b, err := board.New("three-rail-exploration", geom.R(0, 0, 300, 300), stack, rules)
 	if err != nil {
 		return nil, err

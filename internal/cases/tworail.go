@@ -24,7 +24,7 @@ func TwoRail() (*CaseStudy, error) {
 		{Name: "L7-pwr", CopperUM: 70, DielectricBelowUM: 100},
 		{Name: "L8-gnd", CopperUM: 35, DielectricBelowUM: 0, IsPlane: true},
 	}}
-	rules := board.DesignRules{Clearance: 2, TileDX: 10, TileDY: 10, ViaCost: 5}
+	rules := board.DesignRules{Clearance: 2, ViaCost: 5}
 	b, err := board.New("two-rail-wireless", geom.R(0, 0, 300, 200), stack, rules)
 	if err != nil {
 		return nil, err

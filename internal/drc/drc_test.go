@@ -149,7 +149,7 @@ func TestAuditBoardWrapper(t *testing.T) {
 	stack := board.Stackup{Layers: []board.Layer{
 		{Name: "L1", CopperUM: 35, DielectricBelowUM: 100},
 	}}
-	rules := board.DesignRules{Clearance: 2, TileDX: 5, TileDY: 5}
+	rules := board.DesignRules{Clearance: 2}
 	b, err := board.New("audit", geom.R(0, 0, 100, 50), stack, rules)
 	if err != nil {
 		t.Fatal(err)

@@ -1,0 +1,116 @@
+package geom
+
+import "fmt"
+
+// Methods only the geometry tests call: oracles for the fast paths and
+// fixture helpers. They compile into the test binary only.
+
+// Bounds returns the bounding box of the polygon vertices.
+func (p Polygon) Bounds() Rect {
+	if len(p.V) == 0 {
+		return Rect{}
+	}
+	out := Rect{p.V[0].X, p.V[0].Y, p.V[0].X, p.V[0].Y}
+	for _, v := range p.V[1:] {
+		out.X0 = minInt64(out.X0, v.X)
+		out.Y0 = minInt64(out.Y0, v.Y)
+		out.X1 = maxInt64(out.X1, v.X)
+		out.Y1 = maxInt64(out.Y1, v.Y)
+	}
+	return out
+}
+
+// Contains reports whether p lies inside the half-open extent.
+func (r Rect) Contains(p Point) bool {
+	return p.X >= r.X0 && p.X < r.X1 && p.Y >= r.Y0 && p.Y < r.Y1
+}
+
+// ContainsRect reports whether s is entirely inside r. An empty s is
+// contained in everything.
+func (r Rect) ContainsRect(s Rect) bool {
+	if s.Empty() {
+		return true
+	}
+	return s.X0 >= r.X0 && s.X1 <= r.X1 && s.Y0 >= r.Y0 && s.Y1 <= r.Y1
+}
+
+// Translate shifts the rectangle by the vector p.
+func (r Rect) Translate(p Point) Rect {
+	if r.Empty() {
+		return Rect{}
+	}
+	return Rect{r.X0 + p.X, r.Y0 + p.Y, r.X1 + p.X, r.Y1 + p.Y}
+}
+
+// ContainsRect reports whether r is entirely covered by the region.
+func (g Region) ContainsRect(r Rect) bool {
+	if r.Empty() {
+		return true
+	}
+	return RegionFromRect(r).Subtract(g).Empty()
+}
+
+// Xor returns the symmetric difference of g and h.
+func (g Region) Xor(h Region) Region {
+	return g.combine(h, func(a, b bool) bool { return a != b })
+}
+
+// IntersectRect is a fast path for clipping the region to a rectangle.
+func (g Region) IntersectRect(r Rect) Region {
+	if r.Empty() || g.Empty() {
+		return Region{}
+	}
+	var out []band
+	for _, b := range g.bands {
+		y0, y1 := maxInt64(b.Y0, r.Y0), minInt64(b.Y1, r.Y1)
+		if y0 >= y1 {
+			continue
+		}
+		var spans []span
+		for _, s := range b.Spans {
+			x0, x1 := maxInt64(s.X0, r.X0), minInt64(s.X1, r.X1)
+			if x0 < x1 {
+				spans = append(spans, span{x0, x1})
+			}
+		}
+		if len(spans) > 0 {
+			out = append(out, band{y0, y1, spans})
+		}
+	}
+	return Region{bands: coalesceBands(out)}
+}
+
+// Translate shifts the whole region by the vector p.
+func (g Region) Translate(p Point) Region {
+	if g.Empty() {
+		return g
+	}
+	out := make([]band, len(g.bands))
+	for i, b := range g.bands {
+		spans := make([]span, len(b.Spans))
+		for j, s := range b.Spans {
+			spans[j] = span{s.X0 + p.X, s.X1 + p.X}
+		}
+		out[i] = band{b.Y0 + p.Y, b.Y1 + p.Y, spans}
+	}
+	return Region{bands: out}
+}
+
+// VertexCount returns the total number of vertices over all boundary loops,
+// the metric paper §II-H uses for clipping complexity.
+func (g Region) VertexCount() int {
+	n := 0
+	for _, l := range g.Trace() {
+		n += len(l.V)
+	}
+	return n
+}
+
+// mustRasterize rasterizes p at pitch and panics on error.
+func mustRasterize(p Polygon, pitch int64) Region {
+	r, err := p.Rasterize(pitch)
+	if err != nil {
+		panic(fmt.Sprintf("geom: %v", err))
+	}
+	return r
+}

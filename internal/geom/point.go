@@ -35,9 +35,6 @@ func Pt(x, y int64) Point { return Point{x, y} }
 // Add returns p translated by q.
 func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
 
-// Sub returns p - q.
-func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
-
 // String implements fmt.Stringer.
 func (p Point) String() string { return fmt.Sprintf("(%d,%d)", p.X, p.Y) }
 

@@ -46,21 +46,6 @@ func (p Polygon) Area() float64 {
 	return math.Abs(float64(p.SignedArea2())) / 2
 }
 
-// Bounds returns the bounding box of the polygon vertices.
-func (p Polygon) Bounds() Rect {
-	if len(p.V) == 0 {
-		return Rect{}
-	}
-	out := Rect{p.V[0].X, p.V[0].Y, p.V[0].X, p.V[0].Y}
-	for _, v := range p.V[1:] {
-		out.X0 = minInt64(out.X0, v.X)
-		out.Y0 = minInt64(out.Y0, v.Y)
-		out.X1 = maxInt64(out.X1, v.X)
-		out.Y1 = maxInt64(out.Y1, v.Y)
-	}
-	return out
-}
-
 // Contains reports whether the point lies strictly inside the polygon
 // (even-odd rule, boundary points may report either way for degenerate
 // horizontal edges; use Region-based tests where exactness matters).

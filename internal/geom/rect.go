@@ -57,20 +57,6 @@ func (r Rect) Center() Point {
 	return Point{(r.X0 + r.X1) / 2, (r.Y0 + r.Y1) / 2}
 }
 
-// Contains reports whether p lies inside the half-open extent.
-func (r Rect) Contains(p Point) bool {
-	return p.X >= r.X0 && p.X < r.X1 && p.Y >= r.Y0 && p.Y < r.Y1
-}
-
-// ContainsRect reports whether s is entirely inside r. An empty s is
-// contained in everything.
-func (r Rect) ContainsRect(s Rect) bool {
-	if s.Empty() {
-		return true
-	}
-	return s.X0 >= r.X0 && s.X1 <= r.X1 && s.Y0 >= r.Y0 && s.Y1 <= r.Y1
-}
-
 // Intersect returns the overlap of r and s (possibly empty).
 func (r Rect) Intersect(s Rect) Rect {
 	out := Rect{
@@ -114,14 +100,6 @@ func (r Rect) Expand(d int64) Rect {
 		return Rect{}
 	}
 	return out
-}
-
-// Translate shifts the rectangle by the vector p.
-func (r Rect) Translate(p Point) Rect {
-	if r.Empty() {
-		return Rect{}
-	}
-	return Rect{r.X0 + p.X, r.Y0 + p.Y, r.X1 + p.X, r.Y1 + p.Y}
 }
 
 // String implements fmt.Stringer.

@@ -114,7 +114,4 @@ func TestPointOps(t *testing.T) {
 	if got, want := p.Add(q), Pt(4, 2); got != want {
 		t.Fatalf("add = %v, want %v", got, want)
 	}
-	if got, want := p.Sub(q), Pt(2, 6); got != want {
-		t.Fatalf("sub = %v, want %v", got, want)
-	}
 }

@@ -228,14 +228,6 @@ func (g Region) Contains(p Point) bool {
 	return j < len(sp) && sp[j].X0 <= p.X
 }
 
-// ContainsRect reports whether r is entirely covered by the region.
-func (g Region) ContainsRect(r Rect) bool {
-	if r.Empty() {
-		return true
-	}
-	return RegionFromRect(r).Subtract(g).Empty()
-}
-
 // Equal reports whether two regions cover exactly the same points.
 func (g Region) Equal(h Region) bool {
 	if len(g.bands) != len(h.bands) {
@@ -387,36 +379,6 @@ func (g Region) Subtract(h Region) Region {
 	return g.combine(h, func(a, b bool) bool { return a && !b })
 }
 
-// Xor returns the symmetric difference of g and h.
-func (g Region) Xor(h Region) Region {
-	return g.combine(h, func(a, b bool) bool { return a != b })
-}
-
-// IntersectRect is a fast path for clipping the region to a rectangle.
-func (g Region) IntersectRect(r Rect) Region {
-	if r.Empty() || g.Empty() {
-		return Region{}
-	}
-	var out []band
-	for _, b := range g.bands {
-		y0, y1 := maxInt64(b.Y0, r.Y0), minInt64(b.Y1, r.Y1)
-		if y0 >= y1 {
-			continue
-		}
-		var spans []span
-		for _, s := range b.Spans {
-			x0, x1 := maxInt64(s.X0, r.X0), minInt64(s.X1, r.X1)
-			if x0 < x1 {
-				spans = append(spans, span{x0, x1})
-			}
-		}
-		if len(spans) > 0 {
-			out = append(out, band{y0, y1, spans})
-		}
-	}
-	return Region{bands: coalesceBands(out)}
-}
-
 // Overlaps reports whether g and h share any area, without materializing
 // the intersection.
 func (g Region) Overlaps(h Region) bool {
@@ -480,22 +442,6 @@ func (g Region) Erode(d int64) Region {
 	frame := g.Bounds().Expand(2 * d)
 	comp := RegionFromRect(frame).Subtract(g)
 	return g.Subtract(comp.Bloat(d))
-}
-
-// Translate shifts the whole region by the vector p.
-func (g Region) Translate(p Point) Region {
-	if g.Empty() {
-		return g
-	}
-	out := make([]band, len(g.bands))
-	for i, b := range g.bands {
-		spans := make([]span, len(b.Spans))
-		for j, s := range b.Spans {
-			spans[j] = span{s.X0 + p.X, s.X1 + p.X}
-		}
-		out[i] = band{b.Y0 + p.Y, b.Y1 + p.Y, spans}
-	}
-	return Region{bands: out}
 }
 
 // Components splits the region into edge-connected components.

@@ -1,9 +1,6 @@
 package geom
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // Loop is a closed rectilinear boundary ring produced by tracing a Region.
 // Vertices follow the interior-on-the-left convention: outer boundaries are
@@ -265,24 +262,4 @@ func dedupCollinear(ring []Point) []Point {
 		}
 	}
 	return keep
-}
-
-// VertexCount returns the total number of vertices over all boundary loops,
-// the metric paper §II-H uses for clipping complexity.
-func (g Region) VertexCount() int {
-	n := 0
-	for _, l := range g.Trace() {
-		n += len(l.V)
-	}
-	return n
-}
-
-// mustRasterize is a test helper wrapper used by internal examples; it
-// panics on error and is intentionally unexported.
-func mustRasterize(p Polygon, pitch int64) Region {
-	r, err := p.Rasterize(pitch)
-	if err != nil {
-		panic(fmt.Sprintf("geom: %v", err))
-	}
-	return r
 }

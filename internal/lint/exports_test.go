@@ -15,7 +15,8 @@ import (
 )
 
 // testSeams are the exported identifiers under internal/ that exist for
-// tests on purpose. Every other export must have a non-test caller.
+// tests on purpose. Every other export must have a non-test caller. A
+// method is keyed as package path, type and method: pkg.Type.Method.
 var testSeams = map[string]string{
 	"sprout/internal/faultinject.Arm":              "arms a fault site; production only evaluates sites",
 	"sprout/internal/faultinject.ArmLatency":       "arms a fault site; production only evaluates sites",
@@ -31,12 +32,24 @@ var testSeams = map[string]string{
 	"sprout/internal/sparse.DiffLaplacians":        "names the first bit difference of two assembled systems in tests",
 	"sprout/internal/geom.Poly":                    "builds polygon fixtures for the geometry tests",
 	"sprout/internal/geom.PolyFromRect":            "builds polygon fixtures for the geometry tests",
+	"sprout/internal/obs.Tracer.EventRecords":      "lets the pipeline tests read the recorded instant events",
+	"sprout/internal/server.Store.Kill":            "simulates a crash for the durability tests",
+}
+
+// interfaceMethods are method names that implement an interface the
+// program calls through, so no selector names the concrete method: the
+// fmt.Stringer, error and errors.Unwrap protocols, io.Writer and
+// http.ResponseWriter, and the functional options' Apply.
+var interfaceMethods = map[string]bool{
+	"String": true, "Error": true, "Unwrap": true,
+	"Write": true, "WriteHeader": true, "Apply": true,
 }
 
 // TestNoExportOnlyTestsReach fails on an exported package-level func,
-// type, var or const under internal/ (lint packages excluded) that no
-// non-test Go file uses outside its own declaration. Module packages are
-// type-checked; the separate perfbench module counts by identifier.
+// type, var or const, or an exported method of a package-level type,
+// under internal/ (lint packages excluded) that no non-test Go file uses
+// outside its own declaration. Module packages are type-checked; the
+// separate perfbench module counts by identifier.
 func TestNoExportOnlyTestsReach(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: skipping whole-module type check")
@@ -67,9 +80,7 @@ func TestNoExportOnlyTestsReach(t *testing.T) {
 			for _, d := range f.Decls {
 				switch d := d.(type) {
 				case *ast.FuncDecl:
-					if d.Recv == nil {
-						declared[pkg.Info.Defs[d.Name]] = span{d.Pos(), d.End()}
-					}
+					declared[pkg.Info.Defs[d.Name]] = span{d.Pos(), d.End()}
 				case *ast.GenDecl:
 					for _, s := range d.Specs {
 						switch s := s.(type) {
@@ -88,6 +99,9 @@ func TestNoExportOnlyTestsReach(t *testing.T) {
 	used := map[types.Object]bool{}
 	for _, pkg := range pkgs {
 		for id, obj := range pkg.Info.Uses {
+			if fn, ok := obj.(*types.Func); ok {
+				obj = fn.Origin() // a method of an instantiated generic type
+			}
 			if d, ok := declared[obj]; !ok || id.Pos() < d.from || id.Pos() >= d.to {
 				used[obj] = true
 			}
@@ -102,18 +116,29 @@ func TestNoExportOnlyTestsReach(t *testing.T) {
 			strings.HasPrefix(pkg.Path, l.ModulePath+"/internal/lint") {
 			continue
 		}
-		scope := pkg.Types.Scope()
-		for _, name := range scope.Names() {
-			obj := scope.Lookup(name)
-			key := pkg.Path + "." + name
-			if !obj.Exported() || used[obj] || perfbench[name] {
-				continue
+		check := func(obj types.Object, key string) {
+			if !obj.Exported() || used[obj] || perfbench[obj.Name()] {
+				return
 			}
 			if testSeams[key] != "" {
 				seams[key] = true
-				continue
+				return
 			}
 			unused = append(unused, l.Fset.Position(obj.Pos()).String()+": "+key)
+		}
+		scope := pkg.Types.Scope()
+		for _, name := range scope.Names() {
+			obj := scope.Lookup(name)
+			check(obj, pkg.Path+"."+name)
+			named, ok := obj.Type().(*types.Named)
+			if _, isType := obj.(*types.TypeName); !isType || !ok {
+				continue
+			}
+			for i := 0; i < named.NumMethods(); i++ {
+				if m := named.Method(i); !interfaceMethods[m.Name()] {
+					check(m, pkg.Path+"."+name+"."+m.Name())
+				}
+			}
 		}
 	}
 	sort.Strings(unused)

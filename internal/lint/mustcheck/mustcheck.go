@@ -3,7 +3,7 @@
 // Cholesky.Solve), solver setup that reports validation errors
 // (sparse.ReassembleLaplacian, sparse.StampLaplacian), route's nodal-analysis entry points
 // (NodeCurrentsCtx, PairVoltagesCtx), and geom's region/polygon clipping
-// algebra (Union, Intersect, Subtract, Xor, Bloat, Erode, Rasterize, ...).
+// algebra (Union, Intersect, Subtract, Bloat, Erode, Rasterize, ...).
 // These functions have no side effects — calling one as a statement, or
 // assigning every result to the blank identifier, throws the computation
 // (and, for solves, the error that says whether it converged) away. Such a
@@ -37,9 +37,8 @@ var mustUse = map[string]map[string]bool{
 		"NodeCurrentsCtx": true, "PairVoltagesCtx": true,
 	},
 	"internal/geom": {
-		"Union": true, "Intersect": true, "Subtract": true, "Xor": true,
-		"IntersectRect": true, "Bloat": true, "Erode": true,
-		"Translate": true, "Rasterize": true, "Components": true,
+		"Union": true, "Intersect": true, "Subtract": true,
+		"Bloat": true, "Erode": true, "Rasterize": true, "Components": true,
 	},
 }
 

@@ -164,24 +164,9 @@ func New(opts ...Option) *Tracer {
 	return t
 }
 
-// TraceID returns the tracer's distributed-trace id ("" on nil).
-func (t *Tracer) TraceID() string {
-	if t == nil {
-		return ""
-	}
-	return t.traceID
-}
-
 // Enabled reports whether the tracer records anything. Nil-safe: a nil
 // tracer is disabled.
 func (t *Tracer) Enabled() bool { return t != nil && t.enabled.Load() }
-
-// SetEnabled flips the recording gate (no-op on a nil tracer).
-func (t *Tracer) SetEnabled(on bool) {
-	if t != nil {
-		t.enabled.Store(on)
-	}
-}
 
 // SpanRecords returns a snapshot of the completed spans in end order.
 func (t *Tracer) SpanRecords() []SpanRecord {

@@ -14,7 +14,7 @@ import (
 
 // planMultilayerOracle is the original Algorithm 6 planner, kept as the
 // reference planMultilayer must reproduce: it tiles each layer with its own
-// per-box IntersectRect+Components loop over map-indexed grids, measures
+// per-box Intersect+Components loop over map-indexed grids, measures
 // lateral contacts with contactLength, and adds edges grid box by grid
 // box. The original ranged over the box maps in Go's unspecified map
 // order, which makes its choice among equal-cost paths vary from run to
@@ -73,7 +73,7 @@ func planMultilayerOracle(spaces []LayerSpace, terms []MLTerminal, viaPitch int6
 			for j := int64(0); j < ny; j++ {
 				box := geom.R(frame.X0+i*viaPitch, frame.Y0+j*viaPitch,
 					frame.X0+(i+1)*viaPitch, frame.Y0+(j+1)*viaPitch)
-				piece := ls.Avail.IntersectRect(box)
+				piece := ls.Avail.Intersect(geom.RegionFromRect(box))
 				if piece.Empty() {
 					continue
 				}

@@ -100,7 +100,8 @@ type assembler func(dst *sparse.Laplacian, rowPtr, col []int, w []float64, groun
 // repeats, as sparse.StampLaplacian requires, and
 // sparse.ReassembleLaplacian receives the sorted edge list of a
 // from-scratch build: either Laplacian is bit-identical to a fresh one.
-// Rows that do not ascend are assembled by sparse.ReassembleLaplacian.
+// A hand-built graph whose rows do not ascend fails the stamp with its
+// named row error.
 func (s *solverSession) rebuild(tg *TileGraph, members []bool, assemble assembler) error {
 	s.compIdx = grow(s.compIdx, tg.G.N())
 	for i := range s.compIdx {
@@ -136,25 +137,15 @@ func (s *solverSession) rebuild(tg *TileGraph, members []bool, assemble assemble
 	// filters the neighbours.
 	s.rowPtr = append(s.rowPtr[:0], 0)
 	s.nbr, s.nw = s.nbr[:0], s.nw[:0]
-	ascending := true
 	for _, id := range s.compNodes {
 		to, w := tg.G.Adj(id)
-		prev := -1
 		for k, v := range to {
 			if c := s.compIdx[v]; c >= 0 {
-				ascending = ascending && c > prev
-				prev = c
 				s.nbr = append(s.nbr, c)
 				s.nw = append(s.nw, w[k])
 			}
 		}
 		s.rowPtr = append(s.rowPtr, len(s.nbr))
-	}
-	if !ascending {
-		// A tile graph built by hand off the TileGraph.G invariant (rows
-		// out of order, or parallel edges) goes through the sorting
-		// constructor, which takes rows in any order.
-		assemble = sparse.ReassembleLaplacian
 	}
 	lap, err := assemble(s.lap, s.rowPtr, s.nbr, s.nw, s.compIdx[t0])
 	if err != nil {

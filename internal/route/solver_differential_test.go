@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -414,13 +415,12 @@ func TestDifferentialIncrementalVsScratch(t *testing.T) {
 	}
 }
 
-// TestDifferentialUnsortedAdjacency shows the session stays correct off
-// the ascending-adjacency invariant of TileGraph.G. It reinserts the
-// differential board's edges in a shuffled order, so the session stamps
-// the Laplacian and sums node currents in another order than the oracle,
-// and requires agreement within sparse.ApproxEqualTol on random toggle
-// sequences.
-func TestDifferentialUnsortedAdjacency(t *testing.T) {
+// TestUnsortedAdjacencyFailsNamedRow checks what a tile graph built by
+// hand off the ascending-row invariant of TileGraph.G gets from the loop:
+// not a silently re-sorted system but sparse.StampLaplacian's error naming
+// the first row whose columns do not ascend. It reinserts the differential
+// board's edges in a shuffled order.
+func TestUnsortedAdjacencyFailsNamedRow(t *testing.T) {
 	avail, terms := obstacleSpace(t)
 	built, err := BuildTileGraph(avail, terms, 5, 5)
 	if err != nil {
@@ -437,32 +437,19 @@ func TestDifferentialUnsortedAdjacency(t *testing.T) {
 	}
 	tg := *built
 	tg.G = g
-	unsorted := 0
-	for u := 0; u < g.N(); u++ {
-		to, _ := g.Adj(u)
-		for k := 1; k < len(to); k++ {
-			if to[k] < to[k-1] {
-				unsorted++
-			}
-		}
-	}
-	if unsorted == 0 {
-		t.Fatal("shuffled insertion left every adjacency list ascending")
-	}
 	seedMask, err := tg.Seed()
 	if err != nil {
 		t.Fatal(err)
 	}
-	candidates := nonTerminalNodes(&tg)
-	for seed := int64(1); seed <= 3; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		h := newDiffHarness(t, &tg, seedMask)
-		h.diverged = true
-		for i := 0; i < 30; i++ {
-			st := toggleStep{candidates[rng.Intn(len(candidates))]}
-			if err := h.step(st); err != nil {
-				t.Fatalf("seed %d step %d: %v", seed, i, err)
-			}
+	members := make([]bool, g.N())
+	for i := range members {
+		members[i] = true
+	}
+	for _, mask := range [][]bool{seedMask, members} {
+		_, err := tg.NodeCurrentsCtx(context.Background(), mask, nil)
+		if err == nil || !strings.Contains(err.Error(), "route: laplacian: sparse: row ") ||
+			!strings.Contains(err.Error(), "columns must strictly ascend") {
+			t.Fatalf("unsorted rows: got error %v, want the stamp's named row error", err)
 		}
 	}
 }

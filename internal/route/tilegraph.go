@@ -282,7 +282,12 @@ func tileRegion(region geom.Region, frame geom.Rect, dx, dy int64) *tiling {
 			}
 		}
 	}
+	// Every non-empty box yields at least one piece, and most exactly one.
+	filled := 0
 	for c := int64(0); c < nbox; c++ {
+		if start[c+1] > 0 {
+			filled++
+		}
 		start[c+1] += start[c]
 	}
 	// Placing a fragment advances its box's start, which leaves start[c]
@@ -305,14 +310,15 @@ func tileRegion(region geom.Region, frame geom.Rect, dx, dy int64) *tiling {
 	// sized to the boxes' canonical cells. A piece's rectangles are its
 	// fragments, regrouped in place by piece when a box splits, so byBox
 	// serves as rects; start is rewritten in place from fragment to piece
-	// indices.
+	// indices. The pieces are sized to the non-empty boxes; a box that
+	// splits appends past that.
 	var arena geom.Arena
 	for c := int64(0); c < nbox; c++ {
 		arena.Reserve(byBox[start[c]:start[c+1]])
 	}
 	t.rects = byBox
-	t.pieces = make([]geom.Region, 0, len(byBox))
-	t.rectStart = make([]int, 1, len(byBox)+1)
+	t.pieces = make([]geom.Region, 0, filled)
+	t.rectStart = make([]int, 1, filled+1)
 	var held []geom.Rect
 	for c, lo := int64(0), 0; c < nbox; c++ {
 		hi := start[c+1]

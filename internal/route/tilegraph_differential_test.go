@@ -111,7 +111,8 @@ func randomTileCase(r *rand.Rand) (geom.Region, []route.Terminal, int64, int64) 
 		case 0:
 			shape = geom.EmptyRegion()
 		case 1:
-			shape = shape.Translate(geom.Pt(1000, 0))
+			b := shape.Bounds()
+			shape = geom.RegionFromRect(geom.R(b.X0+1000, b.Y0, b.X1+1000, b.Y1))
 		}
 		terms = append(terms, route.Terminal{Name: fmt.Sprintf("t%d", k), Shape: shape, Current: float64(r.Intn(3))})
 	}

@@ -11,7 +11,7 @@ import (
 
 // buildTileGraphOracle is the original Alg. 1 builder, kept as the
 // reference BuildTileGraph must reproduce exactly: every grid box is
-// clipped from the whole space with IntersectRect and split with
+// clipped from the whole space with Intersect and split with
 // Components, boxes are indexed by a map, and contacts are measured by
 // contactLength's shifted-region intersections.
 func buildTileGraphOracle(avail geom.Region, terms []Terminal, dx, dy int64) (*TileGraph, error) {
@@ -45,7 +45,7 @@ func buildTileGraphOracle(avail geom.Region, terms []Terminal, dx, dy int64) (*T
 		for j := int64(0); j < ny; j++ {
 			y0 := b.Y0 + j*dy
 			y1 := y0 + dy
-			cell := avail.IntersectRect(geom.R(x0, y0, x1, y1))
+			cell := avail.Intersect(geom.RegionFromRect(geom.R(x0, y0, x1, y1)))
 			if cell.Empty() {
 				continue
 			}
@@ -223,7 +223,11 @@ func buildTileGraphOracle(avail geom.Region, terms []Terminal, dx, dy int64) (*T
 func contactLength(a, b geom.Region) int64 {
 	var total int64
 	for _, d := range []geom.Point{{X: 1, Y: 0}, {X: -1, Y: 0}, {X: 0, Y: 1}, {X: 0, Y: -1}} {
-		total += a.Translate(d).Intersect(b).Area()
+		shifted := a.Rects()
+		for i, r := range shifted {
+			shifted[i] = geom.R(r.X0+d.X, r.Y0+d.Y, r.X1+d.X, r.Y1+d.Y)
+		}
+		total += geom.RegionFromRects(shifted).Intersect(b).Area()
 	}
 	// Each touching segment is counted once by exactly one direction since
 	// a and b are disjoint; shifting both ways catches either ordering.

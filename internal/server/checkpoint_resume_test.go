@@ -26,7 +26,7 @@ func exploreBoardDoc(t testing.TB) []byte {
 		{Name: "L1", CopperUM: 35, DielectricBelowUM: 100},
 		{Name: "L2", CopperUM: 35, IsPlane: true},
 	}}
-	rules := board.DesignRules{Clearance: 2, TileDX: 5, TileDY: 5, ViaCost: 5}
+	rules := board.DesignRules{Clearance: 2, ViaCost: 5}
 	b, err := board.New("explore3", geom.R(0, 0, 200, 120), stack, rules)
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +49,8 @@ func exploreBoardDoc(t testing.TB) []byte {
 		}
 	}
 	var buf bytes.Buffer
-	if err := boardio.Encode(&buf, b, 1, budgets); err != nil {
+	dec := &boardio.Decoded{Board: b, RoutingLayer: 1, Budgets: budgets, Config: sprout.RouteConfig{DX: 5, DY: 5}}
+	if err := boardio.Encode(&buf, dec); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -29,7 +29,7 @@ func testDecoded(t *testing.T) *boardio.Decoded {
 		{Name: "L2", CopperUM: 35, IsPlane: true},
 	}}
 	b, err := board.New("unit", geom.R(0, 0, 100, 50), stack,
-		board.DesignRules{Clearance: 2, TileDX: 5, TileDY: 5, ViaCost: 5})
+		board.DesignRules{Clearance: 2, ViaCost: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,8 @@ type MLRouteOptions struct {
 	// Config tunes the per-component SPROUT pipeline.
 	Config route.Config
 	// ViaPitch is the planning tile size for the 3-D graph (paper Alg. 6
-	// uses the via pitch). Zero selects 2x the routing tile.
+	// uses the via pitch). Zero selects 2x the routing tile, Config.DX
+	// with defaults applied.
 	ViaPitch int64
 }
 
@@ -89,7 +90,7 @@ func RouteBoardMultilayerCtx(ctx context.Context, b *board.Board, opt MLRouteOpt
 	}
 	viaPitch := opt.ViaPitch
 	if viaPitch <= 0 {
-		viaPitch = 2 * b.Rules.TileDX
+		viaPitch = 2 * opt.Config.WithDefaults().DX
 		if viaPitch < 2 {
 			viaPitch = 2
 		}

@@ -19,7 +19,7 @@ func mlBoard(t *testing.T) (*sprout.Board, sprout.NetID) {
 		{Name: "L2", CopperUM: 35, DielectricBelowUM: 100},
 		{Name: "L3-gnd", CopperUM: 35, DielectricBelowUM: 0, IsPlane: true},
 	}}
-	rules := sprout.DesignRules{Clearance: 2, TileDX: 5, TileDY: 5, ViaCost: 6}
+	rules := sprout.DesignRules{Clearance: 2, ViaCost: 6}
 	b, err := sprout.NewBoard("ml", geom.R(0, 0, 160, 60), stack, rules)
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func TestRouteBoardMultilayerSingleLayerFallback(t *testing.T) {
 		{Name: "L1", CopperUM: 35, DielectricBelowUM: 100},
 		{Name: "L2", CopperUM: 35, DielectricBelowUM: 0},
 	}}
-	rules := sprout.DesignRules{Clearance: 2, TileDX: 5, TileDY: 5, ViaCost: 6}
+	rules := sprout.DesignRules{Clearance: 2, ViaCost: 6}
 	b, err := sprout.NewBoard("flat", geom.R(0, 0, 120, 40), stack, rules)
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +124,7 @@ func TestRouteBoardMultilayerValidation(t *testing.T) {
 	}
 	empty, err := sprout.NewBoard("e", geom.R(0, 0, 50, 50), sprout.Stackup{
 		Layers: []sprout.Layer{{Name: "L1", CopperUM: 35}},
-	}, sprout.DesignRules{Clearance: 1, TileDX: 5, TileDY: 5})
+	}, sprout.DesignRules{Clearance: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

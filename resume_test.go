@@ -25,7 +25,7 @@ func resumeBoard(t testing.TB) *board.Board {
 		{Name: "L1", CopperUM: 35, DielectricBelowUM: 100},
 		{Name: "L2", CopperUM: 35, DielectricBelowUM: 0, IsPlane: true},
 	}}
-	rules := DesignRules{Clearance: 2, TileDX: 5, TileDY: 5, ViaCost: 5}
+	rules := DesignRules{Clearance: 2, ViaCost: 5}
 	b, err := NewBoard("resume", geom.R(0, 0, 200, 160), stack, rules)
 	if err != nil {
 		t.Fatal(err)

@@ -119,18 +119,19 @@ type DRCLimits = drc.Limits
 // Audit runs the design-rule audit over a routed board: clearance,
 // containment, blockages, terminal connectivity, minimum width, area
 // budgets and current density. Zero-valued limits inherit the board's
-// rules (clearance) and a one-tile budget slack.
+// rules (clearance) and a budget slack of one tile of the graph the rails
+// were routed on (Alg. 1 Δx·Δy).
 func Audit(res *BoardResult, lim DRCLimits) []Violation {
 	if lim.Clearance == 0 {
 		lim.Clearance = res.Board.Rules.Clearance
-	}
-	if lim.BudgetSlack == 0 {
-		lim.BudgetSlack = res.Board.Rules.TileDX * res.Board.Rules.TileDY
 	}
 	routed := map[string]drc.RoutedNet{}
 	for _, rail := range res.Rails {
 		if rail.Route == nil {
 			continue // unrouted rail: nothing to audit
+		}
+		if lim.BudgetSlack == 0 {
+			lim.BudgetSlack = rail.Route.Graph.DX * rail.Route.Graph.DY
 		}
 		routed[rail.Name] = drc.RoutedNet{
 			Copper:  rail.Route.Shape,

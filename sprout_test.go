@@ -8,6 +8,7 @@ import (
 
 	"sprout"
 	"sprout/internal/board"
+	"sprout/internal/cases"
 	"sprout/internal/extract"
 	"sprout/internal/geom"
 )
@@ -18,7 +19,7 @@ func facadeBoard(t *testing.T) (*sprout.Board, sprout.NetID) {
 		{Name: "L1", CopperUM: 35, DielectricBelowUM: 100},
 		{Name: "L2", CopperUM: 35, DielectricBelowUM: 0, IsPlane: true},
 	}}
-	rules := sprout.DesignRules{Clearance: 2, TileDX: 5, TileDY: 5, ViaCost: 5}
+	rules := sprout.DesignRules{Clearance: 2, ViaCost: 5}
 	b, err := sprout.NewBoard("facade", geom.R(0, 0, 120, 60), stack, rules)
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +76,7 @@ func TestRouteBoardValidation(t *testing.T) {
 	}
 	// A board whose nets have fewer than two groups on the layer.
 	stack := sprout.Stackup{Layers: []sprout.Layer{{Name: "L1", CopperUM: 35}}}
-	rules := sprout.DesignRules{Clearance: 1, TileDX: 5, TileDY: 5}
+	rules := sprout.DesignRules{Clearance: 1}
 	empty, err := sprout.NewBoard("empty", geom.R(0, 0, 50, 50), stack, rules)
 	if err != nil {
 		t.Fatal(err)
@@ -135,6 +136,46 @@ func TestAuditRoutedBoardClean(t *testing.T) {
 	}
 	if vs := sprout.Audit(res, sprout.DRCLimits{}); len(vs) != 0 {
 		t.Fatalf("routed board must pass DRC, got %v", vs)
+	}
+}
+
+// TestAuditSlackIsOneRoutedTile checks that Audit's default budget slack
+// is one tile of the graph the rails were routed on: the two-rail case
+// routes at Δx = Δy = 5, so a rail 26 to 99 units² over budget is
+// flagged, and one exactly 25 over is not.
+func TestAuditSlackIsOneRoutedTile(t *testing.T) {
+	cs, err := cases.TwoRail()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sprout.RouteBoard(cs.Board, sprout.RouteOptions{
+		Layer: cs.RoutingLayer, Budgets: cs.Budgets, Config: cs.Config,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rail := &res.Rails[0]
+	if g := rail.Route.Graph; g.DX*g.DY != 25 {
+		t.Fatalf("two-rail routes at %dx%d, want 5x5", g.DX, g.DY)
+	}
+	area := rail.Route.Shape.Area()
+	budgetFindings := func(over int64) int {
+		rail.Budget = area - over
+		n := 0
+		for _, v := range sprout.Audit(res, sprout.DRCLimits{}) {
+			if v.Rule == "budget" && v.Net == rail.Name {
+				n++
+			}
+		}
+		return n
+	}
+	if n := budgetFindings(25); n != 0 {
+		t.Fatalf("area one tile over budget: %d budget findings, want 0", n)
+	}
+	for _, over := range []int64{26, 50, 99} {
+		if n := budgetFindings(over); n != 1 {
+			t.Fatalf("area %d over budget: %d budget findings, want 1", over, n)
+		}
 	}
 }
 
