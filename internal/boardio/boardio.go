@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 
 	"sprout/internal/board"
 	"sprout/internal/geom"
@@ -25,8 +26,34 @@ type ShapeJSON struct {
 	Poly [][2]int64 `json:"poly,omitempty"`
 }
 
+// maxCircle bounds a circle's centre coordinates and radius, so that its
+// box (centre ± radius) cannot overflow.
+const maxCircle = 1 << 61
+
 // Region converts the shape to a Region, rasterizing at pitch 1.
 func (s ShapeJSON) Region() (geom.Region, error) {
+	return s.regionRows(math.MinInt64, math.MaxInt64)
+}
+
+// regionRows is Region with circles and polygons rasterized over the rows
+// y0 <= y < y1 only; a rect is kept whole.
+func (s ShapeJSON) regionRows(y0, y1 int64) (geom.Region, error) {
+	if err := s.check(); err != nil {
+		return geom.Region{}, err
+	}
+	switch {
+	case len(s.Rect) > 0:
+		return geom.RegionFromRect(geom.R(s.Rect[0], s.Rect[1], s.Rect[2], s.Rect[3])), nil
+	case len(s.Circle) > 0:
+		return geom.CircleRows(geom.Pt(s.Circle[0], s.Circle[1]), s.Circle[2], 1, y0, y1), nil
+	default:
+		return s.polygon().RasterizeRows(1, y0, y1)
+	}
+}
+
+// check rejects a shape that sets other than one primitive, a rect or
+// circle of the wrong arity, and a circle beyond maxCircle.
+func (s ShapeJSON) check() error {
 	set := 0
 	if len(s.Rect) > 0 {
 		set++
@@ -38,26 +65,45 @@ func (s ShapeJSON) Region() (geom.Region, error) {
 		set++
 	}
 	if set != 1 {
-		return geom.Region{}, fmt.Errorf("boardio: shape must set exactly one of rect, circle, poly")
+		return fmt.Errorf("boardio: shape must set exactly one of rect, circle, poly")
 	}
 	switch {
-	case len(s.Rect) > 0:
-		if len(s.Rect) != 4 {
-			return geom.Region{}, fmt.Errorf("boardio: rect needs 4 numbers, got %d", len(s.Rect))
-		}
-		return geom.RegionFromRect(geom.R(s.Rect[0], s.Rect[1], s.Rect[2], s.Rect[3])), nil
+	case len(s.Rect) > 0 && len(s.Rect) != 4:
+		return fmt.Errorf("boardio: rect needs 4 numbers, got %d", len(s.Rect))
+	case len(s.Circle) > 0 && len(s.Circle) != 3:
+		return fmt.Errorf("boardio: circle needs 3 numbers, got %d", len(s.Circle))
 	case len(s.Circle) > 0:
-		if len(s.Circle) != 3 {
-			return geom.Region{}, fmt.Errorf("boardio: circle needs 3 numbers, got %d", len(s.Circle))
+		for _, v := range s.Circle {
+			if v < -maxCircle || v > maxCircle {
+				return fmt.Errorf("boardio: circle %v beyond ±%d", s.Circle, int64(maxCircle))
+			}
 		}
-		return geom.Circle(geom.Pt(s.Circle[0], s.Circle[1]), s.Circle[2], 1), nil
-	default:
-		pts := make([]geom.Point, len(s.Poly))
-		for i, p := range s.Poly {
-			pts[i] = geom.Pt(p[0], p[1])
-		}
-		return geom.Polygon{V: pts}.Rasterize(1)
 	}
+	return nil
+}
+
+// polygon returns the shape's vertex ring.
+func (s ShapeJSON) polygon() geom.Polygon {
+	pts := make([]geom.Point, len(s.Poly))
+	for i, p := range s.Poly {
+		pts[i] = geom.Pt(p[0], p[1])
+	}
+	return geom.Polygon{V: pts}
+}
+
+// rasterBox returns a box that holds a circle's or polygon's
+// rasterization without rasterizing it: the circle's centre ± radius, the
+// polygon's vertex box. ok is false for a rect, for a malformed shape and
+// for a box of no area, whose shape rasterizes empty.
+func (s ShapeJSON) rasterBox() (box geom.Rect, ok bool) {
+	switch {
+	case s.check() != nil:
+	case len(s.Circle) > 0:
+		box = geom.RectAround(geom.Pt(s.Circle[0], s.Circle[1]), s.Circle[2])
+	case len(s.Poly) > 0:
+		box = s.polygon().Bounds()
+	}
+	return box, !box.Empty()
 }
 
 // LayerJSON mirrors board.Layer.
@@ -231,6 +277,13 @@ func FromJSON(doc *BoardJSON) (*Decoded, error) {
 		}
 		pads := make([]geom.Region, len(g.Pads))
 		for i, s := range g.Pads {
+			// A circle or polygon pad whose box leaves the outline stands
+			// in as that box, which AddGroup rejects as it would the
+			// rasterized pad, so no pad costs more rows than the outline.
+			if box, ok := s.rasterBox(); ok && box.Intersect(b.Outline) != box {
+				pads[i] = geom.RegionFromRect(box)
+				continue
+			}
 			pads[i], err = s.Region()
 			if err != nil {
 				return nil, fmt.Errorf("boardio: group %q pad %d: %w", g.Name, i, err)
@@ -252,9 +305,13 @@ func FromJSON(doc *BoardJSON) (*Decoded, error) {
 			}
 			net = id
 		}
+		// Obstacle circles and polygons are rasterized over the outline's
+		// rows widened by the clearance only: rows beyond cannot reach the
+		// available space once bloated, and a large shape costs no more
+		// than the outline.
 		shape := geom.EmptyRegion()
 		for j, s := range o.Shape {
-			r, err := s.Region()
+			r, err := s.regionRows(b.Outline.Y0-rules.Clearance, b.Outline.Y1+rules.Clearance)
 			if err != nil {
 				return nil, fmt.Errorf("boardio: obstacle %d shape %d: %w", i, j, err)
 			}

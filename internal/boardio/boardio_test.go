@@ -2,12 +2,14 @@ package boardio
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"os"
 	"reflect"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"sprout"
 
@@ -105,9 +107,95 @@ func TestShapeJSONValidation(t *testing.T) {
 	if _, err := (ShapeJSON{Rect: []int64{0, 0, 1, 1}, Circle: []int64{0, 0, 1}}).Region(); err == nil {
 		t.Fatal("two primitives must error")
 	}
+	if _, err := (ShapeJSON{Circle: []int64{0, 0, math.MaxInt64}}).Region(); err == nil {
+		t.Fatal("circle beyond maxCircle must error")
+	}
 	g, err := (ShapeJSON{Poly: [][2]int64{{0, 0}, {10, 0}, {10, 10}, {0, 10}}}).Region()
 	if err != nil || g.Area() != 100 {
 		t.Fatalf("poly shape: area=%d err=%v", g.Area(), err)
+	}
+}
+
+// hugePadDoc is a 400-byte document whose one circle pad has radius
+// 200,000 on a 10x10 outline. Rasterizing that pad takes 400,000 rows.
+const hugePadDoc = `{"name":"dos","outline":[0,0,10,10],
+"stackup":[{"name":"L1","copper_um":35,"dielectric_below_um":0}],
+"rules":{"clearance":1,"tile_dx":1,"tile_dy":1,"via_cost":1},
+"nets":[{"name":"V","current":1,"slew_ns":1}],
+"groups":[{"name":"a","kind":"pmic","net":"V","layer":1,"pads":[{"circle":[5,5,200000]}]},
+{"name":"b","kind":"bga","net":"V","layer":1,"pads":[{"rect":[8,8,9,9]}]}],
+"routing_layer":1}`
+
+// TestDecodeRejectsHugePadQuickly: a circle or polygon pad that leaves
+// the outline is rejected from its box, before it is rasterized.
+func TestDecodeRejectsHugePadQuickly(t *testing.T) {
+	huge := strings.Replace(hugePadDoc, `{"circle":[5,5,200000]}`, `{"poly":[[5,-200000],[200000,5],[5,200000],[-200000,5]]}`, 1)
+	for name, doc := range map[string]string{"circle": hugePadDoc, "poly": huge} {
+		start := time.Now()
+		_, err := Decode(strings.NewReader(doc))
+		if err == nil || !strings.Contains(err.Error(), `group "a" pad 0 extends outside the outline`) {
+			t.Fatalf("%s: Decode = %v, want the pad rejected as outside the outline", name, err)
+		}
+		if d := time.Since(start); d > 250*time.Millisecond {
+			t.Fatalf("%s: rejecting the pad took %v", name, d)
+		}
+	}
+}
+
+// TestObstacleRowsKeepAvailableSpace: obstacle circles and polygons are
+// rasterized over the outline's rows widened by the clearance only. Shapes
+// that overhang the outline on every side, one within the clearance of
+// its top edge, leave every available space as the full rasterization
+// does, and a disc of radius 200,000 decodes at the cost of the outline.
+func TestObstacleRowsKeepAvailableSpace(t *testing.T) {
+	shapes := []ShapeJSON{
+		{Circle: []int64{0, 50, 30}},
+		{Circle: []int64{100, 103, 2}}, // off the board, within clearance 2 of y=100
+		{Circle: []int64{190, -5, 40}},
+		{Poly: [][2]int64{{60, -30}, {80, 130}, {70, 140}}},
+		{Poly: [][2]int64{{120, 90}, {170, 160}, {130, 101}}},
+	}
+	doc := minimalDoc
+	var full []geom.Region
+	for _, sh := range shapes {
+		shape, err := json.Marshal([]ShapeJSON{sh})
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc = strings.Replace(doc, `"obstacles": [`, `"obstacles": [{"layer": 1, "shape": `+string(shape)+`}, `, 1)
+		g, err := sh.Region()
+		if err != nil {
+			t.Fatal(err)
+		}
+		full = append(full, g)
+	}
+	dec, err := Decode(strings.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := dec.Board
+	want := geom.RegionFromRect(b.Outline)
+	for _, g := range append(full, geom.RegionFromRect(geom.R(90, 0, 110, 40))) {
+		want = want.Subtract(g.Bloat(b.Rules.Clearance))
+	}
+	if got := b.AvailableSpace(0, 1); !got.Equal(want) {
+		t.Fatalf("available space %v, want %v from the full rasterizations", got, want)
+	}
+	if b.Obstacle[0].Shape.Equal(full[len(full)-1]) {
+		t.Fatal("the overhanging polygon was rasterized over all its rows")
+	}
+
+	start := time.Now()
+	dec, err = Decode(strings.NewReader(strings.Replace(minimalDoc,
+		`{"rect": [90, 0, 110, 40]}`, `{"circle": [100, 50, 200000]}`, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > 250*time.Millisecond {
+		t.Fatalf("decoding a disc of radius 200,000 took %v", d)
+	}
+	if !dec.Board.AvailableSpace(0, 1).Empty() {
+		t.Fatal("the disc must cover the board")
 	}
 }
 

@@ -18,6 +18,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add(`{"name":"x","outline":[0,0,1,1],"stackup":[{"name":"L1","copper_um":35,"dielectric_below_um":0}],"rules":{"clearance":0,"tile_dx":1,"tile_dy":1,"via_cost":0},"nets":[],"groups":[],"routing_layer":1}`)
 	f.Add(strings.Replace(minimalDoc, `"rect": [5, 40, 15, 60]`, `"poly": [[0,0],[9,0],[9,9],[0,9]]`, 1))
 	f.Add(strings.Replace(minimalDoc, `"routing_layer": 1`, `"routing_layer": -2`, 1))
+	f.Add(hugePadDoc)
 	example, err := os.ReadFile("testdata/example_board.json")
 	if err != nil {
 		f.Fatal(err)

@@ -1,23 +1,21 @@
 package geom
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Methods only the geometry tests call: oracles for the fast paths and
 // fixture helpers. They compile into the test binary only.
 
-// Bounds returns the bounding box of the polygon vertices.
-func (p Polygon) Bounds() Rect {
-	if len(p.V) == 0 {
-		return Rect{}
-	}
-	out := Rect{p.V[0].X, p.V[0].Y, p.V[0].X, p.V[0].Y}
-	for _, v := range p.V[1:] {
-		out.X0 = minInt64(out.X0, v.X)
-		out.Y0 = minInt64(out.Y0, v.Y)
-		out.X1 = maxInt64(out.X1, v.X)
-		out.Y1 = maxInt64(out.Y1, v.Y)
-	}
-	return out
+// Rasterize is RasterizeRows over every row.
+func (p Polygon) Rasterize(pitch int64) (Region, error) {
+	return p.RasterizeRows(pitch, math.MinInt64, math.MaxInt64)
+}
+
+// Circle is CircleRows over every row.
+func Circle(c Point, r, pitch int64) Region {
+	return CircleRows(c, r, pitch, math.MinInt64, math.MaxInt64)
 }
 
 // Contains reports whether p lies inside the half-open extent.

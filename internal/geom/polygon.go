@@ -3,6 +3,7 @@ package geom
 import (
 	"fmt"
 	"math"
+	"sort"
 )
 
 // Polygon is a simple (non-self-intersecting) polygon given by its vertex
@@ -11,9 +12,9 @@ import (
 // reveals the orientation.
 //
 // Polygons are the input interchange format (component pads, blockages,
-// board outlines). All set algebra happens on Region; Rasterize converts a
-// polygon to a region, stair-stepping non-rectilinear edges at a chosen
-// pitch exactly as a grid-snapped layout database would.
+// board outlines). All set algebra happens on Region; RasterizeRows
+// converts a polygon to a region, stair-stepping non-rectilinear edges at
+// a chosen pitch exactly as a grid-snapped layout database would.
 type Polygon struct {
 	V []Point
 }
@@ -85,13 +86,32 @@ func (p Polygon) IsRectilinear() bool {
 	return true
 }
 
-// Rasterize converts the polygon into a Region. Rectilinear polygons
-// convert exactly (pitch is ignored for band placement: bands are cut at the
-// polygon's own y coordinates). Polygons with slanted edges are
-// stair-stepped: bands taller than pitch are subdivided and each slab is
-// filled between the edge crossings evaluated at the slab's midline, which
-// is the standard grid-snap discretization. pitch must be >= 1.
-func (p Polygon) Rasterize(pitch int64) (Region, error) {
+// Bounds returns the bounding box of the polygon vertices.
+func (p Polygon) Bounds() Rect {
+	if len(p.V) == 0 {
+		return Rect{}
+	}
+	out := Rect{p.V[0].X, p.V[0].Y, p.V[0].X, p.V[0].Y}
+	for _, v := range p.V[1:] {
+		out.X0 = minInt64(out.X0, v.X)
+		out.Y0 = minInt64(out.Y0, v.Y)
+		out.X1 = maxInt64(out.X1, v.X)
+		out.Y1 = maxInt64(out.Y1, v.Y)
+	}
+	return out
+}
+
+// RasterizeRows converts the part of the polygon in the band
+// y0 <= y < y1 into a Region. Rectilinear polygons convert exactly (pitch
+// is ignored for band placement: bands are cut at the polygon's own y
+// coordinates). Polygons with slanted edges are stair-stepped: bands
+// taller than pitch are subdivided and each slab is filled between the
+// edge crossings evaluated at the slab's midline, which is the standard
+// grid-snap discretization. The result is the whole polygon's
+// rasterization intersected with the band, built without visiting the
+// slabs outside it, so its cost follows the band's height rather than the
+// polygon's. pitch must be >= 1.
+func (p Polygon) RasterizeRows(pitch, y0, y1 int64) (Region, error) {
 	if len(p.V) < 3 {
 		return Region{}, fmt.Errorf("geom: polygon needs >= 3 vertices, got %d", len(p.V))
 	}
@@ -111,18 +131,28 @@ func (p Polygon) Rasterize(pitch int64) (Region, error) {
 
 	var rects []Rect
 	for i := 0; i+1 < len(ys); i++ {
-		y0, y1 := ys[i], ys[i+1]
+		lo, hi := ys[i], ys[i+1]
+		if hi <= y0 || lo >= y1 {
+			continue
+		}
 		steps := int64(1)
 		if !rectilinear {
-			steps = (y1 - y0 + pitch - 1) / pitch
+			steps = (hi - lo + pitch - 1) / pitch
 		}
-		for s := int64(0); s < steps; s++ {
-			sy0 := y0 + s*(y1-y0)/steps
-			sy1 := y0 + (s+1)*(y1-y0)/steps
+		// Slab s spans [at(s), at(s+1)); visit those that meet the band.
+		at := func(s int64) int64 { return lo + s*(hi-lo)/steps }
+		first := int64(sort.Search(int(steps), func(s int) bool { return at(int64(s)+1) > y0 }))
+		last := int64(sort.Search(int(steps), func(s int) bool { return at(int64(s)) >= y1 }))
+		for s := first; s < last; s++ {
+			sy0, sy1 := at(s), at(s+1)
 			if sy0 >= sy1 {
 				continue
 			}
+			n := len(rects)
 			rects = appendSlabRects(rects, p, sy0, sy1)
+			for k := n; k < len(rects); k++ {
+				rects[k].Y0, rects[k].Y1 = max(rects[k].Y0, y0), min(rects[k].Y1, y1)
+			}
 		}
 	}
 	return RegionFromRects(rects), nil
@@ -187,31 +217,36 @@ func roundDiv(num, den int64) int64 {
 	return -((-num + den/2) / den)
 }
 
-// Circle approximates a disc of radius r centered at c as a Region,
-// stair-stepped in slabs of the given pitch (>=1). Each slab is filled to
-// the chord width at the slab midline, matching how circular pads land on a
-// manufacturing grid.
-func Circle(c Point, r, pitch int64) Region {
+// CircleRows approximates the part of a disc of radius r centered at c
+// in the band y0 <= y < y1 as a Region, stair-stepped in slabs of the
+// given pitch (>=1). Each slab is filled to the chord width at the slab
+// midline, matching how circular pads land on a manufacturing grid. The
+// result is the whole disc's slabs intersected with the band, built
+// without visiting the slabs outside it.
+func CircleRows(c Point, r, pitch, y0, y1 int64) Region {
 	if r <= 0 {
 		return Region{}
 	}
 	if pitch < 1 {
 		pitch = 1
 	}
+	// Slab k spans the offsets [-r+k*pitch, -r+(k+1)*pitch) from the
+	// centre; start at the first slab that ends above y0.
+	from := -r
+	if y0 > c.Y-r {
+		from += (y0 - (c.Y - r)) / pitch * pitch
+	}
 	var rects []Rect
-	for y := -r; y < r; y += pitch {
-		y1 := y + pitch
-		if y1 > r {
-			y1 = r
-		}
+	for y := from; y < r && c.Y+y < y1; y += pitch {
+		top := min(y+pitch, r)
 		// Midline offset from center (in halves).
-		ym := float64(y+y1) / 2
+		ym := float64(y+top) / 2
 		w := math.Sqrt(float64(r)*float64(r) - ym*ym)
 		half := int64(math.Round(w))
 		if half <= 0 {
 			continue
 		}
-		rects = append(rects, Rect{c.X - half, c.Y + y, c.X + half, c.Y + y1})
+		rects = append(rects, Rect{c.X - half, max(c.Y+y, y0), c.X + half, min(c.Y+top, y1)})
 	}
 	return RegionFromRects(rects)
 }

@@ -145,3 +145,53 @@ func TestQuickRasterizeRectilinearMatchesRegion(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRowsRasterMatchesBand checks that RasterizeRows and CircleRows
+// return the full rasterization intersected with their band, for random
+// star-shaped and rectilinear polygons and discs, pitches 1 to 5, and
+// bands that cut, cover or miss the shape.
+func TestRowsRasterMatchesBand(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	band := func(y0, y1 int64) Region { return RegionFromRect(Rect{-1000, y0, 1000, y1}) }
+	randBand := func() (int64, int64) {
+		y0 := int64(rng.Intn(140) - 70)
+		return y0, y0 + int64(rng.Intn(80))
+	}
+	for trial := 0; trial < 300; trial++ {
+		pitch := int64(1 + rng.Intn(5))
+		y0, y1 := randBand()
+
+		c, r := Pt(int64(rng.Intn(41)-20), int64(rng.Intn(41)-20)), int64(rng.Intn(40))
+		if got, want := CircleRows(c, r, pitch, y0, y1), Circle(c, r, pitch).Intersect(band(y0, y1)); !got.Equal(want) {
+			t.Fatalf("circle %v r=%d pitch %d band [%d,%d): got %v, want %v", c, r, pitch, y0, y1, got, want)
+		}
+
+		n := 3 + rng.Intn(8)
+		angles := make([]float64, n)
+		for i := range angles {
+			angles[i] = 2 * math.Pi * (float64(i) + rng.Float64()) / float64(n)
+		}
+		var p Polygon
+		for _, a := range angles {
+			rad := float64(5 + rng.Intn(40))
+			p.V = append(p.V, Pt(int64(rad*math.Cos(a)), int64(rad*math.Sin(a))))
+		}
+		polys := []Polygon{p}
+		for _, pw := range randomRegion(rng).Polygons() {
+			polys = append(polys, pw.Outer)
+		}
+		for _, p := range polys {
+			full, err := p.Rasterize(pitch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := p.RasterizeRows(pitch, y0, y1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := full.Intersect(band(y0, y1)); !got.Equal(want) {
+				t.Fatalf("polygon %v pitch %d band [%d,%d): got %v, want %v", p.V, pitch, y0, y1, got, want)
+			}
+		}
+	}
+}

@@ -21,7 +21,8 @@ type Edge struct {
 // compressed sparse row form: node u's neighbours are
 // to[rowPtr[u]:rowPtr[u+1]], with the edge weights at the same positions
 // of w. Every edge sits in both of its endpoints' rows. Construct with
-// FromEdges.
+// FromEdges from an edge list, or with FromRows from rows already laid
+// out in this form.
 type Graph struct {
 	rowPtr []int
 	to     []int
@@ -69,6 +70,31 @@ func FromEdges(n int, edges []Edge) (*Graph, error) {
 	return g, nil
 }
 
+// FromRows builds the graph whose CSR rows are given: node u's
+// neighbours are to[rowPtr[u]:rowPtr[u+1]], with the edge weights at the
+// same positions of w, so the graph has len(rowPtr)-1 nodes. Every edge
+// must sit in both of its endpoints' rows with the same weight; the rows
+// keep the order given, and the graph takes the slices as its storage.
+// It fails on the first entry with an out-of-range neighbour, a self-loop
+// or a negative weight, the checks of FromEdges.
+func FromRows(rowPtr, to []int, w []float64) (*Graph, error) {
+	n := len(rowPtr) - 1
+	if n < 0 || rowPtr[0] != 0 || rowPtr[n] != len(to) || len(w) != len(to) {
+		panic(fmt.Sprintf("graph: malformed rows: %d row offsets for %d neighbours and %d weights", len(rowPtr), len(to), len(w)))
+	}
+	for u := 0; u < n; u++ {
+		if rowPtr[u] > rowPtr[u+1] {
+			panic(fmt.Sprintf("graph: row %d ends at %d before its start %d", u, rowPtr[u+1], rowPtr[u]))
+		}
+		for k := rowPtr[u]; k < rowPtr[u+1]; k++ {
+			if err := checkEdge(n, Edge{U: u, V: to[k], Weight: w[k]}); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return &Graph{rowPtr: rowPtr, to: to, w: w}, nil
+}
+
 // checkEdge rejects out-of-range endpoints, self-loops and negative
 // weights.
 func checkEdge(n int, e Edge) error {
@@ -85,8 +111,9 @@ func checkEdge(n int, e Edge) error {
 }
 
 // Adj returns node u's row: its neighbours and the weights of the edges to
-// them, in FromEdges list order. The slices share the graph's storage and
-// are capped at the row's end; callers must not write to them.
+// them, in FromEdges list order or as FromRows was given them. The slices
+// share the graph's storage and are capped at the row's end; callers must
+// not write to them.
 func (g *Graph) Adj(u int) (to []int, w []float64) {
 	lo, hi := g.rowPtr[u], g.rowPtr[u+1]
 	return g.to[lo:hi:hi], g.w[lo:hi:hi]

@@ -3,7 +3,7 @@
 // Cholesky.Solve), solver setup that reports validation errors
 // (sparse.ReassembleLaplacian, sparse.StampLaplacian), route's nodal-analysis entry points
 // (NodeCurrentsCtx, PairVoltagesCtx), and geom's region/polygon clipping
-// algebra (Union, Intersect, Subtract, Bloat, Erode, Rasterize, ...).
+// algebra (Union, Intersect, Subtract, Bloat, Erode, RasterizeRows, ...).
 // These functions have no side effects — calling one as a statement, or
 // assigning every result to the blank identifier, throws the computation
 // (and, for solves, the error that says whether it converged) away. Such a
@@ -38,7 +38,7 @@ var mustUse = map[string]map[string]bool{
 	},
 	"internal/geom": {
 		"Union": true, "Intersect": true, "Subtract": true,
-		"Bloat": true, "Erode": true, "Rasterize": true, "Components": true,
+		"Bloat": true, "Erode": true, "RasterizeRows": true, "Components": true,
 	},
 }
 

@@ -87,6 +87,48 @@ func Tiling(avail geom.Region, dx, dy int64) (got, want TilingParts) {
 		parts(tileRegionReference(avail, avail.Bounds(), dx, dy))
 }
 
+// Contact is one contact between tile pieces: PA in the left or lower
+// box, PB in its neighbour to the right or above (Up), and the length of
+// their shared boundary.
+type Contact struct {
+	PA, PB int
+	Length int64
+	Up     bool
+}
+
+// Contacts tiles avail on its own bounds like BuildTileGraph and lists
+// its contacts twice: as tiling.contacts visits them, and as found by
+// measuring every piece against each piece of the boxes to its right and
+// above with contactLength, piece by piece, the right box first.
+func Contacts(avail geom.Region, dx, dy int64) (got, want []Contact) {
+	t := tileRegion(avail, avail.Bounds(), dx, dy)
+	t.contacts(func(pa, pb int, length int64, up bool) {
+		got = append(got, Contact{pa, pb, length, up})
+	})
+	for i := int64(0); i < t.nx; i++ {
+		for j := int64(0); j < t.ny; j++ {
+			c := i*t.ny + j
+			for pa := t.cellStart[c]; pa < t.cellStart[c+1]; pa++ {
+				for _, nb := range []struct {
+					ok bool
+					n  int64
+					up bool
+				}{{i+1 < t.nx, c + t.ny, false}, {j+1 < t.ny, c + 1, true}} {
+					if !nb.ok {
+						continue
+					}
+					for pb := t.cellStart[nb.n]; pb < t.cellStart[nb.n+1]; pb++ {
+						if l := contactLength(t.pieces[pa], t.pieces[pb]); l > 0 {
+							want = append(want, Contact{pa, pb, l, nb.up})
+						}
+					}
+				}
+			}
+		}
+	}
+	return got, want
+}
+
 // RemoveLowCurrent runs the erosion guard of SmartRefine and Erode with
 // the search state of warm (fresh state when warm is nil): it removes up to
 // k low-current members of members that the terminals can spare and

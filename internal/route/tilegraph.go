@@ -36,12 +36,12 @@ type Terminal struct {
 type TileGraph struct {
 	// G holds the conductance graph: edge weight = contact width divided by
 	// the tile pitch across the contact (unitless "squares" of sheet
-	// conductance). BuildTileGraph lists its merged edges once each, in
-	// ascending (a, b) order, so every node's row strictly ascends and a
-	// walk over the rows meets the edges sorted. Every nodal system rests
-	// on that: walking the rows in order stamps the Laplacian in sorted
-	// edge order, bit-identical to a from-scratch build
-	// (TestTileGraphAdjacencyAscends pins it).
+	// conductance). BuildTileGraph writes its rows directly, one entry per
+	// neighbour with the parallel contacts summed, so every node's row
+	// strictly ascends and a walk over the rows meets the edges sorted by
+	// (a, b). Every nodal system rests on that: walking the rows in order
+	// stamps the Laplacian in sorted edge order, bit-identical to a
+	// from-scratch build (TestTileGraphAdjacencyAscends pins it).
 	G *graph.Graph
 	// Cells maps node id to its tile geometry (union of tiles for
 	// contracted terminal nodes).
@@ -60,8 +60,10 @@ type TileGraph struct {
 // (paper Algorithm 1 SPACETOGRAPH) and contracts terminal tiles. It fails
 // when a terminal has no routable tile or fewer than two terminals are
 // given. It allocates per graph rather than per node: a contracted
-// terminal's cell is built in one pass over its pieces' fragments, and
-// graph.FromEdges lays the merged edges out as one CSR adjacency.
+// terminal's cell is built in one pass over its pieces' fragments, the
+// cells overwrite the tiling's pieces, and the contacts are written
+// straight into the CSR rows that graph.FromRows takes over, with no
+// contact list in between.
 func BuildTileGraph(avail geom.Region, terms []Terminal, dx, dy int64) (*TileGraph, error) {
 	if dx < 1 || dy < 1 {
 		return nil, fmt.Errorf("route: tile size %dx%d must be >= 1", dx, dy)
@@ -147,9 +149,11 @@ func BuildTileGraph(avail geom.Region, terms []Terminal, dx, dy int64) (*TileGra
 
 	// Assign final node ids (roots in ascending order for determinism). A
 	// piece that is not its own root joins its root's node; its root comes
-	// first, so that node already has its id.
+	// first, so that node already has its id. A node's id is never larger
+	// than its root piece's index, so the cells overwrite t.pieces in
+	// place.
 	nodeOf := make([]int, len(t.pieces))
-	cells := make([]geom.Region, 0, len(t.pieces))
+	cells := t.pieces[:0]
 	var joined []int
 	for p, piece := range t.pieces {
 		r := find(p)
@@ -178,43 +182,67 @@ func BuildTileGraph(avail geom.Region, terms []Terminal, dx, dy int64) (*TileGra
 		areas[i] = cells[i].Area()
 	}
 
-	// Edges: conductance = contact width / pitch across the contact.
-	// Contacts between the same two nodes (contracted terminals) sum in
-	// piece order, each piece's contacts to the right before those above;
-	// the stable sort on seq fixes that order whatever order contacts
-	// come in.
-	type edge struct {
-		a, b int
-		seq  int // 2*pa, plus 1 for a contact above
-		w    float64
+	// Edges: conductance = contact width / pitch across the contact, laid
+	// out straight into CSR rows. A counting pass sizes the rows and a
+	// fill pass writes each contact into both endpoints' rows in visit
+	// order, with parent, free now, as the fill cursor.
+	n := len(cells)
+	rowPtr := make([]int, n+1)
+	t.contacts(func(pa, pb int, _ int64, _ bool) {
+		if na, nb := nodeOf[pa], nodeOf[pb]; na != nb {
+			rowPtr[na+1]++
+			rowPtr[nb+1]++
+		}
+	})
+	for u := 0; u < n; u++ {
+		rowPtr[u+1] += rowPtr[u]
 	}
-	edges := make([]edge, 0, 2*len(t.pieces))
+	to := make([]int, rowPtr[n])
+	w := make([]float64, rowPtr[n])
+	next := parent[:n]
+	copy(next, rowPtr)
 	t.contacts(func(pa, pb int, length int64, up bool) {
 		na, nb := nodeOf[pa], nodeOf[pb]
 		if na == nb {
 			return
 		}
-		if na > nb {
-			na, nb = nb, na
-		}
-		pitch, seq := dx, 2*pa
+		pitch := dx
 		if up {
-			pitch, seq = dy, seq+1
+			pitch = dy
 		}
-		edges = append(edges, edge{na, nb, seq, float64(length) / float64(pitch)})
+		c := float64(length) / float64(pitch)
+		to[next[na]], w[next[na]] = nb, c
+		next[na]++
+		to[next[nb]], w[next[nb]] = na, c
+		next[nb]++
 	})
-	slices.SortStableFunc(edges, func(x, y edge) int {
-		return cmp.Or(cmp.Compare(x.a, y.a), cmp.Compare(x.b, y.b), cmp.Compare(x.seq, y.seq))
-	})
-	merged := make([]graph.Edge, 0, len(edges))
-	for _, e := range edges {
-		if n := len(merged); n > 0 && merged[n-1].U == e.a && merged[n-1].V == e.b {
-			merged[n-1].Weight += e.w
-			continue
+	// Sort each row stably by neighbour, sum the contacts to one
+	// neighbour (contracted terminals) in visit order, and compact the
+	// rows in place. Each row then strictly ascends, and both rows of a
+	// pair sum the same contacts in the same order.
+	k := 0
+	for u := 0; u < n; u++ {
+		lo, hi := rowPtr[u], rowPtr[u+1]
+		rowPtr[u] = k
+		for i := lo + 1; i < hi; i++ {
+			v, c := to[i], w[i]
+			j := i
+			for ; j > lo && to[j-1] > v; j-- {
+				to[j], w[j] = to[j-1], w[j-1]
+			}
+			to[j], w[j] = v, c
 		}
-		merged = append(merged, graph.Edge{U: e.a, V: e.b, Weight: e.w})
+		for i := lo; i < hi; i++ {
+			if k > rowPtr[u] && to[k-1] == to[i] {
+				w[k-1] += w[i]
+				continue
+			}
+			to[k], w[k] = to[i], w[i]
+			k++
+		}
 	}
-	g, err := graph.FromEdges(len(cells), merged)
+	rowPtr[n] = k
+	g, err := graph.FromRows(rowPtr, to[:k:k], w[:k:k])
 	if err != nil {
 		return nil, err
 	}
@@ -357,30 +385,29 @@ func tileRegion(region geom.Region, frame geom.Rect, dx, dy int64) *tiling {
 // contacts calls fn for every pair of pieces in neighbouring boxes that
 // share a boundary of positive length, with pa in the left or lower box,
 // the contact length, and whether pb lies above pa rather than to its
-// right. Pairs come in ascending box order; within a box, the contacts to
-// the right come before those above, each in piece order.
+// right. Pairs come in ascending (pa, up, pb) order: each piece in turn
+// reports its contacts to the right, then those above.
 func (t *tiling) contacts(fn func(pa, pb int, length int64, up bool)) {
 	for i := int64(0); i < t.nx; i++ {
 		for j := int64(0); j < t.ny; j++ {
 			c := i*t.ny + j
-			if i+1 < t.nx {
-				t.seams(c, c+t.ny, t.x0+(i+1)*t.dx, false, fn)
-			}
-			if j+1 < t.ny {
-				t.seams(c, c+1, t.y0+(j+1)*t.dy, true, fn)
-			}
-		}
-	}
-}
-
-// seams reports the contacts between the pieces of box c and those of its
-// neighbour n across the grid line at `at`: the vertical line x = at when
-// n is to the right, the horizontal line y = at when it is above.
-func (t *tiling) seams(c, n int64, at int64, up bool, fn func(pa, pb int, length int64, up bool)) {
-	for pa := t.cellStart[c]; pa < t.cellStart[c+1]; pa++ {
-		for pb := t.cellStart[n]; pb < t.cellStart[n+1]; pb++ {
-			if l := t.seam(pa, pb, at, up); l > 0 {
-				fn(pa, pb, l, up)
+			for pa := t.cellStart[c]; pa < t.cellStart[c+1]; pa++ {
+				if i+1 < t.nx {
+					at, n := t.x0+(i+1)*t.dx, c+t.ny
+					for pb := t.cellStart[n]; pb < t.cellStart[n+1]; pb++ {
+						if l := t.seam(pa, pb, at, false); l > 0 {
+							fn(pa, pb, l, false)
+						}
+					}
+				}
+				if j+1 < t.ny {
+					at, n := t.y0+(j+1)*t.dy, c+1
+					for pb := t.cellStart[n]; pb < t.cellStart[n+1]; pb++ {
+						if l := t.seam(pa, pb, at, true); l > 0 {
+							fn(pa, pb, l, true)
+						}
+					}
+				}
 			}
 		}
 	}

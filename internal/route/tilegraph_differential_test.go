@@ -316,6 +316,38 @@ func TestTilingMatchesPerBoxReference(t *testing.T) {
 	}
 }
 
+// TestContactsVisitInSumOrder checks the order BuildTileGraph sums
+// parallel contacts in: tiling.contacts reports every contact of positive
+// length exactly once, in strictly ascending (pa, up, pb) order, on seeded
+// random spaces, many with split boxes, and on abutting terminals.
+func TestContactsVisitInSumOrder(t *testing.T) {
+	check := func(name string, avail geom.Region, dx, dy int64) {
+		t.Helper()
+		got, want := route.Contacts(avail, dx, dy)
+		for k := 1; k < len(got); k++ {
+			a, b := got[k-1], got[k]
+			if a.PA > b.PA || a.PA == b.PA && (a.Up && !b.Up || a.Up == b.Up && a.PB >= b.PB) {
+				t.Fatalf("%s: contact %+v visited after %+v", name, b, a)
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: %d contacts visited, %d measured pairwise:\n%v\n%v", name, len(got), len(want), got, want)
+		}
+	}
+	r := rand.New(rand.NewSource(34))
+	for i := 0; i < 500; i++ {
+		avail, _, dx, dy := randomTileCase(r)
+		if avail.Empty() || dx < 1 || dy < 1 {
+			continue
+		}
+		check(fmt.Sprintf("case %d", i), avail, dx, dy)
+	}
+	for i := 0; i < 100; i++ {
+		avail, _, dx, dy := randomAbuttingCase(r)
+		check(fmt.Sprintf("abutting %d", i), avail, dx, dy)
+	}
+}
+
 // FuzzBuildTileGraph drives the same comparison with fuzzer-chosen seeds
 // and tile pitches, and checks that every row of a built graph strictly
 // ascends.
