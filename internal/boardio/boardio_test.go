@@ -126,6 +126,17 @@ const hugePadDoc = `{"name":"dos","outline":[0,0,10,10],
 {"name":"b","kind":"bga","net":"V","layer":1,"pads":[{"rect":[8,8,9,9]}]}],
 "routing_layer":1}`
 
+// bigOutlineDoc is a small document whose circle pad of radius 250,000
+// lies inside a 2,000,000-unit outline, so it passes the outline check
+// and is rasterized: 500,000 rows go into one region.
+const bigOutlineDoc = `{"name":"big","outline":[0,0,2000000,2000000],
+"stackup":[{"name":"L1","copper_um":35,"dielectric_below_um":0}],
+"rules":{"clearance":1,"tile_dx":1,"tile_dy":1,"via_cost":1},
+"nets":[{"name":"V","current":1,"slew_ns":1}],
+"groups":[{"name":"a","kind":"pmic","net":"V","layer":1,"pads":[{"circle":[1000000,1000000,250000]}]},
+{"name":"b","kind":"bga","net":"V","layer":1,"pads":[{"rect":[8,8,9,9]}]}],
+"routing_layer":1}`
+
 // TestDecodeRejectsHugePadQuickly: a circle or polygon pad that leaves
 // the outline is rejected from its box, before it is rasterized.
 func TestDecodeRejectsHugePadQuickly(t *testing.T) {

@@ -19,6 +19,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add(strings.Replace(minimalDoc, `"rect": [5, 40, 15, 60]`, `"poly": [[0,0],[9,0],[9,9],[0,9]]`, 1))
 	f.Add(strings.Replace(minimalDoc, `"routing_layer": 1`, `"routing_layer": -2`, 1))
 	f.Add(hugePadDoc)
+	f.Add(bigOutlineDoc)
 	example, err := os.ReadFile("testdata/example_board.json")
 	if err != nil {
 		f.Fatal(err)

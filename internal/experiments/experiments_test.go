@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"strings"
@@ -290,6 +292,33 @@ func TestHeatmapsExperiment(t *testing.T) {
 	svgs, _ := filepath.Glob(filepath.Join(dir, "*drop_*.svg"))
 	if len(svgs) != 3 {
 		t.Fatalf("IR maps = %d, want 3", len(svgs))
+	}
+}
+
+// TestHeatmapSVGsPinned pins the bytes of the IR-drop and thermal maps
+// RunHeatmaps writes for every rail of the middle Table IV layout. The
+// maps draw each tile graph node's cell, so a change to how the cells are
+// stored must leave every byte as it was.
+func TestHeatmapSVGsPinned(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := RunHeatmaps(dir); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]string{
+		"irdrop_CPU.svg":    "9690b5eed5dcccc443e6bbc78d6149507ae0ff4b592a277fdf61e786bc9fe53b",
+		"irdrop_DSP.svg":    "ee6a00f375e303e40e867a942fbed5e2304896c240f72335b72b05b05f3445f8",
+		"irdrop_MODEM.svg":  "d61477ab852b7bcaaec977efeb1e531a745690d939d9a23c96e6af50d1703c27",
+		"thermal_CPU.svg":   "d3d165ecc856fe8869b49e077f949924f1b82ca2cee2cfeefa1256acc2c462d0",
+		"thermal_DSP.svg":   "af010387bd8eb83bcc5d112533afbbac6e7bdb1a2e8a8a2291e5dd0ab038bc23",
+		"thermal_MODEM.svg": "ded4cf3399bfec1d862c02eff3da2279d8163f8ff7ef6cd96d22c206a7922774",
+	} {
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := sha256.Sum256(b); hex.EncodeToString(sum[:]) != want {
+			t.Errorf("%s: sha256 %x, pinned %s", name, sum, want)
+		}
 	}
 }
 

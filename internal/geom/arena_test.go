@@ -132,11 +132,11 @@ func TestCombineMatchesPerBandReference(t *testing.T) {
 	}
 }
 
-// TestArenaRegionsDoNotAlias carves many regions from one arena, as the
-// Alg. 1 tiling does, and checks that each keeps its String while its
-// neighbours are combined, bloated and split, and while a span is
-// appended to each of its bands: every window the arena hands out is
-// capped, so nothing written through one region reaches another.
+// TestArenaRegionsDoNotAlias splits many regions with one arena and
+// checks that each component keeps its String while its neighbours are
+// combined, bloated and split, and while a span is appended to each of
+// its bands: every window the arena hands out is capped, so nothing
+// written through one region reaches another.
 func TestArenaRegionsDoNotAlias(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	for i := 0; i < 300; i++ {
@@ -144,8 +144,9 @@ func TestArenaRegionsDoNotAlias(t *testing.T) {
 		if g.Empty() {
 			continue
 		}
-		// Clip g to a grid of boxes, reserving every box first.
-		var boxes [][]Rect
+		// Clip g to a grid of boxes and split every box.
+		var a arena
+		var regions []Region
 		b := g.Bounds()
 		for x := b.X0; x < b.X1; x += 7 {
 			for y := b.Y0; y < b.Y1; y += 5 {
@@ -155,22 +156,14 @@ func TestArenaRegionsDoNotAlias(t *testing.T) {
 						clip = append(clip, c)
 					}
 				}
-				boxes = append(boxes, clip)
+				cell := RegionFromRects(clip)
+				regions = append(regions, cell)
+				comps := a.components(cell)
+				if want := componentsOracle(cell); !reflect.DeepEqual(comps, want) {
+					t.Fatalf("case %d: arena components %v, want %v", i, comps, want)
+				}
+				regions = append(regions, comps...)
 			}
-		}
-		var a Arena
-		for _, box := range boxes {
-			a.Reserve(box)
-		}
-		var regions []Region
-		for _, box := range boxes {
-			cell := a.RegionFromSortedRects(box)
-			regions = append(regions, cell)
-			comps := a.Components(cell)
-			if want := cell.Components(); !reflect.DeepEqual(comps, want) {
-				t.Fatalf("case %d: arena components %v, want %v", i, comps, want)
-			}
-			regions = append(regions, comps...)
 		}
 		want := make([]string, len(regions))
 		for k, reg := range regions {
@@ -190,7 +183,7 @@ func TestArenaRegionsDoNotAlias(t *testing.T) {
 			_ = p.Intersect(q)
 			_ = p.Subtract(q)
 			_ = p.Bloat(1)
-			_ = a.Components(p.Union(q))
+			_ = a.components(p.Union(q))
 		}
 		check("booleans of neighbours")
 		for _, reg := range regions {
@@ -200,42 +193,5 @@ func TestArenaRegionsDoNotAlias(t *testing.T) {
 			_ = append(reg.bands, band{1 << 40, 1<<40 + 1, nil})
 		}
 		check("appends to neighbours")
-	}
-}
-
-// TestArenaReserveSizesExactly checks that reserving every box before
-// carving takes one block of bands and one of spans, sized to the
-// canonical cells with nothing to spare.
-func TestArenaReserveSizesExactly(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	for i := 0; i < 300; i++ {
-		g := randomSlottedRegion(r)
-		var boxes [][]Rect
-		b := g.Bounds()
-		for x := b.X0; x < b.X1; x += 4 {
-			var clip []Rect
-			for _, rc := range g.Rects() {
-				if c := rc.Intersect(Rect{x, b.Y0, x + 4, b.Y1}); !c.Empty() {
-					clip = append(clip, c)
-				}
-			}
-			boxes = append(boxes, clip)
-		}
-		var a Arena
-		for _, box := range boxes {
-			a.Reserve(box)
-		}
-		nb, ns := 0, 0
-		for _, box := range boxes {
-			cell := a.RegionFromSortedRects(box)
-			nb += len(cell.bands)
-			for _, bd := range cell.bands {
-				ns += len(bd.Spans)
-			}
-		}
-		if len(a.bands) != nb || cap(a.bands) != nb || len(a.spans) != ns || cap(a.spans) != ns {
-			t.Fatalf("case %d: arena holds %d/%d bands and %d/%d spans, cells need %d and %d",
-				i, len(a.bands), cap(a.bands), len(a.spans), cap(a.spans), nb, ns)
-		}
 	}
 }

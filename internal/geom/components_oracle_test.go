@@ -91,35 +91,3 @@ func TestComponentsMatchesOracle(t *testing.T) {
 		t.Fatalf("only %d of 3000 random regions had several components", multi)
 	}
 }
-
-func TestRegionFromSortedRects(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	for i := 0; i < 3000; i++ {
-		g := randomSlottedRegion(r)
-		if got := new(Arena).RegionFromSortedRects(g.Rects()); !reflect.DeepEqual(got, g) {
-			t.Fatalf("case %d: rebuilt %v, want %v", i, got, g)
-		}
-		// A clip of the rectangles to a box keeps the band layout, but
-		// bands that differed outside the box may now need merging.
-		x, y := int64(r.Intn(50)-10), int64(r.Intn(50)-10)
-		box := Rect{x, y, x + int64(1+r.Intn(20)), y + int64(1+r.Intn(20))}
-		var clip []Rect
-		for _, rc := range g.Rects() {
-			if c := rc.Intersect(box); !c.Empty() {
-				clip = append(clip, c)
-			}
-		}
-		if got, want := new(Arena).RegionFromSortedRects(clip), g.IntersectRect(box); !reflect.DeepEqual(got, want) {
-			t.Fatalf("case %d clip %v: got %v, want %v", i, box, got, want)
-		}
-		// Unsorted, overlapping, touching or empty input falls back.
-		raw := []Rect{box, {x - 3, y, x, y + 2}, {x, y, x + 1, y + 1}, {}}
-		r.Shuffle(len(raw), func(a, b int) { raw[a], raw[b] = raw[b], raw[a] })
-		if got, want := new(Arena).RegionFromSortedRects(raw), RegionFromRects(raw); !reflect.DeepEqual(got, want) {
-			t.Fatalf("case %d unsorted %v: got %v, want %v", i, raw, got, want)
-		}
-	}
-	if got := new(Arena).RegionFromSortedRects(nil); !reflect.DeepEqual(got, Region{}) {
-		t.Fatalf("no rectangles: got %v", got)
-	}
-}

@@ -47,7 +47,10 @@ func RegionFromRect(r Rect) Region {
 }
 
 // RegionFromRects returns the union of the given rectangles in canonical
-// form. Overlapping and touching rectangles are merged.
+// form. Overlapping and touching rectangles are merged. It sweeps the
+// slabs between consecutive y breakpoints upward, keeping the rectangles
+// that cover the current slab, so the work per slab is proportional to
+// the rectangles crossing it, not to all that start below it.
 func RegionFromRects(rects []Rect) Region {
 	// Collect y breakpoints.
 	ys := make([]int64, 0, 2*len(rects))
@@ -63,24 +66,35 @@ func RegionFromRects(rects []Rect) Region {
 		return Region{}
 	}
 	ys = uniqueSorted(ys)
-	slices.SortFunc(live, func(a, b Rect) int {
-		return cmp.Or(cmp.Compare(a.Y0, b.Y0), cmp.Compare(a.X0, b.X0))
-	})
+	slices.SortFunc(live, func(a, b Rect) int { return cmp.Compare(a.Y0, b.Y0) })
+	// live[:k] holds the rectangles that cover the slab and live[next:]
+	// those yet to enter. A rectangle enters by moving down into live[k],
+	// which never passes next, so the sweep needs no second slice.
 	bands := make([]band, 0, len(ys)-1)
 	var spans []span
+	k, next := 0, 0
 	for i := 0; i+1 < len(ys); i++ {
 		y0, y1 := ys[i], ys[i+1]
-		lo := len(spans)
-		for _, r := range live {
-			if r.Y0 >= y1 {
-				break // sorted by Y0; nothing further can cover this slab
-			}
-			if r.Y0 <= y0 && r.Y1 >= y1 {
-				spans = append(spans, span{r.X0, r.X1})
+		kept := 0
+		for _, r := range live[:k] {
+			if r.Y1 > y0 {
+				live[kept] = r
+				kept++
 			}
 		}
-		if len(spans) == lo {
+		k = kept
+		for ; next < len(live) && live[next].Y0 <= y0; next++ {
+			live[k] = live[next]
+			k++
+		}
+		if k == 0 {
 			continue
+		}
+		// Every rectangle in live[:k] starts at or below y0 and ends
+		// above it, so at or above y1, the next breakpoint.
+		lo := len(spans)
+		for _, r := range live[:k] {
+			spans = append(spans, span{r.X0, r.X1})
 		}
 		spans = spans[:lo+len(mergeSpans(spans[lo:]))]
 		bands = append(bands, band{y0, y1, spans[lo:]})
@@ -416,6 +430,23 @@ func (g Region) Overlaps(h Region) bool {
 	return false
 }
 
+// OverlapsRect reports whether g and r share any area. It binary-searches
+// the bands r crosses and, in each, the first span ending right of r.X0.
+func (g Region) OverlapsRect(r Rect) bool {
+	if r.Empty() {
+		return false
+	}
+	i := sort.Search(len(g.bands), func(i int) bool { return g.bands[i].Y1 > r.Y0 })
+	for ; i < len(g.bands) && g.bands[i].Y0 < r.Y1; i++ {
+		sp := g.bands[i].Spans
+		j := sort.Search(len(sp), func(j int) bool { return sp[j].X1 > r.X0 })
+		if j < len(sp) && sp[j].X0 < r.X1 {
+			return true
+		}
+	}
+	return false
+}
+
 // Bloat returns the morphological dilation of the region by a square
 // structuring element of half-width d (Minkowski sum with a 2d x 2d
 // square). This implements the "buffer" of paper Fig. 4: the region of
@@ -452,8 +483,8 @@ func (g Region) Erode(d int64) Region {
 // proportional to contact width). Components come in the order of their
 // union-find roots over the Rects decomposition.
 func (g Region) Components() []Region {
-	var a Arena
-	return a.Components(g)
+	var a arena
+	return a.components(g)
 }
 
 // unionFind is a standard disjoint-set forest with path compression.

@@ -94,7 +94,7 @@ func backbones(tg *route.TileGraph) ([][]geom.Point, error) {
 	for i, p := range paths {
 		line := make([]geom.Point, len(p))
 		for pi, id := range p {
-			line[pi] = tg.Cells[id].Bounds().Center()
+			line[pi] = tg.Bounds(id).Center()
 		}
 		out[i] = line
 	}

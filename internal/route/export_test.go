@@ -66,13 +66,19 @@ func TileCounts(avail geom.Region, dx, dy int64) (pieces, splitBoxes int) {
 			splitBoxes++
 		}
 	}
-	return len(t.pieces), splitBoxes
+	return t.numPieces(), splitBoxes
 }
 
-// TilingParts is the tiling of a space on its own bounds: the pieces,
-// each piece's first fragment, each box's first piece, and the fragments.
+// BoxConnectivity returns tileRegion's test of whether one box's
+// fragments form a single piece, its scratch shared across calls.
+func BoxConnectivity() func(box []geom.Rect) bool {
+	var s fragmentSets
+	return s.connected
+}
+
+// TilingParts is the tiling of a space on its own bounds: each piece's
+// first fragment, each box's first piece, and the fragments.
 type TilingParts struct {
-	Pieces               []geom.Region
 	RectStart, CellStart []int
 	Rects                []geom.Rect
 }
@@ -81,7 +87,7 @@ type TilingParts struct {
 // per-box reference tiling that tileRegion must reproduce.
 func Tiling(avail geom.Region, dx, dy int64) (got, want TilingParts) {
 	parts := func(t *tiling) TilingParts {
-		return TilingParts{t.pieces, t.rectStart, t.cellStart, t.rects}
+		return TilingParts{t.rectStart, t.cellStart, t.rects}
 	}
 	return parts(tileRegion(avail, avail.Bounds(), dx, dy)),
 		parts(tileRegionReference(avail, avail.Bounds(), dx, dy))
@@ -98,10 +104,12 @@ type Contact struct {
 
 // Contacts tiles avail on its own bounds like BuildTileGraph and lists
 // its contacts twice: as tiling.contacts visits them, and as found by
-// measuring every piece against each piece of the boxes to its right and
-// above with contactLength, piece by piece, the right box first.
+// measuring every piece's region, built from its fragments, against each
+// piece of the boxes to its right and above with contactLength, piece by
+// piece, the right box first.
 func Contacts(avail geom.Region, dx, dy int64) (got, want []Contact) {
 	t := tileRegion(avail, avail.Bounds(), dx, dy)
+	piece := func(p int) geom.Region { return geom.RegionFromRects(t.fragments(p)) }
 	t.contacts(func(pa, pb int, length int64, up bool) {
 		got = append(got, Contact{pa, pb, length, up})
 	})
@@ -118,7 +126,7 @@ func Contacts(avail geom.Region, dx, dy int64) (got, want []Contact) {
 						continue
 					}
 					for pb := t.cellStart[nb.n]; pb < t.cellStart[nb.n+1]; pb++ {
-						if l := contactLength(t.pieces[pa], t.pieces[pb]); l > 0 {
+						if l := contactLength(piece(pa), piece(pb)); l > 0 {
 							want = append(want, Contact{pa, pb, l, nb.up})
 						}
 					}

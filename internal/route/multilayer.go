@@ -98,8 +98,8 @@ func planMultilayer(spaces []LayerSpace, terms []MLTerminal, viaPitch int64, via
 	// whole grid boxes clipped to available space, one node per connected
 	// piece, numbered layer by layer in piece order.
 	type cell struct {
-		layer int // index into sorted
-		shape geom.Region
+		layer int         // index into sorted
+		rects []geom.Rect // the piece's fragments
 	}
 	var cells []cell
 	var frame geom.Rect
@@ -111,8 +111,8 @@ func planMultilayer(spaces []LayerSpace, terms []MLTerminal, viaPitch int64, via
 	for li, ls := range sorted {
 		tilings[li] = tileRegion(ls.Avail, frame, viaPitch, viaPitch)
 		first[li] = len(cells)
-		for _, piece := range tilings[li].pieces {
-			cells = append(cells, cell{li, piece})
+		for p := range tilings[li].numPieces() {
+			cells = append(cells, cell{li, tilings[li].fragments(p)})
 		}
 	}
 	if len(cells) == 0 {
@@ -132,7 +132,7 @@ func planMultilayer(spaces []LayerSpace, terms []MLTerminal, viaPitch int64, via
 		for c := 0; c+1 < len(lo.cellStart); c++ {
 			for a := lo.cellStart[c]; a < lo.cellStart[c+1]; a++ {
 				for b := hi.cellStart[c]; b < hi.cellStart[c+1]; b++ {
-					if lo.pieces[a].Overlaps(hi.pieces[b]) {
+					if !overlap(lo.fragments(a), hi.fragments(b)).Empty() {
 						edges = append(edges, graph.Edge{U: first[li] + a, V: first[li+1] + b, Weight: viaCost})
 					}
 				}
@@ -151,7 +151,7 @@ func planMultilayer(spaces []LayerSpace, terms []MLTerminal, viaPitch int64, via
 		li := layerIdx[t.Layer]
 		found := -1
 		for id, c := range cells {
-			if c.layer == li && c.shape.Overlaps(t.Shape) {
+			if c.layer == li && overlapsAny(t.Shape, c.rects) {
 				found = id
 				break
 			}
@@ -187,8 +187,7 @@ func planMultilayer(spaces []LayerSpace, terms []MLTerminal, viaPitch int64, via
 					continue
 				}
 				// Via at the centroid of the overlap.
-				ov := a.shape.Intersect(b.shape)
-				center := ov.Bounds().Center()
+				center := overlap(a.rects, b.rects).Center()
 				lo, hi := a.layer, b.layer
 				if lo > hi {
 					lo, hi = hi, lo
@@ -317,4 +316,16 @@ func (p *ViaPlan) LayersUsed() []int {
 	}
 	sort.Ints(out)
 	return out
+}
+
+// overlap returns the bounding box of the area two pieces' fragments
+// share, empty when they share none.
+func overlap(a, b []geom.Rect) geom.Rect {
+	var box geom.Rect
+	for _, ra := range a {
+		for _, rb := range b {
+			box = box.Union(ra.Intersect(rb))
+		}
+	}
+	return box
 }

@@ -232,7 +232,7 @@ func TestSmartGrowPrefersHighCurrentRegions(t *testing.T) {
 	// Every added node must touch the existing corridor (y within one
 	// tile of the seed row).
 	for _, id := range added {
-		b := tg.Cells[id].Bounds()
+		b := tg.Bounds(id)
 		if b.Y0 > 25 || b.Y1 < 5 {
 			t.Fatalf("added node %d at %v far from the current corridor", id, b)
 		}

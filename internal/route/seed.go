@@ -67,7 +67,7 @@ func (tg *TileGraph) fillVoids(members []bool) {
 		return
 	}
 	for id := range members {
-		if !members[id] && tg.Cells[id].Overlaps(voids) {
+		if !members[id] && overlapsAny(voids, tg.Cells[id]) {
 			members[id] = true
 		}
 	}

@@ -43,10 +43,14 @@ type TileGraph struct {
 	// stamps the Laplacian in sorted edge order, bit-identical to a
 	// from-scratch build (TestTileGraphAdjacencyAscends pins it).
 	G *graph.Graph
-	// Cells maps node id to its tile geometry (union of tiles for
-	// contracted terminal nodes).
-	Cells []geom.Region
-	// Area caches Cells[i].Area().
+	// Cells maps node id to its tile: the disjoint rectangles whose union
+	// is the node's share of the available space. An ordinary node's
+	// entry is a capped window of the tiling's fragments; a contracted
+	// terminal node lists its root piece's fragments, then those of the
+	// pieces joined to it. geom.RegionFromRects(Cells[i]) is the node's
+	// canonical region.
+	Cells [][]geom.Rect
+	// Area holds each node's tile area, the sum of its fragments' areas.
 	Area []int64
 	// Terminals holds the node id of each input terminal, in input order.
 	Terminals []int
@@ -59,9 +63,9 @@ type TileGraph struct {
 // BuildTileGraph converts an available space into its equivalent graph
 // (paper Algorithm 1 SPACETOGRAPH) and contracts terminal tiles. It fails
 // when a terminal has no routable tile or fewer than two terminals are
-// given. It allocates per graph rather than per node: a contracted
-// terminal's cell is built in one pass over its pieces' fragments, the
-// cells overwrite the tiling's pieces, and the contacts are written
+// given. It allocates per graph rather than per node: a node's cell is
+// its tiling fragments, with no region built for it, the contracted
+// terminals' fragments share one slice, and the contacts are written
 // straight into the CSR rows that graph.FromRows takes over, with no
 // contact list in between.
 func BuildTileGraph(avail geom.Region, terms []Terminal, dx, dy int64) (*TileGraph, error) {
@@ -80,12 +84,13 @@ func BuildTileGraph(avail geom.Region, terms []Terminal, dx, dy int64) (*TileGra
 	// the space is disconnected becomes several nodes so that the graph
 	// never conducts across a gap inside one grid box.
 	t := tileRegion(avail, b, dx, dy)
-	if len(t.pieces) == 0 {
+	np := t.numPieces()
+	if np == 0 {
 		return nil, fmt.Errorf("route: available space produced no tiles")
 	}
 
-	// Contract terminal tiles with union-find.
-	parent := make([]int, len(t.pieces))
+	// Contract terminal tiles with union-find, counting the joins.
+	parent := make([]int, np)
 	for i := range parent {
 		parent[i] = i
 	}
@@ -98,6 +103,7 @@ func BuildTileGraph(avail geom.Region, terms []Terminal, dx, dy int64) (*TileGra
 		}
 		return i
 	}
+	joins := 0
 	union := func(a, b int) {
 		ra, rb := find(a), find(b)
 		if ra != rb {
@@ -105,6 +111,7 @@ func BuildTileGraph(avail geom.Region, terms []Terminal, dx, dy int64) (*TileGra
 				ra, rb = rb, ra
 			}
 			parent[rb] = ra
+			joins++
 		}
 	}
 	termRoot := make([]int, len(terms))
@@ -122,7 +129,7 @@ func BuildTileGraph(avail geom.Region, terms []Terminal, dx, dy int64) (*TileGra
 			for j := max(j0, 0); j <= j1 && j < t.ny; j++ {
 				c := i*t.ny + j
 				for p := t.cellStart[c]; p < t.cellStart[c+1]; p++ {
-					if t.pieces[p].Overlaps(term.Shape) {
+					if overlapsAny(term.Shape, t.fragments(p)) {
 						if first == -1 {
 							first = p
 						} else {
@@ -149,37 +156,45 @@ func BuildTileGraph(avail geom.Region, terms []Terminal, dx, dy int64) (*TileGra
 
 	// Assign final node ids (roots in ascending order for determinism). A
 	// piece that is not its own root joins its root's node; its root comes
-	// first, so that node already has its id. A node's id is never larger
-	// than its root piece's index, so the cells overwrite t.pieces in
-	// place.
-	nodeOf := make([]int, len(t.pieces))
-	cells := t.pieces[:0]
+	// first, so that node already has its id and its root's fragments.
+	nodeOf := make([]int, np)
+	cells := make([][]geom.Rect, 0, np-joins)
 	var joined []int
-	for p, piece := range t.pieces {
+	size := 0 // fragments of the contracted nodes
+	for p := range nodeOf {
 		r := find(p)
 		if r == p {
 			nodeOf[p] = len(cells)
-			cells = append(cells, piece)
+			cells = append(cells, t.fragments(p))
 			continue
 		}
 		nodeOf[p] = nodeOf[r]
 		joined = append(joined, p)
+		size += len(t.fragments(p))
 	}
-	// A contracted node's cell is built once from the fragments of all its
-	// pieces; the canonical form makes it the union of the pieces.
-	slices.SortFunc(joined, func(p, q int) int { return cmp.Compare(nodeOf[p], nodeOf[q]) })
-	var frags []geom.Rect
+	// A contracted node lists its root's fragments, then those of its
+	// joined pieces in piece order; all such nodes share one slice.
+	slices.SortStableFunc(joined, func(p, q int) int { return cmp.Compare(nodeOf[p], nodeOf[q]) })
+	for i, p := range joined {
+		if i == 0 || nodeOf[joined[i-1]] != nodeOf[p] {
+			size += len(cells[nodeOf[p]])
+		}
+	}
+	frags := make([]geom.Rect, 0, size)
 	for i := 0; i < len(joined); {
 		id := nodeOf[joined[i]]
-		frags = append(frags[:0], t.fragments(find(joined[i]))...)
+		lo := len(frags)
+		frags = append(frags, cells[id]...)
 		for ; i < len(joined) && nodeOf[joined[i]] == id; i++ {
 			frags = append(frags, t.fragments(joined[i])...)
 		}
-		cells[id] = geom.RegionFromRects(frags)
+		cells[id] = frags[lo:len(frags):len(frags)]
 	}
 	areas := make([]int64, len(cells))
-	for i := range cells {
-		areas[i] = cells[i].Area()
+	for i, cell := range cells {
+		for _, r := range cell {
+			areas[i] += r.Area()
+		}
 	}
 
 	// Edges: conductance = contact width / pitch across the contact, laid
@@ -269,15 +284,16 @@ func BuildTileGraph(avail geom.Region, terms []Terminal, dx, dy int64) (*TileGra
 
 // tiling is the grid cut of Algorithm 1: a region divided into the dx×dy
 // boxes of a grid anchored at (x0, y0), each box's share of the region
-// split into edge-connected pieces. Boxes are numbered column-major
-// (box i*ny+j is column i, row j) and pieces follow box order, so piece
-// order is the node order of the tile graph.
+// split into edge-connected pieces. A piece is kept as its fragments, the
+// disjoint clips of the region's canonical rectangles to its box, with no
+// region built for it. Boxes are numbered column-major (box i*ny+j is
+// column i, row j) and pieces follow box order, so piece order is the
+// node order of the tile graph.
 type tiling struct {
 	x0, y0, dx, dy int64
 	nx, ny         int64
 	// Box c holds pieces cellStart[c] to cellStart[c+1]-1.
 	cellStart []int
-	pieces    []geom.Region
 	// Piece p is the union of its fragments rects[rectStart[p]:rectStart[p+1]].
 	rectStart []int
 	rects     []geom.Rect
@@ -286,8 +302,9 @@ type tiling struct {
 // tileRegion cuts region into the grid that covers frame at pitch dx×dy in
 // one scan over the region's canonical rectangles: each rectangle is
 // clipped into the boxes it crosses and the fragments are counting-sorted
-// by box, keeping their band order. Each box is rebuilt as a region and
-// split into components, all carved from one arena.
+// by box, keeping their band order. A box whose fragments are
+// edge-connected is one piece as it stands; only a box that splits is
+// rebuilt as a region to be split into components.
 func tileRegion(region geom.Region, frame geom.Rect, dx, dy int64) *tiling {
 	t := &tiling{
 		x0: frame.X0, y0: frame.Y0, dx: dx, dy: dy,
@@ -334,48 +351,37 @@ func tileRegion(region geom.Region, frame geom.Rect, dx, dy int64) *tiling {
 	copy(start[1:], start[:nbox])
 	start[0] = 0
 
-	// Split each box into pieces, carving every piece from one arena
-	// sized to the boxes' canonical cells. A piece's rectangles are its
-	// fragments, regrouped in place by piece when a box splits, so byBox
-	// serves as rects; start is rewritten in place from fragment to piece
-	// indices. The pieces are sized to the non-empty boxes; a box that
+	// Split each box into pieces. A piece's rectangles are its fragments,
+	// regrouped in place by piece when a box splits, so byBox serves as
+	// rects; start is rewritten in place from fragment to piece indices.
+	// The piece starts are sized to the non-empty boxes; a box that
 	// splits appends past that.
-	var arena geom.Arena
-	for c := int64(0); c < nbox; c++ {
-		arena.Reserve(byBox[start[c]:start[c+1]])
-	}
 	t.rects = byBox
-	t.pieces = make([]geom.Region, 0, filled)
 	t.rectStart = make([]int, 1, filled+1)
+	var sets fragmentSets
 	var held []geom.Rect
 	for c, lo := int64(0), 0; c < nbox; c++ {
 		hi := start[c+1]
-		switch box := byBox[lo:hi]; len(box) {
-		case 0:
+		switch box := byBox[lo:hi]; {
+		case len(box) == 0:
+		case sets.connected(box):
+			t.rectStart = append(t.rectStart, hi)
 		default:
-			cell := arena.RegionFromSortedRects(box)
-			comps := arena.Components(cell)
-			if len(comps) == 1 {
-				t.pieces = append(t.pieces, cell)
-				t.rectStart = append(t.rectStart, hi)
-				break
-			}
 			// A fragment lies in the component holding its lower-left
 			// unit square.
 			held = append(held[:0], box...)
 			at := lo
-			for _, comp := range comps {
+			for _, comp := range geom.RegionFromRects(box).Components() {
 				for _, f := range held {
 					if comp.Contains(geom.Pt(f.X0, f.Y0)) {
 						byBox[at] = f
 						at++
 					}
 				}
-				t.pieces = append(t.pieces, comp)
 				t.rectStart = append(t.rectStart, at)
 			}
 		}
-		start[c+1] = len(t.pieces)
+		start[c+1] = t.numPieces()
 		lo = hi
 	}
 	t.cellStart = start
@@ -413,9 +419,70 @@ func (t *tiling) contacts(fn func(pa, pb int, length int64, up bool)) {
 	}
 }
 
-// fragments returns the rectangles whose union is piece p.
+// numPieces returns the number of pieces.
+func (t *tiling) numPieces() int { return len(t.rectStart) - 1 }
+
+// fragments returns the disjoint rectangles whose union is piece p, as a
+// window capped at its end.
 func (t *tiling) fragments(p int) []geom.Rect {
-	return t.rects[t.rectStart[p]:t.rectStart[p+1]]
+	lo, hi := t.rectStart[p], t.rectStart[p+1]
+	return t.rects[lo:hi:hi]
+}
+
+// fragmentSets is the union-find scratch of connected, reused across
+// boxes.
+type fragmentSets struct {
+	parent []int
+}
+
+// connected reports whether the fragments of one grid box form a single
+// edge-connected piece. The fragments come in band order: runs with equal
+// Y0 and Y1 that ascend in y, each run ascending in x without touching.
+// Fragments of touching bands join when their x-overlap is positive.
+func (s *fragmentSets) connected(box []geom.Rect) bool {
+	if len(box) == 1 {
+		return true
+	}
+	parent := s.parent[:0]
+	for i := range box {
+		parent = append(parent, i)
+	}
+	s.parent = parent
+	find := func(i int) int {
+		//lint:ignore ctxdelegate union-find path halving: the walk shortens the chain every step, bounded by the box's fragment count
+		for parent[i] != i {
+			parent[i] = parent[parent[i]]
+			i = parent[i]
+		}
+		return i
+	}
+	sets := len(box)
+	// Each run of fragments meets the run below it, box[plo:phi], with a
+	// merge of their x-ordered spans.
+	plo, phi := 0, 0
+	for lo := 0; lo < len(box); {
+		hi := lo + 1
+		for hi < len(box) && box[hi].Y0 == box[lo].Y0 {
+			hi++
+		}
+		if phi > 0 && box[plo].Y1 == box[lo].Y0 {
+			upper := box[lo:hi]
+			k := 0
+			for i := plo; i < phi; i++ {
+				for k < len(upper) && upper[k].X1 <= box[i].X0 {
+					k++
+				}
+				for m := k; m < len(upper) && upper[m].X0 < box[i].X1; m++ {
+					if ra, rb := find(i), find(lo+m); ra != rb {
+						parent[rb] = ra
+						sets--
+					}
+				}
+			}
+		}
+		plo, phi, lo = lo, hi, hi
+	}
+	return sets == 1
 }
 
 // seam returns the length of the grid line at `at` along which piece pa
@@ -456,10 +523,29 @@ func (tg *TileGraph) Union(members []bool) geom.Region {
 	var rects []geom.Rect
 	for id, in := range members {
 		if in {
-			rects = tg.Cells[id].AppendRects(rects)
+			rects = append(rects, tg.Cells[id]...)
 		}
 	}
 	return geom.RegionFromRects(rects)
+}
+
+// Bounds returns the bounding box of node id's tile.
+func (tg *TileGraph) Bounds(id int) geom.Rect {
+	var b geom.Rect
+	for _, r := range tg.Cells[id] {
+		b = b.Union(r)
+	}
+	return b
+}
+
+// overlapsAny reports whether shape shares area with any of the rects.
+func overlapsAny(shape geom.Region, rects []geom.Rect) bool {
+	for _, r := range rects {
+		if shape.OverlapsRect(r) {
+			return true
+		}
+	}
+	return false
 }
 
 // MembersArea sums the tile areas of the member mask.

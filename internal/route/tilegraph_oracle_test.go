@@ -196,9 +196,13 @@ func buildTileGraphOracle(avail geom.Region, terms []Terminal, dx, dy int64) (*T
 		return nil, err
 	}
 
+	cellRects := make([][]geom.Rect, len(cells))
+	for i, cell := range cells {
+		cellRects[i] = cell.Rects()
+	}
 	tg := &TileGraph{
 		G:           g,
-		Cells:       cells,
+		Cells:       cellRects,
 		Area:        areas,
 		Terminals:   make([]int, len(terms)),
 		TermCurrent: make([]float64, len(terms)),

@@ -2,10 +2,10 @@ package route
 
 import "sprout/internal/geom"
 
-// tileRegionReference is tileRegion as it was before the arena: every
-// box rebuilt as a region of its own, with its own band and span slices,
-// and split with Region.Components. tileRegion must return the same
-// pieces, fragment grouping and box starts.
+// tileRegionReference is tileRegion without its connectivity test: every
+// box of several fragments rebuilt as a region of its own and split with
+// Region.Components. tileRegion must return the same fragment grouping
+// and box starts.
 func tileRegionReference(region geom.Region, frame geom.Rect, dx, dy int64) *tiling {
 	t := &tiling{
 		x0: frame.X0, y0: frame.Y0, dx: dx, dy: dy,
@@ -51,13 +51,10 @@ func tileRegionReference(region geom.Region, frame geom.Rect, dx, dy int64) *til
 		switch box := byBox[lo:hi]; len(box) {
 		case 0:
 		case 1:
-			t.pieces = append(t.pieces, geom.RegionFromRect(box[0]))
 			t.rectStart = append(t.rectStart, hi)
 		default:
-			cell := new(geom.Arena).RegionFromSortedRects(box)
-			comps := cell.Components()
+			comps := geom.RegionFromRects(box).Components()
 			if len(comps) == 1 {
-				t.pieces = append(t.pieces, cell)
 				t.rectStart = append(t.rectStart, hi)
 				break
 			}
@@ -70,11 +67,10 @@ func tileRegionReference(region geom.Region, frame geom.Rect, dx, dy int64) *til
 						at++
 					}
 				}
-				t.pieces = append(t.pieces, comp)
 				t.rectStart = append(t.rectStart, at)
 			}
 		}
-		start[c+1] = len(t.pieces)
+		start[c+1] = t.numPieces()
 		lo = hi
 	}
 	t.cellStart = start

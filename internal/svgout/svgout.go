@@ -157,10 +157,10 @@ func HeatColor(frac float64) string {
 	return fmt.Sprintf("#%02x%02x%02x", lerp(c0[0], c1[0]), lerp(c0[1], c1[1]), lerp(c0[2], c1[2]))
 }
 
-// HeatMap draws per-cell values as a heat ramp: cells[i] filled with
-// HeatColor(values[i]/maxVal). Zero or negative maxVal auto-scales to the
-// data maximum.
-func (c *Canvas) HeatMap(cells []geom.Region, values []float64, maxVal float64) {
+// HeatMap draws per-cell values as a heat ramp: the union of the
+// rectangles cells[i] filled with HeatColor(values[i]/maxVal). Zero or
+// negative maxVal auto-scales to the data maximum.
+func (c *Canvas) HeatMap(cells [][]geom.Rect, values []float64, maxVal float64) {
 	if maxVal <= 0 {
 		for _, v := range values {
 			if v > maxVal {
@@ -175,7 +175,7 @@ func (c *Canvas) HeatMap(cells []geom.Region, values []float64, maxVal float64) 
 		if i >= len(values) {
 			break
 		}
-		c.Region(cell, Style{Fill: HeatColor(values[i] / maxVal)})
+		c.Region(geom.RegionFromRects(cell), Style{Fill: HeatColor(values[i] / maxVal)})
 	}
 }
 

@@ -130,9 +130,9 @@ func TestHeatColorRamp(t *testing.T) {
 }
 
 func TestHeatMapRendersCells(t *testing.T) {
-	cells := []geom.Region{
-		geom.RegionFromRect(geom.R(0, 0, 10, 10)),
-		geom.RegionFromRect(geom.R(20, 0, 30, 10)),
+	cells := [][]geom.Rect{
+		{geom.R(0, 0, 10, 10)},
+		{geom.R(20, 0, 25, 10), geom.R(25, 0, 30, 10)},
 	}
 	out := render(t, func(c *Canvas) {
 		c.HeatMap(cells, []float64{0, 5}, 0) // auto-scale to 5

@@ -69,8 +69,9 @@ func (o Options) withDefaults() (Options, error) {
 
 // Map is the temperature-rise field over the shape's tiles.
 type Map struct {
-	// Cells locates each node's tile.
-	Cells []geom.Region
+	// Cells locates each node's tile by its disjoint fragments
+	// (route.TileGraph.Cells).
+	Cells [][]geom.Rect
 	// RiseC is the temperature rise above ambient per node, in kelvin.
 	RiseC []float64
 	// MaxRiseC and Hotspot locate the peak.
@@ -143,7 +144,7 @@ func Simulate(ctx context.Context, op *extract.OperatingPoint, sheetOhms float64
 	for i, t := range mp.RiseC {
 		if t > mp.MaxRiseC {
 			mp.MaxRiseC = t
-			mp.Hotspot = tg.Cells[i].Bounds().Center()
+			mp.Hotspot = tg.Bounds(i).Center()
 		}
 	}
 	return mp, nil

@@ -79,7 +79,7 @@ func simulateBuilderCG(op *extract.OperatingPoint, sheetOhms float64, opt therma
 	for i, t := range temp {
 		if t > maxRise {
 			maxRise = t
-			hot = tg.Cells[i].Bounds().Center()
+			hot = tg.Bounds(i).Center()
 		}
 	}
 	return temp, hot, nil
