@@ -14,6 +14,7 @@
 //	BenchmarkSeed                 — Alg. 2: pairwise Dijkstra + void filling
 //	BenchmarkExtraction           — §III impedance extraction of a routed shape
 //	BenchmarkRegionBoolean        — the Eq. 1 clipping substrate
+//	BenchmarkComponents           — Alg. 2 void filling: a region split into components
 //	BenchmarkAblationReheat       — §II-F reheat on/off at equal budget
 //	BenchmarkDCOperateAndThermal  — E11 extension: distributed-load DC + thermal map
 //	BenchmarkDecapPlan            — greedy decap selection against a target mask
@@ -324,6 +325,28 @@ func BenchmarkRegionBoolean(b *testing.B) {
 			b.Fatal("space vanished")
 		}
 	}
+}
+
+// BenchmarkComponents splits a region of many components, as the seed's
+// void filling (Alg. 2 lines 6-10) splits a frame minus the seed: the
+// six-rail board's outline minus rail V1's available space, the other
+// nets' pads bloated by the clearance, 566 components.
+func BenchmarkComponents(b *testing.B) {
+	cs, err := cases.SixRail()
+	if err != nil {
+		b.Fatal(err)
+	}
+	avail := cs.Board.AvailableSpace(cs.Board.Nets[0].ID, cs.RoutingLayer)
+	g := geom.RegionFromRect(cs.Board.Outline).Subtract(avail)
+	n := len(g.Components())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(g.Components()) != n {
+			b.Fatal("the split changed")
+		}
+	}
+	b.ReportMetric(float64(n), "components")
 }
 
 func BenchmarkDCOperateAndThermal(b *testing.B) {

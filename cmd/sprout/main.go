@@ -319,8 +319,17 @@ func runMultilayer(ctx context.Context, c *cli, dec *boardio.Decoded, outDir str
 	}
 	t := report.NewTable(fmt.Sprintf("%s — multilayer — synthesized in %v",
 		b.Name, time.Since(start).Round(time.Millisecond)),
-		"Net", "vias", "layer", "copper units²", "via R (mΩ)", "via L (pH)")
+		"Net", "vias", "layer", "copper units²", "R per via (mΩ)", "L per via (pH)")
+	// One barrel's parasitics: a net's vias need not share its current,
+	// so no via count divides them.
 	spec := extract.ViaSpec{DrillUM: 200, PlatingUM: 25, LengthUM: totalSpanUM(b)}
+	barrelR, barrelL := "-", "-"
+	if r, err := spec.ResistanceOhms(); err == nil {
+		barrelR = fmt.Sprintf("%.3g", r*1e3)
+	}
+	if l, err := spec.InductancePH(); err == nil {
+		barrelL = fmt.Sprintf("%.3g", l)
+	}
 	for _, nr := range res.Nets {
 		var layers []int
 		for l := range nr.Copper {
@@ -331,11 +340,7 @@ func runMultilayer(ctx context.Context, c *cli, dec *boardio.Decoded, outDir str
 			viaR, viaL := "-", "-"
 			viaCount := ""
 			if i == 0 && len(nr.Vias) > 0 {
-				r, l, err := extract.ViaArray(spec, len(nr.Vias))
-				if err == nil {
-					viaR = fmt.Sprintf("%.3g", r*1e3)
-					viaL = fmt.Sprintf("%.3g", l)
-				}
+				viaR, viaL = barrelR, barrelL
 				viaCount = fmt.Sprintf("%d", len(nr.Vias))
 			}
 			t.AddRow(nr.Name, viaCount, layer, nr.Copper[layer].Area(), viaR, viaL)

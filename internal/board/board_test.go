@@ -128,22 +128,22 @@ func TestAvailableSpaceSubtractsBufferedOtherNets(t *testing.T) {
 
 	avail := b.AvailableSpace(vdd, 1)
 	// Pad plus clearance-2 buffer removed.
-	if avail.Contains(geom.Pt(110, 110)) {
+	if avail.OverlapsRect(geom.R(110, 110, 111, 111)) {
 		t.Fatal("other-net pad must be removed")
 	}
-	if avail.Contains(geom.Pt(99, 110)) {
+	if avail.OverlapsRect(geom.R(99, 110, 100, 111)) {
 		t.Fatal("buffer around other-net pad must be removed")
 	}
-	if !avail.Contains(geom.Pt(97, 110)) {
+	if !avail.OverlapsRect(geom.R(97, 110, 98, 111)) {
 		t.Fatal("space beyond the buffer must remain")
 	}
 	// VSS's own available space keeps its own pad.
 	availVss := b.AvailableSpace(vss, 1)
-	if !availVss.Contains(geom.Pt(110, 110)) {
+	if !availVss.OverlapsRect(geom.R(110, 110, 111, 111)) {
 		t.Fatal("own pad must remain available")
 	}
 	// Other layers unaffected.
-	if !b.AvailableSpace(vdd, 3).Contains(geom.Pt(110, 110)) {
+	if !b.AvailableSpace(vdd, 3).OverlapsRect(geom.R(110, 110, 111, 111)) {
 		t.Fatal("layer 3 must be unaffected by a layer 1 pad")
 	}
 }
@@ -156,7 +156,7 @@ func TestAvailableSpaceKeepout(t *testing.T) {
 		t.Fatal(err)
 	}
 	avail := b.AvailableSpace(vdd, 1)
-	if avail.Contains(geom.Pt(550, 500)) {
+	if avail.OverlapsRect(geom.R(550, 500, 551, 501)) {
 		t.Fatal("keepout must block every net")
 	}
 	// Keepout splits the layer into two components.
@@ -172,11 +172,11 @@ func TestAvailableSpaceOwnObstacleKept(t *testing.T) {
 	if err := b.AddObstacle(vdd, 1, own); err != nil {
 		t.Fatal(err)
 	}
-	if !b.AvailableSpace(vdd, 1).Contains(geom.Pt(150, 150)) {
+	if !b.AvailableSpace(vdd, 1).OverlapsRect(geom.R(150, 150, 151, 151)) {
 		t.Fatal("own-net obstacle must stay routable for the owner")
 	}
 	vss := b.AddNet("VSS", 1, 1)
-	if b.AvailableSpace(vss, 1).Contains(geom.Pt(150, 150)) {
+	if b.AvailableSpace(vss, 1).OverlapsRect(geom.R(150, 150, 151, 151)) {
 		t.Fatal("own-net obstacle must block other nets")
 	}
 }

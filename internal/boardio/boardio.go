@@ -198,7 +198,8 @@ type Decoded struct {
 	Config route.Config
 	// Doc is the parsed source document, retained so callers can
 	// re-serialize the submission in canonical form (persistence, content
-	// hashing). Nil when the Decoded was built directly from a Board.
+	// hashing) and Encode can write each pad and obstacle as its source
+	// shape. Nil when the Decoded was built directly from a Board.
 	Doc *BoardJSON
 }
 
@@ -337,8 +338,10 @@ func FromJSON(doc *BoardJSON) (*Decoded, error) {
 
 // Encode writes d as a BoardJSON document that Decode turns back into the
 // same board, routing layer, budgets and router config. The tile pitch is
-// written with route.Config's defaults applied; region geometry is
-// emitted as canonical rectangles.
+// written with route.Config's defaults applied. Pads and obstacles are
+// written as their source shapes when d was decoded from a document, so a
+// circle stays one circle, and as canonical rectangles when d was built
+// from a Board.
 func Encode(w io.Writer, d *Decoded) error {
 	b, cfg := d.Board, d.Config
 	pitch := cfg.WithDefaults()
@@ -371,7 +374,7 @@ func Encode(w io.Writer, d *Decoded) error {
 			AreaBudget: d.Budgets[n.ID],
 		})
 	}
-	for _, g := range b.Groups {
+	for i, g := range b.Groups {
 		net, err := b.Net(g.Net)
 		if err != nil {
 			return fmt.Errorf("boardio: %w", err)
@@ -380,13 +383,22 @@ func Encode(w io.Writer, d *Decoded) error {
 			Name: g.Name, Kind: kindName(g.Kind), Net: net.Name,
 			Layer: g.Layer, Current: g.Current,
 		}
-		for _, p := range g.Pads {
-			gj.Pads = append(gj.Pads, regionShapes(p)...)
+		if d.Doc != nil {
+			gj.Pads = d.Doc.Groups[i].Pads
+		} else {
+			for _, p := range g.Pads {
+				gj.Pads = append(gj.Pads, regionShapes(p)...)
+			}
 		}
 		doc.Groups = append(doc.Groups, gj)
 	}
-	for _, o := range b.Obstacle {
-		oj := ObstacleJSON{Layer: o.Layer, Shape: regionShapes(o.Shape)}
+	for i, o := range b.Obstacle {
+		oj := ObstacleJSON{Layer: o.Layer}
+		if d.Doc != nil {
+			oj.Shape = d.Doc.Obstacles[i].Shape
+		} else {
+			oj.Shape = regionShapes(o.Shape)
+		}
 		if o.Net != board.NetNone {
 			net, err := b.Net(o.Net)
 			if err != nil {

@@ -61,7 +61,7 @@ func TestDecodeMinimal(t *testing.T) {
 		t.Fatalf("kinds = %v %v", b.Groups[0].Kind, b.Groups[1].Kind)
 	}
 	// Circle pad rasterized around (180, 50).
-	if !b.Groups[1].Shape().Contains(geom.Pt(180, 50)) {
+	if !b.Groups[1].Shape().OverlapsRect(geom.R(180, 50, 181, 51)) {
 		t.Fatal("circle pad must contain its center")
 	}
 	if len(b.Obstacle) != 1 || b.Obstacle[0].Net != board.NetNone {
@@ -207,6 +207,43 @@ func TestObstacleRowsKeepAvailableSpace(t *testing.T) {
 	}
 	if !dec.Board.AvailableSpace(0, 1).Empty() {
 		t.Fatal("the disc must cover the board")
+	}
+}
+
+// TestEncodeKeepsSourceShapes: a decoded document encodes its pads and
+// obstacles as their source shapes. The circle pad of radius 250,000 in
+// bigOutlineDoc stays one circle, where its 500,000 rasterized rows took
+// 39,248,443 bytes as rectangles, and the document decodes back to the
+// same pads and obstacles.
+func TestEncodeKeepsSourceShapes(t *testing.T) {
+	doc := strings.Replace(bigOutlineDoc, `"routing_layer":1}`,
+		`"obstacles":[{"layer":1,"shape":[{"circle":[100,1000000,40]},{"rect":[0,0,5,5]}]}],"routing_layer":1}`, 1)
+	dec, err := Decode(strings.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := Encode(&buf, dec); err != nil {
+		t.Fatal(err)
+	}
+	if n := buf.Len(); n > 2048 {
+		t.Fatalf("encoded document is %d bytes, want at most 2048", n)
+	}
+	dec2, err := Decode(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(dec2.Doc.Groups, dec.Doc.Groups) || !reflect.DeepEqual(dec2.Doc.Obstacles, dec.Doc.Obstacles) {
+		t.Fatalf("source shapes changed: groups %+v -> %+v, obstacles %+v -> %+v",
+			dec.Doc.Groups, dec2.Doc.Groups, dec.Doc.Obstacles, dec2.Doc.Obstacles)
+	}
+	for i, g := range dec.Board.Groups {
+		if !dec2.Board.Groups[i].Shape().Equal(g.Shape()) {
+			t.Fatalf("group %s geometry changed", g.Name)
+		}
+	}
+	if !dec2.Board.Obstacle[0].Shape.Equal(dec.Board.Obstacle[0].Shape) {
+		t.Fatal("obstacle geometry changed")
 	}
 }
 

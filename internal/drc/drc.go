@@ -165,26 +165,16 @@ func Audit(shapes []Shape, avail map[string]geom.Region, blockages geom.Region, 
 // electrical net. A terminal group's pads are virtually stitched (a BGA
 // via cluster is bonded through its balls on other layers), so every
 // copper component touching any pad of a group is connected to every other
-// component touching that group. The check is a union-find over copper
-// components with one virtual bridge per terminal.
+// component touching that group. The check joins the copper components
+// in one geom.Sets, with one virtual bridge per terminal.
 func connectsAll(copper geom.Region, terms []route.Terminal) bool {
 	joined := copper
 	for _, t := range terms {
 		joined = joined.Union(t.Shape)
 	}
 	comps := joined.Components()
-	parent := make([]int, len(comps))
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(i int) int {
-		for parent[i] != i {
-			parent[i] = parent[parent[i]]
-			i = parent[i]
-		}
-		return i
-	}
+	var sets geom.Sets
+	sets.Reset(len(comps))
 	termRoot := make([]int, len(terms))
 	for ti, t := range terms {
 		first := -1
@@ -193,7 +183,7 @@ func connectsAll(copper geom.Region, terms []route.Terminal) bool {
 				if first == -1 {
 					first = ci
 				} else {
-					parent[find(ci)] = find(first)
+					sets.Join(first, ci)
 				}
 			}
 		}
@@ -202,9 +192,9 @@ func connectsAll(copper geom.Region, terms []route.Terminal) bool {
 		}
 		termRoot[ti] = first
 	}
-	root := find(termRoot[0])
+	root := sets.Find(termRoot[0])
 	for _, r := range termRoot[1:] {
-		if find(r) != root {
+		if sets.Find(r) != root {
 			return false
 		}
 	}

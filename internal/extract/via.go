@@ -57,22 +57,3 @@ func (v ViaSpec) InductancePH() (float64, error) {
 	}
 	return l * 1e12, nil
 }
-
-// ViaArray aggregates n parallel vias of the same spec: resistance and
-// inductance divide by n (mutual coupling neglected at typical BGA
-// pitches), the model the paper's multilayer appendix needs to cost
-// interlayer connections.
-func ViaArray(spec ViaSpec, n int) (rOhms, lPH float64, err error) {
-	if n < 1 {
-		return 0, 0, fmt.Errorf("extract: via count %d must be >= 1", n)
-	}
-	r, err := spec.ResistanceOhms()
-	if err != nil {
-		return 0, 0, err
-	}
-	l, err := spec.InductancePH()
-	if err != nil {
-		return 0, 0, err
-	}
-	return r / float64(n), l / float64(n), nil
-}

@@ -54,23 +54,6 @@ func TestViaScaling(t *testing.T) {
 	}
 }
 
-func TestViaArray(t *testing.T) {
-	r1, l1, err := ViaArray(typicalVia(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r4, l4, err := ViaArray(typicalVia(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(r4*4-r1) > 1e-12 || math.Abs(l4*4-l1) > 1e-9 {
-		t.Fatalf("array must divide by n: R %g/%g L %g/%g", r1, r4, l1, l4)
-	}
-	if _, _, err := ViaArray(typicalVia(), 0); err == nil {
-		t.Fatal("zero count must error")
-	}
-}
-
 func TestViaValidation(t *testing.T) {
 	bad := []ViaSpec{
 		{DrillUM: 0, PlatingUM: 25, LengthUM: 800},

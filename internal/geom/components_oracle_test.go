@@ -3,58 +3,47 @@ package geom
 import (
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 )
 
-// componentsOracle is the original Components: rectangles grouped by
-// union-find root through a map, each group rebuilt with RegionFromRects.
-// Components must return the same regions in the same order.
+// componentsOracle is Components by brute force: every pair of the Rects
+// decomposition is tested for a shared edge of positive length, each
+// component is collected by a depth-first walk from its smallest rect
+// index and rebuilt with RegionFromRects. Components must return the same
+// regions in the same order: by each component's first rectangle.
 func componentsOracle(g Region) []Region {
 	rects := g.Rects()
-	n := len(rects)
-	if n == 0 {
-		return nil
-	}
-	var uf unionFind
-	uf.reset(n)
-	type bandRange struct{ lo, hi int } // rect index range of a band
-	var ranges []bandRange
-	idx := 0
-	for _, b := range g.bands {
-		ranges = append(ranges, bandRange{idx, idx + len(b.Spans)})
-		idx += len(b.Spans)
-	}
-	for bi := 0; bi+1 < len(g.bands); bi++ {
-		lower, upper := g.bands[bi], g.bands[bi+1]
-		if lower.Y1 != upper.Y0 {
+	seen := make([]bool, len(rects))
+	var out []Region
+	for first := range rects {
+		if seen[first] {
 			continue
 		}
-		ju := 0
-		for jl, s := range lower.Spans {
-			for ju < len(upper.Spans) && upper.Spans[ju].X1 <= s.X0 {
-				ju++
-			}
-			for k := ju; k < len(upper.Spans) && upper.Spans[k].X0 < s.X1; k++ {
-				uf.union(ranges[bi].lo+jl, ranges[bi+1].lo+k)
+		seen[first] = true
+		var group []Rect
+		for stack := []int{first}; len(stack) > 0; {
+			i := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			group = append(group, rects[i])
+			for j, r := range rects {
+				if !seen[j] && shareEdge(rects[i], r) {
+					seen[j] = true
+					stack = append(stack, j)
+				}
 			}
 		}
-	}
-	groups := map[int][]Rect{}
-	for i, r := range rects {
-		root := uf.find(i)
-		groups[root] = append(groups[root], r)
-	}
-	out := make([]Region, 0, len(groups))
-	roots := make([]int, 0, len(groups))
-	for root := range groups {
-		roots = append(roots, root)
-	}
-	sort.Ints(roots)
-	for _, root := range roots {
-		out = append(out, RegionFromRects(groups[root]))
+		out = append(out, RegionFromRects(group))
 	}
 	return out
+}
+
+// shareEdge reports whether a and b touch along a boundary segment of
+// positive length.
+func shareEdge(a, b Rect) bool {
+	xOverlap := min(a.X1, b.X1) - max(a.X0, b.X0)
+	yOverlap := min(a.Y1, b.Y1) - max(a.Y0, b.Y0)
+	return xOverlap > 0 && (a.Y1 == b.Y0 || b.Y1 == a.Y0) ||
+		yOverlap > 0 && (a.X1 == b.X0 || b.X1 == a.X0)
 }
 
 // randomSlottedRegion builds a region with many touching bands and holes:

@@ -23,6 +23,13 @@ func (r Rect) Contains(p Point) bool {
 	return p.X >= r.X0 && p.X < r.X1 && p.Y >= r.Y0 && p.Y < r.Y1
 }
 
+// unitAt returns the unit square whose lower-left corner is p: on the
+// integer grid a region covers the point p exactly when it overlaps
+// unitAt(p).
+func unitAt(p Point) Rect {
+	return Rect{p.X, p.Y, p.X + 1, p.Y + 1}
+}
+
 // ContainsRect reports whether s is entirely inside r. An empty s is
 // contained in everything.
 func (r Rect) ContainsRect(s Rect) bool {

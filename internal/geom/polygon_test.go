@@ -107,10 +107,10 @@ func TestCircle(t *testing.T) {
 	if math.Abs(area-ideal)/ideal > 0.03 {
 		t.Fatalf("circle area %g deviates >3%% from %g", area, ideal)
 	}
-	if !g.Contains(Pt(0, 0)) {
+	if !g.OverlapsRect(unitAt(Pt(0, 0))) {
 		t.Fatal("circle contains center")
 	}
-	if g.Contains(Pt(49, 49)) {
+	if g.OverlapsRect(unitAt(Pt(49, 49))) {
 		t.Fatal("circle excludes corner")
 	}
 	if !Circle(Pt(0, 0), 0, 1).Empty() {

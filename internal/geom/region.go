@@ -231,17 +231,6 @@ func (g Region) AppendRects(dst []Rect) []Rect {
 	return dst
 }
 
-// Contains reports whether p lies inside the region.
-func (g Region) Contains(p Point) bool {
-	i := sort.Search(len(g.bands), func(i int) bool { return g.bands[i].Y1 > p.Y })
-	if i == len(g.bands) || g.bands[i].Y0 > p.Y {
-		return false
-	}
-	sp := g.bands[i].Spans
-	j := sort.Search(len(sp), func(j int) bool { return sp[j].X1 > p.X })
-	return j < len(sp) && sp[j].X0 <= p.X
-}
-
 // Equal reports whether two regions cover exactly the same points.
 func (g Region) Equal(h Region) bool {
 	if len(g.bands) != len(h.bands) {
@@ -481,48 +470,86 @@ func (g Region) Erode(d int64) Region {
 // are separate components, matching the electrical connectivity model: a
 // zero-width contact carries no current (paper Fig. 6 assigns conductance
 // proportional to contact width). Components come in the order of their
-// union-find roots over the Rects decomposition.
+// first rectangle in the Rects decomposition. A region of one component
+// is returned as it is; otherwise the components' bands are carved from
+// one band slice and their spans from one span slice, each window capped
+// at its end, so no append to one component reaches another.
 func (g Region) Components() []Region {
-	var a arena
-	return a.components(g)
-}
-
-// unionFind is a standard disjoint-set forest with path compression.
-type unionFind struct {
-	parent []int
-	rank   []int
-}
-
-// reset makes the forest n singletons, reusing its storage.
-func (uf *unionFind) reset(n int) {
-	uf.parent = resize(uf.parent, n)
-	uf.rank = resize(uf.rank, n)
-	for i := range uf.parent {
-		uf.parent[i] = i
-		uf.rank[i] = 0
+	if g.Empty() {
+		return nil
 	}
-}
-
-func (uf *unionFind) find(i int) int {
-	for uf.parent[i] != i {
-		uf.parent[i] = uf.parent[uf.parent[i]]
-		i = uf.parent[i]
+	rects := g.Rects()
+	var sets Sets
+	sets.Reset(len(rects))
+	if JoinTouching(sets, rects) == len(rects)-1 {
+		return []Region{g}
 	}
-	return i
-}
-
-func (uf *unionFind) union(a, b int) {
-	ra, rb := uf.find(a), uf.find(b)
-	if ra == rb {
-		return
+	// Every parent precedes its child, so one ascending pass rewrites
+	// each rect's entry as its component's number, the roots numbered in
+	// order.
+	nc := 0
+	for k, p := range sets {
+		if p == k {
+			sets[k] = nc
+			nc++
+		} else {
+			sets[k] = sets[p]
+		}
 	}
-	if uf.rank[ra] < uf.rank[rb] {
-		ra, rb = rb, ra
+	// Count each component's bands and spans, carve its windows, and
+	// deal the spans; a component's spans within one band stay sorted,
+	// so coalescing its bands gives canonical form.
+	type part struct {
+		nb, ns int
+		last   int // band index of the part's last span
+		bands  []band
+		spans  []span
 	}
-	uf.parent[rb] = ra
-	if uf.rank[ra] == uf.rank[rb] {
-		uf.rank[ra]++
+	parts := make([]part, nc)
+	for c := range parts {
+		parts[c].last = -1
 	}
+	nb, k := 0, 0
+	for bi, b := range g.bands {
+		for range b.Spans {
+			p := &parts[sets[k]]
+			k++
+			if p.last != bi {
+				p.last = bi
+				p.nb++
+				nb++
+			}
+			p.ns++
+		}
+	}
+	bands, spans := make([]band, nb), make([]span, len(rects))
+	for c := range parts {
+		p := &parts[c]
+		p.bands, bands = bands[:0:p.nb], bands[p.nb:]
+		p.spans, spans = spans[:0:p.ns], spans[p.ns:]
+		p.last = -1
+	}
+	k = 0
+	for bi, b := range g.bands {
+		for _, s := range b.Spans {
+			p := &parts[sets[k]]
+			k++
+			if p.last != bi {
+				p.last = bi
+				p.bands = append(p.bands, band{b.Y0, b.Y1, nil})
+			}
+			top := &p.bands[len(p.bands)-1]
+			lo := len(p.spans) - len(top.Spans)
+			p.spans = append(p.spans, s)
+			top.Spans = p.spans[lo:len(p.spans):len(p.spans)]
+		}
+	}
+	out := make([]Region, nc)
+	for c, p := range parts {
+		bs := coalesceBands(p.bands)
+		out[c] = Region{bands: bs[:len(bs):len(bs)]}
+	}
+	return out
 }
 
 // String renders a compact band listing, useful in test failures.

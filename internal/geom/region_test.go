@@ -46,10 +46,10 @@ func TestRegionSubtract(t *testing.T) {
 	if got := d.Area(); got != 96 {
 		t.Fatalf("area after punch = %d, want 96", got)
 	}
-	if d.Contains(Pt(5, 5)) {
+	if d.OverlapsRect(unitAt(Pt(5, 5))) {
 		t.Fatal("hole interior must be removed")
 	}
-	if !d.Contains(Pt(0, 0)) || !d.Contains(Pt(9, 9)) {
+	if !d.OverlapsRect(unitAt(Pt(0, 0))) || !d.OverlapsRect(unitAt(Pt(9, 9))) {
 		t.Fatal("outside hole must remain")
 	}
 	// Subtracting everything yields empty.
@@ -65,7 +65,7 @@ func TestRegionXor(t *testing.T) {
 	if got := x.Area(); got != 100 {
 		t.Fatalf("xor area = %d, want 100", got)
 	}
-	if x.Contains(Pt(7, 5)) {
+	if x.OverlapsRect(unitAt(Pt(7, 5))) {
 		t.Fatal("xor must exclude the overlap")
 	}
 	if !a.Xor(a).Empty() {
@@ -84,8 +84,8 @@ func TestRegionContains(t *testing.T) {
 		{Pt(7, 7), false}, {Pt(-1, 0), false},
 	}
 	for _, c := range cases {
-		if got := g.Contains(c.p); got != c.want {
-			t.Errorf("Contains(%v) = %v, want %v", c.p, got, c.want)
+		if got := g.OverlapsRect(unitAt(c.p)); got != c.want {
+			t.Errorf("unit square at %v covered = %v, want %v", c.p, got, c.want)
 		}
 	}
 }

@@ -69,13 +69,6 @@ func TileCounts(avail geom.Region, dx, dy int64) (pieces, splitBoxes int) {
 	return t.numPieces(), splitBoxes
 }
 
-// BoxConnectivity returns tileRegion's test of whether one box's
-// fragments form a single piece, its scratch shared across calls.
-func BoxConnectivity() func(box []geom.Rect) bool {
-	var s fragmentSets
-	return s.connected
-}
-
 // TilingParts is the tiling of a space on its own bounds: each piece's
 // first fragment, each box's first piece, and the fragments.
 type TilingParts struct {

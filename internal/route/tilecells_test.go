@@ -68,42 +68,3 @@ func TestTileCellsAreDisjointFragments(t *testing.T) {
 		t.Fatalf("only %d of 2000 random spaces built a tile graph", built)
 	}
 }
-
-// TestBoxConnectivityMatchesComponents checks tileRegion's connectivity
-// test, its scratch reused from box to box, against splitting the box's
-// region into components: the fragments are the clips of a random
-// space's canonical rectangles to a random box, as the tiling cuts them.
-func TestBoxConnectivityMatchesComponents(t *testing.T) {
-	connected := route.BoxConnectivity()
-	r := rand.New(rand.NewSource(36))
-	boxes, split := 0, 0
-	for i := 0; i < 4000; i++ {
-		avail, _, _, _ := randomTileCase(r)
-		if avail.Empty() {
-			continue
-		}
-		b := avail.Bounds()
-		x, y := b.X0+r.Int63n(b.W()), b.Y0+r.Int63n(b.H())
-		box := geom.R(x, y, x+1+r.Int63n(24), y+1+r.Int63n(24))
-		var frags []geom.Rect
-		for _, rc := range avail.Rects() {
-			if c := rc.Intersect(box); !c.Empty() {
-				frags = append(frags, c)
-			}
-		}
-		if len(frags) == 0 {
-			continue
-		}
-		want := len(geom.RegionFromRects(frags).Components()) == 1
-		if got := connected(frags); got != want {
-			t.Fatalf("case %d: box %v of %v: connected = %v, components say %v", i, box, avail, got, want)
-		}
-		boxes++
-		if !want {
-			split++
-		}
-	}
-	if boxes < 3000 || split < 500 {
-		t.Fatalf("%d boxes checked, %d split: too few of either", boxes, split)
-	}
-}

@@ -89,31 +89,12 @@ func BuildTileGraph(avail geom.Region, terms []Terminal, dx, dy int64) (*TileGra
 		return nil, fmt.Errorf("route: available space produced no tiles")
 	}
 
-	// Contract terminal tiles with union-find, counting the joins.
-	parent := make([]int, np)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(i int) int {
-		//lint:ignore ctxdelegate union-find path halving: the walk shortens the chain every step, bounded by tree depth
-		for parent[i] != i {
-			parent[i] = parent[parent[i]]
-			i = parent[i]
-		}
-		return i
-	}
+	// Contract terminal tiles, counting the joins. A join links under
+	// the smaller root, so a contracted node takes its first piece's
+	// place in the node order.
+	var sets geom.Sets
+	sets.Reset(np)
 	joins := 0
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			if ra > rb {
-				ra, rb = rb, ra
-			}
-			parent[rb] = ra
-			joins++
-		}
-	}
 	termRoot := make([]int, len(terms))
 	for ti, term := range terms {
 		if term.Shape.Empty() {
@@ -132,8 +113,8 @@ func BuildTileGraph(avail geom.Region, terms []Terminal, dx, dy int64) (*TileGra
 					if overlapsAny(term.Shape, t.fragments(p)) {
 						if first == -1 {
 							first = p
-						} else {
-							union(first, p)
+						} else if sets.Join(first, p) {
+							joins++
 						}
 					}
 				}
@@ -147,7 +128,7 @@ func BuildTileGraph(avail geom.Region, terms []Terminal, dx, dy int64) (*TileGra
 	// Two terminals contracted into the same node is a modelling error.
 	for i := 0; i < len(terms); i++ {
 		for j := i + 1; j < len(terms); j++ {
-			if find(termRoot[i]) == find(termRoot[j]) {
+			if sets.Find(termRoot[i]) == sets.Find(termRoot[j]) {
 				return nil, fmt.Errorf("route: terminals %q and %q share a tile; reduce tile size",
 					terms[i].Name, terms[j].Name)
 			}
@@ -162,7 +143,7 @@ func BuildTileGraph(avail geom.Region, terms []Terminal, dx, dy int64) (*TileGra
 	var joined []int
 	size := 0 // fragments of the contracted nodes
 	for p := range nodeOf {
-		r := find(p)
+		r := sets.Find(p)
 		if r == p {
 			nodeOf[p] = len(cells)
 			cells = append(cells, t.fragments(p))
@@ -200,7 +181,7 @@ func BuildTileGraph(avail geom.Region, terms []Terminal, dx, dy int64) (*TileGra
 	// Edges: conductance = contact width / pitch across the contact, laid
 	// out straight into CSR rows. A counting pass sizes the rows and a
 	// fill pass writes each contact into both endpoints' rows in visit
-	// order, with parent, free now, as the fill cursor.
+	// order, with the sets' storage, free now, as the fill cursor.
 	n := len(cells)
 	rowPtr := make([]int, n+1)
 	t.contacts(func(pa, pb int, _ int64, _ bool) {
@@ -214,7 +195,7 @@ func BuildTileGraph(avail geom.Region, terms []Terminal, dx, dy int64) (*TileGra
 	}
 	to := make([]int, rowPtr[n])
 	w := make([]float64, rowPtr[n])
-	next := parent[:n]
+	next := []int(sets[:n])
 	copy(next, rowPtr)
 	t.contacts(func(pa, pb int, length int64, up bool) {
 		na, nb := nodeOf[pa], nodeOf[pb]
@@ -302,9 +283,10 @@ type tiling struct {
 // tileRegion cuts region into the grid that covers frame at pitch dx×dy in
 // one scan over the region's canonical rectangles: each rectangle is
 // clipped into the boxes it crosses and the fragments are counting-sorted
-// by box, keeping their band order. A box whose fragments are
-// edge-connected is one piece as it stands; only a box that splits is
-// rebuilt as a region to be split into components.
+// by box, keeping their band order. Each box's fragments are joined by
+// geom.JoinTouching in one reused set; a box whose fragments form one set
+// is one piece as it stands, and a box that splits deals its fragments
+// out by root, its pieces in the order of their first fragments.
 func tileRegion(region geom.Region, frame geom.Rect, dx, dy int64) *tiling {
 	t := &tiling{
 		x0: frame.X0, y0: frame.Y0, dx: dx, dy: dy,
@@ -358,23 +340,27 @@ func tileRegion(region geom.Region, frame geom.Rect, dx, dy int64) *tiling {
 	// splits appends past that.
 	t.rects = byBox
 	t.rectStart = make([]int, 1, filled+1)
-	var sets fragmentSets
+	var sets geom.Sets
 	var held []geom.Rect
 	for c, lo := int64(0), 0; c < nbox; c++ {
 		hi := start[c+1]
-		switch box := byBox[lo:hi]; {
+		box := byBox[lo:hi]
+		sets.Reset(len(box))
+		switch {
 		case len(box) == 0:
-		case sets.connected(box):
+		case geom.JoinTouching(sets, box) == len(box)-1:
 			t.rectStart = append(t.rectStart, hi)
 		default:
-			// A fragment lies in the component holding its lower-left
-			// unit square.
+			// A set's members follow its root, the smallest of them.
 			held = append(held[:0], box...)
 			at := lo
-			for _, comp := range geom.RegionFromRects(box).Components() {
-				for _, f := range held {
-					if comp.Contains(geom.Pt(f.X0, f.Y0)) {
-						byBox[at] = f
+			for root := range held {
+				if sets.Find(root) != root {
+					continue
+				}
+				for f := root; f < len(held); f++ {
+					if sets.Find(f) == root {
+						byBox[at] = held[f]
 						at++
 					}
 				}
@@ -427,62 +413,6 @@ func (t *tiling) numPieces() int { return len(t.rectStart) - 1 }
 func (t *tiling) fragments(p int) []geom.Rect {
 	lo, hi := t.rectStart[p], t.rectStart[p+1]
 	return t.rects[lo:hi:hi]
-}
-
-// fragmentSets is the union-find scratch of connected, reused across
-// boxes.
-type fragmentSets struct {
-	parent []int
-}
-
-// connected reports whether the fragments of one grid box form a single
-// edge-connected piece. The fragments come in band order: runs with equal
-// Y0 and Y1 that ascend in y, each run ascending in x without touching.
-// Fragments of touching bands join when their x-overlap is positive.
-func (s *fragmentSets) connected(box []geom.Rect) bool {
-	if len(box) == 1 {
-		return true
-	}
-	parent := s.parent[:0]
-	for i := range box {
-		parent = append(parent, i)
-	}
-	s.parent = parent
-	find := func(i int) int {
-		//lint:ignore ctxdelegate union-find path halving: the walk shortens the chain every step, bounded by the box's fragment count
-		for parent[i] != i {
-			parent[i] = parent[parent[i]]
-			i = parent[i]
-		}
-		return i
-	}
-	sets := len(box)
-	// Each run of fragments meets the run below it, box[plo:phi], with a
-	// merge of their x-ordered spans.
-	plo, phi := 0, 0
-	for lo := 0; lo < len(box); {
-		hi := lo + 1
-		for hi < len(box) && box[hi].Y0 == box[lo].Y0 {
-			hi++
-		}
-		if phi > 0 && box[plo].Y1 == box[lo].Y0 {
-			upper := box[lo:hi]
-			k := 0
-			for i := plo; i < phi; i++ {
-				for k < len(upper) && upper[k].X1 <= box[i].X0 {
-					k++
-				}
-				for m := k; m < len(upper) && upper[m].X0 < box[i].X1; m++ {
-					if ra, rb := find(i), find(lo+m); ra != rb {
-						parent[rb] = ra
-						sets--
-					}
-				}
-			}
-		}
-		plo, phi, lo = lo, hi, hi
-	}
-	return sets == 1
 }
 
 // seam returns the length of the grid line at `at` along which piece pa

@@ -2,10 +2,12 @@ package route
 
 import "sprout/internal/geom"
 
-// tileRegionReference is tileRegion without its connectivity test: every
-// box of several fragments rebuilt as a region of its own and split with
-// Region.Components. tileRegion must return the same fragment grouping
-// and box starts.
+// tileRegionReference is tileRegion as it split boxes before its pieces
+// came in the order of their first fragments: every box of several
+// fragments rebuilt as a region of its own and split by rankComponents,
+// each fragment dealt to the component holding its lower-left unit square.
+// tileRegion must return the same fragment grouping, piece order and box
+// starts.
 func tileRegionReference(region geom.Region, frame geom.Rect, dx, dy int64) *tiling {
 	t := &tiling{
 		x0: frame.X0, y0: frame.Y0, dx: dx, dy: dy,
@@ -53,7 +55,7 @@ func tileRegionReference(region geom.Region, frame geom.Rect, dx, dy int64) *til
 		case 1:
 			t.rectStart = append(t.rectStart, hi)
 		default:
-			comps := geom.RegionFromRects(box).Components()
+			comps := rankComponents(geom.RegionFromRects(box))
 			if len(comps) == 1 {
 				t.rectStart = append(t.rectStart, hi)
 				break
@@ -62,7 +64,7 @@ func tileRegionReference(region geom.Region, frame geom.Rect, dx, dy int64) *til
 			at := lo
 			for _, comp := range comps {
 				for _, f := range held {
-					if comp.Contains(geom.Pt(f.X0, f.Y0)) {
+					if comp.OverlapsRect(geom.R(f.X0, f.Y0, f.X0+1, f.Y0+1)) {
 						byBox[at] = f
 						at++
 					}
@@ -75,4 +77,58 @@ func tileRegionReference(region geom.Region, frame geom.Rect, dx, dy int64) *til
 	}
 	t.cellStart = start
 	return t
+}
+
+// rankComponents is Region.Components as it numbered the components
+// before they came in the order of their first rectangle: a union by rank
+// over the Rects decomposition, with the rects of touching bands joined
+// pair by pair in band order, and the components in ascending order of
+// their roots.
+func rankComponents(g geom.Region) []geom.Region {
+	rects := g.Rects()
+	parent := make([]int, len(rects))
+	rank := make([]int, len(rects))
+	for i := range parent {
+		parent[i] = i
+	}
+	var find func(int) int
+	find = func(i int) int {
+		if parent[i] != i {
+			parent[i] = find(parent[i])
+		}
+		return parent[i]
+	}
+	for i, a := range rects {
+		for j := i + 1; j < len(rects); j++ {
+			b := rects[j]
+			if a.Y1 != b.Y0 || min(a.X1, b.X1) <= max(a.X0, b.X0) {
+				continue
+			}
+			ra, rb := find(i), find(j)
+			if ra == rb {
+				continue
+			}
+			if rank[ra] < rank[rb] {
+				ra, rb = rb, ra
+			}
+			parent[rb] = ra
+			if rank[ra] == rank[rb] {
+				rank[ra]++
+			}
+		}
+	}
+	var out []geom.Region
+	for root := range rects {
+		if find(root) != root {
+			continue
+		}
+		var group []geom.Rect
+		for i, r := range rects {
+			if find(i) == root {
+				group = append(group, r)
+			}
+		}
+		out = append(out, geom.RegionFromRects(group))
+	}
+	return out
 }

@@ -32,7 +32,7 @@ func BenchmarkStoreAccept(b *testing.B) {
 				b.Fatal("benchmark submission deduped; keys must be unique")
 			}
 			st.SetRunning(j, nil, time.Now())
-			st.Finish(j, &obs.RunReport{}, nil, time.Now())
+			st.Finish(j, &obs.RunReport{}, nil, time.Now(), nil)
 		}
 	}
 

@@ -63,7 +63,7 @@ func TestPersistentStoreRecovery(t *testing.T) {
 	}
 
 	st.SetRunning(ja, obs.New(), time.Now())
-	if !st.Finish(ja, &obs.RunReport{Tool: "persist-test"}, nil, time.Now()) {
+	if !st.Finish(ja, &obs.RunReport{Tool: "persist-test"}, nil, time.Now(), nil) {
 		t.Fatal("finish was not the terminal transition")
 	}
 	st.SetRunning(jb, obs.New(), time.Now()) // running at "crash" time
@@ -275,7 +275,7 @@ func TestSnapshotCompactionBoundsWAL(t *testing.T) {
 			t.Fatal(err)
 		}
 		st.SetRunning(j, obs.New(), time.Now())
-		st.Finish(j, &obs.RunReport{Tool: "compact"}, nil, time.Now())
+		st.Finish(j, &obs.RunReport{Tool: "compact"}, nil, time.Now(), nil)
 	}
 	counters, _ := tr.MetricsSnapshot()
 	// One compaction at open plus at least one triggered by the append

@@ -270,9 +270,9 @@ func TestRecoveryMixedBacklog(t *testing.T) {
 	done, failed, poison, crashed, queued := mk("done"), mk("failed"), mk("poison"), mk("crashed"), mk("queued")
 
 	ps.SetRunning(done, nil, time.Now())
-	ps.Finish(done, &obs.RunReport{Tool: "ok"}, nil, time.Now())
+	ps.Finish(done, &obs.RunReport{Tool: "ok"}, nil, time.Now(), nil)
 	ps.SetRunning(failed, nil, time.Now())
-	ps.Finish(failed, nil, errors.New("solver exploded"), time.Now())
+	ps.Finish(failed, nil, errors.New("solver exploded"), time.Now(), nil)
 	// Two starts without a finish: the poison shape at MaxAttempts=2.
 	ps.SetRunning(poison, nil, time.Now())
 	ps.SetRunning(poison, nil, time.Now())

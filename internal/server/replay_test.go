@@ -67,7 +67,7 @@ func TestReplayMatchesLiveTransitions(t *testing.T) {
 
 	done := create("done")
 	start(done, "done-frame")
-	if !st.Finish(done, &obs.RunReport{Tool: "replay-done"}, nil, now()) {
+	if !st.Finish(done, &obs.RunReport{Tool: "replay-done"}, nil, now(), nil) {
 		t.Fatal("finish of done job was not the terminal transition")
 	}
 	kept = append(kept, done)
@@ -79,7 +79,7 @@ func TestReplayMatchesLiveTransitions(t *testing.T) {
 		BestOrder: []board.NetID{2, 0, 1}, BestScore: 1.5, Tried: 6,
 		Stats: sprout.ExploreStats{PrefixHits: 4, PrefixMisses: 11},
 	})
-	st.Finish(explored, &obs.RunReport{Tool: "replay-explore"}, nil, now())
+	st.Finish(explored, &obs.RunReport{Tool: "replay-explore"}, nil, now(), nil)
 	kept = append(kept, explored)
 
 	failures := []struct {
@@ -95,7 +95,7 @@ func TestReplayMatchesLiveTransitions(t *testing.T) {
 	for _, f := range failures {
 		j := create("failed-" + string(f.want))
 		start(j, "failed-frame")
-		st.Finish(j, nil, f.err, now())
+		st.Finish(j, nil, f.err, now(), nil)
 		if got := st.Status(j).ErrorKind; got != f.want {
 			t.Fatalf("live failure %v classified %q, want %q", f.err, got, f.want)
 		}
@@ -116,7 +116,7 @@ func TestReplayMatchesLiveTransitions(t *testing.T) {
 		t.Fatal(err)
 	}
 	start(revived, "revived-frame-2")
-	st.Finish(revived, &obs.RunReport{Tool: "replay-requeued"}, nil, now())
+	st.Finish(revived, &obs.RunReport{Tool: "replay-requeued"}, nil, now(), nil)
 	kept = append(kept, revived)
 
 	dropped := create("dropped")
@@ -236,7 +236,7 @@ func TestStoreKeepsWallClockTimes(t *testing.T) {
 		t.Fatal("job did not start")
 	}
 	wallOnly("started", j.started)
-	st.Finish(j, &obs.RunReport{Tool: "wall-clock"}, nil, time.Now())
+	st.Finish(j, &obs.RunReport{Tool: "wall-clock"}, nil, time.Now(), nil)
 	wallOnly("finished", j.finished)
 
 	parked, _, err := st.Create(specFor(t, doc, "parked"), time.Now())

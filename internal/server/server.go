@@ -459,18 +459,26 @@ func (e *Engine) runJob(j *Job) {
 	// Fold the job tracer's stage/solver metrics into the replica tracer,
 	// so /metrics exposes per-stage latency quantiles across all jobs.
 	e.cfg.Tracer.AbsorbMetrics(tracer)
-	if !e.store.Finish(j, report, err, time.Now()) {
+	// The finish that wins records the job's metrics before its terminal
+	// state is visible, so a scrape that follows a terminal status always
+	// counts the job.
+	record := func(attempts int) {
+		e.observe(obs.MJobQueueWaitMS, float64(queueWait.Nanoseconds())/1e6)
+		e.observe(obs.MJobRunMS, float64(dur.Nanoseconds())/1e6)
+		e.observe(obs.MJobAttempts, float64(attempts))
+		if err != nil {
+			e.count(obs.MJobsFailed, 1)
+			e.count(obs.MJobsFailedPrefix+string(classify(err)), 1)
+		} else {
+			e.count(obs.MJobsDone, 1)
+		}
+	}
+	if !e.store.Finish(j, report, err, time.Now(), record) {
 		return
 	}
-	e.observe(obs.MJobQueueWaitMS, float64(queueWait.Nanoseconds())/1e6)
-	e.observe(obs.MJobRunMS, float64(dur.Nanoseconds())/1e6)
-	e.observe(obs.MJobAttempts, float64(e.store.Status(j).Attempts))
 	if err != nil {
-		e.count(obs.MJobsFailed, 1)
-		e.count(obs.MJobsFailedPrefix+string(classify(err)), 1)
 		e.cfg.Log.Warn("job failed", "job", j.id, "board", j.board, "kind", classify(err), "err", err)
 	} else {
-		e.count(obs.MJobsDone, 1)
 		e.cfg.Log.Info("job done", "job", j.id, "board", j.board, "run_ms", dur.Milliseconds())
 	}
 }
@@ -565,10 +573,10 @@ func (e *Engine) Shutdown(ctx context.Context) error {
 	// checked the queue, or orphaned in the channel) fails typed rather
 	// than vanishing. This is the zero-loss guarantee.
 	for _, j := range e.store.NonTerminal() {
-		if e.store.Finish(j, nil, sprout.ErrShuttingDown, time.Now()) {
+		e.store.Finish(j, nil, sprout.ErrShuttingDown, time.Now(), func(int) {
 			e.count(obs.MJobsFailed, 1)
 			e.count(obs.MJobsFailedPrefix+string(KindShutdown), 1)
-		}
+		})
 	}
 	e.cfg.Log.Info("drained", "err", err)
 	return err

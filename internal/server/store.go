@@ -497,16 +497,23 @@ func (s *Store) NoteExploration(j *Job, ex *sprout.OrderExploration) {
 // writers (a worker completing after the drain sweep already failed the
 // job) are dropped, keeping the first terminal outcome authoritative.
 // The return reports whether this call was the terminal transition.
+// won, when non-nil, runs only for that call, with the job's attempt
+// count, before any reader can see the terminal state: what it records
+// (the job's metrics) is never behind a status that reads terminal. It
+// runs under the store's locks, so it must not call the store.
 //
 // The finish record carries the run report, so results survive restart.
 // It is not fsynced: a finish record lost to a crash re-runs the job
 // (at-least-once execution), it never loses it.
-func (s *Store) Finish(j *Job, report *obs.RunReport, err error, now time.Time) bool {
+func (s *Store) Finish(j *Job, report *obs.RunReport, err error, now time.Time, won func(attempts int)) bool {
 	s.logMu.Lock()
 	defer s.logMu.Unlock()
 	kind := classify(err)
 	s.mu.Lock()
 	finished := s.finishLocked(j, report, err, kind, now)
+	if finished && won != nil {
+		won(j.attempts)
+	}
 	rec := &walRecord{T: walFinish, ID: j.id, TS: now, Exploration: j.exploration}
 	s.mu.Unlock()
 	if !finished {

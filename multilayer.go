@@ -23,10 +23,6 @@ type MLRouteOptions struct {
 	Budgets map[board.NetID]int64
 	// Config tunes the per-component SPROUT pipeline.
 	Config route.Config
-	// ViaPitch is the planning tile size for the 3-D graph (paper Alg. 6
-	// uses the via pitch). Zero selects 2x the routing tile, Config.DX
-	// with defaults applied.
-	ViaPitch int64
 }
 
 // MLNetResult is one net routed across layers.
@@ -88,13 +84,9 @@ func RouteBoardMultilayerCtx(ctx context.Context, b *board.Board, opt MLRouteOpt
 			return nil, fmt.Errorf("sprout: layer %d is a reference plane", l)
 		}
 	}
-	viaPitch := opt.ViaPitch
-	if viaPitch <= 0 {
-		viaPitch = 2 * opt.Config.WithDefaults().DX
-		if viaPitch < 2 {
-			viaPitch = 2
-		}
-	}
+	// The 3-D planning graph (paper Alg. 6) is tiled at twice the
+	// routing pitch.
+	viaPitch := max(2*opt.Config.WithDefaults().DX, 2)
 
 	out = &MLBoardResult{Board: b}
 	// copper[layer] accumulates routed copper per layer across nets.
