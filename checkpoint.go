@@ -157,13 +157,25 @@ func (ck *ExploreCheckpoint) validate() error {
 }
 
 // ordersFingerprint hashes everything a checkpoint's settled outcomes
-// depend on: board identity, the routing knobs that change per-order
+// depend on: the board's content, the routing knobs that change per-order
 // results, and the exact enumeration. Two sweeps with equal fingerprints
 // settle identical outcomes for identical indices.
 func ordersFingerprint(b *board.Board, opt RouteOptions, orders [][]board.NetID) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "board=%s layer=%d manual=%t skipx=%t pitch=%d\n",
-		b.Name, opt.Layer, opt.WithManual, opt.SkipExtract, opt.ExtractPitch)
+	fmt.Fprintf(h, "board=%s outline=%v stackup=%+v rules=%+v\n", b.Name, b.Outline, b.Stackup.Layers, b.Rules)
+	for _, n := range b.Nets {
+		fmt.Fprintf(h, "net %+v\n", n)
+	}
+	// Regions hash as their canonical rectangles.
+	for _, g := range b.Groups {
+		fmt.Fprintf(h, "group %q kind=%d net=%d layer=%d current=%v shape=%v\n",
+			g.Name, g.Kind, g.Net, g.Layer, g.Current, g.Shape().Rects())
+	}
+	for _, o := range b.Obstacle {
+		fmt.Fprintf(h, "obstacle net=%d layer=%d shape=%v\n", o.Net, o.Layer, o.Shape.Rects())
+	}
+	fmt.Fprintf(h, "layer=%d manual=%t skipx=%t pitch=%d\n",
+		opt.Layer, opt.WithManual, opt.SkipExtract, opt.ExtractPitch)
 	// route.Config is a flat struct of scalars, so %+v is deterministic.
 	fmt.Fprintf(h, "config=%+v\n", opt.Config)
 	ids := make([]int, 0, len(opt.Budgets))

@@ -7,7 +7,9 @@ import (
 	"reflect"
 	"testing"
 
+	"sprout/internal/board"
 	"sprout/internal/faultinject"
+	"sprout/internal/geom"
 )
 
 // sampleCheckpoint is a frontier with every field class populated: a
@@ -151,6 +153,17 @@ func TestOrdersFingerprint(t *testing.T) {
 	}
 	if base == ordersFingerprint(b, opt, [][]NetID{{1, 0}, {0, 1}}) {
 		t.Fatal("enumeration change did not change the fingerprint")
+	}
+	// Same name, one more keepout: the board's content moved.
+	other := resumeBoard(t)
+	if base != ordersFingerprint(other, opt, orders) {
+		t.Fatal("an identical board changed the fingerprint")
+	}
+	if err := other.AddObstacle(board.NetNone, 1, geom.RegionFromRect(geom.R(40, 0, 50, 10))); err != nil {
+		t.Fatal(err)
+	}
+	if base == ordersFingerprint(other, opt, orders) {
+		t.Fatal("board content change did not change the fingerprint")
 	}
 }
 

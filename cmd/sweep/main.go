@@ -5,8 +5,7 @@
 //
 // Usage:
 //
-//	sweep [-steps n] [-min f] [-max f] [-out dir]
-//	      [-explore] [-explore-workers n]
+//	sweep [-steps n] [-min f] [-max f] [-explore] [-explore-workers n]
 //
 // -min and -max scale the modem/CPU normalized area (DSP uses a quarter of
 // the schedule, as in Table IV). With -explore each layout additionally
@@ -29,13 +28,12 @@ func main() {
 	steps := flag.Int("steps", 9, "number of layouts to generate")
 	minA := flag.Float64("min", 15, "minimum modem/CPU area (normalized units)")
 	maxA := flag.Float64("max", 35, "maximum modem/CPU area (normalized units)")
-	outDir := flag.String("out", "", "directory for layout SVGs")
 	explore := flag.Bool("explore", false, "sweep net routing orders per layout and keep the best")
 	exploreWorkers := flag.Int("explore-workers", 0, "explorer worker-pool bound (0 = GOMAXPROCS)")
 	flag.Parse()
 
 	opt := exploreOpts{on: *explore, workers: *exploreWorkers}
-	if err := run(*steps, *minA, *maxA, *outDir, opt); err != nil {
+	if err := run(*steps, *minA, *maxA, opt); err != nil {
 		fmt.Fprintln(os.Stderr, "sweep:", err)
 		os.Exit(1)
 	}
@@ -47,17 +45,12 @@ type exploreOpts struct {
 	workers int
 }
 
-func run(steps int, minA, maxA float64, outDir string, ex exploreOpts) error {
+func run(steps int, minA, maxA float64, ex exploreOpts) error {
 	if steps < 2 {
 		return fmt.Errorf("need at least 2 steps, got %d", steps)
 	}
 	if minA <= 0 || maxA <= minA {
 		return fmt.Errorf("bad range [%g, %g]", minA, maxA)
-	}
-	if outDir != "" {
-		if err := os.MkdirAll(outDir, 0o755); err != nil {
-			return err
-		}
 	}
 	t := report.NewTable("area/impedance exploration (three-rail board)",
 		"layout", "area", "rail", "copper units²", "R (mΩ)", "L (pH)", "eff L (pH)", "Vmin (V)", "delay")

@@ -17,7 +17,10 @@ import (
 	"testing"
 
 	"sprout"
+	"sprout/internal/board"
 	"sprout/internal/cases"
+	"sprout/internal/geom"
+	"sprout/internal/obs"
 )
 
 // threeRailExploreOpt is the shared sweep configuration: three nets, six
@@ -160,6 +163,39 @@ func TestResumeFromCheckpointRejectsMismatch(t *testing.T) {
 	}
 	if resumed.Stats.ResumedOrders != 0 {
 		t.Fatalf("stale checkpoint resumed %d orders, want rejection", resumed.Stats.ResumedOrders)
+	}
+	sameExploration(t, fresh, resumed)
+}
+
+// TestResumeFromCheckpointRejectsOtherBoard: a checkpoint is bound to its
+// board's content, not its name. Resuming a checkpoint on the same board
+// plus one keepout across the CPU rail's corridor must reject it and sweep
+// afresh, never replay the other board's scores.
+func TestResumeFromCheckpointRejectsOtherBoard(t *testing.T) {
+	b, opt := threeRailExploreOpt(t)
+	_, cks := captureCheckpoints(t, b, opt)
+	if len(cks) == 0 || cks[0].Done != 2 {
+		t.Fatalf("want a first checkpoint at 2 settled orders, got %d checkpoints", len(cks))
+	}
+	if err := b.AddObstacle(board.NetNone, opt.Layer, geom.RegionFromRect(geom.R(140, 40, 160, 60))); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := sprout.ExploreNetOrders(b, opt)
+	if err != nil {
+		t.Fatalf("fresh sweep: %v", err)
+	}
+	tr := obs.New()
+	resumeOpt := opt
+	resumeOpt.ExploreResume = cks[0]
+	resumed, err := sprout.ExploreNetOrdersCtx(obs.WithTracer(context.Background(), tr), b, resumeOpt)
+	if err != nil {
+		t.Fatalf("sweep with the other board's checkpoint: %v", err)
+	}
+	if resumed.Stats.ResumedOrders != 0 {
+		t.Fatalf("other board's checkpoint resumed %d orders, want rejection", resumed.Stats.ResumedOrders)
+	}
+	if counters, _ := tr.MetricsSnapshot(); counters[obs.MExploreCkptRejected] != 1 {
+		t.Fatalf("%s = %d, want 1", obs.MExploreCkptRejected, counters[obs.MExploreCkptRejected])
 	}
 	sameExploration(t, fresh, resumed)
 }

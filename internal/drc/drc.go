@@ -11,8 +11,6 @@ import (
 	"fmt"
 	"sort"
 
-	"sprout/internal/board"
-	"sprout/internal/extract"
 	"sprout/internal/geom"
 	"sprout/internal/route"
 )
@@ -210,60 +208,4 @@ func Errors(vs []Violation) []Violation {
 		}
 	}
 	return out
-}
-
-// AuditBoard is a convenience wrapper: it audits a routed board result
-// directly from the board description, deriving available spaces, blockage
-// geometry and terminal sets.
-func AuditBoard(b *board.Board, layer int, routed map[string]RoutedNet, lim Limits) []Violation {
-	blockages := geom.EmptyRegion()
-	for _, o := range b.Obstacle {
-		if o.Layer == layer {
-			blockages = blockages.Union(o.Shape)
-		}
-	}
-	avail := map[string]geom.Region{}
-	var shapes []Shape
-	names := make([]string, 0, len(routed))
-	for name := range routed {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		rn := routed[name]
-		var netID board.NetID = -1
-		for _, n := range b.Nets {
-			if n.Name == name {
-				netID = n.ID
-			}
-		}
-		if netID >= 0 {
-			avail[name] = b.AvailableSpace(netID, layer)
-		}
-		var terms []route.Terminal
-		if netID >= 0 {
-			for _, g := range b.GroupsOn(netID, layer) {
-				terms = append(terms, route.Terminal{Name: g.Name, Shape: g.Shape(), Current: g.Current})
-			}
-		}
-		shapes = append(shapes, Shape{
-			Net: name, Copper: rn.Copper, Terminals: terms,
-			Budget: rn.Budget, MaxCurrentDensity: density(rn.Extract),
-		})
-	}
-	return Audit(shapes, avail, blockages, lim)
-}
-
-// RoutedNet is the audit input for one net of a routed board.
-type RoutedNet struct {
-	Copper  geom.Region
-	Budget  int64
-	Extract *extract.Report
-}
-
-func density(rep *extract.Report) float64 {
-	if rep == nil {
-		return 0
-	}
-	return rep.MaxCurrentDensity
 }

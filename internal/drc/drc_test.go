@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"sprout/internal/board"
 	"sprout/internal/geom"
 	"sprout/internal/route"
 )
@@ -142,61 +141,6 @@ func TestAuditBudgetAndDensity(t *testing.T) {
 	}
 	if !rules["budget"] || !rules["current-density"] {
 		t.Fatalf("missing warnings: %v", vs)
-	}
-}
-
-func TestAuditBoardWrapper(t *testing.T) {
-	stack := board.Stackup{Layers: []board.Layer{
-		{Name: "L1", CopperUM: 35, DielectricBelowUM: 100},
-	}}
-	rules := board.DesignRules{Clearance: 2}
-	b, err := board.New("audit", geom.R(0, 0, 100, 50), stack, rules)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vdd := b.AddNet("VDD", 2, 5)
-	if err := b.AddGroup(board.TerminalGroup{
-		Name: "s", Kind: board.KindPMIC, Net: vdd, Layer: 1, Current: 2,
-		Pads: []geom.Region{geom.RegionFromRect(geom.R(0, 20, 8, 30))},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.AddGroup(board.TerminalGroup{
-		Name: "t", Kind: board.KindBGA, Net: vdd, Layer: 1, Current: 2,
-		Pads: []geom.Region{geom.RegionFromRect(geom.R(92, 20, 100, 30))},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.AddObstacle(board.NetNone, 1, geom.RegionFromRect(geom.R(40, 40, 60, 50))); err != nil {
-		t.Fatal(err)
-	}
-	// A clean routed strip.
-	clean := map[string]RoutedNet{
-		"VDD": {Copper: geom.RegionFromRect(geom.R(0, 18, 100, 32)), Budget: 1500},
-	}
-	if vs := AuditBoard(b, 1, clean, Limits{Clearance: 2, BudgetSlack: 25}); len(vs) != 0 {
-		t.Fatalf("clean board audit found %v", vs)
-	}
-	// Copper crossing the keepout must be flagged: both as blockage
-	// overlap and as a containment escape (the keepout is excluded from
-	// the net's available space).
-	dirty := map[string]RoutedNet{
-		"VDD": {Copper: geom.RegionFromRect(geom.R(0, 18, 100, 45)), Budget: 5000},
-	}
-	vs := AuditBoard(b, 1, dirty, Limits{Clearance: 2})
-	rules2 := map[string]bool{}
-	for _, v := range vs {
-		rules2[v.Rule] = true
-	}
-	if !rules2["blockage"] || !rules2["containment"] {
-		t.Fatalf("expected blockage+containment findings, got %v", vs)
-	}
-	// A net name unknown to the board audits with no available-space rule.
-	orphan := map[string]RoutedNet{
-		"GHOST": {Copper: geom.RegionFromRect(geom.R(0, 0, 10, 10))},
-	}
-	if vs := AuditBoard(b, 1, orphan, Limits{Clearance: 2}); len(vs) != 0 {
-		t.Fatalf("orphan net should only be geometry-checked: %v", vs)
 	}
 }
 

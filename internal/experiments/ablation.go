@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"sprout/internal/cases"
@@ -45,26 +46,6 @@ func RunAblation() (*AblationResult, error) {
 		return nil
 	}
 
-	// Seed only: the Dijkstra baseline every grow/refine improvement is
-	// measured against.
-	if err := run("seed-only (Alg. 2)", func() (float64, int64, error) {
-		tg, err := route.BuildTileGraph(avail, terms, 4, 4)
-		if err != nil {
-			return 0, 0, err
-		}
-		members, err := tg.Seed()
-		if err != nil {
-			return 0, 0, err
-		}
-		m, err := tg.NodeCurrentsCtx(ctx, members, nil)
-		if err != nil {
-			return 0, 0, err
-		}
-		return m.Resistance, tg.MembersArea(members), nil
-	}); err != nil {
-		return nil, err
-	}
-
 	// Uniform growth: dilate everywhere instead of following the node
 	// current, then shed the overshoot pseudo-randomly — no node-current
 	// information anywhere. This is the "no metric" strawman.
@@ -94,7 +75,11 @@ func RunAblation() (*AblationResult, error) {
 		return nil, err
 	}
 
-	// Grow only (no refine, no reheat).
+	// Grow only (no refine, no reheat). Its first trace record is the
+	// pipeline's own seed on the same Δx = 4 graph: the seed-only row,
+	// the Dijkstra baseline every grow/refine improvement is measured
+	// against, which leads the table.
+	var seed route.IterRecord
 	if err := run("grow-only (Alg. 4)", func() (float64, int64, error) {
 		res, err := route.RouteCtx(ctx, avail, terms, route.Config{
 			DX: 4, DY: 4, AreaMax: budget, RefineIters: -1,
@@ -102,10 +87,14 @@ func RunAblation() (*AblationResult, error) {
 		if err != nil {
 			return 0, 0, err
 		}
+		seed = res.Trace[0]
 		return res.Resistance, res.Shape.Area(), nil
 	}); err != nil {
 		return nil, err
 	}
+	out.Rows = slices.Insert(out.Rows, 0, AblationRow{
+		Name: "seed-only (Alg. 2)", Resistance: seed.Resistance, Area: seed.Area, Elapsed: seed.Elapsed,
+	})
 
 	// Grow + refine (no reheat): the paper's core loop.
 	if err := run("grow+refine (Algs. 4-5)", func() (float64, int64, error) {

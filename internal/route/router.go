@@ -130,78 +130,27 @@ type Result struct {
 // (paper Fig. 3): tile → seed → SmartGrow to the area budget → SmartRefine
 // → optional reheating → back conversion. The context is checked between
 // pipeline iterations and inside the linear solves; on cancellation the
-// pipeline aborts with ctx.Err().
+// pipeline aborts with ctx.Err(). A pipeline that fails after its seed
+// returns the error together with the seed-only route, as
+// TileGraph.RouteCtx documents.
 func RouteCtx(ctx context.Context, avail geom.Region, terms []Terminal, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	cfg = cfg.WithDefaults()
-	tg, err := spaceToGraph(ctx, avail, terms, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return tg.RouteCtx(ctx, cfg)
-}
-
-// spaceToGraph runs the tiling stage (paper Alg. 1) under its tracing
-// span, annotated with the resulting graph size.
-func spaceToGraph(ctx context.Context, avail geom.Region, terms []Terminal, cfg Config) (*TileGraph, error) {
 	_, sp, done := stageCtx(ctx, "SpaceToGraph")
-	defer done()
 	tg, err := BuildTileGraph(avail, terms, cfg.DX, cfg.DY)
 	if err != nil {
 		sp.Fail(err)
+		done()
 		return nil, err
 	}
 	sp.SetAttrs(
 		obs.A("nodes", tg.G.N()),
 		obs.A("edges", tg.G.M()),
 		obs.A("terminals", len(tg.Terminals)))
-	return tg, nil
-}
-
-// SeedOnly runs only the tiling and seed stages (paper Algorithm 2) — the
-// degraded route a rail falls back to when the full pipeline fails
-// (per-rail failure isolation). The result carries the seed shape and, when
-// the nodal analysis itself still works, its metrics; otherwise Resistance
-// is NaN.
-func SeedOnly(ctx context.Context, avail geom.Region, terms []Terminal, cfg Config) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	cfg = cfg.WithDefaults()
-	tg, err := spaceToGraph(ctx, avail, terms, cfg)
-	if err != nil {
-		return nil, err
-	}
-	sctx, sp, done := stageCtx(ctx, "Seed", obs.A("degraded", true))
-	defer done()
-	members, err := tg.Seed()
-	if err != nil {
-		sp.Fail(err)
-		return nil, err
-	}
-	warm := NewSolveCache()
-	res := &Result{
-		Shape:      tg.Union(members),
-		Members:    members,
-		Graph:      tg,
-		Resistance: math.NaN(),
-	}
-	if m, merr := tg.NodeCurrentsCtx(sctx, members, warm); merr == nil {
-		res.Resistance = m.Resistance
-		res.PairResistance = m.PairResistance
-	} else {
-		sp.Fail(merr)
-	}
-	res.Solve = warm.stats
-	res.Trace = []IterRecord{{
-		Stage:      "seed",
-		Nodes:      MemberCount(members),
-		Area:       tg.MembersArea(members),
-		Resistance: res.Resistance,
-	}}
-	return res, nil
+	done()
+	return tg.RouteCtx(ctx, cfg)
 }
 
 // RouteCtx runs the pipeline on an already built tile graph. Every mask
@@ -209,6 +158,13 @@ func SeedOnly(ctx context.Context, avail geom.Region, terms []Terminal, cfg Conf
 // the mask it leaves to the next, from the seed through to the Result,
 // and the metrics a stage replaced go back to the solve cache, whose later
 // evaluations refill their NodeCurrent buffers.
+//
+// When a stage after the seed search fails (a budget below the seed area,
+// a failed solve, a grow, refine or reheat fault), RouteCtx returns the
+// error together with the seed-only route (paper Alg. 2) the rail can
+// degrade to: the seed mask and shape, the seed evaluation's resistances
+// and solver telemetry (Resistance NaN when the seed's own nodal analysis
+// failed), and Trace[:1]. A failed seed search returns a nil Result.
 func (tg *TileGraph) RouteCtx(ctx context.Context, cfg Config) (*Result, error) {
 	return tg.route(ctx, cfg, NewSolveCache())
 }
@@ -256,24 +212,53 @@ func (tg *TileGraph) route(ctx context.Context, cfg Config, warm *SolveCache) (*
 	var (
 		members []bool
 		m       *Metrics // metrics of members, handed from stage to stage
+		seed    *Metrics // the seed's metrics, nil when its evaluation failed
 	)
+	// degrade returns err with the seed-only route. Only the seed's
+	// Resistance, PairResistance and Solve are read, which stay valid
+	// after its NodeCurrent buffer went back to the cache. The later
+	// stages edit members in place, so the seed mask is searched again.
+	degrade := func(err error) (*Result, error) {
+		if len(trace) == 0 {
+			return nil, err
+		}
+		mask, serr := tg.Seed()
+		if serr != nil {
+			return nil, err
+		}
+		res := &Result{
+			Shape:      tg.Union(mask),
+			Members:    mask,
+			Graph:      tg,
+			Resistance: trace[0].Resistance,
+			Trace:      trace[:1:1],
+			Solve:      warm.stats,
+		}
+		if seed != nil {
+			res.PairResistance = seed.PairResistance
+			res.Solve = seed.Solve
+		}
+		return res, err
+	}
 	if err := runStage("Seed", func(sctx context.Context, sp *obs.Span) error {
 		var err error
 		members, err = tg.Seed()
 		if err != nil {
 			return err
 		}
-		m, err = tg.NodeCurrentsCtx(sctx, members, warm)
+		seed, err = tg.NodeCurrentsCtx(sctx, members, warm)
 		if err != nil {
+			record("seed", members, math.NaN())
 			return fmt.Errorf("route: seed metrics: %w", err)
 		}
+		m = seed
 		sp.SetAttrs(
 			obs.A("nodes", MemberCount(members)),
 			obs.A("area", tg.MembersArea(members)))
 		record("seed", members, m.Resistance)
 		return nil
 	}); err != nil {
-		return nil, err
+		return degrade(err)
 	}
 
 	areaMax := cfg.AreaMax
@@ -281,8 +266,8 @@ func (tg *TileGraph) route(ctx context.Context, cfg Config, warm *SolveCache) (*
 		areaMax = 4 * tg.MembersArea(members)
 	}
 	if tg.MembersArea(members) > areaMax {
-		return nil, fmt.Errorf("route: seed area %d already exceeds budget %d; increase AreaMax",
-			tg.MembersArea(members), areaMax)
+		return degrade(fmt.Errorf("route: seed area %d already exceeds budget %d; increase AreaMax",
+			tg.MembersArea(members), areaMax))
 	}
 	growNodes := cfg.GrowNodes
 	if growNodes <= 0 {
@@ -333,7 +318,7 @@ func (tg *TileGraph) route(ctx context.Context, cfg Config, warm *SolveCache) (*
 		m = warm.advance(m, next)
 		return nil
 	}); err != nil {
-		return nil, err
+		return degrade(err)
 	}
 
 	// Stage 3: SmartRefine until improvement is negligible (Alg. 5, §II-E).
@@ -365,7 +350,7 @@ func (tg *TileGraph) route(ctx context.Context, cfg Config, warm *SolveCache) (*
 		sp.SetAttrs(obs.A("resistance", m.Resistance))
 		return nil
 	}); err != nil {
-		return nil, err
+		return degrade(err)
 	}
 
 	// Snapshot the best within-budget configuration seen so far. Reheating
@@ -417,7 +402,7 @@ func (tg *TileGraph) route(ctx context.Context, cfg Config, warm *SolveCache) (*
 			}
 			return nil
 		}); err != nil {
-			return nil, err
+			return degrade(err)
 		}
 	}
 
@@ -433,7 +418,7 @@ func (tg *TileGraph) route(ctx context.Context, cfg Config, warm *SolveCache) (*
 		res.Shape = tg.Union(members)
 		return nil
 	}); err != nil {
-		return nil, err
+		return degrade(err)
 	}
 	res.Solve = warm.stats
 	return res, nil

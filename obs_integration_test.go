@@ -165,26 +165,32 @@ func TestTracedDegradedRailIsReported(t *testing.T) {
 			t.Fatalf("rail %s not reported as degraded: %+v", rail.Name, rail)
 		}
 	}
-	// The failed Grow span and the degraded fallback Seed span both land
-	// in the trace, and every Rail span records the failure.
-	var failedGrow, degradedSeed, failedRail int
+	// The failed Grow span lands in the trace, and every Rail span records
+	// the failure and the degrade. The seed-only route is the pipeline's
+	// own: each rail tiles its space once.
+	var failedGrow, degradedRail, failedRail, tilings int
 	for _, r := range tr.SpanRecords() {
-		switch {
-		case r.Name == "Grow" && r.Err != "":
-			failedGrow++
-		case r.Name == "Rail" && r.Err != "":
-			failedRail++
-		case r.Name == "Seed":
+		switch r.Name {
+		case "Grow":
+			if r.Err != "" {
+				failedGrow++
+			}
+		case "Rail":
+			if r.Err != "" {
+				failedRail++
+			}
 			for _, a := range r.Attrs {
 				if a.Key == "degraded" && a.Val == true {
-					degradedSeed++
+					degradedRail++
 				}
 			}
+		case "SpaceToGraph":
+			tilings++
 		}
 	}
-	if failedGrow != 2 || degradedSeed != 2 || failedRail != 2 {
-		t.Fatalf("failed Grow spans = %d, degraded Seed spans = %d, failed Rail spans = %d, want 2/2/2",
-			failedGrow, degradedSeed, failedRail)
+	if failedGrow != 2 || degradedRail != 2 || failedRail != 2 || tilings != 2 {
+		t.Fatalf("failed Grow spans = %d, degraded Rail spans = %d, failed Rail spans = %d, SpaceToGraph spans = %d, want 2/2/2/2",
+			failedGrow, degradedRail, failedRail, tilings)
 	}
 }
 

@@ -172,16 +172,16 @@ func (r *boardRun) routeNext(ctx context.Context, parent *routeState, net board.
 	case r.opt.FailFast:
 		return nil, &RailError{Net: net.ID, Name: net.Name, Err: rerr}
 	default:
-		// Per-rail isolation: record the failure and degrade to the
-		// seed-only route (paper Alg. 2). The seed ignores the area
-		// budget — a minimal connected shape beats no shape. When even
-		// seeding fails the rail stays unrouted but the board goes on.
+		// Per-rail isolation: record the failure and keep the seed-only
+		// route (paper Alg. 2) the failed pipeline handed back. The seed
+		// ignores the area budget — a minimal connected shape beats no
+		// shape. When even seeding failed the rail stays unrouted but
+		// the board goes on.
 		rail.Diag.Err = &RailError{Net: net.ID, Name: net.Name, Err: rerr}
-		if seed, serr := route.SeedOnly(rctx, avail, terms, cfg); serr == nil {
-			rail.Route = seed
+		if res != nil {
+			rail.Route = res
 			rail.Diag.Degraded = true
-		} else if isCtxErr(serr) {
-			return nil, serr
+			railSp.SetAttrs(obs.A("degraded", true))
 		}
 	}
 

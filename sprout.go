@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"time"
 
 	"sprout/internal/board"
@@ -125,7 +126,8 @@ func Audit(res *BoardResult, lim DRCLimits) []Violation {
 	if lim.Clearance == 0 {
 		lim.Clearance = res.Board.Rules.Clearance
 	}
-	routed := map[string]drc.RoutedNet{}
+	var shapes []drc.Shape
+	avail := map[string]geom.Region{}
 	for _, rail := range res.Rails {
 		if rail.Route == nil {
 			continue // unrouted rail: nothing to audit
@@ -133,13 +135,26 @@ func Audit(res *BoardResult, lim DRCLimits) []Violation {
 		if lim.BudgetSlack == 0 {
 			lim.BudgetSlack = rail.Route.Graph.DX * rail.Route.Graph.DY
 		}
-		routed[rail.Name] = drc.RoutedNet{
-			Copper:  rail.Route.Shape,
-			Budget:  rail.Budget,
-			Extract: rail.Extract,
+		s := drc.Shape{
+			Net:       rail.Name,
+			Copper:    rail.Route.Shape,
+			Terminals: railTerminals(res.Board, rail.Net, res.Layer),
+			Budget:    rail.Budget,
+		}
+		if rail.Extract != nil {
+			s.MaxCurrentDensity = rail.Extract.MaxCurrentDensity
+		}
+		shapes = append(shapes, s)
+		avail[rail.Name] = res.Board.AvailableSpace(rail.Net, res.Layer)
+	}
+	sort.Slice(shapes, func(i, j int) bool { return shapes[i].Net < shapes[j].Net })
+	blockages := geom.EmptyRegion()
+	for _, o := range res.Board.Obstacle {
+		if o.Layer == res.Layer {
+			blockages = blockages.Union(o.Shape)
 		}
 	}
-	return drc.AuditBoard(res.Board, res.Layer, routed, lim)
+	return drc.Audit(shapes, avail, blockages, lim)
 }
 
 // RailDiag records what went wrong (if anything) while routing one rail.

@@ -11,6 +11,7 @@ import (
 	"sprout/internal/cases"
 	"sprout/internal/extract"
 	"sprout/internal/geom"
+	"sprout/internal/route"
 )
 
 func facadeBoard(t *testing.T) (*sprout.Board, sprout.NetID) {
@@ -136,6 +137,50 @@ func TestAuditRoutedBoardClean(t *testing.T) {
 	}
 	if vs := sprout.Audit(res, sprout.DRCLimits{}); len(vs) != 0 {
 		t.Fatalf("routed board must pass DRC, got %v", vs)
+	}
+}
+
+// TestAuditBoardResult audits a hand-built board result: a routed strip
+// between the two pads is clean, and copper crossing the keepout is
+// flagged both as a blockage overlap and as a containment escape (the
+// keepout is excluded from the net's available space).
+func TestAuditBoardResult(t *testing.T) {
+	stack := sprout.Stackup{Layers: []sprout.Layer{
+		{Name: "L1", CopperUM: 35, DielectricBelowUM: 100},
+	}}
+	b, err := sprout.NewBoard("audit", geom.R(0, 0, 100, 50), stack, sprout.DesignRules{Clearance: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vdd := b.AddNet("VDD", 2, 5)
+	for _, g := range []sprout.TerminalGroup{
+		{Name: "s", Kind: board.KindPMIC, Pads: []geom.Region{geom.RegionFromRect(geom.R(0, 20, 8, 30))}},
+		{Name: "t", Kind: board.KindBGA, Pads: []geom.Region{geom.RegionFromRect(geom.R(92, 20, 100, 30))}},
+	} {
+		g.Net, g.Layer, g.Current = vdd, 1, 2
+		if err := b.AddGroup(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.AddObstacle(board.NetNone, 1, geom.RegionFromRect(geom.R(40, 40, 60, 50))); err != nil {
+		t.Fatal(err)
+	}
+	routed := func(copper geom.Rect, budget int64) *sprout.BoardResult {
+		return &sprout.BoardResult{Board: b, Layer: 1, Rails: []sprout.RailResult{{
+			Net: vdd, Name: "VDD", Budget: budget,
+			Route: &route.Result{Shape: geom.RegionFromRect(copper), Graph: &route.TileGraph{DX: 5, DY: 5}},
+		}}}
+	}
+	if vs := sprout.Audit(routed(geom.R(0, 18, 100, 32), 1500), sprout.DRCLimits{}); len(vs) != 0 {
+		t.Fatalf("clean board audit found %v", vs)
+	}
+	vs := sprout.Audit(routed(geom.R(0, 18, 100, 45), 5000), sprout.DRCLimits{})
+	rules := map[string]bool{}
+	for _, v := range vs {
+		rules[v.Rule] = true
+	}
+	if len(vs) != 2 || !rules["blockage"] || !rules["containment"] {
+		t.Fatalf("expected blockage+containment findings, got %v", vs)
 	}
 }
 
