@@ -46,6 +46,7 @@ import (
 func benchRouteCase(b *testing.B, cs *cases.CaseStudy, manual bool) {
 	b.Helper()
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := sprout.RouteBoard(cs.Board, sprout.RouteOptions{
 			Layer:      cs.RoutingLayer,

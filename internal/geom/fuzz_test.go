@@ -34,6 +34,7 @@ func FuzzRegionOps(f *testing.F) {
 		union := a.Union(b)
 		inter := a.Intersect(b)
 		diff := a.Subtract(b)
+		checkWindowed(t, "fuzz", a, b)
 
 		if union.Area()+inter.Area() != a.Area()+b.Area() {
 			t.Fatal("inclusion-exclusion violated")
@@ -108,6 +109,7 @@ func FuzzPolygonClip(f *testing.F) {
 		}
 
 		inter := a.Intersect(b)
+		checkWindowed(t, "fuzz", a, b)
 		// The clip is contained in both operands.
 		if !inter.Subtract(a).Empty() || !inter.Subtract(b).Empty() {
 			t.Fatal("clip escaped an operand")

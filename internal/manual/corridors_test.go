@@ -9,10 +9,10 @@ import (
 	"sprout/internal/route"
 )
 
-// corridorsReference is corridors with one padded rectangle per step,
-// before consecutive steps along one line were merged.
+// corridorsReference is corridorRects.draw with one padded rectangle per
+// step, before consecutive steps along one line were merged.
 func corridorsReference(polylines [][]geom.Point, width int64) geom.Region {
-	half := max(width/2, 1)
+	half := halfWidth(width)
 	var rects []geom.Rect
 	seg := func(a, b geom.Point) {
 		rects = append(rects, geom.R(min(a.X, b.X)-half, min(a.Y, b.Y)-half, max(a.X, b.X)+half, max(a.Y, b.Y)+half))
@@ -59,8 +59,9 @@ func TestCorridorsMergeCollinearSteps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var c corridorRects
 		for _, w := range []int64{1, 2, 3, 8, 15, 40, 121} {
-			if got, want := corridors(lines, w), corridorsReference(lines, w); !got.Equal(want) {
+			if got, want := c.draw(lines, w), corridorsReference(lines, w); !got.Equal(want) {
 				t.Fatalf("net %s width %d: merged corridors %v, want %v", net.Name, w, got, want)
 			}
 		}
@@ -70,6 +71,7 @@ func TestCorridorsMergeCollinearSteps(t *testing.T) {
 		t.Fatalf("checked %d six-rail backbones, want 6", rails)
 	}
 	r := rand.New(rand.NewSource(16))
+	var c corridorRects
 	for i := 0; i < 2000; i++ {
 		lines := make([][]geom.Point, 1+r.Intn(3))
 		for k := range lines {
@@ -87,7 +89,7 @@ func TestCorridorsMergeCollinearSteps(t *testing.T) {
 			}
 		}
 		w := int64(r.Intn(9))
-		if got, want := corridors(lines, w), corridorsReference(lines, w); !got.Equal(want) {
+		if got, want := c.draw(lines, w), corridorsReference(lines, w); !got.Equal(want) {
 			t.Fatalf("case %d width %d %v: merged corridors %v, want %v", i, w, lines, got, want)
 		}
 	}

@@ -25,7 +25,7 @@ func TestManualRouteConnects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !connectsAll(res.Shape, terms) {
+	if !connectsAllOracle(res.Shape, terms) {
 		t.Fatal("manual route must connect terminals")
 	}
 	if !res.Shape.Subtract(avail).Empty() {
@@ -61,7 +61,7 @@ func TestManualRouteAroundObstacle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !connectsAll(res.Shape, terms) {
+	if !connectsAllOracle(res.Shape, terms) {
 		t.Fatal("manual route must connect around the obstacle")
 	}
 	if res.Shape.Overlaps(geom.RegionFromRect(geom.R(80, 0, 120, 70))) {

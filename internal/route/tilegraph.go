@@ -309,12 +309,7 @@ func tileRegion(region geom.Region, frame geom.Rect, dx, dy int64) *tiling {
 			}
 		}
 	}
-	// Every non-empty box yields at least one piece, and most exactly one.
-	filled := 0
 	for c := int64(0); c < nbox; c++ {
-		if start[c+1] > 0 {
-			filled++
-		}
 		start[c+1] += start[c]
 	}
 	// Placing a fragment advances its box's start, which leaves start[c]
@@ -333,14 +328,22 @@ func tileRegion(region geom.Region, frame geom.Rect, dx, dy int64) *tiling {
 	copy(start[1:], start[:nbox])
 	start[0] = 0
 
+	// A box's pieces number its fragments less the joins among them, so
+	// one pass of joins sizes the piece starts exactly.
+	var sets geom.Sets
+	pieces := 0
+	for c, lo := int64(0), 0; c < nbox; c++ {
+		hi := start[c+1]
+		sets.Reset(hi - lo)
+		pieces += hi - lo - geom.JoinTouching(sets, byBox[lo:hi])
+		lo = hi
+	}
+
 	// Split each box into pieces. A piece's rectangles are its fragments,
 	// regrouped in place by piece when a box splits, so byBox serves as
 	// rects; start is rewritten in place from fragment to piece indices.
-	// The piece starts are sized to the non-empty boxes; a box that
-	// splits appends past that.
 	t.rects = byBox
-	t.rectStart = make([]int, 1, filled+1)
-	var sets geom.Sets
+	t.rectStart = make([]int, 1, pieces+1)
 	var held []geom.Rect
 	for c, lo := int64(0), 0; c < nbox; c++ {
 		hi := start[c+1]

@@ -226,7 +226,16 @@ func (r *boardRun) routeNext(ctx context.Context, parent *routeState, net board.
 		if target <= 0 {
 			target = rail.Route.Shape.Area()
 		}
-		man, merr := manual.Route(mAvail, terms, target, cfg.WithDefaults().DX)
+		// Before any copper is claimed the manual space is the SPROUT
+		// space, so at a square pitch the rail's tile graph is the one
+		// the baseline would build.
+		var man *manual.Result
+		var merr error
+		if tg := rail.Route.Graph; tg.DX == tg.DY && mAvail.Equal(avail) {
+			man, merr = manual.RouteGraph(tg, mAvail, terms, target)
+		} else {
+			man, merr = manual.Route(mAvail, terms, target, cfg.WithDefaults().DX)
+		}
 		if merr != nil {
 			if err := fault("manual baseline", merr); err != nil {
 				return nil, err
