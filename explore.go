@@ -62,9 +62,11 @@ type ExploreStats struct {
 	Orders int
 	// Workers is the worker-pool bound used.
 	Workers int
-	// PrefixHits counts rail routes skipped because a memoized prefix
-	// snapshot already covered them; PrefixMisses counts rail routes
-	// actually performed. Routing every order from scratch would perform
+	// PrefixHits counts rail routes skipped because a shared prefix
+	// snapshot already covered them, or because the rail memo handed
+	// over a rail another node routed for the same net on the same
+	// available space; PrefixMisses counts rail routes actually
+	// performed. Routing every order from scratch would perform
 	// Hits+Misses rail routes.
 	PrefixHits   int64
 	PrefixMisses int64

@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"hash/crc32"
 	"reflect"
+	"slices"
 	"testing"
 
 	"sprout"
@@ -66,36 +67,52 @@ func captureCheckpoints(t *testing.T, b *sprout.Board, opt sprout.RouteOptions) 
 	return out, cks
 }
 
+// TestResumeFromCheckpointMatchesFull resumes every Table IV row from
+// each of its checkpoints. On some rows the winner settled before the
+// checkpoint, so the resume routes its board again, without the rail
+// memo.
 func TestResumeFromCheckpointMatchesFull(t *testing.T) {
-	b, opt := threeRailExploreOpt(t)
-	full, cks := captureCheckpoints(t, b, opt)
-	// Six orders, checkpoint every 2, final emission skipped: 2 and 4.
-	if len(cks) != 2 {
-		t.Fatalf("captured %d checkpoints, want 2", len(cks))
-	}
-	for i, want := range []int{2, 4} {
-		if cks[i].Done != want {
-			t.Fatalf("checkpoint %d settled %d orders, want %d", i, cks[i].Done, want)
+	rerouted := 0
+	for _, row := range cases.Table4() {
+		b, opt := table4Opt(t, row)
+		opt.ExploreCheckpointEvery = 2
+		full, cks := captureCheckpoints(t, b, opt)
+		// Six orders, checkpoint every 2, final emission skipped: 2 and 4.
+		if len(cks) != 2 {
+			t.Fatalf("layout %d: captured %d checkpoints, want 2", row.Layout, len(cks))
+		}
+		for i, want := range []int{2, 4} {
+			if cks[i].Done != want {
+				t.Fatalf("layout %d: checkpoint %d settled %d orders, want %d", row.Layout, i, cks[i].Done, want)
+			}
+		}
+		best := slices.IndexFunc(full.Evaluated, func(s sprout.OrderScore) bool {
+			return slices.Equal(s.Order, full.BestOrder)
+		})
+		for _, ck := range cks {
+			resumeOpt := opt
+			resumeOpt.ExploreResume = ck
+			resumed, err := sprout.ExploreNetOrders(b, resumeOpt)
+			if err != nil {
+				t.Fatalf("layout %d resume at %d: %v", row.Layout, ck.Done, err)
+			}
+			sameExploration(t, full, resumed)
+			if resumed.Stats.ResumedOrders != ck.Done {
+				t.Fatalf("layout %d resume at %d: ResumedOrders = %d", row.Layout, ck.Done, resumed.Stats.ResumedOrders)
+			}
+			// The replayed prefix must not route: strictly fewer real rail
+			// routes than the uninterrupted sweep performed.
+			if resumed.Stats.PrefixMisses >= full.Stats.PrefixMisses {
+				t.Fatalf("layout %d resume at %d routed %d rails, uninterrupted sweep routed %d — no work was saved",
+					row.Layout, ck.Done, resumed.Stats.PrefixMisses, full.Stats.PrefixMisses)
+			}
+			if best < ck.Done {
+				rerouted++
+			}
 		}
 	}
-	for _, ck := range cks {
-		ck := ck
-		resumeOpt := opt
-		resumeOpt.ExploreResume = ck
-		resumed, err := sprout.ExploreNetOrders(b, resumeOpt)
-		if err != nil {
-			t.Fatalf("resume at %d: %v", ck.Done, err)
-		}
-		sameExploration(t, full, resumed)
-		if resumed.Stats.ResumedOrders != ck.Done {
-			t.Fatalf("resume at %d: ResumedOrders = %d", ck.Done, resumed.Stats.ResumedOrders)
-		}
-		// The replayed prefix must not route: strictly fewer real rail
-		// routes than the uninterrupted sweep performed.
-		if resumed.Stats.PrefixMisses >= full.Stats.PrefixMisses {
-			t.Fatalf("resume at %d routed %d rails, uninterrupted sweep routed %d — no work was saved",
-				ck.Done, resumed.Stats.PrefixMisses, full.Stats.PrefixMisses)
-		}
+	if rerouted == 0 {
+		t.Fatal("no resume re-routed a settled winner")
 	}
 }
 

@@ -24,8 +24,9 @@ import (
 )
 
 // diffExplore runs the explorer and the sequential oracle on the same
-// board/options and asserts bit-identical results.
-func diffExplore(t *testing.T, b *sprout.Board, opt sprout.RouteOptions) {
+// board/options, asserts bit-identical results and returns the
+// explorer's.
+func diffExplore(t *testing.T, b *sprout.Board, opt sprout.RouteOptions) *sprout.OrderExploration {
 	t.Helper()
 	seq, seqErr := sprout.ExploreSequential(context.Background(), b, opt)
 	par, parErr := sprout.ExploreNetOrders(b, opt)
@@ -40,9 +41,10 @@ func diffExplore(t *testing.T, b *sprout.Board, opt sprout.RouteOptions) {
 		if (seq == nil) != (par == nil) {
 			t.Fatalf("result divergence: sequential %v vs parallel %v", seq, par)
 		}
-		return
+		return par
 	}
 	sameExploration(t, seq, par)
+	return par
 }
 
 // sameExploration asserts every determinism-contract field matches.
@@ -164,16 +166,49 @@ func TestExploreDifferentialTwoRail(t *testing.T) {
 	})
 }
 
+// TestExploreDifferentialThreeRail sweeps every Table IV row and pins
+// the rail memo's count: each sweep's prefix tree has 15 nodes, and on
+// every row the leaf rails "MODEM after {CPU, DSP}" and "CPU after
+// {MODEM, DSP}" see the same available space in both of their orders,
+// so 13 rails route and 5 of the 18 sequential routes are hits.
 func TestExploreDifferentialThreeRail(t *testing.T) {
+	for _, row := range cases.Table4() {
+		row := row
+		t.Run(fmt.Sprintf("layout%d", row.Layout), func(t *testing.T) {
+			cs, err := cases.ThreeRail(row)
+			if err != nil {
+				t.Fatal(err)
+			}
+			par := diffExplore(t, cs.Board, sprout.RouteOptions{
+				Layer:   cs.RoutingLayer,
+				Budgets: cs.Budgets,
+				Config:  cs.Config,
+			})
+			if par.Stats.PrefixMisses != 13 || par.Stats.PrefixHits != 5 {
+				t.Fatalf("rail routes %d, hits %d; want 13 and 5",
+					par.Stats.PrefixMisses, par.Stats.PrefixHits)
+			}
+		})
+	}
+}
+
+// TestExploreDifferentialThreeRailManual adds the manual baseline, so a
+// rail is reused only when its manual space also matches; on this row
+// both shared rails' manual spaces match too.
+func TestExploreDifferentialThreeRailManual(t *testing.T) {
 	cs, err := cases.ThreeRail(cases.Table4()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	diffExplore(t, cs.Board, sprout.RouteOptions{
-		Layer:   cs.RoutingLayer,
-		Budgets: cs.Budgets,
-		Config:  cs.Config,
+	par := diffExplore(t, cs.Board, sprout.RouteOptions{
+		Layer:      cs.RoutingLayer,
+		Budgets:    cs.Budgets,
+		Config:     cs.Config,
+		WithManual: true,
 	})
+	if par.Stats.PrefixMisses != 13 || par.Stats.PrefixHits != 5 {
+		t.Fatalf("rail routes %d, hits %d; want 13 and 5", par.Stats.PrefixMisses, par.Stats.PrefixHits)
+	}
 }
 
 func TestExploreDifferentialFailingOrders(t *testing.T) {

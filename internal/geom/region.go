@@ -308,23 +308,29 @@ func (g Region) combine(h Region, keep func(bool, bool) bool) Region {
 		return Region{}
 	}
 	// A slab meets at most one band of each region, so its breakpoints
-	// number at most twice the widest band of g plus that of h. The
-	// output spans start with room for the inputs' span count.
-	ys := make([]int64, 0, 2*(len(g.bands)+len(h.bands)))
+	// number at most twice the widest band of g plus that of h; they and
+	// the y breakpoints share one allocation. The output spans start
+	// with room for the inputs' span count.
 	widest, total := 0, 0
 	for _, r := range [2]Region{g, h} {
 		w := 0
 		for _, b := range r.bands {
-			ys = append(ys, b.Y0, b.Y1)
 			w = max(w, len(b.Spans))
 			total += len(b.Spans)
 		}
 		widest += w
 	}
+	ny := 2 * (len(g.bands) + len(h.bands))
+	buf := make([]int64, 0, ny+2*widest)
+	ys, xs := buf[:0:ny], buf[ny:ny]
+	for _, r := range [2]Region{g, h} {
+		for _, b := range r.bands {
+			ys = append(ys, b.Y0, b.Y1)
+		}
+	}
 	ys = uniqueSorted(ys)
 	out := make([]band, 0, len(ys)-1)
 	spans := make([]span, 0, total)
-	xs := make([]int64, 0, 2*widest)
 	ig, ih := 0, 0
 	for i := 0; i+1 < len(ys); i++ {
 		y0, y1 := ys[i], ys[i+1]

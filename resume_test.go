@@ -81,7 +81,7 @@ func routeChain(t testing.TB, run *boardRun, order []board.NetID) []*routeState 
 		if err != nil {
 			t.Fatal(err)
 		}
-		next, err := run.routeNext(context.Background(), states[len(states)-1], n)
+		next, _, err := run.routeNext(context.Background(), states[len(states)-1], n, nil)
 		if err != nil {
 			t.Fatalf("routeNext net %s: %v", n.Name, err)
 		}
@@ -172,7 +172,7 @@ func TestResumeEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				state, err = run.routeNext(context.Background(), state, n)
+				state, _, err = run.routeNext(context.Background(), state, n, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -264,7 +264,7 @@ func FuzzResumeEquivalence(f *testing.F) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				state, err = run.routeNext(context.Background(), state, n)
+				state, _, err = run.routeNext(context.Background(), state, n, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

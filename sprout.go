@@ -313,7 +313,7 @@ func RouteBoardCtx(ctx context.Context, b *board.Board, opt RouteOptions) (resul
 	}
 	state := newRouteState()
 	for _, net := range nets {
-		state, err = run.routeNext(ctx, state, net)
+		state, _, err = run.routeNext(ctx, state, net, nil)
 		if err != nil {
 			return nil, err
 		}
